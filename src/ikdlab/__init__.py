@@ -7,7 +7,7 @@ drift replays).
 """
 
 from .align import (AlignedDataset, DelayEstimate, build_dataset,
-                    estimate_delay, histogram, merge_datasets,
+                    delay_from_scan, estimate_delay, histogram, merge_datasets,
                     prune_zero_curvature, scan_delays)
 from .datalog import (ImuLog, JoyLog, read_imu_csv, read_joy_csv, trim_idle,
                       write_imu_csv, write_joy_csv)

@@ -136,6 +136,17 @@ def estimate_delay(joy: JoyLog, imu: ImuLog,
     no candidate leaves at least MIN_OVERLAP seconds of shifted overlap.
     """
     delays, objectives = scan_delays(joy, imu, search, step)
+    return delay_from_scan(delays, objectives, objective_ceiling)
+
+
+def delay_from_scan(delays: np.ndarray, objectives: np.ndarray,
+                    objective_ceiling: float = DEFAULT_OBJECTIVE_CEILING
+                    ) -> DelayEstimate:
+    """Pick the delay estimate from a scan_delays result.
+
+    The grid argmin, ties broken toward the smaller delay, flagged when it
+    falls outside the plausible band or its objective exceeds the ceiling.
+    """
     if not np.any(np.isfinite(objectives)):
         raise InsufficientOverlapError(
             f"streams overlap less than {MIN_OVERLAP} s at every candidate delay")

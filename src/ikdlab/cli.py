@@ -102,12 +102,11 @@ def _load_scenario(cfg: PipelineConfig) -> evalkit.DriftScenario:
 
 def write_trace_csv(trace: SimTrace, path: str) -> None:
     """Ground-truth trace rows: t,x,y,heading,v,av."""
-    t = trace.times()
+    columns = (trace.times(), trace.x, trace.y, trace.heading, trace.v, trace.av)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,x,y,heading,v,av\n")
-        for i, s in enumerate(trace.states):
-            fh.write(f"{repr(float(t[i]))},{repr(s.x)},{repr(s.y)},"
-                     f"{repr(s.heading)},{repr(s.v)},{repr(s.av)}\n")
+        for row in zip(*(col.tolist() for col in columns)):
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def cmd_collect(args) -> int:
@@ -141,10 +140,9 @@ def cmd_align(args) -> int:
     imu = datalog.read_imu_csv(imu_path)
     joy, imu = datalog.trim_idle(joy, imu)
 
-    est = align_mod.estimate_delay(joy, imu, search=cfg.delay_search,
-                                   step=cfg.delay_step)
     delays, objectives = align_mod.scan_delays(joy, imu, search=cfg.delay_search,
                                                step=cfg.delay_step)
+    est = align_mod.delay_from_scan(delays, objectives)
     dataset = align_mod.build_dataset(joy, imu, est.delay, rate=cfg.joy_hz)
     pruned = align_mod.prune_zero_curvature(dataset)
 
@@ -231,19 +229,22 @@ def cmd_eval_circle(args) -> int:
                   else list(DEFAULT_CIRCLE_CURVATURES))
     model = mlp.load_model(args.model) if args.model else None
 
+    runs = [("uncorrected", None)]
+    if model is not None:
+        runs.append(("corrected", model))
     reports = []
     comparison = []
     for c in curvatures:
-        plain = evalkit.circle_test(args.v, c, cfg.slip)
-        reports.append(plain)
-        traces = [("uncorrected", evalkit.circle_trace(args.v, c, cfg.slip)[0].xy())]
+        traces = []
+        for run_name, run_model in runs:
+            trace, _ = evalkit.circle_trace(args.v, c, cfg.slip, run_model)
+            reports.append(evalkit.circle_test(args.v, c, cfg.slip, run_model,
+                                               trace=trace))
+            traces.append((run_name, trace.xy()))
         if model is not None:
-            corrected = evalkit.circle_test(args.v, c, cfg.slip, model)
-            reports.append(corrected)
+            plain, corrected = reports[-2:]
             comparison.append((c, plain.c_measured, corrected.c_measured,
                                corrected.deviation_pct))
-            traces.append(("corrected",
-                           evalkit.circle_trace(args.v, c, cfg.slip, model)[0].xy()))
         svgplot.svg_trajectory(traces,
                                os.path.join(out, "plots", f"circle_{c:.2f}.svg"),
                                title=f"circle test c={c:.2f} v={args.v:.1f}")

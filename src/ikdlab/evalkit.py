@@ -95,12 +95,16 @@ def circle_trace(v: float, c: float, p: SlipParams,
 
 
 def circle_test(v: float, c: float, p: SlipParams,
-                model: MlpParams | None = None) -> CircleReport:
+                model: MlpParams | None = None,
+                trace: SimTrace | None = None) -> CircleReport:
     """Drive a constant (v, c) command, fit the settled trajectory, report.
 
     The first TRANSIENT_MULT*lag_tau seconds are discarded before fitting.
+    A caller that already holds the run, ``circle_trace(v, c, p, model)[0]``
+    (to plot it, say), passes it as ``trace`` instead of simulating it again.
     """
-    trace, _ = circle_trace(v, c, p, model)
+    if trace is None:
+        trace, _ = circle_trace(v, c, p, model)
     t = trace.times()
     keep = t >= TRANSIENT_MULT * p.lag_tau
     _, r_fit = fit_circle(trace.xy()[keep])
@@ -273,11 +277,6 @@ class ClearanceReport:
             raise ValidationError("collided requires min_clearance <= 0")
 
 
-def _car_rect(state, scenario: DriftScenario) -> Rect:
-    return Rect(cx=state.x, cy=state.y, w=scenario.car_length,
-                h=scenario.car_width, angle=state.heading)
-
-
 def _gate_segment(scenario: DriftScenario):
     """Gate to thread: from the first cone to the nearest point on the first box."""
     if not scenario.cones or not scenario.boxes:
@@ -293,46 +292,115 @@ def _gate_segment(scenario: DriftScenario):
     return cone, nearest
 
 
+def _sat_gap(ax, ay, bx, by, axes) -> np.ndarray:
+    """Largest separating-axis gap between the corner sets a and b.
+
+    Corner coordinates have shape (..., 4); each axis is a pair of unit
+    vector components broadcastable against the leading dimensions.
+    """
+    gap = np.full(np.broadcast_shapes(ax.shape, bx.shape)[:-1], -math.inf)
+    for ux, uy in axes:
+        ux, uy = np.asarray(ux)[..., None], np.asarray(uy)[..., None]
+        pa = ax * ux + ay * uy
+        pb = bx * ux + by * uy
+        gap = np.maximum(gap, np.maximum(pa.min(-1) - pb.max(-1),
+                                         pb.min(-1) - pa.max(-1)))
+    return gap
+
+
+def _corner_edge_distance(px, py, qx, qy) -> np.ndarray:
+    """Smallest distance from the corners p to the edges of the rectangle q.
+
+    Corner coordinates have shape (..., 4), q's corners in boundary order.
+    """
+    ax, ay = qx[..., None, :], qy[..., None, :]
+    abx = np.roll(qx, -1, axis=-1)[..., None, :] - ax
+    aby = np.roll(qy, -1, axis=-1)[..., None, :] - ay
+    dx, dy = px[..., :, None] - ax, py[..., :, None] - ay
+    t = np.clip((dx * abx + dy * aby) / (abx * abx + aby * aby), 0.0, 1.0)
+    d = np.hypot(px[..., :, None] - (ax + t * abx), py[..., :, None] - (ay + t * aby))
+    return d.min(axis=(-2, -1))
+
+
+def _gate_crossed(xy: np.ndarray, g0, g1) -> bool:
+    """Whether any segment between consecutive positions meets the gate g0-g1.
+
+    The same orientation and collinear on-segment tests as
+    _segments_intersect, over all consecutive position pairs at once.
+    """
+    p1, p2 = xy[:-1], xy[1:]
+
+    def orient(o, a, b):
+        v = (a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1]) \
+            - (a[..., 1] - o[..., 1]) * (b[..., 0] - o[..., 0])
+        return np.sign(v)
+
+    def on_seg(a, b, p):
+        return ((np.minimum(a[..., 0], b[..., 0]) <= p[..., 0])
+                & (p[..., 0] <= np.maximum(a[..., 0], b[..., 0]))
+                & (np.minimum(a[..., 1], b[..., 1]) <= p[..., 1])
+                & (p[..., 1] <= np.maximum(a[..., 1], b[..., 1])))
+
+    d1, d2 = orient(g0, g1, p1), orient(g0, g1, p2)
+    d3, d4 = orient(p1, p2, g0), orient(p1, p2, g1)
+    hit = (((d1 != d2) & (d3 != d4))
+           | ((d1 == 0) & on_seg(g0, g1, p1)) | ((d2 == 0) & on_seg(g0, g1, p2))
+           | ((d3 == 0) & on_seg(p1, p2, g0)) | ((d4 == 0) & on_seg(p1, p2, g1)))
+    return bool(np.any(hit))
+
+
 def drift_eval(trace: SimTrace, scenario: DriftScenario) -> ClearanceReport:
     """Sweep the oriented car rectangle along the trace and score it.
 
     min_clearance is the smallest signed distance from the car body to any
     obstacle; min_turn_radius is taken over samples with |yaw rate| above
     TURN_AV_FLOOR; cleared_gate requires crossing the cone-to-box gate
-    segment without ever colliding.
+    segment without ever colliding.  Every state is scored at once: the
+    car's corners, separating-axis gaps and corner-to-edge distances are
+    arrays over the states, with the arithmetic of rect_rect_signed_distance
+    and point_rect_signed_distance.
     """
-    if len(trace.states) == 0:
-        raise ValidationError("trace is empty")
+    ca, sa = np.cos(trace.heading), np.sin(trace.heading)
+    hw, hh = scenario.car_length / 2.0, scenario.car_width / 2.0
+    local_x = np.array([-hw, hw, hw, -hw])
+    local_y = np.array([-hh, -hh, hh, hh])
+    car_x = local_x * ca[:, None] - local_y * sa[:, None] + trace.x[:, None]
+    car_y = local_x * sa[:, None] + local_y * ca[:, None] + trace.y[:, None]
+    car_axes = ((ca, sa), (-sa, ca))
 
     min_clearance = math.inf
-    for state in trace.states:
-        car = _car_rect(state, scenario)
-        for box in scenario.boxes:
-            min_clearance = min(min_clearance, rect_rect_signed_distance(car, box))
-        for cone in scenario.cones:
-            min_clearance = min(min_clearance, point_rect_signed_distance(cone, car))
-    if not scenario.boxes and not scenario.cones:
-        min_clearance = math.inf
+    for box in scenario.boxes:
+        corners = box.corners()
+        bx, by = corners[:, 0], corners[:, 1]
+        cb, sb = math.cos(box.angle), math.sin(box.angle)
+        d = _sat_gap(car_x, car_y, bx, by, car_axes + ((cb, sb), (-sb, cb)))
+        apart = d > 0.0  # disjoint: exact boundary-to-boundary distance
+        if np.any(apart):
+            d[apart] = np.minimum(
+                _corner_edge_distance(car_x[apart], car_y[apart], bx, by),
+                _corner_edge_distance(bx, by, car_x[apart], car_y[apart]))
+        min_clearance = min(min_clearance, float(d.min()))
+    for cone_x, cone_y in scenario.cones:
+        px, py = cone_x - trace.x, cone_y - trace.y
+        dx = np.abs(ca * px + sa * py) - hw
+        dy = np.abs(-sa * px + ca * py) - hh
+        d = (np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
+             + np.minimum(np.maximum(dx, dy), 0.0))
+        min_clearance = min(min_clearance, float(d.min()))
     collided = bool(min_clearance < 0.0)
 
+    turning = np.abs(trace.av) > TURN_AV_FLOOR
     min_turn_radius = math.inf
-    for state in trace.states:
-        if abs(state.av) > TURN_AV_FLOOR:
-            min_turn_radius = min(min_turn_radius, abs(state.v) / abs(state.av))
+    if np.any(turning):
+        min_turn_radius = float(np.min(np.abs(trace.v[turning])
+                                       / np.abs(trace.av[turning])))
 
     gate = _gate_segment(scenario)
-    crossed = False
-    if gate is not None:
-        g0, g1 = gate
-        xy = trace.xy()
-        for i in range(len(xy) - 1):
-            if _segments_intersect(xy[i], xy[i + 1], g0, g1):
-                crossed = True
-                break
+    crossed = gate is not None and _gate_crossed(trace.xy(), *gate)
     cleared_gate = bool(crossed and not collided)
 
     return ClearanceReport(min_clearance=float(min_clearance), collided=collided,
-                           min_turn_radius=float(min_turn_radius),
+                           min_turn_radius=min_turn_radius,
                            cleared_gate=cleared_gate)
 
 

@@ -10,12 +10,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .datalog import JoyLog
 from .errors import ParseError, ValidationError
 from .ikd import AV_LIMIT, c_from_av_v, correct
 from .mlp import MlpParams
 from .simcore import (DEFAULT_DT, ControlCommand, SimTrace, SlipParams,
-                      VehicleState, step_dynamics)
+                      VehicleState, _integrate)
 
 DEFAULT_REPLAY_RATE = 20.0  # Hz, command consumption rate
 
@@ -103,24 +105,17 @@ def execute_replay(buf: CommandBuffer, p: SlipParams,
         raise ValidationError("stride must be >= 1")
 
     n = int(math.floor(duration / dt + 1e-9))
-    state = initial_state if initial_state is not None else VehicleState()
-    states = [state]
+    ticks = np.floor(np.arange(n) * dt * rate + 1e-9)
+    new_tick = np.ones(n, dtype=bool)
+    new_tick[1:] = ticks[1:] > ticks[:-1]
     commands = []
-    held: ControlCommand | None = None
-    last_tick = -1
-    for i in range(n):
-        tick = int(math.floor(i * dt * rate + 1e-9))
-        if tick > last_tick:
-            v, av = next_command(buf)
-            for _ in range(stride - 1):
-                next_command(buf)
-            av = max(-AV_LIMIT, min(AV_LIMIT, av))  # actuator command range
-            c = c_from_av_v(av, v)
-            if model is not None:
-                c = correct(model, v, c).c_corrected
-            held = ControlCommand(v, c)
-            last_tick = tick
-        state = step_dynamics(state, held, p, dt)
-        states.append(state)
-        commands.append(held)
-    return SimTrace(dt=dt, states=tuple(states), commands=tuple(commands))
+    for _ in range(int(np.count_nonzero(new_tick))):
+        v, av = next_command(buf)
+        for _ in range(stride - 1):
+            next_command(buf)
+        av = max(-AV_LIMIT, min(AV_LIMIT, av))  # actuator command range
+        c = c_from_av_v(av, v)
+        if model is not None:
+            c = correct(model, v, c).c_corrected
+        commands.append(ControlCommand(v, c))
+    return _integrate(initial_state, commands, np.cumsum(new_tick) - 1, p, dt)

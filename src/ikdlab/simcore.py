@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -183,45 +184,83 @@ class ControlScript:
         return self.segments[-1].t_start
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimTrace:
-    """Time-ordered simulation record: len(states) == len(commands) + 1."""
+    """Time-ordered simulation record, one float64 array per channel.
+
+    The state channels ``x, y, heading, v, av, av_lag`` hold n+1 samples at
+    t_i = i*dt; the command channels ``cmd_v, cmd_c`` hold the n commands,
+    command i being held from state i to state i+1.
+    """
 
     dt: float
-    states: tuple[VehicleState, ...]
-    commands: tuple[ControlCommand, ...]
+    x: np.ndarray
+    y: np.ndarray
+    heading: np.ndarray
+    v: np.ndarray
+    av: np.ndarray
+    av_lag: np.ndarray
+    cmd_v: np.ndarray
+    cmd_c: np.ndarray
 
     def __post_init__(self):
-        if len(self.states) != len(self.commands) + 1:
-            raise ValidationError("trace must satisfy |states| = |commands| + 1")
+        for name in _STATE_CHANNELS + _COMMAND_CHANNELS:
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=float))
         if self.dt <= 0:
             raise ValidationError("trace dt must be positive")
+        n = self.cmd_v.shape
+        if self.cmd_v.ndim != 1 or self.cmd_c.shape != n:
+            raise ValidationError("command channels must be 1-D of equal length")
+        if any(getattr(self, name).shape != (n[0] + 1,) for name in _STATE_CHANNELS):
+            raise ValidationError("trace must satisfy |states| = |commands| + 1")
+        for name in _STATE_CHANNELS:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValidationError(f"SimTrace {name} contains non-finite values")
+        if np.max(np.abs(self.v)) > V_CAP + 1e-12:
+            raise ValidationError(f"|v|={np.max(np.abs(self.v))} exceeds cap {V_CAP}")
 
     def __len__(self) -> int:
-        return len(self.commands)
+        return self.cmd_v.size
+
+    @property
+    def states(self) -> tuple[VehicleState, ...]:
+        """The state channels as VehicleState objects, built on each access."""
+        return tuple(VehicleState(*row) for row in
+                     zip(*(getattr(self, name).tolist() for name in _STATE_CHANNELS)))
+
+    @property
+    def commands(self) -> tuple[ControlCommand, ...]:
+        """The command channels as ControlCommand objects, built on each access."""
+        return tuple(ControlCommand(v, c) for v, c in
+                     zip(self.cmd_v.tolist(), self.cmd_c.tolist()))
 
     @property
     def duration(self) -> float:
-        return len(self.commands) * self.dt
+        return len(self) * self.dt
 
     def times(self) -> np.ndarray:
         """Timestamps of the states, t_i = i*dt."""
-        return np.arange(len(self.states)) * self.dt
+        return np.arange(self.x.size) * self.dt
 
     def xy(self) -> np.ndarray:
         """(n+1, 2) array of positions."""
-        return np.array([(s.x, s.y) for s in self.states])
+        return np.column_stack([self.x, self.y])
 
     def av_true(self) -> np.ndarray:
         """True yaw rate at each state timestamp."""
-        return np.array([s.av for s in self.states])
+        return self.av
 
     def v_true(self) -> np.ndarray:
-        return np.array([s.v for s in self.states])
+        return self.v
 
     def av_commanded(self) -> np.ndarray:
         """Commanded angular velocity v*c for each step."""
-        return np.array([c.av for c in self.commands])
+        return self.cmd_v * self.cmd_c
+
+
+_STATE_CHANNELS = ("x", "y", "heading", "v", "av", "av_lag")
+_COMMAND_CHANNELS = ("cmd_v", "cmd_c")
 
 
 def slip_yaw_rate(av_lag: float, v: float, beta: float) -> float:
@@ -232,29 +271,51 @@ def slip_yaw_rate(av_lag: float, v: float, beta: float) -> float:
     return av_lag / (1.0 + beta * v * v * abs(av_lag))
 
 
+def _integrate(state: VehicleState | None, commands: Sequence[ControlCommand],
+               cmd_of_step: np.ndarray, p: SlipParams, dt: float) -> SimTrace:
+    """Explicit-Euler integration from ``state`` (at rest when None).
+
+    Step i holds ``commands[cmd_of_step[i]]``.  The commanded linear
+    velocity and angular velocity (v*c) both pass through the same
+    first-order lag; the lagged yaw rate is then attenuated by the slip law
+    before integrating the unicycle pose.  With all-zero SlipParams the
+    executed motion matches the command exactly.  The loop runs on plain
+    Python floats and only collects the results into arrays.
+    """
+    cmd_v = np.array([c.v for c in commands], dtype=float)[cmd_of_step]
+    cmd_c = np.array([c.c for c in commands], dtype=float)[cmd_of_step]
+    alpha = 1.0 if p.lag_tau <= 0.0 else 1.0 - math.exp(-dt / p.lag_tau)
+    beta = p.beta
+    state = state if state is not None else VehicleState()
+    x, y, heading, v, av, av_lag = (getattr(state, name) for name in _STATE_CHANNELS)
+    out = tuple(array("d", [value]) for value in (x, y, heading, v, av, av_lag))
+    xs, ys, hs, vs, avs, lags = (a.append for a in out)
+    cos, sin = math.cos, math.sin
+    for c_v, c_av in zip(memoryview(cmd_v), memoryview(cmd_v * cmd_c)):
+        v = v + (c_v - v) * alpha
+        v = max(-V_CAP, min(V_CAP, v))
+        av_lag = av_lag + (c_av - av_lag) * alpha
+        av = slip_yaw_rate(av_lag, v, beta)
+        x = x + v * cos(heading) * dt
+        y = y + v * sin(heading) * dt
+        heading = normalize_heading(heading + av * dt)
+        xs(x)
+        ys(y)
+        hs(heading)
+        vs(v)
+        avs(av)
+        lags(av_lag)
+    return SimTrace(dt, *(np.frombuffer(a, dtype=float) for a in out),
+                    cmd_v=cmd_v, cmd_c=cmd_c)
+
+
 def step_dynamics(state: VehicleState, cmd: ControlCommand, p: SlipParams,
                   dt: float) -> VehicleState:
-    """Advance the vehicle one explicit-Euler step under a held command.
-
-    The commanded linear velocity and angular velocity (v*c) both pass
-    through the same first-order lag; the lagged yaw rate is then attenuated
-    by the slip law before integrating the unicycle pose.  With all-zero
-    SlipParams the executed motion matches the command exactly.
-    """
+    """Advance the vehicle one explicit-Euler step under a held command."""
     if dt <= 0:
         raise ValidationError("dt must be positive")
     _require_finite("step_dynamics command", cmd.v, cmd.c)
-
-    alpha = 1.0 if p.lag_tau <= 0.0 else 1.0 - math.exp(-dt / p.lag_tau)
-    v = state.v + (cmd.v - state.v) * alpha
-    v = max(-V_CAP, min(V_CAP, v))
-    av_lag = state.av_lag + (cmd.av - state.av_lag) * alpha
-    av = slip_yaw_rate(av_lag, v, p.beta)
-
-    x = state.x + v * math.cos(state.heading) * dt
-    y = state.y + v * math.sin(state.heading) * dt
-    heading = normalize_heading(state.heading + av * dt)
-    return VehicleState(x=x, y=y, heading=heading, v=v, av=av, av_lag=av_lag)
+    return _integrate(state, [cmd], np.zeros(1, dtype=int), p, dt).states[-1]
 
 
 def run_scenario(script: ControlScript, p: SlipParams, duration: float,
@@ -262,6 +323,7 @@ def run_scenario(script: ControlScript, p: SlipParams, duration: float,
                  initial_state: VehicleState | None = None) -> SimTrace:
     """Run a scripted scenario for floor(duration/dt) steps.
 
+    Step i holds the command of the last segment with t_start <= i*dt.
     Deterministic: the dynamics are noise-free (sensor noise is applied only
     when logs are emitted).
     """
@@ -270,15 +332,12 @@ def run_scenario(script: ControlScript, p: SlipParams, duration: float,
     if script.segments[0].t_start > 0:
         raise ValidationError("script must be defined from t=0")
     n = int(math.floor(duration / dt + 1e-9))
-    state = initial_state if initial_state is not None else VehicleState()
-    states = [state]
-    commands = []
-    for i in range(n):
-        cmd = script.command_at(i * dt)
-        state = step_dynamics(state, cmd, p, dt)
-        states.append(state)
-        commands.append(cmd)
-    return SimTrace(dt=dt, states=tuple(states), commands=tuple(commands))
+    segs = script.segments
+    starts = np.array([s.t_start for s in segs], dtype=float)
+    seg_of_step = np.searchsorted(starts, np.arange(n) * dt + 1e-12, side="right") - 1
+    reached, cmd_of_step = np.unique(seg_of_step, return_inverse=True)
+    commands = [ControlCommand(segs[k].v, segs[k].c) for k in reached.tolist()]
+    return _integrate(initial_state, commands, cmd_of_step, p, dt)
 
 
 def emit_sensor_logs(trace: SimTrace, p: SlipParams, joy_rate: float = 40.0,
@@ -295,7 +354,7 @@ def emit_sensor_logs(trace: SimTrace, p: SlipParams, joy_rate: float = 40.0,
     """
     from .datalog import JoyLog, ImuLog  # local import to avoid a cycle
 
-    if len(trace.commands) == 0:
+    if len(trace) == 0:
         raise ValidationError("cannot emit logs from an empty trace")
     if joy_rate <= 0 or imu_rate <= 0:
         raise ValidationError("sensor rates must be positive")
@@ -304,8 +363,8 @@ def emit_sensor_logs(trace: SimTrace, p: SlipParams, joy_rate: float = 40.0,
 
     duration = trace.duration
     total = duration + 2.0 * pad
-    cmd_v = np.array([c.v for c in trace.commands])
-    cmd_av = np.array([c.av for c in trace.commands])
+    cmd_v = trace.cmd_v
+    cmd_av = trace.av_commanded()
 
     n_joy = int(math.floor(total * joy_rate + 1e-9))
     t_joy = np.arange(n_joy) / joy_rate

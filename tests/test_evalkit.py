@@ -12,7 +12,7 @@ from ikdlab.evalkit import (CAR_WIDTH, MIN_REVOLUTIONS, TRANSIENT_MULT,
                             emit_report, fit_circle, point_rect_signed_distance,
                             read_report_csv, rect_rect_signed_distance,
                             write_comparison_csv)
-from ikdlab.simcore import SimTrace, SlipParams, VehicleState
+from ikdlab.simcore import SimTrace, SlipParams
 
 from conftest import build_gain_model, kasa_radius
 
@@ -109,7 +109,7 @@ def test_circle_test_covers_two_revolutions_after_transient():
     trace, _ = circle_trace(2.0, 0.5, p)
     t = trace.times()
     keep = t >= TRANSIENT_MULT * p.lag_tau
-    headings = np.array([s.heading for s in trace.states])[keep]
+    headings = trace.heading[keep]
     swept = np.abs(np.unwrap(headings)[-1] - np.unwrap(headings)[0])
     assert swept >= MIN_REVOLUTIONS * 2.0 * math.pi
 
@@ -217,9 +217,11 @@ def straight_trace(y: float, length: float = 4.0, x0: float = -1.0,
                    heading: float = math.pi / 2) -> SimTrace:
     """Constant-speed straight line at x in [x0, x0+...], pointing +y."""
     n = 80
-    states = [VehicleState(x=y, y=x0 + length * i / n, heading=heading,
-                           v=1.0, av=0.0, av_lag=0.0) for i in range(n + 1)]
-    return SimTrace(dt=0.05, states=tuple(states), commands=tuple([None] * n))
+    i = np.arange(n + 1)
+    return SimTrace(dt=0.05, x=np.full(n + 1, y), y=x0 + length * i / n,
+                    heading=np.full(n + 1, heading), v=np.ones(n + 1),
+                    av=np.zeros(n + 1), av_lag=np.zeros(n + 1),
+                    cmd_v=np.zeros(n), cmd_c=np.zeros(n))
 
 
 def test_scenario_validation_and_json(tmp_path):
@@ -267,10 +269,9 @@ def test_clipping_the_cone_collides():
 
 
 def test_turn_radius_tracks_tightest_turning_sample():
-    states = (VehicleState(x=0, y=0, heading=0, v=3.0, av=2.0, av_lag=2.0),
-              VehicleState(x=1, y=0, heading=0, v=2.0, av=0.1, av_lag=0.1),
-              VehicleState(x=2, y=0, heading=0, v=2.0, av=4.0, av_lag=4.0))
-    trace = SimTrace(dt=0.05, states=states, commands=(None, None))
+    trace = SimTrace(dt=0.05, x=[0, 1, 2], y=[0, 0, 0], heading=[0, 0, 0],
+                     v=[3.0, 2.0, 2.0], av=[2.0, 0.1, 4.0], av_lag=[2.0, 0.1, 4.0],
+                     cmd_v=[0.0, 0.0], cmd_c=[0.0, 0.0])
     report = drift_eval(trace, DriftScenario(boxes=(), cones=(), gap_width=1.0))
     # |av|=0.1 is below the turning floor; 2/4 beats 3/2
     assert report.min_turn_radius == pytest.approx(0.5)

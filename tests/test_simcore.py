@@ -245,7 +245,8 @@ def test_imu_noise_is_seeded():
 
 def test_emit_rejects_empty_trace_and_bad_rates():
     trace = run_scenario(ControlScript.constant(1.0, 0.0), SlipParams(), 1.0)
-    empty = SimTrace(dt=DEFAULT_DT, states=(VehicleState(),), commands=())
+    empty = SimTrace(dt=DEFAULT_DT, x=[0.0], y=[0.0], heading=[0.0], v=[0.0],
+                     av=[0.0], av_lag=[0.0], cmd_v=[], cmd_c=[])
     with pytest.raises(ValidationError):
         emit_sensor_logs(empty, SlipParams())
     with pytest.raises(ValidationError):
