@@ -14,6 +14,7 @@ import numpy as np
 
 from .datalog import ImuLog, JoyLog
 from .errors import InsufficientOverlapError, ParseError, ValidationError
+from .simcore import AV_LIMIT
 
 # Plausible transport-delay band for the IMU stream; estimates outside it
 # are flagged as suspect rather than rejected.
@@ -66,9 +67,12 @@ class AlignedDataset:
                       and np.all(np.isfinite(self.av_joy))
                       and np.all(np.isfinite(self.av_imu))):
             raise ValidationError("dataset contains non-finite values")
-        if n and (np.max(np.abs(self.av_joy)) > 4.0 + 1e-9
-                  or np.max(np.abs(self.av_imu)) > 4.0 + 1e-9):
-            raise ValidationError("angular velocity outside [-4, 4] rad/s")
+        # Only the commanded channel is bounded by the actuator; the IMU
+        # channel is a measurement and may read beyond it (noise, slip).
+        if n and np.max(np.abs(self.av_joy)) > AV_LIMIT + 1e-9:
+            raise ValidationError(
+                f"commanded angular velocity av_joy outside "
+                f"[-{AV_LIMIT}, {AV_LIMIT}] rad/s")
         if self.period < 0:
             raise ValidationError("period must be non-negative")
 

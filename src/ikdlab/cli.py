@@ -12,13 +12,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import align as align_mod
 from . import datalog, evalkit, ikd, mlp, replay as replay_mod, scenarios, svgplot
-from .errors import IkdError, ValidationError
+from .errors import IkdError, ParseError, ValidationError
 from .simcore import SimTrace, SlipParams, emit_sensor_logs, run_scenario
 
 DEFAULT_OUT = "out"
@@ -47,7 +47,12 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, path: str) -> "PipelineConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}: not valid JSON ({exc})") from None
+        if not isinstance(raw, dict):
+            raise ValidationError(f"{path}: config must be a JSON object")
         known = {"seed", "slip_file", "scenario_file", "rates", "delay_search",
                  "delay_step", "pad", "train", "out_dir"}
         unknown = set(raw) - known
@@ -59,8 +64,16 @@ class PipelineConfig:
         slip = (SlipParams.from_json(raw["slip_file"]) if "slip_file" in raw
                 else SlipParams(seed=seed))
         rates = raw.get("rates", {})
-        train_raw = dict(raw.get("train", {}))
-        train_raw.setdefault("seed", seed)
+        train_raw = raw.get("train", {})
+        if not isinstance(train_raw, dict):
+            raise ValidationError(f"{path}: train must be a JSON object")
+        unknown = set(train_raw) - {f.name for f in fields(mlp.TrainConfig)}
+        if unknown:
+            raise ValidationError(f"{path}: unknown train keys {sorted(unknown)}")
+        try:
+            train = mlp.TrainConfig(**{"seed": seed, **train_raw})
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: train: {exc}") from None
         search = raw.get("delay_search",
                          [align_mod.DELAY_MIN, align_mod.DELAY_MAX])
         return cls(
@@ -73,7 +86,7 @@ class PipelineConfig:
             delay_search=(float(search[0]), float(search[1])),
             delay_step=float(raw.get("delay_step", align_mod.DEFAULT_DELAY_STEP)),
             pad=float(raw.get("pad", 1.0)),
-            train=mlp.TrainConfig(**train_raw),
+            train=train,
             out_dir=raw.get("out_dir"),
         )
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .errors import InferenceError, ValidationError
 from .mlp import MlpParams, forward
+from .simcore import AV_LIMIT  # rad/s, actuator command range
 
-AV_LIMIT = 4.0   # rad/s, actuator command range
 EPS_V = 0.05     # m/s, below this speed curvature is defined as 0
 
 

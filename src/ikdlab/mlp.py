@@ -4,11 +4,20 @@ Maps (commanded velocity, observed yaw rate) to the joystick yaw rate that
 produced it.  ReLU hidden layers, linear output head, MSE loss, analytic
 backpropagation, AdamW updates.  Everything runs in double precision on
 plain numpy arrays; no input normalization is applied.
+
+The weights live in one contiguous float64 vector, so an optimizer step is
+a handful of whole-vector operations.  Weights are validated where they
+enter or leave the program (the named constructor, model files) and where
+training could diverge (the config and the end of each epoch), not on
+every step.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,11 +34,23 @@ _SHAPES = {
     "W2": (32, 32), "b2": (32,),
     "W3": (1, 32), "b3": (1,),
 }
+_STOPS = tuple(itertools.accumulate(math.prod(_SHAPES[n]) for n in _FIELDS))
+N_PARAMS = _STOPS[-1]   # 1185 weights
+# (name, slice of the flat vector, shape) of each tensor, in _FIELDS order
+_LAYOUT = tuple((name, slice(lo, hi), _SHAPES[name])
+                for name, lo, hi in zip(_FIELDS, (0,) + _STOPS[:-1], _STOPS))
 
 
 @dataclass(frozen=True)
 class MlpParams:
-    """Network weights; shapes are fixed by LAYER_SIZES."""
+    """Network weights; shapes are fixed by LAYER_SIZES.
+
+    ``theta`` holds every weight in one read-only float64 vector, in
+    _FIELDS order; W1, b1, W2, b2, W3 and b3 are reshaped views of it,
+    bound once when the object is built.  The named constructor copies and
+    validates its tensors; ``_from_flat`` adopts a vector unchecked and is
+    meant for the optimizer only.
+    """
 
     W1: np.ndarray
     b1: np.ndarray
@@ -37,20 +58,44 @@ class MlpParams:
     b2: np.ndarray
     W3: np.ndarray
     b3: np.ndarray
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        tensors = []
         for name in _FIELDS:
             arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
             if arr.shape != _SHAPES[name]:
                 raise ValidationError(
                     f"{name} has shape {arr.shape}, expected {_SHAPES[name]}")
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"{name} contains non-finite values")
+            tensors.append(arr)
+        self._bind(np.concatenate(tensors, axis=None))
+        if not np.isfinite(self.theta).all():
+            raise ValidationError(
+                f"{_nonfinite_tensors(self)[0]} contains non-finite values")
+
+    def _bind(self, theta: np.ndarray) -> None:
+        theta.flags.writeable = False
+        # One __dict__ update instead of seven frozen-dataclass setattrs:
+        # the optimizer builds an MlpParams on every step.
+        self.__dict__.update(
+            {name: theta[span].reshape(shape) for name, span, shape in _LAYOUT},
+            theta=theta)
+
+    @classmethod
+    def _from_flat(cls, theta: np.ndarray) -> "MlpParams":
+        """Wrap a float64 vector of N_PARAMS values without validating it."""
+        p = object.__new__(cls)
+        p._bind(theta)
+        return p
 
     @classmethod
     def zeros(cls) -> "MlpParams":
-        return cls(**{n: np.zeros(_SHAPES[n]) for n in _FIELDS})
+        return cls._from_flat(np.zeros(N_PARAMS))
+
+
+def _nonfinite_tensors(p: MlpParams) -> list[str]:
+    """Names of the tensors of p that hold a NaN or an infinity."""
+    return [name for name in _FIELDS if not np.all(np.isfinite(getattr(p, name)))]
 
 
 def init_params(rng: np.random.Generator) -> MlpParams:
@@ -76,26 +121,46 @@ class TrainConfig:
     split_fraction: float = 0.1  # fraction of rows held out for the test split
 
     def __post_init__(self):
+        for name in ("batch_size", "epochs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        for name in ("lr", "weight_decay", "beta1", "beta2", "eps_adam",
+                     "split_fraction"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValidationError(f"{name} must be a finite number, got {value!r}")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
+        if self.lr <= 0.0:
+            raise ValidationError("lr must be positive")
+        if self.weight_decay < 0.0:
+            raise ValidationError("weight_decay must be >= 0")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValidationError(f"{name} must be in [0, 1)")
+        if self.eps_adam <= 0.0:
+            raise ValidationError("eps_adam must be positive")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValidationError("split_fraction must be in (0, 1)")
 
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment accumulators and the step counter."""
+    """First/second moment vectors, laid out like MlpParams.theta, and the step counter."""
 
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def fresh(cls) -> "AdamState":
-        return cls(m={n: np.zeros(_SHAPES[n]) for n in _FIELDS},
-                   v={n: np.zeros(_SHAPES[n]) for n in _FIELDS})
+        return cls(m=np.zeros(N_PARAMS), v=np.zeros(N_PARAMS))
 
 
 @dataclass(frozen=True)
@@ -116,13 +181,21 @@ class LossCurve:
 
 
 def _forward_batch(p: MlpParams, X: np.ndarray):
-    """Return activations needed for backprop: (z1, a1, z2, a2, out)."""
-    z1 = X @ p.W1.T + p.b1
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ p.W2.T + p.b2
-    a2 = np.maximum(z2, 0.0)
+    """Return the activations backprop needs: (a1, a2, out).
+
+    Bias adds and ReLUs run in place, so a batch holds two hidden-layer
+    arrays at a time, not four; this bounds the memory of the per-epoch
+    evaluation over the whole training split.  a1 > 0 exactly where its
+    pre-activation is > 0, so the activations also give the ReLU masks.
+    """
+    a1 = X @ p.W1.T
+    a1 += p.b1
+    np.maximum(a1, 0.0, out=a1)
+    a2 = a1 @ p.W2.T
+    a2 += p.b2
+    np.maximum(a2, 0.0, out=a2)
     out = a2 @ p.W3.T + p.b3
-    return z1, a1, z2, a2, out[:, 0]
+    return a1, a2, out[:, 0]
 
 
 def forward(p: MlpParams, inputs) -> float | np.ndarray:
@@ -138,7 +211,7 @@ def forward(p: MlpParams, inputs) -> float | np.ndarray:
         raise ValidationError(f"inputs must have shape (2,) or (n, 2), got {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValidationError("inputs must be finite")
-    out = _forward_batch(p, X)[4]
+    out = _forward_batch(p, X)[2]
     return float(out[0]) if single else out
 
 
@@ -156,7 +229,7 @@ def loss_and_grads(p: MlpParams, X: np.ndarray, y: np.ndarray):
     if n == 0:
         raise ValidationError("batch must be non-empty")
 
-    z1, a1, z2, a2, out = _forward_batch(p, X)
+    a1, a2, out = _forward_batch(p, X)
     resid = out - y
     mse = float(np.mean(resid * resid))
 
@@ -164,11 +237,11 @@ def loss_and_grads(p: MlpParams, X: np.ndarray, y: np.ndarray):
     g_W3 = d_out.T @ a2
     g_b3 = d_out.sum(axis=0)
     d_a2 = d_out @ p.W3                          # (n, 32)
-    d_z2 = d_a2 * (z2 > 0.0)
+    d_z2 = d_a2 * (a2 > 0.0)
     g_W2 = d_z2.T @ a1
     g_b2 = d_z2.sum(axis=0)
     d_a1 = d_z2 @ p.W2
-    d_z1 = d_a1 * (z1 > 0.0)
+    d_z1 = d_a1 * (a1 > 0.0)
     g_W1 = d_z1.T @ X
     g_b1 = d_z1.sum(axis=0)
 
@@ -182,26 +255,39 @@ def adamw_step(p: MlpParams, grads: dict, s: AdamState,
     """One decoupled-weight-decay Adam update with bias correction.
 
     Weight decay is applied to every parameter tensor, biases included.
+    The update runs on whole flat vectors; it returns new objects and
+    leaves p, grads and s untouched.  The new weights are not validated:
+    train checks them once per epoch.
     """
-    t = s.t + 1
-    new_vals, new_m, new_v = {}, {}, {}
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    tensors = []
     for name in _FIELDS:
         g = np.asarray(grads[name], dtype=float)
-        theta = getattr(p, name)
-        if g.shape != theta.shape:
+        if g.shape != _SHAPES[name]:
             raise ValidationError(f"grad {name} has shape {g.shape}, "
-                                  f"expected {theta.shape}")
-        m = cfg.beta1 * s.m[name] + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * s.v[name] + (1.0 - cfg.beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        step = m_hat / (np.sqrt(v_hat) + cfg.eps_adam) + cfg.weight_decay * theta
-        new_vals[name] = theta - cfg.lr * step
-        new_m[name] = m
-        new_v[name] = v
-    return MlpParams(**new_vals), AdamState(m=new_m, v=new_v, t=t)
+                                  f"expected {_SHAPES[name]}")
+        tensors.append(g)
+    g = np.concatenate(tensors, axis=None)
+    t = s.t + 1
+    b1, b2 = cfg.beta1, cfg.beta2
+    # m = b1*m + (1-b1)*g,  v = b2*v + (1-b2)*(g*g),
+    # step = m_hat / (sqrt(v_hat) + eps) + wd*theta,  theta - lr*step:
+    # evaluated in this order, and so bit for bit, but in place on the
+    # step's own vectors (g is a fresh concatenation) to save allocations.
+    m = b1 * s.m
+    m += (1.0 - b1) * g
+    g *= g
+    g *= 1.0 - b2
+    v = b2 * s.v
+    v += g
+    denom = np.divide(v, 1.0 - b2 ** t, out=g)      # v_hat
+    np.sqrt(denom, out=denom)
+    denom += cfg.eps_adam
+    step = m / (1.0 - b1 ** t)                       # m_hat
+    step /= denom
+    step += cfg.weight_decay * p.theta
+    step *= cfg.lr
+    theta = np.subtract(p.theta, step, out=step)
+    return MlpParams._from_flat(theta), AdamState(m=m, v=v, t=t)
 
 
 def _dataset_xy(data: AlignedDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +302,9 @@ def train(data: AlignedDataset, cfg: TrainConfig = TrainConfig()
 
     Seeded and fully deterministic: weight init, train/test split, and the
     per-epoch shuffles all come from one generator seeded with cfg.seed.
-    The loss curve holds full-split MSE evaluated after each epoch.
+    The loss curve holds full-split MSE evaluated after each epoch.  A run
+    whose loss or weights turn non-finite stops with a ValidationError
+    naming the epoch.
     """
     n = len(data)
     if n < 2 * cfg.batch_size:
@@ -246,10 +334,20 @@ def train(data: AlignedDataset, cfg: TrainConfig = TrainConfig()
             p, s = adamw_step(p, grads, s, cfg)
         train_mse[epoch] = np.mean((forward(p, X_tr) - y_tr) ** 2)
         test_mse[epoch] = np.mean((forward(p, X_te) - y_te) ** 2)
+        if not (math.isfinite(train_mse[epoch]) and math.isfinite(test_mse[epoch])
+                and np.all(np.isfinite(p.theta))):
+            bad = ", ".join(_nonfinite_tensors(p)) or "none"
+            raise ValidationError(
+                f"training diverged in epoch {epoch}: train mse {train_mse[epoch]}, "
+                f"test mse {test_mse[epoch]}, non-finite weights in {bad}")
     return p, LossCurve(train_mse=train_mse, test_mse=test_mse)
 
 
 def save_model(p: MlpParams, path: str) -> None:
+    bad = _nonfinite_tensors(p)
+    if bad:
+        raise ValidationError(
+            f"{path}: refusing to save non-finite weights in {', '.join(bad)}")
     payload = {
         "version": MODEL_VERSION,
         "layer_sizes": list(LAYER_SIZES),

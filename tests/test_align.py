@@ -153,6 +153,18 @@ def test_dataset_validation():
     assert d.idx.tolist() == [0]
 
 
+def test_only_commands_are_held_to_the_actuator_limit():
+    # IMU noise around a command at the limit reads above 4 rad/s
+    d = AlignedDataset(v_joy=[4.0, 4.0], av_joy=[4.0, 4.0],
+                       av_imu=[4.0, 4.013], period=0.025)
+    assert d.av_imu[1] == 4.013
+    AlignedDataset(v_joy=[4.0], av_joy=[-4.0], av_imu=[-6.5], period=0.025)
+    with pytest.raises(ValidationError, match="av_joy"):
+        AlignedDataset(v_joy=[4.0], av_joy=[4.1], av_imu=[4.0], period=0.025)
+    with pytest.raises(ValidationError, match="non-finite"):
+        AlignedDataset(v_joy=[4.0], av_joy=[4.0], av_imu=[np.inf], period=0.025)
+
+
 # --- merge -------------------------------------------------------------------
 
 def test_merge_empty_list_gives_empty_dataset():

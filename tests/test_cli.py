@@ -6,7 +6,7 @@ import os
 import pytest
 
 from ikdlab.cli import DEFAULT_CIRCLE_CURVATURES, PipelineConfig, main
-from ikdlab.errors import ValidationError
+from ikdlab.errors import ParseError, ValidationError
 from ikdlab.simcore import ControlScript
 
 
@@ -135,6 +135,34 @@ def test_config_validation(workdir):
         json.dump({"pad": 1.0}, fh)
     with pytest.raises(ValidationError, match="seed"):
         PipelineConfig.from_json("noseed.json")
+
+
+@pytest.mark.parametrize("raw, error, match", [
+    ({"seed": 0, "train": {"epochz": 3}}, ValidationError,
+     r"bad\.json: unknown train keys \['epochz'\]"),
+    ({"seed": 0, "train": {"epochs": "2"}}, ValidationError,
+     r"bad\.json: train: epochs must be an integer"),
+    ({"seed": 0, "train": {"lr": -1}}, ValidationError,
+     r"bad\.json: train: lr must be positive"),
+    ({"seed": 0, "train": [3]}, ValidationError,
+     r"bad\.json: train must be a JSON object"),
+])
+def test_bad_train_section_names_file_and_key(workdir, capsys, raw, error, match):
+    with open("bad.json", "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)
+    with pytest.raises(error, match=match):
+        PipelineConfig.from_json("bad.json")
+    assert main(["train", "--config", "bad.json", "--out", "run"]) == 1
+    assert "error: bad.json" in capsys.readouterr().err
+
+
+def test_truncated_config_is_parse_error_naming_file_and_line(workdir, capsys):
+    with open("cut.json", "w", encoding="utf-8") as fh:
+        fh.write('{"seed": 0,\n "train": {"epochs": 3')
+    with pytest.raises(ParseError, match=r"cut\.json: not valid JSON .*line 2"):
+        PipelineConfig.from_json("cut.json")
+    assert main(["collect", "--config", "cut.json", "--out", "run"]) == 1
+    assert "error: cut.json: not valid JSON" in capsys.readouterr().err
 
 
 def test_config_fields_flow_through(workdir):

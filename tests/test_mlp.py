@@ -5,10 +5,10 @@ import pytest
 
 from ikdlab.align import AlignedDataset
 from ikdlab.errors import ParseError, ValidationError
-from ikdlab.mlp import (LAYER_SIZES, AdamState, LossCurve, MlpParams,
-                        TrainConfig, _FIELDS, _SHAPES, adamw_step, forward,
-                        init_params, load_model, loss_and_grads, save_model,
-                        train, write_loss_csv)
+from ikdlab.mlp import (LAYER_SIZES, N_PARAMS, AdamState, LossCurve,
+                        MlpParams, TrainConfig, _FIELDS, _SHAPES, adamw_step,
+                        forward, init_params, load_model, loss_and_grads,
+                        save_model, train, write_loss_csv)
 
 from conftest import build_constant_model, build_gain_model, build_identity_model
 
@@ -84,6 +84,42 @@ def test_params_shape_and_finiteness_validation():
     bad["W1"] = np.full(_SHAPES["W1"], np.inf)
     with pytest.raises(ValidationError):
         MlpParams(**bad)
+
+
+def test_named_tensors_are_views_of_one_flat_vector():
+    p = random_params(4)
+    assert p.theta.shape == (N_PARAMS,) == (1185,)
+    assert p.theta.dtype == np.float64 and p.theta.flags.c_contiguous
+    k = 0
+    for name in _FIELDS:
+        arr = getattr(p, name)
+        assert arr.shape == _SHAPES[name]
+        assert np.shares_memory(arr, p.theta)
+        assert np.array_equal(arr.ravel(), p.theta[k:k + arr.size])
+        k += arr.size
+    assert k == N_PARAMS
+    # bound once: repeated access returns the same view object
+    assert p.W2 is p.W2
+    with pytest.raises(ValueError):
+        p.W1[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        p.theta[0] = 1.0
+
+
+def test_named_constructor_copies_its_tensors():
+    W1 = np.ones(_SHAPES["W1"])
+    p = MlpParams(W1=W1, **{n: np.zeros(_SHAPES[n]) for n in _FIELDS[1:]})
+    W1[0, 0] = 5.0
+    assert p.W1[0, 0] == 1.0
+
+
+def test_from_flat_wraps_without_validation():
+    theta = np.arange(N_PARAMS, dtype=float)
+    theta[70] = np.nan
+    p = MlpParams._from_flat(theta)
+    assert p.theta is theta
+    assert np.isnan(p.b1[6])
+    assert p.b3[0] == N_PARAMS - 1
 
 
 def test_init_params_respects_fan_in_bounds():
@@ -203,6 +239,12 @@ def test_adamw_is_stateful_and_deterministic():
     assert not np.array_equal(a2.W1 - a1.W1, a1.W1 - p.W1)
 
 
+def test_adam_state_is_flat():
+    s = AdamState.fresh()
+    assert s.m.shape == s.v.shape == (N_PARAMS,)
+    assert s.t == 0 and not s.m.any() and not s.v.any()
+
+
 def test_adamw_rejects_shape_mismatch():
     grads = {n: np.zeros(_SHAPES[n]) for n in _FIELDS}
     grads["W2"] = np.zeros((4, 4))
@@ -264,6 +306,34 @@ def test_train_config_validation():
         TrainConfig(split_fraction=1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lr", -1.0), ("lr", 0.0), ("lr", float("nan")), ("lr", float("inf")),
+    ("lr", "0.1"),
+    ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.5), ("beta2", float("nan")),
+    ("weight_decay", -1.0), ("weight_decay", float("inf")),
+    ("eps_adam", 0.0), ("eps_adam", -1e-8),
+    ("batch_size", 32.0), ("batch_size", "32"), ("batch_size", True),
+    ("epochs", "2"), ("epochs", 2.5),
+    ("seed", -1), ("seed", 1.0),
+])
+def test_train_config_rejects_values_that_diverge_or_do_not_type(field, value):
+    with pytest.raises(ValidationError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_edge_values():
+    cfg = TrainConfig(lr=1e6, beta1=0.0, beta2=0.0, weight_decay=0.0,
+                      eps_adam=1e-300, batch_size=np.int64(8), epochs=1, seed=0)
+    assert cfg.lr == 1e6 and cfg.batch_size == 8
+
+
+def test_train_names_the_epoch_when_it_diverges():
+    data = identity_dataset(n=3000, seed=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError, match="diverged in epoch 0"):
+            train(data, TrainConfig(lr=1e6, epochs=3, seed=0))
+
+
 def test_loss_curve_validation():
     with pytest.raises(ValidationError):
         LossCurve(train_mse=[1.0, 0.5], test_mse=[1.0])
@@ -279,6 +349,16 @@ def test_model_file_round_trip(tmp_path):
     save_model(p, path)
     q = load_model(path)
     assert all(np.array_equal(getattr(p, n), getattr(q, n)) for n in _FIELDS)
+
+
+def test_save_model_refuses_non_finite_weights(tmp_path):
+    theta = random_params(9).theta.copy()
+    theta[100] = np.inf     # inside W2
+    theta[1184] = np.nan    # b3
+    path = tmp_path / "model.json"
+    with pytest.raises(ValidationError, match="W2, b3"):
+        save_model(MlpParams._from_flat(theta), str(path))
+    assert not path.exists()
 
 
 def test_model_file_truncated_is_parse_error(tmp_path):

@@ -3,10 +3,14 @@
 The simulator oracles are verbatim copies of the per-step loops that
 built one VehicleState and one ControlCommand per step; every channel of
 the array-backed trace must match them bit for bit.  The drift oracle
-scores one state at a time with the scalar geometry helpers.
+scores one state at a time with the scalar geometry helpers.  The trainer
+oracle is a verbatim copy of the per-tensor AdamW step and training loop;
+the flat-vector trainer must reproduce its weights and loss curves bit for
+bit.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,7 +20,10 @@ from ikdlab.evalkit import (DriftScenario, Rect, _gate_segment,
                             point_rect_signed_distance,
                             rect_rect_signed_distance, TURN_AV_FLOOR)
 from ikdlab.ikd import AV_LIMIT, c_from_av_v, correct
-from ikdlab.mlp import init_params
+from ikdlab.align import AlignedDataset
+from ikdlab.mlp import (AdamState, LossCurve, MlpParams, TrainConfig, _FIELDS,
+                        _SHAPES, _dataset_xy, adamw_step, forward, init_params,
+                        loss_and_grads, train)
 from ikdlab.replay import CommandBuffer, execute_replay, next_command
 from ikdlab.scenarios import loose_scenario, tight_scenario
 from ikdlab.simcore import (DEFAULT_DT, V_CAP, ControlCommand, ControlScript,
@@ -289,3 +296,145 @@ def test_drift_eval_gate_touch_cases_match_reference():
                          cmd_c=np.zeros(n - 1))
         assert_matches_reference(trace, scenario)
         assert drift_eval(trace, scenario).cleared_gate == expected, name
+
+
+# --- trainer oracle (the per-tensor AdamW and training loop, kept verbatim) --
+
+@dataclass
+class ReferenceAdamState:
+    """Per-parameter first/second moment accumulators and the step counter."""
+
+    m: dict
+    v: dict
+    t: int = 0
+
+    @classmethod
+    def fresh(cls) -> "ReferenceAdamState":
+        return cls(m={n: np.zeros(_SHAPES[n]) for n in _FIELDS},
+                   v={n: np.zeros(_SHAPES[n]) for n in _FIELDS})
+
+
+def reference_adamw_step(p: MlpParams, grads: dict, s: ReferenceAdamState,
+                         cfg: TrainConfig) -> tuple[MlpParams, ReferenceAdamState]:
+    t = s.t + 1
+    new_vals, new_m, new_v = {}, {}, {}
+    bc1 = 1.0 - cfg.beta1 ** t
+    bc2 = 1.0 - cfg.beta2 ** t
+    for name in _FIELDS:
+        g = np.asarray(grads[name], dtype=float)
+        theta = getattr(p, name)
+        if g.shape != theta.shape:
+            raise ValidationError(f"grad {name} has shape {g.shape}, "
+                                  f"expected {theta.shape}")
+        m = cfg.beta1 * s.m[name] + (1.0 - cfg.beta1) * g
+        v = cfg.beta2 * s.v[name] + (1.0 - cfg.beta2) * (g * g)
+        m_hat = m / bc1
+        v_hat = v / bc2
+        step = m_hat / (np.sqrt(v_hat) + cfg.eps_adam) + cfg.weight_decay * theta
+        new_vals[name] = theta - cfg.lr * step
+        new_m[name] = m
+        new_v[name] = v
+    return MlpParams(**new_vals), ReferenceAdamState(m=new_m, v=new_v, t=t)
+
+
+def reference_train(data: AlignedDataset, cfg: TrainConfig):
+    n = len(data)
+    if n < 2 * cfg.batch_size:
+        raise ValidationError(
+            f"dataset has {n} rows; need at least {2 * cfg.batch_size}")
+
+    rng = np.random.default_rng(cfg.seed)
+    p = init_params(rng)
+    s = ReferenceAdamState.fresh()
+
+    X, y = _dataset_xy(data)
+    perm = rng.permutation(n)
+    n_test = min(max(int(round(n * cfg.split_fraction)), 1), n - cfg.batch_size)
+    test_idx = perm[:n_test]
+    train_idx = perm[n_test:]
+    X_tr, y_tr = X[train_idx], y[train_idx]
+    X_te, y_te = X[test_idx], y[test_idx]
+
+    train_mse = np.empty(cfg.epochs)
+    test_mse = np.empty(cfg.epochs)
+    n_tr = len(train_idx)
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n_tr)
+        for start in range(0, n_tr, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            _, grads = loss_and_grads(p, X_tr[batch], y_tr[batch])
+            p, s = reference_adamw_step(p, grads, s, cfg)
+        train_mse[epoch] = np.mean((forward(p, X_tr) - y_tr) ** 2)
+        test_mse[epoch] = np.mean((forward(p, X_te) - y_te) ** 2)
+    return p, LossCurve(train_mse=train_mse, test_mse=test_mse)
+
+
+def random_slip_dataset(rng, n: int) -> AlignedDataset:
+    """Understeer-like rows: observed yaw rate lags the command, plus noise."""
+    v = rng.uniform(0.3, 4.2, n)
+    av_joy = rng.uniform(-1.0, 1.0, n) * np.minimum(4.0, 1.2 * v)
+    gain = 1.0 / (1.0 + rng.uniform(0.05, 0.4) * v * v)
+    av_imu = gain * av_joy + rng.normal(0.0, 0.02, n)
+    return AlignedDataset(v_joy=v, av_joy=av_joy, av_imu=av_imu, period=0.025)
+
+
+def test_flat_trainer_matches_per_tensor_loop_bit_for_bit():
+    rng = np.random.default_rng(31)
+    cases = [  # (rows, batch_size, weight_decay)
+        (900, 32, 0.01), (1280, 128, 0.01), (700, 50, 0.01),
+        (1100, 32, 0.0), (1500, 128, 0.05), (333, 32, 0.2),
+    ]
+    partial = full = 0
+    for rows, batch_size, weight_decay in cases:
+        data = random_slip_dataset(rng, rows)
+        cfg = TrainConfig(batch_size=batch_size, weight_decay=weight_decay,
+                          epochs=int(rng.integers(2, 4)),
+                          seed=int(rng.integers(0, 2**31)),
+                          lr=float(rng.choice([1e-3, 5e-4, 3e-3])))
+        n_tr = rows - min(max(round(rows * cfg.split_fraction), 1),
+                          rows - batch_size)
+        partial += n_tr % batch_size != 0
+        full += n_tr % batch_size == 0
+        params, curve = train(data, cfg)
+        ref_params, ref_curve = reference_train(data, cfg)
+        for name in _FIELDS:
+            assert np.array_equal(getattr(params, name),
+                                  getattr(ref_params, name)), name
+        assert np.array_equal(curve.train_mse, ref_curve.train_mse)
+        assert np.array_equal(curve.test_mse, ref_curve.test_mse)
+    assert partial >= 1 and full >= 1   # short and whole last batches
+
+
+def test_adamw_step_matches_per_tensor_step_and_leaves_inputs_alone():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        cfg = TrainConfig(lr=float(rng.uniform(1e-5, 1e-1)),
+                          beta1=float(rng.uniform(0.0, 0.99)),
+                          beta2=float(rng.uniform(0.0, 0.9999)),
+                          weight_decay=float(rng.choice([0.0, rng.uniform(0, 0.5)])),
+                          eps_adam=float(10.0 ** rng.uniform(-12, -4)))
+        p = init_params(rng)
+        grads = {n: rng.normal(0.0, 10.0 ** rng.uniform(-6, 1), _SHAPES[n])
+                 for n in _FIELDS}
+        m = {n: rng.normal(0.0, 0.1, _SHAPES[n]) for n in _FIELDS}
+        v = {n: rng.uniform(0.0, 0.1, _SHAPES[n]) for n in _FIELDS}
+        t = int(rng.integers(0, 500))
+        s = AdamState(m=np.concatenate([m[n].ravel() for n in _FIELDS]),
+                      v=np.concatenate([v[n].ravel() for n in _FIELDS]), t=t)
+        before = (p.theta.copy(), {n: g.copy() for n, g in grads.items()},
+                  s.m.copy(), s.v.copy())
+
+        p2, s2 = adamw_step(p, grads, s, cfg)
+        ref_p, ref_s = reference_adamw_step(p, grads, ReferenceAdamState(m, v, t), cfg)
+        for name in _FIELDS:
+            assert np.array_equal(getattr(p2, name), getattr(ref_p, name)), name
+        assert np.array_equal(s2.m, np.concatenate([ref_s.m[n].ravel() for n in _FIELDS]))
+        assert np.array_equal(s2.v, np.concatenate([ref_s.v[n].ravel() for n in _FIELDS]))
+        assert s2.t == ref_s.t == t + 1
+
+        assert np.array_equal(p.theta, before[0])
+        assert all(np.array_equal(grads[n], before[1][n]) for n in _FIELDS)
+        assert np.array_equal(s.m, before[2]) and np.array_equal(s.v, before[3])
+        assert s.t == t
+        assert not np.shares_memory(p2.theta, p.theta)
+        assert not np.shares_memory(s2.m, s.m) and not np.shares_memory(s2.v, s.v)
