@@ -21,7 +21,7 @@ from .mlp import (AdamState, LossCurve, MlpParams, TrainConfig, adamw_step,
                   save_model, train)
 from .replay import (CommandBuffer, execute_replay, load_buffer, next_command,
                      read_buffer_txt, write_buffer_txt)
-from .simcore import (AV_LIMIT, V_CAP, ControlCommand, ControlScript,
+from .simcore import (AV_LIMIT, EPS_V, V_CAP, ControlCommand, ControlScript,
                       ScriptSegment, SimTrace, SlipParams, VehicleState,
                       emit_sensor_logs, normalize_heading, run_scenario,
                       step_dynamics)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .datalog import ImuLog, JoyLog
 from .errors import InsufficientOverlapError, ParseError, ValidationError
-from .simcore import AV_LIMIT
+from .simcore import AV_LIMIT, EPS_V
 
 # Plausible transport-delay band for the IMU stream; estimates outside it
 # are flagged as suspect rather than rejected.
@@ -25,7 +25,6 @@ MIN_OVERLAP = 1.0          # s, shortest usable stream overlap
 DEFAULT_DELAY_STEP = 0.001  # s, grid resolution of the delay search
 DEFAULT_RATE = 40.0         # Hz, resampling rate of the training grid
 DEFAULT_OBJECTIVE_CEILING = 0.5  # (rad/s)^2, above this the pair is corrupt
-EPS_V = 0.05                # m/s, below this speed curvature is treated as 0
 DEFAULT_EPS_C = 1e-4        # 1/m, curvature magnitude treated as straight
 
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import align as align_mod
 from . import datalog, evalkit, ikd, mlp, replay as replay_mod, scenarios, svgplot
-from .errors import IkdError, ParseError, ValidationError
+from .errors import (IkdError, ValidationError, finite_number, read_json,
+                     seed_value)
 from .simcore import SimTrace, SlipParams, emit_sensor_logs, run_scenario
 
 DEFAULT_OUT = "out"
@@ -46,11 +47,7 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: not valid JSON ({exc})") from None
+        raw = read_json(path)
         if not isinstance(raw, dict):
             raise ValidationError(f"{path}: config must be a JSON object")
         known = {"seed", "slip_file", "scenario_file", "rates", "delay_search",
@@ -60,10 +57,15 @@ class PipelineConfig:
             raise ValidationError(f"{path}: unknown config keys {sorted(unknown)}")
         if "seed" not in raw:
             raise ValidationError(f"{path}: config must set an explicit seed")
-        seed = int(raw["seed"])
+        seed = seed_value(path, raw["seed"])
         slip = (SlipParams.from_json(raw["slip_file"]) if "slip_file" in raw
                 else SlipParams(seed=seed))
         rates = raw.get("rates", {})
+        if not isinstance(rates, dict):
+            raise ValidationError(f"{path}: rates must be a JSON object")
+        unknown = set(rates) - {"joy", "imu", "replay"}
+        if unknown:
+            raise ValidationError(f"{path}: unknown rates keys {sorted(unknown)}")
         train_raw = raw.get("train", {})
         if not isinstance(train_raw, dict):
             raise ValidationError(f"{path}: train must be a JSON object")
@@ -76,19 +78,37 @@ class PipelineConfig:
             raise ValidationError(f"{path}: train: {exc}") from None
         search = raw.get("delay_search",
                          [align_mod.DELAY_MIN, align_mod.DELAY_MAX])
+        if not isinstance(search, list) or len(search) != 2:
+            raise ValidationError(
+                f"{path}: delay_search must be a [lo, hi] pair, got {search!r}")
+        lo, hi = (finite_number(path, "delay_search", v) for v in search)
+        if not lo < hi:
+            raise ValidationError(f"{path}: delay_search must satisfy lo < hi, "
+                                  f"got {search!r}")
         return cls(
             seed=seed,
             slip=slip,
             scenario_file=raw.get("scenario_file"),
-            joy_hz=float(rates.get("joy", 40.0)),
-            imu_hz=float(rates.get("imu", 40.0)),
-            replay_hz=float(rates.get("replay", 20.0)),
-            delay_search=(float(search[0]), float(search[1])),
-            delay_step=float(raw.get("delay_step", align_mod.DEFAULT_DELAY_STEP)),
-            pad=float(raw.get("pad", 1.0)),
+            joy_hz=_positive(path, "rates: joy", rates.get("joy", 40.0)),
+            imu_hz=_positive(path, "rates: imu", rates.get("imu", 40.0)),
+            replay_hz=_positive(path, "rates: replay", rates.get("replay", 20.0)),
+            delay_search=(lo, hi),
+            delay_step=_positive(path, "delay_step",
+                                 raw.get("delay_step", align_mod.DEFAULT_DELAY_STEP)),
+            pad=_positive(path, "pad", raw.get("pad", 1.0), zero_ok=True),
             train=train,
             out_dir=raw.get("out_dir"),
         )
+
+
+def _positive(path: str, key: str, value, zero_ok: bool = False) -> float:
+    """A finite JSON number from config ``path`` that is > 0 (>= 0 when
+    ``zero_ok``), else a ValidationError naming file and key."""
+    value = finite_number(path, key, value)
+    if value < 0.0 or (value == 0.0 and not zero_ok):
+        bound = ">= 0" if zero_ok else "positive"
+        raise ValidationError(f"{path}: {key} must be {bound}, got {value!r}")
+    return value
 
 
 def _resolve_out(args, cfg: PipelineConfig) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitError, ParseError, ValidationError
+from .errors import FitError, ParseError, ValidationError, read_json
 from .ikd import correct
 from .mlp import MlpParams
 from .simcore import (ControlScript, SimTrace, SlipParams, run_scenario,
@@ -238,11 +238,7 @@ class DriftScenario:
 
     @classmethod
     def from_json(cls, path: str) -> "DriftScenario":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON ({exc})") from None
+        raw = read_json(path)
         boxes = tuple(Rect(**b) for b in raw["boxes"])
         return cls(boxes=boxes, cones=tuple(tuple(c) for c in raw["cones"]),
                    gap_width=raw["gap_width"],

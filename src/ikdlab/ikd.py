@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InferenceError, ValidationError
 from .mlp import MlpParams, forward
-from .simcore import AV_LIMIT  # rad/s, actuator command range
-
-EPS_V = 0.05     # m/s, below this speed curvature is defined as 0
+from .simcore import AV_LIMIT, EPS_V  # actuator command range, speed guard
 
 
 def av_from_vc(v: float, c: float) -> float:

@@ -14,10 +14,10 @@ import numpy as np
 
 from .datalog import JoyLog
 from .errors import ParseError, ValidationError
-from .ikd import AV_LIMIT, c_from_av_v, correct
+from .ikd import c_from_av_v, correct
 from .mlp import MlpParams
-from .simcore import (DEFAULT_DT, ControlCommand, SimTrace, SlipParams,
-                      VehicleState, _integrate)
+from .simcore import (AV_LIMIT, DEFAULT_DT, EPS_V, ControlCommand, SimTrace,
+                      SlipParams, VehicleState, _integrate)
 
 DEFAULT_REPLAY_RATE = 20.0  # Hz, command consumption rate
 
@@ -114,7 +114,7 @@ def execute_replay(buf: CommandBuffer, p: SlipParams,
         for _ in range(stride - 1):
             next_command(buf)
         av = max(-AV_LIMIT, min(AV_LIMIT, av))  # actuator command range
-        c = c_from_av_v(av, v)
+        c = c_from_av_v(av, v, EPS_V)  # rows slower than EPS_V drive straight
         if model is not None:
             c = correct(model, v, c).c_corrected
         commands.append(ControlCommand(v, c))

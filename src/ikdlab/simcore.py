@@ -10,23 +10,24 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, finite_number, read_json, seed_value
 
 # Plant-wide limits observed on the real vehicle class this emulates.
 V_CAP = 4.219        # m/s, hard cap on achievable linear speed
 AV_LIMIT = 4.0       # rad/s, extreme range of commanded angular velocity
+EPS_V = 0.05         # m/s, below this speed curvature is defined as 0
 
 DEFAULT_DT = 0.005   # s, internal integration step
+_BLOCK_STEPS = 4096  # steps per block of the closed-form integrator
 
 
 def normalize_heading(h: float) -> float:
-    """Wrap an angle into (-pi, pi]."""
+    """Wrap an angle, or elementwise an array of angles, into (-pi, pi]."""
     return math.pi - (math.pi - h) % math.tau
 
 
@@ -88,13 +89,20 @@ class SlipParams:
 
     @classmethod
     def from_json(cls, path: str) -> "SlipParams":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        known = {"beta", "lag_tau", "imu_delay", "noise_sigma", "seed"}
-        unknown = set(raw) - known
+        raw = read_json(path)
+        if not isinstance(raw, dict):
+            raise ValidationError(f"{path}: slip parameters must be a JSON object")
+        floats = {"beta", "lag_tau", "imu_delay", "noise_sigma"}
+        unknown = set(raw) - floats - {"seed"}
         if unknown:
-            raise ValidationError(f"unknown SlipParams keys: {sorted(unknown)}")
-        return cls(**raw)
+            raise ValidationError(f"{path}: unknown SlipParams keys: {sorted(unknown)}")
+        kwargs = {key: finite_number(path, key, raw[key]) for key in floats & set(raw)}
+        if "seed" in raw:
+            kwargs["seed"] = seed_value(path, raw["seed"])
+        try:
+            return cls(**kwargs)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
     def to_json(self, path: str) -> None:
         payload = {"beta": self.beta, "lag_tau": self.lag_tau,
@@ -155,10 +163,29 @@ class ControlScript:
 
     @classmethod
     def from_json(cls, path: str) -> "ControlScript":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        segs = raw["segments"] if isinstance(raw, dict) else raw
-        return cls(tuple(ScriptSegment(s["t_start"], s["v"], s["c"]) for s in segs))
+        """Read ``{"segments": [{"t_start", "v", "c"}, ...]}`` or the bare list."""
+        raw = read_json(path)
+        segs = raw.get("segments") if isinstance(raw, dict) else raw
+        if not isinstance(segs, list):
+            raise ValidationError(f"{path}: expected a list of segments")
+        fields = ("t_start", "v", "c")
+        out = []
+        for i, seg in enumerate(segs):
+            where = f"{path}: segment {i}"
+            if not isinstance(seg, dict):
+                raise ValidationError(f"{where}: must be a JSON object")
+            unknown = set(seg) - set(fields)
+            if unknown:
+                raise ValidationError(f"{where}: unknown fields {sorted(unknown)}")
+            for key in fields:
+                if key not in seg:
+                    raise ValidationError(f"{where}: missing field {key!r}")
+            out.append(ScriptSegment(*(finite_number(where, key, seg[key])
+                                       for key in fields)))
+        try:
+            return cls(tuple(out))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
     def to_json(self, path: str) -> None:
         payload = {"segments": [{"t_start": s.t_start, "v": s.v, "c": s.c}
@@ -267,46 +294,76 @@ def slip_yaw_rate(av_lag: float, v: float, beta: float) -> float:
     """Achieved yaw rate under the slip law: av_lag / (1 + beta * v^2 * |av_lag|).
 
     Attenuates the actuator's yaw rate as speed grows; identity when beta=0.
+    Applies elementwise when ``av_lag`` and ``v`` are arrays.
     """
     return av_lag / (1.0 + beta * v * v * abs(av_lag))
 
 
 def _integrate(state: VehicleState | None, commands: Sequence[ControlCommand],
                cmd_of_step: np.ndarray, p: SlipParams, dt: float) -> SimTrace:
-    """Explicit-Euler integration from ``state`` (at rest when None).
+    """Explicit-Euler integration from ``state`` (at rest when None), in closed form.
 
     Step i holds ``commands[cmd_of_step[i]]``.  The commanded linear
     velocity and angular velocity (v*c) both pass through the same
     first-order lag; the lagged yaw rate is then attenuated by the slip law
     before integrating the unicycle pose.  With all-zero SlipParams the
-    executed motion matches the command exactly.  The loop runs on plain
-    Python floats and only collects the results into arrays.
+    executed motion matches the command exactly.
+
+    Under a held command the lag is linear, so ``i`` steps into a segment
+    (a run of steps with equal command values) a lagged channel equals
+    ``c + (start - c) * r**i`` with ``r = 1 - alpha``; the unclamped
+    sequence is monotone, so clamping it reproduces the per-step V_CAP
+    clamp.  One scalar pass over the segments carries ``v`` and ``av_lag``
+    from segment to segment.  The steps are then evaluated in blocks of
+    _BLOCK_STEPS: heading and pose are running sums, the heading wrapped
+    again in each block and the pose advanced along the heading before the
+    update.  The result agrees with the per-step recursion to within float
+    rounding, not bit for bit.
     """
     cmd_v = np.array([c.v for c in commands], dtype=float)[cmd_of_step]
     cmd_c = np.array([c.c for c in commands], dtype=float)[cmd_of_step]
+    n = cmd_v.size
     alpha = 1.0 if p.lag_tau <= 0.0 else 1.0 - math.exp(-dt / p.lag_tau)
-    beta = p.beta
+    r = 1.0 - alpha
     state = state if state is not None else VehicleState()
-    x, y, heading, v, av, av_lag = (getattr(state, name) for name in _STATE_CHANNELS)
-    out = tuple(array("d", [value]) for value in (x, y, heading, v, av, av_lag))
-    xs, ys, hs, vs, avs, lags = (a.append for a in out)
-    cos, sin = math.cos, math.sin
-    for c_v, c_av in zip(memoryview(cmd_v), memoryview(cmd_v * cmd_c)):
-        v = v + (c_v - v) * alpha
-        v = max(-V_CAP, min(V_CAP, v))
-        av_lag = av_lag + (c_av - av_lag) * alpha
-        av = slip_yaw_rate(av_lag, v, beta)
-        x = x + v * cos(heading) * dt
-        y = y + v * sin(heading) * dt
-        heading = normalize_heading(heading + av * dt)
-        xs(x)
-        ys(y)
-        hs(heading)
-        vs(v)
-        avs(av)
-        lags(av_lag)
-    return SimTrace(dt, *(np.frombuffer(a, dtype=float) for a in out),
-                    cmd_v=cmd_v, cmd_c=cmd_c)
+
+    new_seg = np.ones(n, dtype=bool)
+    new_seg[1:] = (cmd_v[1:] != cmd_v[:-1]) | (cmd_c[1:] != cmd_c[:-1])
+    seg_start = np.flatnonzero(new_seg)
+    seg_v = cmd_v[seg_start]
+    seg_av = seg_v * cmd_c[seg_start]
+    v_start, lag_start = [], []
+    v_end, lag_end = state.v, state.av_lag
+    for c_v, c_av, decay in zip(seg_v.tolist(), seg_av.tolist(),
+                                np.power(r, np.diff(seg_start, append=n)).tolist()):
+        v_start.append(v_end)
+        lag_start.append(lag_end)
+        v_end = max(-V_CAP, min(V_CAP, c_v + (v_end - c_v) * decay))
+        lag_end = c_av + (lag_end - c_av) * decay
+    v_start, lag_start = np.array(v_start), np.array(lag_start)
+
+    x, y, heading, v, av, av_lag = out = tuple(np.empty(n + 1) for _ in _STATE_CHANNELS)
+    for channel, name in zip(out, _STATE_CHANNELS):
+        channel[0] = getattr(state, name)
+    for b0 in range(0, n, _BLOCK_STEPS):
+        b1 = min(b0 + _BLOCK_STEPS, n)
+        steps = np.arange(b0, b1)
+        seg = np.searchsorted(seg_start, steps, side="right") - 1
+        decay = np.power(r, steps + 1 - seg_start[seg])
+        c_v, c_av = seg_v[seg], seg_av[seg]
+        new = slice(b0 + 1, b1 + 1)     # the states these steps produce
+        np.clip(c_v + (v_start[seg] - c_v) * decay, -V_CAP, V_CAP, out=v[new])
+        av_lag[new] = c_av + (lag_start[seg] - c_av) * decay
+        av[new] = slip_yaw_rate(av_lag[new], v[new], p.beta)
+        heading[new] = av[new] * dt
+        np.add.accumulate(heading[b0:b1 + 1], out=heading[b0:b1 + 1])
+        heading[new] = normalize_heading(heading[new])
+        held = heading[b0:b1]           # each step moves along its start heading
+        x[new] = v[new] * np.cos(held) * dt
+        y[new] = v[new] * np.sin(held) * dt
+        np.add.accumulate(x[b0:b1 + 1], out=x[b0:b1 + 1])
+        np.add.accumulate(y[b0:b1 + 1], out=y[b0:b1 + 1])
+    return SimTrace(dt, *out, cmd_v=cmd_v, cmd_c=cmd_c)
 
 
 def step_dynamics(state: VehicleState, cmd: ControlCommand, p: SlipParams,

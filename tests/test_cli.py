@@ -156,6 +156,79 @@ def test_bad_train_section_names_file_and_key(workdir, capsys, raw, error, match
     assert "error: bad.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw, match", [
+    ({"seed": "x"}, r"bad\.json: seed must be a non-negative integer, got 'x'"),
+    ({"seed": -1}, r"bad\.json: seed must be a non-negative integer"),
+    ({"seed": True}, r"bad\.json: seed must be a non-negative integer"),
+    ({"seed": 0, "rates": {"joy": "fast"}},
+     r"bad\.json: rates: joy must be a finite number, got 'fast'"),
+    ({"seed": 0, "rates": {"imu": 0}}, r"bad\.json: rates: imu must be positive"),
+    ({"seed": 0, "rates": {"replay": -20}},
+     r"bad\.json: rates: replay must be positive"),
+    ({"seed": 0, "rates": {"jyo": 40}}, r"bad\.json: unknown rates keys \['jyo'\]"),
+    ({"seed": 0, "rates": [40]}, r"bad\.json: rates must be a JSON object"),
+    ({"seed": 0, "delay_search": 5},
+     r"bad\.json: delay_search must be a \[lo, hi\] pair, got 5"),
+    ({"seed": 0, "delay_search": [0.0, 0.2, 0.4]},
+     r"bad\.json: delay_search must be a \[lo, hi\] pair"),
+    ({"seed": 0, "delay_search": [0.0, "hi"]},
+     r"bad\.json: delay_search must be a finite number, got 'hi'"),
+    ({"seed": 0, "delay_search": [0.3, 0.1]},
+     r"bad\.json: delay_search must satisfy lo < hi"),
+    ({"seed": 0, "delay_step": 0}, r"bad\.json: delay_step must be positive"),
+    ({"seed": 0, "delay_step": None},
+     r"bad\.json: delay_step must be a finite number, got None"),
+    ({"seed": 0, "pad": -1.0}, r"bad\.json: pad must be >= 0"),
+    ({"seed": 0, "pad": "1"}, r"bad\.json: pad must be a finite number"),
+])
+def test_bad_top_level_config_names_file_and_key(workdir, capsys, raw, match):
+    with open("bad.json", "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)
+    with pytest.raises(ValidationError, match=match):
+        PipelineConfig.from_json("bad.json")
+    assert main(["align", "--config", "bad.json", "--out", "run"]) == 1
+    assert "error: bad.json: " in capsys.readouterr().err
+
+
+def test_zero_pad_is_accepted(workdir):
+    with open("cfg.json", "w", encoding="utf-8") as fh:
+        json.dump({"seed": 0, "pad": 0}, fh)
+    assert PipelineConfig.from_json("cfg.json").pad == 0.0
+
+
+@pytest.mark.parametrize("segments, match", [
+    ([{"t_start": 0.0, "v": 1.0}],
+     r"script\.json: segment 0: missing field 'c'"),
+    ([{"t_start": 0.0, "v": 1.0, "c": 0.1}, {"v": 1.0, "c": 0.2}],
+     r"script\.json: segment 1: missing field 't_start'"),
+    ([{"t_start": 0.0, "v": "fast", "c": 0.1}],
+     r"script\.json: segment 0: v must be a finite number, got 'fast'"),
+    ([{"t_start": 0.0, "v": 1.0, "c": 0.1, "w": 2}],
+     r"script\.json: segment 0: unknown fields \['w'\]"),
+    ([[0.0, 1.0, 0.1]], r"script\.json: segment 0: must be a JSON object"),
+    ([{"t_start": 1.0, "v": 1.0, "c": 0.1}, {"t_start": 0.5, "v": 1.0, "c": 0.2}],
+     r"script\.json: segment t_start values must be strictly increasing"),
+    ([], r"script\.json: ControlScript needs at least one segment"),
+])
+def test_bad_script_names_file_segment_and_field(workdir, capsys, segments, match):
+    with open("script.json", "w", encoding="utf-8") as fh:
+        json.dump({"segments": segments}, fh)
+    with pytest.raises(ValidationError, match=match):
+        ControlScript.from_json("script.json")
+    assert main(["collect", "--out", "run", "--script", "script.json"]) == 1
+    assert "error: script.json: " in capsys.readouterr().err
+
+
+def test_bad_slip_file_names_file_and_field(workdir, capsys):
+    with open("slip.json", "w", encoding="utf-8") as fh:
+        json.dump({"beta": "x"}, fh)
+    with open("cfg.json", "w", encoding="utf-8") as fh:
+        json.dump({"seed": 0, "slip_file": "slip.json"}, fh)
+    assert main(["collect", "--config", "cfg.json", "--out", "run"]) == 1
+    assert ("error: slip.json: beta must be a finite number, got 'x'"
+            in capsys.readouterr().err)
+
+
 def test_truncated_config_is_parse_error_naming_file_and_line(workdir, capsys):
     with open("cut.json", "w", encoding="utf-8") as fh:
         fh.write('{"seed": 0,\n "train": {"epochs": 3')

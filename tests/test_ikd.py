@@ -92,6 +92,11 @@ def test_low_speed_query_yields_zero_curvature():
     assert EPS_V == 0.05
 
 
+def test_speed_guard_has_one_home():
+    from ikdlab import align, ikd, replay, simcore
+    assert align.EPS_V is ikd.EPS_V is replay.EPS_V is simcore.EPS_V
+
+
 def test_non_finite_model_output_raises():
     vals = {"W1": np.zeros((32, 2)), "b1": np.zeros(32),
             "W2": np.zeros((32, 32)), "b2": np.zeros(32),

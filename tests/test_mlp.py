@@ -5,10 +5,12 @@ import pytest
 
 from ikdlab.align import AlignedDataset
 from ikdlab.errors import ParseError, ValidationError
+from ikdlab import mlp as mlp_module
 from ikdlab.mlp import (LAYER_SIZES, N_PARAMS, AdamState, LossCurve,
-                        MlpParams, TrainConfig, _FIELDS, _SHAPES, adamw_step,
-                        forward, init_params, load_model, loss_and_grads,
-                        save_model, train, write_loss_csv)
+                        MlpParams, TrainConfig, _EVAL_ROWS, _FIELDS, _SHAPES,
+                        _split_mse, adamw_step, forward, init_params,
+                        load_model, loss_and_grads, save_model, train,
+                        write_loss_csv)
 
 from conftest import build_constant_model, build_gain_model, build_identity_model
 
@@ -332,6 +334,23 @@ def test_train_names_the_epoch_when_it_diverges():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValidationError, match="diverged in epoch 0"):
             train(data, TrainConfig(lr=1e6, epochs=3, seed=0))
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8193, 45302])
+def test_split_mse_is_the_whole_split_mse_in_bounded_chunks(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    p = random_params(3)
+    X = np.column_stack([rng.uniform(0.3, 4.2, n), rng.uniform(-4.0, 4.0, n)])
+    y = rng.normal(0.0, 1.0, n)
+    whole = float(np.mean((forward(p, X) - y) ** 2))
+    seen = []
+    real = mlp_module._forward_batch
+    monkeypatch.setattr(mlp_module, "_forward_batch",
+                        lambda p, X: seen.append(len(X)) or real(p, X))
+    assert _split_mse(p, X, y) == pytest.approx(whole, rel=1e-12, abs=0.0)
+    assert sum(seen) == n
+    assert max(seen) <= _EVAL_ROWS
+    assert max(seen) - min(seen) <= 1          # near-equal, so no chunk is small
 
 
 def test_loss_curve_validation():

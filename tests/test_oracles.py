@@ -1,8 +1,9 @@
 """Array paths against the per-object loops they replaced, 100 seeded cases each.
 
 The simulator oracles are verbatim copies of the per-step loops that
-built one VehicleState and one ControlCommand per step; every channel of
-the array-backed trace must match them bit for bit.  The drift oracle
+built one VehicleState and one ControlCommand per step.  The closed-form
+integrator sums in another order, so its state channels must match them
+within SIM_TOL (heading modulo 2*pi) and its commands exactly.  The drift oracle
 scores one state at a time with the scalar geometry helpers.  The trainer
 oracle is a verbatim copy of the per-tensor AdamW step and training loop;
 the flat-vector trainer must reproduce its weights and loss curves bit for
@@ -25,16 +26,18 @@ from ikdlab.mlp import (AdamState, LossCurve, MlpParams, TrainConfig, _FIELDS,
                         _SHAPES, _dataset_xy, adamw_step, forward, init_params,
                         loss_and_grads, train)
 from ikdlab.replay import CommandBuffer, execute_replay, next_command
-from ikdlab.scenarios import loose_scenario, tight_scenario
+from ikdlab.scenarios import (loose_scenario, tight_scenario,
+                               training_sweep_script)
 from ikdlab.simcore import (DEFAULT_DT, V_CAP, ControlCommand, ControlScript,
                             SimTrace, SlipParams, VehicleState,
                             _require_finite, normalize_heading, run_scenario,
-                            slip_yaw_rate)
+                            slip_yaw_rate, step_dynamics)
 from ikdlab.errors import ValidationError
 
 from conftest import build_gain_model
 
 CHANNELS = ("x", "y", "heading", "v", "av", "av_lag")
+SIM_TOL = 1e-9   # closed form vs per-step recursion, per channel
 
 
 # --- reference loops (the per-object implementation, kept verbatim) ---------
@@ -127,15 +130,26 @@ def reference_drift_eval(trace: SimTrace, scenario: DriftScenario):
 
 # --- helpers -----------------------------------------------------------------
 
-def assert_bit_identical(trace: SimTrace, states, commands):
+def assert_close_channels(actual, states):
+    """Each state channel of ``actual`` (a trace, or one state) within SIM_TOL
+    of the reference states, heading modulo 2*pi."""
     for name in CHANNELS:
         ref = np.array([getattr(s, name) for s in states], dtype=float)
-        assert getattr(trace, name).tobytes() == ref.tobytes(), name
+        got = np.atleast_1d(np.asarray(getattr(actual, name), dtype=float))
+        assert got.shape == ref.shape, name
+        diff = got - ref
+        if name == "heading":
+            diff = (diff + math.pi) % math.tau - math.pi
+        assert np.all(np.abs(diff) <= SIM_TOL), (name, np.max(np.abs(diff)))
+
+
+def assert_matches_loop(trace: SimTrace, states, commands):
+    assert_close_channels(trace, states)
+    assert np.all(np.abs(trace.heading[1:]) <= math.pi)   # wrapped every step
     assert trace.cmd_v.tobytes() == np.array([c.v for c in commands],
                                              dtype=float).tobytes()
     assert trace.cmd_c.tobytes() == np.array([c.c for c in commands],
                                              dtype=float).tobytes()
-    assert trace.states == tuple(states)
     assert trace.commands == tuple(commands)
 
 
@@ -180,7 +194,7 @@ def test_run_scenario_matches_per_step_loop_100_cases():
         duration = float(rng.uniform(0.01, 3.0))
         trace = run_scenario(script, p, duration, dt=dt, initial_state=state)
         states, commands = reference_run_scenario(script, p, duration, dt, state)
-        assert_bit_identical(trace, states, commands)
+        assert_matches_loop(trace, states, commands)
 
 
 def test_segment_start_just_above_step_time_takes_effect_at_that_step():
@@ -189,7 +203,7 @@ def test_segment_start_just_above_step_time_takes_effect_at_that_step():
     script = ControlScript.from_segments([(0.0, 1.0, 0.1), (0.165, 2.0, -0.3)])
     trace = run_scenario(script, SlipParams(), 0.5, dt=0.015)
     states, commands = reference_run_scenario(script, SlipParams(), 0.5, 0.015)
-    assert_bit_identical(trace, states, commands)
+    assert_matches_loop(trace, states, commands)
     assert trace.cmd_v[11] == 2.0 and trace.cmd_v[10] == 1.0
 
 
@@ -214,8 +228,64 @@ def test_execute_replay_matches_per_step_loop_100_cases():
         states, commands = reference_execute_replay(
             ref_buf, p, model=model, rate=rate, duration=duration, dt=dt,
             stride=stride, initial_state=state)
-        assert_bit_identical(trace, states, commands)
+        assert_matches_loop(trace, states, commands)
         assert buf.cursor == ref_buf.cursor
+
+
+def test_first_300_s_of_training_sweep_match_per_step_loop():
+    script, p = training_sweep_script(), SlipParams()
+    trace = run_scenario(script, p, 300.0)
+    states, commands = reference_run_scenario(script, p, 300.0)
+    assert len(trace) == 60000
+    assert_matches_loop(trace, states, commands)
+
+
+def test_ideal_plant_matches_per_step_loop():
+    # lag_tau = 0 gives r = 0: every lagged channel jumps to its command.
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        k = int(rng.integers(1, 6))
+        v = rng.uniform(-1.0, 4.0, k)
+        c = rng.uniform(-1.0, 1.0, k) * np.minimum(1.0, AV_LIMIT / np.abs(v))
+        script = ControlScript.from_segments(
+            [(0.2 * i, float(a), float(b)) for i, (a, b) in enumerate(zip(v, c))])
+        state = random_state(rng)
+        trace = run_scenario(script, SlipParams.ideal(), 1.0, initial_state=state)
+        states, commands = reference_run_scenario(script, SlipParams.ideal(), 1.0,
+                                                  initial_state=state)
+        assert_matches_loop(trace, states, commands)
+        assert np.array_equal(trace.v[1:], trace.cmd_v)
+
+
+def test_segments_starting_above_v_cap_match_per_step_loop():
+    # The state starts just above the cap (VehicleState allows 1e-12), the
+    # first command holds the speed above it, the next pulls it below, and
+    # the last pushes it past the cap again from below.
+    script = ControlScript.from_segments([(0.0, 5.0, 0.3), (0.4, 1.0, -0.5),
+                                          (0.9, 6.0, 0.1)])
+    for sign in (1.0, -1.0):
+        state = VehicleState(v=sign * (V_CAP + 1e-12), av_lag=1.0)
+        seg_script = ControlScript.from_segments(
+            [(s.t_start, sign * s.v, s.c) for s in script.segments])
+        for p in (SlipParams(), SlipParams(lag_tau=0.02),
+                  SlipParams(beta=0.0, lag_tau=0.0)):
+            trace = run_scenario(seg_script, p, 1.5, initial_state=state)
+            states, commands = reference_run_scenario(seg_script, p, 1.5,
+                                                      initial_state=state)
+            assert_matches_loop(trace, states, commands)
+            assert np.max(np.abs(trace.v[1:])) == V_CAP
+
+
+def test_step_dynamics_matches_reference_step_100_cases():
+    rng = np.random.default_rng(9)
+    for _ in range(100):
+        p, dt, state = random_plant(rng), random_dt(rng), random_state(rng)
+        v = float(rng.uniform(-6.0, 6.0))
+        c = float(rng.uniform(-1.0, 1.0) * min(1.0, AV_LIMIT / abs(v)))
+        cmd = ControlCommand(v, c)
+        out = step_dynamics(state, cmd, p, dt)
+        assert isinstance(out, VehicleState)
+        assert_close_channels(out, [reference_step_dynamics(state, cmd, p, dt)])
 
 
 def test_bad_commands_still_raise_validation_error():

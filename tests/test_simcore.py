@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ikdlab.datalog import JoyLog
-from ikdlab.errors import ValidationError
+from ikdlab.errors import ParseError, ValidationError
 from ikdlab.simcore import (AV_LIMIT, DEFAULT_DT, V_CAP, ControlCommand,
                             ControlScript, ScriptSegment, SimTrace, SlipParams,
                             VehicleState, emit_sensor_logs, normalize_heading,
@@ -63,6 +63,39 @@ def test_slip_params_json_rejects_unknown_keys(tmp_path):
     path.write_text('{"beta": 0.02, "bogus": 1}\n', encoding="utf-8")
     with pytest.raises(ValidationError, match="bogus"):
         SlipParams.from_json(str(path))
+
+
+@pytest.mark.parametrize("text, error, match", [
+    ('{"beta": "x"}', ValidationError, r"slip\.json: beta must be a finite number, got 'x'"),
+    ('{"lag_tau": null}', ValidationError, r"slip\.json: lag_tau must be a finite number"),
+    ('{"noise_sigma": true}', ValidationError,
+     r"slip\.json: noise_sigma must be a finite number"),
+    ('{"imu_delay": -0.1}', ValidationError,
+     r"slip\.json: SlipParams fields must be non-negative"),
+    ('{"seed": 1.5}', ValidationError, r"slip\.json: seed must be a non-negative integer"),
+    ('[0.02]', ValidationError, r"slip\.json: slip parameters must be a JSON object"),
+    ('{"beta": 0.02,', ParseError, r"slip\.json: not valid JSON"),
+])
+def test_slip_params_json_names_file_and_field(tmp_path, text, error, match):
+    path = tmp_path / "slip.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error, match=match):
+        SlipParams.from_json(str(path))
+
+
+@pytest.mark.parametrize("text, error, match", [
+    ('{"segments": [{"t_start": 0.0, "v": 1.0}]}', ValidationError,
+     r"script\.json: segment 0: missing field 'c'"),
+    ('[{"t_start": 0.0, "v": 1.0, "c": 0.1}, {"t_start": 1.0, "v": 1.0, "c": NaN}]',
+     ValidationError, r"script\.json: segment 1: c must be a finite number, got nan"),
+    ('{"segs": []}', ValidationError, r"script\.json: expected a list of segments"),
+    ('{"segments": [', ParseError, r"script\.json: not valid JSON"),
+])
+def test_control_script_json_names_file_segment_and_field(tmp_path, text, error, match):
+    path = tmp_path / "script.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error, match=match):
+        ControlScript.from_json(str(path))
 
 
 def test_control_command_rejects_excess_angular_velocity():
