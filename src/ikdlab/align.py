@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datalog import ImuLog, JoyLog
-from .errors import InsufficientOverlapError, ParseError, ValidationError
+from .errors import InsufficientOverlapError, ValidationError
+from .fileio import read_table, write_table
 from .simcore import AV_LIMIT, EPS_V
 
 # Plausible transport-delay band for the IMU stream; estimates outside it
@@ -248,56 +249,35 @@ def histogram(values, bins: int, vrange: tuple[float, float]) -> np.ndarray:
 
 
 _DATASET_HEADER = "idx,v_joy,av_joy,av_imu"
-_HIST_HEADER = "bin_lo,bin_hi,count"
+HIST_HEADER = "bin_lo,bin_hi,count"
+DELAY_SCAN_HEADER = "delay,objective"
 
 
 def write_dataset_csv(d: AlignedDataset, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_DATASET_HEADER + "\n")
-        for i in range(len(d)):
-            fh.write(f"{i},{repr(float(d.v_joy[i]))},"
-                     f"{repr(float(d.av_joy[i]))},{repr(float(d.av_imu[i]))}\n")
+    write_table(path, _DATASET_HEADER, (d.idx, d.v_joy, d.av_joy, d.av_imu))
 
 
 def read_dataset_csv(path: str, period: float = 1.0 / DEFAULT_RATE) -> AlignedDataset:
     """Read training rows; the sample period is not stored in the file and
     must be supplied by the caller (defaults to the standard 40 Hz grid)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != _DATASET_HEADER:
-            raise ParseError(f"{path}:1: expected header {_DATASET_HEADER!r}")
-        v_joy, av_joy, av_imu = [], [], []
-        expected_idx = 0
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 columns")
-            try:
-                idx = int(parts[0])
-                row = [float(p) for p in parts[1:]]
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
-            if idx != expected_idx:
-                raise ValidationError(
-                    f"{path}:{lineno}: idx {idx} breaks contiguity (expected {expected_idx})")
-            expected_idx += 1
-            v_joy.append(row[0])
-            av_joy.append(row[1])
-            av_imu.append(row[2])
-    return AlignedDataset(v_joy=np.array(v_joy), av_joy=np.array(av_joy),
-                          av_imu=np.array(av_imu), period=period)
+    rows = read_table(path, _DATASET_HEADER)
+    broken = np.flatnonzero(rows[:, 0] != np.arange(len(rows)))
+    if broken.size:
+        k = int(broken[0])
+        raise ValidationError(f"{path}:{k + 2}: idx {rows[k, 0]:g} breaks "
+                              f"contiguity (expected {k})")
+    _, v_joy, av_joy, av_imu = rows.T
+    return AlignedDataset(v_joy=v_joy, av_joy=av_joy, av_imu=av_imu, period=period)
 
 
 def write_histogram_csv(counts: np.ndarray, vrange: tuple[float, float],
                         path: str) -> None:
     lo, hi = vrange
-    bins = len(counts)
-    width = (hi - lo) / bins
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_HIST_HEADER + "\n")
-        for i, count in enumerate(counts):
-            fh.write(f"{repr(lo + i * width)},{repr(lo + (i + 1) * width)},"
-                     f"{int(count)}\n")
+    edges = lo + np.arange(len(counts) + 1) * ((hi - lo) / len(counts))
+    write_table(path, HIST_HEADER, (edges[:-1], edges[1:], np.asarray(counts).astype(int)))
+
+
+def write_delay_scan_csv(delays: np.ndarray, objectives: np.ndarray, path: str) -> None:
+    """The scanned candidates, those whose objective is finite."""
+    scanned = np.isfinite(objectives)
+    write_table(path, DELAY_SCAN_HEADER, (delays[scanned], objectives[scanned]))

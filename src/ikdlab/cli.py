@@ -9,17 +9,17 @@ reports/, plots/ under the resolved output root.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import align as align_mod
 from . import datalog, evalkit, ikd, mlp, replay as replay_mod, scenarios, svgplot
-from .errors import (IkdError, ValidationError, finite_number, read_json,
-                     seed_value)
+from .errors import (IkdError, ParseError, ValidationError, finite_number,
+                     json_fields, seed_value)
+from .fileio import read_json, read_table, write_json, write_table
 from .simcore import SimTrace, SlipParams, emit_sensor_logs, run_scenario
 
 DEFAULT_OUT = "out"
@@ -47,16 +47,9 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "PipelineConfig":
-        raw = read_json(path)
-        if not isinstance(raw, dict):
-            raise ValidationError(f"{path}: config must be a JSON object")
-        known = {"seed", "slip_file", "scenario_file", "rates", "delay_search",
-                 "delay_step", "pad", "train", "out_dir"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValidationError(f"{path}: unknown config keys {sorted(unknown)}")
-        if "seed" not in raw:
-            raise ValidationError(f"{path}: config must set an explicit seed")
+        raw = json_fields(path, read_json(path), ("seed",),
+                          ("slip_file", "scenario_file", "rates", "delay_search",
+                           "delay_step", "pad", "train", "out_dir"))
         seed = seed_value(path, raw["seed"])
         slip = (SlipParams.from_json(raw["slip_file"]) if "slip_file" in raw
                 else SlipParams(seed=seed))
@@ -135,11 +128,8 @@ def _load_scenario(cfg: PipelineConfig) -> evalkit.DriftScenario:
 
 def write_trace_csv(trace: SimTrace, path: str) -> None:
     """Ground-truth trace rows: t,x,y,heading,v,av."""
-    columns = (trace.times(), trace.x, trace.y, trace.heading, trace.v, trace.av)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,x,y,heading,v,av\n")
-        for row in zip(*(col.tolist() for col in columns)):
-            fh.write(",".join(map(repr, row)) + "\n")
+    write_table(path, "t,x,y,heading,v,av",
+                (trace.times(), trace.x, trace.y, trace.heading, trace.v, trace.av))
 
 
 def cmd_collect(args) -> int:
@@ -180,18 +170,11 @@ def cmd_align(args) -> int:
     pruned = align_mod.prune_zero_curvature(dataset)
 
     align_mod.write_dataset_csv(pruned, os.path.join(out, "datasets", "dataset.csv"))
-    with open(os.path.join(out, "reports", "delay.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump({"delay": est.delay, "objective": est.objective,
-                   "in_range": est.in_range, "corrupt": est.corrupt},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out, "reports", "delay_scan.csv"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write("delay,objective\n")
-        for d, o in zip(delays, objectives):
-            if np.isfinite(o):
-                fh.write(f"{repr(float(d))},{repr(float(o))}\n")
+    write_json(os.path.join(out, "reports", "delay.json"),
+               {"delay": est.delay, "objective": est.objective,
+                "in_range": est.in_range, "corrupt": est.corrupt})
+    align_mod.write_delay_scan_csv(delays, objectives,
+                                   os.path.join(out, "reports", "delay_scan.csv"))
 
     counts = align_mod.histogram(pruned.v_joy, bins=20, vrange=(0.0, 5.0))
     align_mod.write_histogram_csv(counts, (0.0, 5.0),
@@ -317,20 +300,10 @@ def cmd_eval_drift(args) -> int:
         trace = replay_mod.execute_replay(buf, cfg.slip, model=run_model,
                                           rate=cfg.replay_hz, duration=duration)
         traces.append((run_name, trace.xy()))
-        report[run_name] = {}
-        for course_name, course in courses.items():
-            r = evalkit.drift_eval(trace, course)
-            report[run_name][course_name] = {
-                "min_clearance": r.min_clearance,
-                "collided": r.collided,
-                "min_turn_radius": r.min_turn_radius,
-                "cleared_gate": r.cleared_gate,
-            }
+        report[run_name] = {name: asdict(evalkit.drift_eval(trace, course))
+                            for name, course in courses.items()}
 
-    with open(os.path.join(out, "reports", "drift_report.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out, "reports", "drift_report.json"), report)
     first_course = next(iter(courses.values()))
     svgplot.svg_trajectory(traces, os.path.join(out, "plots", "drift.svg"),
                            scenario=first_course, title="drift replay")
@@ -342,28 +315,34 @@ def cmd_eval_drift(args) -> int:
     return 0
 
 
+def _plot_rows(path: str, header: str) -> np.ndarray:
+    """The rows of the table at ``path``; a table without any is a ParseError."""
+    rows = read_table(path, header)
+    if len(rows) == 0:
+        raise ParseError(f"{path}: no rows after the header")
+    return rows
+
+
 def cmd_plot(args) -> int:
     cfg = _load_config(args)
     out = _resolve_out(args, cfg)
     made = []
     if args.loss:
-        rows = np.loadtxt(args.loss, delimiter=",", skiprows=1, ndmin=2)
+        epoch, train_mse, test_mse = _plot_rows(args.loss, mlp.LOSS_HEADER).T
         dest = os.path.join(out, "plots", "loss.svg")
-        svgplot.svg_line_chart([("train", rows[:, 0], rows[:, 1]),
-                                ("test", rows[:, 0], rows[:, 2])],
-                               dest, title="training loss",
-                               xlabel="epoch", ylabel="mse")
+        svgplot.svg_line_chart([("train", epoch, train_mse), ("test", epoch, test_mse)],
+                               dest, title="training loss", xlabel="epoch", ylabel="mse")
         made.append(dest)
     if args.hist:
-        rows = np.loadtxt(args.hist, delimiter=",", skiprows=1, ndmin=2)
+        rows = _plot_rows(args.hist, align_mod.HIST_HEADER)
         dest = os.path.join(out, "plots", "vel_hist.svg")
         svgplot.svg_bar_chart(rows[:, 2], (rows[0, 0], rows[-1, 1]), dest,
                               title="velocity histogram", xlabel="v [m/s]")
         made.append(dest)
     if args.delay_scan:
-        rows = np.loadtxt(args.delay_scan, delimiter=",", skiprows=1, ndmin=2)
+        delay, objective = _plot_rows(args.delay_scan, align_mod.DELAY_SCAN_HEADER).T
         dest = os.path.join(out, "plots", "delay_scan.svg")
-        svgplot.svg_line_chart([("objective", rows[:, 0], rows[:, 1])], dest,
+        svgplot.svg_line_chart([("objective", delay, objective)], dest,
                                title="alignment error vs delay",
                                xlabel="delay [s]", ylabel="mse")
         made.append(dest)

@@ -1,8 +1,8 @@
 """CSV log containers for the joystick and IMU recorder exports.
 
 Two row layouts are supported: joystick logs (t, v, av) and IMU logs
-(t, av_z).  Files are UTF-8 CSV with a mandatory header row; floats are
-written with repr so a read-back is value-identical.
+(t, av_z), stored as tables in the ``fileio`` format under a mandatory
+header row.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptLogError, ParseError, ValidationError
+from .errors import CorruptLogError, ValidationError
+from .fileio import read_table, write_table
 
 DEFAULT_IDLE_EPS = 1e-3
 
@@ -67,52 +68,22 @@ _JOY_HEADER = "t,v,av"
 _IMU_HEADER = "t,av_z"
 
 
-def _write_rows(path: str, header: str, columns: tuple[np.ndarray, ...]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def _read_rows(path: str, header: str) -> list[list[float]]:
-    ncol = header.count(",") + 1
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != header:
-            raise ParseError(f"{path}:1: expected header {header!r}, got {first!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != ncol:
-                raise ParseError(f"{path}:{lineno}: expected {ncol} columns, got {len(parts)}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
-    return rows
-
-
 def write_joy_csv(log: JoyLog, path: str) -> None:
-    _write_rows(path, _JOY_HEADER, (log.t, log.v, log.av))
+    write_table(path, _JOY_HEADER, (log.t, log.v, log.av))
 
 
 def read_joy_csv(path: str) -> JoyLog:
-    rows = _read_rows(path, _JOY_HEADER)
-    arr = np.array(rows, dtype=float).reshape(len(rows), 3)
-    return JoyLog(t=arr[:, 0], v=arr[:, 1], av=arr[:, 2])
+    t, v, av = read_table(path, _JOY_HEADER).T
+    return JoyLog(t=t, v=v, av=av)
 
 
 def write_imu_csv(log: ImuLog, path: str) -> None:
-    _write_rows(path, _IMU_HEADER, (log.t, log.av_z))
+    write_table(path, _IMU_HEADER, (log.t, log.av_z))
 
 
 def read_imu_csv(path: str) -> ImuLog:
-    rows = _read_rows(path, _IMU_HEADER)
-    arr = np.array(rows, dtype=float).reshape(len(rows), 2)
-    return ImuLog(t=arr[:, 0], av_z=arr[:, 1])
+    t, av_z = read_table(path, _IMU_HEADER).T
+    return ImuLog(t=t, av_z=av_z)
 
 
 def trim_idle(joy: JoyLog, imu: ImuLog,

@@ -1,6 +1,5 @@
-"""Exception types shared across the pipeline, and the JSON checks that raise them."""
+"""Exception types shared across the pipeline, and the JSON field checks."""
 
-import json
 import math
 
 
@@ -32,15 +31,6 @@ class InferenceError(IkdError, RuntimeError):
     """Model produced an unusable output (non-finite prediction)."""
 
 
-def read_json(path: str):
-    """Parse the JSON file at ``path``; a syntax error is a ParseError naming it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})") from None
-
-
 def finite_number(where: str, key: str, value) -> float:
     """``value`` as a float if it is a finite JSON number (not a bool), else a
     ValidationError of the form ``<where>: <key> must be a finite number``."""
@@ -57,3 +47,17 @@ def seed_value(where: str, value) -> int:
         raise ValidationError(
             f"{where}: seed must be a non-negative integer, got {value!r}")
     return value
+
+
+def json_fields(where: str, raw, required: tuple, optional: tuple = ()) -> dict:
+    """``raw`` if it is a JSON object holding every ``required`` key and no key
+    outside required + optional, else a ValidationError naming ``where``."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{where}: must be a JSON object, got {raw!r}")
+    unknown = set(raw) - set(required) - set(optional)
+    if unknown:
+        raise ValidationError(f"{where}: unknown fields {sorted(unknown)}")
+    for key in required:
+        if key not in raw:
+            raise ValidationError(f"{where}: missing field {key!r}")
+    return raw

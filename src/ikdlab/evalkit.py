@@ -8,13 +8,13 @@ radius along the run.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
-from .errors import FitError, ParseError, ValidationError, read_json
+from .errors import FitError, ParseError, ValidationError, finite_number, json_fields
+from .fileio import read_json, read_table, write_json, write_table
 from .ikd import correct
 from .mlp import MlpParams
 from .simcore import (ControlScript, SimTrace, SlipParams, run_scenario,
@@ -238,25 +238,35 @@ class DriftScenario:
 
     @classmethod
     def from_json(cls, path: str) -> "DriftScenario":
-        raw = read_json(path)
-        boxes = tuple(Rect(**b) for b in raw["boxes"])
-        return cls(boxes=boxes, cones=tuple(tuple(c) for c in raw["cones"]),
-                   gap_width=raw["gap_width"],
-                   car_width=raw.get("car_width", CAR_WIDTH),
-                   car_length=raw.get("car_length", DEFAULT_CAR_LENGTH))
+        """Read ``{"boxes": [{"cx", "cy", "w", "h", "angle"?}, ...],
+        "cones": [[x, y], ...], "gap_width", "car_width"?, "car_length"?}``."""
+        raw = json_fields(path, read_json(path), ("boxes", "cones", "gap_width"),
+                          ("car_width", "car_length"))
+        boxes, cones = raw.pop("boxes"), raw.pop("cones")
+        for key, items in (("boxes", boxes), ("cones", cones)):
+            if not isinstance(items, list):
+                raise ValidationError(f"{path}: {key} must be a list, got {items!r}")
+        for i, box in enumerate(boxes):
+            where = f"{path}: boxes[{i}]"
+            box = json_fields(where, box, ("cx", "cy", "w", "h"), ("angle",))
+            box = {k: finite_number(where, k, v) for k, v in box.items()}
+            try:
+                boxes[i] = Rect(**box)
+            except ValidationError as exc:
+                raise ValidationError(f"{where}: {exc}") from None
+        for i, cone in enumerate(cones):
+            where = f"{path}: cones[{i}]"
+            if not isinstance(cone, list) or len(cone) != 2:
+                raise ValidationError(f"{where}: must be an [x, y] pair, got {cone!r}")
+            cones[i] = [finite_number(where, k, v) for k, v in zip("xy", cone)]
+        sizes = {k: finite_number(path, k, v) for k, v in raw.items()}
+        try:
+            return cls(boxes=boxes, cones=cones, **sizes)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
     def to_json(self, path: str) -> None:
-        payload = {
-            "boxes": [{"cx": b.cx, "cy": b.cy, "w": b.w, "h": b.h,
-                       "angle": b.angle} for b in self.boxes],
-            "cones": [list(c) for c in self.cones],
-            "gap_width": self.gap_width,
-            "car_width": self.car_width,
-            "car_length": self.car_length,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, asdict(self))
 
 
 @dataclass(frozen=True)
@@ -406,43 +416,21 @@ _COMPARE_HEADER = "commanded_c,executed_c,ikd_c,deviation_pct"
 
 def emit_report(reports, path: str) -> None:
     """Write CircleReports as CSV, one row per report (header-only if empty)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_CIRCLE_HEADER + "\n")
-        for r in reports:
-            fh.write(f"{repr(float(r.c_commanded))},{repr(float(r.r_fit))},"
-                     f"{repr(float(r.c_measured))},{repr(float(r.deviation_pct))},"
-                     f"{int(r.ikd_enabled)}\n")
+    cols = np.asarray([astuple(r) for r in reports], dtype=float).reshape(-1, 5).T
+    write_table(path, _CIRCLE_HEADER, (*cols[:4], cols[4].astype(int)))
 
 
 def read_report_csv(path: str) -> list[CircleReport]:
     """Read CircleReports back; field identities are re-validated on load."""
-    reports = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != _CIRCLE_HEADER:
-            raise ParseError(f"{path}:1: expected header {_CIRCLE_HEADER!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ParseError(f"{path}:{lineno}: expected 5 columns")
-            try:
-                vals = [float(p) for p in parts[:4]]
-                flag = bool(int(parts[4]))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric field") from None
-            reports.append(CircleReport(c_commanded=vals[0], r_fit=vals[1],
-                                        c_measured=vals[2], deviation_pct=vals[3],
-                                        ikd_enabled=flag))
-    return reports
+    rows = read_table(path, _CIRCLE_HEADER)
+    bad = np.flatnonzero((rows[:, 4] != 0.0) & (rows[:, 4] != 1.0))
+    if bad.size:
+        k = int(bad[0])
+        raise ParseError(f"{path}:{k + 2}: ikd_enabled must be 0 or 1, "
+                         f"got {rows[k, 4]:g}")
+    return [CircleReport(*row[:4], ikd_enabled=bool(row[4])) for row in rows.tolist()]
 
 
 def write_comparison_csv(rows, path: str) -> None:
     """Paired-run table: (commanded_c, executed_c, ikd_c, deviation_pct) rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_COMPARE_HEADER + "\n")
-        for commanded_c, executed_c, ikd_c, deviation_pct in rows:
-            fh.write(f"{repr(float(commanded_c))},{repr(float(executed_c))},"
-                     f"{repr(float(ikd_c))},{repr(float(deviation_pct))}\n")
+    write_table(path, _COMPARE_HEADER, np.asarray(rows, dtype=float).reshape(-1, 4).T)

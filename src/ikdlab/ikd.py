@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import InferenceError, ValidationError
 from .mlp import MlpParams, forward
@@ -45,9 +45,7 @@ class CorrectionResult:
     clamped: bool
 
     def to_dict(self) -> dict:
-        return {"v": self.v, "av_desired": self.av_desired,
-                "av_corrected": self.av_corrected,
-                "c_corrected": self.c_corrected, "clamped": self.clamped}
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -15,7 +15,6 @@ every step.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -23,10 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .align import AlignedDataset
-from .errors import ParseError, ValidationError, read_json
+from .errors import ParseError, ValidationError
+from .fileio import read_json, write_json, write_table
 
 LAYER_SIZES = (2, 32, 32, 1)
 MODEL_VERSION = 1
+LOSS_HEADER = "epoch,train_mse,test_mse"
 
 _FIELDS = ("W1", "b1", "W2", "b2", "W3", "b3")
 _SHAPES = {
@@ -377,9 +378,7 @@ def save_model(p: MlpParams, path: str) -> None:
         "layer_sizes": list(LAYER_SIZES),
         "weights": {name: getattr(p, name).tolist() for name in _FIELDS},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_model(path: str) -> MlpParams:
@@ -410,8 +409,5 @@ def load_model(path: str) -> MlpParams:
 
 
 def write_loss_csv(curve: LossCurve, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,train_mse,test_mse\n")
-        for i in range(len(curve)):
-            fh.write(f"{i},{repr(float(curve.train_mse[i]))},"
-                     f"{repr(float(curve.test_mse[i]))}\n")
+    write_table(path, LOSS_HEADER,
+                (np.arange(len(curve)), curve.train_mse, curve.test_mse))

@@ -14,6 +14,7 @@ import numpy as np
 
 from .datalog import JoyLog
 from .errors import ParseError, ValidationError
+from .fileio import read_table, write_table
 from .ikd import c_from_av_v, correct
 from .mlp import MlpParams
 from .simcore import (AV_LIMIT, DEFAULT_DT, EPS_V, ControlCommand, SimTrace,
@@ -59,28 +60,14 @@ def next_command(buf: CommandBuffer) -> tuple[float, float]:
 
 def write_buffer_txt(buf: CommandBuffer, path: str) -> None:
     """One "v,av" pair per line, no header."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for v, av in buf.rows:
-            fh.write(f"{repr(v)},{repr(av)}\n")
+    write_table(path, None, zip(*buf.rows))
 
 
 def read_buffer_txt(path: str) -> CommandBuffer:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 'v,av', got {line!r}")
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric field in {line!r}") from None
-    if not rows:
-        raise ParseError(f"{path}: no command rows found")
-    return CommandBuffer(rows=rows)
+    rows = read_table(path, None)
+    if rows.shape[1] != 2:  # also a file without rows, shape (0, 0)
+        raise ParseError(f"{path}: no 'v,av' rows found")
+    return CommandBuffer(rows=rows.tolist())
 
 
 def execute_replay(buf: CommandBuffer, p: SlipParams,

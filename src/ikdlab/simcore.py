@@ -8,14 +8,14 @@ first-order lag, and the emulated IMU stream is transport-delayed and noisy.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, finite_number, read_json, seed_value
+from .errors import ValidationError, finite_number, json_fields, seed_value
+from .fileio import read_json, write_json
 
 # Plant-wide limits observed on the real vehicle class this emulates.
 V_CAP = 4.219        # m/s, hard cap on achievable linear speed
@@ -105,12 +105,7 @@ class SlipParams:
             raise ValidationError(f"{path}: {exc}") from None
 
     def to_json(self, path: str) -> None:
-        payload = {"beta": self.beta, "lag_tau": self.lag_tau,
-                   "imu_delay": self.imu_delay,
-                   "noise_sigma": self.noise_sigma, "seed": self.seed}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, asdict(self))
 
 
 @dataclass(frozen=True)
@@ -172,14 +167,7 @@ class ControlScript:
         out = []
         for i, seg in enumerate(segs):
             where = f"{path}: segment {i}"
-            if not isinstance(seg, dict):
-                raise ValidationError(f"{where}: must be a JSON object")
-            unknown = set(seg) - set(fields)
-            if unknown:
-                raise ValidationError(f"{where}: unknown fields {sorted(unknown)}")
-            for key in fields:
-                if key not in seg:
-                    raise ValidationError(f"{where}: missing field {key!r}")
+            seg = json_fields(where, seg, fields)
             out.append(ScriptSegment(*(finite_number(where, key, seg[key])
                                        for key in fields)))
         try:
@@ -188,11 +176,7 @@ class ControlScript:
             raise ValidationError(f"{path}: {exc}") from None
 
     def to_json(self, path: str) -> None:
-        payload = {"segments": [{"t_start": s.t_start, "v": s.v, "c": s.c}
-                                for s in self.segments]}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_json(path, asdict(self))
 
     def command_at(self, t: float) -> ControlCommand:
         """Command in force at time t (last segment with t_start <= t)."""

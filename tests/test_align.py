@@ -299,6 +299,16 @@ def test_dataset_csv_rejects_broken_index(tmp_path):
         read_dataset_csv(str(path))
 
 
+@pytest.mark.parametrize("idx", ["1.5", "nan", "-1", "1e3"])
+def test_dataset_csv_rejects_non_contiguous_or_non_integral_index(tmp_path, idx):
+    path = tmp_path / "dataset.csv"
+    path.write_text(f"idx,v_joy,av_joy,av_imu\n0,1.0,0.5,0.4\n{idx},1.0,0.5,0.4\n",
+                    encoding="utf-8")
+    with pytest.raises(ValidationError,
+                       match=r"dataset\.csv:3: idx .* breaks contiguity \(expected 1\)"):
+        read_dataset_csv(str(path))
+
+
 def test_dataset_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "dataset.csv"
     path.write_text("a,b,c,d\n", encoding="utf-8")

@@ -2,11 +2,13 @@
 
 import json
 import os
+import re
 
 import pytest
 
 from ikdlab.cli import DEFAULT_CIRCLE_CURVATURES, PipelineConfig, main
 from ikdlab.errors import ParseError, ValidationError
+from ikdlab.evalkit import DriftScenario
 from ikdlab.simcore import ControlScript
 
 
@@ -261,3 +263,71 @@ def test_custom_script_round_trip(workdir):
     back = ControlScript.from_json("s.json")
     assert back == script
     assert DEFAULT_CIRCLE_CURVATURES == (0.12, 0.63, 0.80)
+
+
+LOSS = "epoch,train_mse,test_mse\n"
+HIST = "bin_lo,bin_hi,count\n"
+SCAN = "delay,objective\n"
+
+
+@pytest.mark.parametrize("flag, text, err", [
+    ("--loss", LOSS + "0,abc,1.0\n", r"bad\.csv:2: non-numeric field"),
+    ("--loss", LOSS + "0,0.5\n", r"bad\.csv:2: expected 3 columns, got 2"),
+    ("--loss", LOSS, r"bad\.csv: no rows after the header"),
+    ("--loss", SCAN + "0.1,0.5\n", r"bad\.csv:1: expected header"),
+    ("--hist", HIST + "0.0,0.25,x\n", r"bad\.csv:2: non-numeric field"),
+    ("--hist", HIST + "0.0,0.25\n", r"bad\.csv:2: expected 3 columns, got 2"),
+    ("--hist", HIST, r"bad\.csv: no rows after the header"),
+    ("--hist", LOSS + "0,0.5,0.6\n", r"bad\.csv:1: expected header"),
+    ("--delay-scan", SCAN + "0.1,nope\n", r"bad\.csv:2: non-numeric field"),
+    ("--delay-scan", SCAN + "0.1\n", r"bad\.csv:2: expected 2 columns, got 1"),
+    ("--delay-scan", SCAN, r"bad\.csv: no rows after the header"),
+    ("--delay-scan", HIST + "0.0,0.25,3\n", r"bad\.csv:1: expected header"),
+    ("--hist", None, r"missing file: missing\.csv"),
+])
+def test_plot_fails_closed_on_bad_tables(workdir, capsys, flag, text, err):
+    path = "missing.csv"
+    if text is not None:
+        path = "bad.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    assert main(["plot", "--out", "run", flag, path]) == 1
+    captured = capsys.readouterr()
+    assert re.match("error: " + err, captured.err)
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("course, match", [
+    ({"cones": []}, r"course\.json: missing field 'boxes'"),
+    ([], r"course\.json: must be a JSON object"),
+    ({"boxes": [], "cones": [], "gap_width": 2.0, "gap": 1},
+     r"course\.json: unknown fields \['gap'\]"),
+    ({"boxes": {}, "cones": [], "gap_width": 2.0}, r"course\.json: boxes must be a list"),
+    ({"boxes": [{"cx": 0, "cy": 0, "w": "x", "h": 1}], "cones": [], "gap_width": 2.0},
+     r"course\.json: boxes\[0\]: w must be a finite number, got 'x'"),
+    ({"boxes": [{"cx": 0, "cy": 0, "w": 1}], "cones": [], "gap_width": 2.0},
+     r"course\.json: boxes\[0\]: missing field 'h'"),
+    ({"boxes": [{"cx": 0, "cy": 0, "w": 1, "h": 1, "d": 1}], "cones": [],
+      "gap_width": 2.0}, r"course\.json: boxes\[0\]: unknown fields \['d'\]"),
+    ({"boxes": [{"cx": 0, "cy": 0, "w": 1, "h": 1}, {"cx": 0, "cy": 0, "w": 0, "h": 1}],
+      "cones": [], "gap_width": 2.0},
+     r"course\.json: boxes\[1\]: rectangle extents must be positive"),
+    ({"boxes": [], "cones": [[1.0]], "gap_width": 2.0},
+     r"course\.json: cones\[0\]: must be an \[x, y\] pair"),
+    ({"boxes": [], "cones": [[1.0, None]], "gap_width": 2.0},
+     r"course\.json: cones\[0\]: y must be a finite number, got None"),
+    ({"boxes": [], "cones": [], "gap_width": "wide"},
+     r"course\.json: gap_width must be a finite number, got 'wide'"),
+    ({"boxes": [], "cones": [], "gap_width": 0.1},
+     r"course\.json: gap 0\.1 m narrower than the car"),
+])
+def test_bad_scenario_file_names_file_and_field(workdir, capsys, course, match):
+    with open("course.json", "w", encoding="utf-8") as fh:
+        json.dump(course, fh)
+    with pytest.raises(ValidationError, match=match):
+        DriftScenario.from_json("course.json")
+    with open("cfg.json", "w", encoding="utf-8") as fh:
+        json.dump({"seed": 0, "scenario_file": "course.json"}, fh)
+    assert main(["eval-drift", "--config", "cfg.json", "--out", "run",
+                 "--duration", "1"]) == 1
+    assert re.match("error: " + match, capsys.readouterr().err)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ikdlab.errors import FitError, ValidationError
+from ikdlab.errors import FitError, ParseError, ValidationError
 from ikdlab.evalkit import (CAR_WIDTH, MIN_REVOLUTIONS, TRANSIENT_MULT,
                             CircleReport, ClearanceReport, DriftScenario,
                             Rect, circle_test, circle_trace, drift_eval,
@@ -307,6 +307,16 @@ def test_circle_report_csv_empty_is_header_only(tmp_path):
     with open(path, "r", encoding="utf-8") as fh:
         assert fh.read() == "c_commanded,r_fit,c_measured,deviation_pct,ikd_enabled\n"
     assert read_report_csv(path) == []
+
+
+@pytest.mark.parametrize("flag", ["2", "-1", "0.5", "nan"])
+def test_circle_report_csv_rejects_flag_other_than_0_or_1(tmp_path, flag):
+    path = tmp_path / "reports.csv"
+    path.write_text("c_commanded,r_fit,c_measured,deviation_pct,ikd_enabled\n"
+                    "0.5,2.0,0.5,0.0,1\n"
+                    f"0.5,2.0,0.5,0.0,{flag}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"reports\.csv:3: ikd_enabled must be 0 or 1"):
+        read_report_csv(str(path))
 
 
 def test_comparison_csv_layout(tmp_path):
