@@ -14,7 +14,7 @@ import numpy as np
 
 from .datalog import ImuLog, JoyLog
 from .errors import InsufficientOverlapError, ValidationError
-from .fileio import read_table, write_table
+from .fileio import read_table, row_line, write_table
 from .simcore import AV_LIMIT, EPS_V
 
 # Plausible transport-delay band for the IMU stream; estimates outside it
@@ -264,8 +264,8 @@ def read_dataset_csv(path: str, period: float = 1.0 / DEFAULT_RATE) -> AlignedDa
     broken = np.flatnonzero(rows[:, 0] != np.arange(len(rows)))
     if broken.size:
         k = int(broken[0])
-        raise ValidationError(f"{path}:{k + 2}: idx {rows[k, 0]:g} breaks "
-                              f"contiguity (expected {k})")
+        raise ValidationError(f"{path}:{row_line(path, _DATASET_HEADER, k)}: "
+                              f"idx {rows[k, 0]:g} breaks contiguity (expected {k})")
     _, v_joy, av_joy, av_imu = rows.T
     return AlignedDataset(v_joy=v_joy, av_joy=av_joy, av_imu=av_imu, period=period)
 

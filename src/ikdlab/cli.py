@@ -53,18 +53,10 @@ class PipelineConfig:
         seed = seed_value(path, raw["seed"])
         slip = (SlipParams.from_json(raw["slip_file"]) if "slip_file" in raw
                 else SlipParams(seed=seed))
-        rates = raw.get("rates", {})
-        if not isinstance(rates, dict):
-            raise ValidationError(f"{path}: rates must be a JSON object")
-        unknown = set(rates) - {"joy", "imu", "replay"}
-        if unknown:
-            raise ValidationError(f"{path}: unknown rates keys {sorted(unknown)}")
-        train_raw = raw.get("train", {})
-        if not isinstance(train_raw, dict):
-            raise ValidationError(f"{path}: train must be a JSON object")
-        unknown = set(train_raw) - {f.name for f in fields(mlp.TrainConfig)}
-        if unknown:
-            raise ValidationError(f"{path}: unknown train keys {sorted(unknown)}")
+        rates = json_fields(f"{path}: rates", raw.get("rates", {}), (),
+                            ("joy", "imu", "replay"))
+        train_raw = json_fields(f"{path}: train", raw.get("train", {}), (),
+                                tuple(f.name for f in fields(mlp.TrainConfig)))
         try:
             train = mlp.TrainConfig(**{"seed": seed, **train_raw})
         except ValidationError as exc:

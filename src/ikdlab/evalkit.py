@@ -14,7 +14,7 @@ from dataclasses import asdict, astuple, dataclass, field
 import numpy as np
 
 from .errors import FitError, ParseError, ValidationError, finite_number, json_fields
-from .fileio import read_json, read_table, write_json, write_table
+from .fileio import read_json, read_table, row_line, write_json, write_table
 from .ikd import correct
 from .mlp import MlpParams
 from .simcore import (ControlScript, SimTrace, SlipParams, run_scenario,
@@ -426,8 +426,8 @@ def read_report_csv(path: str) -> list[CircleReport]:
     bad = np.flatnonzero((rows[:, 4] != 0.0) & (rows[:, 4] != 1.0))
     if bad.size:
         k = int(bad[0])
-        raise ParseError(f"{path}:{k + 2}: ikd_enabled must be 0 or 1, "
-                         f"got {rows[k, 4]:g}")
+        raise ParseError(f"{path}:{row_line(path, _CIRCLE_HEADER, k)}: "
+                         f"ikd_enabled must be 0 or 1, got {rows[k, 4]:g}")
     return [CircleReport(*row[:4], ikd_enabled=bool(row[4])) for row in rows.tolist()]
 
 

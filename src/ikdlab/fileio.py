@@ -5,6 +5,7 @@ read-back is value-identical.  JSON is indented by two, keys sorted, with a
 trailing newline.
 """
 
+import itertools
 import json
 from array import array
 
@@ -54,6 +55,18 @@ def read_table(path: str, header: str | None) -> np.ndarray:
                 raise ParseError(f"{path}:{lineno}: non-numeric field in "
                                  f"{line.rstrip()!r}") from None
     return np.frombuffer(values, dtype=float).reshape(-1 if ncol else 0, ncol)
+
+
+def row_line(path: str, header: str | None, k: int) -> int:
+    """The file line of data row ``k`` of a table that read_table accepted,
+    counting past blank lines.  It reads the file again, so it is meant for
+    error messages only."""
+    with open(path, "r", encoding="utf-8") as fh:
+        if header is not None:
+            fh.readline()
+        rows = (lineno for lineno, line in
+                enumerate(fh, start=1 if header is None else 2) if line.strip())
+        return next(itertools.islice(rows, k, None))
 
 
 def write_json(path: str, payload) -> None:

@@ -5,11 +5,12 @@ produced it.  ReLU hidden layers, linear output head, MSE loss, analytic
 backpropagation, AdamW updates.  Everything runs in double precision on
 plain numpy arrays; no input normalization is applied.
 
-The weights live in one contiguous float64 vector, so an optimizer step is
-a handful of whole-vector operations.  Weights are validated where they
-enter or leave the program (the named constructor, model files) and where
-training could diverge (the config and the end of each epoch), not on
-every step.
+The weights live in one contiguous float64 vector.  A training step
+backpropagates into one flat gradient vector and runs AdamW in place on
+whole vectors, so it allocates little beyond the batch's activations.
+Weights are validated where they enter or leave the program (the named
+constructor, model files) and where training could diverge (the config and
+the end of each epoch), not on every step.
 """
 
 from __future__ import annotations
@@ -77,10 +78,8 @@ class MlpParams:
     def _bind(self, theta: np.ndarray) -> None:
         theta.flags.writeable = False
         # One __dict__ update instead of seven frozen-dataclass setattrs:
-        # the optimizer builds an MlpParams on every step.
-        self.__dict__.update(
-            {name: theta[span].reshape(shape) for name, span, shape in _LAYOUT},
-            theta=theta)
+        # adamw_step builds an MlpParams on every call.
+        self.__dict__.update(zip(_FIELDS, _views(theta)), theta=theta)
 
     @classmethod
     def _from_flat(cls, theta: np.ndarray) -> "MlpParams":
@@ -92,6 +91,11 @@ class MlpParams:
     @classmethod
     def zeros(cls) -> "MlpParams":
         return cls._from_flat(np.zeros(N_PARAMS))
+
+
+def _views(flat: np.ndarray) -> tuple[np.ndarray, ...]:
+    """W1, b1, W2, b2, W3 and b3 as reshaped views of a flat vector."""
+    return tuple(flat[span].reshape(shape) for _, span, shape in _LAYOUT)
 
 
 def _nonfinite_tensors(p: MlpParams) -> list[str]:
@@ -218,6 +222,61 @@ def forward(p: MlpParams, inputs) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
+def _backprop(p: MlpParams, X: np.ndarray, y: np.ndarray, grads: tuple) -> np.ndarray:
+    """Write the exact gradient of the batch MSE into ``grads``, the _views
+    of one flat vector, and return the residuals out - y.
+
+    Each weight gradient is computed straight into its view (matmul and sum
+    with ``out=``) and each ReLU mask is applied in place on its delta.  The
+    products are the per-tensor ones, term for term, so the bits are too:
+    d * (a > 0) gives -0.0 for a negative delta behind a closed unit either
+    way.
+    """
+    g_W1, g_b1, g_W2, g_b2, g_W3, g_b3 = grads
+    a1, a2, out = _forward_batch(p, X)
+    resid = out - y
+    d_out = (2.0 / X.shape[0]) * resid[:, None]   # (n, 1)
+    np.matmul(d_out.T, a2, out=g_W3)
+    d_out.sum(axis=0, out=g_b3)
+    d_z2 = d_out @ p.W3                            # (n, 32)
+    np.multiply(d_z2, a2 > 0.0, out=d_z2)
+    np.matmul(d_z2.T, a1, out=g_W2)
+    d_z2.sum(axis=0, out=g_b2)
+    d_z1 = d_z2 @ p.W2
+    np.multiply(d_z1, a1 > 0.0, out=d_z1)
+    np.matmul(d_z1.T, X, out=g_W1)
+    d_z1.sum(axis=0, out=g_b1)
+    return resid
+
+
+def _adamw(theta: np.ndarray, g: np.ndarray, s: AdamState, cfg: TrainConfig,
+           tmp: np.ndarray) -> None:
+    """One AdamW update of ``theta`` and ``s`` in place, from the flat gradient
+    ``g``.  ``g`` and ``tmp`` are overwritten as scratch.
+
+    m = b1*m + (1-b1)*g,  v = b2*v + (1-b2)*(g*g),
+    step = m_hat / (sqrt(v_hat) + eps) + wd*theta,  theta - lr*step:
+    evaluated in this order, and so bit for bit, with every product written
+    into one of the five vectors.
+    """
+    s.t += 1
+    b1, b2 = cfg.beta1, cfg.beta2
+    s.m *= b1
+    s.m += np.multiply(g, 1.0 - b1, out=tmp)
+    g *= g
+    g *= 1.0 - b2
+    s.v *= b2
+    s.v += g
+    denom = np.divide(s.v, 1.0 - b2 ** s.t, out=g)   # v_hat
+    np.sqrt(denom, out=denom)
+    denom += cfg.eps_adam
+    step = np.divide(s.m, 1.0 - b1 ** s.t, out=tmp)  # m_hat
+    step /= denom
+    step += np.multiply(theta, cfg.weight_decay, out=g)
+    step *= cfg.lr
+    theta -= step
+
+
 def loss_and_grads(p: MlpParams, X: np.ndarray, y: np.ndarray):
     """MSE over the batch and its exact analytic gradients.
 
@@ -228,29 +287,11 @@ def loss_and_grads(p: MlpParams, X: np.ndarray, y: np.ndarray):
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[1] != 2 or y.shape != (X.shape[0],):
         raise ValidationError("batch must be X:(n,2), y:(n,)")
-    n = X.shape[0]
-    if n == 0:
+    if X.shape[0] == 0:
         raise ValidationError("batch must be non-empty")
-
-    a1, a2, out = _forward_batch(p, X)
-    resid = out - y
-    mse = float(np.mean(resid * resid))
-
-    d_out = (2.0 / n) * resid[:, None]          # (n, 1)
-    g_W3 = d_out.T @ a2
-    g_b3 = d_out.sum(axis=0)
-    d_a2 = d_out @ p.W3                          # (n, 32)
-    d_z2 = d_a2 * (a2 > 0.0)
-    g_W2 = d_z2.T @ a1
-    g_b2 = d_z2.sum(axis=0)
-    d_a1 = d_z2 @ p.W2
-    d_z1 = d_a1 * (a1 > 0.0)
-    g_W1 = d_z1.T @ X
-    g_b1 = d_z1.sum(axis=0)
-
-    grads = {"W1": g_W1, "b1": g_b1, "W2": g_W2, "b2": g_b2,
-             "W3": g_W3, "b3": g_b3}
-    return mse, grads
+    grads = _views(np.empty(N_PARAMS))
+    resid = _backprop(p, X, y, grads)
+    return float(np.mean(resid * resid)), dict(zip(_FIELDS, grads))
 
 
 def adamw_step(p: MlpParams, grads: dict, s: AdamState,
@@ -258,39 +299,21 @@ def adamw_step(p: MlpParams, grads: dict, s: AdamState,
     """One decoupled-weight-decay Adam update with bias correction.
 
     Weight decay is applied to every parameter tensor, biases included.
-    The update runs on whole flat vectors; it returns new objects and
-    leaves p, grads and s untouched.  The new weights are not validated:
-    train checks them once per epoch.
+    The update runs on copies of the flat vectors; it returns new objects
+    and leaves p, grads and s untouched.  The new weights are not
+    validated: train checks them once per epoch.
     """
-    tensors = []
-    for name in _FIELDS:
-        g = np.asarray(grads[name], dtype=float)
-        if g.shape != _SHAPES[name]:
-            raise ValidationError(f"grad {name} has shape {g.shape}, "
-                                  f"expected {_SHAPES[name]}")
-        tensors.append(g)
-    g = np.concatenate(tensors, axis=None)
-    t = s.t + 1
-    b1, b2 = cfg.beta1, cfg.beta2
-    # m = b1*m + (1-b1)*g,  v = b2*v + (1-b2)*(g*g),
-    # step = m_hat / (sqrt(v_hat) + eps) + wd*theta,  theta - lr*step:
-    # evaluated in this order, and so bit for bit, but in place on the
-    # step's own vectors (g is a fresh concatenation) to save allocations.
-    m = b1 * s.m
-    m += (1.0 - b1) * g
-    g *= g
-    g *= 1.0 - b2
-    v = b2 * s.v
-    v += g
-    denom = np.divide(v, 1.0 - b2 ** t, out=g)      # v_hat
-    np.sqrt(denom, out=denom)
-    denom += cfg.eps_adam
-    step = m / (1.0 - b1 ** t)                       # m_hat
-    step /= denom
-    step += cfg.weight_decay * p.theta
-    step *= cfg.lr
-    theta = np.subtract(p.theta, step, out=step)
-    return MlpParams._from_flat(theta), AdamState(m=m, v=v, t=t)
+    g = np.empty(N_PARAMS)
+    for name, span, shape in _LAYOUT:
+        g_name = np.asarray(grads[name], dtype=float)
+        if g_name.shape != shape:
+            raise ValidationError(f"grad {name} has shape {g_name.shape}, "
+                                  f"expected {shape}")
+        g[span] = g_name.ravel()
+    theta = p.theta.copy()
+    s_new = AdamState(m=s.m.copy(), v=s.v.copy(), t=s.t)
+    _adamw(theta, g, s_new, cfg, np.empty(N_PARAMS))
+    return MlpParams._from_flat(theta), s_new
 
 
 def _dataset_xy(data: AlignedDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -329,7 +352,9 @@ def train(data: AlignedDataset, cfg: TrainConfig = TrainConfig()
     per-epoch shuffles all come from one generator seeded with cfg.seed.
     The loss curve holds full-split MSE evaluated after each epoch.  A run
     whose loss or weights turn non-finite stops with a ValidationError
-    naming the epoch.
+    naming the epoch.  Each step runs the two kernels behind loss_and_grads
+    and adamw_step in place on vectors private to this call; the weights
+    are wrapped once, in a read-only copy, when training ends.
     """
     n = len(data)
     if n < 2 * cfg.batch_size:
@@ -337,8 +362,11 @@ def train(data: AlignedDataset, cfg: TrainConfig = TrainConfig()
             f"dataset has {n} rows; need at least {2 * cfg.batch_size}")
 
     rng = np.random.default_rng(cfg.seed)
-    p = init_params(rng)
+    theta = init_params(rng).theta.copy()   # the private working vector
+    p = MlpParams._from_flat(theta.view())  # read-only views that follow it
     s = AdamState.fresh()
+    g, tmp = np.empty(N_PARAMS), np.empty(N_PARAMS)
+    grads = _views(g)
 
     X, y = _dataset_xy(data)
     perm = rng.permutation(n)
@@ -351,21 +379,26 @@ def train(data: AlignedDataset, cfg: TrainConfig = TrainConfig()
     train_mse = np.empty(cfg.epochs)
     test_mse = np.empty(cfg.epochs)
     n_tr = len(train_idx)
+    X_ep, y_ep = np.empty_like(X_tr), np.empty_like(y_tr)
     for epoch in range(cfg.epochs):
+        # the epoch's shuffle, gathered once, so that each batch is a slice
         order = rng.permutation(n_tr)
+        np.take(X_tr, order, axis=0, out=X_ep)
+        np.take(y_tr, order, out=y_ep)
         for start in range(0, n_tr, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            _, grads = loss_and_grads(p, X_tr[batch], y_tr[batch])
-            p, s = adamw_step(p, grads, s, cfg)
+            stop = start + cfg.batch_size
+            _backprop(p, X_ep[start:stop], y_ep[start:stop], grads)
+            _adamw(theta, g, s, cfg, tmp)
         train_mse[epoch] = _split_mse(p, X_tr, y_tr)
         test_mse[epoch] = _split_mse(p, X_te, y_te)
         if not (math.isfinite(train_mse[epoch]) and math.isfinite(test_mse[epoch])
-                and np.all(np.isfinite(p.theta))):
+                and np.all(np.isfinite(theta))):
             bad = ", ".join(_nonfinite_tensors(p)) or "none"
             raise ValidationError(
                 f"training diverged in epoch {epoch}: train mse {train_mse[epoch]}, "
                 f"test mse {test_mse[epoch]}, non-finite weights in {bad}")
-    return p, LossCurve(train_mse=train_mse, test_mse=test_mse)
+    return MlpParams._from_flat(theta.copy()), LossCurve(train_mse=train_mse,
+                                                         test_mse=test_mse)
 
 
 def save_model(p: MlpParams, path: str) -> None:

@@ -89,14 +89,9 @@ class SlipParams:
 
     @classmethod
     def from_json(cls, path: str) -> "SlipParams":
-        raw = read_json(path)
-        if not isinstance(raw, dict):
-            raise ValidationError(f"{path}: slip parameters must be a JSON object")
-        floats = {"beta", "lag_tau", "imu_delay", "noise_sigma"}
-        unknown = set(raw) - floats - {"seed"}
-        if unknown:
-            raise ValidationError(f"{path}: unknown SlipParams keys: {sorted(unknown)}")
-        kwargs = {key: finite_number(path, key, raw[key]) for key in floats & set(raw)}
+        floats = ("beta", "lag_tau", "imu_delay", "noise_sigma")
+        raw = json_fields(path, read_json(path), (), floats + ("seed",))
+        kwargs = {key: finite_number(path, key, raw[key]) for key in floats if key in raw}
         if "seed" in raw:
             kwargs["seed"] = seed_value(path, raw["seed"])
         try:

@@ -148,20 +148,29 @@ def test_delay_recovery_over_50_random_shifts():
     assert time.perf_counter() - t0 < 30.0
 
 
+def stacked_forward(thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The network at each row of ``thetas`` (flat weight vectors, _FIELDS
+    order) on the same batch X: shape (len(thetas), len(X)), one matmul per
+    layer with the weight vectors on a leading axis."""
+    w, k = {}, 0
+    for name in _FIELDS:
+        size = int(np.prod(_SHAPES[name]))
+        w[name] = thetas[:, k:k + size].reshape(-1, *_SHAPES[name])
+        k += size
+    a1 = np.maximum(X @ w["W1"].transpose(0, 2, 1) + w["b1"][:, None, :], 0.0)
+    a2 = np.maximum(a1 @ w["W2"].transpose(0, 2, 1) + w["b2"][:, None, :], 0.0)
+    return (a2 @ w["W3"].transpose(0, 2, 1))[:, :, 0] + w["b3"]
+
+
 def test_gradients_match_finite_differences_100_draws():
     rng = np.random.default_rng(7)
     h = 1e-5
 
-    def flat(p):
-        return np.concatenate([getattr(p, n).ravel() for n in _FIELDS])
-
-    def unflat(vec):
-        vals, k = {}, 0
-        for n in _FIELDS:
-            size = int(np.prod(_SHAPES[n]))
-            vals[n] = vec[k:k + size].reshape(_SHAPES[n])
-            k += size
-        return MlpParams(**vals)
+    def perturbed_mse(theta, X, y, step):
+        """Batch MSE with each weight moved by ``step`` in turn, all at once."""
+        thetas = np.tile(theta, (theta.size, 1))
+        thetas[np.diag_indices(theta.size)] += step
+        return np.mean((stacked_forward(thetas, X) - y) ** 2, axis=1)
 
     worst = 0.0
     checked = 0
@@ -178,15 +187,12 @@ def test_gradients_match_finite_differences_100_draws():
         checked += 1
         _, grads = loss_and_grads(p, X, y)
         g_an = np.concatenate([np.asarray(grads[n]).ravel() for n in _FIELDS])
-        theta = flat(p)
-        g_fd = np.empty_like(theta)
-        for i in range(theta.size):
-            up, down = theta.copy(), theta.copy()
-            up[i] += h
-            down[i] -= h
-            f_up = float(np.mean((forward(unflat(up), X) - y) ** 2))
-            f_dn = float(np.mean((forward(unflat(down), X) - y) ** 2))
-            g_fd[i] = (f_up - f_dn) / (2.0 * h)
+        theta = p.theta
+        # the stacked forward is the network: check it at the unperturbed point
+        assert np.max(np.abs(stacked_forward(theta[None, :], X)[0]
+                             - forward(p, X))) <= 1e-12
+        g_fd = (perturbed_mse(theta, X, y, h)
+                - perturbed_mse(theta, X, y, -h)) / (2.0 * h)
         rel = np.abs(g_an - g_fd) / np.maximum.reduce(
             [np.abs(g_an), np.abs(g_fd), np.full_like(g_an, 1e-6)])
         worst = max(worst, float(rel.max()))

@@ -309,6 +309,15 @@ def test_dataset_csv_rejects_non_contiguous_or_non_integral_index(tmp_path, idx)
         read_dataset_csv(str(path))
 
 
+def test_dataset_csv_names_the_file_line_of_a_bad_index_past_blank_lines(tmp_path):
+    path = tmp_path / "dataset.csv"
+    path.write_text("idx,v_joy,av_joy,av_imu\n\n0,1.0,0.5,0.4\n \n\n"
+                    "1,1.0,0.5,0.4\n\n7,1.0,0.5,0.4\n", encoding="utf-8")
+    with pytest.raises(ValidationError,
+                       match=r"dataset\.csv:8: idx 7 breaks contiguity \(expected 2\)"):
+        read_dataset_csv(str(path))
+
+
 def test_dataset_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "dataset.csv"
     path.write_text("a,b,c,d\n", encoding="utf-8")

@@ -141,13 +141,13 @@ def test_config_validation(workdir):
 
 @pytest.mark.parametrize("raw, error, match", [
     ({"seed": 0, "train": {"epochz": 3}}, ValidationError,
-     r"bad\.json: unknown train keys \['epochz'\]"),
+     r"bad\.json: train: unknown fields \['epochz'\]"),
     ({"seed": 0, "train": {"epochs": "2"}}, ValidationError,
      r"bad\.json: train: epochs must be an integer"),
     ({"seed": 0, "train": {"lr": -1}}, ValidationError,
      r"bad\.json: train: lr must be positive"),
     ({"seed": 0, "train": [3]}, ValidationError,
-     r"bad\.json: train must be a JSON object"),
+     r"bad\.json: train: must be a JSON object, got \[3\]"),
 ])
 def test_bad_train_section_names_file_and_key(workdir, capsys, raw, error, match):
     with open("bad.json", "w", encoding="utf-8") as fh:
@@ -167,8 +167,8 @@ def test_bad_train_section_names_file_and_key(workdir, capsys, raw, error, match
     ({"seed": 0, "rates": {"imu": 0}}, r"bad\.json: rates: imu must be positive"),
     ({"seed": 0, "rates": {"replay": -20}},
      r"bad\.json: rates: replay must be positive"),
-    ({"seed": 0, "rates": {"jyo": 40}}, r"bad\.json: unknown rates keys \['jyo'\]"),
-    ({"seed": 0, "rates": [40]}, r"bad\.json: rates must be a JSON object"),
+    ({"seed": 0, "rates": {"jyo": 40}}, r"bad\.json: rates: unknown fields \['jyo'\]"),
+    ({"seed": 0, "rates": [40]}, r"bad\.json: rates: must be a JSON object, got \[40\]"),
     ({"seed": 0, "delay_search": 5},
      r"bad\.json: delay_search must be a \[lo, hi\] pair, got 5"),
     ({"seed": 0, "delay_search": [0.0, 0.2, 0.4]},
@@ -229,6 +229,19 @@ def test_bad_slip_file_names_file_and_field(workdir, capsys):
     assert main(["collect", "--config", "cfg.json", "--out", "run"]) == 1
     assert ("error: slip.json: beta must be a finite number, got 'x'"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("slip, message", [
+    ({"beta": 0.02, "lag": 0.1}, "error: slip.json: unknown fields ['lag']"),
+    ([0.02], "error: slip.json: must be a JSON object, got [0.02]"),
+])
+def test_slip_file_object_and_field_checks_exit_1(workdir, capsys, slip, message):
+    with open("slip.json", "w", encoding="utf-8") as fh:
+        json.dump(slip, fh)
+    with open("cfg.json", "w", encoding="utf-8") as fh:
+        json.dump({"seed": 0, "slip_file": "slip.json"}, fh)
+    assert main(["collect", "--config", "cfg.json", "--out", "run"]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_truncated_config_is_parse_error_naming_file_and_line(workdir, capsys):

@@ -319,6 +319,15 @@ def test_circle_report_csv_rejects_flag_other_than_0_or_1(tmp_path, flag):
         read_report_csv(str(path))
 
 
+def test_circle_report_csv_names_the_file_line_of_a_bad_flag_past_blank_lines(tmp_path):
+    path = tmp_path / "reports.csv"
+    path.write_text("c_commanded,r_fit,c_measured,deviation_pct,ikd_enabled\n\n"
+                    "0.5,2.0,0.5,0.0,1\n\n\t\n"
+                    "0.5,2.0,0.5,0.0,2\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"reports\.csv:6: ikd_enabled must be 0 or 1, got 2"):
+        read_report_csv(str(path))
+
+
 def test_comparison_csv_layout(tmp_path):
     path = str(tmp_path / "compare.csv")
     write_comparison_csv([(0.5, 0.45, 0.49, 2.0)], path)

@@ -10,7 +10,8 @@ from ikdlab.cli import write_trace_csv
 from ikdlab.datalog import ImuLog, JoyLog, write_imu_csv, write_joy_csv
 from ikdlab.errors import ParseError
 from ikdlab.evalkit import CircleReport, emit_report, write_comparison_csv
-from ikdlab.fileio import ROW_BLOCK, read_table, write_json, write_table
+from ikdlab.fileio import (ROW_BLOCK, read_table, row_line, write_json,
+                           write_table)
 from ikdlab.mlp import LossCurve, write_loss_csv
 from ikdlab.replay import CommandBuffer, write_buffer_txt
 from ikdlab.simcore import SimTrace
@@ -97,6 +98,18 @@ def test_read_table_rows_and_diagnostics(tmp_path, text, header, expected):
         assert rows.dtype == np.float64
         assert rows.shape == np.shape(expected)
         assert np.array_equal(rows, expected)
+
+
+@pytest.mark.parametrize("text, header, lines", [
+    ("a,b\n1,2\n3,4\n", "a,b", [2, 3]),
+    ("a,b\n\n1,2\n \t \n\n3,4\n\n5,6\n", "a,b", [3, 6, 8]),
+    ("\n1,2\n\n3,4\n", None, [2, 4]),
+])
+def test_row_line_counts_past_blank_lines(tmp_path, text, header, lines):
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    assert len(read_table(str(path), header)) == len(lines)
+    assert [row_line(str(path), header, k) for k in range(len(lines))] == lines
 
 
 def test_write_json_layout(tmp_path):

@@ -5,9 +5,9 @@ built one VehicleState and one ControlCommand per step.  The closed-form
 integrator sums in another order, so its state channels must match them
 within SIM_TOL (heading modulo 2*pi) and its commands exactly.  The drift oracle
 scores one state at a time with the scalar geometry helpers.  The trainer
-oracle is a verbatim copy of the per-tensor AdamW step and training loop;
-the flat-vector trainer must reproduce its weights and loss curves bit for
-bit.
+oracle is a verbatim copy of the per-tensor backprop, AdamW step and
+training loop; the in-place flat-vector trainer must reproduce its weights
+and loss curves bit for bit.
 """
 
 import math
@@ -23,8 +23,8 @@ from ikdlab.evalkit import (DriftScenario, Rect, _gate_segment,
 from ikdlab.ikd import AV_LIMIT, c_from_av_v, correct
 from ikdlab.align import AlignedDataset
 from ikdlab.mlp import (AdamState, LossCurve, MlpParams, TrainConfig, _FIELDS,
-                        _SHAPES, _dataset_xy, adamw_step, forward, init_params,
-                        loss_and_grads, train)
+                        _SHAPES, _dataset_xy, _forward_batch, adamw_step,
+                        forward, init_params, loss_and_grads, train)
 from ikdlab.replay import CommandBuffer, execute_replay, next_command
 from ikdlab.scenarios import (loose_scenario, tight_scenario,
                                training_sweep_script)
@@ -368,7 +368,30 @@ def test_drift_eval_gate_touch_cases_match_reference():
         assert drift_eval(trace, scenario).cleared_gate == expected, name
 
 
-# --- trainer oracle (the per-tensor AdamW and training loop, kept verbatim) --
+# --- trainer oracle (the per-tensor backprop, AdamW and training loop, kept verbatim)
+
+def reference_loss_and_grads(p: MlpParams, X: np.ndarray, y: np.ndarray):
+    n = X.shape[0]
+    a1, a2, out = _forward_batch(p, X)
+    resid = out - y
+    mse = float(np.mean(resid * resid))
+
+    d_out = (2.0 / n) * resid[:, None]          # (n, 1)
+    g_W3 = d_out.T @ a2
+    g_b3 = d_out.sum(axis=0)
+    d_a2 = d_out @ p.W3                          # (n, 32)
+    d_z2 = d_a2 * (a2 > 0.0)
+    g_W2 = d_z2.T @ a1
+    g_b2 = d_z2.sum(axis=0)
+    d_a1 = d_z2 @ p.W2
+    d_z1 = d_a1 * (a1 > 0.0)
+    g_W1 = d_z1.T @ X
+    g_b1 = d_z1.sum(axis=0)
+
+    grads = {"W1": g_W1, "b1": g_b1, "W2": g_W2, "b2": g_b2,
+             "W3": g_W3, "b3": g_b3}
+    return mse, grads
+
 
 @dataclass
 class ReferenceAdamState:
@@ -432,7 +455,7 @@ def reference_train(data: AlignedDataset, cfg: TrainConfig):
         order = rng.permutation(n_tr)
         for start in range(0, n_tr, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            _, grads = loss_and_grads(p, X_tr[batch], y_tr[batch])
+            _, grads = reference_loss_and_grads(p, X_tr[batch], y_tr[batch])
             p, s = reference_adamw_step(p, grads, s, cfg)
         train_mse[epoch] = np.mean((forward(p, X_tr) - y_tr) ** 2)
         test_mse[epoch] = np.mean((forward(p, X_te) - y_te) ** 2)
@@ -508,3 +531,64 @@ def test_adamw_step_matches_per_tensor_step_and_leaves_inputs_alone():
         assert s.t == t
         assert not np.shares_memory(p2.theta, p.theta)
         assert not np.shares_memory(s2.m, s.m) and not np.shares_memory(s2.v, s.v)
+
+
+@pytest.mark.parametrize("rows, overrides", [
+    (90, {"batch_size": 1}),
+    (392, {"batch_size": 32}),                # 353 training rows: last batch is one row
+    (600, {"batch_size": 32, "beta1": 0.0}),
+    (600, {"batch_size": 64, "weight_decay": 0.0}),
+])
+def test_in_place_trainer_edge_cases_match_per_tensor_loop_bit_for_bit(rows, overrides):
+    rng = np.random.default_rng(rows + overrides["batch_size"])
+    data = random_slip_dataset(rng, rows)
+    cfg = TrainConfig(**{"epochs": 3, "seed": int(rng.integers(0, 2**31)),
+                         "lr": 3e-3, **overrides})
+    n_tr = rows - min(max(round(rows * cfg.split_fraction), 1),
+                      rows - cfg.batch_size)
+    if rows == 392:
+        assert n_tr % cfg.batch_size == 1
+    params, curve = train(data, cfg)
+    ref_params, ref_curve = reference_train(data, cfg)
+    assert params.theta.tobytes() == ref_params.theta.tobytes()
+    assert curve.train_mse.tobytes() == ref_curve.train_mse.tobytes()
+    assert curve.test_mse.tobytes() == ref_curve.test_mse.tobytes()
+
+
+def test_loss_and_grads_match_per_tensor_backprop_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        p = init_params(rng)
+        n = int(rng.choice([1, 2, 7, 32, 128]))
+        X = np.column_stack([rng.uniform(0.0, 4.2, n), rng.uniform(-4.0, 4.0, n)])
+        y = rng.uniform(-4.0, 4.0, n)
+        mse, grads = loss_and_grads(p, X, y)
+        ref_mse, ref_grads = reference_loss_and_grads(p, X, y)
+        assert mse == ref_mse
+        for name in _FIELDS:
+            assert grads[name].shape == _SHAPES[name]
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+
+
+def test_train_leaves_its_inputs_alone_and_returns_private_read_only_weights():
+    rng = np.random.default_rng(4)
+    data = random_slip_dataset(rng, 500)
+    before = [a.copy() for a in (data.v_joy, data.av_joy, data.av_imu)]
+    cfg = TrainConfig(epochs=2, seed=3)
+    params, _ = train(data, cfg)
+    for a, b in zip((data.v_joy, data.av_joy, data.av_imu), before):
+        assert a.tobytes() == b.tobytes()
+
+    assert not params.theta.flags.writeable
+    with pytest.raises(ValueError):
+        params.theta[0] = 0.0
+    with pytest.raises(ValueError):
+        params.W2[0, 0] = 0.0
+
+    first = params.theta.copy()
+    again, _ = train(data, cfg)
+    other, _ = train(data, TrainConfig(epochs=2, seed=4))
+    assert params.theta.tobytes() == first.tobytes() == again.theta.tobytes()
+    assert not np.array_equal(other.theta, first)
+    for q in (again, other):
+        assert not np.shares_memory(q.theta, params.theta)

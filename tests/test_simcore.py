@@ -61,7 +61,7 @@ def test_slip_params_json_round_trip(tmp_path):
 def test_slip_params_json_rejects_unknown_keys(tmp_path):
     path = tmp_path / "slip.json"
     path.write_text('{"beta": 0.02, "bogus": 1}\n', encoding="utf-8")
-    with pytest.raises(ValidationError, match="bogus"):
+    with pytest.raises(ValidationError, match=r"slip\.json: unknown fields \['bogus'\]"):
         SlipParams.from_json(str(path))
 
 
@@ -73,7 +73,7 @@ def test_slip_params_json_rejects_unknown_keys(tmp_path):
     ('{"imu_delay": -0.1}', ValidationError,
      r"slip\.json: SlipParams fields must be non-negative"),
     ('{"seed": 1.5}', ValidationError, r"slip\.json: seed must be a non-negative integer"),
-    ('[0.02]', ValidationError, r"slip\.json: slip parameters must be a JSON object"),
+    ('[0.02]', ValidationError, r"slip\.json: must be a JSON object, got \[0\.02\]"),
     ('{"beta": 0.02,', ParseError, r"slip\.json: not valid JSON"),
 ])
 def test_slip_params_json_names_file_and_field(tmp_path, text, error, match):
