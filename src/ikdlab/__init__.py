@@ -15,7 +15,8 @@ from .errors import (CorruptLogError, FitError, IkdError, InferenceError,
                      InsufficientOverlapError, ParseError, ValidationError)
 from .evalkit import (CircleReport, ClearanceReport, DriftScenario, Rect,
                       circle_test, drift_eval, emit_report, fit_circle)
-from .ikd import CorrectionResult, av_from_vc, c_from_av_v, correct
+from .ikd import (CorrectionResult, av_from_vc, c_from_av_v, correct,
+                  correct_batch)
 from .mlp import (AdamState, LossCurve, MlpParams, TrainConfig, adamw_step,
                   forward, init_params, load_model, loss_and_grads,
                   save_model, train)

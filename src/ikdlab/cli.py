@@ -130,7 +130,8 @@ def cmd_collect(args) -> int:
     if args.script:
         from .simcore import ControlScript
         script = ControlScript.from_json(args.script)
-        duration = args.duration if args.duration else script.t_end + args.dwell
+        duration = (args.duration if args.duration is not None
+                    else script.t_end + args.dwell)
     else:
         script = scenarios.training_sweep_script(dwell=args.dwell)
         duration = scenarios.sweep_duration(script, dwell=args.dwell)
@@ -208,7 +209,8 @@ def cmd_replay(args) -> int:
     out = _resolve_out(args, cfg)
     buf = replay_mod.read_buffer_txt(args.buffer)
     model = mlp.load_model(args.model) if args.model else None
-    duration = args.duration or len(buf) / cfg.replay_hz
+    duration = (args.duration if args.duration is not None
+                else len(buf) / cfg.replay_hz)
     trace = replay_mod.execute_replay(buf, cfg.slip, model=model,
                                       rate=cfg.replay_hz, duration=duration,
                                       stride=args.stride)
@@ -274,7 +276,8 @@ def cmd_eval_drift(args) -> int:
     buf_rows = (replay_mod.read_buffer_txt(args.buffer).rows if args.buffer
                 else scenarios.drift_buffer(rate=cfg.replay_hz).rows)
     model = mlp.load_model(args.model) if args.model else None
-    duration = args.duration or len(buf_rows) / cfg.replay_hz
+    duration = (args.duration if args.duration is not None
+                else len(buf_rows) / cfg.replay_hz)
 
     if cfg.scenario_file:
         courses = {"custom": evalkit.DriftScenario.from_json(cfg.scenario_file)}
@@ -288,7 +291,7 @@ def cmd_eval_drift(args) -> int:
     report = {}
     traces = []
     for run_name, run_model in runs.items():
-        buf = replay_mod.CommandBuffer(rows=list(buf_rows))
+        buf = replay_mod.CommandBuffer(rows=buf_rows)
         trace = replay_mod.execute_replay(buf, cfg.slip, model=run_model,
                                           rate=cfg.replay_hz, duration=duration)
         traces.append((run_name, trace.xy()))

@@ -1,4 +1,4 @@
-"""Exception types shared across the pipeline, and the JSON field checks."""
+"""Exception types shared across the pipeline, and the shared input checks."""
 
 import math
 
@@ -38,6 +38,14 @@ def finite_number(where: str, key: str, value) -> float:
             or not math.isfinite(value)):
         raise ValidationError(f"{where}: {key} must be a finite number, got {value!r}")
     return float(value)
+
+
+def require_positive(**values: float) -> None:
+    """A ValidationError naming the first keyword whose value is not a finite
+    number > 0 (NaN and infinity included)."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"{name} must be positive and finite, got {value!r}")
 
 
 def seed_value(where: str, value) -> int:

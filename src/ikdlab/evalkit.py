@@ -142,80 +142,6 @@ class Rect:
         return np.array([ca * px + sa * py, -sa * px + ca * py])
 
 
-def point_rect_signed_distance(point, rect: Rect) -> float:
-    """Signed distance from a point to a rectangle (negative inside)."""
-    q = rect.to_local(point)
-    dx = abs(q[0]) - rect.w / 2.0
-    dy = abs(q[1]) - rect.h / 2.0
-    outside = math.hypot(max(dx, 0.0), max(dy, 0.0))
-    inside = min(max(dx, dy), 0.0)
-    return outside + inside
-
-
-def _point_segment_distance(p, a, b) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.hypot(*(p - a)))
-    t = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    closest = a + t * ab
-    return float(np.hypot(*(p - closest)))
-
-
-def rect_rect_signed_distance(a: Rect, b: Rect) -> float:
-    """Signed distance between oriented rectangles.
-
-    Negative while overlapping (minus the separating-axis penetration
-    depth); when disjoint, the exact minimum distance between boundaries.
-    """
-    ca, cb = a.corners(), b.corners()
-    axes = []
-    for ang in (a.angle, b.angle):
-        axes.append(np.array([math.cos(ang), math.sin(ang)]))
-        axes.append(np.array([-math.sin(ang), math.cos(ang)]))
-    gaps = []
-    for axis in axes:
-        pa, pb = ca @ axis, cb @ axis
-        gaps.append(max(pa.min() - pb.max(), pb.min() - pa.max()))
-    max_gap = max(gaps)
-    if max_gap <= 0.0:
-        return max_gap  # overlapping: minus the smallest penetration depth
-    best = math.inf
-    for pts, poly in ((ca, cb), (cb, ca)):
-        for p in pts:
-            for i in range(4):
-                d = _point_segment_distance(p, poly[i], poly[(i + 1) % 4])
-                best = min(best, d)
-    return best
-
-
-def _segments_intersect(p1, p2, q1, q2) -> bool:
-    def orient(o, a, b):
-        v = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-        return int(v > 0) - int(v < 0)
-
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    if d1 != d2 and d3 != d4:
-        return True
-
-    def on_seg(a, b, p):
-        return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-                and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
-
-    if d1 == 0 and on_seg(q1, q2, p1):
-        return True
-    if d2 == 0 and on_seg(q1, q2, p2):
-        return True
-    if d3 == 0 and on_seg(p1, p2, q1):
-        return True
-    if d4 == 0 and on_seg(p1, p2, q2):
-        return True
-    return False
-
-
 @dataclass(frozen=True)
 class DriftScenario:
     """Obstacle course: box obstacles, cone markers, and the gate width."""
@@ -331,8 +257,8 @@ def _corner_edge_distance(px, py, qx, qy) -> np.ndarray:
 def _gate_crossed(xy: np.ndarray, g0, g1) -> bool:
     """Whether any segment between consecutive positions meets the gate g0-g1.
 
-    The same orientation and collinear on-segment tests as
-    _segments_intersect, over all consecutive position pairs at once.
+    The orientation and collinear on-segment tests of a segment
+    intersection, over all consecutive position pairs at once.
     """
     p1, p2 = xy[:-1], xy[1:]
 
@@ -363,8 +289,10 @@ def drift_eval(trace: SimTrace, scenario: DriftScenario) -> ClearanceReport:
     TURN_AV_FLOOR; cleared_gate requires crossing the cone-to-box gate
     segment without ever colliding.  Every state is scored at once: the
     car's corners, separating-axis gaps and corner-to-edge distances are
-    arrays over the states, with the arithmetic of rect_rect_signed_distance
-    and point_rect_signed_distance.
+    arrays over the states.  A box's signed distance is minus the smallest
+    separating-axis penetration while overlapping and the exact
+    boundary-to-boundary distance when disjoint; a cone's is the point's
+    signed distance to the car rectangle (negative inside).
     """
     ca, sa = np.cos(trace.heading), np.sin(trace.heading)
     hw, hh = scenario.car_length / 2.0, scenario.car_width / 2.0

@@ -12,6 +12,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import InferenceError, ValidationError
 from .mlp import MlpParams, forward
@@ -34,6 +37,11 @@ def c_from_av_v(av: float, v: float, eps_v: float = EPS_V) -> float:
     return av / v
 
 
+def _guarded_curvature(av: np.ndarray, v: np.ndarray, eps_v: float) -> np.ndarray:
+    """c_from_av_v over finite arrays; guarded rows are never divided."""
+    return np.divide(av, v, out=np.zeros_like(av), where=np.abs(v) >= eps_v)
+
+
 @dataclass(frozen=True)
 class CorrectionResult:
     """Outcome of one correction query; v passes through unchanged."""
@@ -51,23 +59,51 @@ class CorrectionResult:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+class Corrections(NamedTuple):
+    """Outcome of a batch of correction queries, one array entry per row."""
+
+    av_desired: np.ndarray
+    av_corrected: np.ndarray
+    c_corrected: np.ndarray
+    clamped: np.ndarray
+
+
+def correct_batch(model: MlpParams, v: np.ndarray, c_desired: np.ndarray,
+                  eps_v: float = EPS_V) -> Corrections:
+    """Rewrite arrays of desired (v, c) commands with one model call.
+
+    Row k is queried at (v[k], v[k]*c_desired[k]) as in ``correct``; the
+    answer is clamped to the actuator range and turned back into a
+    curvature, with ``clamped`` marking the rows the clamp changed.  The
+    rows share one batched forward pass, whose sums may round differently
+    from a one-row pass in the last bits.  A non-finite model output raises
+    InferenceError naming the first bad row.
+    """
+    v = np.asarray(v, dtype=float)
+    c_desired = np.asarray(c_desired, dtype=float)
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(c_desired))):
+        raise ValidationError("v and c must be finite")
+    av_desired = v * c_desired
+    raw = forward(model, np.column_stack([v, av_desired]))
+    bad = np.flatnonzero(~np.isfinite(raw))
+    if bad.size:
+        k = int(bad[0])
+        where = f"row {k}: " if raw.size > 1 else ""
+        raise InferenceError(f"{where}model output {float(raw[k])!r} is not finite")
+    av_corrected = np.clip(raw, -AV_LIMIT, AV_LIMIT)
+    return Corrections(av_desired, av_corrected,
+                       _guarded_curvature(av_corrected, v, eps_v),
+                       (raw < -AV_LIMIT) | (raw > AV_LIMIT))
+
+
 def correct(model: MlpParams, v: float, c_desired: float,
             eps_v: float = EPS_V) -> CorrectionResult:
     """Rewrite a desired (v, c) command using the learned inverse model.
 
     The model is queried at (v, av_desired): the yaw rate we want to see is
     presented where observed yaw rates were during training, and the model
-    answers with the joystick yaw rate that produced it.
+    answers with the joystick yaw rate that produced it.  This is the
+    one-row case of correct_batch.
     """
-    av_desired = av_from_vc(v, c_desired)
-    raw = forward(model, (v, av_desired))
-    if not math.isfinite(raw):
-        raise InferenceError(f"model output {raw!r} is not finite")
-    av_corrected = max(-AV_LIMIT, min(AV_LIMIT, raw))
-    return CorrectionResult(
-        v=v,
-        av_desired=av_desired,
-        av_corrected=av_corrected,
-        c_corrected=c_from_av_v(av_corrected, v, eps_v),
-        clamped=(raw < -AV_LIMIT or raw > AV_LIMIT),
-    )
+    batch = correct_batch(model, np.array([v]), np.array([c_desired]), eps_v)
+    return CorrectionResult(v, *(column.item() for column in batch))

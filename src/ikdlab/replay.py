@@ -8,35 +8,43 @@ correction, and holds it across the simulator's finer integration steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datalog import JoyLog
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, require_positive
 from .fileio import read_table, write_table
-from .ikd import c_from_av_v, correct
+from .ikd import _guarded_curvature, correct_batch
 from .mlp import MlpParams
-from .simcore import (AV_LIMIT, DEFAULT_DT, EPS_V, ControlCommand, SimTrace,
-                      SlipParams, VehicleState, _integrate)
+from .simcore import (AV_LIMIT, DEFAULT_DT, EPS_V, SimTrace, SlipParams,
+                      VehicleState, _check_commands, _integrate)
 
 DEFAULT_REPLAY_RATE = 20.0  # Hz, command consumption rate
 
 
-@dataclass
+@dataclass(eq=False)
 class CommandBuffer:
-    """Circular buffer of (v, av) command rows with a read cursor."""
+    """Circular buffer of (v, av) command rows with a read cursor.
 
-    rows: list
+    ``rows`` is copied into one ``(n, 2)`` float64 array owned by the buffer.
+    """
+
+    rows: np.ndarray
     cursor: int = 0
 
     def __post_init__(self):
-        if not self.rows:
+        try:
+            self.rows = np.array(self.rows, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError("buffer rows must be (v, av) number pairs") from None
+        if self.rows.size == 0:
             raise ValidationError("command buffer must be non-empty")
-        self.rows = [(float(v), float(av)) for v, av in self.rows]
-        for v, av in self.rows:
-            if not (math.isfinite(v) and math.isfinite(av)):
-                raise ValidationError("buffer rows must be finite")
+        if self.rows.ndim != 2 or self.rows.shape[1] != 2:
+            raise ValidationError(
+                f"buffer rows must be (v, av) pairs, got shape {self.rows.shape}")
+        if not np.all(np.isfinite(self.rows)):
+            raise ValidationError("buffer rows must be finite")
         if not 0 <= self.cursor < len(self.rows):
             raise ValidationError("cursor out of range")
 
@@ -48,26 +56,26 @@ def load_buffer(joy: JoyLog) -> CommandBuffer:
     """Build a replay buffer from a joystick log, preserving row order."""
     if len(joy) == 0:
         raise ValidationError("cannot build a buffer from an empty log")
-    return CommandBuffer(rows=list(zip(joy.v.tolist(), joy.av.tolist())))
+    return CommandBuffer(rows=np.column_stack([joy.v, joy.av]))
 
 
 def next_command(buf: CommandBuffer) -> tuple[float, float]:
-    """Return the row under the cursor, then advance circularly."""
-    row = buf.rows[buf.cursor]
+    """Return the row under the cursor as Python floats, then advance circularly."""
+    v, av = buf.rows[buf.cursor].tolist()
     buf.cursor = (buf.cursor + 1) % len(buf.rows)
-    return row
+    return v, av
 
 
 def write_buffer_txt(buf: CommandBuffer, path: str) -> None:
     """One "v,av" pair per line, no header."""
-    write_table(path, None, zip(*buf.rows))
+    write_table(path, None, buf.rows.T)
 
 
 def read_buffer_txt(path: str) -> CommandBuffer:
     rows = read_table(path, None)
     if rows.shape[1] != 2:  # also a file without rows, shape (0, 0)
         raise ParseError(f"{path}: no 'v,av' rows found")
-    return CommandBuffer(rows=rows.tolist())
+    return CommandBuffer(rows=rows)
 
 
 def execute_replay(buf: CommandBuffer, p: SlipParams,
@@ -79,15 +87,14 @@ def execute_replay(buf: CommandBuffer, p: SlipParams,
                    initial_state: VehicleState | None = None) -> SimTrace:
     """Drive the simulator from the buffer, one command per tick.
 
-    At every replay tick the next (v, av) row is consumed (plus stride-1
-    skipped rows when decimating), converted to curvature, optionally
-    rewritten by the correction model, and zero-order-held until the next
-    tick.  Returns the ground-truth trace.
+    Tick k consumes row ``(cursor + k*stride) mod n`` (stride-1 rows are
+    skipped when decimating); its yaw rate is clamped to the actuator range
+    and converted to curvature, all ticks are optionally rewritten by one
+    batched correction, and each command is zero-order-held until the next
+    tick.  The cursor ends past the last consumed row.  Returns the
+    ground-truth trace.
     """
-    if rate <= 0:
-        raise ValidationError("rate must be positive")
-    if duration <= 0:
-        raise ValidationError("duration must be positive")
+    require_positive(rate=rate, duration=duration, dt=dt)
     if stride < 1:
         raise ValidationError("stride must be >= 1")
 
@@ -95,14 +102,13 @@ def execute_replay(buf: CommandBuffer, p: SlipParams,
     ticks = np.floor(np.arange(n) * dt * rate + 1e-9)
     new_tick = np.ones(n, dtype=bool)
     new_tick[1:] = ticks[1:] > ticks[:-1]
-    commands = []
-    for _ in range(int(np.count_nonzero(new_tick))):
-        v, av = next_command(buf)
-        for _ in range(stride - 1):
-            next_command(buf)
-        av = max(-AV_LIMIT, min(AV_LIMIT, av))  # actuator command range
-        c = c_from_av_v(av, v, EPS_V)  # rows slower than EPS_V drive straight
-        if model is not None:
-            c = correct(model, v, c).c_corrected
-        commands.append(ControlCommand(v, c))
-    return _integrate(initial_state, commands, np.cumsum(new_tick) - 1, p, dt)
+    consumed = int(np.count_nonzero(new_tick)) * stride
+    v, av = buf.rows[np.arange(buf.cursor, buf.cursor + consumed, stride) % len(buf)].T
+    buf.cursor = (buf.cursor + consumed) % len(buf)
+    av = np.clip(av, -AV_LIMIT, AV_LIMIT)  # actuator command range
+    c = _guarded_curvature(av, v, EPS_V)  # rows slower than EPS_V drive straight
+    if model is not None:
+        c = correct_batch(model, v, c).c_corrected
+    _check_commands(v, c)
+    tick_of_step = np.cumsum(new_tick) - 1
+    return _integrate(initial_state, v[tick_of_step], c[tick_of_step], p, dt)

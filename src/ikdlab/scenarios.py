@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_positive
 from .evalkit import CAR_WIDTH, DEFAULT_CAR_LENGTH, DriftScenario, Rect
 from .replay import CommandBuffer
 from .simcore import AV_LIMIT, ControlScript, ScriptSegment
@@ -49,10 +49,9 @@ def training_sweep_script(dwell: float = 4.0,
     the most resolution in the learned inverse but contribute the least to
     a squared-error fit.  Pairs with |v*c| > AV_LIMIT are skipped.
     """
-    if dwell <= 0:
-        raise ValidationError("dwell must be positive")
-    if low_boost < 1.0:
-        raise ValidationError("low_boost must be >= 1")
+    require_positive(dwell=dwell)
+    if not 1.0 <= low_boost < math.inf:
+        raise ValidationError(f"low_boost must be >= 1 and finite, got {low_boost!r}")
     mags = sorted(curvatures)
     segs = []
     t = 0.0

@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, finite_number, json_fields, seed_value
+from .errors import (ValidationError, finite_number, json_fields, require_positive,
+                     seed_value)
 from .fileio import read_json, write_json
 
 # Plant-wide limits observed on the real vehicle class this emulates.
@@ -121,6 +122,20 @@ class ControlCommand:
     def av(self) -> float:
         """Commanded angular velocity v*c."""
         return self.v * self.c
+
+
+def _check_commands(v: np.ndarray, c: np.ndarray) -> None:
+    """ControlCommand's checks over arrays of commands in one vectorised test.
+
+    The first failing row is rebuilt as a ControlCommand, which raises
+    its message.
+    """
+    ok = np.isfinite(v) & np.isfinite(c)
+    with np.errstate(over="ignore"):   # an overflowing v*c fails the bound
+        ok[ok] = np.abs(v[ok] * c[ok]) <= AV_LIMIT + 1e-9
+    if not np.all(ok):
+        k = int(np.argmin(ok))
+        ControlCommand(float(v[k]), float(c[k]))
 
 
 @dataclass(frozen=True)
@@ -278,11 +293,12 @@ def slip_yaw_rate(av_lag: float, v: float, beta: float) -> float:
     return av_lag / (1.0 + beta * v * v * abs(av_lag))
 
 
-def _integrate(state: VehicleState | None, commands: Sequence[ControlCommand],
-               cmd_of_step: np.ndarray, p: SlipParams, dt: float) -> SimTrace:
+def _integrate(state: VehicleState | None, cmd_v: np.ndarray, cmd_c: np.ndarray,
+               p: SlipParams, dt: float) -> SimTrace:
     """Explicit-Euler integration from ``state`` (at rest when None), in closed form.
 
-    Step i holds ``commands[cmd_of_step[i]]``.  The commanded linear
+    Step i holds the command ``(cmd_v[i], cmd_c[i])``; callers pass
+    commands that passed ControlCommand's checks.  The commanded linear
     velocity and angular velocity (v*c) both pass through the same
     first-order lag; the lagged yaw rate is then attenuated by the slip law
     before integrating the unicycle pose.  With all-zero SlipParams the
@@ -299,8 +315,6 @@ def _integrate(state: VehicleState | None, commands: Sequence[ControlCommand],
     update.  The result agrees with the per-step recursion to within float
     rounding, not bit for bit.
     """
-    cmd_v = np.array([c.v for c in commands], dtype=float)[cmd_of_step]
-    cmd_c = np.array([c.c for c in commands], dtype=float)[cmd_of_step]
     n = cmd_v.size
     alpha = 1.0 if p.lag_tau <= 0.0 else 1.0 - math.exp(-dt / p.lag_tau)
     r = 1.0 - alpha
@@ -351,7 +365,8 @@ def step_dynamics(state: VehicleState, cmd: ControlCommand, p: SlipParams,
     if dt <= 0:
         raise ValidationError("dt must be positive")
     _require_finite("step_dynamics command", cmd.v, cmd.c)
-    return _integrate(state, [cmd], np.zeros(1, dtype=int), p, dt).states[-1]
+    return _integrate(state, np.array([cmd.v], dtype=float),
+                      np.array([cmd.c], dtype=float), p, dt).states[-1]
 
 
 def run_scenario(script: ControlScript, p: SlipParams, duration: float,
@@ -363,17 +378,16 @@ def run_scenario(script: ControlScript, p: SlipParams, duration: float,
     Deterministic: the dynamics are noise-free (sensor noise is applied only
     when logs are emitted).
     """
-    if duration <= 0:
-        raise ValidationError("duration must be positive")
+    require_positive(duration=duration, dt=dt)
     if script.segments[0].t_start > 0:
         raise ValidationError("script must be defined from t=0")
     n = int(math.floor(duration / dt + 1e-9))
-    segs = script.segments
-    starts = np.array([s.t_start for s in segs], dtype=float)
+    starts, v, c = np.array([(s.t_start, s.v, s.c) for s in script.segments],
+                            dtype=float).T
     seg_of_step = np.searchsorted(starts, np.arange(n) * dt + 1e-12, side="right") - 1
-    reached, cmd_of_step = np.unique(seg_of_step, return_inverse=True)
-    commands = [ControlCommand(segs[k].v, segs[k].c) for k in reached.tolist()]
-    return _integrate(initial_state, commands, cmd_of_step, p, dt)
+    reached = np.bincount(seg_of_step, minlength=v.size) > 0
+    _check_commands(v[reached], c[reached])
+    return _integrate(initial_state, v[seg_of_step], c[seg_of_step], p, dt)
 
 
 def emit_sensor_logs(trace: SimTrace, p: SlipParams, joy_rate: float = 40.0,

@@ -1,8 +1,11 @@
 """Shared fixtures: hand-built models with known outputs and tiny oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
+from ikdlab.evalkit import Rect
 from ikdlab.mlp import MlpParams, _SHAPES
 
 
@@ -49,6 +52,82 @@ def kasa_radius(points) -> float:
     sol, *_ = np.linalg.lstsq(A, x * x + y * y, rcond=None)
     a, b, k = sol
     return float(np.sqrt(k + a * a + b * b))
+
+
+# --- scalar geometry: one pose at a time, the reference for drift_eval --------
+
+def point_rect_signed_distance(point, rect: Rect) -> float:
+    """Signed distance from a point to a rectangle (negative inside)."""
+    q = rect.to_local(point)
+    dx = abs(q[0]) - rect.w / 2.0
+    dy = abs(q[1]) - rect.h / 2.0
+    outside = math.hypot(max(dx, 0.0), max(dy, 0.0))
+    inside = min(max(dx, dy), 0.0)
+    return outside + inside
+
+
+def _point_segment_distance(p, a, b) -> float:
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        return float(np.hypot(*(p - a)))
+    t = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
+    closest = a + t * ab
+    return float(np.hypot(*(p - closest)))
+
+
+def rect_rect_signed_distance(a: Rect, b: Rect) -> float:
+    """Signed distance between oriented rectangles.
+
+    Negative while overlapping (minus the separating-axis penetration
+    depth); when disjoint, the exact minimum distance between boundaries.
+    """
+    ca, cb = a.corners(), b.corners()
+    axes = []
+    for ang in (a.angle, b.angle):
+        axes.append(np.array([math.cos(ang), math.sin(ang)]))
+        axes.append(np.array([-math.sin(ang), math.cos(ang)]))
+    gaps = []
+    for axis in axes:
+        pa, pb = ca @ axis, cb @ axis
+        gaps.append(max(pa.min() - pb.max(), pb.min() - pa.max()))
+    max_gap = max(gaps)
+    if max_gap <= 0.0:
+        return max_gap  # overlapping: minus the smallest penetration depth
+    best = math.inf
+    for pts, poly in ((ca, cb), (cb, ca)):
+        for p in pts:
+            for i in range(4):
+                d = _point_segment_distance(p, poly[i], poly[(i + 1) % 4])
+                best = min(best, d)
+    return best
+
+
+def segments_intersect(p1, p2, q1, q2) -> bool:
+    def orient(o, a, b):
+        v = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+        return int(v > 0) - int(v < 0)
+
+    d1 = orient(q1, q2, p1)
+    d2 = orient(q1, q2, p2)
+    d3 = orient(p1, p2, q1)
+    d4 = orient(p1, p2, q2)
+    if d1 != d2 and d3 != d4:
+        return True
+
+    def on_seg(a, b, p):
+        return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+                and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+
+    if d1 == 0 and on_seg(q1, q2, p1):
+        return True
+    if d2 == 0 and on_seg(q1, q2, p2):
+        return True
+    if d3 == 0 and on_seg(p1, p2, q1):
+        return True
+    if d4 == 0 and on_seg(p1, p2, q2):
+        return True
+    return False
 
 
 @pytest.fixture

@@ -128,6 +128,29 @@ def test_error_paths_return_one(workdir, capsys):
     assert "nothing to plot" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, match", [
+    (["replay", "--buffer", "buffer.txt", "--duration", "nan"],
+     "duration must be positive and finite, got nan"),
+    (["eval-drift", "--duration", "inf"],
+     "duration must be positive and finite, got inf"),
+    (["collect", "--dwell", "nan"], "dwell must be positive and finite, got nan"),
+    (["collect", "--script", "script.json", "--duration", "nan"],
+     "duration must be positive and finite, got nan"),
+    # zero is an invalid duration, not a request for the default one
+    (["replay", "--buffer", "buffer.txt", "--duration", "0"],
+     "duration must be positive and finite, got 0.0"),
+    (["eval-drift", "--duration", "0"], "duration must be positive and finite, got 0.0"),
+    (["collect", "--script", "script.json", "--duration", "0"],
+     "duration must be positive and finite, got 0.0"),
+])
+def test_bad_durations_exit_1_naming_the_argument(workdir, capsys, argv, match):
+    write_mini_script("script.json")
+    with open("buffer.txt", "w", encoding="utf-8") as fh:
+        fh.write("2.0,0.5\n2.0,-0.5\n")
+    assert main([*argv, "--out", "run"]) == 1
+    assert capsys.readouterr().err == f"error: {match}\n"
+
+
 def test_config_validation(workdir):
     with open("bad.json", "w", encoding="utf-8") as fh:
         json.dump({"seed": 1, "bogus_key": 2}, fh)

@@ -9,12 +9,12 @@ from ikdlab.errors import FitError, ParseError, ValidationError
 from ikdlab.evalkit import (CAR_WIDTH, MIN_REVOLUTIONS, TRANSIENT_MULT,
                             CircleReport, ClearanceReport, DriftScenario,
                             Rect, circle_test, circle_trace, drift_eval,
-                            emit_report, fit_circle, point_rect_signed_distance,
-                            read_report_csv, rect_rect_signed_distance,
+                            emit_report, fit_circle, read_report_csv,
                             write_comparison_csv)
 from ikdlab.simcore import SimTrace, SlipParams
 
-from conftest import build_gain_model, kasa_radius
+from conftest import (build_gain_model, kasa_radius, point_rect_signed_distance,
+                      rect_rect_signed_distance)
 
 
 def circle_points(cx, cy, r, n=50, start=0.0, span=2 * math.pi):

@@ -8,8 +8,8 @@ import pytest
 
 from ikdlab.errors import InferenceError, ValidationError
 from ikdlab.ikd import (AV_LIMIT, EPS_V, CorrectionResult, av_from_vc,
-                        c_from_av_v, correct)
-from ikdlab.mlp import MlpParams
+                        c_from_av_v, correct, correct_batch)
+from ikdlab.mlp import MlpParams, init_params
 
 from conftest import build_constant_model, build_gain_model, build_identity_model
 
@@ -97,17 +97,62 @@ def test_speed_guard_has_one_home():
     assert align.EPS_V is ikd.EPS_V is replay.EPS_V is simcore.EPS_V
 
 
-def test_non_finite_model_output_raises():
+def overflowing_model() -> MlpParams:
+    """A model whose output overflows for v > 0 and is 0 for v <= 0."""
     vals = {"W1": np.zeros((32, 2)), "b1": np.zeros(32),
             "W2": np.zeros((32, 32)), "b2": np.zeros(32),
             "W3": np.zeros((1, 32)), "b3": np.zeros(1)}
     vals["W1"][0, 0] = 1e308
     vals["W2"][0, 0] = 1e308
     vals["W3"][0, 0] = 1e308
-    huge = MlpParams(**vals)
+    return MlpParams(**vals)
+
+
+def test_non_finite_model_output_raises():
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(InferenceError):
-            correct(huge, 4.0, 0.9)
+        with pytest.raises(InferenceError, match=r"^model output (inf|nan) is not finite$"):
+            correct(overflowing_model(), 4.0, 0.9)
+
+
+# --- correct_batch -----------------------------------------------------------
+
+def test_batched_correction_matches_per_row_correct():
+    rng = np.random.default_rng(41)
+    for case in range(30):
+        n = int(rng.integers(20, 200))
+        v = rng.uniform(-1.0, 4.2, n)
+        v[rng.random(n) < 0.2] = rng.uniform(-EPS_V, EPS_V)   # speed guard
+        c = rng.uniform(-2.0, 2.0, n)
+        # random weights, and gains high enough to clamp at both ends
+        model = (init_params(rng), build_gain_model(float(rng.uniform(1.5, 6.0))),
+                 build_gain_model(float(rng.uniform(-6.0, -1.5))))[case % 3]
+        batch = correct_batch(model, v, c)
+        rows = [correct(model, float(a), float(b)) for a, b in zip(v, c)]
+        assert np.array_equal(batch.av_desired, [r.av_desired for r in rows])
+        assert np.all(np.abs(batch.av_corrected - [r.av_corrected for r in rows])
+                      <= 1e-12)
+        assert np.all(np.abs(batch.c_corrected - [r.c_corrected for r in rows])
+                      <= 1e-12)
+        assert batch.clamped.tolist() == [r.clamped for r in rows]
+        assert np.all(batch.c_corrected[np.abs(v) < EPS_V] == 0.0)
+        if case % 3:
+            assert batch.clamped.any()
+        # the one-row case is correct itself, bit for bit
+        one = correct_batch(model, v[:1], c[:1])
+        assert CorrectionResult(float(v[0]), *(x.item() for x in one)) == rows[0]
+    both = correct_batch(build_gain_model(3.0), [2.0, 2.0, 2.0], [1.0, -1.0, 0.1])
+    assert both.av_corrected.tolist() == [AV_LIMIT, -AV_LIMIT, pytest.approx(0.6)]
+    assert both.clamped.tolist() == [True, True, False]
+
+
+def test_batched_correction_names_first_non_finite_row():
+    v = np.array([-1.0, -2.0, 4.0, 3.0])   # relu(v * 1e308) = 0 for v <= 0
+    c = np.array([0.5, 0.5, 0.9, 0.9])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InferenceError, match=r"^row 2: model output (inf|nan) is not finite$"):
+            correct_batch(overflowing_model(), v, c)
+    with pytest.raises(ValidationError, match="v and c must be finite"):
+        correct_batch(build_identity_model(), [1.0, 2.0], [0.1, float("nan")])
 
 
 def test_result_serialization_round_trip():

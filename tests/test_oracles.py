@@ -3,8 +3,10 @@
 The simulator oracles are verbatim copies of the per-step loops that
 built one VehicleState and one ControlCommand per step.  The closed-form
 integrator sums in another order, so its state channels must match them
-within SIM_TOL (heading modulo 2*pi) and its commands exactly.  The drift oracle
-scores one state at a time with the scalar geometry helpers.  The trainer
+within SIM_TOL (heading modulo 2*pi) and its commands exactly; a corrected
+replay asks the model once for all ticks, so its corrected curvatures match
+the one-query-per-tick loop within CMD_TOL.  The drift oracle scores one
+state at a time with the scalar geometry references in conftest.  The trainer
 oracle is a verbatim copy of the per-tensor backprop, AdamW step and
 training loop; the in-place flat-vector trainer must reproduce its weights
 and loss curves bit for bit.
@@ -16,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from ikdlab.evalkit import (DriftScenario, Rect, _gate_segment,
-                            _segments_intersect, drift_eval,
-                            point_rect_signed_distance,
-                            rect_rect_signed_distance, TURN_AV_FLOOR)
+from ikdlab.evalkit import (DriftScenario, Rect, _gate_segment, drift_eval,
+                            TURN_AV_FLOOR)
 from ikdlab.ikd import AV_LIMIT, c_from_av_v, correct
 from ikdlab.align import AlignedDataset
 from ikdlab.mlp import (AdamState, LossCurve, MlpParams, TrainConfig, _FIELDS,
@@ -34,10 +34,12 @@ from ikdlab.simcore import (DEFAULT_DT, V_CAP, ControlCommand, ControlScript,
                             slip_yaw_rate, step_dynamics)
 from ikdlab.errors import ValidationError
 
-from conftest import build_gain_model
+from conftest import (build_gain_model, point_rect_signed_distance,
+                      rect_rect_signed_distance, segments_intersect)
 
 CHANNELS = ("x", "y", "heading", "v", "av", "av_lag")
 SIM_TOL = 1e-9   # closed form vs per-step recursion, per channel
+CMD_TOL = 1e-12  # batched vs one-row correction, corrected curvature
 
 
 # --- reference loops (the per-object implementation, kept verbatim) ---------
@@ -122,7 +124,7 @@ def reference_drift_eval(trace: SimTrace, scenario: DriftScenario):
         g0, g1 = gate
         xy = trace.xy()
         for i in range(len(xy) - 1):
-            if _segments_intersect(xy[i], xy[i + 1], g0, g1):
+            if segments_intersect(xy[i], xy[i + 1], g0, g1):
                 crossed = True
                 break
     return min_clearance, collided, min_turn_radius, bool(crossed and not collided)
@@ -228,7 +230,14 @@ def test_execute_replay_matches_per_step_loop_100_cases():
         states, commands = reference_execute_replay(
             ref_buf, p, model=model, rate=rate, duration=duration, dt=dt,
             stride=stride, initial_state=state)
-        assert_matches_loop(trace, states, commands)
+        if model is None:
+            assert_matches_loop(trace, states, commands)
+        else:   # one batched forward pass vs one pass per tick
+            assert_close_channels(trace, states)
+            assert trace.cmd_v.tobytes() == np.array([c.v for c in commands],
+                                                     dtype=float).tobytes()
+            ref_c = np.array([c.c for c in commands], dtype=float)
+            assert np.all(np.abs(trace.cmd_c - ref_c) <= CMD_TOL)
         assert buf.cursor == ref_buf.cursor
 
 

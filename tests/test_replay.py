@@ -26,6 +26,20 @@ def test_buffer_validation():
         CommandBuffer(rows=[(1.0, float("nan"))])
     with pytest.raises(ValidationError):
         CommandBuffer(rows=[(1.0, 0.1)], cursor=1)
+    for rows in ([(1.0, 0.1, 0.2)], [1.0, 0.1], [(1.0, 0.1), (2.0,)],
+                 [("v", 0.1)]):
+        with pytest.raises(ValidationError, match="buffer rows must be"):
+            CommandBuffer(rows=rows)
+
+
+def test_buffer_owns_a_copy_of_its_rows():
+    rows = np.array([(1.0, 0.1), (2.0, 0.2)])
+    buf = CommandBuffer(rows=rows)
+    rows[0, 0] = 9.0
+    assert buf.rows.dtype == np.float64 and buf.rows.shape == (2, 2)
+    assert buf.rows[0, 0] == 1.0
+    assert next_command(buf) == (1.0, 0.1)
+    assert all(type(x) is float for x in next_command(buf))
 
 
 def test_next_command_wraps_circularly():
@@ -51,7 +65,7 @@ def test_load_buffer_preserves_order():
     joy = JoyLog(t=np.array([0.0, 0.025]), v=np.array([1.5, 2.5]),
                  av=np.array([0.4, -0.4]))
     buf = load_buffer(joy)
-    assert buf.rows == [(1.5, 0.4), (2.5, -0.4)]
+    assert np.array_equal(buf.rows, [(1.5, 0.4), (2.5, -0.4)])
     with pytest.raises(ValidationError):
         load_buffer(JoyLog(t=np.empty(0), v=np.empty(0), av=np.empty(0)))
 
@@ -61,7 +75,7 @@ def test_buffer_txt_round_trip(tmp_path):
     path = str(tmp_path / "buffer.txt")
     write_buffer_txt(buf, path)
     back = read_buffer_txt(path)
-    assert back.rows == buf.rows
+    assert np.array_equal(back.rows, buf.rows)
     assert back.cursor == 0
 
 
@@ -150,6 +164,15 @@ def test_replay_argument_validation():
         execute_replay(buf, p, duration=0.0)
     with pytest.raises(ValidationError):
         execute_replay(buf, p, stride=0)
+
+
+@pytest.mark.parametrize("arg", ["rate", "duration", "dt"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_replay_rejects_non_finite_arguments(arg, value):
+    buf = small_buffer()
+    with pytest.raises(ValidationError, match=f"{arg} must be positive and finite"):
+        execute_replay(buf, SlipParams.ideal(), **{arg: value})
+    assert buf.cursor == 0
 
 
 def test_replay_trace_shape():

@@ -5,13 +5,15 @@ import math
 import pytest
 
 from ikdlab.errors import ValidationError
-from ikdlab.evalkit import CAR_WIDTH, point_rect_signed_distance
+from ikdlab.evalkit import CAR_WIDTH
 from ikdlab.scenarios import (BOX_SIZE, DRIFT_APPROACH, DRIFT_EXIT, DRIFT_TURN,
                               GATE_CONE, LOOSE_GAP, LOW_CURVATURE, SWEEP_CURVATURES,
                               SWEEP_SPEEDS, TIGHT_GAP, drift_buffer,
                               drift_duration, loose_scenario, tight_scenario,
                               training_sweep_script, sweep_duration)
 from ikdlab.simcore import AV_LIMIT
+
+from conftest import point_rect_signed_distance
 
 
 # --- training sweep ----------------------------------------------------------
@@ -64,6 +66,11 @@ def test_sweep_validation():
         training_sweep_script(dwell=0.0)
     with pytest.raises(ValidationError):
         training_sweep_script(low_boost=0.5)
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="dwell must be positive and finite"):
+            training_sweep_script(dwell=value)
+        with pytest.raises(ValidationError, match="low_boost must be >= 1 and finite"):
+            training_sweep_script(low_boost=value)
     with pytest.raises(ValidationError):
         training_sweep_script(speeds=(10.0,), curvatures=(1.0,))
 
@@ -81,10 +88,10 @@ def test_sweep_accepts_custom_grids():
 def test_drift_buffer_layout():
     buf = drift_buffer()
     assert len(buf) == 90   # (1.5 + 2.0 + 1.0) s at 20 Hz
-    rows = buf.rows
-    assert rows[:30] == [(2.0, 0.0)] * 30
-    assert rows[30:70] == [(3.0, pytest.approx(2.4))] * 40
-    assert rows[70:] == [(2.0, 0.0)] * 20
+    rows = buf.rows.tolist()
+    assert rows[:30] == [[2.0, 0.0]] * 30
+    assert rows[30:70] == [[3.0, pytest.approx(2.4)]] * 40
+    assert rows[70:] == [[2.0, 0.0]] * 20
 
 
 def test_drift_turn_is_counter_clockwise_and_aggressive():

@@ -209,6 +209,26 @@ def test_run_scenario_rejects_bad_duration_and_late_script():
         run_scenario(late, SlipParams(), 2.0)
 
 
+@pytest.mark.parametrize("arg", ["duration", "dt"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_run_scenario_rejects_non_finite_duration_and_dt(arg, value):
+    kwargs = {"duration": 1.0, arg: value}
+    with pytest.raises(ValidationError, match=f"{arg} must be positive and finite"):
+        run_scenario(ControlScript.constant(1.0, 0.0), SlipParams(), **kwargs)
+
+
+def test_run_scenario_checks_reached_segments_with_the_command_message():
+    bad = ControlScript.from_segments([(0.0, 1.0, 0.1), (0.5, 2.0, 3.0),
+                                       (0.6, 1e200, 1e200), (5.0, 1.0, 9.0)])
+    with pytest.raises(ValidationError, match=r"v\*c=6\.0000 outside"):
+        run_scenario(bad, SlipParams(), 1.0)
+    overflow = ControlScript.from_segments([(0.0, 1e200, 1e200)])
+    with pytest.raises(ValidationError, match=r"v\*c=inf outside"):
+        run_scenario(overflow, SlipParams(), 1.0)
+    # a segment the run never reaches is not checked
+    assert len(run_scenario(bad, SlipParams(), 0.5)) == 100
+
+
 def test_aggressive_script_peak_yaw_rate_attenuated():
     script = ControlScript.from_segments(
         [(0.0, 4.2, 0.0), (2.0, 4.2, 0.95), (4.0, 0.5, 0.0)])
