@@ -8,12 +8,13 @@ and bin channel statistics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datalog import ImuLog, JoyLog
-from .errors import InsufficientOverlapError, ValidationError
+from .errors import InsufficientOverlapError, ValidationError, require_positive
 from .fileio import read_table, row_line, write_table
 from .simcore import AV_LIMIT, EPS_V
 
@@ -27,6 +28,10 @@ DEFAULT_DELAY_STEP = 0.001  # s, grid resolution of the delay search
 DEFAULT_RATE = 40.0         # Hz, resampling rate of the training grid
 DEFAULT_OBJECTIVE_CEILING = 0.5  # (rad/s)^2, above this the pair is corrupt
 DEFAULT_EPS_C = 1e-4        # 1/m, curvature magnitude treated as straight
+
+# Candidate-rows per scan block: each (candidates, rows) temporary holds at
+# most this many float64 values (512 KB).
+_SCAN_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -101,31 +106,50 @@ def scan_delays(joy: JoyLog, imu: ImuLog,
     interpolated at (t + d), restricted to the shifted overlap.  Candidates
     whose overlap is shorter than MIN_OVERLAP get objective = +inf.
 
+    Timestamps are strictly increasing, so each candidate's window is a
+    slice of the joystick stream.  Consecutive candidates sharing a slice
+    are evaluated together, in blocks of at most _SCAN_BLOCK candidate-rows,
+    with one np.interp call per block; every element is interpolated and
+    every row summed as the one-candidate-at-a-time loop does, so the
+    objectives are bit-identical to it.
+
     Returns:
         (delays, objectives) arrays of equal length.
     """
     lo, hi = search
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"search must be finite, got {search!r}")
     if not lo < hi:
         raise ValidationError("search range must satisfy lo < hi")
-    if step <= 0:
-        raise ValidationError("step must be positive")
+    require_positive(step=step)
     if len(joy) < 2 or len(imu) < 2:
         raise InsufficientOverlapError("each stream needs at least two samples")
 
     n = int(np.floor((hi - lo) / step + 1e-9)) + 1
     delays = lo + np.arange(n) * step
     objectives = np.full(n, np.inf)
-    for i, d in enumerate(delays):
-        w_lo, w_hi = _overlap_window(joy, imu, d)
-        if w_hi - w_lo < MIN_OVERLAP:
+    # The _overlap_window expressions, for every candidate at once.
+    w_lo = np.maximum(joy.t[0], imu.t[0] - delays)
+    w_hi = np.minimum(joy.t[-1], imu.t[-1] - delays)
+    i0 = np.searchsorted(joy.t, w_lo, side="left")
+    i1 = np.searchsorted(joy.t, w_hi, side="right")
+    keep = (w_hi - w_lo >= MIN_OVERLAP) & (i1 > i0)
+    # Runs: maximal stretches of consecutive candidates with one window.
+    cuts = np.flatnonzero((i0[1:] != i0[:-1]) | (i1[1:] != i1[:-1])
+                          | (keep[1:] != keep[:-1])) + 1
+    bounds = np.concatenate(([0], cuts, [n])).tolist()
+    for c0, c1 in zip(bounds[:-1], bounds[1:]):
+        if not keep[c0]:
             continue
-        mask = (joy.t >= w_lo) & (joy.t <= w_hi)
-        if not np.any(mask):
-            continue
-        t = joy.t[mask]
-        imu_at = np.interp(t + d, imu.t, imu.av_z)
-        err = joy.av[mask] - imu_at
-        objectives[i] = float(np.mean(err * err))
+        a, b = int(i0[c0]), int(i1[c0])
+        t, av, m = joy.t[a:b], joy.av[a:b], b - a
+        rows = max(1, _SCAN_BLOCK // m)
+        for k in range(c0, c1, rows):
+            blk = slice(k, min(k + rows, c1))
+            err = np.interp(t + delays[blk, None], imu.t, imu.av_z)
+            np.subtract(err, av, out=err)
+            np.multiply(err, err, out=err)
+            objectives[blk] = np.add.reduce(err, axis=1) / m
     return delays, objectives
 
 
@@ -172,8 +196,7 @@ def build_dataset(joy: JoyLog, imu: ImuLog, delay: float,
     Grid timestamps live on the joystick clock; the IMU channel is read at
     (t + delay).  All three channels are linearly interpolated.
     """
-    if rate <= 0:
-        raise ValidationError("rate must be positive")
+    require_positive(rate=rate)
     if len(joy) < 2 or len(imu) < 2:
         raise ValidationError("each stream needs at least two samples")
     w_lo, w_hi = _overlap_window(joy, imu, delay)

@@ -18,7 +18,7 @@ import numpy as np
 from . import align as align_mod
 from . import datalog, evalkit, ikd, mlp, replay as replay_mod, scenarios, svgplot
 from .errors import (IkdError, ParseError, ValidationError, finite_number,
-                     json_fields, seed_value)
+                     json_fields, require_positive, seed_value)
 from .fileio import read_json, read_table, write_json, write_table
 from .simcore import SimTrace, SlipParams, emit_sensor_logs, run_scenario
 
@@ -130,8 +130,11 @@ def cmd_collect(args) -> int:
     if args.script:
         from .simcore import ControlScript
         script = ControlScript.from_json(args.script)
-        duration = (args.duration if args.duration is not None
-                    else script.t_end + args.dwell)
+        if args.duration is None:
+            require_positive(dwell=args.dwell)
+            duration = script.t_end + args.dwell
+        else:
+            duration = args.duration
     else:
         script = scenarios.training_sweep_script(dwell=args.dwell)
         duration = scenarios.sweep_duration(script, dwell=args.dwell)
@@ -429,6 +432,13 @@ def main(argv=None) -> int:
         return 1
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        where = f": {exc.filename}" if exc.filename else ""
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -107,6 +107,22 @@ def test_scan_grid_layout_and_argmin_consistency():
         scan_delays(joy, imu, step=0.0)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"step": float("nan")}, r"step must be positive and finite, got nan"),
+    ({"step": float("inf")}, r"step must be positive and finite, got inf"),
+    ({"step": -0.001}, r"step must be positive and finite, got -0\.001"),
+    ({"search": (0.0, float("inf"))}, r"search must be finite, got \(0\.0, inf\)"),
+    ({"search": (float("nan"), 0.5)}, r"search must be finite, got \(nan, 0\.5\)"),
+    ({"search": (float("-inf"), 0.0)}, r"search must be finite"),
+])
+def test_scan_rejects_non_finite_arguments_naming_them(kwargs, match):
+    joy, imu = make_pair(0.1)
+    with pytest.raises(ValidationError, match=match):
+        scan_delays(joy, imu, **kwargs)
+    with pytest.raises(ValidationError, match=match):
+        estimate_delay(joy, imu, **kwargs)
+
+
 # --- build_dataset -----------------------------------------------------------
 
 def test_linear_midpoint_interpolation():
@@ -141,6 +157,14 @@ def test_build_dataset_rejects_empty_overlap():
     imu = ImuLog(t=[5.0, 6.0], av_z=[0.0, 0.0])
     with pytest.raises(ValidationError):
         build_dataset(joy, imu, delay=0.0)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -40.0])
+def test_build_dataset_rejects_bad_rate_naming_it(rate):
+    joy, imu = make_pair(0.1)
+    with pytest.raises(ValidationError,
+                       match=f"rate must be positive and finite, got {rate!r}"):
+        build_dataset(joy, imu, delay=0.1, rate=rate)
 
 
 def test_dataset_validation():

@@ -136,6 +136,9 @@ def test_error_paths_return_one(workdir, capsys):
     (["collect", "--dwell", "nan"], "dwell must be positive and finite, got nan"),
     (["collect", "--script", "script.json", "--duration", "nan"],
      "duration must be positive and finite, got nan"),
+    # without --duration the script's run length is t_end + dwell
+    (["collect", "--script", "script.json", "--dwell", "nan"],
+     "dwell must be positive and finite, got nan"),
     # zero is an invalid duration, not a request for the default one
     (["replay", "--buffer", "buffer.txt", "--duration", "0"],
      "duration must be positive and finite, got 0.0"),
@@ -149,6 +152,29 @@ def test_bad_durations_exit_1_naming_the_argument(workdir, capsys, argv, match):
         fh.write("2.0,0.5\n2.0,-0.5\n")
     assert main([*argv, "--out", "run"]) == 1
     assert capsys.readouterr().err == f"error: {match}\n"
+
+
+# Durations this long need more memory than any machine has, so the step
+# grid's allocation fails at once instead of being overcommitted.
+@pytest.mark.parametrize("argv", [
+    ["replay", "--buffer", "buffer.txt", "--duration", "1e15"],
+    ["eval-drift", "--duration", "1e15"],
+    ["collect", "--script", "script.json", "--duration", "1e15"],
+])
+def test_unallocatable_durations_exit_1_without_traceback(workdir, capsys, argv):
+    write_mini_script("script.json")
+    with open("buffer.txt", "w", encoding="utf-8") as fh:
+        fh.write("2.0,0.5\n2.0,-0.5\n")
+    assert main([*argv, "--out", "run"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
+def test_out_path_that_is_a_file_exits_1_naming_it(workdir, capsys):
+    open("taken", "w", encoding="utf-8").close()
+    assert main(["collect", "--out", "taken"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: Not a directory: {os.path.join('taken', 'logs')}\n")
 
 
 def test_config_validation(workdir):

@@ -1,4 +1,4 @@
-"""Array paths against the per-object loops they replaced, 100 seeded cases each.
+"""Array paths against the per-object loops they replaced, 100+ seeded cases each.
 
 The simulator oracles are verbatim copies of the per-step loops that
 built one VehicleState and one ControlCommand per step.  The closed-form
@@ -9,7 +9,9 @@ the one-query-per-tick loop within CMD_TOL.  The drift oracle scores one
 state at a time with the scalar geometry references in conftest.  The trainer
 oracle is a verbatim copy of the per-tensor backprop, AdamW step and
 training loop; the in-place flat-vector trainer must reproduce its weights
-and loss curves bit for bit.
+and loss curves bit for bit.  The delay-scan oracle is a verbatim copy of
+the per-candidate loop (mask, gather, np.interp, np.mean); the blocked scan
+must reproduce its delays, objectives and +inf positions bit for bit.
 """
 
 import math
@@ -21,7 +23,10 @@ import pytest
 from ikdlab.evalkit import (DriftScenario, Rect, _gate_segment, drift_eval,
                             TURN_AV_FLOOR)
 from ikdlab.ikd import AV_LIMIT, c_from_av_v, correct
-from ikdlab.align import AlignedDataset
+from ikdlab import align as align_mod
+from ikdlab.align import (DEFAULT_DELAY_STEP, DELAY_MAX, DELAY_MIN, MIN_OVERLAP,
+                          AlignedDataset, scan_delays)
+from ikdlab.datalog import ImuLog, JoyLog
 from ikdlab.mlp import (AdamState, LossCurve, MlpParams, TrainConfig, _FIELDS,
                         _SHAPES, _dataset_xy, _forward_batch, adamw_step,
                         forward, init_params, loss_and_grads, train)
@@ -32,7 +37,7 @@ from ikdlab.simcore import (DEFAULT_DT, V_CAP, ControlCommand, ControlScript,
                             SimTrace, SlipParams, VehicleState,
                             _require_finite, normalize_heading, run_scenario,
                             slip_yaw_rate, step_dynamics)
-from ikdlab.errors import ValidationError
+from ikdlab.errors import InsufficientOverlapError, ValidationError
 
 from conftest import (build_gain_model, point_rect_signed_distance,
                       rect_rect_signed_distance, segments_intersect)
@@ -601,3 +606,106 @@ def test_train_leaves_its_inputs_alone_and_returns_private_read_only_weights():
     assert not np.array_equal(other.theta, first)
     for q in (again, other):
         assert not np.shares_memory(q.theta, params.theta)
+
+
+# --- delay scan: the per-candidate loop, kept verbatim ------------------------
+
+def reference_scan_delays(joy: JoyLog, imu: ImuLog,
+                          search=(DELAY_MIN, DELAY_MAX),
+                          step=DEFAULT_DELAY_STEP):
+    lo, hi = search
+    if not lo < hi:
+        raise ValidationError("search range must satisfy lo < hi")
+    if step <= 0:
+        raise ValidationError("step must be positive")
+    if len(joy) < 2 or len(imu) < 2:
+        raise InsufficientOverlapError("each stream needs at least two samples")
+
+    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
+    delays = lo + np.arange(n) * step
+    objectives = np.full(n, np.inf)
+    for i, d in enumerate(delays):
+        w_lo = max(joy.t[0], imu.t[0] - d)
+        w_hi = min(joy.t[-1], imu.t[-1] - d)
+        if w_hi - w_lo < MIN_OVERLAP:
+            continue
+        mask = (joy.t >= w_lo) & (joy.t <= w_hi)
+        if not np.any(mask):
+            continue
+        t = joy.t[mask]
+        imu_at = np.interp(t + d, imu.t, imu.av_z)
+        err = joy.av[mask] - imu_at
+        objectives[i] = float(np.mean(err * err))
+    return delays, objectives
+
+
+def random_times(rng, n: int, start: float, mean_dt: float) -> np.ndarray:
+    """Irregular, strictly increasing timestamps."""
+    return start + np.cumsum(rng.uniform(0.05, 1.95, n) * mean_dt)
+
+
+def random_scan_case(rng, i: int):
+    """Streams of 2 to ~2,000 rows whose overlap is near MIN_OVERLAP as often as not."""
+    nj = 2 if i % 10 == 0 else int(rng.integers(3, 2000))
+    ni = 2 if i % 10 == 5 else int(rng.integers(3, 2000))
+    span_j = rng.uniform(0.5, 4.0)
+    span_i = rng.uniform(0.5, 4.0)
+    t_joy = random_times(rng, nj, rng.uniform(-5.0, 5.0), span_j / nj)
+    # imu starts up to 1.5 s before or after the joystick stream
+    t_imu = random_times(rng, ni, t_joy[0] + rng.uniform(-1.5, 1.5), span_i / ni)
+    joy = JoyLog(t=t_joy, v=np.ones(nj), av=rng.uniform(-AV_LIMIT, AV_LIMIT, nj))
+    imu = ImuLog(t=t_imu, av_z=rng.normal(0.0, 2.0, ni))
+    lo = float(rng.uniform(-1.5, 0.5))
+    search = (lo, lo + float(rng.uniform(0.005, 2.0)))
+    step = (search[1] - search[0]) / float(rng.integers(1, 300))
+    return joy, imu, search, step
+
+
+def assert_scan_matches_reference(joy, imu, search, step):
+    delays, objectives = scan_delays(joy, imu, search, step)
+    ref_delays, ref_objectives = reference_scan_delays(joy, imu, search, step)
+    assert np.array_equal(delays, ref_delays)
+    assert np.array_equal(np.isinf(objectives), np.isinf(ref_objectives))
+    assert np.array_equal(objectives, ref_objectives)
+    return objectives
+
+
+def test_blocked_scan_matches_per_candidate_loop_bit_for_bit_200_cases(monkeypatch):
+    rng = np.random.default_rng(8)
+    seen = {"none": 0, "some": 0, "all": 0, "joy_denser": 0, "imu_denser": 0,
+            "imu_first": 0, "joy_first": 0, "negative": 0, "two_rows": 0}
+    for i in range(200):
+        joy, imu, search, step = random_scan_case(rng, i)
+        # Small budgets put every row of a wide window in a block of its own.
+        monkeypatch.setattr(align_mod, "_SCAN_BLOCK",
+                            int(rng.choice([1, 7, 500, 1 << 16])))
+        finite = np.isfinite(assert_scan_matches_reference(joy, imu, search, step))
+        seen["none" if not finite.any() else "all" if finite.all() else "some"] += 1
+        dense_j = len(joy) / (joy.t[-1] - joy.t[0])
+        dense_i = len(imu) / (imu.t[-1] - imu.t[0])
+        seen["joy_denser" if dense_j > dense_i else "imu_denser"] += 1
+        seen["imu_first" if imu.t[0] < joy.t[0] else "joy_first"] += 1
+        seen["negative"] += search[1] < 0
+        seen["two_rows"] += min(len(joy), len(imu)) == 2
+    assert min(seen.values()) >= 5, seen
+
+
+def test_blocked_scan_matches_per_candidate_loop_on_gate_and_wide_windows():
+    # Gate-shaped pair: 480 joystick rows at 40 Hz against 13,000 IMU rows at
+    # 1 kHz; all 501 default candidates share one window, 136 to a block.
+    rng = np.random.default_rng(9)
+    t_joy = np.arange(480) / 40.0
+    t_imu = np.arange(13000) / 1000.0
+    joy = JoyLog(t=t_joy, v=np.full(480, 2.0), av=np.sin(2.1 * t_joy))
+    imu = ImuLog(t=t_imu, av_z=np.sin(2.1 * (t_imu - 0.2)) + rng.normal(0.0, 0.05, 13000))
+    assert np.isfinite(assert_scan_matches_reference(joy, imu, (0.0, 0.5), 0.001)).all()
+    # The IMU stream covers the whole joystick stream at every candidate, so
+    # all candidates share one window: of 20,000 rows (three candidates per
+    # block, rows longer than numpy's 8,192-element buffer) and of more than
+    # _SCAN_BLOCK rows (one candidate per block).
+    for n in (20_000, align_mod._SCAN_BLOCK + 4000):
+        t = random_times(rng, n, 0.0, 0.025)
+        joy = JoyLog(t=t, v=np.ones(n), av=rng.uniform(-1.0, 1.0, n))
+        imu = ImuLog(t=np.linspace(-1.0, t[-1] + 1.0, n), av_z=rng.uniform(-1.0, 1.0, n))
+        objectives = assert_scan_matches_reference(joy, imu, (-0.05, 0.05), 0.01)
+        assert np.isfinite(objectives).all()
