@@ -136,15 +136,15 @@ def test_error_paths_return_one(workdir, capsys):
     (["collect", "--dwell", "nan"], "dwell must be positive and finite, got nan"),
     (["collect", "--script", "script.json", "--duration", "nan"],
      "duration must be positive and finite, got nan"),
-    # without --duration the script's run length is t_end + dwell
-    (["collect", "--script", "script.json", "--dwell", "nan"],
-     "dwell must be positive and finite, got nan"),
     # zero is an invalid duration, not a request for the default one
     (["replay", "--buffer", "buffer.txt", "--duration", "0"],
      "duration must be positive and finite, got 0.0"),
     (["eval-drift", "--duration", "0"], "duration must be positive and finite, got 0.0"),
     (["collect", "--script", "script.json", "--duration", "0"],
      "duration must be positive and finite, got 0.0"),
+    # without --duration the script's run length is t_end + dwell
+    (["collect", "--script", "script.json", "--dwell", "nan"],
+     "dwell must be positive and finite, got nan"),
 ])
 def test_bad_durations_exit_1_naming_the_argument(workdir, capsys, argv, match):
     write_mini_script("script.json")
