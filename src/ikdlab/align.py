@@ -16,7 +16,7 @@ import numpy as np
 from .datalog import ImuLog, JoyLog
 from .errors import InsufficientOverlapError, ValidationError, require_positive
 from .fileio import read_table, row_line, write_table
-from .simcore import AV_LIMIT, EPS_V
+from .simcore import AV_LIMIT, EPS_V, c_from_av_v, sample_count
 
 # Plausible transport-delay band for the IMU stream; estimates outside it
 # are flagged as suspect rather than rejected.
@@ -89,11 +89,11 @@ class AlignedDataset:
         return np.arange(len(self))
 
 
-def _overlap_window(joy: JoyLog, imu: ImuLog, delay: float) -> tuple[float, float]:
-    """Joystick-time window on which both streams are defined after shifting."""
-    lo = max(joy.t[0], imu.t[0] - delay)
-    hi = min(joy.t[-1], imu.t[-1] - delay)
-    return lo, hi
+def _overlap_window(joy: JoyLog, imu: ImuLog, delay):
+    """Joystick-time window (lo, hi) on which both streams are defined after
+    shifting by ``delay``; elementwise when ``delay`` is an array."""
+    return (np.maximum(joy.t[0], imu.t[0] - delay),
+            np.minimum(joy.t[-1], imu.t[-1] - delay))
 
 
 def scan_delays(joy: JoyLog, imu: ImuLog,
@@ -125,12 +125,10 @@ def scan_delays(joy: JoyLog, imu: ImuLog,
     if len(joy) < 2 or len(imu) < 2:
         raise InsufficientOverlapError("each stream needs at least two samples")
 
-    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
+    n = sample_count("search", (hi - lo) / step) + 1
     delays = lo + np.arange(n) * step
     objectives = np.full(n, np.inf)
-    # The _overlap_window expressions, for every candidate at once.
-    w_lo = np.maximum(joy.t[0], imu.t[0] - delays)
-    w_hi = np.minimum(joy.t[-1], imu.t[-1] - delays)
+    w_lo, w_hi = _overlap_window(joy, imu, delays)
     i0 = np.searchsorted(joy.t, w_lo, side="left")
     i1 = np.searchsorted(joy.t, w_hi, side="right")
     keep = (w_hi - w_lo >= MIN_OVERLAP) & (i1 > i0)
@@ -155,8 +153,7 @@ def scan_delays(joy: JoyLog, imu: ImuLog,
 
 def estimate_delay(joy: JoyLog, imu: ImuLog,
                    search: tuple[float, float] = (DELAY_MIN, DELAY_MAX),
-                   step: float = DEFAULT_DELAY_STEP,
-                   objective_ceiling: float = DEFAULT_OBJECTIVE_CEILING) -> DelayEstimate:
+                   step: float = DEFAULT_DELAY_STEP) -> DelayEstimate:
     """Estimate the IMU transport delay by exhaustive grid search.
 
     The returned delay is the grid argmin of the alignment objective, ties
@@ -164,16 +161,15 @@ def estimate_delay(joy: JoyLog, imu: ImuLog,
     no candidate leaves at least MIN_OVERLAP seconds of shifted overlap.
     """
     delays, objectives = scan_delays(joy, imu, search, step)
-    return delay_from_scan(delays, objectives, objective_ceiling)
+    return delay_from_scan(delays, objectives)
 
 
-def delay_from_scan(delays: np.ndarray, objectives: np.ndarray,
-                    objective_ceiling: float = DEFAULT_OBJECTIVE_CEILING
-                    ) -> DelayEstimate:
+def delay_from_scan(delays: np.ndarray, objectives: np.ndarray) -> DelayEstimate:
     """Pick the delay estimate from a scan_delays result.
 
     The grid argmin, ties broken toward the smaller delay, flagged when it
-    falls outside the plausible band or its objective exceeds the ceiling.
+    falls outside the plausible band or its objective exceeds
+    DEFAULT_OBJECTIVE_CEILING.
     """
     if not np.any(np.isfinite(objectives)):
         raise InsufficientOverlapError(
@@ -185,7 +181,7 @@ def delay_from_scan(delays: np.ndarray, objectives: np.ndarray,
         delay=delay,
         objective=objective,
         in_range=DELAY_MIN <= delay <= DELAY_MAX,
-        corrupt=objective > objective_ceiling,
+        corrupt=objective > DEFAULT_OBJECTIVE_CEILING,
     )
 
 
@@ -202,7 +198,7 @@ def build_dataset(joy: JoyLog, imu: ImuLog, delay: float,
     w_lo, w_hi = _overlap_window(joy, imu, delay)
     if w_hi <= w_lo:
         raise ValidationError("streams do not overlap at this delay")
-    n = int(np.floor((w_hi - w_lo) * rate + 1e-9))
+    n = sample_count("rate", (w_hi - w_lo) * rate)
     if n == 0:
         raise ValidationError("overlap shorter than one sample period")
     grid = w_lo + np.arange(n) / rate
@@ -232,22 +228,10 @@ def merge_datasets(parts: list[AlignedDataset]) -> AlignedDataset:
     )
 
 
-def row_curvature(v_joy: np.ndarray, av_joy: np.ndarray,
-                  eps_v: float = EPS_V) -> np.ndarray:
-    """Commanded curvature av/v per row, defined as 0 below the speed guard."""
-    v_joy = np.asarray(v_joy, dtype=float)
-    av_joy = np.asarray(av_joy, dtype=float)
-    safe_v = np.where(np.abs(v_joy) < eps_v, 1.0, v_joy)
-    return np.where(np.abs(v_joy) < eps_v, 0.0, av_joy / safe_v)
-
-
-def prune_zero_curvature(d: AlignedDataset, eps_c: float = DEFAULT_EPS_C,
-                         eps_v: float = EPS_V) -> AlignedDataset:
-    """Drop straight-line rows (|commanded curvature| <= eps_c)."""
-    if eps_c < 0:
-        raise ValidationError("eps_c must be non-negative")
-    c = row_curvature(d.v_joy, d.av_joy, eps_v)
-    keep = np.abs(c) > eps_c
+def prune_zero_curvature(d: AlignedDataset) -> AlignedDataset:
+    """Drop straight-line rows: |commanded curvature| <= DEFAULT_EPS_C, the
+    curvature of rows slower than EPS_V counting as 0."""
+    keep = np.abs(c_from_av_v(d.av_joy, d.v_joy)) > DEFAULT_EPS_C
     return AlignedDataset(v_joy=d.v_joy[keep], av_joy=d.av_joy[keep],
                           av_imu=d.av_imu[keep], period=d.period)
 

@@ -61,29 +61,27 @@ class PipelineConfig:
             train = mlp.TrainConfig(**{"seed": seed, **train_raw})
         except ValidationError as exc:
             raise ValidationError(f"{path}: train: {exc}") from None
-        search = raw.get("delay_search",
-                         [align_mod.DELAY_MIN, align_mod.DELAY_MAX])
-        if not isinstance(search, list) or len(search) != 2:
-            raise ValidationError(
-                f"{path}: delay_search must be a [lo, hi] pair, got {search!r}")
-        lo, hi = (finite_number(path, "delay_search", v) for v in search)
-        if not lo < hi:
-            raise ValidationError(f"{path}: delay_search must satisfy lo < hi, "
-                                  f"got {search!r}")
-        return cls(
-            seed=seed,
-            slip=slip,
-            scenario_file=raw.get("scenario_file"),
-            joy_hz=_positive(path, "rates: joy", rates.get("joy", 40.0)),
-            imu_hz=_positive(path, "rates: imu", rates.get("imu", 40.0)),
-            replay_hz=_positive(path, "rates: replay", rates.get("replay", 20.0)),
-            delay_search=(lo, hi),
-            delay_step=_positive(path, "delay_step",
-                                 raw.get("delay_step", align_mod.DEFAULT_DELAY_STEP)),
-            pad=_positive(path, "pad", raw.get("pad", 1.0), zero_ok=True),
-            train=train,
-            out_dir=raw.get("out_dir"),
-        )
+        # Only the keys present are passed: absent ones keep the field defaults.
+        given = {}
+        if "delay_search" in raw:
+            search = raw["delay_search"]
+            if not isinstance(search, list) or len(search) != 2:
+                raise ValidationError(
+                    f"{path}: delay_search must be a [lo, hi] pair, got {search!r}")
+            lo, hi = (finite_number(path, "delay_search", v) for v in search)
+            if not lo < hi:
+                raise ValidationError(f"{path}: delay_search must satisfy lo < hi, "
+                                      f"got {search!r}")
+            given["delay_search"] = (lo, hi)
+        for key in ("joy", "imu", "replay"):
+            if key in rates:
+                given[f"{key}_hz"] = _positive(path, f"rates: {key}", rates[key])
+        if "delay_step" in raw:
+            given["delay_step"] = _positive(path, "delay_step", raw["delay_step"])
+        if "pad" in raw:
+            given["pad"] = _positive(path, "pad", raw["pad"], zero_ok=True)
+        return cls(seed=seed, slip=slip, scenario_file=raw.get("scenario_file"),
+                   train=train, out_dir=raw.get("out_dir"), **given)
 
 
 def _positive(path: str, key: str, value, zero_ok: bool = False) -> float:

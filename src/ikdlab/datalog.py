@@ -86,19 +86,17 @@ def read_imu_csv(path: str) -> ImuLog:
     return ImuLog(t=t, av_z=av_z)
 
 
-def trim_idle(joy: JoyLog, imu: ImuLog,
-              eps: float = DEFAULT_IDLE_EPS) -> tuple[JoyLog, ImuLog]:
+def trim_idle(joy: JoyLog, imu: ImuLog) -> tuple[JoyLog, ImuLog]:
     """Drop the idle lead-in and tail of a recording.
 
-    Removes the maximal prefix and suffix of the joystick log where both
-    |v| < eps and |av| < eps, then trims the IMU log to the surviving
-    joystick time window.  Raises CorruptLogError when nothing survives.
+    Removes the maximal prefix and suffix of the joystick log where both |v|
+    and |av| are below DEFAULT_IDLE_EPS, then trims the IMU log to the
+    surviving joystick time window.  Raises CorruptLogError when nothing
+    survives.
     """
-    if eps < 0:
-        raise ValidationError("eps must be non-negative")
     if len(joy) == 0:
         raise CorruptLogError("joystick log is empty")
-    active = (np.abs(joy.v) >= eps) | (np.abs(joy.av) >= eps)
+    active = (np.abs(joy.v) >= DEFAULT_IDLE_EPS) | (np.abs(joy.av) >= DEFAULT_IDLE_EPS)
     if not np.any(active):
         raise CorruptLogError("log is all idle rows; nothing left after trimming")
     lo = int(np.argmax(active))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InferenceError, ValidationError
 from .mlp import MlpParams, forward
-from .simcore import AV_LIMIT, EPS_V  # actuator command range, speed guard
+from .simcore import AV_LIMIT, EPS_V, c_from_av_v  # actuator range, speed guard
 
 
 def av_from_vc(v: float, c: float) -> float:
@@ -26,20 +26,6 @@ def av_from_vc(v: float, c: float) -> float:
     if not (math.isfinite(v) and math.isfinite(c)):
         raise ValidationError("v and c must be finite")
     return v * c
-
-
-def c_from_av_v(av: float, v: float, eps_v: float = EPS_V) -> float:
-    """Curvature av/v, guarded to 0 when |v| < eps_v."""
-    if not (math.isfinite(av) and math.isfinite(v)):
-        raise ValidationError("av and v must be finite")
-    if abs(v) < eps_v:
-        return 0.0
-    return av / v
-
-
-def _guarded_curvature(av: np.ndarray, v: np.ndarray, eps_v: float) -> np.ndarray:
-    """c_from_av_v over finite arrays; guarded rows are never divided."""
-    return np.divide(av, v, out=np.zeros_like(av), where=np.abs(v) >= eps_v)
 
 
 @dataclass(frozen=True)
@@ -68,8 +54,7 @@ class Corrections(NamedTuple):
     clamped: np.ndarray
 
 
-def correct_batch(model: MlpParams, v: np.ndarray, c_desired: np.ndarray,
-                  eps_v: float = EPS_V) -> Corrections:
+def correct_batch(model: MlpParams, v: np.ndarray, c_desired: np.ndarray) -> Corrections:
     """Rewrite arrays of desired (v, c) commands with one model call.
 
     Row k is queried at (v[k], v[k]*c_desired[k]) as in ``correct``; the
@@ -92,12 +77,11 @@ def correct_batch(model: MlpParams, v: np.ndarray, c_desired: np.ndarray,
         raise InferenceError(f"{where}model output {float(raw[k])!r} is not finite")
     av_corrected = np.clip(raw, -AV_LIMIT, AV_LIMIT)
     return Corrections(av_desired, av_corrected,
-                       _guarded_curvature(av_corrected, v, eps_v),
+                       c_from_av_v(av_corrected, v),
                        (raw < -AV_LIMIT) | (raw > AV_LIMIT))
 
 
-def correct(model: MlpParams, v: float, c_desired: float,
-            eps_v: float = EPS_V) -> CorrectionResult:
+def correct(model: MlpParams, v: float, c_desired: float) -> CorrectionResult:
     """Rewrite a desired (v, c) command using the learned inverse model.
 
     The model is queried at (v, av_desired): the yaw rate we want to see is
@@ -105,5 +89,5 @@ def correct(model: MlpParams, v: float, c_desired: float,
     answers with the joystick yaw rate that produced it.  This is the
     one-row case of correct_batch.
     """
-    batch = correct_batch(model, np.array([v]), np.array([c_desired]), eps_v)
+    batch = correct_batch(model, np.array([v]), np.array([c_desired]))
     return CorrectionResult(v, *(column.item() for column in batch))

@@ -7,7 +7,6 @@ correction, and holds it across the simulator's finer integration steps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,10 +14,11 @@ import numpy as np
 from .datalog import JoyLog
 from .errors import ParseError, ValidationError, require_positive
 from .fileio import read_table, write_table
-from .ikd import _guarded_curvature, correct_batch
+from .ikd import correct_batch
 from .mlp import MlpParams
 from .simcore import (AV_LIMIT, DEFAULT_DT, EPS_V, SimTrace, SlipParams,
-                      VehicleState, _check_commands, _integrate)
+                      VehicleState, _check_commands, _integrate, c_from_av_v,
+                      sample_count)
 
 DEFAULT_REPLAY_RATE = 20.0  # Hz, command consumption rate
 
@@ -98,7 +98,7 @@ def execute_replay(buf: CommandBuffer, p: SlipParams,
     if stride < 1:
         raise ValidationError("stride must be >= 1")
 
-    n = int(math.floor(duration / dt + 1e-9))
+    n = sample_count("duration", duration / dt)
     ticks = np.floor(np.arange(n) * dt * rate + 1e-9)
     new_tick = np.ones(n, dtype=bool)
     new_tick[1:] = ticks[1:] > ticks[:-1]
@@ -106,7 +106,7 @@ def execute_replay(buf: CommandBuffer, p: SlipParams,
     v, av = buf.rows[np.arange(buf.cursor, buf.cursor + consumed, stride) % len(buf)].T
     buf.cursor = (buf.cursor + consumed) % len(buf)
     av = np.clip(av, -AV_LIMIT, AV_LIMIT)  # actuator command range
-    c = _guarded_curvature(av, v, EPS_V)  # rows slower than EPS_V drive straight
+    c = c_from_av_v(av, v)  # rows slower than EPS_V drive straight
     if model is not None:
         c = correct_batch(model, v, c).c_corrected
     _check_commands(v, c)

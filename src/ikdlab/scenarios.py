@@ -32,26 +32,29 @@ SWEEP_CURVATURES = (0.05, 0.06, 0.07, 0.08, 0.09, 0.1, 0.11, 0.12, 0.13,
                     0.9, 0.95, 1.0, 1.05, 1.1, 1.15)
 
 
-LOW_CURVATURE = 0.25   # segments at or below this magnitude dwell twice as long
+# Segments at or below LOW_CURVATURE in magnitude dwell LOW_BOOST times as long.
+LOW_CURVATURE = 0.25
+LOW_BOOST = 2.0
+
+
+def _segment_dwell(c: float, dwell: float) -> float:
+    return dwell * (LOW_BOOST if abs(c) <= LOW_CURVATURE else 1.0)
 
 
 def training_sweep_script(dwell: float = 4.0,
                           speeds=SWEEP_SPEEDS,
-                          curvatures=SWEEP_CURVATURES,
-                          low_boost: float = 2.0) -> ControlScript:
+                          curvatures=SWEEP_CURVATURES) -> ControlScript:
     """Piecewise-constant sweep over (speed, +-curvature) combinations.
 
     Per speed, curvature walks up the positive magnitudes and back down the
     negative ones, so consecutive commands differ by one small step and the
     yaw rate crosses zero only once per speed block.  This keeps transition
     transients from polluting the low-curvature training rows.  Segments at
-    |c| <= LOW_CURVATURE dwell low_boost times longer: small yaw rates need
+    |c| <= LOW_CURVATURE dwell LOW_BOOST times longer: small yaw rates need
     the most resolution in the learned inverse but contribute the least to
     a squared-error fit.  Pairs with |v*c| > AV_LIMIT are skipped.
     """
     require_positive(dwell=dwell)
-    if not 1.0 <= low_boost < math.inf:
-        raise ValidationError(f"low_boost must be >= 1 and finite, got {low_boost!r}")
     mags = sorted(curvatures)
     segs = []
     t = 0.0
@@ -59,21 +62,16 @@ def training_sweep_script(dwell: float = 4.0,
         ordered = [c for c in mags if abs(v * c) <= AV_LIMIT]
         for c in ordered + [-c for c in reversed(ordered)]:
             segs.append(ScriptSegment(t, v, c))
-            t += dwell * (low_boost if abs(c) <= LOW_CURVATURE else 1.0)
+            t += _segment_dwell(c, dwell)
     if not segs:
         raise ValidationError("no feasible (v, c) pairs in the sweep")
     return ControlScript(tuple(segs))
 
 
-def _segment_dwell(c: float, dwell: float, low_boost: float) -> float:
-    return dwell * (low_boost if abs(c) <= LOW_CURVATURE else 1.0)
-
-
-def sweep_duration(script: ControlScript, dwell: float = 4.0,
-                   low_boost: float = 2.0) -> float:
+def sweep_duration(script: ControlScript, dwell: float = 4.0) -> float:
     """Total time covered by a sweep built with the same dwell settings."""
     last = script.segments[-1]
-    return last.t_start + _segment_dwell(last.c, dwell, low_boost)
+    return last.t_start + _segment_dwell(last.c, dwell)
 
 
 # Drift command sequence: straight approach, one aggressive counter-clockwise

@@ -32,6 +32,35 @@ def normalize_heading(h: float) -> float:
     return math.pi - (math.pi - h) % math.tau
 
 
+def c_from_av_v(av, v):
+    """Curvature av/v, elementwise, guarded to 0 where |v| < EPS_V.
+
+    Floats in give a float out, arrays give an array; guarded rows are
+    never divided.
+    """
+    av = np.asarray(av, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if not (np.all(np.isfinite(av)) and np.all(np.isfinite(v))):
+        raise ValidationError("av and v must be finite")
+    c = np.divide(av, v, out=np.zeros(np.broadcast(av, v).shape),
+                  where=np.abs(v) >= EPS_V)
+    return c if c.ndim else float(c)
+
+
+def sample_count(name: str, ratio: float) -> int:
+    """floor(ratio + 1e-9): the number of samples a span/period ratio holds.
+
+    A count past the largest numpy index (NaN and infinity included) is a
+    ValidationError naming ``name``.
+    """
+    count = float(ratio) + 1e-9
+    largest = np.iinfo(np.intp).max
+    if not count < largest + 1:
+        raise ValidationError(f"{name} gives {count:.6g} samples, more than "
+                              f"an index can count ({largest})")
+    return math.floor(count)
+
+
 def _require_finite(name: str, *values: float) -> None:
     for v in values:
         if not math.isfinite(v):
@@ -268,13 +297,6 @@ class SimTrace:
         """(n+1, 2) array of positions."""
         return np.column_stack([self.x, self.y])
 
-    def av_true(self) -> np.ndarray:
-        """True yaw rate at each state timestamp."""
-        return self.av
-
-    def v_true(self) -> np.ndarray:
-        return self.v
-
     def av_commanded(self) -> np.ndarray:
         """Commanded angular velocity v*c for each step."""
         return self.cmd_v * self.cmd_c
@@ -381,7 +403,7 @@ def run_scenario(script: ControlScript, p: SlipParams, duration: float,
     require_positive(duration=duration, dt=dt)
     if script.segments[0].t_start > 0:
         raise ValidationError("script must be defined from t=0")
-    n = int(math.floor(duration / dt + 1e-9))
+    n = sample_count("duration", duration / dt)
     starts, v, c = np.array([(s.t_start, s.v, s.c) for s in script.segments],
                             dtype=float).T
     seg_of_step = np.searchsorted(starts, np.arange(n) * dt + 1e-12, side="right") - 1
@@ -416,7 +438,7 @@ def emit_sensor_logs(trace: SimTrace, p: SlipParams, joy_rate: float = 40.0,
     cmd_v = trace.cmd_v
     cmd_av = trace.av_commanded()
 
-    n_joy = int(math.floor(total * joy_rate + 1e-9))
+    n_joy = sample_count("joy_rate", total * joy_rate)
     t_joy = np.arange(n_joy) / joy_rate
     s = t_joy - pad
     active = (s >= 0.0) & (s < duration)
@@ -425,11 +447,10 @@ def emit_sensor_logs(trace: SimTrace, p: SlipParams, joy_rate: float = 40.0,
     joy_av = np.where(active, cmd_av[idx], 0.0)
 
     state_t = trace.times()
-    state_av = trace.av_true()
-    n_imu = int(math.floor(total * imu_rate + 1e-9))
+    n_imu = sample_count("imu_rate", total * imu_rate)
     t_imu = np.arange(n_imu) / imu_rate
     s_imu = t_imu - pad - p.imu_delay
-    av_z = np.interp(s_imu, state_t, state_av, left=0.0, right=0.0)
+    av_z = np.interp(s_imu, state_t, trace.av, left=0.0, right=0.0)
     if p.noise_sigma > 0:
         rng = np.random.default_rng(p.seed)
         av_z = av_z + rng.normal(0.0, p.noise_sigma, size=av_z.shape)

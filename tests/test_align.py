@@ -6,12 +6,13 @@ import pytest
 from ikdlab.align import (DEFAULT_OBJECTIVE_CEILING, AlignedDataset,
                           build_dataset, estimate_delay, histogram,
                           merge_datasets, prune_zero_curvature,
-                          read_dataset_csv, row_curvature, scan_delays,
+                          read_dataset_csv, scan_delays,
                           write_dataset_csv, write_histogram_csv)
 from ikdlab.datalog import ImuLog, JoyLog, trim_idle
 from ikdlab.errors import (InsufficientOverlapError, ParseError,
                            ValidationError)
-from ikdlab.simcore import ControlScript, SlipParams, emit_sensor_logs, run_scenario
+from ikdlab.simcore import (ControlScript, SlipParams, c_from_av_v, emit_sensor_logs,
+                            run_scenario)
 
 
 def smooth_av(ts):
@@ -248,12 +249,12 @@ def test_prune_is_idempotent():
         once = prune_zero_curvature(d)
         twice = prune_zero_curvature(once)
         assert np.array_equal(once.av_joy, twice.av_joy)
-        c = row_curvature(once.v_joy, once.av_joy)
+        c = c_from_av_v(once.av_joy, once.v_joy)
         assert np.all(np.abs(c) > 1e-4)
 
 
 def test_row_curvature_guard():
-    c = row_curvature([2.0, 0.01], [1.0, 1.0])
+    c = c_from_av_v([1.0, 1.0], [2.0, 0.01])
     assert c[0] == pytest.approx(0.5)
     assert c[1] == 0.0
 
@@ -292,7 +293,7 @@ def test_velocity_histogram_from_simulated_sweep():
     p = SlipParams()
     trace = run_scenario(script, p, 6.0)
     joy, imu = trim_idle(*emit_sensor_logs(trace, p))
-    est = estimate_delay(joy, imu, objective_ceiling=np.inf)
+    est = estimate_delay(joy, imu)
     d = prune_zero_curvature(build_dataset(joy, imu, est.delay))
     counts = histogram(d.v_joy, bins=20, vrange=(0.0, 5.0))
     assert counts.sum() == len(d)

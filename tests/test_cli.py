@@ -154,12 +154,18 @@ def test_bad_durations_exit_1_naming_the_argument(workdir, capsys, argv, match):
     assert capsys.readouterr().err == f"error: {match}\n"
 
 
-# Durations this long need more memory than any machine has, so the step
-# grid's allocation fails at once instead of being overcommitted.
+# Durations of 1e15 s need more memory than any machine has, so the step
+# grid's allocation fails at once instead of being overcommitted.  Longer
+# runs (the sweep at --dwell 1e15 lasts about 6e17 s) count more steps than
+# a numpy index holds, and are refused by name before anything is allocated.
 @pytest.mark.parametrize("argv", [
     ["replay", "--buffer", "buffer.txt", "--duration", "1e15"],
     ["eval-drift", "--duration", "1e15"],
     ["collect", "--script", "script.json", "--duration", "1e15"],
+    ["replay", "--buffer", "buffer.txt", "--duration", "1e17"],
+    ["eval-drift", "--duration", "1e17"],
+    ["collect", "--dwell", "1e15"],
+    ["replay", "--buffer", "buffer.txt", "--duration", "1e308"],
 ])
 def test_unallocatable_durations_exit_1_without_traceback(workdir, capsys, argv):
     write_mini_script("script.json")
@@ -167,7 +173,21 @@ def test_unallocatable_durations_exit_1_without_traceback(workdir, capsys, argv)
         fh.write("2.0,0.5\n2.0,-0.5\n")
     assert main([*argv, "--out", "run"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    allocatable = argv[-2:] == ["--duration", "1e15"]
+    assert err.startswith("error: out of memory: " if allocatable
+                          else "error: duration gives ") and err.count("\n") == 1
+
+
+def test_delay_search_past_the_index_range_exits_1_naming_it(workdir, capsys):
+    write_mini_script("script.json")
+    with open("cfg.json", "w", encoding="utf-8") as fh:
+        json.dump({"seed": 0, "delay_search": [0.0, 1e16]}, fh)
+    assert main(["collect", "--script", "script.json", "--duration", "6.0",
+                 "--out", "run"]) == 0
+    capsys.readouterr()
+    assert main(["align", "--config", "cfg.json", "--out", "run"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: search gives 1e+19 samples, ") and err.count("\n") == 1
 
 
 def test_out_path_that_is_a_file_exits_1_naming_it(workdir, capsys):

@@ -133,7 +133,5 @@ def test_trim_keeps_interior_idle_gap():
 def test_trim_respects_threshold():
     t = np.arange(4) * 0.1
     joy = make_joy(t, [0.0005, 1.0, 1.0, 0.0005], np.zeros(4))
-    out, _ = trim_idle(joy, ImuLog(t=t, av_z=np.zeros(4)), eps=1e-3)
+    out, _ = trim_idle(joy, ImuLog(t=t, av_z=np.zeros(4)))
     assert len(out) == 2
-    with pytest.raises(ValidationError):
-        trim_idle(joy, ImuLog(t=t, av_z=np.zeros(4)), eps=-1.0)

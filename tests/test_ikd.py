@@ -32,7 +32,25 @@ def test_c_from_av_v_guards_low_speed():
     assert c_from_av_v(1.0, 0.04) == 0.0
     assert c_from_av_v(1.0, -0.04) == 0.0
     assert c_from_av_v(1.0, 0.05) == pytest.approx(20.0)
-    assert c_from_av_v(1.0, 0.2, eps_v=0.3) == 0.0
+
+
+def test_c_from_av_v_is_elementwise():
+    c = c_from_av_v(1.4, 2.0)
+    assert type(c) is float and c == 1.4 / 2.0
+    rng = np.random.default_rng(5)
+    av = rng.uniform(-4.0, 4.0, 200)
+    v = rng.uniform(-0.2, 4.2, 200)
+    v[::7] = 0.0
+    c = c_from_av_v(av, v)
+    assert isinstance(c, np.ndarray) and c.shape == (200,)
+    guarded = np.abs(v) < EPS_V
+    assert np.all(c[guarded] == 0.0)
+    assert np.array_equal(c[~guarded], av[~guarded] / v[~guarded])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="av and v must be finite"):
+            c_from_av_v(np.array([1.0, bad]), np.array([2.0, 2.0]))
+        with pytest.raises(ValidationError, match="av and v must be finite"):
+            c_from_av_v(np.array([1.0, 1.0]), np.array([2.0, bad]))
 
 
 def test_conversion_round_trip_away_from_guard():
@@ -95,6 +113,8 @@ def test_low_speed_query_yields_zero_curvature():
 def test_speed_guard_has_one_home():
     from ikdlab import align, ikd, replay, simcore
     assert align.EPS_V is ikd.EPS_V is replay.EPS_V is simcore.EPS_V
+    assert ikd.c_from_av_v is simcore.c_from_av_v
+    assert not hasattr(align, "row_curvature")
 
 
 def overflowing_model() -> MlpParams:

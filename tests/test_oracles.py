@@ -5,13 +5,15 @@ built one VehicleState and one ControlCommand per step.  The closed-form
 integrator sums in another order, so its state channels must match them
 within SIM_TOL (heading modulo 2*pi) and its commands exactly; a corrected
 replay asks the model once for all ticks, so its corrected curvatures match
-the one-query-per-tick loop within CMD_TOL.  The drift oracle scores one
-state at a time with the scalar geometry references in conftest.  The trainer
-oracle is a verbatim copy of the per-tensor backprop, AdamW step and
-training loop; the in-place flat-vector trainer must reproduce its weights
-and loss curves bit for bit.  The delay-scan oracle is a verbatim copy of
-the per-candidate loop (mask, gather, np.interp, np.mean); the blocked scan
-must reproduce its delays, objectives and +inf positions bit for bit.
+the one-query-per-tick loop within CMD_TOL.  That loop keeps a verbatim copy
+of the scalar speed guard rather than calling the production one.  The drift
+oracle scores one state at a time with the scalar geometry references in
+conftest.  The trainer oracle is a verbatim copy of the per-tensor backprop,
+AdamW step and training loop; the in-place flat-vector trainer must
+reproduce its weights and loss curves bit for bit.  The delay-scan oracle is
+a verbatim copy of the per-candidate loop (mask, gather, np.interp,
+np.mean); the blocked scan must reproduce its delays, objectives and +inf
+positions bit for bit.
 """
 
 import math
@@ -22,7 +24,7 @@ import pytest
 
 from ikdlab.evalkit import (DriftScenario, Rect, _gate_segment, drift_eval,
                             TURN_AV_FLOOR)
-from ikdlab.ikd import AV_LIMIT, c_from_av_v, correct
+from ikdlab.ikd import AV_LIMIT, EPS_V, correct
 from ikdlab import align as align_mod
 from ikdlab.align import (DEFAULT_DELAY_STEP, DELAY_MAX, DELAY_MIN, MIN_OVERLAP,
                           AlignedDataset, scan_delays)
@@ -81,6 +83,15 @@ def reference_run_scenario(script, p, duration, dt=DEFAULT_DT,
     return states, commands
 
 
+def reference_c_from_av_v(av: float, v: float, eps_v: float = EPS_V) -> float:
+    """Curvature av/v, guarded to 0 when |v| < eps_v."""
+    if not (math.isfinite(av) and math.isfinite(v)):
+        raise ValidationError("av and v must be finite")
+    if abs(v) < eps_v:
+        return 0.0
+    return av / v
+
+
 def reference_execute_replay(buf, p, model=None, rate=20.0, duration=1.0,
                              dt=DEFAULT_DT, stride=1, initial_state=None):
     n = int(math.floor(duration / dt + 1e-9))
@@ -96,7 +107,7 @@ def reference_execute_replay(buf, p, model=None, rate=20.0, duration=1.0,
             for _ in range(stride - 1):
                 next_command(buf)
             av = max(-AV_LIMIT, min(AV_LIMIT, av))  # actuator command range
-            c = c_from_av_v(av, v)
+            c = reference_c_from_av_v(av, v)
             if model is not None:
                 c = correct(model, v, c).c_corrected
             held = ControlCommand(v, c)

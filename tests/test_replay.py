@@ -120,7 +120,7 @@ def test_replay_with_identity_model_matches_no_model():
     ident = execute_replay(CommandBuffer(rows=list(rows)), p,
                            model=build_identity_model(), duration=2.0)
     assert plain.xy().tolist() == ident.xy().tolist()
-    assert plain.av_true().tolist() == ident.av_true().tolist()
+    assert plain.av.tolist() == ident.av.tolist()
 
 
 def test_replay_matches_equivalent_script():

@@ -7,8 +7,8 @@ import pytest
 from ikdlab.errors import ValidationError
 from ikdlab.evalkit import CAR_WIDTH
 from ikdlab.scenarios import (BOX_SIZE, DRIFT_APPROACH, DRIFT_EXIT, DRIFT_TURN,
-                              GATE_CONE, LOOSE_GAP, LOW_CURVATURE, SWEEP_CURVATURES,
-                              SWEEP_SPEEDS, TIGHT_GAP, drift_buffer,
+                              GATE_CONE, LOOSE_GAP, LOW_BOOST, LOW_CURVATURE,
+                              SWEEP_CURVATURES, SWEEP_SPEEDS, TIGHT_GAP, drift_buffer,
                               drift_duration, loose_scenario, tight_scenario,
                               training_sweep_script, sweep_duration)
 from ikdlab.simcore import AV_LIMIT
@@ -43,12 +43,12 @@ def test_sweep_curvature_walk_is_unimodal_per_speed():
 
 
 def test_sweep_dwell_boost_applies_to_low_curvature():
-    dwell, boost = 1.5, 3.0
-    script = training_sweep_script(dwell=dwell, low_boost=boost)
+    dwell = 1.5
+    script = training_sweep_script(dwell=dwell)
     segs = script.segments
     for i in range(len(segs) - 1):
         gap = segs[i + 1].t_start - segs[i].t_start
-        want = dwell * (boost if abs(segs[i].c) <= LOW_CURVATURE else 1.0)
+        want = dwell * (LOW_BOOST if abs(segs[i].c) <= LOW_CURVATURE else 1.0)
         assert gap == pytest.approx(want, abs=1e-12)
 
 
@@ -64,20 +64,16 @@ def test_sweep_duration_adds_the_last_dwell():
 def test_sweep_validation():
     with pytest.raises(ValidationError):
         training_sweep_script(dwell=0.0)
-    with pytest.raises(ValidationError):
-        training_sweep_script(low_boost=0.5)
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="dwell must be positive and finite"):
             training_sweep_script(dwell=value)
-        with pytest.raises(ValidationError, match="low_boost must be >= 1 and finite"):
-            training_sweep_script(low_boost=value)
     with pytest.raises(ValidationError):
         training_sweep_script(speeds=(10.0,), curvatures=(1.0,))
 
 
 def test_sweep_accepts_custom_grids():
     script = training_sweep_script(dwell=1.0, speeds=(2.0,),
-                                   curvatures=(0.5, 0.3), low_boost=1.0)
+                                   curvatures=(0.5, 0.3))
     assert [(s.v, s.c) for s in script.segments] == [
         (2.0, 0.3), (2.0, 0.5), (2.0, -0.5), (2.0, -0.3)]
     assert [s.t_start for s in script.segments] == [0.0, 1.0, 2.0, 3.0]

@@ -166,7 +166,7 @@ def test_step_rejects_bad_dt():
 def test_speed_is_clamped_to_cap():
     script = ControlScript.constant(10.0, 0.0)
     trace = run_scenario(script, SlipParams(), 5.0)
-    v = trace.v_true()
+    v = trace.v
     assert np.max(v) <= V_CAP + 1e-12
     assert v[-1] == pytest.approx(V_CAP)
 
@@ -234,7 +234,7 @@ def test_aggressive_script_peak_yaw_rate_attenuated():
         [(0.0, 4.2, 0.0), (2.0, 4.2, 0.95), (4.0, 0.5, 0.0)])
     trace = run_scenario(script, SlipParams(beta=0.02, lag_tau=0.1,
                                             noise_sigma=0.0), 6.0)
-    assert np.max(np.abs(trace.av_true())) < np.max(np.abs(trace.av_commanded()))
+    assert np.max(np.abs(trace.av)) < np.max(np.abs(trace.av_commanded()))
 
 
 def test_run_scenario_deterministic():
