@@ -20,7 +20,8 @@ from . import datalog, evalkit, ikd, mlp, replay as replay_mod, scenarios, svgpl
 from .errors import (IkdError, ParseError, ValidationError, finite_number,
                      json_fields, require_positive, seed_value)
 from .fileio import read_json, read_table, write_json, write_table
-from .simcore import SimTrace, SlipParams, emit_sensor_logs, run_scenario
+from .simcore import (DEFAULT_DT, SimTrace, SlipParams, emit_sensor_logs,
+                      run_scenario, sample_count)
 
 DEFAULT_OUT = "out"
 ENV_OUT = "IKD_OUT_DIR"
@@ -136,6 +137,9 @@ def cmd_collect(args) -> int:
     else:
         script = scenarios.training_sweep_script(dwell=args.dwell)
         duration = scenarios.sweep_duration(script, dwell=args.dwell)
+    if args.script is None or args.duration is None:
+        # the run length comes from --dwell, so a step count past the index names it
+        sample_count("dwell", duration / DEFAULT_DT)
     trace = run_scenario(script, cfg.slip, duration)
     joy, imu = emit_sensor_logs(trace, cfg.slip, joy_rate=cfg.joy_hz,
                                 imu_rate=cfg.imu_hz, pad=cfg.pad)

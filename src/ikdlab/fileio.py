@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ParseError
 
-ROW_BLOCK = 4096  # rows per tolist() while writing, to bound temporaries
+ROW_BLOCK = 4096  # rows formatted per block while writing, to bound temporaries
 
 
 def write_table(path: str, header: str | None, columns) -> None:
@@ -23,8 +23,19 @@ def write_table(path: str, header: str | None, columns) -> None:
         if header is not None:
             fh.write(header + "\n")
         for lo in range(0, len(columns[0]), ROW_BLOCK):
-            block = [c[lo:lo + ROW_BLOCK].tolist() for c in columns]
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*block))
+            cells = [_cells(c[lo:lo + ROW_BLOCK]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _cells(values: np.ndarray) -> list:
+    """``repr`` of each element.  A float64 column formats each distinct bit
+    pattern once (bits, so -0.0 stays apart from 0.0): logged commands are
+    piecewise constant and repeat a handful of values over thousands of rows."""
+    if values.dtype != np.float64:
+        return list(map(repr, values.tolist()))
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return text[inverse].tolist()
 
 
 def read_table(path: str, header: str | None) -> np.ndarray:
@@ -33,7 +44,31 @@ def read_table(path: str, header: str | None) -> np.ndarray:
     With ``header=None`` there is no header line and the first row sets the
     column count.  Blank lines are skipped.  A wrong header, column count or
     non-numeric field is a ParseError naming ``file:line``.
+
+    The body is parsed in one ``np.loadtxt`` pass, whose accepted inputs and
+    values are a subset of the line-by-line reader's.  Anything it refuses, a
+    column count other than the header's, and a body that starts blank (where
+    it would warn about empty input) go to that reader, which alone decides
+    what else is accepted and words every diagnostic.
     """
+    ncol = 0 if header is None else header.count(",") + 1
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            if header is None or fh.readline().rstrip("\n") == header:
+                first = fh.readline()
+                if first.strip():
+                    rows = np.loadtxt(itertools.chain((first,), fh), delimiter=",",
+                                      comments=None, dtype=float, ndmin=2)
+                    if rows.shape[1] == (ncol or rows.shape[1]):
+                        return rows
+        except ValueError:
+            pass
+    return _read_table_by_line(path, header)
+
+
+def _read_table_by_line(path: str, header: str | None) -> np.ndarray:
+    """read_table one line at a time: the definition of what it accepts, and
+    the only code that words its diagnostics."""
     values = array("d")
     ncol = 0 if header is None else header.count(",") + 1
     with open(path, "r", encoding="utf-8") as fh:

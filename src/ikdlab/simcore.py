@@ -435,6 +435,9 @@ def emit_sensor_logs(trace: SimTrace, p: SlipParams, joy_rate: float = 40.0,
 
     duration = trace.duration
     total = duration + 2.0 * pad
+    # the trace's own steps already fit an index, so a padded span that does
+    # not is the padding's doing
+    sample_count("pad", total / trace.dt)
     cmd_v = trace.cmd_v
     cmd_av = trace.av_commanded()
 

@@ -145,9 +145,17 @@ def test_error_paths_return_one(workdir, capsys):
     # without --duration the script's run length is t_end + dwell
     (["collect", "--script", "script.json", "--dwell", "nan"],
      "dwell must be positive and finite, got nan"),
+    # spans too long to count name the knob that made them so
+    (["collect", "--dwell", "1e15"],
+     "dwell gives 1.212e+20 samples, more than an index can count "
+     "(9223372036854775807)"),
+    (["collect", "--script", "script.json", "--duration", "6.0", "--config", "pad.json"],
+     "pad gives 4e+22 samples, more than an index can count (9223372036854775807)"),
 ])
 def test_bad_durations_exit_1_naming_the_argument(workdir, capsys, argv, match):
     write_mini_script("script.json")
+    with open("pad.json", "w", encoding="utf-8") as fh:
+        json.dump({"seed": 0, "pad": 1e20}, fh)
     with open("buffer.txt", "w", encoding="utf-8") as fh:
         fh.write("2.0,0.5\n2.0,-0.5\n")
     assert main([*argv, "--out", "run"]) == 1
@@ -174,8 +182,9 @@ def test_unallocatable_durations_exit_1_without_traceback(workdir, capsys, argv)
     assert main([*argv, "--out", "run"]) == 1
     err = capsys.readouterr().err
     allocatable = argv[-2:] == ["--duration", "1e15"]
+    name = "dwell" if "--dwell" in argv else "duration"
     assert err.startswith("error: out of memory: " if allocatable
-                          else "error: duration gives ") and err.count("\n") == 1
+                          else f"error: {name} gives ") and err.count("\n") == 1
 
 
 def test_delay_search_past_the_index_range_exits_1_naming_it(workdir, capsys):

@@ -13,10 +13,15 @@ AdamW step and training loop; the in-place flat-vector trainer must
 reproduce its weights and loss curves bit for bit.  The delay-scan oracle is
 a verbatim copy of the per-candidate loop (mask, gather, np.interp,
 np.mean); the blocked scan must reproduce its delays, objectives and +inf
-positions bit for bit.
+positions bit for bit.  The table oracles are verbatim copies of the writer
+that called repr once per cell and of the per-line reader: the deduplicating
+writer must reproduce its bytes, and on every mutated table the one-pass
+reader must return the same array bytes or raise the same ParseError.
 """
 
 import math
+import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,21 +30,23 @@ import pytest
 from ikdlab.evalkit import (DriftScenario, Rect, _gate_segment, drift_eval,
                             TURN_AV_FLOOR)
 from ikdlab.ikd import AV_LIMIT, EPS_V, correct
-from ikdlab import align as align_mod
+from ikdlab import align as align_mod, fileio
 from ikdlab.align import (DEFAULT_DELAY_STEP, DELAY_MAX, DELAY_MIN, MIN_OVERLAP,
-                          AlignedDataset, scan_delays)
-from ikdlab.datalog import ImuLog, JoyLog
+                          AlignedDataset, build_dataset, prune_zero_curvature,
+                          scan_delays)
+from ikdlab.datalog import ImuLog, JoyLog, trim_idle
+from ikdlab.fileio import ROW_BLOCK, read_table, write_table
 from ikdlab.mlp import (AdamState, LossCurve, MlpParams, TrainConfig, _FIELDS,
                         _SHAPES, _dataset_xy, _forward_batch, adamw_step,
                         forward, init_params, loss_and_grads, train)
-from ikdlab.replay import CommandBuffer, execute_replay, next_command
+from ikdlab.replay import CommandBuffer, execute_replay, load_buffer, next_command
 from ikdlab.scenarios import (loose_scenario, tight_scenario,
                                training_sweep_script)
 from ikdlab.simcore import (DEFAULT_DT, V_CAP, ControlCommand, ControlScript,
                             SimTrace, SlipParams, VehicleState,
-                            _require_finite, normalize_heading, run_scenario,
-                            slip_yaw_rate, step_dynamics)
-from ikdlab.errors import InsufficientOverlapError, ValidationError
+                            _require_finite, emit_sensor_logs, normalize_heading,
+                            run_scenario, slip_yaw_rate, step_dynamics)
+from ikdlab.errors import InsufficientOverlapError, ParseError, ValidationError
 
 from conftest import (build_gain_model, point_rect_signed_distance,
                       rect_rect_signed_distance, segments_intersect)
@@ -720,3 +727,241 @@ def test_blocked_scan_matches_per_candidate_loop_on_gate_and_wide_windows():
         imu = ImuLog(t=np.linspace(-1.0, t[-1] + 1.0, n), av_z=rng.uniform(-1.0, 1.0, n))
         objectives = assert_scan_matches_reference(joy, imu, (-0.05, 0.05), 0.01)
         assert np.isfinite(objectives).all()
+
+
+# --- table files: the repr-per-cell writer and per-line reader, kept verbatim --
+
+def reference_write_table(path: str, header: str | None, columns) -> None:
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for lo in range(0, len(columns[0]), ROW_BLOCK):
+            block = [c[lo:lo + ROW_BLOCK].tolist() for c in columns]
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*block))
+
+
+def reference_read_table(path: str, header: str | None) -> np.ndarray:
+    values = array("d")
+    ncol = 0 if header is None else header.count(",") + 1
+    with open(path, "r", encoding="utf-8") as fh:
+        if header is not None:
+            first = fh.readline().rstrip("\n")
+            if first != header:
+                raise ParseError(f"{path}:1: expected header {header!r}, got {first!r}")
+        for lineno, line in enumerate(fh, start=1 if header is None else 2):
+            if not line.strip():
+                continue
+            parts = line.split(",")
+            ncol = ncol or len(parts)
+            if len(parts) != ncol:
+                raise ParseError(f"{path}:{lineno}: expected {ncol} columns, "
+                                 f"got {len(parts)}")
+            try:
+                values.extend(map(float, parts))
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: non-numeric field in "
+                                 f"{line.rstrip()!r}") from None
+    return np.frombuffer(values, dtype=float).reshape(-1 if ncol else 0, ncol)
+
+
+def short_run_tables():
+    """(name, header, columns) of the joy, imu, dataset and buffer tables of a
+    short seeded sweep, as collect and align write them."""
+    p = SlipParams(seed=3)
+    script = training_sweep_script(dwell=0.25)
+    trace = run_scenario(script, p, 0.25 * 2 * len(script.segments))
+    joy, imu = emit_sensor_logs(trace, p, pad=0.5)
+    d = prune_zero_curvature(build_dataset(*trim_idle(joy, imu), 0.2))
+    return [("joy", "t,v,av", (joy.t, joy.v, joy.av)),
+            ("imu", "t,av_z", (imu.t, imu.av_z)),
+            ("dataset", "idx,v_joy,av_joy,av_imu", (d.idx, d.v_joy, d.av_joy, d.av_imu)),
+            ("buffer", None, load_buffer(joy).rows.T)]
+
+
+# Both sides of repr's switches to exponent notation (below 1e-4, from 1e16),
+# signed zeros, subnormals, the smallest subnormal and non-finite values.
+EDGE_FLOATS = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -3e-320,
+    1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0), -1e-4,
+    1e16, np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf), -1e16,
+    0.1, 1.0 / 3.0, 1.7976931348623157e308, np.inf, -np.inf, np.nan, -np.nan])
+
+
+def random_float_column(rng, n: int) -> np.ndarray:
+    kind = rng.integers(4)
+    if kind == 0:  # piecewise constant, as logged commands are
+        pool = rng.normal(0.0, 2.0, int(rng.integers(1, 12)))
+        return np.repeat(pool[rng.integers(len(pool), size=n)],
+                         rng.integers(1, 300, size=n))[:n]
+    if kind == 1:  # every magnitude
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-325.0, 308.0, n)
+    if kind == 2:
+        return EDGE_FLOATS[rng.integers(len(EDGE_FLOATS), size=n)]
+    return rng.normal(0.0, 1.0, n)
+
+
+def random_columns(rng, n: int):
+    cols = []
+    for _ in range(int(rng.integers(1, 5))):
+        if rng.random() < 0.2:
+            cols.append(rng.integers(-10**12, 10**12, n).astype(rng.choice(["i8", "i4"]))
+                        if rng.random() < 0.5 else np.arange(n))
+        else:
+            cols.append(random_float_column(rng, n))
+    if rng.random() < 0.3:  # strided views
+        if all(c.dtype == np.float64 for c in cols):
+            cols = np.column_stack(cols).T  # rows of a transposed array
+        else:
+            cols = [c[::-1] for c in cols]
+    return cols
+
+
+def assert_writes_match_reference(tmp_path, header, columns):
+    write_table(str(tmp_path / "new.csv"), header, columns)
+    reference_write_table(str(tmp_path / "ref.csv"), header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_table_writer_matches_repr_per_cell_loop_byte_for_byte_200_cases(tmp_path,
+                                                                          monkeypatch):
+    rng = np.random.default_rng(10)
+    for i in range(200):
+        # Small blocks put many block boundaries inside each run of repeats.
+        monkeypatch.setattr(fileio, "ROW_BLOCK", int(rng.choice([1, 7, 64, ROW_BLOCK])))
+        n = 0 if i == 0 else int(rng.integers(1, 3 * 64))
+        header = None if rng.random() < 0.3 else "h"
+        assert_writes_match_reference(tmp_path, header, random_columns(rng, n))
+
+
+def test_table_writer_matches_loop_across_row_blocks_and_on_pipeline_tables(tmp_path):
+    rng = np.random.default_rng(11)
+    n = 3 * ROW_BLOCK + 17
+    # Runs of one value, each longer than a block, and every edge value
+    # throughout: -0.0 next to 0.0 in one block.
+    runs = np.repeat(np.array([2.5, 0.0, -0.0, 2.5, 1e16]), [5000, 3000, 2000, 2000, n])[:n]
+    edges = EDGE_FLOATS[np.arange(n) % len(EDGE_FLOATS)]
+    assert_writes_match_reference(tmp_path, "i,run,edge,x",
+                                  (np.arange(n), runs, edges, rng.normal(size=n)))
+    assert_writes_match_reference(tmp_path, None, np.column_stack([runs, edges]).T)
+    for _, header, columns in short_run_tables():
+        assert_writes_match_reference(tmp_path, header, columns)
+
+
+FIELDS = ["", " ", "1_0", "١٢", "#", "nan", "-nan", "inf", "-Infinity", "1e500",
+          "-1e500", "1e-400", " 1.5 ", "\t2\t", "0x10", "1.5e", "+.5", "5.", "1,5",
+          " 1 ", "1\x00", "1\x0c", "١.٥"]
+CHARS = [",", "\n", " ", "\t", "#", "_", "e", "-", "+", ".", "x", "\r", "\x0c",
+         " ", "٣", " ", "0"]
+
+
+def mutate(rng, text: str) -> str:
+    """``text`` with one random edit."""
+    lines = text.split("\n")
+    op = int(rng.integers(9))
+    k = int(rng.integers(len(lines)))
+    if op == 0 and text:  # insert a character
+        i = int(rng.integers(len(text) + 1))
+        return text[:i] + str(rng.choice(CHARS)) + text[i:]
+    if op == 1 and text:  # delete a character
+        i = int(rng.integers(len(text)))
+        return text[:i] + text[i + 1:]
+    if op == 2:  # replace one field
+        parts = lines[k].split(",")
+        parts[int(rng.integers(len(parts)))] = str(rng.choice(FIELDS))
+        lines[k] = ",".join(parts)
+    elif op == 3:  # join two lines, or every pair of lines
+        if rng.random() < 0.5 and k + 1 < len(lines):
+            lines[k:k + 2] = [lines[k] + "," + lines[k + 1]]
+        else:
+            body = [ln for ln in lines[1:] if ln]
+            lines = lines[:1] + [",".join(body[j:j + 2]) for j in range(0, len(body), 2)]
+    elif op == 4:  # blank or whitespace-only line
+        lines.insert(k, str(rng.choice(["", " ", "\t", " \t ", "\x0c", " "])))
+    elif op == 5:  # trailing or leading comma
+        lines[k] = lines[k] + "," if rng.random() < 0.5 else "," + lines[k]
+    elif op == 6:
+        return text.replace("\n", "\r\n" if rng.random() < 0.5 else "\r")
+    elif op == 7:  # keep only the first few lines
+        lines = lines[:int(rng.integers(0, 3))]
+    else:  # a random repr of a wild value in place of a field
+        parts = lines[k].split(",")
+        parts[int(rng.integers(len(parts)))] = repr(float(random_float_column(rng, 1)[0]))
+        lines[k] = ",".join(parts)
+    return "\n".join(lines)
+
+
+def read_outcome(read, path, header):
+    try:
+        rows = read(path, header)
+    except ParseError as exc:
+        return "error", str(exc)
+    return "rows", (rows.dtype.str, rows.shape, rows.tobytes())
+
+
+def assert_reads_match_reference(path, text, header):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    outcome = read_outcome(read_table, path, header)
+    assert outcome == read_outcome(reference_read_table, path, header), text
+    return outcome[0]
+
+
+TABLE_TRAPS = [
+    ("6 fields under 3 columns", "t,v,av\n1,2,3,4,5,6\n7,8,9,10,11,12\n", "t,v,av"),
+    ("3 fields under 6 columns", "a,b,c,d,e,f\n1,2,3\n4,5,6\n", "a,b,c,d,e,f"),
+    ("empty field", "t,v,av\n1,,3\n", "t,v,av"),
+    ("trailing field", "t,v,av\n1,2,3,\n", "t,v,av"),
+    ("underscore", "t,v,av\n1_0,2,3\n", "t,v,av"),
+    ("arabic-indic digits", "t,v,av\n١,2,3\n", "t,v,av"),
+    ("hash", "t,v,av\n1,2,3\n#4,5,6\n", "t,v,av"),
+    ("hash only", "#\n", None),
+    ("crlf", "t,v,av\r\n1,2,3\r\n4,5,6\r\n", "t,v,av"),
+    ("lone cr", "t,v,av\r1,2,3\r4,5,6\r", "t,v,av"),
+    ("whitespace-only line", "t,v,av\n1,2,3\n \t \n4,5,6\n", "t,v,av"),
+    ("leading blank line", "t,v,av\n\n1,2,3\n", "t,v,av"),
+    ("overflow, nan, inf", "t,v,av\n1e500,nan,-inf\n-1e500,-nan,Infinity\n", "t,v,av"),
+    ("padded fields", "t,v,av\n 1 ,\t2\t, 3\n", "t,v,av"),
+    ("header only", "t,v,av\n", "t,v,av"),
+    ("header without newline", "t,v,av", "t,v,av"),
+    ("blank-only", "t,v,av\n\n\n", "t,v,av"),
+    ("blank-only, no header", "\n \n\n", None),
+    ("empty, no header", "", None),
+    ("no final newline", "1,2\n3,4", None),
+    ("wrong header", "t,v\n1,2\n", "t,v,av"),
+    ("one column", "x\n1\n2\n", "x"),
+]
+
+
+@pytest.mark.parametrize("text, header", [t[1:] for t in TABLE_TRAPS],
+                         ids=[t[0] for t in TABLE_TRAPS])
+def test_table_reader_traps_match_per_line_loop(tmp_path, text, header):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_reads_match_reference(str(tmp_path / "t.csv"), text, header)
+
+
+def test_table_reader_matches_per_line_loop_on_mutated_tables_400_cases(tmp_path,
+                                                                       monkeypatch):
+    by_line = []
+    read_by_line = fileio._read_table_by_line
+    monkeypatch.setattr(fileio, "_read_table_by_line",
+                        lambda *args: by_line.append(1) or read_by_line(*args))
+    rng = np.random.default_rng(12)
+    tables = []
+    for name, header, columns in short_run_tables():
+        path = str(tmp_path / f"{name}.csv")
+        write_table(path, header, columns)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        # a short table: the header (if any) and 12 rows from the middle
+        lo = len(lines) // 2
+        tables.append((header, "\n".join(lines[:1 if header else 0] + lines[lo:lo + 12]) + "\n"))
+    seen = {"rows": 0, "error": 0}
+    for i in range(400):
+        header, text = tables[i % len(tables)]
+        for _ in range(int(rng.integers(1, 4))):
+            text = mutate(rng, text)
+        seen[assert_reads_match_reference(str(tmp_path / "m.csv"), text, header)] += 1
+    # both outcomes occur, and the one-pass parse answered some accepted files
+    assert min(seen.values()) >= 50 and len(by_line) <= 400 - 50, (seen, len(by_line))
