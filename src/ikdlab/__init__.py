@@ -7,7 +7,7 @@ drift replays).
 """
 
 from .align import (AlignedDataset, DelayEstimate, build_dataset,
-                    delay_from_scan, estimate_delay, histogram, merge_datasets,
+                    delay_from_scan, estimate_delay, histogram,
                     prune_zero_curvature, scan_delays)
 from .datalog import (ImuLog, JoyLog, read_imu_csv, read_joy_csv, trim_idle,
                       write_imu_csv, write_joy_csv)
@@ -22,9 +22,8 @@ from .mlp import (AdamState, LossCurve, MlpParams, TrainConfig, adamw_step,
                   save_model, train)
 from .replay import (CommandBuffer, execute_replay, load_buffer, next_command,
                      read_buffer_txt, write_buffer_txt)
-from .simcore import (AV_LIMIT, EPS_V, V_CAP, ControlCommand, ControlScript,
-                      ScriptSegment, SimTrace, SlipParams, VehicleState,
-                      emit_sensor_logs, normalize_heading, run_scenario,
-                      step_dynamics)
+from .simcore import (AV_LIMIT, EPS_V, V_CAP, ControlScript, ScriptSegment,
+                      SimTrace, SlipParams, VehicleState, emit_sensor_logs,
+                      normalize_heading, run_scenario)
 
 __version__ = "0.1.0"

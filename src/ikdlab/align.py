@@ -2,8 +2,8 @@
 
 Turns a (joystick, IMU) log pair into supervised training rows: estimate the
 IMU transport delay by grid search, resample every channel onto an even
-grid over the shifted overlap, merge recordings, prune straight-line rows,
-and bin channel statistics.
+grid over the shifted overlap, prune straight-line rows, and bin channel
+statistics.
 """
 
 from __future__ import annotations
@@ -207,24 +207,6 @@ def build_dataset(joy: JoyLog, imu: ImuLog, delay: float,
         av_joy=np.interp(grid, joy.t, joy.av),
         av_imu=np.interp(grid + delay, imu.t, imu.av_z),
         period=1.0 / rate,
-    )
-
-
-def merge_datasets(parts: list[AlignedDataset]) -> AlignedDataset:
-    """Concatenate datasets in argument order; indices are renumbered from 0."""
-    if not parts:
-        return AlignedDataset(v_joy=np.empty(0), av_joy=np.empty(0),
-                              av_imu=np.empty(0), period=0.0)
-    period = parts[0].period
-    for p in parts[1:]:
-        if p.period != period:
-            raise ValidationError(
-                f"cannot merge datasets with periods {period} and {p.period}")
-    return AlignedDataset(
-        v_joy=np.concatenate([p.v_joy for p in parts]),
-        av_joy=np.concatenate([p.av_joy for p in parts]),
-        av_imu=np.concatenate([p.av_imu for p in parts]),
-        period=period,
     )
 
 

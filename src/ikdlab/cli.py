@@ -20,8 +20,8 @@ from . import datalog, evalkit, ikd, mlp, replay as replay_mod, scenarios, svgpl
 from .errors import (IkdError, ParseError, ValidationError, finite_number,
                      json_fields, require_positive, seed_value)
 from .fileio import read_json, read_table, write_json, write_table
-from .simcore import (DEFAULT_DT, SimTrace, SlipParams, emit_sensor_logs,
-                      run_scenario, sample_count)
+from .simcore import (DEFAULT_DT, ControlScript, SimTrace, SlipParams,
+                      emit_sensor_logs, run_scenario, sample_count)
 
 DEFAULT_OUT = "out"
 ENV_OUT = "IKD_OUT_DIR"
@@ -111,12 +111,6 @@ def _load_config(args) -> PipelineConfig:
     return cfg
 
 
-def _load_scenario(cfg: PipelineConfig) -> evalkit.DriftScenario:
-    if cfg.scenario_file:
-        return evalkit.DriftScenario.from_json(cfg.scenario_file)
-    return scenarios.loose_scenario()
-
-
 def write_trace_csv(trace: SimTrace, path: str) -> None:
     """Ground-truth trace rows: t,x,y,heading,v,av."""
     write_table(path, "t,x,y,heading,v,av",
@@ -127,7 +121,6 @@ def cmd_collect(args) -> int:
     cfg = _load_config(args)
     out = _resolve_out(args, cfg)
     if args.script:
-        from .simcore import ControlScript
         script = ControlScript.from_json(args.script)
         if args.duration is None:
             require_positive(dwell=args.dwell)

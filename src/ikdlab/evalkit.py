@@ -9,7 +9,7 @@ radius along the run.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 

@@ -71,24 +71,28 @@ def _read_table_by_line(path: str, header: str | None) -> np.ndarray:
     the only code that words its diagnostics."""
     values = array("d")
     ncol = 0 if header is None else header.count(",") + 1
-    with open(path, "r", encoding="utf-8") as fh:
-        if header is not None:
-            first = fh.readline().rstrip("\n")
-            if first != header:
-                raise ParseError(f"{path}:1: expected header {header!r}, got {first!r}")
-        for lineno, line in enumerate(fh, start=1 if header is None else 2):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            ncol = ncol or len(parts)
-            if len(parts) != ncol:
-                raise ParseError(f"{path}:{lineno}: expected {ncol} columns, "
-                                 f"got {len(parts)}")
-            try:
-                values.extend(map(float, parts))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric field in "
-                                 f"{line.rstrip()!r}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            if header is not None:
+                first = fh.readline().rstrip("\n")
+                if first != header:
+                    raise ParseError(f"{path}:1: expected header {header!r}, "
+                                     f"got {first!r}")
+            for lineno, line in enumerate(fh, start=1 if header is None else 2):
+                if not line.strip():
+                    continue
+                parts = line.split(",")
+                ncol = ncol or len(parts)
+                if len(parts) != ncol:
+                    raise ParseError(f"{path}:{lineno}: expected {ncol} columns, "
+                                     f"got {len(parts)}")
+                try:
+                    values.extend(map(float, parts))
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: non-numeric field in "
+                                     f"{line.rstrip()!r}") from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     return np.frombuffer(values, dtype=float).reshape(-1 if ncol else 0, ncol)
 
 
@@ -111,9 +115,26 @@ def write_json(path: str, payload) -> None:
 
 
 def read_json(path: str):
-    """Parse the JSON file at ``path``; a syntax error is a ParseError naming it."""
+    """Parse the JSON file at ``path``; a syntax or encoding error is a
+    ParseError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from None
+
+
+def _not_utf8(path: str) -> ParseError:
+    """A ParseError naming ``file:line`` of the file's first byte that is not
+    UTF-8.  Text reads decode in chunks, so their error cannot place it."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return ParseError(f"{path}:{line}: not valid UTF-8 "
+                          f"(byte 0x{raw[exc.start]:02x})")
+    return ParseError(f"{path}: not valid UTF-8")

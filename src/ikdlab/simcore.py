@@ -9,7 +9,7 @@ first-order lag, and the emulated IMU stream is transport-delayed and noisy.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -133,38 +133,18 @@ class SlipParams:
         write_json(path, asdict(self))
 
 
-@dataclass(frozen=True)
-class ControlCommand:
-    """Commanded (linear velocity, curvature) pair fed to the drive loop."""
-
-    v: float
-    c: float
-
-    def __post_init__(self):
-        _require_finite("ControlCommand", self.v, self.c)
-        if abs(self.v * self.c) > AV_LIMIT + 1e-9:
-            raise ValidationError(
-                f"commanded angular velocity v*c={self.v * self.c:.4f} outside "
-                f"[-{AV_LIMIT}, {AV_LIMIT}]")
-
-    @property
-    def av(self) -> float:
-        """Commanded angular velocity v*c."""
-        return self.v * self.c
-
-
 def _check_commands(v: np.ndarray, c: np.ndarray) -> None:
-    """ControlCommand's checks over arrays of commands in one vectorised test.
-
-    The first failing row is rebuilt as a ControlCommand, which raises
-    its message.
-    """
+    """Check arrays of (v, c) commands in one vectorised test: each value
+    finite and |v*c| within AV_LIMIT.  The first failing row words the error."""
     ok = np.isfinite(v) & np.isfinite(c)
     with np.errstate(over="ignore"):   # an overflowing v*c fails the bound
         ok[ok] = np.abs(v[ok] * c[ok]) <= AV_LIMIT + 1e-9
     if not np.all(ok):
         k = int(np.argmin(ok))
-        ControlCommand(float(v[k]), float(c[k]))
+        v_k, c_k = float(v[k]), float(c[k])
+        _require_finite("ControlCommand", v_k, c_k)
+        raise ValidationError(f"commanded angular velocity v*c={v_k * c_k:.4f} "
+                              f"outside [-{AV_LIMIT}, {AV_LIMIT}]")
 
 
 @dataclass(frozen=True)
@@ -217,18 +197,6 @@ class ControlScript:
     def to_json(self, path: str) -> None:
         write_json(path, asdict(self))
 
-    def command_at(self, t: float) -> ControlCommand:
-        """Command in force at time t (last segment with t_start <= t)."""
-        if t < self.segments[0].t_start - 1e-12:
-            raise ValidationError(f"script undefined at t={t}")
-        seg = self.segments[0]
-        for cand in self.segments:
-            if cand.t_start <= t + 1e-12:
-                seg = cand
-            else:
-                break
-        return ControlCommand(seg.v, seg.c)
-
     @property
     def t_end(self) -> float:
         return self.segments[-1].t_start
@@ -275,15 +243,13 @@ class SimTrace:
 
     @property
     def states(self) -> tuple[VehicleState, ...]:
-        """The state channels as VehicleState objects, built on each access."""
+        """The state channels as VehicleState objects, built on each access.
+
+        Only the benchmark's drift_eval counter reads this; it goes once that
+        counter counts ``len(trace) + 1`` instead.
+        """
         return tuple(VehicleState(*row) for row in
                      zip(*(getattr(self, name).tolist() for name in _STATE_CHANNELS)))
-
-    @property
-    def commands(self) -> tuple[ControlCommand, ...]:
-        """The command channels as ControlCommand objects, built on each access."""
-        return tuple(ControlCommand(v, c) for v, c in
-                     zip(self.cmd_v.tolist(), self.cmd_c.tolist()))
 
     @property
     def duration(self) -> float:
@@ -320,7 +286,7 @@ def _integrate(state: VehicleState | None, cmd_v: np.ndarray, cmd_c: np.ndarray,
     """Explicit-Euler integration from ``state`` (at rest when None), in closed form.
 
     Step i holds the command ``(cmd_v[i], cmd_c[i])``; callers pass
-    commands that passed ControlCommand's checks.  The commanded linear
+    commands that passed _check_commands.  The commanded linear
     velocity and angular velocity (v*c) both pass through the same
     first-order lag; the lagged yaw rate is then attenuated by the slip law
     before integrating the unicycle pose.  With all-zero SlipParams the
@@ -379,16 +345,6 @@ def _integrate(state: VehicleState | None, cmd_v: np.ndarray, cmd_c: np.ndarray,
         np.add.accumulate(x[b0:b1 + 1], out=x[b0:b1 + 1])
         np.add.accumulate(y[b0:b1 + 1], out=y[b0:b1 + 1])
     return SimTrace(dt, *out, cmd_v=cmd_v, cmd_c=cmd_c)
-
-
-def step_dynamics(state: VehicleState, cmd: ControlCommand, p: SlipParams,
-                  dt: float) -> VehicleState:
-    """Advance the vehicle one explicit-Euler step under a held command."""
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
-    _require_finite("step_dynamics command", cmd.v, cmd.c)
-    return _integrate(state, np.array([cmd.v], dtype=float),
-                      np.array([cmd.c], dtype=float), p, dt).states[-1]
 
 
 def run_scenario(script: ControlScript, p: SlipParams, duration: float,

@@ -7,8 +7,6 @@ produce byte-identical files.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ValidationError

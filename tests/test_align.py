@@ -1,12 +1,11 @@
-"""Delay estimation, resampling, merging, pruning, and histogram analytics."""
+"""Delay estimation, resampling, pruning, and histogram analytics."""
 
 import numpy as np
 import pytest
 
 from ikdlab.align import (DEFAULT_OBJECTIVE_CEILING, AlignedDataset,
                           build_dataset, estimate_delay, histogram,
-                          merge_datasets, prune_zero_curvature,
-                          read_dataset_csv, scan_delays,
+                          prune_zero_curvature, read_dataset_csv, scan_delays,
                           write_dataset_csv, write_histogram_csv)
 from ikdlab.datalog import ImuLog, JoyLog, trim_idle
 from ikdlab.errors import (InsufficientOverlapError, ParseError,
@@ -188,33 +187,6 @@ def test_only_commands_are_held_to_the_actuator_limit():
         AlignedDataset(v_joy=[4.0], av_joy=[4.1], av_imu=[4.0], period=0.025)
     with pytest.raises(ValidationError, match="non-finite"):
         AlignedDataset(v_joy=[4.0], av_joy=[4.0], av_imu=[np.inf], period=0.025)
-
-
-# --- merge -------------------------------------------------------------------
-
-def test_merge_empty_list_gives_empty_dataset():
-    merged = merge_datasets([])
-    assert len(merged) == 0
-
-
-def test_merge_single_and_pair():
-    a = AlignedDataset(v_joy=[1.0, 2.0], av_joy=[0.1, 0.2],
-                       av_imu=[0.1, 0.2], period=0.025)
-    b = AlignedDataset(v_joy=[3.0], av_joy=[0.3], av_imu=[0.3], period=0.025)
-    one = merge_datasets([a])
-    assert np.array_equal(one.v_joy, a.v_joy)
-    assert one.idx.tolist() == [0, 1]
-    both = merge_datasets([a, b])
-    assert len(both) == len(a) + len(b)
-    assert both.v_joy.tolist() == [1.0, 2.0, 3.0]
-    assert both.idx.tolist() == [0, 1, 2]
-
-
-def test_merge_rejects_mixed_periods():
-    a = AlignedDataset(v_joy=[1.0], av_joy=[0.1], av_imu=[0.1], period=0.025)
-    b = AlignedDataset(v_joy=[1.0], av_joy=[0.1], av_imu=[0.1], period=0.05)
-    with pytest.raises(ValidationError):
-        merge_datasets([a, b])
 
 
 # --- curvature pruning -------------------------------------------------------

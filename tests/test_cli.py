@@ -299,6 +299,38 @@ def test_bad_script_names_file_segment_and_field(workdir, capsys, segments, matc
     assert "error: script.json: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c, err", [
+    (2.2, "commanded angular velocity v*c=4.4000 outside [-4.0, 4.0]"),
+    # a non-finite value in a script file stops at the reader, before the
+    # command check
+    (float("nan"), "script.json: segment 1: c must be a finite number, got nan"),
+])
+def test_script_command_past_the_checks_exits_1(workdir, capsys, c, err):
+    with open("script.json", "w", encoding="utf-8") as fh:
+        json.dump({"segments": [{"t_start": 0.0, "v": 1.0, "c": 0.1},
+                                {"t_start": 0.5, "v": 2.0, "c": c}]}, fh)
+    assert main(["collect", "--out", "run", "--script", "script.json",
+                 "--duration", "1.0"]) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("argv, name, raw, line", [
+    (["align", "--joy", "bad.csv", "--imu", "bad.csv"], "bad.csv",
+     b"t,v,av\n0,1,2\n\xff,1,2\n", 3),
+    (["collect", "--config", "bad.json"], "bad.json",
+     b'{"seed": 0,\n "out_dir": "\xff"}\n', 2),
+    (["correct", "--model", "bad.json", "--v", "2.0", "--c", "0.5"], "bad.json",
+     b'{"W1": "\xff"}\n', 1),
+])
+def test_non_utf8_input_exits_1_naming_file_and_line(workdir, capsys, argv, name,
+                                                     raw, line):
+    with open(name, "wb") as fh:
+        fh.write(raw)
+    assert main([*argv, "--out", "run"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {name}:{line}: not valid UTF-8 (byte 0xff)\n"
+
+
 def test_bad_slip_file_names_file_and_field(workdir, capsys):
     with open("slip.json", "w", encoding="utf-8") as fh:
         json.dump({"beta": "x"}, fh)

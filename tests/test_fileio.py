@@ -1,6 +1,8 @@
 """The shared table and JSON formats: exact bytes of every writer, and the
 diagnostics of the one table reader."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from ikdlab.cli import write_trace_csv
 from ikdlab.datalog import ImuLog, JoyLog, write_imu_csv, write_joy_csv
 from ikdlab.errors import ParseError
 from ikdlab.evalkit import CircleReport, emit_report, write_comparison_csv
-from ikdlab.fileio import (ROW_BLOCK, read_table, row_line, write_json,
-                           write_table)
+from ikdlab.fileio import (ROW_BLOCK, read_json, read_table, row_line,
+                           write_json, write_table)
 from ikdlab.mlp import LossCurve, write_loss_csv
 from ikdlab.replay import CommandBuffer, write_buffer_txt
 from ikdlab.simcore import SimTrace
@@ -98,6 +100,28 @@ def test_read_table_rows_and_diagnostics(tmp_path, text, header, expected):
         assert rows.dtype == np.float64
         assert rows.shape == np.shape(expected)
         assert np.array_equal(rows, expected)
+
+
+@pytest.mark.parametrize("raw, header, line, byte", [
+    (b"t,v,av\n0,1,2\n\xff,1,2\n", "t,v,av", 3, 0xff),
+    (b"t,\xe9v,av\n0,1,2\n", "t,v,av", 1, 0xe9),
+    # past the text decoder's first chunk; a multi-byte lead cut short
+    (b"t,v,av\n" + b"0,1,2\n" * 5000 + b"1,2,\xc3\n", "t,v,av", 5002, 0xc3),
+    (b"1,2\n\n3,\x80\n", None, 3, 0x80),
+])
+def test_read_table_names_line_of_first_non_utf8_byte(tmp_path, raw, header, line, byte):
+    path = tmp_path / "t.csv"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError) as exc:
+        read_table(str(path), header)
+    assert str(exc.value) == f"{path}:{line}: not valid UTF-8 (byte 0x{byte:02x})"
+
+
+def test_read_json_names_line_of_first_non_utf8_byte(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{\n  "a": "\xff"\n}\n')
+    with pytest.raises(ParseError, match=re.escape(f"{path}:2: not valid UTF-8 (byte 0xff)")):
+        read_json(str(path))
 
 
 @pytest.mark.parametrize("text, header, lines", [

@@ -1,28 +1,32 @@
 """Array paths against the per-object loops they replaced, 100+ seeded cases each.
 
 The simulator oracles are verbatim copies of the per-step loops that
-built one VehicleState and one ControlCommand per step.  The closed-form
-integrator sums in another order, so its state channels must match them
-within SIM_TOL (heading modulo 2*pi) and its commands exactly; a corrected
-replay asks the model once for all ticks, so its corrected curvatures match
-the one-query-per-tick loop within CMD_TOL.  That loop keeps a verbatim copy
-of the scalar speed guard rather than calling the production one.  The drift
-oracle scores one state at a time with the scalar geometry references in
-conftest.  The trainer oracle is a verbatim copy of the per-tensor backprop,
-AdamW step and training loop; the in-place flat-vector trainer must
-reproduce its weights and loss curves bit for bit.  The delay-scan oracle is
-a verbatim copy of the per-candidate loop (mask, gather, np.interp,
-np.mean); the blocked scan must reproduce its delays, objectives and +inf
-positions bit for bit.  The table oracles are verbatim copies of the writer
-that called repr once per cell and of the per-line reader: the deduplicating
-writer must reproduce its bytes, and on every mutated table the one-pass
-reader must return the same array bytes or raise the same ParseError.
+built one VehicleState per step; they look up each step's script segment
+with a verbatim copy of the per-step search and hold each command as a plain
+test-side tuple.  The closed-form integrator sums in another order, so its
+state channels must match them within SIM_TOL (heading modulo 2*pi) and its
+commands exactly; a one-step run must match one reference step.  A
+corrected replay asks the model once for all ticks, so its corrected
+curvatures match the one-query-per-tick loop within CMD_TOL.  That loop
+keeps a verbatim copy of the scalar speed guard rather than calling the
+production one.  The drift oracle scores one state at a time, read from the
+trace's channel arrays, with the scalar geometry references in conftest.
+The trainer oracle is a verbatim copy of the per-tensor backprop, AdamW step
+and training loop; the in-place flat-vector trainer must reproduce its
+weights and loss curves bit for bit.  The delay-scan oracle is a verbatim
+copy of the per-candidate loop (mask, gather, np.interp, np.mean); the
+blocked scan must reproduce its delays, objectives and +inf positions bit
+for bit.  The table oracles are verbatim copies of the writer that called
+repr once per cell and of the per-line reader: the deduplicating writer must
+reproduce its bytes, and on every mutated table the one-pass reader must
+return the same array bytes or raise the same ParseError.
 """
 
 import math
 import warnings
 from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -42,10 +46,10 @@ from ikdlab.mlp import (AdamState, LossCurve, MlpParams, TrainConfig, _FIELDS,
 from ikdlab.replay import CommandBuffer, execute_replay, load_buffer, next_command
 from ikdlab.scenarios import (loose_scenario, tight_scenario,
                                training_sweep_script)
-from ikdlab.simcore import (DEFAULT_DT, V_CAP, ControlCommand, ControlScript,
-                            SimTrace, SlipParams, VehicleState,
-                            _require_finite, emit_sensor_logs, normalize_heading,
-                            run_scenario, slip_yaw_rate, step_dynamics)
+from ikdlab.simcore import (DEFAULT_DT, V_CAP, ControlScript, SimTrace,
+                            SlipParams, VehicleState, _require_finite,
+                            emit_sensor_logs, normalize_heading, run_scenario,
+                            slip_yaw_rate)
 from ikdlab.errors import InsufficientOverlapError, ParseError, ValidationError
 
 from conftest import (build_gain_model, point_rect_signed_distance,
@@ -58,7 +62,32 @@ CMD_TOL = 1e-12  # batched vs one-row correction, corrected curvature
 
 # --- reference loops (the per-object implementation, kept verbatim) ---------
 
-def reference_step_dynamics(state: VehicleState, cmd: ControlCommand,
+class Command(NamedTuple):
+    """A commanded (linear velocity, curvature) pair, held for one step."""
+
+    v: float
+    c: float
+
+    @property
+    def av(self) -> float:
+        """Commanded angular velocity v*c."""
+        return self.v * self.c
+
+
+def reference_command_at(script: ControlScript, t: float) -> Command:
+    """Command in force at time t (last segment with t_start <= t)."""
+    if t < script.segments[0].t_start - 1e-12:
+        raise ValidationError(f"script undefined at t={t}")
+    seg = script.segments[0]
+    for cand in script.segments:
+        if cand.t_start <= t + 1e-12:
+            seg = cand
+        else:
+            break
+    return Command(seg.v, seg.c)
+
+
+def reference_step_dynamics(state: VehicleState, cmd: Command,
                             p: SlipParams, dt: float) -> VehicleState:
     if dt <= 0:
         raise ValidationError("dt must be positive")
@@ -83,7 +112,7 @@ def reference_run_scenario(script, p, duration, dt=DEFAULT_DT,
     states = [state]
     commands = []
     for i in range(n):
-        cmd = script.command_at(i * dt)
+        cmd = reference_command_at(script, i * dt)
         state = reference_step_dynamics(state, cmd, p, dt)
         states.append(state)
         commands.append(cmd)
@@ -117,7 +146,7 @@ def reference_execute_replay(buf, p, model=None, rate=20.0, duration=1.0,
             c = reference_c_from_av_v(av, v)
             if model is not None:
                 c = correct(model, v, c).c_corrected
-            held = ControlCommand(v, c)
+            held = Command(v, c)
             last_tick = tick
         state = reference_step_dynamics(state, held, p, dt)
         states.append(state)
@@ -127,9 +156,10 @@ def reference_execute_replay(buf, p, model=None, rate=20.0, duration=1.0,
 
 def reference_drift_eval(trace: SimTrace, scenario: DriftScenario):
     min_clearance = math.inf
-    for state in trace.states:
-        car = Rect(cx=state.x, cy=state.y, w=scenario.car_length,
-                   h=scenario.car_width, angle=state.heading)
+    for x, y, heading in zip(trace.x.tolist(), trace.y.tolist(),
+                             trace.heading.tolist()):
+        car = Rect(cx=x, cy=y, w=scenario.car_length,
+                   h=scenario.car_width, angle=heading)
         for box in scenario.boxes:
             min_clearance = min(min_clearance, rect_rect_signed_distance(car, box))
         for cone in scenario.cones:
@@ -137,9 +167,9 @@ def reference_drift_eval(trace: SimTrace, scenario: DriftScenario):
     collided = bool(min_clearance < 0.0)
 
     min_turn_radius = math.inf
-    for state in trace.states:
-        if abs(state.av) > TURN_AV_FLOOR:
-            min_turn_radius = min(min_turn_radius, abs(state.v) / abs(state.av))
+    for v, av in zip(trace.v.tolist(), trace.av.tolist()):
+        if abs(av) > TURN_AV_FLOOR:
+            min_turn_radius = min(min_turn_radius, abs(v) / abs(av))
 
     gate = _gate_segment(scenario)
     crossed = False
@@ -155,12 +185,12 @@ def reference_drift_eval(trace: SimTrace, scenario: DriftScenario):
 
 # --- helpers -----------------------------------------------------------------
 
-def assert_close_channels(actual, states):
-    """Each state channel of ``actual`` (a trace, or one state) within SIM_TOL
-    of the reference states, heading modulo 2*pi."""
+def assert_close_channels(trace: SimTrace, states):
+    """Each state channel of ``trace`` within SIM_TOL of the reference
+    states, heading modulo 2*pi."""
     for name in CHANNELS:
         ref = np.array([getattr(s, name) for s in states], dtype=float)
-        got = np.atleast_1d(np.asarray(getattr(actual, name), dtype=float))
+        got = getattr(trace, name)
         assert got.shape == ref.shape, name
         diff = got - ref
         if name == "heading":
@@ -175,7 +205,6 @@ def assert_matches_loop(trace: SimTrace, states, commands):
                                              dtype=float).tobytes()
     assert trace.cmd_c.tobytes() == np.array([c.c for c in commands],
                                              dtype=float).tobytes()
-    assert trace.commands == tuple(commands)
 
 
 def random_plant(rng) -> SlipParams:
@@ -308,16 +337,17 @@ def test_segments_starting_above_v_cap_match_per_step_loop():
             assert np.max(np.abs(trace.v[1:])) == V_CAP
 
 
-def test_step_dynamics_matches_reference_step_100_cases():
+def test_one_step_run_matches_reference_step_100_cases():
     rng = np.random.default_rng(9)
     for _ in range(100):
         p, dt, state = random_plant(rng), random_dt(rng), random_state(rng)
         v = float(rng.uniform(-6.0, 6.0))
         c = float(rng.uniform(-1.0, 1.0) * min(1.0, AV_LIMIT / abs(v)))
-        cmd = ControlCommand(v, c)
-        out = step_dynamics(state, cmd, p, dt)
-        assert isinstance(out, VehicleState)
-        assert_close_channels(out, [reference_step_dynamics(state, cmd, p, dt)])
+        trace = run_scenario(ControlScript.constant(v, c), p, dt, dt=dt,
+                             initial_state=state)
+        assert len(trace) == 1
+        assert_close_channels(
+            trace, [state, reference_step_dynamics(state, Command(v, c), p, dt)])
 
 
 def test_bad_commands_still_raise_validation_error():

@@ -105,7 +105,7 @@ def test_replay_consumes_rate_commands_per_second():
 def test_replay_holds_command_between_ticks():
     buf = CommandBuffer(rows=[(2.0, 0.5), (2.0, -0.5)])
     trace = execute_replay(buf, SlipParams.ideal(), duration=0.1)
-    cs = [cmd.c for cmd in trace.commands]
+    cs = trace.cmd_c.tolist()
     # 20 Hz ticks, 0.005 s steps: 10 holds of the first command then wrap
     assert cs[:10] == [0.25] * 10
     assert cs[10:] == [-0.25] * 10
@@ -136,7 +136,7 @@ def test_replay_matches_equivalent_script():
 def test_replay_stride_decimates_buffer():
     buf = CommandBuffer(rows=[(1.0, float(i) / 100.0) for i in range(100)])
     trace = execute_replay(buf, SlipParams.ideal(), duration=0.5, stride=3)
-    avs = sorted({cmd.c for cmd in trace.commands})
+    avs = sorted(set(trace.cmd_c.tolist()))
     # ticks consume rows 0,3,6,...,27 (curvature av/v with v=1)
     assert avs == [float(i) / 100.0 for i in range(0, 30, 3)]
     assert buf.cursor == 30
@@ -145,13 +145,13 @@ def test_replay_stride_decimates_buffer():
 def test_replay_clamps_buffer_yaw_rates():
     buf = CommandBuffer(rows=[(1.0, 9.0)])
     trace = execute_replay(buf, SlipParams.ideal(), duration=0.2)
-    assert all(cmd.c == 4.0 for cmd in trace.commands)
+    assert np.all(trace.cmd_c == 4.0)
 
 
 def test_replay_low_speed_rows_go_straight():
     buf = CommandBuffer(rows=[(0.0, 2.0)])
     trace = execute_replay(buf, SlipParams.ideal(), duration=0.2)
-    assert all(cmd.c == 0.0 for cmd in trace.commands)
+    assert np.all(trace.cmd_c == 0.0)
     assert np.allclose(trace.xy(), 0.0)
 
 
@@ -177,6 +177,6 @@ def test_replay_rejects_non_finite_arguments(arg, value):
 
 def test_replay_trace_shape():
     trace = execute_replay(small_buffer(), SlipParams.ideal(), duration=1.0)
-    assert len(trace.states) == 201
-    assert len(trace.commands) == 200
+    assert trace.x.size == 201
+    assert len(trace) == trace.cmd_c.size == 200
     assert trace.duration == pytest.approx(1.0)

@@ -7,10 +7,10 @@ import pytest
 
 from ikdlab.datalog import JoyLog
 from ikdlab.errors import ParseError, ValidationError
-from ikdlab.simcore import (AV_LIMIT, DEFAULT_DT, V_CAP, ControlCommand,
-                            ControlScript, ScriptSegment, SimTrace, SlipParams,
-                            VehicleState, emit_sensor_logs, normalize_heading,
-                            run_scenario, slip_yaw_rate, step_dynamics)
+from ikdlab.simcore import (AV_LIMIT, DEFAULT_DT, V_CAP, ControlScript,
+                            ScriptSegment, SimTrace, SlipParams, VehicleState,
+                            emit_sensor_logs, normalize_heading, run_scenario,
+                            slip_yaw_rate)
 
 from conftest import kasa_radius
 
@@ -99,22 +99,37 @@ def test_control_script_json_names_file_segment_and_field(tmp_path, text, error,
 
 
 def test_control_command_rejects_excess_angular_velocity():
-    ControlCommand(4.0, 1.0)  # v*c = 4.0 is on the limit
+    run_scenario(ControlScript.constant(4.0, 1.0), SlipParams(), 0.1)  # on the limit
     with pytest.raises(ValidationError):
-        ControlCommand(4.0, 1.1)
-    assert ControlCommand(2.0, 0.7).av == pytest.approx(1.4)
+        run_scenario(ControlScript.constant(4.0, 1.1), SlipParams(), 0.1)
+    trace = run_scenario(ControlScript.constant(2.0, 0.7), SlipParams(), 0.1)
+    assert np.all(trace.av_commanded() == pytest.approx(1.4))
+
+
+@pytest.mark.parametrize("v, c, message", [
+    (float("nan"), 0.5, "ControlCommand contains non-finite value nan"),
+    (2.0, float("-inf"), "ControlCommand contains non-finite value -inf"),
+    (2.0, 2.2, "commanded angular velocity v*c=4.4000 outside [-4.0, 4.0]"),
+    (-2.0, 2.2, "commanded angular velocity v*c=-4.4000 outside [-4.0, 4.0]"),
+])
+def test_run_scenario_command_check_messages(v, c, message):
+    script = ControlScript.from_segments([(0.0, 1.0, 0.1), (0.5, v, c)])
+    with pytest.raises(ValidationError) as exc:
+        run_scenario(script, SlipParams(), 1.0)
+    assert str(exc.value) == message
 
 
 def test_control_script_ordering_and_lookup():
     with pytest.raises(ValidationError):
         ControlScript.from_segments([(0.0, 1.0, 0.0), (0.0, 2.0, 0.0)])
     script = ControlScript.from_segments([(0.0, 1.0, 0.1), (2.0, 2.0, 0.2)])
-    assert script.command_at(0.0) == ControlCommand(1.0, 0.1)
-    assert script.command_at(1.999) == ControlCommand(1.0, 0.1)
-    assert script.command_at(2.0) == ControlCommand(2.0, 0.2)
-    assert script.command_at(50.0) == ControlCommand(2.0, 0.2)
-    with pytest.raises(ValidationError):
-        ControlScript.from_segments([(1.0, 1.0, 0.0)]).command_at(0.5)
+    trace = run_scenario(script, SlipParams(), 50.0 + DEFAULT_DT)
+    # step i holds the segment in force at t = i*dt: 0.0, 1.995, 2.0 and 50.0
+    for i, cmd in [(0, (1.0, 0.1)), (399, (1.0, 0.1)), (400, (2.0, 0.2)),
+                   (10000, (2.0, 0.2))]:
+        assert (trace.cmd_v[i], trace.cmd_c[i]) == cmd
+    with pytest.raises(ValidationError, match="script must be defined from t=0"):
+        run_scenario(ControlScript.from_segments([(1.0, 1.0, 0.0)]), SlipParams(), 2.0)
 
 
 def test_control_script_json_round_trip(tmp_path):
@@ -135,32 +150,38 @@ def test_slip_law_closed_form():
     assert slip_yaw_rate(-2.8, 4.0, 0.02) == pytest.approx(-2.8 / 1.896)
 
 
+def one_step(state: VehicleState, v: float, c: float, p: SlipParams, dt: float):
+    """The trace of one step under the command (v, c) from ``state``."""
+    trace = run_scenario(ControlScript.constant(v, c), p, dt, dt=dt,
+                         initial_state=state)
+    assert len(trace) == 1
+    return trace
+
+
 def test_step_straight_line_integration():
-    state = VehicleState(v=1.0)
-    out = step_dynamics(state, ControlCommand(1.0, 0.0), SlipParams.ideal(),
-                        dt=0.05)
-    assert (out.x, out.y, out.heading, out.v, out.av) == (0.05, 0.0, 0.0, 1.0, 0.0)
+    out = one_step(VehicleState(v=1.0), 1.0, 0.0, SlipParams.ideal(), dt=0.05)
+    assert (out.x[-1], out.y[-1], out.heading[-1], out.v[-1], out.av[-1]) == \
+        (0.05, 0.0, 0.0, 1.0, 0.0)
 
 
 def test_step_ideal_plant_executes_commanded_yaw_rate():
-    out = step_dynamics(VehicleState(), ControlCommand(2.0, 0.7),
-                        SlipParams.ideal(), dt=DEFAULT_DT)
-    assert out.av == pytest.approx(1.4)
-    assert out.av_lag == pytest.approx(1.4)
+    out = one_step(VehicleState(), 2.0, 0.7, SlipParams.ideal(), dt=DEFAULT_DT)
+    assert out.av[-1] == pytest.approx(1.4)
+    assert out.av_lag[-1] == pytest.approx(1.4)
 
 
 def test_step_settled_lag_applies_slip_attenuation():
     settled = VehicleState(v=4.0, av_lag=2.8)
-    out = step_dynamics(settled, ControlCommand(4.0, 0.7),
-                        SlipParams(beta=0.02, lag_tau=0.1), dt=DEFAULT_DT)
-    assert out.av_lag == pytest.approx(2.8)
-    assert out.av == pytest.approx(2.8 / 1.896)
+    out = one_step(settled, 4.0, 0.7, SlipParams(beta=0.02, lag_tau=0.1),
+                   dt=DEFAULT_DT)
+    assert out.av_lag[-1] == pytest.approx(2.8)
+    assert out.av[-1] == pytest.approx(2.8 / 1.896)
 
 
 def test_step_rejects_bad_dt():
-    with pytest.raises(ValidationError):
-        step_dynamics(VehicleState(), ControlCommand(1.0, 0.0),
-                      SlipParams.ideal(), dt=0.0)
+    with pytest.raises(ValidationError, match="dt must be positive"):
+        run_scenario(ControlScript.constant(1.0, 0.0), SlipParams.ideal(), 0.05,
+                     dt=0.0)
 
 
 def test_speed_is_clamped_to_cap():
@@ -189,7 +210,8 @@ def test_constant_turn_traces_circle_of_inverse_curvature():
 
 def test_zero_script_leaves_state_fixed():
     trace = run_scenario(ControlScript.constant(0.0, 0.0), SlipParams(), 1.0)
-    assert all(s == VehicleState() for s in trace.states)
+    for name in ("x", "y", "heading", "v", "av", "av_lag"):
+        assert np.all(getattr(trace, name) == 0.0), name
 
 
 def test_step_count_and_times():
@@ -198,7 +220,7 @@ def test_step_count_and_times():
     assert len(trace) == 200
     assert trace.duration == pytest.approx(1.0)
     assert trace.times()[-1] == pytest.approx(1.0)
-    assert len(trace.states) == len(trace.commands) + 1
+    assert trace.x.size == trace.cmd_v.size + 1 == 201
 
 
 def test_run_scenario_rejects_bad_duration_and_late_script():
@@ -241,7 +263,8 @@ def test_run_scenario_deterministic():
     script = ControlScript.from_segments([(0.0, 2.0, 0.3), (1.0, 3.0, -0.5)])
     a = run_scenario(script, SlipParams(), 2.0)
     b = run_scenario(script, SlipParams(), 2.0)
-    assert a.states == b.states
+    for name in ("x", "y", "heading", "v", "av", "av_lag", "cmd_v", "cmd_c"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
 # --- emit_sensor_logs --------------------------------------------------------
