@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorruptLogError, ValidationError
-from .fileio import read_table, write_table
+from .fileio import read_table, row_line, write_table
 
 DEFAULT_IDLE_EPS = 1e-3
 
@@ -73,8 +73,7 @@ def write_joy_csv(log: JoyLog, path: str) -> None:
 
 
 def read_joy_csv(path: str) -> JoyLog:
-    t, v, av = read_table(path, _JOY_HEADER).T
-    return JoyLog(t=t, v=v, av=av)
+    return _read_log(path, _JOY_HEADER, JoyLog)
 
 
 def write_imu_csv(log: ImuLog, path: str) -> None:
@@ -82,8 +81,22 @@ def write_imu_csv(log: ImuLog, path: str) -> None:
 
 
 def read_imu_csv(path: str) -> ImuLog:
-    t, av_z = read_table(path, _IMU_HEADER).T
-    return ImuLog(t=t, av_z=av_z)
+    return _read_log(path, _IMU_HEADER, ImuLog)
+
+
+def _read_log(path: str, header: str, log_type):
+    """A log built from the table at ``path``; a row that breaks the log's
+    checks is a ValidationError naming ``file:line`` of the first such row:
+    the first non-finite row, else the first whose t does not increase."""
+    rows = read_table(path, header)
+    try:
+        return log_type(*rows.T)
+    except ValidationError as exc:
+        bad = ~np.isfinite(rows).all(axis=1)
+        if not bad.any():
+            bad[1:] = rows[1:, 0] <= rows[:-1, 0]
+        line = row_line(path, header, int(np.argmax(bad)))
+        raise ValidationError(f"{path}:{line}: {exc}") from None
 
 
 def trim_idle(joy: JoyLog, imu: ImuLog) -> tuple[JoyLog, ImuLog]:

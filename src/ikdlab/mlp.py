@@ -38,6 +38,7 @@ _SHAPES = {
 }
 _STOPS = tuple(itertools.accumulate(math.prod(_SHAPES[n]) for n in _FIELDS))
 N_PARAMS = _STOPS[-1]   # 1185 weights
+_TINY = np.finfo(float).tiny  # smallest normal float64
 # (name, slice of the flat vector, shape) of each tensor, in _FIELDS order
 _LAYOUT = tuple((name, slice(lo, hi), _SHAPES[name])
                 for name, lo, hi in zip(_FIELDS, (0,) + _STOPS[:-1], _STOPS))
@@ -354,7 +355,9 @@ def train(data: AlignedDataset, cfg: TrainConfig = TrainConfig()
     whose loss or weights turn non-finite stops with a ValidationError
     naming the epoch.  Each step runs the two kernels behind loss_and_grads
     and adamw_step in place on vectors private to this call; the weights
-    are wrapped once, in a read-only copy, when training ends.
+    are wrapped once, in a read-only copy, when training ends.  After each
+    epoch, AdamW moments of magnitude below the smallest normal float are
+    set to zero.
     """
     n = len(data)
     if n < 2 * cfg.batch_size:
@@ -389,6 +392,11 @@ def train(data: AlignedDataset, cfg: TrainConfig = TrainConfig()
             stop = start + cfg.batch_size
             _backprop(p, X_ep[start:stop], y_ep[start:stop], grads)
             _adamw(theta, g, s, cfg, tmp)
+        # A unit that stays closed decays its moments into the subnormal
+        # range, where every operation on them is slow on some CPUs.  There
+        # they change no weight bit: they add under 3e-300 to a step.
+        for moment in (s.m, s.v):
+            moment[np.abs(moment) < _TINY] = 0.0
         train_mse[epoch] = _split_mse(p, X_tr, y_tr)
         test_mse[epoch] = _split_mse(p, X_te, y_te)
         if not (math.isfinite(train_mse[epoch]) and math.isfinite(test_mse[epoch])
@@ -432,13 +440,20 @@ def load_model(path: str) -> MlpParams:
     for name in _FIELDS:
         if name not in weights:
             raise ValidationError(f"{path}: missing tensor {name}")
-        arr = np.asarray(weights[name], dtype=float)
+        try:
+            arr = np.asarray(weights[name], dtype=float)
+        except (TypeError, ValueError):
+            raise ParseError(f"{path}: tensor {name} must be a rectangular "
+                             f"array of numbers") from None
         if arr.shape != _SHAPES[name]:
             raise ValidationError(
                 f"{path}: tensor {name} has shape {arr.shape}, "
                 f"expected {_SHAPES[name]}")
         vals[name] = arr
-    return MlpParams(**vals)
+    try:
+        return MlpParams(**vals)
+    except ValidationError as exc:  # a non-finite weight
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_loss_csv(curve: LossCurve, path: str) -> None:

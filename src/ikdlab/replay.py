@@ -13,7 +13,7 @@ import numpy as np
 
 from .datalog import JoyLog
 from .errors import ParseError, ValidationError, require_positive
-from .fileio import read_table, write_table
+from .fileio import read_table, row_line, write_table
 from .ikd import correct_batch
 from .mlp import MlpParams
 from .simcore import (AV_LIMIT, DEFAULT_DT, EPS_V, SimTrace, SlipParams,
@@ -75,7 +75,11 @@ def read_buffer_txt(path: str) -> CommandBuffer:
     rows = read_table(path, None)
     if rows.shape[1] != 2:  # also a file without rows, shape (0, 0)
         raise ParseError(f"{path}: no 'v,av' rows found")
-    return CommandBuffer(rows=rows)
+    try:
+        return CommandBuffer(rows=rows)
+    except ValidationError as exc:  # a non-finite row
+        k = int(np.argmax(~np.isfinite(rows).all(axis=1)))
+        raise ValidationError(f"{path}:{row_line(path, None, k)}: {exc}") from None
 
 
 def execute_replay(buf: CommandBuffer, p: SlipParams,

@@ -1,8 +1,11 @@
 """Delay estimation, resampling, pruning, and histogram analytics."""
 
+import os
+
 import numpy as np
 import pytest
 
+from ikdlab import align as align_mod
 from ikdlab.align import (DEFAULT_OBJECTIVE_CEILING, AlignedDataset,
                           build_dataset, estimate_delay, histogram,
                           prune_zero_curvature, read_dataset_csv, scan_delays,
@@ -91,6 +94,16 @@ def test_short_overlap_raises():
     imu = ImuLog(t=t, av_z=smooth_av(t))
     with pytest.raises(InsufficientOverlapError):
         estimate_delay(joy, imu)
+
+
+def test_scan_workers_follow_the_affinity_set_else_the_cpu_count(monkeypatch):
+    cap = align_mod._SCAN_THREADS
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert align_mod._scan_workers() == min(3, cap)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for cpus, workers in ((3, min(3, cap)), (None, 1), (cap + 60, cap)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert align_mod._scan_workers() == workers
 
 
 def test_scan_grid_layout_and_argmin_consistency():

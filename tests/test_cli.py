@@ -3,10 +3,14 @@
 import json
 import os
 import re
+import threading
 
+import numpy as np
 import pytest
 
+from ikdlab import align as align_mod
 from ikdlab.cli import DEFAULT_CIRCLE_CURVATURES, PipelineConfig, main
+from ikdlab.datalog import ImuLog, JoyLog
 from ikdlab.errors import ParseError, ValidationError
 from ikdlab.evalkit import DriftScenario
 from ikdlab.simcore import ControlScript
@@ -329,6 +333,72 @@ def test_non_utf8_input_exits_1_naming_file_and_line(workdir, capsys, argv, name
     assert main([*argv, "--out", "run"]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {name}:{line}: not valid UTF-8 (byte 0xff)\n"
+
+
+@pytest.mark.parametrize("tensor, reason", [
+    ("abc", "tensor W1 must be a rectangular array of numbers"),
+    ([[1, 2], [3]], "tensor W1 must be a rectangular array of numbers"),
+    ({"a": 1}, "tensor W1 must be a rectangular array of numbers"),
+    ([[None, 1.0]] * 32, "W1 contains non-finite values"),
+], ids=["string", "ragged", "object", "null"])
+def test_model_tensor_that_is_not_numbers_exits_1_naming_file_and_tensor(
+        workdir, capsys, tensor, reason):
+    shapes = {"b1": [32], "W2": [32, 32], "b2": [32], "W3": [1, 32], "b3": [1]}
+    weights = {name: np.zeros(shape).tolist() for name, shape in shapes.items()}
+    with open("m.json", "w", encoding="utf-8") as fh:
+        json.dump({"version": 1, "layer_sizes": [2, 32, 32, 1],
+                   "weights": {"W1": tensor, **weights}}, fh)
+    assert main(["correct", "--model", "m.json", "--v", "2", "--c", "0.5"]) == 1
+    assert capsys.readouterr().err == f"error: m.json: {reason}\n"
+
+
+ALIGN_ARGV = ["align", "--joy", "joy.csv", "--imu", "imu.csv"]
+
+
+@pytest.mark.parametrize("argv, name, text, line, reason", [
+    (ALIGN_ARGV, "joy.csv", "t,v,av\n0.0,1.0,0.5\n\n0.1,1.0,0.5\n0.1,1.0,0.5\n", 5,
+     "JoyLog: t must be strictly increasing"),
+    (ALIGN_ARGV, "imu.csv", "t,av_z\n0.0,0.5\n\n0.1,0.5\n0.2,nan\n0.3,0.5\n", 5,
+     "ImuLog: non-finite values present"),
+    (["replay", "--buffer", "buf.txt"], "buf.txt", "1.0,0.5\n\n1.0,0.5\n1.0,nan\n", 4,
+     "buffer rows must be finite"),
+], ids=["joy-repeated-t", "imu-nan", "buffer-nan"])
+def test_bad_log_or_buffer_row_exits_1_naming_file_and_line(workdir, capsys, argv, name,
+                                                            text, line, reason):
+    with open("joy.csv", "w", encoding="utf-8") as fh:
+        fh.write("t,v,av\n0.0,1.0,0.5\n0.1,1.0,0.5\n")
+    with open("imu.csv", "w", encoding="utf-8") as fh:
+        fh.write("t,av_z\n0.0,0.5\n0.1,0.5\n")
+    with open(name, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    assert main([*argv, "--out", "run"]) == 1
+    assert capsys.readouterr().err == f"error: {name}:{line}: {reason}\n"
+
+
+def test_scan_memory_error_on_a_worker_reaches_caller_and_align_exits_1(
+        workdir, capsys, monkeypatch):
+    write_mini_script("script.json")
+    assert main(["collect", "--script", "script.json", "--duration", "6.0",
+                 "--out", "run"]) == 0
+    capsys.readouterr()
+    interp = np.interp
+
+    def interp_failing_off_the_main_thread(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("Unable to allocate 512 KiB")
+        return interp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", interp_failing_off_the_main_thread)
+    monkeypatch.setattr(align_mod, "_scan_workers", lambda: 2)
+    threads = threading.active_count()
+    t = np.arange(480) / 40.0
+    joy, imu = JoyLog(t=t, v=np.ones(480), av=np.sin(t)), ImuLog(t=t, av_z=np.sin(t))
+    with pytest.raises(MemoryError, match="512 KiB"):
+        align_mod.scan_delays(joy, imu)
+    assert threading.active_count() == threads
+    assert main(["align", "--out", "run"]) == 1
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 512 KiB\n"
+    assert threading.active_count() == threads
 
 
 def test_bad_slip_file_names_file_and_field(workdir, capsys):

@@ -13,10 +13,11 @@ production one.  The drift oracle scores one state at a time, read from the
 trace's channel arrays, with the scalar geometry references in conftest.
 The trainer oracle is a verbatim copy of the per-tensor backprop, AdamW step
 and training loop; the in-place flat-vector trainer must reproduce its
-weights and loss curves bit for bit.  The delay-scan oracle is a verbatim
-copy of the per-candidate loop (mask, gather, np.interp, np.mean); the
-blocked scan must reproduce its delays, objectives and +inf positions bit
-for bit.  The table oracles are verbatim copies of the writer that called
+weights and loss curves bit for bit, also once the loop's moments have
+gone subnormal where the trainer flushes them.  The delay-scan oracle is a
+verbatim copy of the per-candidate loop (mask, gather, np.interp, np.mean);
+the blocked scan must reproduce its delays, objectives and +inf positions
+bit for bit on one, two and three threads.  The table oracles are verbatim copies of the writer that called
 repr once per cell and of the per-line reader: the deduplicating writer must
 reproduce its bytes, and on every mutated table the one-pass reader must
 return the same array bytes or raise the same ParseError.
@@ -34,7 +35,7 @@ import pytest
 from ikdlab.evalkit import (DriftScenario, Rect, _gate_segment, drift_eval,
                             TURN_AV_FLOOR)
 from ikdlab.ikd import AV_LIMIT, EPS_V, correct
-from ikdlab import align as align_mod, fileio
+from ikdlab import align as align_mod, fileio, mlp as mlp_mod
 from ikdlab.align import (DEFAULT_DELAY_STEP, DELAY_MAX, DELAY_MIN, MIN_OVERLAP,
                           AlignedDataset, build_dataset, prune_zero_curvature,
                           scan_delays)
@@ -521,7 +522,7 @@ def reference_train(data: AlignedDataset, cfg: TrainConfig):
             p, s = reference_adamw_step(p, grads, s, cfg)
         train_mse[epoch] = np.mean((forward(p, X_tr) - y_tr) ** 2)
         test_mse[epoch] = np.mean((forward(p, X_te) - y_te) ** 2)
-    return p, LossCurve(train_mse=train_mse, test_mse=test_mse)
+    return p, LossCurve(train_mse=train_mse, test_mse=test_mse), s
 
 
 def random_slip_dataset(rng, n: int) -> AlignedDataset:
@@ -551,7 +552,7 @@ def test_flat_trainer_matches_per_tensor_loop_bit_for_bit():
         partial += n_tr % batch_size != 0
         full += n_tr % batch_size == 0
         params, curve = train(data, cfg)
-        ref_params, ref_curve = reference_train(data, cfg)
+        ref_params, ref_curve, _ = reference_train(data, cfg)
         for name in _FIELDS:
             assert np.array_equal(getattr(params, name),
                                   getattr(ref_params, name)), name
@@ -611,7 +612,38 @@ def test_in_place_trainer_edge_cases_match_per_tensor_loop_bit_for_bit(rows, ove
     if rows == 392:
         assert n_tr % cfg.batch_size == 1
     params, curve = train(data, cfg)
-    ref_params, ref_curve = reference_train(data, cfg)
+    ref_params, ref_curve, _ = reference_train(data, cfg)
+    assert params.theta.tobytes() == ref_params.theta.tobytes()
+    assert curve.train_mse.tobytes() == ref_curve.train_mse.tobytes()
+    assert curve.test_mse.tobytes() == ref_curve.test_mse.tobytes()
+
+
+def test_flushed_moments_keep_the_per_tensor_loop_bits_past_7000_dead_steps(monkeypatch):
+    # Batch size 1 on 36 training rows for 220 epochs: 7,920 steps, enough
+    # for the first moments of units that stay closed to decay below the
+    # smallest normal float in the reference loop, which never flushes.
+    rng = np.random.default_rng(40)
+    data = random_slip_dataset(rng, 40)
+    cfg = TrainConfig(batch_size=1, epochs=220, seed=1, lr=3e-3)
+    n_tr = 40 - min(max(round(40 * cfg.split_fraction), 1), 40 - cfg.batch_size)
+    tiny = np.finfo(float).tiny
+    subnormal_at_epoch_start = []
+    adamw = mlp_mod._adamw
+
+    def spy(theta, g, s, cfg, tmp):
+        if s.t % n_tr == 0:
+            moments = np.concatenate([s.m, s.v])
+            subnormal_at_epoch_start.append(
+                np.count_nonzero((moments != 0) & (np.abs(moments) < tiny)))
+        adamw(theta, g, s, cfg, tmp)
+
+    monkeypatch.setattr(mlp_mod, "_adamw", spy)
+    params, curve = train(data, cfg)
+    ref_params, ref_curve, ref_state = reference_train(data, cfg)
+    ref_m = np.concatenate([ref_state.m[n].ravel() for n in _FIELDS])
+    assert ref_state.t == 220 * n_tr > 7000
+    assert np.count_nonzero((ref_m != 0) & (np.abs(ref_m) < tiny)) > 0
+    assert len(subnormal_at_epoch_start) == 220 and not any(subnormal_at_epoch_start)
     assert params.theta.tobytes() == ref_params.theta.tobytes()
     assert curve.train_mse.tobytes() == ref_curve.train_mse.tobytes()
     assert curve.test_mse.tobytes() == ref_curve.test_mse.tobytes()
@@ -727,6 +759,7 @@ def test_blocked_scan_matches_per_candidate_loop_bit_for_bit_200_cases(monkeypat
         # Small budgets put every row of a wide window in a block of its own.
         monkeypatch.setattr(align_mod, "_SCAN_BLOCK",
                             int(rng.choice([1, 7, 500, 1 << 16])))
+        monkeypatch.setattr(align_mod, "_scan_workers", lambda: 1 + i % 3)
         finite = np.isfinite(assert_scan_matches_reference(joy, imu, search, step))
         seen["none" if not finite.any() else "all" if finite.all() else "some"] += 1
         dense_j = len(joy) / (joy.t[-1] - joy.t[0])
@@ -738,7 +771,7 @@ def test_blocked_scan_matches_per_candidate_loop_bit_for_bit_200_cases(monkeypat
     assert min(seen.values()) >= 5, seen
 
 
-def test_blocked_scan_matches_per_candidate_loop_on_gate_and_wide_windows():
+def test_blocked_scan_matches_per_candidate_loop_on_gate_and_wide_windows(monkeypatch):
     # Gate-shaped pair: 480 joystick rows at 40 Hz against 13,000 IMU rows at
     # 1 kHz; all 501 default candidates share one window, 136 to a block.
     rng = np.random.default_rng(9)
@@ -746,17 +779,21 @@ def test_blocked_scan_matches_per_candidate_loop_on_gate_and_wide_windows():
     t_imu = np.arange(13000) / 1000.0
     joy = JoyLog(t=t_joy, v=np.full(480, 2.0), av=np.sin(2.1 * t_joy))
     imu = ImuLog(t=t_imu, av_z=np.sin(2.1 * (t_imu - 0.2)) + rng.normal(0.0, 0.05, 13000))
-    assert np.isfinite(assert_scan_matches_reference(joy, imu, (0.0, 0.5), 0.001)).all()
+    gate = (joy, imu, (0.0, 0.5), 0.001)
     # The IMU stream covers the whole joystick stream at every candidate, so
     # all candidates share one window: of 20,000 rows (three candidates per
     # block, rows longer than numpy's 8,192-element buffer) and of more than
     # _SCAN_BLOCK rows (one candidate per block).
+    wide = []
     for n in (20_000, align_mod._SCAN_BLOCK + 4000):
         t = random_times(rng, n, 0.0, 0.025)
         joy = JoyLog(t=t, v=np.ones(n), av=rng.uniform(-1.0, 1.0, n))
         imu = ImuLog(t=np.linspace(-1.0, t[-1] + 1.0, n), av_z=rng.uniform(-1.0, 1.0, n))
-        objectives = assert_scan_matches_reference(joy, imu, (-0.05, 0.05), 0.01)
-        assert np.isfinite(objectives).all()
+        wide.append((joy, imu, (-0.05, 0.05), 0.01))
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(align_mod, "_scan_workers", lambda: workers)
+        for case in (gate, *wide):
+            assert np.isfinite(assert_scan_matches_reference(*case)).all()
 
 
 # --- table files: the repr-per-cell writer and per-line reader, kept verbatim --
