@@ -31,11 +31,20 @@ class InferenceError(IkdError, RuntimeError):
     """Model produced an unusable output (non-finite prediction)."""
 
 
+def is_finite(value) -> bool:
+    """Whether the real number ``value`` is finite as a float; an integer past
+    the float range is not (``math.isfinite`` raises OverflowError on it)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def finite_number(where: str, key: str, value) -> float:
     """``value`` as a float if it is a finite JSON number (not a bool), else a
     ValidationError of the form ``<where>: <key> must be a finite number``."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+            or not is_finite(value)):
         raise ValidationError(f"{where}: {key} must be a finite number, got {value!r}")
     return float(value)
 

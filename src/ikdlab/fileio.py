@@ -1,12 +1,13 @@
 """On-disk formats.  A table is UTF-8 text with LF line endings: a header
 line naming the columns (replay buffers have none), then one comma-separated
 row per line, integer columns as ints and the rest as ``repr(float)`` so a
-read-back is value-identical.  JSON is indented by two, keys sorted, with a
-trailing newline.
+read-back is value-identical.  JSON is strict (a non-finite float is null),
+indented by two, keys sorted, with a trailing newline.
 """
 
 import itertools
 import json
+import math
 from array import array
 
 import numpy as np
@@ -109,9 +110,23 @@ def row_line(path: str, header: str | None, k: int) -> int:
 
 
 def write_json(path: str, payload) -> None:
+    """Write ``payload`` as strict JSON: a non-finite float (an infinite
+    clearance, say) is written as null, never as ``Infinity`` or ``NaN``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float in it, at any depth, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def read_json(path: str):
@@ -122,7 +137,8 @@ def read_json(path: str):
             return json.load(fh)
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a syntax error, an integer past int()'s digit limit, or nesting too deep
         raise ParseError(f"{path}: not valid JSON ({exc})") from None
 
 

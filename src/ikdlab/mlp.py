@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .align import AlignedDataset
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, is_finite
 from .fileio import read_json, write_json, write_table
 
 LAYER_SIZES = (2, 32, 32, 1)
@@ -135,7 +135,7 @@ class TrainConfig:
                      "split_fraction"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
+                    or not is_finite(value)):
                 raise ValidationError(f"{name} must be a finite number, got {value!r}")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
@@ -422,6 +422,15 @@ def save_model(p: MlpParams, path: str) -> None:
     write_json(path, payload)
 
 
+def _numbers_only(value) -> bool:
+    """Whether ``value`` is a JSON number (not a bool) or a list of such
+    values, nested to any depth.  ``np.asarray(..., dtype=float)`` alone would
+    also take numeric strings, bools and null."""
+    if isinstance(value, list):
+        return all(map(_numbers_only, value))
+    return not isinstance(value, bool) and isinstance(value, (int, float))
+
+
 def load_model(path: str) -> MlpParams:
     raw = read_json(path)
     if not isinstance(raw, dict) or "version" not in raw:
@@ -442,7 +451,9 @@ def load_model(path: str) -> MlpParams:
             raise ValidationError(f"{path}: missing tensor {name}")
         try:
             arr = np.asarray(weights[name], dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
+            arr = None
+        if arr is None or not _numbers_only(weights[name]):
             raise ParseError(f"{path}: tensor {name} must be a rectangular "
                              f"array of numbers") from None
         if arr.shape != _SHAPES[name]:

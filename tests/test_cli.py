@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from ikdlab import align as align_mod
+from ikdlab import align as align_mod, mlp, scenarios
 from ikdlab.cli import DEFAULT_CIRCLE_CURVATURES, PipelineConfig, main
 from ikdlab.datalog import ImuLog, JoyLog
 from ikdlab.errors import ParseError, ValidationError
@@ -339,8 +339,13 @@ def test_non_utf8_input_exits_1_naming_file_and_line(workdir, capsys, argv, name
     ("abc", "tensor W1 must be a rectangular array of numbers"),
     ([[1, 2], [3]], "tensor W1 must be a rectangular array of numbers"),
     ({"a": 1}, "tensor W1 must be a rectangular array of numbers"),
-    ([[None, 1.0]] * 32, "W1 contains non-finite values"),
-], ids=["string", "ragged", "object", "null"])
+    ([[None, 1.0]] * 32, "tensor W1 must be a rectangular array of numbers"),
+    ([["0.5", 1.0]] * 32, "tensor W1 must be a rectangular array of numbers"),
+    ([[True, 1.0]] * 32, "tensor W1 must be a rectangular array of numbers"),
+    ([[10 ** 400, 1.0]] * 32, "tensor W1 must be a rectangular array of numbers"),
+    ([[float("nan"), 1.0]] * 32, "W1 contains non-finite values"),
+], ids=["string", "ragged", "object", "null", "numeric-string", "bool",
+        "integer-past-float-range", "nan"])
 def test_model_tensor_that_is_not_numbers_exits_1_naming_file_and_tensor(
         workdir, capsys, tensor, reason):
     shapes = {"b1": [32], "W2": [32, 32], "b2": [32], "W3": [1, 32], "b3": [1]}
@@ -524,3 +529,129 @@ def test_bad_scenario_file_names_file_and_field(workdir, capsys, course, match):
     assert main(["eval-drift", "--config", "cfg.json", "--out", "run",
                  "--duration", "1"]) == 1
     assert re.match("error: " + match, capsys.readouterr().err)
+
+
+LONG_INT = 10 ** 400   # a JSON integer that no float can hold
+
+
+@pytest.mark.parametrize("argv, files, err", [
+    (["collect", "--config", "cfg.json", "--dwell", "0.5"],
+     {"cfg.json": {"seed": 0, "pad": LONG_INT}},
+     f"error: cfg.json: pad must be a finite number, got {LONG_INT}\n"),
+    (["eval-drift", "--config", "cfg.json", "--duration", "1"],
+     {"cfg.json": {"seed": 0, "scenario_file": "course.json"},
+      "course.json": {"boxes": [{"cx": LONG_INT, "cy": 0, "w": 1, "h": 1}],
+                      "cones": [], "gap_width": 2.0}},
+     f"error: course.json: boxes[0]: cx must be a finite number, got {LONG_INT}\n"),
+], ids=["config", "scenario"])
+def test_integer_past_float_range_exits_1_naming_file_and_key(workdir, capsys, argv,
+                                                              files, err):
+    for name, raw in files.items():
+        with open(name, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+    assert main([*argv, "--out", "run"]) == 1
+    assert capsys.readouterr().err == err
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize("course", [
+    {"boxes": [], "cones": [], "gap_width": 2.0},
+    {"boxes": [], "cones": [[0.0, 50.0]], "gap_width": 2.0},
+], ids=["empty-course", "straight-line"])
+def test_drift_report_is_strict_json(workdir, capsys, course):
+    # Neither run turns, so the turn radius is infinite; the empty course
+    # leaves the clearance infinite too.  Both are null in the report.
+    with open("course.json", "w", encoding="utf-8") as fh:
+        json.dump(course, fh)
+    with open("cfg.json", "w", encoding="utf-8") as fh:
+        json.dump({"seed": 0, "scenario_file": "course.json"}, fh)
+    with open("buffer.txt", "w", encoding="utf-8") as fh:
+        fh.write("1.0,0.0\n" * 20)
+    assert main(["eval-drift", "--config", "cfg.json", "--out", "run",
+                 "--buffer", "buffer.txt"]) == 0
+    assert "min turn radius inf m" in capsys.readouterr().out
+    with open("run/reports/drift_report.json", encoding="utf-8") as fh:
+        report = json.loads(fh.read(), parse_constant=_reject_constant)
+    custom = report["uncorrected"]["custom"]
+    assert custom["min_turn_radius"] is None
+    assert (custom["min_clearance"] is None) == (not course["cones"])
+
+
+# --- seeded mutation fuzz of the model and scenario files ---------------------
+
+# a string, bool, null, list, object, integer past the float range and NaN
+NOT_A_NUMBER = ("0.5", True, None, [1.0], {"x": 1.0}, LONG_INT, float("nan"))
+
+
+def _slots(value, found):
+    """Append (container, key) for every dict entry and list element in
+    ``value``, at any depth; return the dicts among the containers."""
+    dicts = [value] if isinstance(value, dict) else []
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        found.append((value, key))
+        dicts += _slots(item, found)
+    return dicts
+
+
+def mutate_json(rng, text: str) -> bytes:
+    """``text`` (a JSON document) with one seeded mutation: a key deleted or
+    an unknown one added, a non-number where a number belongs, the file
+    truncated, or a byte that is not UTF-8 inserted."""
+    raw = json.loads(text)
+    slots = []
+    dicts = _slots(raw, slots)
+    numbers = [(c, k) for c, k in slots
+               if isinstance(c[k], (int, float)) and not isinstance(c[k], bool)]
+    mutation = rng.choice(["delete", "unknown", "not a number", "truncate", "byte"])
+    if mutation == "truncate":
+        return text.encode()[:int(rng.integers(0, len(text)))]
+    if mutation == "byte":
+        data = text.encode()
+        at = int(rng.integers(0, len(data) + 1))
+        return data[:at] + bytes([int(rng.integers(0x80, 0x100))]) + data[at:]
+    if mutation == "delete":
+        target = dicts[int(rng.integers(len(dicts)))]
+        del target[list(target)[int(rng.integers(len(target)))]]
+    elif mutation == "unknown":
+        dicts[int(rng.integers(len(dicts)))]["bogus"] = 1.0
+    else:
+        container, key = numbers[int(rng.integers(len(numbers)))]
+        container[key] = NOT_A_NUMBER[int(rng.integers(len(NOT_A_NUMBER)))]
+    return json.dumps(raw).encode()
+
+
+def test_mutated_model_and_scenario_files_exit_0_or_1_with_one_error_line(workdir,
+                                                                          capsys):
+    mlp.save_model(mlp.init_params(np.random.default_rng(0)), "model.json")
+    scenarios.loose_scenario().to_json("course.json")
+    originals = {name: open(name, encoding="utf-8").read()
+                 for name in ("model.json", "course.json")}
+    with open("cfg.json", "w", encoding="utf-8") as fh:
+        json.dump({"seed": 0, "scenario_file": "course.json"}, fh)
+    argv = {"model.json": ["correct", "--model", "model.json", "--v", "2", "--c", "0.5"],
+            "course.json": ["eval-drift", "--config", "cfg.json", "--out", "run",
+                            "--duration", "0.5"]}
+    rng = np.random.default_rng(2213)
+    exits = []
+    for case in range(240):
+        name = ("model.json", "course.json")[case % 2]
+        mutated = mutate_json(rng, originals[name])
+        with open(name, "wb") as fh:
+            fh.write(mutated)
+        code = main(argv[name])
+        captured = capsys.readouterr()
+        assert code in (0, 1), (case, mutated)
+        if code == 1:
+            assert captured.err.startswith(f"error: {name}"), (case, captured.err)
+            assert captured.err.count("\n") == 1, (case, captured.err)
+            assert captured.out == "", case
+        exits.append(code)
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.write(originals[name])
+    # most mutations break the file; deleting an optional key does not
+    assert 0 < exits.count(0) < exits.count(1)

@@ -2,6 +2,7 @@
 diagnostics of the one table reader."""
 
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -140,3 +141,26 @@ def test_write_json_layout(tmp_path):
     path = tmp_path / "doc.json"
     write_json(str(path), {"b": [1, 2.5], "a": True})
     assert path.read_bytes() == b'{\n  "a": true,\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+
+
+def test_write_json_writes_non_finite_floats_as_null(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(str(path), {"inf": float("inf"), "runs": [(1.0, float("-inf")),
+                                                          {"nan": float("nan")}]})
+    assert path.read_bytes() == (b'{\n  "inf": null,\n  "runs": [\n    [\n      1.0,\n'
+                                 b'      null\n    ],\n    {\n      "nan": null\n'
+                                 b'    }\n  ]\n}\n')
+
+
+@pytest.mark.parametrize("text, reason", [
+    pytest.param('{"a": 1' + "0" * 5000 + "}", "Exceeds the limit",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="this Python has no digit limit")),
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth"),
+], ids=["integer-past-digit-limit", "nested-too-deep"])
+def test_read_json_refuses_what_the_decoder_cannot_hold(tmp_path, text, reason):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: not valid JSON (") + ".*"
+                       + reason):
+        read_json(str(path))

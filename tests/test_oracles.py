@@ -10,7 +10,9 @@ corrected replay asks the model once for all ticks, so its corrected
 curvatures match the one-query-per-tick loop within CMD_TOL.  That loop
 keeps a verbatim copy of the scalar speed guard rather than calling the
 production one.  The drift oracle scores one state at a time, read from the
-trace's channel arrays, with the scalar geometry references in conftest.
+trace's channel arrays, with the scalar geometry references in conftest;
+the pruned drift sweep must reproduce a verbatim copy of the sweep that
+computed an exact box distance for every disjoint state, bit for bit.
 The trainer oracle is a verbatim copy of the per-tensor backprop, AdamW step
 and training loop; the in-place flat-vector trainer must reproduce its
 weights and loss curves bit for bit, also once the loop's moments have
@@ -32,8 +34,9 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from ikdlab.evalkit import (DriftScenario, Rect, _gate_segment, drift_eval,
-                            TURN_AV_FLOOR)
+from ikdlab.evalkit import (ClearanceReport, DriftScenario, Rect,
+                            _corner_edge_distance, _gate_crossed, _gate_segment,
+                            _sat_gap, drift_eval, TURN_AV_FLOOR)
 from ikdlab.ikd import AV_LIMIT, EPS_V, correct
 from ikdlab import align as align_mod, fileio, mlp as mlp_mod
 from ikdlab.align import (DEFAULT_DELAY_STEP, DELAY_MAX, DELAY_MIN, MIN_OVERLAP,
@@ -429,6 +432,195 @@ def test_drift_eval_gate_touch_cases_match_reference():
                          cmd_c=np.zeros(n - 1))
         assert_matches_reference(trace, scenario)
         assert drift_eval(trace, scenario).cleared_gate == expected, name
+
+
+def reference_sweep_drift_eval(trace: SimTrace, scenario: DriftScenario) -> ClearanceReport:
+    """drift_eval as it was before exact distances were pruned, kept verbatim:
+    every disjoint state gets an exact corner-to-edge distance."""
+    ca, sa = np.cos(trace.heading), np.sin(trace.heading)
+    hw, hh = scenario.car_length / 2.0, scenario.car_width / 2.0
+    local_x = np.array([-hw, hw, hw, -hw])
+    local_y = np.array([-hh, -hh, hh, hh])
+    car_x = local_x * ca[:, None] - local_y * sa[:, None] + trace.x[:, None]
+    car_y = local_x * sa[:, None] + local_y * ca[:, None] + trace.y[:, None]
+    car_axes = ((ca, sa), (-sa, ca))
+
+    min_clearance = math.inf
+    for box in scenario.boxes:
+        corners = box.corners()
+        bx, by = corners[:, 0], corners[:, 1]
+        cb, sb = math.cos(box.angle), math.sin(box.angle)
+        d = _sat_gap(car_x, car_y, bx, by, car_axes + ((cb, sb), (-sb, cb)))
+        apart = d > 0.0  # disjoint: exact boundary-to-boundary distance
+        if np.any(apart):
+            d[apart] = np.minimum(
+                _corner_edge_distance(car_x[apart], car_y[apart], bx, by),
+                _corner_edge_distance(bx, by, car_x[apart], car_y[apart]))
+        min_clearance = min(min_clearance, float(d.min()))
+    for cone_x, cone_y in scenario.cones:
+        px, py = cone_x - trace.x, cone_y - trace.y
+        dx = np.abs(ca * px + sa * py) - hw
+        dy = np.abs(-sa * px + ca * py) - hh
+        d = (np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
+             + np.minimum(np.maximum(dx, dy), 0.0))
+        min_clearance = min(min_clearance, float(d.min()))
+    collided = bool(min_clearance < 0.0)
+
+    turning = np.abs(trace.av) > TURN_AV_FLOOR
+    min_turn_radius = math.inf
+    if np.any(turning):
+        min_turn_radius = float(np.min(np.abs(trace.v[turning])
+                                       / np.abs(trace.av[turning])))
+
+    gate = _gate_segment(scenario)
+    crossed = gate is not None and _gate_crossed(trace.xy(), *gate)
+    cleared_gate = bool(crossed and not collided)
+
+    return ClearanceReport(min_clearance=float(min_clearance), collided=collided,
+                           min_turn_radius=min_turn_radius,
+                           cleared_gate=cleared_gate)
+
+
+def poses_trace(rng, xy, heading) -> SimTrace:
+    n = len(xy)
+    av = rng.uniform(-4.0, 4.0, n)
+    return SimTrace(dt=DEFAULT_DT, x=xy[:, 0], y=xy[:, 1], heading=heading,
+                    v=rng.uniform(-V_CAP, V_CAP, n), av=av, av_lag=av,
+                    cmd_v=np.zeros(n - 1), cmd_c=np.zeros(n - 1))
+
+
+def random_course(rng, n_boxes: int) -> DriftScenario:
+    boxes = [Rect(cx=rng.uniform(-3.0, 3.0), cy=rng.uniform(-3.0, 3.0),
+                  w=rng.uniform(0.3, 2.0), h=rng.uniform(0.3, 2.0),
+                  angle=rng.choice([0.0, rng.uniform(-math.pi, math.pi)]))
+             for _ in range(n_boxes)]
+    cones = rng.uniform(-3.0, 3.0, (int(rng.integers(0, 4)), 2))
+    return DriftScenario(boxes=boxes, cones=cones, gap_width=1.0)
+
+
+def box_frame_poses(box: Rect, local_xy, local_heading):
+    """Car poses given in ``box``'s frame, as world positions and headings."""
+    cb, sb = math.cos(box.angle), math.sin(box.angle)
+    lx, ly = local_xy[:, 0], local_xy[:, 1]
+    xy = np.column_stack([box.cx + cb * lx - sb * ly, box.cy + sb * lx + cb * ly])
+    return xy, local_heading + box.angle
+
+
+def grazing_poses(rng, box: Rect, car: tuple[float, float], n: int):
+    """A slide along one of ``box``'s faces, the car parallel to it and a
+    few millimetres out, so the gap equals the exact distance.  Half of the
+    slides keep one offset, so their distances differ only by rounding."""
+    _, width = car
+    along = rng.uniform(-box.w / 2.0, box.w / 2.0, n)
+    offset = rng.uniform(1e-4, 5e-3, 1 if rng.random() < 0.5 else n)
+    out = np.full(n, box.h / 2.0 + width / 2.0) + offset
+    side = rng.choice([-1.0, 1.0])
+    local = np.column_stack([along, side * out])
+    return box_frame_poses(box, local, np.full(n, rng.choice([0.0, math.pi])))
+
+
+def corner_poses(rng, box: Rect, car: tuple[float, float]):
+    """A diagonal approach to a box corner, whose gap (0.2-0.3 m) is smaller
+    than its exact distance, plus one state beside a face whose gap and exact
+    distance lie between the two: the smallest-gap state is not the nearest."""
+    length, width = car
+    hw, hh = box.w / 2.0 + length / 2.0, box.h / 2.0 + width / 2.0
+    n = int(rng.integers(2, 8))
+    off = rng.uniform(0.2, 0.3, n)
+    sx, sy = rng.choice([-1.0, 1.0], 2)
+    diagonal = np.column_stack([sx * (hw + off), sy * (hh + off)])
+    face_gap = rng.uniform(off.min() + 0.01, off.min() * math.sqrt(2.0) - 0.01)
+    beside = np.array([[0.0, -sy * (hh + face_gap)]])
+    local = np.concatenate([diagonal, beside])
+    return box_frame_poses(box, local, np.zeros(n + 1))
+
+
+def sweep_case(rng, kind: str):
+    """A (trace, scenario) pair of the given kind."""
+    if kind == "no boxes":
+        scenario = DriftScenario(boxes=(), cones=rng.uniform(-3.0, 3.0, (
+            int(rng.integers(0, 3)), 2)), gap_width=1.0)
+    else:
+        scenario = random_course(rng, int(rng.integers(1, 5)))
+    car = (scenario.car_length, scenario.car_width)
+    box = scenario.boxes[int(rng.integers(len(scenario.boxes)))] if scenario.boxes else None
+    if kind == "grazing":
+        xy, heading = grazing_poses(rng, box, car, int(rng.integers(1, 30)))
+    elif kind == "corner":
+        xy, heading = corner_poses(rng, box, car)
+    elif kind == "single state":
+        xy, heading = rng.uniform(-4.0, 4.0, (1, 2)), rng.uniform(-math.pi, math.pi, 1)
+    else:
+        n = int(rng.integers(2, 60))
+        heading = rng.uniform(-math.pi, math.pi, n)
+        if kind == "apart":      # a walk well outside the course
+            start = rng.uniform(6.0, 9.0, 2) * rng.choice([-1.0, 1.0], 2)
+            xy = start + np.cumsum(rng.normal(0.0, 0.05, (n, 2)), axis=0)
+        elif kind == "overlap":  # a straight run through one box's centre
+            s = np.linspace(-1.0, 1.0, n)[:, None] * rng.uniform(1.0, 3.0)
+            direction = rng.normal(size=2)
+            xy = np.array([box.cx, box.cy]) + s * direction / np.hypot(*direction)
+        else:                    # a random walk anywhere on the course
+            xy = rng.uniform(-3.0, 3.0, 2) + np.cumsum(rng.normal(0.0, 0.1, (n, 2)),
+                                                        axis=0)
+    return poses_trace(rng, xy, heading), scenario
+
+
+def box_sweep_shape(trace: SimTrace, scenario: DriftScenario) -> set:
+    """Which of the pruning's branches ``scenario``'s boxes exercise on
+    ``trace``: overlapped, gap equal to the exact distance at the
+    smallest-gap state, and smallest-gap state not the nearest."""
+    ca, sa = np.cos(trace.heading), np.sin(trace.heading)
+    hw, hh = scenario.car_length / 2.0, scenario.car_width / 2.0
+    local_x = np.array([-hw, hw, hw, -hw])
+    local_y = np.array([-hh, -hh, hh, hh])
+    car_x = local_x * ca[:, None] - local_y * sa[:, None] + trace.x[:, None]
+    car_y = local_x * sa[:, None] + local_y * ca[:, None] + trace.y[:, None]
+    shape = set()
+    for box in scenario.boxes:
+        bx, by = box.corners().T
+        cb, sb = math.cos(box.angle), math.sin(box.angle)
+        gap = _sat_gap(car_x, car_y, bx, by, ((ca, sa), (-sa, ca), (cb, sb), (-sb, cb)))
+        if gap.min() <= 0.0:
+            shape.add("overlapped")
+            continue
+        exact = np.minimum(_corner_edge_distance(car_x, car_y, bx, by),
+                           _corner_edge_distance(bx, by, car_x, car_y))
+        k = int(gap.argmin())
+        if gap[k] == exact[k]:
+            shape.add("gap equals exact")
+        if exact[k] > exact.min():
+            shape.add("smallest gap not nearest")
+    return shape
+
+
+SWEEP_KINDS = ("course", "apart", "overlap", "single state", "no boxes",
+               "grazing", "corner")
+
+
+def test_pruned_drift_sweep_matches_full_sweep_bit_for_bit_1400_cases():
+    rng = np.random.default_rng(1307)
+    seen = {kind: 0 for kind in SWEEP_KINDS}
+    shapes = {"overlapped": 0, "gap equals exact": 0, "smallest gap not nearest": 0}
+    for case in range(1400):
+        kind = SWEEP_KINDS[case % len(SWEEP_KINDS)]
+        trace, scenario = sweep_case(rng, kind)
+        expected = reference_sweep_drift_eval(trace, scenario)
+        report = drift_eval(trace, scenario)
+        assert report.min_clearance.hex() == expected.min_clearance.hex(), (case, kind)
+        assert report.collided == expected.collided, (case, kind)
+        assert report.min_turn_radius == expected.min_turn_radius, (case, kind)
+        assert report.cleared_gate == expected.cleared_gate, (case, kind)
+        seen[kind] += 1
+        for shape in box_sweep_shape(trace, scenario):
+            shapes[shape] += 1
+        if kind == "apart":
+            assert not expected.collided
+        if kind == "no boxes" and not scenario.cones:
+            assert report.min_clearance == math.inf
+    assert all(count == 200 for count in seen.values()), seen
+    # every branch of the pruning is taken many times over
+    assert min(shapes.values()) >= 100, shapes
 
 
 # --- trainer oracle (the per-tensor backprop, AdamW and training loop, kept verbatim)
