@@ -13,8 +13,8 @@ from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
-from .errors import FitError, ParseError, ValidationError, finite_number, json_fields
-from .fileio import read_json, read_table, row_line, write_json, write_table
+from .errors import FitError, ValidationError, finite_number, json_fields
+from .fileio import read_json, write_json, write_table
 from .ikd import correct
 from .mlp import MlpParams
 from .simcore import (ControlScript, SimTrace, SlipParams, run_scenario,
@@ -364,17 +364,6 @@ def emit_report(reports, path: str) -> None:
     """Write CircleReports as CSV, one row per report (header-only if empty)."""
     cols = np.asarray([astuple(r) for r in reports], dtype=float).reshape(-1, 5).T
     write_table(path, _CIRCLE_HEADER, (*cols[:4], cols[4].astype(int)))
-
-
-def read_report_csv(path: str) -> list[CircleReport]:
-    """Read CircleReports back; field identities are re-validated on load."""
-    rows = read_table(path, _CIRCLE_HEADER)
-    bad = np.flatnonzero((rows[:, 4] != 0.0) & (rows[:, 4] != 1.0))
-    if bad.size:
-        k = int(bad[0])
-        raise ParseError(f"{path}:{row_line(path, _CIRCLE_HEADER, k)}: "
-                         f"ikd_enabled must be 0 or 1, got {rows[k, 4]:g}")
-    return [CircleReport(*row[:4], ikd_enabled=bool(row[4])) for row in rows.tolist()]
 
 
 def write_comparison_csv(rows, path: str) -> None:

@@ -30,18 +30,16 @@ LAYER_SIZES = (2, 32, 32, 1)
 MODEL_VERSION = 1
 LOSS_HEADER = "epoch,train_mse,test_mse"
 
-_FIELDS = ("W1", "b1", "W2", "b2", "W3", "b3")
-_SHAPES = {
-    "W1": (32, 2), "b1": (32,),
-    "W2": (32, 32), "b2": (32,),
-    "W3": (1, 32), "b3": (1,),
-}
-_STOPS = tuple(itertools.accumulate(math.prod(_SHAPES[n]) for n in _FIELDS))
+# W<k> is (fan_out, fan_in) and b<k> is (fan_out,) for layer k, in file order
+_SHAPES = {name: shape
+           for k, (fan_in, fan_out) in enumerate(zip(LAYER_SIZES, LAYER_SIZES[1:]), 1)
+           for name, shape in ((f"W{k}", (fan_out, fan_in)), (f"b{k}", (fan_out,)))}
+_FIELDS = tuple(_SHAPES)   # W1, b1, W2, b2, W3, b3
+_STOPS = tuple(itertools.accumulate(math.prod(shape) for shape in _SHAPES.values()))
 N_PARAMS = _STOPS[-1]   # 1185 weights
 _TINY = np.finfo(float).tiny  # smallest normal float64
-# (name, slice of the flat vector, shape) of each tensor, in _FIELDS order
-_LAYOUT = tuple((name, slice(lo, hi), _SHAPES[name])
-                for name, lo, hi in zip(_FIELDS, (0,) + _STOPS[:-1], _STOPS))
+# the most float64s one array can hold: numpy must be able to size it in bytes
+_MAX_LEN = int(np.iinfo(np.intp).max) // np.dtype(float).itemsize
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,7 @@ class MlpParams:
     _FIELDS order; W1, b1, W2, b2, W3 and b3 are reshaped views of it,
     bound once when the object is built.  The named constructor copies and
     validates its tensors; ``_from_flat`` adopts a vector unchecked and is
-    meant for the optimizer only.
+    meant for the trainer only.
     """
 
     W1: np.ndarray
@@ -78,8 +76,7 @@ class MlpParams:
 
     def _bind(self, theta: np.ndarray) -> None:
         theta.flags.writeable = False
-        # One __dict__ update instead of seven frozen-dataclass setattrs:
-        # adamw_step builds an MlpParams on every call.
+        # A frozen dataclass refuses setattr: bind the views in its __dict__.
         self.__dict__.update(zip(_FIELDS, _views(theta)), theta=theta)
 
     @classmethod
@@ -96,7 +93,8 @@ class MlpParams:
 
 def _views(flat: np.ndarray) -> tuple[np.ndarray, ...]:
     """W1, b1, W2, b2, W3 and b3 as reshaped views of a flat vector."""
-    return tuple(flat[span].reshape(shape) for _, span, shape in _LAYOUT)
+    return tuple(part.reshape(shape)
+                 for part, shape in zip(np.split(flat, _STOPS[:-1]), _SHAPES.values()))
 
 
 def _nonfinite_tensors(p: MlpParams) -> list[str]:
@@ -107,9 +105,8 @@ def _nonfinite_tensors(p: MlpParams) -> list[str]:
 def init_params(rng: np.random.Generator) -> MlpParams:
     """Uniform init in +-1/sqrt(fan_in), applied to weights and biases."""
     vals = {}
-    fan_in = {"W1": 2, "b1": 2, "W2": 32, "b2": 32, "W3": 32, "b3": 32}
     for name in _FIELDS:
-        bound = 1.0 / np.sqrt(fan_in[name])
+        bound = 1.0 / np.sqrt(_SHAPES["W" + name[1:]][1])   # the layer's fan-in
         vals[name] = rng.uniform(-bound, bound, size=_SHAPES[name])
     return MlpParams(**vals)
 
@@ -137,10 +134,9 @@ class TrainConfig:
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not is_finite(value)):
                 raise ValidationError(f"{name} must be a finite number, got {value!r}")
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValidationError("epochs must be >= 1")
+        for name in ("batch_size", "epochs"):   # lengths of arrays train allocates
+            if not 1 <= getattr(self, name) <= _MAX_LEN:
+                raise ValidationError(f"{name} must be in [1, {_MAX_LEN}]")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
         if self.lr <= 0.0:
@@ -223,16 +219,23 @@ def forward(p: MlpParams, inputs) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-def _backprop(p: MlpParams, X: np.ndarray, y: np.ndarray, grads: tuple) -> np.ndarray:
+def loss_and_grads(p: MlpParams, X: np.ndarray, y: np.ndarray,
+                   grads: tuple) -> np.ndarray:
     """Write the exact gradient of the batch MSE into ``grads``, the _views
-    of one flat vector, and return the residuals out - y.
+    of one flat vector, and return the residuals out - y (the MSE is their
+    mean square).
 
-    Each weight gradient is computed straight into its view (matmul and sum
-    with ``out=``) and each ReLU mask is applied in place on its delta.  The
-    products are the per-tensor ones, term for term, so the bits are too:
-    d * (a > 0) gives -0.0 for a negative delta behind a closed unit either
-    way.
+    X must be an (n, 2) float array with n >= 1 and y an (n,) one; only the
+    shapes are checked.  Each weight gradient is computed straight into its
+    view (matmul and sum with ``out=``) and each ReLU mask is applied in
+    place on its delta.  The products are the per-tensor ones, term for
+    term, so the bits are too: d * (a > 0) gives -0.0 for a negative delta
+    behind a closed unit either way.
     """
+    if X.ndim != 2 or X.shape[1] != 2 or y.shape != (X.shape[0],):
+        raise ValidationError("batch must be X:(n,2), y:(n,)")
+    if X.shape[0] == 0:
+        raise ValidationError("batch must be non-empty")
     g_W1, g_b1, g_W2, g_b2, g_W3, g_b3 = grads
     a1, a2, out = _forward_batch(p, X)
     resid = out - y
@@ -250,16 +253,20 @@ def _backprop(p: MlpParams, X: np.ndarray, y: np.ndarray, grads: tuple) -> np.nd
     return resid
 
 
-def _adamw(theta: np.ndarray, g: np.ndarray, s: AdamState, cfg: TrainConfig,
-           tmp: np.ndarray) -> None:
+def adamw_step(theta: np.ndarray, g: np.ndarray, s: AdamState, cfg: TrainConfig,
+               tmp: np.ndarray) -> None:
     """One AdamW update of ``theta`` and ``s`` in place, from the flat gradient
     ``g``.  ``g`` and ``tmp`` are overwritten as scratch.
 
     m = b1*m + (1-b1)*g,  v = b2*v + (1-b2)*(g*g),
     step = m_hat / (sqrt(v_hat) + eps) + wd*theta,  theta - lr*step:
     evaluated in this order, and so bit for bit, with every product written
-    into one of the five vectors.
+    into one of the five vectors.  Weight decay applies to every weight,
+    biases included.  The new weights are not validated: train checks them
+    once per epoch.
     """
+    if g.shape != theta.shape:
+        raise ValidationError(f"gradient has shape {g.shape}, expected {theta.shape}")
     s.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
     s.m *= b1
@@ -276,45 +283,6 @@ def _adamw(theta: np.ndarray, g: np.ndarray, s: AdamState, cfg: TrainConfig,
     step += np.multiply(theta, cfg.weight_decay, out=g)
     step *= cfg.lr
     theta -= step
-
-
-def loss_and_grads(p: MlpParams, X: np.ndarray, y: np.ndarray):
-    """MSE over the batch and its exact analytic gradients.
-
-    Returns:
-        (mse, grads) with grads keyed like MlpParams fields.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[1] != 2 or y.shape != (X.shape[0],):
-        raise ValidationError("batch must be X:(n,2), y:(n,)")
-    if X.shape[0] == 0:
-        raise ValidationError("batch must be non-empty")
-    grads = _views(np.empty(N_PARAMS))
-    resid = _backprop(p, X, y, grads)
-    return float(np.mean(resid * resid)), dict(zip(_FIELDS, grads))
-
-
-def adamw_step(p: MlpParams, grads: dict, s: AdamState,
-               cfg: TrainConfig) -> tuple[MlpParams, AdamState]:
-    """One decoupled-weight-decay Adam update with bias correction.
-
-    Weight decay is applied to every parameter tensor, biases included.
-    The update runs on copies of the flat vectors; it returns new objects
-    and leaves p, grads and s untouched.  The new weights are not
-    validated: train checks them once per epoch.
-    """
-    g = np.empty(N_PARAMS)
-    for name, span, shape in _LAYOUT:
-        g_name = np.asarray(grads[name], dtype=float)
-        if g_name.shape != shape:
-            raise ValidationError(f"grad {name} has shape {g_name.shape}, "
-                                  f"expected {shape}")
-        g[span] = g_name.ravel()
-    theta = p.theta.copy()
-    s_new = AdamState(m=s.m.copy(), v=s.v.copy(), t=s.t)
-    _adamw(theta, g, s_new, cfg, np.empty(N_PARAMS))
-    return MlpParams._from_flat(theta), s_new
 
 
 def _dataset_xy(data: AlignedDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -353,11 +321,10 @@ def train(data: AlignedDataset, cfg: TrainConfig = TrainConfig()
     per-epoch shuffles all come from one generator seeded with cfg.seed.
     The loss curve holds full-split MSE evaluated after each epoch.  A run
     whose loss or weights turn non-finite stops with a ValidationError
-    naming the epoch.  Each step runs the two kernels behind loss_and_grads
-    and adamw_step in place on vectors private to this call; the weights
-    are wrapped once, in a read-only copy, when training ends.  After each
-    epoch, AdamW moments of magnitude below the smallest normal float are
-    set to zero.
+    naming the epoch.  Each step runs loss_and_grads and adamw_step in place
+    on vectors private to this call; the weights are wrapped once, in a
+    read-only copy, when training ends.  After each epoch, AdamW moments of
+    magnitude below the smallest normal float are set to zero.
     """
     n = len(data)
     if n < 2 * cfg.batch_size:
@@ -390,8 +357,8 @@ def train(data: AlignedDataset, cfg: TrainConfig = TrainConfig()
         np.take(y_tr, order, out=y_ep)
         for start in range(0, n_tr, cfg.batch_size):
             stop = start + cfg.batch_size
-            _backprop(p, X_ep[start:stop], y_ep[start:stop], grads)
-            _adamw(theta, g, s, cfg, tmp)
+            loss_and_grads(p, X_ep[start:stop], y_ep[start:stop], grads)
+            adamw_step(theta, g, s, cfg, tmp)
         # A unit that stays closed decays its moments into the subnormal
         # range, where every operation on them is slow on some CPUs.  There
         # they change no weight bit: they add under 3e-300 to a step.

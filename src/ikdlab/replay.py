@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datalog import JoyLog
 from .errors import ParseError, ValidationError, require_positive
 from .fileio import read_table, row_line, write_table
 from .ikd import correct_batch
@@ -50,13 +49,6 @@ class CommandBuffer:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-
-def load_buffer(joy: JoyLog) -> CommandBuffer:
-    """Build a replay buffer from a joystick log, preserving row order."""
-    if len(joy) == 0:
-        raise ValidationError("cannot build a buffer from an empty log")
-    return CommandBuffer(rows=np.column_stack([joy.v, joy.av]))
 
 
 def next_command(buf: CommandBuffer) -> tuple[float, float]:

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .datalog import ImuLog, JoyLog
 from .errors import (ValidationError, finite_number, json_fields, require_positive,
                      seed_value)
 from .fileio import read_json, write_json
@@ -380,8 +381,6 @@ def emit_sensor_logs(trace: SimTrace, p: SlipParams, joy_rate: float = 40.0,
     Returns:
         (JoyLog, ImuLog)
     """
-    from .datalog import JoyLog, ImuLog  # local import to avoid a cycle
-
     if len(trace) == 0:
         raise ValidationError("cannot emit logs from an empty trace")
     if joy_rate <= 0 or imu_rate <= 0:

@@ -30,8 +30,8 @@ from ikdlab.cli import main
 from ikdlab.datalog import ImuLog, JoyLog, trim_idle
 from ikdlab.evalkit import circle_test, drift_eval, fit_circle
 from ikdlab.ikd import av_from_vc, c_from_av_v, correct
-from ikdlab.mlp import (MlpParams, TrainConfig, _FIELDS, _SHAPES, forward,
-                        init_params, loss_and_grads, train)
+from ikdlab.mlp import (N_PARAMS, MlpParams, TrainConfig, _FIELDS, _SHAPES,
+                        _views, forward, init_params, loss_and_grads, train)
 from ikdlab.replay import CommandBuffer, execute_replay, next_command
 from ikdlab.scenarios import (drift_buffer, drift_duration, loose_scenario,
                               tight_scenario, training_sweep_script,
@@ -185,8 +185,8 @@ def test_gradients_match_finite_differences_100_draws():
         if min(np.min(np.abs(z1)), np.min(np.abs(z2))) < 10 * h:
             continue
         checked += 1
-        _, grads = loss_and_grads(p, X, y)
-        g_an = np.concatenate([np.asarray(grads[n]).ravel() for n in _FIELDS])
+        g_an = np.empty(N_PARAMS)
+        loss_and_grads(p, X, y, _views(g_an))
         theta = p.theta
         # the stacked forward is the network: check it at the unperturbed point
         assert np.max(np.abs(stacked_forward(theta[None, :], X)[0]

@@ -13,7 +13,7 @@ from ikdlab.cli import DEFAULT_CIRCLE_CURVATURES, PipelineConfig, main
 from ikdlab.datalog import ImuLog, JoyLog
 from ikdlab.errors import ParseError, ValidationError
 from ikdlab.evalkit import DriftScenario
-from ikdlab.simcore import ControlScript
+from ikdlab.simcore import ControlScript, SlipParams
 
 
 @pytest.fixture()
@@ -553,6 +553,20 @@ def test_integer_past_float_range_exits_1_naming_file_and_key(workdir, capsys, a
     assert capsys.readouterr().err == err
 
 
+# 2**62 epochs fit an index, but not the byte size of a float64 loss curve
+@pytest.mark.parametrize("train", [{"epochs": 10 ** 19}, {"epochs": 2 ** 62},
+                                   {"batch_size": LONG_INT}],
+                         ids=["epochs", "epochs-bytes", "batch_size"])
+def test_train_size_past_the_index_range_exits_1_naming_file_and_key(workdir, capsys,
+                                                                     train):
+    with open("cfg.json", "w", encoding="utf-8") as fh:
+        json.dump({"seed": 0, "train": train}, fh)
+    assert main(["train", "--config", "cfg.json", "--out", "run"]) == 1
+    key, = train
+    assert capsys.readouterr().err == (
+        f"error: cfg.json: train: {key} must be in [1, {np.iinfo(np.intp).max // 8}]\n")
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
@@ -625,21 +639,17 @@ def mutate_json(rng, text: str) -> bytes:
     return json.dumps(raw).encode()
 
 
-def test_mutated_model_and_scenario_files_exit_0_or_1_with_one_error_line(workdir,
-                                                                          capsys):
-    mlp.save_model(mlp.init_params(np.random.default_rng(0)), "model.json")
-    scenarios.loose_scenario().to_json("course.json")
-    originals = {name: open(name, encoding="utf-8").read()
-                 for name in ("model.json", "course.json")}
-    with open("cfg.json", "w", encoding="utf-8") as fh:
-        json.dump({"seed": 0, "scenario_file": "course.json"}, fh)
-    argv = {"model.json": ["correct", "--model", "model.json", "--v", "2", "--c", "0.5"],
-            "course.json": ["eval-drift", "--config", "cfg.json", "--out", "run",
-                            "--duration", "0.5"]}
-    rng = np.random.default_rng(2213)
+def fuzz_files(capsys, argv: dict, seed: int, cases: int) -> list[int]:
+    """Run ``cases`` seeded mutations, cycling over the files of ``argv`` (a
+    file name -> the command line that reads it), and return the exit codes.
+    Each run must exit 0, or 1 with one ``error: <file>`` line and no stdout;
+    the file is restored after each case."""
+    originals = {name: open(name, encoding="utf-8").read() for name in argv}
+    names = list(argv)
+    rng = np.random.default_rng(seed)
     exits = []
-    for case in range(240):
-        name = ("model.json", "course.json")[case % 2]
+    for case in range(cases):
+        name = names[case % len(names)]
         mutated = mutate_json(rng, originals[name])
         with open(name, "wb") as fh:
             fh.write(mutated)
@@ -653,5 +663,43 @@ def test_mutated_model_and_scenario_files_exit_0_or_1_with_one_error_line(workdi
         exits.append(code)
         with open(name, "w", encoding="utf-8") as fh:
             fh.write(originals[name])
+    return exits
+
+
+def test_mutated_model_and_scenario_files_exit_0_or_1_with_one_error_line(workdir,
+                                                                          capsys):
+    mlp.save_model(mlp.init_params(np.random.default_rng(0)), "model.json")
+    scenarios.loose_scenario().to_json("course.json")
+    with open("cfg.json", "w", encoding="utf-8") as fh:
+        json.dump({"seed": 0, "scenario_file": "course.json"}, fh)
+    argv = {"model.json": ["correct", "--model", "model.json", "--v", "2", "--c", "0.5"],
+            "course.json": ["eval-drift", "--config", "cfg.json", "--out", "run",
+                            "--duration", "0.5"]}
+    exits = fuzz_files(capsys, argv, seed=2213, cases=240)
     # most mutations break the file; deleting an optional key does not
+    assert 0 < exits.count(0) < exits.count(1)
+
+
+def test_mutated_config_slip_and_script_files_exit_0_or_1_with_one_error_line(
+        workdir, capsys):
+    write_mini_script("script.json")
+    assert main(["collect", "--out", "run", "--script", "script.json",
+                 "--duration", "12"]) == 0
+    assert main(["align", "--out", "run"]) == 0
+    # every config key, at the values the dataset was made with
+    with open("train.json", "w", encoding="utf-8") as fh:
+        json.dump({"seed": 0, "rates": {"joy": 40.0, "imu": 40.0, "replay": 20.0},
+                   "delay_search": [0.0, 0.4], "delay_step": 0.002, "pad": 1.0,
+                   "train": {"epochs": 1, "batch_size": 32, "lr": 1e-3,
+                             "weight_decay": 0.01, "beta1": 0.9, "beta2": 0.999,
+                             "eps_adam": 1e-8, "split_fraction": 0.1}}, fh)
+    SlipParams(seed=0).to_json("slip.json")
+    with open("collect.json", "w", encoding="utf-8") as fh:
+        json.dump({"seed": 0, "slip_file": "slip.json"}, fh)
+    collect = ["collect", "--out", "c", "--script", "script.json", "--duration", "2"]
+    argv = {"train.json": ["train", "--config", "train.json", "--out", "run"],
+            "slip.json": [*collect, "--config", "collect.json"],
+            "script.json": collect}
+    capsys.readouterr()
+    exits = fuzz_files(capsys, argv, seed=78, cases=240)
     assert 0 < exits.count(0) < exits.count(1)

@@ -1,16 +1,17 @@
 """Circle fitting, circle tests, rectangle geometry, drift scoring."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from ikdlab.errors import FitError, ParseError, ValidationError
+from ikdlab.errors import FitError, ValidationError
 from ikdlab.evalkit import (CAR_WIDTH, MIN_REVOLUTIONS, TRANSIENT_MULT,
                             CircleReport, ClearanceReport, DriftScenario,
                             Rect, circle_test, circle_trace, drift_eval,
-                            emit_report, fit_circle, read_report_csv,
-                            write_comparison_csv)
+                            emit_report, fit_circle, write_comparison_csv)
+from ikdlab.fileio import read_table
 from ikdlab.simcore import SimTrace, SlipParams
 
 from conftest import (build_gain_model, kasa_radius, point_rect_signed_distance,
@@ -287,6 +288,9 @@ def test_clearance_report_consistency_check():
 
 # --- report files ------------------------------------------------------------
 
+CIRCLE_HEADER = "c_commanded,r_fit,c_measured,deviation_pct,ikd_enabled"
+
+
 def test_circle_report_csv_round_trip(tmp_path):
     reports = [
         CircleReport(c_commanded=0.5, r_fit=2.0, c_measured=0.5,
@@ -297,35 +301,16 @@ def test_circle_report_csv_round_trip(tmp_path):
     ]
     path = str(tmp_path / "reports.csv")
     emit_report(reports, path)
-    back = read_report_csv(path)
-    assert back == reports
+    rows = read_table(path, CIRCLE_HEADER)
+    assert rows.tobytes() == np.array(list(map(astuple, reports)), dtype=float).tobytes()
 
 
 def test_circle_report_csv_empty_is_header_only(tmp_path):
     path = str(tmp_path / "empty.csv")
     emit_report([], path)
     with open(path, "r", encoding="utf-8") as fh:
-        assert fh.read() == "c_commanded,r_fit,c_measured,deviation_pct,ikd_enabled\n"
-    assert read_report_csv(path) == []
-
-
-@pytest.mark.parametrize("flag", ["2", "-1", "0.5", "nan"])
-def test_circle_report_csv_rejects_flag_other_than_0_or_1(tmp_path, flag):
-    path = tmp_path / "reports.csv"
-    path.write_text("c_commanded,r_fit,c_measured,deviation_pct,ikd_enabled\n"
-                    "0.5,2.0,0.5,0.0,1\n"
-                    f"0.5,2.0,0.5,0.0,{flag}\n", encoding="utf-8")
-    with pytest.raises(ParseError, match=r"reports\.csv:3: ikd_enabled must be 0 or 1"):
-        read_report_csv(str(path))
-
-
-def test_circle_report_csv_names_the_file_line_of_a_bad_flag_past_blank_lines(tmp_path):
-    path = tmp_path / "reports.csv"
-    path.write_text("c_commanded,r_fit,c_measured,deviation_pct,ikd_enabled\n\n"
-                    "0.5,2.0,0.5,0.0,1\n\n\t\n"
-                    "0.5,2.0,0.5,0.0,2\n", encoding="utf-8")
-    with pytest.raises(ParseError, match=r"reports\.csv:6: ikd_enabled must be 0 or 1, got 2"):
-        read_report_csv(str(path))
+        assert fh.read() == CIRCLE_HEADER + "\n"
+    assert read_table(path, CIRCLE_HEADER).shape == (0, 5)
 
 
 def test_comparison_csv_layout(tmp_path):

@@ -8,7 +8,7 @@ from ikdlab.errors import ParseError, ValidationError
 from ikdlab import mlp as mlp_module
 from ikdlab.mlp import (LAYER_SIZES, N_PARAMS, AdamState, LossCurve,
                         MlpParams, TrainConfig, _EVAL_ROWS, _FIELDS, _SHAPES,
-                        _split_mse, adamw_step, forward, init_params,
+                        _split_mse, _views, adamw_step, forward, init_params,
                         load_model, loss_and_grads, save_model, train,
                         write_loss_csv)
 
@@ -17,6 +17,15 @@ from conftest import build_constant_model, build_gain_model, build_identity_mode
 
 def random_params(seed: int = 0) -> MlpParams:
     return init_params(np.random.default_rng(seed))
+
+
+def batch_loss_and_grads(p: MlpParams, X, y):
+    """The batch MSE, its gradient as one flat vector, and that vector's
+    views keyed like the MlpParams fields."""
+    g = np.empty(N_PARAMS)
+    grads = _views(g)
+    resid = loss_and_grads(p, X, y, grads)
+    return float(np.mean(resid * resid)), g, dict(zip(_FIELDS, grads))
 
 
 def identity_dataset(n: int = 3000, seed: int = 0) -> AlignedDataset:
@@ -132,6 +141,12 @@ def test_init_params_respects_fan_in_bounds():
     assert np.max(np.abs(p.W3)) <= 1.0 / np.sqrt(32.0)
     q = init_params(np.random.default_rng(0))
     assert np.array_equal(p.W1, q.W1) and np.array_equal(p.b3, q.b3)
+    # tensor by tensor in file order, each within its layer's fan-in bound
+    rng = np.random.default_rng(0)
+    draws = [rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), size=shape)
+             for fan_in, shape in ((2, (32, 2)), (2, (32,)), (32, (32, 32)),
+                                   (32, (32,)), (32, (1, 32)), (32, (1,)))]
+    assert p.theta.tobytes() == np.concatenate(draws, axis=None).tobytes()
 
 
 # --- loss and gradients ------------------------------------------------------
@@ -140,14 +155,14 @@ def test_perfect_fit_batch_has_zero_loss_and_grads():
     p = build_constant_model(0.5)
     X = np.array([[1.0, 2.0], [0.5, -1.0]])
     y = np.array([0.5, 0.5])
-    mse, grads = loss_and_grads(p, X, y)
+    mse, g, _ = batch_loss_and_grads(p, X, y)
     assert mse == 0.0
-    assert all(np.all(np.asarray(g) == 0.0) for g in grads.values())
+    assert not g.any()
 
 
 def test_single_sample_bias_gradient():
-    mse, grads = loss_and_grads(MlpParams.zeros(),
-                                np.array([[1.0, 1.0]]), np.array([1.0]))
+    mse, _, grads = batch_loss_and_grads(MlpParams.zeros(),
+                                         np.array([[1.0, 1.0]]), np.array([1.0]))
     assert mse == 1.0
     assert grads["b3"].tolist() == [-2.0]
     assert np.all(grads["W3"] == 0.0)  # hidden activations are all zero
@@ -180,8 +195,7 @@ def test_gradients_match_finite_differences():
         if min(np.min(np.abs(z1)), np.min(np.abs(z2))) < 10 * h:
             continue
         checked += 1
-        _, grads = loss_and_grads(p, X, y)
-        g_an = np.concatenate([np.asarray(grads[n]).ravel() for n in _FIELDS])
+        _, g_an, _ = batch_loss_and_grads(p, X, y)
         theta = flat(p)
         g_fd = np.empty_like(theta)
         for i in range(theta.size):
@@ -198,47 +212,57 @@ def test_gradients_match_finite_differences():
 
 def test_loss_rejects_malformed_batches():
     p = MlpParams.zeros()
-    with pytest.raises(ValidationError):
-        loss_and_grads(p, np.empty((0, 2)), np.empty(0))
-    with pytest.raises(ValidationError):
-        loss_and_grads(p, np.ones((3, 2)), np.ones(4))
+    grads = _views(np.empty(N_PARAMS))
+    with pytest.raises(ValidationError, match="non-empty"):
+        loss_and_grads(p, np.empty((0, 2)), np.empty(0), grads)
+    # y of shape (3, 1) would broadcast against the (3,) outputs unchecked
+    for X, y in ((np.ones((3, 2)), np.ones(4)), (np.ones((3, 2)), np.ones((3, 1))),
+                 (np.ones((3, 3)), np.ones(3)), (np.ones(2), np.ones(1))):
+        with pytest.raises(ValidationError, match=r"X:\(n,2\), y:\(n,\)"):
+            loss_and_grads(p, X, y, grads)
 
 
 # --- AdamW -------------------------------------------------------------------
 
 def test_adamw_zero_grads_zero_decay_is_identity():
-    p = random_params(5)
-    grads = {n: np.zeros(_SHAPES[n]) for n in _FIELDS}
-    cfg = TrainConfig(weight_decay=0.0)
-    p2, s2 = adamw_step(p, grads, AdamState.fresh(), cfg)
-    assert all(np.array_equal(getattr(p, n), getattr(p2, n)) for n in _FIELDS)
-    assert s2.t == 1
+    theta = random_params(5).theta.copy()
+    before = theta.copy()
+    s = AdamState.fresh()
+    adamw_step(theta, np.zeros(N_PARAMS), s, TrainConfig(weight_decay=0.0),
+               np.empty(N_PARAMS))
+    assert np.array_equal(theta, before)
+    assert s.t == 1
 
 
 def test_adamw_single_step_hand_computation():
     # param 1.0, grad 1.0, defaults: m_hat = 1, v_hat = 1,
     # step = 1/(1+1e-8) + 0.01, new value = 1 - 1e-3*step = 0.99899000001
-    vals = {n: np.zeros(_SHAPES[n]) for n in _FIELDS}
-    vals["b3"] = np.array([1.0])
-    grads = {n: np.zeros(_SHAPES[n]) for n in _FIELDS}
-    grads["b3"] = np.array([1.0])
-    p2, s2 = adamw_step(MlpParams(**vals), grads, AdamState.fresh(),
-                        TrainConfig())
-    assert p2.b3[0] == pytest.approx(0.99899000001, rel=1e-12)
-    assert s2.t == 1
+    theta, g = np.zeros(N_PARAMS), np.zeros(N_PARAMS)
+    theta[-1] = g[-1] = 1.0   # b3, the last tensor
+    s = AdamState.fresh()
+    adamw_step(theta, g, s, TrainConfig(), np.empty(N_PARAMS))
+    assert theta[-1] == pytest.approx(0.99899000001, rel=1e-12)
+    assert not theta[:-1].any()
+    assert s.t == 1
 
 
 def test_adamw_is_stateful_and_deterministic():
-    p = random_params(6)
-    grads = {n: np.full(_SHAPES[n], 0.3) for n in _FIELDS}
+    start = random_params(6).theta
     cfg = TrainConfig()
-    a1, s1 = adamw_step(p, grads, AdamState.fresh(), cfg)
-    b1, _ = adamw_step(p, grads, AdamState.fresh(), cfg)
-    assert all(np.array_equal(getattr(a1, n), getattr(b1, n)) for n in _FIELDS)
-    a2, s2 = adamw_step(a1, grads, s1, cfg)
-    assert s2.t == 2
+
+    def step(theta, s):
+        adamw_step(theta, np.full(N_PARAMS, 0.3), s, cfg, np.empty(N_PARAMS))
+
+    a, s1 = start.copy(), AdamState.fresh()
+    step(a, s1)
+    b = start.copy()
+    step(b, AdamState.fresh())
+    assert np.array_equal(a, b)
+    a1 = a.copy()
+    step(a, s1)
+    assert s1.t == 2
     # second step differs from the first because the moments have state
-    assert not np.array_equal(a2.W1 - a1.W1, a1.W1 - p.W1)
+    assert not np.array_equal(a - a1, a1 - start)
 
 
 def test_adam_state_is_flat():
@@ -248,10 +272,12 @@ def test_adam_state_is_flat():
 
 
 def test_adamw_rejects_shape_mismatch():
-    grads = {n: np.zeros(_SHAPES[n]) for n in _FIELDS}
-    grads["W2"] = np.zeros((4, 4))
-    with pytest.raises(ValidationError, match="W2"):
-        adamw_step(random_params(1), grads, AdamState.fresh(), TrainConfig())
+    # a (1,) gradient would broadcast over every weight unchecked
+    for shape in ((4, 4), (1,), (N_PARAMS, 1)):
+        theta = random_params(1).theta.copy()
+        with pytest.raises(ValidationError, match=r"gradient has shape"):
+            adamw_step(theta, np.zeros(shape), AdamState.fresh(), TrainConfig(),
+                       np.empty(N_PARAMS))
 
 
 # --- train -------------------------------------------------------------------

@@ -44,10 +44,10 @@ from ikdlab.align import (DEFAULT_DELAY_STEP, DELAY_MAX, DELAY_MIN, MIN_OVERLAP,
                           scan_delays)
 from ikdlab.datalog import ImuLog, JoyLog, trim_idle
 from ikdlab.fileio import ROW_BLOCK, read_table, write_table
-from ikdlab.mlp import (AdamState, LossCurve, MlpParams, TrainConfig, _FIELDS,
-                        _SHAPES, _dataset_xy, _forward_batch, adamw_step,
-                        forward, init_params, loss_and_grads, train)
-from ikdlab.replay import CommandBuffer, execute_replay, load_buffer, next_command
+from ikdlab.mlp import (N_PARAMS, AdamState, LossCurve, MlpParams, TrainConfig,
+                        _FIELDS, _SHAPES, _dataset_xy, _forward_batch, _views,
+                        adamw_step, forward, init_params, loss_and_grads, train)
+from ikdlab.replay import CommandBuffer, execute_replay, next_command
 from ikdlab.scenarios import (loose_scenario, tight_scenario,
                                training_sweep_script)
 from ikdlab.simcore import (DEFAULT_DT, V_CAP, ControlScript, SimTrace,
@@ -753,7 +753,7 @@ def test_flat_trainer_matches_per_tensor_loop_bit_for_bit():
     assert partial >= 1 and full >= 1   # short and whole last batches
 
 
-def test_adamw_step_matches_per_tensor_step_and_leaves_inputs_alone():
+def test_adamw_step_matches_per_tensor_step_in_place():
     rng = np.random.default_rng(12)
     for _ in range(50):
         cfg = TrainConfig(lr=float(rng.uniform(1e-5, 1e-1)),
@@ -769,23 +769,16 @@ def test_adamw_step_matches_per_tensor_step_and_leaves_inputs_alone():
         t = int(rng.integers(0, 500))
         s = AdamState(m=np.concatenate([m[n].ravel() for n in _FIELDS]),
                       v=np.concatenate([v[n].ravel() for n in _FIELDS]), t=t)
-        before = (p.theta.copy(), {n: g.copy() for n, g in grads.items()},
-                  s.m.copy(), s.v.copy())
+        theta = p.theta.copy()
+        g = np.concatenate([grads[n].ravel() for n in _FIELDS])
 
-        p2, s2 = adamw_step(p, grads, s, cfg)
+        adamw_step(theta, g, s, cfg, np.empty(N_PARAMS))
         ref_p, ref_s = reference_adamw_step(p, grads, ReferenceAdamState(m, v, t), cfg)
-        for name in _FIELDS:
-            assert np.array_equal(getattr(p2, name), getattr(ref_p, name)), name
-        assert np.array_equal(s2.m, np.concatenate([ref_s.m[n].ravel() for n in _FIELDS]))
-        assert np.array_equal(s2.v, np.concatenate([ref_s.v[n].ravel() for n in _FIELDS]))
-        assert s2.t == ref_s.t == t + 1
-
-        assert np.array_equal(p.theta, before[0])
-        assert all(np.array_equal(grads[n], before[1][n]) for n in _FIELDS)
-        assert np.array_equal(s.m, before[2]) and np.array_equal(s.v, before[3])
-        assert s.t == t
-        assert not np.shares_memory(p2.theta, p.theta)
-        assert not np.shares_memory(s2.m, s.m) and not np.shares_memory(s2.v, s.v)
+        assert theta.tobytes() == ref_p.theta.tobytes()
+        for flat, ref in ((s.m, ref_s.m), (s.v, ref_s.v)):
+            assert flat.tobytes() == np.concatenate([ref[n] for n in _FIELDS],
+                                                    axis=None).tobytes()
+        assert s.t == ref_s.t == t + 1
 
 
 @pytest.mark.parametrize("rows, overrides", [
@@ -820,7 +813,7 @@ def test_flushed_moments_keep_the_per_tensor_loop_bits_past_7000_dead_steps(monk
     n_tr = 40 - min(max(round(40 * cfg.split_fraction), 1), 40 - cfg.batch_size)
     tiny = np.finfo(float).tiny
     subnormal_at_epoch_start = []
-    adamw = mlp_mod._adamw
+    adamw = mlp_mod.adamw_step
 
     def spy(theta, g, s, cfg, tmp):
         if s.t % n_tr == 0:
@@ -829,7 +822,7 @@ def test_flushed_moments_keep_the_per_tensor_loop_bits_past_7000_dead_steps(monk
                 np.count_nonzero((moments != 0) & (np.abs(moments) < tiny)))
         adamw(theta, g, s, cfg, tmp)
 
-    monkeypatch.setattr(mlp_mod, "_adamw", spy)
+    monkeypatch.setattr(mlp_mod, "adamw_step", spy)
     params, curve = train(data, cfg)
     ref_params, ref_curve, ref_state = reference_train(data, cfg)
     ref_m = np.concatenate([ref_state.m[n].ravel() for n in _FIELDS])
@@ -841,19 +834,20 @@ def test_flushed_moments_keep_the_per_tensor_loop_bits_past_7000_dead_steps(monk
     assert curve.test_mse.tobytes() == ref_curve.test_mse.tobytes()
 
 
-def test_loss_and_grads_match_per_tensor_backprop_bit_for_bit():
+def test_loss_and_grads_match_per_tensor_gradients_bit_for_bit():
     rng = np.random.default_rng(8)
     for _ in range(50):
         p = init_params(rng)
         n = int(rng.choice([1, 2, 7, 32, 128]))
         X = np.column_stack([rng.uniform(0.0, 4.2, n), rng.uniform(-4.0, 4.0, n)])
         y = rng.uniform(-4.0, 4.0, n)
-        mse, grads = loss_and_grads(p, X, y)
+        grads = _views(np.empty(N_PARAMS))
+        resid = loss_and_grads(p, X, y, grads)
         ref_mse, ref_grads = reference_loss_and_grads(p, X, y)
-        assert mse == ref_mse
-        for name in _FIELDS:
-            assert grads[name].shape == _SHAPES[name]
-            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+        assert float(np.mean(resid * resid)) == ref_mse
+        for name, grad in zip(_FIELDS, grads):
+            assert grad.shape == _SHAPES[name]
+            assert grad.tobytes() == ref_grads[name].tobytes(), name
 
 
 def test_train_leaves_its_inputs_alone_and_returns_private_read_only_weights():
@@ -1035,7 +1029,7 @@ def short_run_tables():
     return [("joy", "t,v,av", (joy.t, joy.v, joy.av)),
             ("imu", "t,av_z", (imu.t, imu.av_z)),
             ("dataset", "idx,v_joy,av_joy,av_imu", (d.idx, d.v_joy, d.av_joy, d.av_imu)),
-            ("buffer", None, load_buffer(joy).rows.T)]
+            ("buffer", None, np.column_stack([joy.v, joy.av]).T)]
 
 
 # Both sides of repr's switches to exponent notation (below 1e-4, from 1e16),

@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from ikdlab.datalog import JoyLog
 from ikdlab.errors import ParseError, ValidationError
 from ikdlab.replay import (DEFAULT_REPLAY_RATE, CommandBuffer, execute_replay,
-                           load_buffer, next_command, read_buffer_txt,
-                           write_buffer_txt)
+                           next_command, read_buffer_txt, write_buffer_txt)
 from ikdlab.simcore import ControlScript, SlipParams, run_scenario
 
 from conftest import build_identity_model
@@ -59,15 +57,6 @@ def test_wrap_property_over_many_reads():
         for j in range(k):
             assert next_command(buf) == rows[j % n]
         assert buf.cursor == k % n
-
-
-def test_load_buffer_preserves_order():
-    joy = JoyLog(t=np.array([0.0, 0.025]), v=np.array([1.5, 2.5]),
-                 av=np.array([0.4, -0.4]))
-    buf = load_buffer(joy)
-    assert np.array_equal(buf.rows, [(1.5, 0.4), (2.5, -0.4)])
-    with pytest.raises(ValidationError):
-        load_buffer(JoyLog(t=np.empty(0), v=np.empty(0), av=np.empty(0)))
 
 
 def test_buffer_txt_round_trip(tmp_path):

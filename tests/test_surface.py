@@ -1,13 +1,22 @@
 """The package's documented surface and its imports, checked by parsing.
 
-README's "Library use" imports must keep working, and no module of the
-package may import a name it never uses.
+README's "Library use" imports must keep working, no module of the package
+may import a name it never uses, and the names the benchmark's tracer
+(perfbench/tracing.py) wraps must exist and be the ones the program calls.
 """
 
 import ast
+import importlib.util
+import math
 import pathlib
+import sys
 
+import numpy as np
 import pytest
+
+import ikdlab.cli  # loads every module the tracer wraps
+from ikdlab import mlp
+from ikdlab.align import AlignedDataset
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ikdlab"
@@ -58,3 +67,47 @@ def test_unused_import_check_finds_an_unused_name():
     tree = ast.parse("import math\nimport os.path\nfrom x import a, b as c\n"
                      "os.getcwd()\nprint(c)\n")
     assert unused_imports(tree) == ["a", "math"]
+
+
+def load_tracing():
+    """perfbench/tracing.py, loaded by path as a module of its own."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_patches_every_target_and_restores_it():
+    tracing = load_tracing()
+    originals = {(mod, fn): getattr(sys.modules[mod], fn)
+                 for mod, fn, _, _ in tracing.TARGETS}
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        patched = {(mod.__name__, fn) for mod, fn, _ in tracer.patched}
+        for (mod, fn), original in originals.items():
+            assert (mod, fn) in patched, (mod, fn)
+            assert getattr(sys.modules[mod], fn).__wrapped__ is original, (mod, fn)
+    assert not tracer.patched
+    for (mod, fn), original in originals.items():
+        assert getattr(sys.modules[mod], fn) is original, (mod, fn)
+
+
+def test_traced_training_counts_one_optimizer_step_per_batch():
+    tracing = load_tracing()
+    rng = np.random.default_rng(5)
+    v, av = rng.uniform(0.5, 4.0, 200), rng.uniform(-3.0, 3.0, 200)
+    data = AlignedDataset(v_joy=v, av_joy=av, av_imu=0.8 * av, period=0.025)
+    cfg = mlp.TrainConfig(epochs=2, batch_size=32)
+    n_train = 200 - round(200 * cfg.split_fraction)
+    batches = cfg.epochs * math.ceil(n_train / cfg.batch_size)   # 2 x 6
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.traced_pass(0):
+        mlp.train(data, cfg)
+    m = tracing.layer_metrics(tracer.spans, passes=1)
+    assert m["mlp.train.calls"] == 1
+    assert m["mlp.optimizer_steps"] == batches == 12
+    names = [rec[tracing.NAME] for rec in tracer.spans]
+    assert names.count("mlp.loss_and_grads") == batches
+    assert m["mlp.loss_and_grads.self_s"] > 0 and m["mlp.adamw_step.self_s"] > 0
+    assert m["mlp.us_per_step"] > 0
