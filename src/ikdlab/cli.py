@@ -9,6 +9,7 @@ reports/, plots/ under the resolved output root.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -218,23 +219,28 @@ def cmd_replay(args) -> int:
     return 0
 
 
+def _finite_nonzero(flag: str, value: float) -> float:
+    if not (math.isfinite(value) and value != 0):
+        raise ValidationError(f"{flag} must be finite and nonzero, got {value!r}")
+    return value
+
+
 def _parse_curvatures(text: str) -> list[float]:
     try:
         vals = [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
-        raise ValidationError(f"bad curvature list {text!r}") from None
+        raise ValidationError(f"--curvatures: bad curvature list {text!r}") from None
     if not vals:
-        raise ValidationError("curvature list is empty")
-    if any(c == 0 for c in vals):
-        raise ValidationError("circle test needs nonzero curvatures")
-    return vals
+        raise ValidationError("--curvatures: curvature list is empty")
+    return [_finite_nonzero("--curvatures", c) for c in vals]
 
 
 def cmd_eval_circle(args) -> int:
-    cfg = _load_config(args)
-    out = _resolve_out(args, cfg)
     curvatures = (_parse_curvatures(args.curvatures) if args.curvatures
                   else list(DEFAULT_CIRCLE_CURVATURES))
+    _finite_nonzero("--v", args.v)
+    cfg = _load_config(args)
+    out = _resolve_out(args, cfg)
     model = mlp.load_model(args.model) if args.model else None
 
     runs = [("uncorrected", None)]

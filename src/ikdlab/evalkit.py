@@ -225,67 +225,95 @@ def _gate_segment(scenario: DriftScenario):
     return cone, nearest
 
 
+def _lowest(p) -> np.ndarray:
+    """Smallest of the four corner rows of p, taken in corner order."""
+    return np.minimum(np.minimum(np.minimum(p[0], p[1]), p[2]), p[3])
+
+
+def _highest(p) -> np.ndarray:
+    """Largest of the four corner rows of p, taken in corner order."""
+    return np.maximum(np.maximum(np.maximum(p[0], p[1]), p[2]), p[3])
+
+
 def _sat_gap(ax, ay, bx, by, axes) -> np.ndarray:
     """Largest separating-axis gap between the corner sets a and b.
 
-    Corner coordinates have shape (..., 4); each axis is a pair of unit
-    vector components broadcastable against the leading dimensions.
+    Corner coordinates are corner-major, shape (4, ...): one row per
+    corner.  Each axis is a pair of unit vector components broadcastable
+    against a row.
     """
-    gap = np.full(np.broadcast_shapes(ax.shape, bx.shape)[:-1], -math.inf)
+    gap = -math.inf
     for ux, uy in axes:
-        ux, uy = np.asarray(ux)[..., None], np.asarray(uy)[..., None]
         pa = ax * ux + ay * uy
         pb = bx * ux + by * uy
-        gap = np.maximum(gap, np.maximum(pa.min(-1) - pb.max(-1),
-                                         pb.min(-1) - pa.max(-1)))
+        gap = np.maximum(gap, np.maximum(_lowest(pa) - _highest(pb),
+                                         _lowest(pb) - _highest(pa)))
     return gap
+
+
+_NEXT_CORNER = np.array([1, 2, 3, 0])   # corner j's edge runs to corner j + 1 mod 4
 
 
 def _corner_edge_distance(px, py, qx, qy) -> np.ndarray:
     """Smallest distance from the corners p to the edges of the rectangle q.
 
-    Corner coordinates have shape (..., 4), q's corners in boundary order.
+    Corner coordinates are corner-major, shape (4, m), q's corners in
+    boundary order.  The distances of every corner to every edge are one
+    (edge, corner, m) array.
     """
-    ax, ay = qx[..., None, :], qy[..., None, :]
-    abx = np.roll(qx, -1, axis=-1)[..., None, :] - ax
-    aby = np.roll(qy, -1, axis=-1)[..., None, :] - ay
-    dx, dy = px[..., :, None] - ax, py[..., :, None] - ay
+    ax, ay = qx[:, None], qy[:, None]
+    abx, aby = qx[_NEXT_CORNER, None] - ax, qy[_NEXT_CORNER, None] - ay
+    dx, dy = px - ax, py - ay
     t = np.clip((dx * abx + dy * aby) / (abx * abx + aby * aby), 0.0, 1.0)
-    d = np.hypot(px[..., :, None] - (ax + t * abx), py[..., :, None] - (ay + t * aby))
-    return d.min(axis=(-2, -1))
+    d = np.hypot(px - (ax + t * abx), py - (ay + t * aby))
+    return d.min(axis=(0, 1))
 
 
 def _box_distance(car_x, car_y, bx, by) -> np.ndarray:
     """Exact boundary-to-boundary distance between disjoint car and box corner
-    sets: the nearer of corner-to-edge either way."""
-    return np.minimum(_corner_edge_distance(car_x, car_y, bx, by),
-                      _corner_edge_distance(bx, by, car_x, car_y))
+    sets: the nearer of corner-to-edge either way.
+
+    The car's corners have shape (4, m), the box's (4, 1).  Both ways are
+    one batch of 2m corner sets: the car's corners to the box's edges, then
+    the box's corners to the car's edges.
+    """
+    m = car_x.shape[1]
+    box_x, box_y = np.repeat(bx, m, axis=1), np.repeat(by, m, axis=1)
+    d = _corner_edge_distance(np.concatenate((car_x, box_x), axis=1),
+                              np.concatenate((car_y, box_y), axis=1),
+                              np.concatenate((box_x, car_x), axis=1),
+                              np.concatenate((box_y, car_y), axis=1))
+    return np.minimum(d[:m], d[m:])
 
 
-def _gate_crossed(xy: np.ndarray, g0, g1) -> bool:
-    """Whether any segment between consecutive positions meets the gate g0-g1.
+def _gate_crossed(x: np.ndarray, y: np.ndarray, g0, g1) -> bool:
+    """Whether any segment between consecutive positions (x, y) meets the
+    gate g0-g1.
 
     The orientation and collinear on-segment tests of a segment
-    intersection, over all consecutive position pairs at once.
+    intersection, over all consecutive position pairs at once.  A
+    position's tests against the gate are made once, for the segments
+    that end and start there.
     """
-    p1, p2 = xy[:-1], xy[1:]
+    (gx0, gy0), (gx1, gy1) = g0, g1
+    x1, y1, x2, y2 = x[:-1], y[:-1], x[1:], y[1:]
 
-    def orient(o, a, b):
-        v = (a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1]) \
-            - (a[..., 1] - o[..., 1]) * (b[..., 0] - o[..., 0])
-        return np.sign(v)
+    def orient(ox, oy, ax, ay, bx, by):
+        return np.sign((ax - ox) * (by - oy) - (ay - oy) * (bx - ox))
 
-    def on_seg(a, b, p):
-        return ((np.minimum(a[..., 0], b[..., 0]) <= p[..., 0])
-                & (p[..., 0] <= np.maximum(a[..., 0], b[..., 0]))
-                & (np.minimum(a[..., 1], b[..., 1]) <= p[..., 1])
-                & (p[..., 1] <= np.maximum(a[..., 1], b[..., 1])))
+    def on_box(lo_x, hi_x, lo_y, hi_y, px, py):
+        return (lo_x <= px) & (px <= hi_x) & (lo_y <= py) & (py <= hi_y)
 
-    d1, d2 = orient(g0, g1, p1), orient(g0, g1, p2)
-    d3, d4 = orient(p1, p2, g0), orient(p1, p2, g1)
-    hit = (((d1 != d2) & (d3 != d4))
-           | ((d1 == 0) & on_seg(g0, g1, p1)) | ((d2 == 0) & on_seg(g0, g1, p2))
-           | ((d3 == 0) & on_seg(p1, p2, g0)) | ((d4 == 0) & on_seg(p1, p2, g1)))
+    side = orient(gx0, gy0, gx1, gy1, x, y)
+    on_gate = (side == 0) & on_box(np.minimum(gx0, gx1), np.maximum(gx0, gx1),
+                                   np.minimum(gy0, gy1), np.maximum(gy0, gy1), x, y)
+    d1, d2 = side[:-1], side[1:]
+    d3, d4 = orient(x1, y1, x2, y2, gx0, gy0), orient(x1, y1, x2, y2, gx1, gy1)
+    seg_box = (np.minimum(x1, x2), np.maximum(x1, x2),
+               np.minimum(y1, y2), np.maximum(y1, y2))
+    hit = (((d1 != d2) & (d3 != d4)) | on_gate[:-1] | on_gate[1:]
+           | ((d3 == 0) & on_box(*seg_box, gx0, gy0))
+           | ((d4 == 0) & on_box(*seg_box, gx1, gy1)))
     return bool(np.any(hit))
 
 
@@ -297,7 +325,11 @@ def drift_eval(trace: SimTrace, scenario: DriftScenario) -> ClearanceReport:
     TURN_AV_FLOOR; cleared_gate requires crossing the cone-to-box gate
     segment without ever colliding.  Every state is scored at once: the
     car's corners, separating-axis gaps and corner-to-edge distances are
-    arrays over the states.  A box's signed distance is minus the smallest
+    arrays over the states.  The corners are corner-major, shape (4, n), so
+    the smallest and largest corner of a projection are three elementwise
+    minima or maxima of rows; every elementwise expression is the one the
+    (n, 4) layout used, and minima and maxima are exact, so the layout
+    changes no bit.  A box's signed distance is minus the smallest
     separating-axis penetration while overlapping and the exact
     boundary-to-boundary distance when disjoint; a cone's is the point's
     signed distance to the car rectangle (negative inside).
@@ -314,23 +346,23 @@ def drift_eval(trace: SimTrace, scenario: DriftScenario) -> ClearanceReport:
     """
     ca, sa = np.cos(trace.heading), np.sin(trace.heading)
     hw, hh = scenario.car_length / 2.0, scenario.car_width / 2.0
-    local_x = np.array([-hw, hw, hw, -hw])
-    local_y = np.array([-hh, -hh, hh, hh])
-    car_x = local_x * ca[:, None] - local_y * sa[:, None] + trace.x[:, None]
-    car_y = local_x * sa[:, None] + local_y * ca[:, None] + trace.y[:, None]
+    local_x = np.array([[-hw], [hw], [hw], [-hw]])
+    local_y = np.array([[-hh], [-hh], [hh], [hh]])
+    car_x = local_x * ca - local_y * sa + trace.x
+    car_y = local_x * sa + local_y * ca + trace.y
     car_axes = ((ca, sa), (-sa, ca))
 
     min_clearance = math.inf
     for box in scenario.boxes:
-        corners = box.corners()
-        bx, by = corners[:, 0], corners[:, 1]
+        bx, by = box.corners().T[:, :, None]
         cb, sb = math.cos(box.angle), math.sin(box.angle)
         d = _sat_gap(car_x, car_y, bx, by, car_axes + ((cb, sb), (-sb, cb)))
         if d.min() > 0.0:  # disjoint in every state: exact distances near the minimum
             k = int(d.argmin())
-            near = d <= _box_distance(car_x[k], car_y[k], bx, by) + PRUNE_SLACK
+            near = d <= _box_distance(car_x[:, k:k + 1], car_y[:, k:k + 1], bx, by) \
+                + PRUNE_SLACK
             near[k] = True  # far from the origin the gap's rounding can pass the slack
-            d = _box_distance(car_x[near], car_y[near], bx, by)
+            d = _box_distance(car_x[:, near], car_y[:, near], bx, by)
         min_clearance = min(min_clearance, float(d.min()))
     for cone_x, cone_y in scenario.cones:
         px, py = cone_x - trace.x, cone_y - trace.y
@@ -348,7 +380,7 @@ def drift_eval(trace: SimTrace, scenario: DriftScenario) -> ClearanceReport:
                                        / np.abs(trace.av[turning])))
 
     gate = _gate_segment(scenario)
-    crossed = gate is not None and _gate_crossed(trace.xy(), *gate)
+    crossed = gate is not None and _gate_crossed(trace.x, trace.y, *gate)
     cleared_gate = bool(crossed and not collided)
 
     return ClearanceReport(min_clearance=float(min_clearance), collided=collided,

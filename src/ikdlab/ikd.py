@@ -61,14 +61,21 @@ def correct_batch(model: MlpParams, v: np.ndarray, c_desired: np.ndarray) -> Cor
     answer is clamped to the actuator range and turned back into a
     curvature, with ``clamped`` marking the rows the clamp changed.  The
     rows share one batched forward pass, whose sums may round differently
-    from a one-row pass in the last bits.  A non-finite model output raises
-    InferenceError naming the first bad row.
+    from a one-row pass in the last bits.  A v*c that overflows raises
+    ValidationError, and a non-finite model output InferenceError, each
+    naming the first bad row.
     """
     v = np.asarray(v, dtype=float)
     c_desired = np.asarray(c_desired, dtype=float)
     if not (np.all(np.isfinite(v)) and np.all(np.isfinite(c_desired))):
         raise ValidationError("v and c must be finite")
-    av_desired = v * c_desired
+    with np.errstate(over="ignore"):   # an overflowing v*c is refused below
+        av_desired = v * c_desired
+    bad = np.flatnonzero(~np.isfinite(av_desired))
+    if bad.size:
+        k = int(bad[0])
+        where = f"row {k}: " if av_desired.size > 1 else ""
+        raise ValidationError(f"{where}v*c must be finite, got {float(av_desired[k])!r}")
     raw = forward(model, np.column_stack([v, av_desired]))
     bad = np.flatnonzero(~np.isfinite(raw))
     if bad.size:

@@ -29,8 +29,14 @@ _BLOCK_STEPS = 4096  # steps per block of the closed-form integrator
 
 
 def normalize_heading(h: float) -> float:
-    """Wrap an angle, or elementwise an array of angles, into (-pi, pi]."""
-    return math.pi - (math.pi - h) % math.tau
+    """Wrap an angle, or elementwise an array of angles, into (-pi, pi].
+
+    ``pi - (pi - h) mod 2*pi``, the remainder taken as ``fmod`` plus 2*pi
+    where negative: the bits of Python's and numpy's ``%``, without the
+    quotient numpy's ``%`` also computes.
+    """
+    wrapped = np.fmod(math.pi - h, math.tau)
+    return math.pi - np.where(wrapped < 0.0, wrapped + math.tau, wrapped)
 
 
 def c_from_av_v(av, v):
@@ -183,6 +189,8 @@ class ControlScript:
         segs = raw.get("segments") if isinstance(raw, dict) else raw
         if not isinstance(segs, list):
             raise ValidationError(f"{path}: expected a list of segments")
+        if isinstance(raw, dict):
+            json_fields(path, raw, ("segments",))
         fields = ("t_start", "v", "c")
         out = []
         for i, seg in enumerate(segs):
@@ -299,10 +307,14 @@ def _integrate(state: VehicleState | None, cmd_v: np.ndarray, cmd_c: np.ndarray,
     sequence is monotone, so clamping it reproduces the per-step V_CAP
     clamp.  One scalar pass over the segments carries ``v`` and ``av_lag``
     from segment to segment.  The steps are then evaluated in blocks of
-    _BLOCK_STEPS: heading and pose are running sums, the heading wrapped
-    again in each block and the pose advanced along the heading before the
-    update.  The result agrees with the per-step recursion to within float
-    rounding, not bit for bit.
+    _BLOCK_STEPS.  In a block, each segment's first step, command and lag
+    offsets are expanded to its steps by run length (one ``np.repeat``, runs
+    clipped to the block), so no step searches for its segment and no
+    array is longer than a block.  Heading and pose are running sums, the
+    heading wrapped again in each block and the pose advanced along the
+    heading before the update.  The result agrees with the per-step
+    recursion to within float rounding, not bit for bit; the run-length
+    expansion gives the bits the per-step segment search gave.
     """
     n = cmd_v.size
     alpha = 1.0 if p.lag_tau <= 0.0 else 1.0 - math.exp(-dt / p.lag_tau)
@@ -312,30 +324,35 @@ def _integrate(state: VehicleState | None, cmd_v: np.ndarray, cmd_c: np.ndarray,
     new_seg = np.ones(n, dtype=bool)
     new_seg[1:] = (cmd_v[1:] != cmd_v[:-1]) | (cmd_c[1:] != cmd_c[:-1])
     seg_start = np.flatnonzero(new_seg)
+    seg_end = np.append(seg_start[1:], n)
     seg_v = cmd_v[seg_start]
     seg_av = seg_v * cmd_c[seg_start]
     v_start, lag_start = [], []
     v_end, lag_end = state.v, state.av_lag
     for c_v, c_av, decay in zip(seg_v.tolist(), seg_av.tolist(),
-                                np.power(r, np.diff(seg_start, append=n)).tolist()):
+                                np.power(r, seg_end - seg_start).tolist()):
         v_start.append(v_end)
         lag_start.append(lag_end)
-        v_end = max(-V_CAP, min(V_CAP, c_v + (v_end - c_v) * decay))
+        v_end = c_v + (v_end - c_v) * decay
+        v_end = V_CAP if v_end > V_CAP else -V_CAP if v_end < -V_CAP else v_end
         lag_end = c_av + (lag_end - c_av) * decay
-    v_start, lag_start = np.array(v_start), np.array(lag_start)
+    # per segment: its first step, command and the lag's distance from it
+    seg_rows = np.array([seg_start, seg_v, np.subtract(v_start, seg_v),
+                         seg_av, np.subtract(lag_start, seg_av)])
 
     x, y, heading, v, av, av_lag = out = tuple(np.empty(n + 1) for _ in _STATE_CHANNELS)
     for channel, name in zip(out, _STATE_CHANNELS):
         channel[0] = getattr(state, name)
-    for b0 in range(0, n, _BLOCK_STEPS):
+    seg_first = np.searchsorted(seg_start, np.arange(0, n, _BLOCK_STEPS), side="right") - 1
+    for s0, b0 in zip(seg_first.tolist(), range(0, n, _BLOCK_STEPS)):
         b1 = min(b0 + _BLOCK_STEPS, n)
-        steps = np.arange(b0, b1)
-        seg = np.searchsorted(seg_start, steps, side="right") - 1
-        decay = np.power(r, steps + 1 - seg_start[seg])
-        c_v, c_av = seg_v[seg], seg_av[seg]
+        s1 = s0 + int(np.searchsorted(seg_start[s0:], b1))
+        runs = np.minimum(seg_end[s0:s1], b1) - np.maximum(seg_start[s0:s1], b0)
+        first, c_v, dv, c_av, dlag = np.repeat(seg_rows[:, s0:s1], runs, axis=1)
+        decay = np.power(r, np.arange(b0 + 1, b1 + 1) - first)
         new = slice(b0 + 1, b1 + 1)     # the states these steps produce
-        np.clip(c_v + (v_start[seg] - c_v) * decay, -V_CAP, V_CAP, out=v[new])
-        av_lag[new] = c_av + (lag_start[seg] - c_av) * decay
+        np.clip(c_v + dv * decay, -V_CAP, V_CAP, out=v[new])
+        av_lag[new] = c_av + dlag * decay
         av[new] = slip_yaw_rate(av_lag[new], v[new], p.beta)
         heading[new] = av[new] * dt
         np.add.accumulate(heading[b0:b1 + 1], out=heading[b0:b1 + 1])

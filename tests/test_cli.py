@@ -4,6 +4,7 @@ import json
 import os
 import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +317,44 @@ def test_script_command_past_the_checks_exits_1(workdir, capsys, c, err):
     assert main(["collect", "--out", "run", "--script", "script.json",
                  "--duration", "1.0"]) == 1
     assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_script_with_an_unknown_top_level_key_exits_1_naming_it(workdir, capsys):
+    with open("script.json", "w", encoding="utf-8") as fh:
+        json.dump({"segments": [{"t_start": 0.0, "v": 1.0, "c": 0.1}], "bogus": 1.0}, fh)
+    assert main(["collect", "--out", "run", "--script", "script.json",
+                 "--duration", "2"]) == 1
+    assert capsys.readouterr().err == "error: script.json: unknown fields ['bogus']\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["--curvatures", "nan"], "--curvatures must be finite and nonzero, got nan"),
+    (["--curvatures", "0.5,inf"], "--curvatures must be finite and nonzero, got inf"),
+    (["--curvatures", "0.5,0"], "--curvatures must be finite and nonzero, got 0.0"),
+    (["--curvatures", "0.5,x"], "--curvatures: bad curvature list '0.5,x'"),
+    (["--curvatures", ","], "--curvatures: curvature list is empty"),
+    (["--v", "nan"], "--v must be finite and nonzero, got nan"),
+    (["--v=-inf"], "--v must be finite and nonzero, got -inf"),
+    (["--v", "0"], "--v must be finite and nonzero, got 0.0"),
+])
+def test_eval_circle_checks_its_flags_before_simulating(workdir, capsys, argv, err):
+    assert main(["eval-circle", "--out", "run", *argv]) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not os.path.exists("run")   # refused before any output was made
+
+
+@pytest.mark.parametrize("v, c, product", [("1e308", "1e308", "inf"),
+                                           ("-1e308", "1e308", "-inf")])
+def test_correct_with_an_overflowing_v_times_c_exits_1_without_a_warning(
+        workdir, capsys, v, c, product):
+    mlp.save_model(mlp.init_params(np.random.default_rng(0)), "model.json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["correct", "--model", "model.json", f"--v={v}", f"--c={c}"]) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err == f"error: v*c must be finite, got {product}\n"
+    assert err.count("error:") == 1 and "Warning" not in err
 
 
 @pytest.mark.parametrize("argv, name, raw, line", [

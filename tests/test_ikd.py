@@ -175,6 +175,13 @@ def test_batched_correction_names_first_non_finite_row():
         correct_batch(build_identity_model(), [1.0, 2.0], [0.1, float("nan")])
 
 
+def test_overflowing_v_times_c_is_refused_by_name():
+    with pytest.raises(ValidationError, match=r"^row 1: v\*c must be finite, got -inf$"):
+        correct_batch(build_identity_model(), [1.0, -1e200, 1e200], [0.1, 1e200, 1e200])
+    with pytest.raises(ValidationError, match=r"^v\*c must be finite, got inf$"):
+        correct(build_identity_model(), 1e308, 1e308)
+
+
 def test_result_serialization_round_trip():
     result = correct(build_identity_model(), 2.0, 0.7)
     data = json.loads(result.to_json())

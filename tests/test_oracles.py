@@ -9,10 +9,15 @@ commands exactly; a one-step run must match one reference step.  A
 corrected replay asks the model once for all ticks, so its corrected
 curvatures match the one-query-per-tick loop within CMD_TOL.  That loop
 keeps a verbatim copy of the scalar speed guard rather than calling the
-production one.  The drift oracle scores one state at a time, read from the
+production one.  The integrator bit oracle is a verbatim copy of the
+closed-form integrator that looked up each step's segment with searchsorted
+and wrapped the heading with %: the run-length expansion and the fmod wrap
+must reproduce its six state channels bit for bit.
+The drift oracle scores one state at a time, read from the
 trace's channel arrays, with the scalar geometry references in conftest;
-the pruned drift sweep must reproduce a verbatim copy of the sweep that
-computed an exact box distance for every disjoint state, bit for bit.
+the corner-major, pruned drift sweep must reproduce a verbatim copy of the
+(n, 4) sweep that computed an exact box distance for every disjoint state,
+with verbatim copies of its helpers, bit for bit.
 The trainer oracle is a verbatim copy of the per-tensor backprop, AdamW step
 and training loop; the in-place flat-vector trainer must reproduce its
 weights and loss curves bit for bit, also once the loop's moments have
@@ -34,9 +39,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from ikdlab.evalkit import (ClearanceReport, DriftScenario, Rect,
-                            _corner_edge_distance, _gate_crossed, _gate_segment,
-                            _sat_gap, drift_eval, TURN_AV_FLOOR)
+from ikdlab.evalkit import (ClearanceReport, DriftScenario, Rect, _gate_segment,
+                            drift_eval, TURN_AV_FLOOR)
 from ikdlab.ikd import AV_LIMIT, EPS_V, correct
 from ikdlab import align as align_mod, fileio, mlp as mlp_mod
 from ikdlab.align import (DEFAULT_DELAY_STEP, DELAY_MAX, DELAY_MIN, MIN_OVERLAP,
@@ -48,10 +52,10 @@ from ikdlab.mlp import (N_PARAMS, AdamState, LossCurve, MlpParams, TrainConfig,
                         _FIELDS, _SHAPES, _dataset_xy, _forward_batch, _views,
                         adamw_step, forward, init_params, loss_and_grads, train)
 from ikdlab.replay import CommandBuffer, execute_replay, next_command
-from ikdlab.scenarios import (loose_scenario, tight_scenario,
-                               training_sweep_script)
+from ikdlab.scenarios import (drift_buffer, drift_duration, loose_scenario,
+                               sweep_duration, tight_scenario, training_sweep_script)
 from ikdlab.simcore import (DEFAULT_DT, V_CAP, ControlScript, SimTrace,
-                            SlipParams, VehicleState, _require_finite,
+                            SlipParams, VehicleState, _integrate, _require_finite,
                             emit_sensor_logs, normalize_heading, run_scenario,
                             slip_yaw_rate)
 from ikdlab.errors import InsufficientOverlapError, ParseError, ValidationError
@@ -363,6 +367,158 @@ def test_bad_commands_still_raise_validation_error():
         run_scenario(ControlScript.constant(float("nan"), 0.0), SlipParams(), 1.0)
 
 
+# --- integrator bit oracle ---------------------------------------------------
+
+REFERENCE_BLOCK_STEPS = 4096
+
+
+def reference_normalize_heading(h: float) -> float:
+    """Wrap an angle, or elementwise an array of angles, into (-pi, pi]."""
+    return math.pi - (math.pi - h) % math.tau
+
+
+def reference_integrate(state: VehicleState | None, cmd_v: np.ndarray, cmd_c: np.ndarray,
+                        p: SlipParams, dt: float) -> SimTrace:
+    """simcore._integrate as it was before each block's commands were expanded
+    by run length, kept verbatim: a searchsorted segment per step, five
+    gathers, the builtin max/min clamp in the segment pass, and the heading
+    wrapped with ``%``."""
+    n = cmd_v.size
+    alpha = 1.0 if p.lag_tau <= 0.0 else 1.0 - math.exp(-dt / p.lag_tau)
+    r = 1.0 - alpha
+    state = state if state is not None else VehicleState()
+
+    new_seg = np.ones(n, dtype=bool)
+    new_seg[1:] = (cmd_v[1:] != cmd_v[:-1]) | (cmd_c[1:] != cmd_c[:-1])
+    seg_start = np.flatnonzero(new_seg)
+    seg_v = cmd_v[seg_start]
+    seg_av = seg_v * cmd_c[seg_start]
+    v_start, lag_start = [], []
+    v_end, lag_end = state.v, state.av_lag
+    for c_v, c_av, decay in zip(seg_v.tolist(), seg_av.tolist(),
+                                np.power(r, np.diff(seg_start, append=n)).tolist()):
+        v_start.append(v_end)
+        lag_start.append(lag_end)
+        v_end = max(-V_CAP, min(V_CAP, c_v + (v_end - c_v) * decay))
+        lag_end = c_av + (lag_end - c_av) * decay
+    v_start, lag_start = np.array(v_start), np.array(lag_start)
+
+    x, y, heading, v, av, av_lag = out = tuple(np.empty(n + 1) for _ in CHANNELS)
+    for channel, name in zip(out, CHANNELS):
+        channel[0] = getattr(state, name)
+    for b0 in range(0, n, REFERENCE_BLOCK_STEPS):
+        b1 = min(b0 + REFERENCE_BLOCK_STEPS, n)
+        steps = np.arange(b0, b1)
+        seg = np.searchsorted(seg_start, steps, side="right") - 1
+        decay = np.power(r, steps + 1 - seg_start[seg])
+        c_v, c_av = seg_v[seg], seg_av[seg]
+        new = slice(b0 + 1, b1 + 1)     # the states these steps produce
+        np.clip(c_v + (v_start[seg] - c_v) * decay, -V_CAP, V_CAP, out=v[new])
+        av_lag[new] = c_av + (lag_start[seg] - c_av) * decay
+        av[new] = slip_yaw_rate(av_lag[new], v[new], p.beta)
+        heading[new] = av[new] * dt
+        np.add.accumulate(heading[b0:b1 + 1], out=heading[b0:b1 + 1])
+        heading[new] = reference_normalize_heading(heading[new])
+        held = heading[b0:b1]           # each step moves along its start heading
+        x[new] = v[new] * np.cos(held) * dt
+        y[new] = v[new] * np.sin(held) * dt
+        np.add.accumulate(x[b0:b1 + 1], out=x[b0:b1 + 1])
+        np.add.accumulate(y[b0:b1 + 1], out=y[b0:b1 + 1])
+    return SimTrace(dt, *out, cmd_v=cmd_v, cmd_c=cmd_c)
+
+
+def test_heading_wrap_matches_the_remainder_bit_for_bit():
+    rng = np.random.default_rng(41)
+    edges = [0.0, -0.0, math.pi, -math.pi, math.tau, -math.tau, 3 * math.pi,
+             -3 * math.pi, np.nextafter(math.pi, 4.0), np.nextafter(-math.pi, -4.0),
+             5e-324, -5e-324, 1e300, -1e300]
+    h = np.concatenate([edges, rng.uniform(-4.0, 4.0, 20000),
+                        rng.uniform(-100.0, 100.0, 20000),
+                        rng.normal(0.0, 1e6, 2000)])
+    got, want = normalize_heading(h), reference_normalize_heading(h)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for angle in h[::50].tolist():
+        assert float(normalize_heading(angle)).hex() == \
+            reference_normalize_heading(angle).hex(), angle
+
+
+def assert_same_state_bits(trace: SimTrace, state, p, dt):
+    """``trace``'s six state channels equal, bit for bit, those the reference
+    integrator makes from ``trace``'s own commands."""
+    ref = reference_integrate(state, trace.cmd_v, trace.cmd_c, p, dt)
+    for name in CHANNELS:
+        got, want = getattr(trace, name), getattr(ref, name)
+        assert got.shape == want.shape, name
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+
+def random_script(rng, dt: float) -> ControlScript:
+    """1 to 60 segments whose lengths range from one step to past a block."""
+    k = int(rng.integers(1, 61))
+    steps = rng.choice([1, 2, 7, 50, 400, 2000, 5000], size=k - 1) \
+        * rng.uniform(0.5, 1.5, k - 1)
+    starts = np.concatenate([[0.0], np.cumsum(np.maximum(steps, 1.0) * dt)])
+    v = rng.uniform(-2.0, 6.0, k)          # |v| > V_CAP exercises the clamp
+    c = rng.uniform(-1.0, 1.0, k) * np.minimum(1.0, AV_LIMIT / np.abs(v))
+    return ControlScript.from_segments(
+        [(float(t), float(a), float(b)) for t, a, b in zip(starts, v, c)])
+
+
+def test_integrator_matches_searchsorted_blocks_bit_for_bit_300_scripts():
+    rng = np.random.default_rng(16)
+    seen = {"lag_tau = 0": 0, "lag_tau > 0": 0, "state None": 0, "state set": 0,
+            "above V_CAP": 0, "several blocks": 0, "segment over a block edge": 0}
+    for _ in range(300):
+        p, dt = random_plant(rng), random_dt(rng)
+        state = None if rng.random() < 0.4 else random_state(rng)
+        if rng.random() < 0.15:   # a start just above the cap, held there
+            state = VehicleState(v=float(rng.choice([-1.0, 1.0])) * (V_CAP + 1e-12))
+        script = random_script(rng, dt)
+        duration = float(rng.uniform(dt, 12000 * dt))
+        trace = run_scenario(script, p, duration, dt=dt, initial_state=state)
+        assert_same_state_bits(trace, state, p, dt)
+        seen["lag_tau = 0" if p.lag_tau == 0 else "lag_tau > 0"] += 1
+        seen["state None" if state is None else "state set"] += 1
+        seen["above V_CAP"] += bool(state is not None and abs(state.v) > V_CAP)
+        seen["several blocks"] += len(trace) > REFERENCE_BLOCK_STEPS
+        edges = np.arange(REFERENCE_BLOCK_STEPS, len(trace), REFERENCE_BLOCK_STEPS)
+        seen["segment over a block edge"] += bool(np.any(
+            (trace.cmd_v[edges] == trace.cmd_v[edges - 1])
+            & (trace.cmd_c[edges] == trace.cmd_c[edges - 1])))
+    assert min(seen.values()) >= 20, seen
+
+
+def test_integrator_matches_searchsorted_blocks_bit_for_bit_on_long_runs():
+    # The whole training sweep (118 blocks, segments across block edges), a
+    # corrected 2,000-segment teleop replay, and starts above V_CAP.
+    script, p = training_sweep_script(), SlipParams()
+    trace = run_scenario(script, p, sweep_duration(script))
+    assert len(trace) == 484800
+    assert_same_state_bits(trace, None, p, DEFAULT_DT)
+
+    t = np.arange(2000) / 20.0
+    v = 2.0 + np.sin(0.3 * t)
+    rows = np.column_stack([v, np.clip(v * 0.8 * np.sin(0.7 * t + 0.1), -4.0, 4.0)])
+    state = VehicleState(x=1.0, y=-2.0, heading=3.0, v=1.5, av=0.2, av_lag=0.3)
+    trace = execute_replay(CommandBuffer(rows=rows), p, model=build_gain_model(1.25),
+                           duration=100.0, initial_state=state)
+    changes = (trace.cmd_v[1:] != trace.cmd_v[:-1]) | (trace.cmd_c[1:] != trace.cmd_c[:-1])
+    assert len(trace) == 20000 and int(np.count_nonzero(changes)) + 1 == 2000
+    assert_same_state_bits(trace, state, p, DEFAULT_DT)
+
+    over = ControlScript.from_segments([(0.0, 5.0, 0.3), (0.4, 1.0, -0.5),
+                                        (0.9, 6.0, 0.1)])
+    for sign in (1.0, -1.0):
+        state = VehicleState(v=sign * (V_CAP + 1e-12), av_lag=1.0)
+        for plant in (SlipParams(), SlipParams(lag_tau=0.02), SlipParams.ideal()):
+            trace = _integrate(state, sign * np.repeat([5.0, 1.0, 6.0], [80, 100, 8000]),
+                               np.repeat([0.3, -0.5, 0.1], [80, 100, 8000]), plant,
+                               DEFAULT_DT)
+            assert_same_state_bits(trace, state, plant, DEFAULT_DT)
+            trace = run_scenario(over, plant, 1.5, initial_state=state)
+            assert_same_state_bits(trace, state, plant, DEFAULT_DT)
+
+
 # --- drift scoring oracle ----------------------------------------------------
 
 def random_poses_trace(rng, scenario: DriftScenario) -> SimTrace:
@@ -434,6 +590,63 @@ def test_drift_eval_gate_touch_cases_match_reference():
         assert drift_eval(trace, scenario).cleared_gate == expected, name
 
 
+def reference_sat_gap(ax, ay, bx, by, axes) -> np.ndarray:
+    """Largest separating-axis gap between the corner sets a and b.
+
+    Corner coordinates have shape (..., 4); each axis is a pair of unit
+    vector components broadcastable against the leading dimensions.
+    """
+    gap = np.full(np.broadcast_shapes(ax.shape, bx.shape)[:-1], -math.inf)
+    for ux, uy in axes:
+        ux, uy = np.asarray(ux)[..., None], np.asarray(uy)[..., None]
+        pa = ax * ux + ay * uy
+        pb = bx * ux + by * uy
+        gap = np.maximum(gap, np.maximum(pa.min(-1) - pb.max(-1),
+                                         pb.min(-1) - pa.max(-1)))
+    return gap
+
+
+def reference_corner_edge_distance(px, py, qx, qy) -> np.ndarray:
+    """Smallest distance from the corners p to the edges of the rectangle q.
+
+    Corner coordinates have shape (..., 4), q's corners in boundary order.
+    """
+    ax, ay = qx[..., None, :], qy[..., None, :]
+    abx = np.roll(qx, -1, axis=-1)[..., None, :] - ax
+    aby = np.roll(qy, -1, axis=-1)[..., None, :] - ay
+    dx, dy = px[..., :, None] - ax, py[..., :, None] - ay
+    t = np.clip((dx * abx + dy * aby) / (abx * abx + aby * aby), 0.0, 1.0)
+    d = np.hypot(px[..., :, None] - (ax + t * abx), py[..., :, None] - (ay + t * aby))
+    return d.min(axis=(-2, -1))
+
+
+def reference_gate_crossed(xy: np.ndarray, g0, g1) -> bool:
+    """Whether any segment between consecutive positions meets the gate g0-g1.
+
+    The orientation and collinear on-segment tests of a segment
+    intersection, over all consecutive position pairs at once.
+    """
+    p1, p2 = xy[:-1], xy[1:]
+
+    def orient(o, a, b):
+        v = (a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1]) \
+            - (a[..., 1] - o[..., 1]) * (b[..., 0] - o[..., 0])
+        return np.sign(v)
+
+    def on_seg(a, b, p):
+        return ((np.minimum(a[..., 0], b[..., 0]) <= p[..., 0])
+                & (p[..., 0] <= np.maximum(a[..., 0], b[..., 0]))
+                & (np.minimum(a[..., 1], b[..., 1]) <= p[..., 1])
+                & (p[..., 1] <= np.maximum(a[..., 1], b[..., 1])))
+
+    d1, d2 = orient(g0, g1, p1), orient(g0, g1, p2)
+    d3, d4 = orient(p1, p2, g0), orient(p1, p2, g1)
+    hit = (((d1 != d2) & (d3 != d4))
+           | ((d1 == 0) & on_seg(g0, g1, p1)) | ((d2 == 0) & on_seg(g0, g1, p2))
+           | ((d3 == 0) & on_seg(p1, p2, g0)) | ((d4 == 0) & on_seg(p1, p2, g1)))
+    return bool(np.any(hit))
+
+
 def reference_sweep_drift_eval(trace: SimTrace, scenario: DriftScenario) -> ClearanceReport:
     """drift_eval as it was before exact distances were pruned, kept verbatim:
     every disjoint state gets an exact corner-to-edge distance."""
@@ -450,12 +663,12 @@ def reference_sweep_drift_eval(trace: SimTrace, scenario: DriftScenario) -> Clea
         corners = box.corners()
         bx, by = corners[:, 0], corners[:, 1]
         cb, sb = math.cos(box.angle), math.sin(box.angle)
-        d = _sat_gap(car_x, car_y, bx, by, car_axes + ((cb, sb), (-sb, cb)))
+        d = reference_sat_gap(car_x, car_y, bx, by, car_axes + ((cb, sb), (-sb, cb)))
         apart = d > 0.0  # disjoint: exact boundary-to-boundary distance
         if np.any(apart):
             d[apart] = np.minimum(
-                _corner_edge_distance(car_x[apart], car_y[apart], bx, by),
-                _corner_edge_distance(bx, by, car_x[apart], car_y[apart]))
+                reference_corner_edge_distance(car_x[apart], car_y[apart], bx, by),
+                reference_corner_edge_distance(bx, by, car_x[apart], car_y[apart]))
         min_clearance = min(min_clearance, float(d.min()))
     for cone_x, cone_y in scenario.cones:
         px, py = cone_x - trace.x, cone_y - trace.y
@@ -473,7 +686,7 @@ def reference_sweep_drift_eval(trace: SimTrace, scenario: DriftScenario) -> Clea
                                        / np.abs(trace.av[turning])))
 
     gate = _gate_segment(scenario)
-    crossed = gate is not None and _gate_crossed(trace.xy(), *gate)
+    crossed = gate is not None and reference_gate_crossed(trace.xy(), *gate)
     cleared_gate = bool(crossed and not collided)
 
     return ClearanceReport(min_clearance=float(min_clearance), collided=collided,
@@ -580,12 +793,13 @@ def box_sweep_shape(trace: SimTrace, scenario: DriftScenario) -> set:
     for box in scenario.boxes:
         bx, by = box.corners().T
         cb, sb = math.cos(box.angle), math.sin(box.angle)
-        gap = _sat_gap(car_x, car_y, bx, by, ((ca, sa), (-sa, ca), (cb, sb), (-sb, cb)))
+        gap = reference_sat_gap(car_x, car_y, bx, by,
+                                ((ca, sa), (-sa, ca), (cb, sb), (-sb, cb)))
         if gap.min() <= 0.0:
             shape.add("overlapped")
             continue
-        exact = np.minimum(_corner_edge_distance(car_x, car_y, bx, by),
-                           _corner_edge_distance(bx, by, car_x, car_y))
+        exact = np.minimum(reference_corner_edge_distance(car_x, car_y, bx, by),
+                           reference_corner_edge_distance(bx, by, car_x, car_y))
         k = int(gap.argmin())
         if gap[k] == exact[k]:
             shape.add("gap equals exact")
@@ -621,6 +835,25 @@ def test_pruned_drift_sweep_matches_full_sweep_bit_for_bit_1400_cases():
     assert all(count == 200 for count in seen.values()), seen
     # every branch of the pruning is taken many times over
     assert min(shapes.values()) >= 100, shapes
+
+
+@pytest.mark.parametrize("gain", [None, 1.25])
+def test_canned_drift_runs_match_both_drift_references(gain):
+    # The canned drift buffer replayed raw and corrected, scored on both
+    # courses: the sweep reference bit for bit, the per-state one within
+    # 1e-12 m.
+    model = None if gain is None else build_gain_model(gain)
+    trace = execute_replay(drift_buffer(), SlipParams(), model=model,
+                           duration=drift_duration())
+    assert len(trace) == 900
+    for scenario in (loose_scenario(), tight_scenario()):
+        expected = reference_sweep_drift_eval(trace, scenario)
+        report = drift_eval(trace, scenario)
+        assert report.min_clearance.hex() == expected.min_clearance.hex()
+        assert report.min_turn_radius.hex() == expected.min_turn_radius.hex()
+        assert (report.collided, report.cleared_gate) == (expected.collided,
+                                                          expected.cleared_gate)
+        assert_matches_reference(trace, scenario)
 
 
 # --- trainer oracle (the per-tensor backprop, AdamW and training loop, kept verbatim)

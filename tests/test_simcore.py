@@ -89,6 +89,8 @@ def test_slip_params_json_names_file_and_field(tmp_path, text, error, match):
     ('[{"t_start": 0.0, "v": 1.0, "c": 0.1}, {"t_start": 1.0, "v": 1.0, "c": NaN}]',
      ValidationError, r"script\.json: segment 1: c must be a finite number, got nan"),
     ('{"segs": []}', ValidationError, r"script\.json: expected a list of segments"),
+    ('{"segments": [{"t_start": 0.0, "v": 1.0, "c": 0.1}], "bogus": 1}', ValidationError,
+     r"script\.json: unknown fields \['bogus'\]"),
     ('{"segments": [', ParseError, r"script\.json: not valid JSON"),
 ])
 def test_control_script_json_names_file_segment_and_field(tmp_path, text, error, match):
