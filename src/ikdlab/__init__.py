@@ -20,8 +20,7 @@ from .ikd import (CorrectionResult, av_from_vc, c_from_av_v, correct,
 from .mlp import (AdamState, LossCurve, MlpParams, TrainConfig, adamw_step,
                   forward, init_params, load_model, loss_and_grads,
                   save_model, train)
-from .replay import (CommandBuffer, execute_replay, next_command, read_buffer_txt,
-                     write_buffer_txt)
+from .replay import CommandBuffer, execute_replay, next_command, read_buffer_txt
 from .simcore import (AV_LIMIT, EPS_V, V_CAP, ControlScript, ScriptSegment,
                       SimTrace, SlipParams, VehicleState, emit_sensor_logs,
                       normalize_heading, run_scenario)

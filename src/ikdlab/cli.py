@@ -187,6 +187,11 @@ def cmd_train(args) -> int:
     out = _resolve_out(args, cfg)
     data_path = args.dataset or os.path.join(out, "datasets", "dataset.csv")
     dataset = align_mod.read_dataset_csv(data_path, period=1.0 / cfg.joy_hz)
+    batch = cfg.train.batch_size
+    if len(dataset) < 2 * batch:   # train's own check, worded with the files
+        source = f"in {args.config}" if args.config else "by default"
+        raise ValidationError(f"{data_path} has {len(dataset)} rows; train.batch_size "
+                              f"{batch} {source} needs at least {2 * batch}")
     params, curve = mlp.train(dataset, cfg.train)
     model_path = os.path.join(out, "models", "model.json")
     mlp.save_model(params, model_path)

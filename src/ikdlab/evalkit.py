@@ -9,12 +9,12 @@ radius along the run.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .errors import FitError, ValidationError, finite_number, json_fields
-from .fileio import read_json, write_json, write_table
+from .fileio import read_json, write_table
 from .ikd import correct
 from .mlp import MlpParams
 from .simcore import (ControlScript, SimTrace, SlipParams, run_scenario,
@@ -191,9 +191,6 @@ class DriftScenario:
             return cls(boxes=boxes, cones=cones, **sizes)
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
-
-    def to_json(self, path: str) -> None:
-        write_json(path, asdict(self))
 
 
 @dataclass(frozen=True)

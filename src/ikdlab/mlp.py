@@ -86,10 +86,6 @@ class MlpParams:
         p._bind(theta)
         return p
 
-    @classmethod
-    def zeros(cls) -> "MlpParams":
-        return cls._from_flat(np.zeros(N_PARAMS))
-
 
 def _views(flat: np.ndarray) -> tuple[np.ndarray, ...]:
     """W1, b1, W2, b2, W3 and b3 as reshaped views of a flat vector."""
@@ -137,6 +133,12 @@ class TrainConfig:
         for name in ("batch_size", "epochs"):   # lengths of arrays train allocates
             if not 1 <= getattr(self, name) <= _MAX_LEN:
                 raise ValidationError(f"{name} must be in [1, {_MAX_LEN}]")
+        try:   # train's loss curve: a train and a test MSE per epoch
+            np.empty(2 * self.epochs)
+        except (MemoryError, ValueError):   # ValueError: past numpy's byte limit
+            raise ValidationError(
+                f"epochs {self.epochs} needs {16 * self.epochs:.3g} bytes of loss "
+                f"curve, more than can be allocated") from None
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
         if self.lr <= 0.0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ValidationError, require_positive
-from .fileio import read_table, row_line, write_table
+from .fileio import read_table, row_line
 from .ikd import correct_batch
 from .mlp import MlpParams
 from .simcore import (AV_LIMIT, DEFAULT_DT, EPS_V, SimTrace, SlipParams,
@@ -56,11 +56,6 @@ def next_command(buf: CommandBuffer) -> tuple[float, float]:
     v, av = buf.rows[buf.cursor].tolist()
     buf.cursor = (buf.cursor + 1) % len(buf.rows)
     return v, av
-
-
-def write_buffer_txt(buf: CommandBuffer, path: str) -> None:
-    """One "v,av" pair per line, no header."""
-    write_table(path, None, buf.rows.T)
 
 
 def read_buffer_txt(path: str) -> CommandBuffer:

@@ -9,15 +9,14 @@ first-order lag, and the emulated IMU stream is transport-delayed and noisy.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datalog import ImuLog, JoyLog
 from .errors import (ValidationError, finite_number, json_fields, require_positive,
                      seed_value)
-from .fileio import read_json, write_json
+from .fileio import read_json
 
 # Plant-wide limits observed on the real vehicle class this emulates.
 V_CAP = 4.219        # m/s, hard cap on achievable linear speed
@@ -136,9 +135,6 @@ class SlipParams:
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
 
-    def to_json(self, path: str) -> None:
-        write_json(path, asdict(self))
-
 
 def _check_commands(v: np.ndarray, c: np.ndarray) -> None:
     """Check arrays of (v, c) commands in one vectorised test: each value
@@ -179,10 +175,6 @@ class ControlScript:
         return cls((ScriptSegment(0.0, v, c),))
 
     @classmethod
-    def from_segments(cls, segs: Sequence[tuple[float, float, float]]) -> "ControlScript":
-        return cls(tuple(ScriptSegment(*s) for s in segs))
-
-    @classmethod
     def from_json(cls, path: str) -> "ControlScript":
         """Read ``{"segments": [{"t_start", "v", "c"}, ...]}`` or the bare list."""
         raw = read_json(path)
@@ -202,9 +194,6 @@ class ControlScript:
             return cls(tuple(out))
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
-
-    def to_json(self, path: str) -> None:
-        write_json(path, asdict(self))
 
     @property
     def t_end(self) -> float:

@@ -1,12 +1,32 @@
-"""Shared fixtures: hand-built models with known outputs and tiny oracles."""
+"""Shared fixtures: hand-built models with known outputs, tiny oracles, and
+builders and writers for the inputs the library only reads."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from ikdlab.evalkit import Rect
+from ikdlab.fileio import write_json, write_table
 from ikdlab.mlp import MlpParams, _SHAPES
+from ikdlab.simcore import ControlScript, ScriptSegment
+
+
+def make_script(segs) -> ControlScript:
+    """A ControlScript from ``(t_start, v, c)`` tuples."""
+    return ControlScript(tuple(ScriptSegment(*s) for s in segs))
+
+
+def write_dataclass_json(path, obj) -> None:
+    """Write a SlipParams, ControlScript or DriftScenario as the JSON file
+    its ``from_json`` reads."""
+    write_json(path, dataclasses.asdict(obj))
+
+
+def write_buffer(path, rows) -> None:
+    """A command buffer file: one "v,av" pair per line, no header."""
+    write_table(path, None, np.asarray(rows, dtype=float).T)
 
 
 def build_identity_model() -> MlpParams:

@@ -13,8 +13,9 @@ from ikdlab.align import (DEFAULT_OBJECTIVE_CEILING, AlignedDataset,
 from ikdlab.datalog import ImuLog, JoyLog, trim_idle
 from ikdlab.errors import (InsufficientOverlapError, ParseError,
                            ValidationError)
-from ikdlab.simcore import (ControlScript, SlipParams, c_from_av_v, emit_sensor_logs,
-                            run_scenario)
+from ikdlab.simcore import SlipParams, c_from_av_v, emit_sensor_logs, run_scenario
+
+from conftest import make_script
 
 
 def smooth_av(ts):
@@ -273,8 +274,7 @@ def test_histogram_conserves_counts():
 
 
 def test_velocity_histogram_from_simulated_sweep():
-    script = ControlScript.from_segments(
-        [(0.0, 2.0, 0.4), (2.0, 4.2, 0.4), (4.0, 3.0, -0.4)])
+    script = make_script([(0.0, 2.0, 0.4), (2.0, 4.2, 0.4), (4.0, 3.0, -0.4)])
     p = SlipParams()
     trace = run_scenario(script, p, 6.0)
     joy, imu = trim_idle(*emit_sensor_logs(trace, p))

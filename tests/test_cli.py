@@ -11,10 +11,13 @@ import pytest
 
 from ikdlab import align as align_mod, mlp, scenarios
 from ikdlab.cli import DEFAULT_CIRCLE_CURVATURES, PipelineConfig, main
+from ikdlab.align import AlignedDataset
 from ikdlab.datalog import ImuLog, JoyLog
 from ikdlab.errors import ParseError, ValidationError
 from ikdlab.evalkit import DriftScenario
 from ikdlab.simcore import ControlScript, SlipParams
+
+from conftest import make_script, write_dataclass_json
 
 
 @pytest.fixture()
@@ -495,8 +498,8 @@ def test_config_fields_flow_through(workdir):
 
 
 def test_custom_script_round_trip(workdir):
-    script = ControlScript.from_segments([(0.0, 2.0, 0.5), (1.0, 1.0, -0.2)])
-    script.to_json("s.json")
+    script = make_script([(0.0, 2.0, 0.5), (1.0, 1.0, -0.2)])
+    write_dataclass_json("s.json", script)
     back = ControlScript.from_json("s.json")
     assert back == script
     assert DEFAULT_CIRCLE_CURVATURES == (0.12, 0.63, 0.80)
@@ -592,18 +595,38 @@ def test_integer_past_float_range_exits_1_naming_file_and_key(workdir, capsys, a
     assert capsys.readouterr().err == err
 
 
-# 2**62 epochs fit an index, but not the byte size of a float64 loss curve
-@pytest.mark.parametrize("train", [{"epochs": 10 ** 19}, {"epochs": 2 ** 62},
-                                   {"batch_size": LONG_INT}],
-                         ids=["epochs", "epochs-bytes", "batch_size"])
+# 2**62 epochs fit an index, but not the byte size of a float64 loss curve;
+# 2**59 epochs fit that, but not the byte size of the curve's two halves.
+@pytest.mark.parametrize("train, message", [
+    ({"epochs": 10 ** 19}, f"epochs must be in [1, {np.iinfo(np.intp).max // 8}]"),
+    ({"epochs": 2 ** 62}, f"epochs must be in [1, {np.iinfo(np.intp).max // 8}]"),
+    ({"batch_size": LONG_INT}, f"batch_size must be in [1, {np.iinfo(np.intp).max // 8}]"),
+    ({"epochs": 2 ** 59}, f"epochs {2 ** 59} needs 9.22e+18 bytes of loss curve, "
+                          f"more than can be allocated"),
+], ids=["epochs", "epochs-bytes", "batch_size", "epochs-curve"])
 def test_train_size_past_the_index_range_exits_1_naming_file_and_key(workdir, capsys,
-                                                                     train):
+                                                                     train, message):
     with open("cfg.json", "w", encoding="utf-8") as fh:
         json.dump({"seed": 0, "train": train}, fh)
     assert main(["train", "--config", "cfg.json", "--out", "run"]) == 1
-    key, = train
-    assert capsys.readouterr().err == (
-        f"error: cfg.json: train: {key} must be in [1, {np.iinfo(np.intp).max // 8}]\n")
+    assert capsys.readouterr().err == f"error: cfg.json: train: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--config", "cfg.json"], "train.batch_size 1000 in cfg.json needs at least 2000"),
+    ([], "train.batch_size 32 by default needs at least 64"),
+], ids=["config", "default"])
+def test_batch_size_too_large_for_the_dataset_exits_1_naming_files_and_key(
+        workdir, capsys, argv, message):
+    rows = 468 if argv else 50
+    v = np.linspace(0.5, 3.0, rows)
+    align_mod.write_dataset_csv(
+        AlignedDataset(v_joy=v, av_joy=0.2 * v, av_imu=0.18 * v, period=0.025), "ds.csv")
+    with open("cfg.json", "w", encoding="utf-8") as fh:
+        json.dump({"seed": 0, "train": {"batch_size": 1000}}, fh)
+    assert main(["train", *argv, "--dataset", "ds.csv", "--out", "run"]) == 1
+    assert capsys.readouterr().err == f"error: ds.csv has {rows} rows; {message}\n"
+    assert not os.path.exists("run/models/model.json")
 
 
 def _reject_constant(token):
@@ -708,7 +731,7 @@ def fuzz_files(capsys, argv: dict, seed: int, cases: int) -> list[int]:
 def test_mutated_model_and_scenario_files_exit_0_or_1_with_one_error_line(workdir,
                                                                           capsys):
     mlp.save_model(mlp.init_params(np.random.default_rng(0)), "model.json")
-    scenarios.loose_scenario().to_json("course.json")
+    write_dataclass_json("course.json", scenarios.loose_scenario())
     with open("cfg.json", "w", encoding="utf-8") as fh:
         json.dump({"seed": 0, "scenario_file": "course.json"}, fh)
     argv = {"model.json": ["correct", "--model", "model.json", "--v", "2", "--c", "0.5"],
@@ -732,7 +755,7 @@ def test_mutated_config_slip_and_script_files_exit_0_or_1_with_one_error_line(
                    "train": {"epochs": 1, "batch_size": 32, "lr": 1e-3,
                              "weight_decay": 0.01, "beta1": 0.9, "beta2": 0.999,
                              "eps_adam": 1e-8, "split_fraction": 0.1}}, fh)
-    SlipParams(seed=0).to_json("slip.json")
+    write_dataclass_json("slip.json", SlipParams(seed=0))
     with open("collect.json", "w", encoding="utf-8") as fh:
         json.dump({"seed": 0, "slip_file": "slip.json"}, fh)
     collect = ["collect", "--out", "c", "--script", "script.json", "--duration", "2"]

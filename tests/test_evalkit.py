@@ -15,7 +15,7 @@ from ikdlab.fileio import read_table
 from ikdlab.simcore import SimTrace, SlipParams
 
 from conftest import (build_gain_model, kasa_radius, point_rect_signed_distance,
-                      rect_rect_signed_distance)
+                      rect_rect_signed_distance, write_dataclass_json)
 
 
 def circle_points(cx, cy, r, n=50, start=0.0, span=2 * math.pi):
@@ -230,7 +230,7 @@ def test_scenario_validation_and_json(tmp_path):
         DriftScenario(boxes=(), cones=(), gap_width=0.3)
     sc = gate_scenario()
     path = str(tmp_path / "scenario.json")
-    sc.to_json(path)
+    write_dataclass_json(path, sc)
     back = DriftScenario.from_json(path)
     assert back == sc
 

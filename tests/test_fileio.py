@@ -16,8 +16,9 @@ from ikdlab.evalkit import CircleReport, emit_report, write_comparison_csv
 from ikdlab.fileio import (ROW_BLOCK, read_json, read_table, row_line,
                            write_json, write_table)
 from ikdlab.mlp import LossCurve, write_loss_csv
-from ikdlab.replay import CommandBuffer, write_buffer_txt
 from ikdlab.simcore import SimTrace
+
+from conftest import write_buffer
 
 GOLDEN = [
     ("joy", lambda p: write_joy_csv(JoyLog(t=[0.0, 0.025], v=[1.5, 2.0],
@@ -53,7 +54,7 @@ GOLDEN = [
         cmd_v=[1.0, 1.0], cmd_c=[0.2, 0.2]), p),
      "t,x,y,heading,v,av\n0.0,0.0,0.0,0.0,1.0,0.0\n"
      "0.1,1.0,0.0,0.1,1.0,0.2\n0.2,2.0,0.5,0.2,1.0,0.2\n"),
-    ("buffer", lambda p: write_buffer_txt(CommandBuffer(rows=[(1.0, 0.1), (2, -0.25)]), p),
+    ("buffer", lambda p: write_buffer(p, [(1.0, 0.1), (2, -0.25)]),
      "1.0,0.1\n2.0,-0.25\n"),
 ]
 

@@ -38,7 +38,7 @@ def identity_dataset(n: int = 3000, seed: int = 0) -> AlignedDataset:
 # --- forward -----------------------------------------------------------------
 
 def test_forward_zero_params_is_zero():
-    p = MlpParams.zeros()
+    p = build_constant_model(0.0)
     assert forward(p, (2.0, 1.3)) == 0.0
     assert np.array_equal(forward(p, [[1.0, 2.0], [3.0, -1.0]]), [0.0, 0.0])
 
@@ -161,7 +161,7 @@ def test_perfect_fit_batch_has_zero_loss_and_grads():
 
 
 def test_single_sample_bias_gradient():
-    mse, _, grads = batch_loss_and_grads(MlpParams.zeros(),
+    mse, _, grads = batch_loss_and_grads(build_constant_model(0.0),
                                          np.array([[1.0, 1.0]]), np.array([1.0]))
     assert mse == 1.0
     assert grads["b3"].tolist() == [-2.0]
@@ -211,7 +211,7 @@ def test_gradients_match_finite_differences():
 
 
 def test_loss_rejects_malformed_batches():
-    p = MlpParams.zeros()
+    p = build_constant_model(0.0)
     grads = _views(np.empty(N_PARAMS))
     with pytest.raises(ValidationError, match="non-empty"):
         loss_and_grads(p, np.empty((0, 2)), np.empty(0), grads)

@@ -60,7 +60,7 @@ from ikdlab.simcore import (DEFAULT_DT, V_CAP, ControlScript, SimTrace,
                             slip_yaw_rate)
 from ikdlab.errors import InsufficientOverlapError, ParseError, ValidationError
 
-from conftest import (build_gain_model, point_rect_signed_distance,
+from conftest import (build_gain_model, make_script, point_rect_signed_distance,
                       rect_rect_signed_distance, segments_intersect)
 
 CHANNELS = ("x", "y", "heading", "v", "av", "av_lag")
@@ -251,7 +251,7 @@ def test_run_scenario_matches_per_step_loop_100_cases():
             starts -= float(rng.uniform(0, 0.5))
         v = rng.uniform(-2.0, 6.0, k)          # |v| > V_CAP exercises the clamp
         c = rng.uniform(-1.0, 1.0, k) * np.minimum(1.0, AV_LIMIT / np.abs(v))
-        script = ControlScript.from_segments(
+        script = make_script(
             [(float(t), float(a), float(b)) for t, a, b in zip(starts, v, c)])
         duration = float(rng.uniform(0.01, 3.0))
         trace = run_scenario(script, p, duration, dt=dt, initial_state=state)
@@ -262,7 +262,7 @@ def test_run_scenario_matches_per_step_loop_100_cases():
 def test_segment_start_just_above_step_time_takes_effect_at_that_step():
     # 11 * 0.015 = 0.16499999999999998 < 0.165: the 1e-12 tolerance of the
     # segment lookup switches the command at step 11, not step 12.
-    script = ControlScript.from_segments([(0.0, 1.0, 0.1), (0.165, 2.0, -0.3)])
+    script = make_script([(0.0, 1.0, 0.1), (0.165, 2.0, -0.3)])
     trace = run_scenario(script, SlipParams(), 0.5, dt=0.015)
     states, commands = reference_run_scenario(script, SlipParams(), 0.5, 0.015)
     assert_matches_loop(trace, states, commands)
@@ -316,7 +316,7 @@ def test_ideal_plant_matches_per_step_loop():
         k = int(rng.integers(1, 6))
         v = rng.uniform(-1.0, 4.0, k)
         c = rng.uniform(-1.0, 1.0, k) * np.minimum(1.0, AV_LIMIT / np.abs(v))
-        script = ControlScript.from_segments(
+        script = make_script(
             [(0.2 * i, float(a), float(b)) for i, (a, b) in enumerate(zip(v, c))])
         state = random_state(rng)
         trace = run_scenario(script, SlipParams.ideal(), 1.0, initial_state=state)
@@ -330,11 +330,10 @@ def test_segments_starting_above_v_cap_match_per_step_loop():
     # The state starts just above the cap (VehicleState allows 1e-12), the
     # first command holds the speed above it, the next pulls it below, and
     # the last pushes it past the cap again from below.
-    script = ControlScript.from_segments([(0.0, 5.0, 0.3), (0.4, 1.0, -0.5),
-                                          (0.9, 6.0, 0.1)])
+    script = make_script([(0.0, 5.0, 0.3), (0.4, 1.0, -0.5), (0.9, 6.0, 0.1)])
     for sign in (1.0, -1.0):
         state = VehicleState(v=sign * (V_CAP + 1e-12), av_lag=1.0)
-        seg_script = ControlScript.from_segments(
+        seg_script = make_script(
             [(s.t_start, sign * s.v, s.c) for s in script.segments])
         for p in (SlipParams(), SlipParams(lag_tau=0.02),
                   SlipParams(beta=0.0, lag_tau=0.0)):
@@ -359,7 +358,7 @@ def test_one_step_run_matches_reference_step_100_cases():
 
 
 def test_bad_commands_still_raise_validation_error():
-    over = ControlScript.from_segments([(0.0, 1.0, 0.1), (0.5, 4.0, 1.5)])
+    over = make_script([(0.0, 1.0, 0.1), (0.5, 4.0, 1.5)])
     with pytest.raises(ValidationError):
         run_scenario(over, SlipParams(), 1.0)
     run_scenario(over, SlipParams(), 0.5)     # the bad segment is never reached
@@ -460,7 +459,7 @@ def random_script(rng, dt: float) -> ControlScript:
     starts = np.concatenate([[0.0], np.cumsum(np.maximum(steps, 1.0) * dt)])
     v = rng.uniform(-2.0, 6.0, k)          # |v| > V_CAP exercises the clamp
     c = rng.uniform(-1.0, 1.0, k) * np.minimum(1.0, AV_LIMIT / np.abs(v))
-    return ControlScript.from_segments(
+    return make_script(
         [(float(t), float(a), float(b)) for t, a, b in zip(starts, v, c)])
 
 
@@ -506,8 +505,7 @@ def test_integrator_matches_searchsorted_blocks_bit_for_bit_on_long_runs():
     assert len(trace) == 20000 and int(np.count_nonzero(changes)) + 1 == 2000
     assert_same_state_bits(trace, state, p, DEFAULT_DT)
 
-    over = ControlScript.from_segments([(0.0, 5.0, 0.3), (0.4, 1.0, -0.5),
-                                        (0.9, 6.0, 0.1)])
+    over = make_script([(0.0, 5.0, 0.3), (0.4, 1.0, -0.5), (0.9, 6.0, 0.1)])
     for sign in (1.0, -1.0):
         state = VehicleState(v=sign * (V_CAP + 1e-12), av_lag=1.0)
         for plant in (SlipParams(), SlipParams(lag_tau=0.02), SlipParams.ideal()):

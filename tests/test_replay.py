@@ -5,10 +5,10 @@ import pytest
 
 from ikdlab.errors import ParseError, ValidationError
 from ikdlab.replay import (DEFAULT_REPLAY_RATE, CommandBuffer, execute_replay,
-                           next_command, read_buffer_txt, write_buffer_txt)
+                           next_command, read_buffer_txt)
 from ikdlab.simcore import ControlScript, SlipParams, run_scenario
 
-from conftest import build_identity_model
+from conftest import build_identity_model, write_buffer
 
 
 def small_buffer() -> CommandBuffer:
@@ -62,7 +62,7 @@ def test_wrap_property_over_many_reads():
 def test_buffer_txt_round_trip(tmp_path):
     buf = CommandBuffer(rows=[(1.0, 0.1), (2.0, -0.25), (0.123456789012345, 3.0)])
     path = str(tmp_path / "buffer.txt")
-    write_buffer_txt(buf, path)
+    write_buffer(path, buf.rows)
     back = read_buffer_txt(path)
     assert np.array_equal(back.rows, buf.rows)
     assert back.cursor == 0

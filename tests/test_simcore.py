@@ -12,7 +12,7 @@ from ikdlab.simcore import (AV_LIMIT, DEFAULT_DT, V_CAP, ControlScript,
                             emit_sensor_logs, normalize_heading, run_scenario,
                             slip_yaw_rate)
 
-from conftest import kasa_radius
+from conftest import kasa_radius, make_script, write_dataclass_json
 
 
 # --- normalize_heading -------------------------------------------------------
@@ -54,7 +54,7 @@ def test_slip_params_json_round_trip(tmp_path):
     p = SlipParams(beta=0.03, lag_tau=0.2, imu_delay=0.15,
                    noise_sigma=0.005, seed=9)
     path = str(tmp_path / "slip.json")
-    p.to_json(path)
+    write_dataclass_json(path, p)
     assert SlipParams.from_json(path) == p
 
 
@@ -115,7 +115,7 @@ def test_control_command_rejects_excess_angular_velocity():
     (-2.0, 2.2, "commanded angular velocity v*c=-4.4000 outside [-4.0, 4.0]"),
 ])
 def test_run_scenario_command_check_messages(v, c, message):
-    script = ControlScript.from_segments([(0.0, 1.0, 0.1), (0.5, v, c)])
+    script = make_script([(0.0, 1.0, 0.1), (0.5, v, c)])
     with pytest.raises(ValidationError) as exc:
         run_scenario(script, SlipParams(), 1.0)
     assert str(exc.value) == message
@@ -123,21 +123,21 @@ def test_run_scenario_command_check_messages(v, c, message):
 
 def test_control_script_ordering_and_lookup():
     with pytest.raises(ValidationError):
-        ControlScript.from_segments([(0.0, 1.0, 0.0), (0.0, 2.0, 0.0)])
-    script = ControlScript.from_segments([(0.0, 1.0, 0.1), (2.0, 2.0, 0.2)])
+        make_script([(0.0, 1.0, 0.0), (0.0, 2.0, 0.0)])
+    script = make_script([(0.0, 1.0, 0.1), (2.0, 2.0, 0.2)])
     trace = run_scenario(script, SlipParams(), 50.0 + DEFAULT_DT)
     # step i holds the segment in force at t = i*dt: 0.0, 1.995, 2.0 and 50.0
     for i, cmd in [(0, (1.0, 0.1)), (399, (1.0, 0.1)), (400, (2.0, 0.2)),
                    (10000, (2.0, 0.2))]:
         assert (trace.cmd_v[i], trace.cmd_c[i]) == cmd
     with pytest.raises(ValidationError, match="script must be defined from t=0"):
-        run_scenario(ControlScript.from_segments([(1.0, 1.0, 0.0)]), SlipParams(), 2.0)
+        run_scenario(make_script([(1.0, 1.0, 0.0)]), SlipParams(), 2.0)
 
 
 def test_control_script_json_round_trip(tmp_path):
-    script = ControlScript.from_segments([(0.0, 1.0, 0.1), (3.5, 2.0, -0.4)])
+    script = make_script([(0.0, 1.0, 0.1), (3.5, 2.0, -0.4)])
     path = str(tmp_path / "script.json")
-    script.to_json(path)
+    write_dataclass_json(path, script)
     assert ControlScript.from_json(path) == script
 
 
@@ -228,7 +228,7 @@ def test_step_count_and_times():
 def test_run_scenario_rejects_bad_duration_and_late_script():
     with pytest.raises(ValidationError):
         run_scenario(ControlScript.constant(1.0, 0.0), SlipParams(), 0.0)
-    late = ControlScript.from_segments([(1.0, 1.0, 0.0)])
+    late = make_script([(1.0, 1.0, 0.0)])
     with pytest.raises(ValidationError):
         run_scenario(late, SlipParams(), 2.0)
 
@@ -242,11 +242,11 @@ def test_run_scenario_rejects_non_finite_duration_and_dt(arg, value):
 
 
 def test_run_scenario_checks_reached_segments_with_the_command_message():
-    bad = ControlScript.from_segments([(0.0, 1.0, 0.1), (0.5, 2.0, 3.0),
-                                       (0.6, 1e200, 1e200), (5.0, 1.0, 9.0)])
+    bad = make_script([(0.0, 1.0, 0.1), (0.5, 2.0, 3.0),
+                       (0.6, 1e200, 1e200), (5.0, 1.0, 9.0)])
     with pytest.raises(ValidationError, match=r"v\*c=6\.0000 outside"):
         run_scenario(bad, SlipParams(), 1.0)
-    overflow = ControlScript.from_segments([(0.0, 1e200, 1e200)])
+    overflow = make_script([(0.0, 1e200, 1e200)])
     with pytest.raises(ValidationError, match=r"v\*c=inf outside"):
         run_scenario(overflow, SlipParams(), 1.0)
     # a segment the run never reaches is not checked
@@ -254,15 +254,14 @@ def test_run_scenario_checks_reached_segments_with_the_command_message():
 
 
 def test_aggressive_script_peak_yaw_rate_attenuated():
-    script = ControlScript.from_segments(
-        [(0.0, 4.2, 0.0), (2.0, 4.2, 0.95), (4.0, 0.5, 0.0)])
+    script = make_script([(0.0, 4.2, 0.0), (2.0, 4.2, 0.95), (4.0, 0.5, 0.0)])
     trace = run_scenario(script, SlipParams(beta=0.02, lag_tau=0.1,
                                             noise_sigma=0.0), 6.0)
     assert np.max(np.abs(trace.av)) < np.max(np.abs(trace.av_commanded()))
 
 
 def test_run_scenario_deterministic():
-    script = ControlScript.from_segments([(0.0, 2.0, 0.3), (1.0, 3.0, -0.5)])
+    script = make_script([(0.0, 2.0, 0.3), (1.0, 3.0, -0.5)])
     a = run_scenario(script, SlipParams(), 2.0)
     b = run_scenario(script, SlipParams(), 2.0)
     for name in ("x", "y", "heading", "v", "av", "av_lag", "cmd_v", "cmd_c"):
@@ -300,7 +299,7 @@ def test_imu_stream_is_transport_delayed():
     segs = [(i * 0.5, 2.0, float(c))
             for i, c in enumerate(rng.uniform(-1.7, 1.7, 24))]
     p = SlipParams(beta=0.0, lag_tau=0.0, imu_delay=0.176, noise_sigma=0.0)
-    trace = run_scenario(ControlScript.from_segments(segs), p, 12.0)
+    trace = run_scenario(make_script(segs), p, 12.0)
     joy, imu = emit_sensor_logs(trace, p, imu_rate=1000.0)
     active = (joy.t >= 1.0) & (joy.t < 13.0)
     t, ref = joy.t[active], joy.av[active]

@@ -1,11 +1,13 @@
 """The package's documented surface and its imports, checked by parsing.
 
 README's "Library use" imports must keep working, no module of the package
-may import a name it never uses, and the names the benchmark's tracer
+may import a name it never uses, no public name of the package may be one
+that only unit tests call, and the names the benchmark's tracer
 (perfbench/tracing.py) wraps must exist and be the ones the program calls.
 """
 
 import ast
+import collections
 import importlib.util
 import math
 import pathlib
@@ -67,6 +69,131 @@ def test_unused_import_check_finds_an_unused_name():
     tree = ast.parse("import math\nimport os.path\nfrom x import a, b as c\n"
                      "os.getcwd()\nprint(c)\n")
     assert unused_imports(tree) == ["a", "math"]
+
+
+# Public names with no reference outside the unit tests, each with the reason
+# it stays.  Empty: every public name has a caller.
+TEST_ONLY: dict[str, str] = {}
+
+
+def public_names(tree: ast.Module):
+    """``(qualname, kind, node)`` for each public module-level function and
+    class, and each public method and property of those classes; ``kind`` is
+    "name", "classmethod" (a class- or staticmethod) or "method"."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+            continue
+        yield node.name, "name", node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name[0] != "_":
+                    decorators = {ast.unparse(d) for d in item.decorator_list}
+                    kind = ("classmethod" if decorators & {"classmethod", "staticmethod"}
+                            else "method")
+                    yield f"{node.name}.{item.name}", kind, item
+
+
+def references(tree: ast.Module) -> list[tuple[str, int]]:
+    """``(dotted name, line)`` for each name and attribute chain ``tree``
+    reads.  A chain's head becomes what it was imported as, relative imports
+    taken from inside the package (``align_mod.histogram`` ->
+    ``ikdlab.align.histogram``); a chain on a call or subscript has an empty
+    head (``load(p).xy`` -> ``.xy``)."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head = alias.name.split(".")[0]
+                bound[alias.asname or head] = alias.name if alias.asname else head
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["ikdlab" if node.level else "", node.module]))
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{base}.{alias.name}"
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            parts, head = [], node
+            while isinstance(head, ast.Attribute):
+                parts.append(head.attr)
+                head = head.value
+            root = bound.get(head.id, head.id) if isinstance(head, ast.Name) else ""
+            out.append((".".join([root, *reversed(parts)]), node.lineno))
+    return out
+
+
+def index(found: list[tuple[str, int]]) -> dict[str, list[int]]:
+    """Lines by dotted name, and by ``*.attr`` for each attribute chain."""
+    lines = collections.defaultdict(list)
+    for dotted, line in found:
+        lines[dotted].append(line)
+        if "." in dotted:
+            lines["*." + dotted.rpartition(".")[2]].append(line)
+    return lines
+
+
+def keys(qualname: str, kind: str, shared: bool, own_file: bool) -> list[str]:
+    """The index keys that refer to ``qualname``.
+
+    Module-level names and class- and staticmethods count under the package
+    or one of its modules, or bare in their own module.  Other methods and
+    properties count as ``<anything>.name``, unless several classes define
+    the name (``shared``); then only as ``Class.name``, like a classmethod.
+    """
+    if kind == "method" and not shared:
+        return ["*." + qualname.split(".")[1]]
+    heads = ["ikdlab", *(f"ikdlab.{p.stem}" for p in PACKAGE.glob("*.py"))]
+    return [f"{head}.{qualname}" for head in heads] + ([qualname] if own_file else [])
+
+
+def outside_references() -> dict[str, dict[str, list[int]]]:
+    """References that keep a public name, by source file: the package (but
+    not the re-exports of its ``__init__``), perfbench and the strings of
+    its tracer's TARGETS, README "Library use" and the acceptance gates."""
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files += [*(ROOT / "perfbench").rglob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    found = {str(p.relative_to(ROOT)): references(ast.parse(p.read_text(encoding="utf-8")))
+             for p in files}
+    found["README.md"] = references(ast.parse(library_use_block()))
+    found["perfbench/tracing.py"] += [(f"{mod}.{fn}", 0)
+                                      for mod, fn, _, _ in load_tracing().TARGETS]
+    return {path: index(refs) for path, refs in found.items()}
+
+
+def test_every_public_name_has_a_caller_outside_the_unit_tests():
+    refs = outside_references()
+    defined = [(path.stem, *name) for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "__init__.py"
+               for name in public_names(ast.parse(path.read_text(encoding="utf-8")))]
+    methods = [qualname.split(".")[1] for _, qualname, kind, _ in defined if kind == "method"]
+    uncalled = []
+    for module, qualname, kind, node in defined:
+        own = f"src/ikdlab/{module}.py"
+        shared = kind == "method" and methods.count(qualname.split(".")[1]) > 1
+        if not any(not (path == own and node.lineno <= line <= node.end_lineno)
+                   for path, lines in refs.items()
+                   for key in keys(qualname, kind, shared, path == own)
+                   for line in lines.get(key, ())):
+            uncalled.append(f"{module}.{qualname}")
+    unlisted = sorted(set(uncalled) - set(TEST_ONLY))
+    assert not unlisted, f"only tests call {unlisted}: delete them or list them in TEST_ONLY"
+    stale = sorted(set(TEST_ONLY) - set(uncalled))
+    assert not stale, f"TEST_ONLY lists {stale}, which are gone or have a caller"
+
+
+def test_reference_check_resolves_imports_and_qualifies_class_methods():
+    lines = index(references(ast.parse(
+        "from . import align as a\nfrom ikdlab.simcore import SlipParams\n"
+        "a.histogram(x)\nSlipParams.ideal()\ncls.fresh()\nload(p).xy()\n"
+        "result.to_json()\ncfg.train\n")))
+
+    def found(qualname, kind, shared=False, own_file=False):
+        return any(key in lines for key in keys(qualname, kind, shared, own_file))
+
+    assert found("histogram", "name") and found("SlipParams.ideal", "classmethod")
+    assert found("SimTrace.xy", "method") and found("CorrectionResult.to_json", "method")
+    assert not found("AdamState.fresh", "classmethod", own_file=True)
+    assert not found("SlipParams.to_json", "method", shared=True)
+    assert not found("train", "name")
 
 
 def load_tracing():
