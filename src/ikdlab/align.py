@@ -31,8 +31,8 @@ DEFAULT_RATE = 40.0         # Hz, resampling rate of the training grid
 DEFAULT_OBJECTIVE_CEILING = 0.5  # (rad/s)^2, above this the pair is corrupt
 DEFAULT_EPS_C = 1e-4        # 1/m, curvature magnitude treated as straight
 
-# Candidate-rows per scan block: each (candidates, rows) temporary holds at
-# most this many float64 values (512 KB).
+# Candidate-rows per scan block: each of a block's temporaries holds at most
+# this many float64 values (512 KB).
 _SCAN_BLOCK = 1 << 16
 
 # Most threads a scan runs its blocks on.  A gate-shaped pair (480 joystick
@@ -40,6 +40,13 @@ _SCAN_BLOCK = 1 << 16
 # it, and each thread holds a block temporary of up to 512 KB.  Hosts with
 # more than two CPUs have not been measured.
 _SCAN_THREADS = 4
+
+# estimate_delay's lower bound sums every _BOUND_STRIDE-th row of a window.
+# A candidate is scored exactly unless its bound exceeds the best objective
+# by the relative _BOUND_SLACK, six orders above the rounding of the
+# pairwise sums (about 3e-15 relative).
+_BOUND_STRIDE = 32
+_BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -114,28 +121,10 @@ def _scan_workers() -> int:
     return min(cpus, _SCAN_THREADS)
 
 
-def scan_delays(joy: JoyLog, imu: ImuLog,
-                search: tuple[float, float] = (DELAY_MIN, DELAY_MAX),
-                step: float = DEFAULT_DELAY_STEP) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the alignment objective on the full delay grid.
-
-    For each candidate delay d the objective is the mean squared error
-    between av_joy at its own timestamps and the IMU stream linearly
-    interpolated at (t + d), restricted to the shifted overlap.  Candidates
-    whose overlap is shorter than MIN_OVERLAP get objective = +inf.
-
-    Timestamps are strictly increasing, so each candidate's window is a
-    slice of the joystick stream.  Consecutive candidates sharing a slice
-    are evaluated together, in blocks of at most _SCAN_BLOCK candidate-rows,
-    with one np.interp call per block; every element is interpolated and
-    every row summed as the one-candidate-at-a-time loop does, so the
-    objectives are bit-identical to it.  The blocks run on up to
-    _SCAN_THREADS threads, one per CPU in the process's affinity set; the
-    result does not depend on the thread count.
-
-    Returns:
-        (delays, objectives) arrays of equal length.
-    """
+def _delay_grid(joy: JoyLog, imu: ImuLog, search: tuple[float, float], step: float):
+    """The candidate delays of a scan, each one's joystick window i0:i1 (a
+    slice, as timestamps are strictly increasing), and the indices of the
+    candidates kept: those leaving at least MIN_OVERLAP seconds of overlap."""
     lo, hi = search
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError(f"search must be finite, got {search!r}")
@@ -147,33 +136,56 @@ def scan_delays(joy: JoyLog, imu: ImuLog,
 
     n = sample_count("search", (hi - lo) / step) + 1
     delays = lo + np.arange(n) * step
-    objectives = np.full(n, np.inf)
     w_lo, w_hi = _overlap_window(joy, imu, delays)
     i0 = np.searchsorted(joy.t, w_lo, side="left")
     i1 = np.searchsorted(joy.t, w_hi, side="right")
-    keep = (w_hi - w_lo >= MIN_OVERLAP) & (i1 > i0)
+    kept = np.flatnonzero((w_hi - w_lo >= MIN_OVERLAP) & (i1 > i0))
+    return delays, i0, i1, kept
+
+
+def _scan(joy: JoyLog, imu: ImuLog, delays: np.ndarray, i0: np.ndarray,
+          i1: np.ndarray, cand: np.ndarray, stride: int, out: np.ndarray) -> None:
+    """Write into out[cand] each candidate's squared error between av_joy and
+    the IMU stream interpolated at (t + delay), summed over every
+    ``stride``-th row of its window i0:i1 and divided by the window's full
+    row count; at stride 1 that is the objective.
+
+    ``cand`` holds increasing candidate indices.  Consecutive candidates
+    sharing a window are evaluated together, in blocks of at most
+    _SCAN_BLOCK candidate-rows, with one np.interp call per block.  Every
+    element is interpolated as the one-candidate-at-a-time loop does, and
+    each candidate's errors are summed as one contiguous row, so at stride 1
+    the objectives are bit-identical to that loop.  The blocks run on up to
+    _SCAN_THREADS threads, one per CPU in the process's affinity set; the
+    result does not depend on the thread count.
+    """
+    if not cand.size:
+        return
     # Runs: maximal stretches of consecutive candidates with one window.
-    cuts = np.flatnonzero((i0[1:] != i0[:-1]) | (i1[1:] != i1[:-1])
-                          | (keep[1:] != keep[:-1])) + 1
-    bounds = np.concatenate(([0], cuts, [n])).tolist()
-    tasks = []  # (a, b, k0, k1): joystick rows a:b against candidates k0:k1
+    a0, a1 = i0[cand], i1[cand]
+    cuts = np.flatnonzero((np.diff(cand) != 1) | (a0[1:] != a0[:-1])
+                          | (a1[1:] != a1[:-1])) + 1
+    bounds = np.concatenate(([0], cuts, [cand.size])).tolist()
+    tasks = []  # (a, b, k0, k1): joystick rows a:b:stride against candidates k0:k1
     for c0, c1 in zip(bounds[:-1], bounds[1:]):
-        if not keep[c0]:
-            continue
-        a, b = int(i0[c0]), int(i1[c0])
-        rows = max(1, _SCAN_BLOCK // (b - a))
-        tasks.extend((a, b, k, min(k + rows, c1)) for k in range(c0, c1, rows))
+        a, b, k = int(a0[c0]), int(a1[c0]), int(cand[c0])
+        rows = max(1, _SCAN_BLOCK // len(range(a, b, stride)))
+        tasks.extend((a, b, j, min(j + rows, k + c1 - c0))
+                     for j in range(k, k + c1 - c0, rows))
 
     def scan(share):
         for a, b, k0, k1 in share:
-            err = np.interp(joy.t[a:b] + delays[k0:k1, None], imu.t, imu.av_z)
-            np.subtract(err, joy.av[a:b], out=err)
+            # Interpolated rows by candidates: neighbouring times are close,
+            # so np.interp finds each one's interval next to the last one's.
+            at = np.interp(joy.t[a:b:stride, None] + delays[k0:k1], imu.t, imu.av_z)
+            err = np.subtract(at.T, joy.av[a:b:stride], order="C")
+            del at
             np.multiply(err, err, out=err)
-            objectives[k0:k1] = np.add.reduce(err, axis=1) / (b - a)
+            out[k0:k1] = np.add.reduce(err, axis=1) / (b - a)
             del err  # freed before the next block's temporaries, on every thread
 
     # np.interp and the ufuncs release the GIL, and each block writes its own
-    # slice of objectives.  The calling thread scans one share itself.
+    # slice of out.  The calling thread scans one share itself.
     w = min(_scan_workers(), len(tasks))
     if w <= 1:
         scan(tasks)
@@ -183,19 +195,62 @@ def scan_delays(joy: JoyLog, imu: ImuLog,
             scan(tasks[0::w])
             for f in futures:
                 f.result()
+
+
+def scan_delays(joy: JoyLog, imu: ImuLog,
+                search: tuple[float, float] = (DELAY_MIN, DELAY_MAX),
+                step: float = DEFAULT_DELAY_STEP) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the alignment objective on the full delay grid.
+
+    For each candidate delay d the objective is the mean squared error
+    between av_joy at its own timestamps and the IMU stream linearly
+    interpolated at (t + d), restricted to the shifted overlap.  Candidates
+    whose overlap is shorter than MIN_OVERLAP get objective = +inf.  The
+    objectives are bit-identical to a one-candidate-at-a-time loop that
+    masks the window and calls np.mean (see _scan).
+
+    Returns:
+        (delays, objectives) arrays of equal length.
+    """
+    delays, i0, i1, kept = _delay_grid(joy, imu, search, step)
+    objectives = np.full(delays.size, np.inf)
+    _scan(joy, imu, delays, i0, i1, kept, 1, objectives)
     return delays, objectives
 
 
 def estimate_delay(joy: JoyLog, imu: ImuLog,
                    search: tuple[float, float] = (DELAY_MIN, DELAY_MAX),
                    step: float = DEFAULT_DELAY_STEP) -> DelayEstimate:
-    """Estimate the IMU transport delay by exhaustive grid search.
+    """Estimate the IMU transport delay as the argmin of the alignment
+    objective over the scan_delays grid.
 
-    The returned delay is the grid argmin of the alignment objective, ties
-    broken toward the smaller delay.  Raises InsufficientOverlapError when
-    no candidate leaves at least MIN_OVERLAP seconds of shifted overlap.
+    The returned delay is the grid argmin, ties broken toward the smaller
+    delay.  Raises InsufficientOverlapError when no candidate leaves at
+    least MIN_OVERLAP seconds of shifted overlap.
+
+    The estimate equals delay_from_scan(*scan_delays(...)) bit for bit, but
+    only candidates that can hold the minimum get an exact objective.  Each
+    candidate is first bounded from below by its squared errors on every
+    _BOUND_STRIDE-th row of its window, divided by the full window's row
+    count: the terms are non-negative, so the subset sum cannot exceed the
+    full one.  The candidate with the smallest bound is scored exactly, and
+    then every candidate whose bound is not above that objective times
+    (1 + _BOUND_SLACK); the others cannot be the argmin and read +inf.  On
+    slip-dominated recordings, such as the training sweep, the objective is
+    flat near its minimum and no candidate is pruned.
     """
-    delays, objectives = scan_delays(joy, imu, search, step)
+    delays, i0, i1, kept = _delay_grid(joy, imu, search, step)
+    objectives = np.full(delays.size, np.inf)
+    if kept.size:
+        bounds = np.full(delays.size, np.inf)
+        _scan(joy, imu, delays, i0, i1, kept, _BOUND_STRIDE, bounds)
+        bounds = bounds[kept]
+        j = int(np.argmin(bounds))
+        _scan(joy, imu, delays, i0, i1, kept[j:j + 1], 1, objectives)
+        # NaN-safe: ties and NaN bounds stay in this pass
+        live = ~(bounds > objectives[kept[j]] * (1.0 + _BOUND_SLACK))
+        live[j] = False
+        _scan(joy, imu, delays, i0, i1, kept[live], 1, objectives)
     return delay_from_scan(delays, objectives)
 
 
@@ -225,7 +280,9 @@ def build_dataset(joy: JoyLog, imu: ImuLog, delay: float,
     """Resample both logs onto an even grid over the delay-shifted overlap.
 
     Grid timestamps live on the joystick clock; the IMU channel is read at
-    (t + delay).  All three channels are linearly interpolated.
+    (t + delay).  All three channels are linearly interpolated.  Commanded
+    yaw rates past the actuator limit are clamped to +-AV_LIMIT first, as
+    the actuator executes them.
     """
     require_positive(rate=rate)
     if len(joy) < 2 or len(imu) < 2:
@@ -239,7 +296,7 @@ def build_dataset(joy: JoyLog, imu: ImuLog, delay: float,
     grid = w_lo + np.arange(n) / rate
     return AlignedDataset(
         v_joy=np.interp(grid, joy.t, joy.v),
-        av_joy=np.interp(grid, joy.t, joy.av),
+        av_joy=np.interp(grid, joy.t, np.clip(joy.av, -AV_LIMIT, AV_LIMIT)),
         av_imu=np.interp(grid + delay, imu.t, imu.av_z),
         period=1.0 / rate,
     )

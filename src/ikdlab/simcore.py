@@ -367,12 +367,22 @@ def run_scenario(script: ControlScript, p: SlipParams, duration: float,
     if script.segments[0].t_start > 0:
         raise ValidationError("script must be defined from t=0")
     n = sample_count("duration", duration / dt)
-    starts, v, c = np.array([(s.t_start, s.v, s.c) for s in script.segments],
-                            dtype=float).T
-    seg_of_step = np.searchsorted(starts, np.arange(n) * dt + 1e-12, side="right") - 1
-    reached = np.bincount(seg_of_step, minlength=v.size) > 0
+    # Each segment's first step: the least i <= n with i*dt + 1e-12 >= t_start,
+    # found from a ceil and fixed up against that same float expression.
+    firsts = []
+    for t_start in (s.t_start for s in script.segments):
+        g = (t_start - 1e-12) / dt
+        i = 0 if not g > 0 else n if g >= n else math.ceil(g)
+        while i > 0 and (i - 1) * dt + 1e-12 >= t_start:
+            i -= 1
+        while i < n and i * dt + 1e-12 < t_start:
+            i += 1
+        firsts.append(i)
+    runs = np.diff(firsts + [n])
+    v, c = np.array([(s.v, s.c) for s in script.segments], dtype=float).T
+    reached = runs > 0
     _check_commands(v[reached], c[reached])
-    return _integrate(initial_state, v[seg_of_step], c[seg_of_step], p, dt)
+    return _integrate(initial_state, np.repeat(v, runs), np.repeat(c, runs), p, dt)
 
 
 def emit_sensor_logs(trace: SimTrace, p: SlipParams, joy_rate: float = 40.0,

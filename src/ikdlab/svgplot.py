@@ -20,6 +20,11 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+def _points(px: np.ndarray, py: np.ndarray) -> str:
+    """A points attribute; Python floats format twice as fast as numpy scalars."""
+    return " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px.tolist(), py.tolist()))
+
+
 def _header(title: str) -> list[str]:
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(WIDTH)}" '
@@ -92,10 +97,8 @@ def svg_line_chart(series, path: str, title: str = "",
     for i, (label, xs, ys) in enumerate(series):
         px = _scale(xs, x_lo, x_hi, MARGIN, WIDTH - MARGIN)
         py = _scale(ys, y_lo, y_hi, HEIGHT - MARGIN, MARGIN)
-        pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
-        color = PALETTE[i % len(PALETTE)]
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                     f'stroke-width="1.5"/>')
+        parts.append(f'<polyline points="{_points(px, py)}" fill="none" '
+                     f'stroke="{PALETTE[i % len(PALETTE)]}" stroke-width="1.5"/>')
     parts += _legend([s[0] for s in series])
     _write(path, parts)
 
@@ -154,17 +157,15 @@ def svg_trajectory(traces, path: str, scenario=None, title: str = "") -> None:
     if scenario is not None:
         for box in scenario.boxes:
             px, py = to_px(box.corners())
-            poly = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
-            parts.append(f'<polygon points="{poly}" fill="#cccccc" stroke="black" '
-                         f'stroke-width="1"/>')
+            parts.append(f'<polygon points="{_points(px, py)}" fill="#cccccc" '
+                         f'stroke="black" stroke-width="1"/>')
         for cone in scenario.cones:
             px, py = to_px(np.array([cone]))
             parts.append(f'<circle cx="{_fmt(px[0])}" cy="{_fmt(py[0])}" r="4" '
                          f'fill="#ff7f0e" stroke="black" stroke-width="1"/>')
     for i, (label, xy) in enumerate(traces):
         px, py = to_px(np.asarray(xy, dtype=float))
-        poly = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
-        parts.append(f'<polyline points="{poly}" fill="none" '
+        parts.append(f'<polyline points="{_points(px, py)}" fill="none" '
                      f'stroke="{PALETTE[i % len(PALETTE)]}" stroke-width="1.5"/>')
     parts += _legend([t[0] for t in traces])
     _write(path, parts)

@@ -12,7 +12,8 @@ import pytest
 from ikdlab import align as align_mod, mlp, scenarios
 from ikdlab.cli import DEFAULT_CIRCLE_CURVATURES, PipelineConfig, main
 from ikdlab.align import AlignedDataset
-from ikdlab.datalog import ImuLog, JoyLog
+from ikdlab.datalog import (ImuLog, JoyLog, read_imu_csv, read_joy_csv, trim_idle,
+                            write_imu_csv, write_joy_csv)
 from ikdlab.errors import ParseError, ValidationError
 from ikdlab.evalkit import DriftScenario
 from ikdlab.simcore import ControlScript, SlipParams
@@ -446,6 +447,36 @@ def test_scan_memory_error_on_a_worker_reaches_caller_and_align_exits_1(
     assert main(["align", "--out", "run"]) == 1
     assert capsys.readouterr().err == "error: out of memory: Unable to allocate 512 KiB\n"
     assert threading.active_count() == threads
+
+
+def test_align_prints_and_writes_what_estimate_delay_returns(workdir, capsys):
+    # align scans every candidate for delay_scan.csv; estimate_delay prunes
+    write_mini_script("script.json")
+    assert main(["collect", "--script", "script.json", "--duration", "24.0",
+                 "--out", "run"]) == 0
+    assert main(["align", "--out", "run"]) == 0
+    printed = capsys.readouterr().out.splitlines()[-1]
+    joy, imu = trim_idle(read_joy_csv(os.path.join("run", "logs", "joy.csv")),
+                         read_imu_csv(os.path.join("run", "logs", "imu.csv")))
+    est = align_mod.estimate_delay(joy, imu)
+    with open(os.path.join("run", "reports", "delay.json"), encoding="utf-8") as fh:
+        assert json.load(fh) == {"delay": est.delay, "objective": est.objective,
+                                 "in_range": est.in_range, "corrupt": est.corrupt}
+    assert printed.startswith(f"delay {est.delay:.3f} s (objective {est.objective:.6f}), ")
+
+
+def test_align_clamps_commands_past_the_actuator_limit(workdir, capsys):
+    t = np.arange(160) / 40.0
+    av = 1.0 + 0.5 * np.sin(2.0 * t)
+    av[40], av[80] = -4.2, 4.2
+    write_joy_csv(JoyLog(t=t, v=np.full(t.size, 2.0), av=av), "joy.csv")
+    write_imu_csv(ImuLog(t=t, av_z=1.0 + 0.5 * np.sin(2.0 * (t - 0.1))), "imu.csv")
+    assert main([*ALIGN_ARGV, "--out", "run"]) == 0
+    assert capsys.readouterr().err == ""
+    d = align_mod.read_dataset_csv(os.path.join("run", "datasets", "dataset.csv"))
+    # the grid starts on the first joystick row at 40 Hz, and every row turns
+    assert (d.av_joy[40], d.av_joy[80]) == (-4.0, 4.0)
+    assert np.array_equal(d.av_joy, np.clip(av[:len(d)], -4.0, 4.0))
 
 
 def test_bad_slip_file_names_file_and_field(workdir, capsys):

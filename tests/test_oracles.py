@@ -24,7 +24,10 @@ weights and loss curves bit for bit, also once the loop's moments have
 gone subnormal where the trainer flushes them.  The delay-scan oracle is a
 verbatim copy of the per-candidate loop (mask, gather, np.interp, np.mean);
 the blocked scan must reproduce its delays, objectives and +inf positions
-bit for bit on one, two and three threads.  The table oracles are verbatim copies of the writer that called
+bit for bit on one, two and three threads, and estimate_delay, which scores
+exactly only the candidates a strided lower bound cannot rule out, must
+return the same estimate as that loop's argmin, or raise the same error.
+The table oracles are verbatim copies of the writer that called
 repr once per cell and of the per-line reader: the deduplicating writer must
 reproduce its bytes, and on every mutated table the one-pass reader must
 return the same array bytes or raise the same ParseError.
@@ -236,6 +239,50 @@ def random_dt(rng) -> float:
 
 
 # --- simulator oracles -------------------------------------------------------
+
+def test_segment_first_steps_match_per_step_search_300_scripts():
+    # Starts on a step time, 1e-12 or a few ulps either side of one, before
+    # t = 0, past the last step and far past it: run_scenario's commands are
+    # the per-step searchsorted lookup's, and so are the commands it checks.
+    rng = np.random.default_rng(17)
+    seen = {"on a step": 0, "near a step": 0, "negative": 0, "past the end": 0,
+            "unreached": 0}
+    for _ in range(300):
+        dt = random_dt(rng)
+        n = int(rng.integers(1, 3000))
+        steps = np.unique(rng.integers(-50, n + 50, int(rng.integers(1, 40))))
+        starts = steps * dt
+        nudge = rng.choice([0.0, 1e-12, -1e-12, 2e-12, -2e-12], steps.size)
+        starts = np.where(rng.random(steps.size) < 0.5, starts + nudge,
+                          starts + rng.integers(-3, 4, steps.size) * np.spacing(starts))
+        starts = tuple(np.unique(starts).tolist())
+        if starts[0] > 0:
+            starts = (0.0, *starts)
+        if rng.random() < 0.1:
+            starts = (*starts, 1e300)
+        v = rng.uniform(-2.0, 6.0, len(starts))
+        c = rng.uniform(-1.0, 1.0, len(starts)) * np.minimum(1.0, AV_LIMIT / np.abs(v))
+        if len(starts) > 1 and rng.random() < 0.2:
+            c[-1] = 10.0  # an out-of-range command is only refused if reached
+        script = make_script([(float(t), float(a), float(b))
+                              for t, a, b in zip(starts, v, c)])
+        seg = np.searchsorted(np.array(starts), np.arange(n) * dt + 1e-12, side="right") - 1
+        duration = (n + 0.5) * dt
+        if abs(v[-1] * c[-1]) > AV_LIMIT and seg[-1] == len(starts) - 1:
+            with pytest.raises(ValidationError, match="commanded angular velocity"):
+                run_scenario(script, SlipParams.ideal(), duration, dt=dt)
+            continue
+        trace = run_scenario(script, SlipParams.ideal(), duration, dt=dt)
+        assert len(trace) == n
+        assert np.array_equal(trace.cmd_v, v[seg]) and np.array_equal(trace.cmd_c, c[seg])
+        near = np.abs(np.array(starts) - np.round(np.array(starts) / dt) * dt)
+        seen["on a step"] += bool(np.any(near == 0))
+        seen["near a step"] += bool(np.any((near > 0) & (near < 1e-11)))
+        seen["negative"] += starts[0] < 0
+        seen["past the end"] += starts[-1] > n * dt
+        seen["unreached"] += np.bincount(seg, minlength=len(starts)).min() == 0
+    assert min(seen.values()) >= 20, seen
+
 
 def test_run_scenario_matches_per_step_loop_100_cases():
     rng = np.random.default_rng(2024)
@@ -1211,6 +1258,131 @@ def test_blocked_scan_matches_per_candidate_loop_on_gate_and_wide_windows(monkey
         monkeypatch.setattr(align_mod, "_scan_workers", lambda: workers)
         for case in (gate, *wide):
             assert np.isfinite(assert_scan_matches_reference(*case)).all()
+
+
+# --- delay estimate: strided lower bounds, against the full per-candidate loop -
+
+def multi_sine(t: np.ndarray) -> np.ndarray:
+    """A three-tone yaw-rate excitation."""
+    return (1.8 * np.sin(2 * np.pi * 0.31 * t)
+            + 1.1 * np.sin(2 * np.pi * 0.93 * t + 1.0)
+            + 0.6 * np.sin(2 * np.pi * 2.17 * t + 2.2))
+
+
+def shifted_pair(rng, t_joy, t_imu, noise_sigma: float):
+    d = float(rng.uniform(0.05, 0.40))
+    joy = JoyLog(t=t_joy, v=np.full(t_joy.size, 2.0), av=multi_sine(t_joy))
+    av_z = multi_sine(t_imu - d) + rng.normal(0.0, noise_sigma, t_imu.size)
+    return joy, ImuLog(t=t_imu, av_z=av_z)
+
+
+def covering_times(rng, n: int):
+    """Joystick times and IMU times that cover them at every default candidate."""
+    t_joy = random_times(rng, n, 0.0, 0.025)
+    return t_joy, np.linspace(-1.0, t_joy[-1] + 1.0, int(rng.integers(2, 3 * n)))
+
+
+def estimate_case(rng, kind: str, i: int):
+    default = ((DELAY_MIN, DELAY_MAX), DEFAULT_DELAY_STEP)
+    if kind in ("gate clean", "gate noisy"):
+        # 480 joystick rows at 40 Hz against 13,000 IMU rows at 1 kHz
+        sigma = 0.0 if kind == "gate clean" else 0.01
+        return (*shifted_pair(rng, np.arange(480) / 40.0, np.arange(13000) / 1000.0,
+                              sigma), *default)
+    if kind == "long":
+        t = np.arange(96_000) / 40.0
+        return (*shifted_pair(rng, t, t, 0.0), *default)
+    if kind == "sweep":
+        plant = SlipParams(seed=int(rng.integers(0, 1000)))
+        dwell = float(rng.uniform(0.3, 0.8))
+        speeds = tuple(rng.choice([1.0, 1.5, 2.0, 2.5, 3.0, 4.0],
+                                  size=int(rng.integers(1, 3)), replace=False))
+        script = training_sweep_script(dwell=dwell, speeds=speeds)
+        trace = run_scenario(script, plant, sweep_duration(script, dwell=dwell))
+        return (*trim_idle(*emit_sensor_logs(trace, plant)), *default)
+    if kind == "tie":
+        t_joy, t_imu = covering_times(rng, int(rng.integers(2, 3000)))
+        joy = JoyLog(t=t_joy, v=np.ones(t_joy.size),
+                     av=np.full(t_joy.size, rng.uniform(-AV_LIMIT, AV_LIMIT)))
+        return (joy, ImuLog(t=t_imu, av_z=np.full(t_imu.size, rng.normal(0.0, 2.0))),
+                *default)
+    if kind == "overflow":
+        # every squared error overflows: |av - av_z| > 2e154
+        t_joy, t_imu = covering_times(rng, int(rng.integers(2, 3000)))
+        joy = JoyLog(t=t_joy, v=np.ones(t_joy.size),
+                     av=10.0 ** rng.uniform(154.5, 200.0, t_joy.size))
+        imu = ImuLog(t=t_imu, av_z=-(10.0 ** rng.uniform(154.5, 200.0, t_imu.size)))
+        return joy, imu, *default
+    return random_scan_case(rng, i)
+
+
+def assert_estimate_matches_reference(joy, imu, search, step):
+    """estimate_delay against the argmin of the full per-candidate loop; the
+    reference objectives, or None when both raise InsufficientOverlapError."""
+    ref_delays, ref_objectives = reference_scan_delays(joy, imu, search, step)
+    try:
+        ref = align_mod.delay_from_scan(ref_delays, ref_objectives)
+    except InsufficientOverlapError as exc:
+        with pytest.raises(InsufficientOverlapError, match=str(exc)):
+            align_mod.estimate_delay(joy, imu, search, step)
+        return None
+    est = align_mod.estimate_delay(joy, imu, search, step)
+    assert est.delay.hex() == ref.delay.hex()
+    assert est.objective.hex() == ref.objective.hex()
+    assert (est.in_range, est.corrupt) == (ref.in_range, ref.corrupt)
+    return ref_objectives
+
+
+def test_pruned_estimate_matches_full_loop_argmin_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(10)
+    scan = align_mod._scan
+    calls = []  # (stride, candidates) of each _scan call
+
+    def recording_scan(joy, imu, delays, i0, i1, cand, stride, out):
+        calls.append((stride, cand.copy()))
+        scan(joy, imu, delays, i0, i1, cand, stride, out)
+
+    monkeypatch.setattr(align_mod, "_scan", recording_scan)
+    kinds = ("gate clean", "gate noisy", "long", "sweep", "tie", "overflow",
+             *["random"] * 8)
+    seen = dict.fromkeys(("gate clean", "gate noisy", "long", "sweep unpruned",
+                          "tie", "partial inf", "all inf", "two rows", "negative",
+                          "pruned", "runner-up wins"), 0)
+    for i in range(6 * len(kinds)):
+        kind = kinds[i % len(kinds)]
+        joy, imu, search, step = estimate_case(rng, kind, i)
+        # Small budgets put every row of a wide window in a block of its own.
+        monkeypatch.setattr(align_mod, "_SCAN_BLOCK",
+                            int(rng.choice([1, 7, 500, 1 << 16])))
+        monkeypatch.setattr(align_mod, "_scan_workers", lambda: 1 + i % 3)
+        calls.clear()
+        with warnings.catch_warnings():
+            # squares past the float range overflow to inf, on every thread
+            warnings.simplefilter("ignore", RuntimeWarning)
+            objectives = assert_estimate_matches_reference(joy, imu, search, step)
+        # one bound pass over the kept candidates, then exact passes only
+        kept = calls[0][1] if calls else []
+        strides = [stride for stride, _ in calls]
+        assert strides == [align_mod._BOUND_STRIDE, 1, 1][:len(calls)]
+        exact = sum(cand.size for _, cand in calls[1:])
+        if kind in seen:
+            seen[kind] += 1
+        if kind == "sweep":
+            assert exact == len(kept)
+            seen["sweep unpruned"] += 1
+        if kind == "overflow":
+            assert objectives is None and exact == len(kept) > 0
+            seen["all inf"] += 1
+        if objectives is not None:
+            finite = np.isfinite(objectives)
+            if kind == "tie":
+                assert np.unique(objectives[finite]).size == 1
+            seen["partial inf"] += not finite.all()
+            seen["runner-up wins"] += calls[1][1][0] != np.argmin(objectives)
+        seen["two rows"] += min(len(joy), len(imu)) == 2
+        seen["negative"] += search[1] < 0
+        seen["pruned"] += exact < len(kept)
+    assert min(seen.values()) >= 5, seen
 
 
 # --- table files: the repr-per-cell writer and per-line reader, kept verbatim --
