@@ -41,11 +41,14 @@ _SCAN_BLOCK = 1 << 16
 # more than two CPUs have not been measured.
 _SCAN_THREADS = 4
 
-# estimate_delay's lower bound sums every _BOUND_STRIDE-th row of a window.
-# A candidate is scored exactly unless its bound exceeds the best objective
-# by the relative _BOUND_SLACK, six orders above the rounding of the
-# pairwise sums (about 3e-15 relative).
-_BOUND_STRIDE = 32
+# estimate_delay bounds candidates at two levels: the squared errors on
+# every _BOUND_STRIDE-th row of a window, then, for the survivors, on every
+# _REFINE_STRIDE-th row, a superset of the first level's rows.  A candidate
+# is scored exactly unless a bound exceeds the best objective by the
+# relative _BOUND_SLACK, six orders above the rounding of the pairwise sums
+# (about 3e-15 relative).
+_BOUND_STRIDE = 128
+_REFINE_STRIDE = 16
 _BOUND_SLACK = 1e-9
 
 
@@ -157,7 +160,9 @@ def _scan(joy: JoyLog, imu: ImuLog, delays: np.ndarray, i0: np.ndarray,
     each candidate's errors are summed as one contiguous row, so at stride 1
     the objectives are bit-identical to that loop.  The blocks run on up to
     _SCAN_THREADS threads, one per CPU in the process's affinity set; the
-    result does not depend on the thread count.
+    result does not depend on the thread count.  A scan of at most
+    _SCAN_BLOCK candidate-rows in all runs on the calling thread and starts
+    no pool.
     """
     if not cand.size:
         return
@@ -186,7 +191,9 @@ def _scan(joy: JoyLog, imu: ImuLog, delays: np.ndarray, i0: np.ndarray,
 
     # np.interp and the ufuncs release the GIL, and each block writes its own
     # slice of out.  The calling thread scans one share itself.
-    w = min(_scan_workers(), len(tasks))
+    # A scan that fits in one block finishes before a pool would start.
+    total = sum((k1 - k0) * len(range(a, b, stride)) for a, b, k0, k1 in tasks)
+    w = 1 if total <= _SCAN_BLOCK else min(_scan_workers(), len(tasks))
     if w <= 1:
         scan(tasks)
     else:
@@ -234,23 +241,31 @@ def estimate_delay(joy: JoyLog, imu: ImuLog,
     _BOUND_STRIDE-th row of its window, divided by the full window's row
     count: the terms are non-negative, so the subset sum cannot exceed the
     full one.  The candidate with the smallest bound is scored exactly, and
-    then every candidate whose bound is not above that objective times
-    (1 + _BOUND_SLACK); the others cannot be the argmin and read +inf.  On
-    slip-dominated recordings, such as the training sweep, the objective is
-    flat near its minimum and no candidate is pruned.
+    every candidate whose bound exceeds that objective times
+    (1 + _BOUND_SLACK) cannot be the argmin and reads +inf.  If this level
+    pruned any candidate, the survivors are bounded again on every
+    _REFINE_STRIDE-th row and pruned against the same objective.  Whatever
+    is left is scored exactly.  If the first level pruned none, as on
+    slip-dominated recordings such as the training sweep, whose objective is
+    flat near its minimum, the refinement is skipped, so the bounds cost
+    1/_BOUND_STRIDE of a scan.
     """
     delays, i0, i1, kept = _delay_grid(joy, imu, search, step)
     objectives = np.full(delays.size, np.inf)
     if kept.size:
         bounds = np.full(delays.size, np.inf)
         _scan(joy, imu, delays, i0, i1, kept, _BOUND_STRIDE, bounds)
-        bounds = bounds[kept]
-        j = int(np.argmin(bounds))
+        j = int(np.argmin(bounds[kept]))
         _scan(joy, imu, delays, i0, i1, kept[j:j + 1], 1, objectives)
-        # NaN-safe: ties and NaN bounds stay in this pass
-        live = ~(bounds > objectives[kept[j]] * (1.0 + _BOUND_SLACK))
+        best = objectives[kept[j]] * (1.0 + _BOUND_SLACK)
+        # NaN-safe: ties and NaN bounds stay in
+        live = ~(bounds[kept] > best)
         live[j] = False
-        _scan(joy, imu, delays, i0, i1, kept[live], 1, objectives)
+        cand = kept[live]
+        if cand.size < kept.size - 1:
+            _scan(joy, imu, delays, i0, i1, cand, _REFINE_STRIDE, bounds)
+            cand = cand[~(bounds[cand] > best)]
+        _scan(joy, imu, delays, i0, i1, cand, 1, objectives)
     return delay_from_scan(delays, objectives)
 
 
@@ -348,7 +363,16 @@ def read_dataset_csv(path: str, period: float = 1.0 / DEFAULT_RATE) -> AlignedDa
         raise ValidationError(f"{path}:{row_line(path, _DATASET_HEADER, k)}: "
                               f"idx {rows[k, 0]:g} breaks contiguity (expected {k})")
     _, v_joy, av_joy, av_imu = rows.T
-    return AlignedDataset(v_joy=v_joy, av_joy=av_joy, av_imu=av_imu, period=period)
+    try:
+        return AlignedDataset(v_joy=v_joy, av_joy=av_joy, av_imu=av_imu, period=period)
+    except ValidationError as exc:
+        # the row that failed the first check, in the order AlignedDataset runs them
+        finite = np.isfinite(rows).all(axis=1)
+        bad = ~finite if not finite.all() else np.abs(av_joy) > AV_LIMIT + 1e-9
+        if not bad.any():  # not a row's fault: the period
+            raise
+        k = int(np.argmax(bad))
+        raise ValidationError(f"{path}:{row_line(path, _DATASET_HEADER, k)}: {exc}") from None
 
 
 def write_histogram_csv(counts: np.ndarray, vrange: tuple[float, float],

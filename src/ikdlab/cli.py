@@ -21,7 +21,7 @@ from . import datalog, evalkit, ikd, mlp, replay as replay_mod, scenarios, svgpl
 from .errors import (IkdError, ParseError, ValidationError, finite_number,
                      json_fields, require_positive, seed_value)
 from .fileio import read_json, read_table, write_json, write_table
-from .simcore import (DEFAULT_DT, ControlScript, SimTrace, SlipParams,
+from .simcore import (AV_LIMIT, DEFAULT_DT, ControlScript, SimTrace, SlipParams,
                       emit_sensor_logs, run_scenario, sample_count)
 
 DEFAULT_OUT = "out"
@@ -119,20 +119,22 @@ def write_trace_csv(trace: SimTrace, path: str) -> None:
 
 
 def cmd_collect(args) -> int:
+    # The run length comes from --dwell, so a step count past the index names
+    # it: first one dwell's, before a sweep's segment starts can overflow,
+    # then the whole run's.
+    dwell_sets_length = args.script is None or args.duration is None
+    if dwell_sets_length:
+        require_positive(dwell=args.dwell)
+        sample_count("dwell", args.dwell / DEFAULT_DT)
     cfg = _load_config(args)
     out = _resolve_out(args, cfg)
     if args.script:
         script = ControlScript.from_json(args.script)
-        if args.duration is None:
-            require_positive(dwell=args.dwell)
-            duration = script.t_end + args.dwell
-        else:
-            duration = args.duration
+        duration = script.t_end + args.dwell if args.duration is None else args.duration
     else:
         script = scenarios.training_sweep_script(dwell=args.dwell)
         duration = scenarios.sweep_duration(script, dwell=args.dwell)
-    if args.script is None or args.duration is None:
-        # the run length comes from --dwell, so a step count past the index names it
+    if dwell_sets_length:
         sample_count("dwell", duration / DEFAULT_DT)
     trace = run_scenario(script, cfg.slip, duration)
     joy, imu = emit_sensor_logs(trace, cfg.slip, joy_rate=cfg.joy_hz,
@@ -244,6 +246,10 @@ def cmd_eval_circle(args) -> int:
     curvatures = (_parse_curvatures(args.curvatures) if args.curvatures
                   else list(DEFAULT_CIRCLE_CURVATURES))
     _finite_nonzero("--v", args.v)
+    for c in curvatures:   # _check_commands' bound, worded with the flags
+        if not abs(args.v * c) <= AV_LIMIT + 1e-9:
+            raise ValidationError(f"--v {args.v!r} at --curvatures {c!r} commands a "
+                                  f"yaw rate outside [-{AV_LIMIT}, {AV_LIMIT}] rad/s")
     cfg = _load_config(args)
     out = _resolve_out(args, cfg)
     model = mlp.load_model(args.model) if args.model else None

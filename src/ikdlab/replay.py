@@ -93,9 +93,12 @@ def execute_replay(buf: CommandBuffer, p: SlipParams,
     ticks = np.floor(np.arange(n) * dt * rate + 1e-9)
     new_tick = np.ones(n, dtype=bool)
     new_tick[1:] = ticks[1:] > ticks[:-1]
-    consumed = int(np.count_nonzero(new_tick)) * stride
-    v, av = buf.rows[np.arange(buf.cursor, buf.cursor + consumed, stride) % len(buf)].T
-    buf.cursor = (buf.cursor + consumed) % len(buf)
+    # Rows are read mod n, so stride mod n reads the same ones and keeps any
+    # stride (a Python int, of any size) inside the index range.
+    step = stride % len(buf)
+    offsets = np.arange(np.count_nonzero(new_tick)) * step
+    v, av = buf.rows[(buf.cursor + offsets) % len(buf)].T
+    buf.cursor = (buf.cursor + len(offsets) * step) % len(buf)
     av = np.clip(av, -AV_LIMIT, AV_LIMIT)  # actuator command range
     c = c_from_av_v(av, v)  # rows slower than EPS_V drive straight
     if model is not None:

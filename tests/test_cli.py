@@ -160,6 +160,9 @@ def test_error_paths_return_one(workdir, capsys):
      "(9223372036854775807)"),
     (["collect", "--script", "script.json", "--duration", "6.0", "--config", "pad.json"],
      "pad gives 4e+22 samples, more than an index can count (9223372036854775807)"),
+    # refused before the sweep's segment starts overflow to inf
+    (["collect", "--dwell", "1e308"],
+     "dwell gives inf samples, more than an index can count (9223372036854775807)"),
 ])
 def test_bad_durations_exit_1_naming_the_argument(workdir, capsys, argv, match):
     write_mini_script("script.json")
@@ -340,6 +343,15 @@ def test_script_with_an_unknown_top_level_key_exits_1_naming_it(workdir, capsys)
     (["--v", "nan"], "--v must be finite and nonzero, got nan"),
     (["--v=-inf"], "--v must be finite and nonzero, got -inf"),
     (["--v", "0"], "--v must be finite and nonzero, got 0.0"),
+    (["--curvatures", "0.5,2.1"], "--v 2.0 at --curvatures 2.1 commands a yaw rate "
+                                  "outside [-4.0, 4.0] rad/s"),
+    (["--curvatures", "1e308"], "--v 2.0 at --curvatures 1e+308 commands a yaw rate "
+                                "outside [-4.0, 4.0] rad/s"),
+    (["--v", "1e308"], "--v 1e+308 at --curvatures 0.12 commands a yaw rate "
+                       "outside [-4.0, 4.0] rad/s"),
+    (["--v=-1e300", "--curvatures", "1e300"], "--v -1e+300 at --curvatures 1e+300 "
+                                              "commands a yaw rate outside "
+                                              "[-4.0, 4.0] rad/s"),
 ])
 def test_eval_circle_checks_its_flags_before_simulating(workdir, capsys, argv, err):
     assert main(["eval-circle", "--out", "run", *argv]) == 1
@@ -795,4 +807,76 @@ def test_mutated_config_slip_and_script_files_exit_0_or_1_with_one_error_line(
             "script.json": collect}
     capsys.readouterr()
     exits = fuzz_files(capsys, argv, seed=78, cases=240)
+    assert 0 < exits.count(0) < exits.count(1)
+
+
+@pytest.mark.parametrize("rows, line, err", [
+    (["4.2,0.4"], 4, "commanded angular velocity av_joy outside [-4.0, 4.0] rad/s"),
+    (["nan,0.4"], 4, "dataset contains non-finite values"),
+    (["0.5,inf"], 4, "dataset contains non-finite values"),
+    # the non-finite check runs first, as AlignedDataset runs it
+    (["-4.5,0.4", "0.5,nan"], 5, "dataset contains non-finite values"),
+])
+def test_train_on_a_bad_dataset_row_exits_1_naming_file_and_line(workdir, capsys,
+                                                                 rows, line, err):
+    with open("ds.csv", "w", encoding="utf-8") as fh:
+        fh.write("idx,v_joy,av_joy,av_imu\n0,1.0,0.5,0.4\n\n")
+        fh.writelines(f"{k + 1},1.0,{row}\n" for k, row in enumerate(rows))
+    assert main(["train", "--dataset", "ds.csv", "--out", "run"]) == 1
+    assert capsys.readouterr().err == f"error: ds.csv:{line}: {err}\n"
+
+
+# --- seeded fuzz of the numeric flags -----------------------------------------
+
+# NaN, infinities, zero, negatives, the float range's edge and integers past it
+BAD_NUMBERS = ("nan", "-nan", "inf", "-inf", "0", "-0.0", "-1", "-2.5", "1e308",
+               "-1e308", str(LONG_INT), f"-{LONG_INT}")
+# --stride is an integer flag (argparse refuses "nan" with a usage error), so
+# it gets integers of the same sizes: zero, negatives, past int64 and past
+# the float range
+BAD_INTEGERS = ("0", "-1", "-7", str(2 ** 63 - 1), str(10 ** 23), str(10 ** 308),
+                str(LONG_INT), f"-{LONG_INT}")
+# (command line, flag, what its error names, values to draw, values that run)
+FLAG_CASES = (
+    (["replay", "--buffer", "buffer.txt", "--duration", "0.2"], "--stride", "stride",
+     BAD_INTEGERS, ("1", "3")),
+    (["replay", "--buffer", "buffer.txt"], "--duration", "duration", BAD_NUMBERS,
+     ("0.3",)),
+    (["eval-drift", "--buffer", "buffer.txt"], "--duration", "duration", BAD_NUMBERS,
+     ("0.3",)),
+    (["collect"], "--dwell", "dwell", BAD_NUMBERS, ("0.02",)),
+    (["collect", "--script", "script.json"], "--dwell", "dwell", BAD_NUMBERS, ("0.5",)),
+    (["collect", "--script", "script.json"], "--duration", "duration", BAD_NUMBERS,
+     ("0.5",)),
+    (["eval-circle", "--curvatures", "0.5"], "--v", "--v", BAD_NUMBERS, ("2", "-1.5")),
+    (["eval-circle", "--curvatures", "1e300"], "--v", "--v", BAD_NUMBERS, ()),
+    (["eval-circle"], "--curvatures", "--curvatures", BAD_NUMBERS, ("0.5", "-0.6")),
+)
+
+
+def test_numeric_flag_fuzz_exits_0_or_1_with_one_error_line_naming_the_flag(
+        workdir, capsys):
+    with open("script.json", "w", encoding="utf-8") as fh:
+        json.dump({"segments": [{"t_start": 0.0, "v": 2.0, "c": 0.3},
+                                {"t_start": 0.2, "v": 1.5, "c": -0.4}]}, fh)
+    with open("buffer.txt", "w", encoding="utf-8") as fh:
+        fh.write("2.0,0.5\n2.0,-0.5\n1.0,0.0\n")
+    rng = np.random.default_rng(1913)
+    exits = []
+    for case in range(180):
+        argv, flag, named, bad, good = FLAG_CASES[case % len(FLAG_CASES)]
+        values = bad + good
+        value = values[int(rng.integers(len(values)))]
+        run = [*argv, f"{flag}={value}", "--out", "run"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no warning text either
+            code = main(run)
+        captured = capsys.readouterr()
+        assert code in ((0,) if value in good else (0, 1)), (run, captured.err)
+        if code == 1:
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, \
+                (run, captured.err)
+            assert named in captured.err, (run, captured.err)
+            assert len(captured.err) < 200, (run, captured.err)
+        exits.append(code)
     assert 0 < exits.count(0) < exits.count(1)

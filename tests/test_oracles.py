@@ -1260,6 +1260,39 @@ def test_blocked_scan_matches_per_candidate_loop_on_gate_and_wide_windows(monkey
             assert np.isfinite(assert_scan_matches_reference(*case)).all()
 
 
+def _scan_pools(monkeypatch, candidates: int) -> list:
+    """Scan 480 joystick rows against ``candidates`` delays one joystick
+    period apart, whose windows shrink by about a row each, at two workers
+    and blocks of 4,800 candidate-rows; return the worker counts of the
+    pools the scan started."""
+    pools = []
+
+    class RecordingPool(align_mod.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(align_mod, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(align_mod, "_scan_workers", lambda: 2)
+    monkeypatch.setattr(align_mod, "_SCAN_BLOCK", 4800)
+    t = np.arange(480) / 40.0
+    joy = JoyLog(t=t, v=np.full(480, 2.0), av=np.sin(2.1 * t))
+    imu = ImuLog(t=t, av_z=np.sin(2.1 * (t - 0.05)))
+    delays, objectives = scan_delays(joy, imu, search=(0.0, 0.025 * (candidates - 1)),
+                                     step=0.025)
+    assert delays.size == candidates and np.isfinite(objectives).all()
+    return pools
+
+
+def test_scan_of_one_block_of_candidate_rows_starts_no_pool(monkeypatch):
+    # 9 windows of 471 to 480 rows: 9 blocks, but 4,753 candidate-rows
+    assert _scan_pools(monkeypatch, 10) == []
+
+
+def test_scan_past_one_block_of_candidate_rows_starts_a_pool(monkeypatch):
+    assert _scan_pools(monkeypatch, 11) == [1]      # 5,223 candidate-rows
+
+
 # --- delay estimate: strided lower bounds, against the full per-candidate loop -
 
 def multi_sine(t: np.ndarray) -> np.ndarray:
@@ -1345,9 +1378,9 @@ def test_pruned_estimate_matches_full_loop_argmin_bit_for_bit(monkeypatch):
     monkeypatch.setattr(align_mod, "_scan", recording_scan)
     kinds = ("gate clean", "gate noisy", "long", "sweep", "tie", "overflow",
              *["random"] * 8)
-    seen = dict.fromkeys(("gate clean", "gate noisy", "long", "sweep unpruned",
+    seen = dict.fromkeys(("gate clean", "gate noisy", "long", "sweep unrefined",
                           "tie", "partial inf", "all inf", "two rows", "negative",
-                          "pruned", "runner-up wins"), 0)
+                          "pruned at 128", "pruned at 16", "runner-up wins"), 0)
     for i in range(6 * len(kinds)):
         kind = kinds[i % len(kinds)]
         joy, imu, search, step = estimate_case(rng, kind, i)
@@ -1360,16 +1393,21 @@ def test_pruned_estimate_matches_full_loop_argmin_bit_for_bit(monkeypatch):
             # squares past the float range overflow to inf, on every thread
             warnings.simplefilter("ignore", RuntimeWarning)
             objectives = assert_estimate_matches_reference(joy, imu, search, step)
-        # one bound pass over the kept candidates, then exact passes only
+        # a coarse bound pass over the kept candidates and one exact score;
+        # a finer bound pass over the survivors only when the coarse one
+        # pruned some; then one exact pass
         kept = calls[0][1] if calls else []
         strides = [stride for stride, _ in calls]
-        assert strides == [align_mod._BOUND_STRIDE, 1, 1][:len(calls)]
-        exact = sum(cand.size for _, cand in calls[1:])
+        refined = strides == [align_mod._BOUND_STRIDE, 1, align_mod._REFINE_STRIDE, 1]
+        assert refined or strides == [align_mod._BOUND_STRIDE, 1, 1][:len(calls)]
+        if len(calls) > 2:
+            assert (calls[2][1].size < len(kept) - 1) == refined
+        exact = sum(cand.size for stride, cand in calls if stride == 1)
         if kind in seen:
             seen[kind] += 1
         if kind == "sweep":
-            assert exact == len(kept)
-            seen["sweep unpruned"] += 1
+            assert exact == len(kept) and not refined
+            seen["sweep unrefined"] += 1
         if kind == "overflow":
             assert objectives is None and exact == len(kept) > 0
             seen["all inf"] += 1
@@ -1381,7 +1419,8 @@ def test_pruned_estimate_matches_full_loop_argmin_bit_for_bit(monkeypatch):
             seen["runner-up wins"] += calls[1][1][0] != np.argmin(objectives)
         seen["two rows"] += min(len(joy), len(imu)) == 2
         seen["negative"] += search[1] < 0
-        seen["pruned"] += exact < len(kept)
+        seen["pruned at 128"] += refined
+        seen["pruned at 16"] += refined and calls[3][1].size < calls[2][1].size
     assert min(seen.values()) >= 5, seen
 
 

@@ -131,6 +131,22 @@ def test_replay_stride_decimates_buffer():
     assert buf.cursor == 30
 
 
+@pytest.mark.parametrize("stride", [1, 3, 7, 2 ** 63 - 1, 10 ** 23])
+def test_replay_stride_past_int64_reads_the_rows_of_its_residue(stride):
+    # tick k reads row (cursor + k*stride) mod n, so adding a multiple of n
+    # changes nothing
+    runs = []
+    for s in (stride, stride + 7 * 10 ** 20):
+        buf = CommandBuffer(rows=[(1.0 + i / 10.0, i / 20.0) for i in range(7)], cursor=2)
+        trace = execute_replay(buf, SlipParams.ideal(), duration=0.6, stride=s)
+        runs.append((trace.cmd_v.tolist(), trace.cmd_c.tolist(), trace.xy().tolist(),
+                     buf.cursor))
+    assert runs[0] == runs[1]
+    # one tick per 10 steps at 20 Hz and dt 0.005; row i commands v = 1 + i/10
+    assert runs[0][0][::10] == [1.0 + ((2 + k * stride) % 7) / 10.0 for k in range(12)]
+    assert runs[0][3] == (2 + 12 * stride) % 7
+
+
 def test_replay_clamps_buffer_yaw_rates():
     buf = CommandBuffer(rows=[(1.0, 9.0)])
     trace = execute_replay(buf, SlipParams.ideal(), duration=0.2)
