@@ -17,8 +17,8 @@ import numpy as np
 
 from .datalog import ImuLog, JoyLog
 from .errors import InsufficientOverlapError, ValidationError, require_positive
-from .fileio import read_table, row_line, write_table
-from .simcore import AV_LIMIT, EPS_V, c_from_av_v, sample_count
+from .fileio import read_record, write_table
+from .simcore import AV_LIMIT, DEFAULT_LOG_RATE, EPS_V, c_from_av_v, sample_count
 
 # Plausible transport-delay band for the IMU stream; estimates outside it
 # are flagged as suspect rather than rejected.
@@ -27,7 +27,6 @@ DELAY_MAX = 0.5
 
 MIN_OVERLAP = 1.0          # s, shortest usable stream overlap
 DEFAULT_DELAY_STEP = 0.001  # s, grid resolution of the delay search
-DEFAULT_RATE = 40.0         # Hz, resampling rate of the training grid
 DEFAULT_OBJECTIVE_CEILING = 0.5  # (rad/s)^2, above this the pair is corrupt
 DEFAULT_EPS_C = 1e-4        # 1/m, curvature magnitude treated as straight
 
@@ -89,13 +88,16 @@ class AlignedDataset:
         if n and not (np.all(np.isfinite(self.v_joy))
                       and np.all(np.isfinite(self.av_joy))
                       and np.all(np.isfinite(self.av_imu))):
-            raise ValidationError("dataset contains non-finite values")
+            raise ValidationError("dataset contains non-finite values", row=int(np.argmin(
+                np.isfinite(np.column_stack((self.v_joy, self.av_joy, self.av_imu)))
+                .all(axis=1))))
         # Only the commanded channel is bounded by the actuator; the IMU
         # channel is a measurement and may read beyond it (noise, slip).
         if n and np.max(np.abs(self.av_joy)) > AV_LIMIT + 1e-9:
             raise ValidationError(
                 f"commanded angular velocity av_joy outside "
-                f"[-{AV_LIMIT}, {AV_LIMIT}] rad/s")
+                f"[-{AV_LIMIT}, {AV_LIMIT}] rad/s",
+                row=int(np.argmax(np.abs(self.av_joy) > AV_LIMIT + 1e-9)))
         if self.period < 0:
             raise ValidationError("period must be non-negative")
 
@@ -178,6 +180,7 @@ def _scan(joy: JoyLog, imu: ImuLog, delays: np.ndarray, i0: np.ndarray,
         tasks.extend((a, b, j, min(j + rows, k + c1 - c0))
                      for j in range(k, k + c1 - c0, rows))
 
+    @np.errstate(over="ignore")   # a square past the float range is inf, on any thread
     def scan(share):
         for a, b, k0, k1 in share:
             # Interpolated rows by candidates: neighbouring times are close,
@@ -291,7 +294,7 @@ def delay_from_scan(delays: np.ndarray, objectives: np.ndarray) -> DelayEstimate
 
 
 def build_dataset(joy: JoyLog, imu: ImuLog, delay: float,
-                  rate: float = DEFAULT_RATE) -> AlignedDataset:
+                  rate: float = DEFAULT_LOG_RATE) -> AlignedDataset:
     """Resample both logs onto an even grid over the delay-shifted overlap.
 
     Grid timestamps live on the joystick clock; the IMU channel is read at
@@ -353,26 +356,19 @@ def write_dataset_csv(d: AlignedDataset, path: str) -> None:
     write_table(path, _DATASET_HEADER, (d.idx, d.v_joy, d.av_joy, d.av_imu))
 
 
-def read_dataset_csv(path: str, period: float = 1.0 / DEFAULT_RATE) -> AlignedDataset:
+def read_dataset_csv(path: str,
+                     period: float = 1.0 / DEFAULT_LOG_RATE) -> AlignedDataset:
     """Read training rows; the sample period is not stored in the file and
     must be supplied by the caller (defaults to the standard 40 Hz grid)."""
-    rows = read_table(path, _DATASET_HEADER)
-    broken = np.flatnonzero(rows[:, 0] != np.arange(len(rows)))
-    if broken.size:
-        k = int(broken[0])
-        raise ValidationError(f"{path}:{row_line(path, _DATASET_HEADER, k)}: "
-                              f"idx {rows[k, 0]:g} breaks contiguity (expected {k})")
-    _, v_joy, av_joy, av_imu = rows.T
-    try:
+    def build(rows):
+        idx, v_joy, av_joy, av_imu = rows.T
+        broken = np.flatnonzero(idx != np.arange(len(rows)))
+        if broken.size:
+            k = int(broken[0])
+            raise ValidationError(f"idx {idx[k]:g} breaks contiguity (expected {k})",
+                                  row=k)
         return AlignedDataset(v_joy=v_joy, av_joy=av_joy, av_imu=av_imu, period=period)
-    except ValidationError as exc:
-        # the row that failed the first check, in the order AlignedDataset runs them
-        finite = np.isfinite(rows).all(axis=1)
-        bad = ~finite if not finite.all() else np.abs(av_joy) > AV_LIMIT + 1e-9
-        if not bad.any():  # not a row's fault: the period
-            raise
-        k = int(np.argmax(bad))
-        raise ValidationError(f"{path}:{row_line(path, _DATASET_HEADER, k)}: {exc}") from None
+    return read_record(path, _DATASET_HEADER, build)
 
 
 def write_histogram_csv(counts: np.ndarray, vrange: tuple[float, float],

@@ -18,11 +18,12 @@ import numpy as np
 
 from . import align as align_mod
 from . import datalog, evalkit, ikd, mlp, replay as replay_mod, scenarios, svgplot
-from .errors import (IkdError, ParseError, ValidationError, finite_number,
-                     json_fields, require_positive, seed_value)
-from .fileio import read_json, read_table, write_json, write_table
-from .simcore import (AV_LIMIT, DEFAULT_DT, ControlScript, SimTrace, SlipParams,
-                      emit_sensor_logs, run_scenario, sample_count)
+from .errors import (CorruptLogError, IkdError, InsufficientOverlapError, ParseError,
+                     ValidationError, finite_number, json_fields, require_positive,
+                     seed_value)
+from .fileio import read_json, read_record, write_json, write_table
+from .simcore import (AV_LIMIT, DEFAULT_DT, DEFAULT_LOG_RATE, DEFAULT_PAD, ControlScript,
+                      SimTrace, SlipParams, emit_sensor_logs, run_scenario, sample_count)
 
 DEFAULT_OUT = "out"
 ENV_OUT = "IKD_OUT_DIR"
@@ -38,12 +39,12 @@ class PipelineConfig:
     seed: int = 0
     slip: SlipParams = field(default_factory=SlipParams)
     scenario_file: str | None = None
-    joy_hz: float = 40.0
-    imu_hz: float = 40.0
-    replay_hz: float = 20.0
+    joy_hz: float = DEFAULT_LOG_RATE
+    imu_hz: float = DEFAULT_LOG_RATE
+    replay_hz: float = replay_mod.DEFAULT_REPLAY_RATE
     delay_search: tuple[float, float] = (align_mod.DELAY_MIN, align_mod.DELAY_MAX)
     delay_step: float = align_mod.DEFAULT_DELAY_STEP
-    pad: float = 1.0
+    pad: float = DEFAULT_PAD
     train: mlp.TrainConfig = field(default_factory=mlp.TrainConfig)
     out_dir: str | None = None
 
@@ -104,6 +105,8 @@ def _resolve_out(args, cfg: PipelineConfig) -> str:
 
 
 def _load_config(args) -> PipelineConfig:
+    if args.seed is not None and args.seed < 0:
+        raise ValidationError("--seed must be >= 0")
     cfg = PipelineConfig.from_json(args.config) if args.config else PipelineConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed,
@@ -136,7 +139,13 @@ def cmd_collect(args) -> int:
         duration = scenarios.sweep_duration(script, dwell=args.dwell)
     if dwell_sets_length:
         sample_count("dwell", duration / DEFAULT_DT)
-    trace = run_scenario(script, cfg.slip, duration)
+    try:
+        trace = run_scenario(script, cfg.slip, duration)
+    except ValidationError as exc:
+        # a row is a script segment: the sweep's commands are all in the limit
+        if exc.row is None:
+            raise
+        raise ValidationError(f"{args.script}: segment {exc.row}: {exc}") from None
     joy, imu = emit_sensor_logs(trace, cfg.slip, joy_rate=cfg.joy_hz,
                                 imu_rate=cfg.imu_hz, pad=cfg.pad)
     joy_path = os.path.join(out, "logs", "joy.csv")
@@ -155,12 +164,21 @@ def cmd_align(args) -> int:
     imu_path = args.imu or os.path.join(out, "logs", "imu.csv")
     joy = datalog.read_joy_csv(joy_path)
     imu = datalog.read_imu_csv(imu_path)
-    joy, imu = datalog.trim_idle(joy, imu)
-
-    delays, objectives = align_mod.scan_delays(joy, imu, search=cfg.delay_search,
-                                               step=cfg.delay_step)
-    est = align_mod.delay_from_scan(delays, objectives)
-    dataset = align_mod.build_dataset(joy, imu, est.delay, rate=cfg.joy_hz)
+    try:
+        joy, imu = datalog.trim_idle(joy, imu)
+    except CorruptLogError as exc:   # the joystick log is empty or idle
+        raise CorruptLogError(f"{joy_path}: {exc}") from None
+    try:
+        delays, objectives = align_mod.scan_delays(joy, imu, search=cfg.delay_search,
+                                                   step=cfg.delay_step)
+        est = align_mod.delay_from_scan(delays, objectives)
+        dataset = align_mod.build_dataset(joy, imu, est.delay, rate=cfg.joy_hz)
+    except ValidationError as exc:
+        # The pair's fault is no overlap, or a dataset row past the float
+        # range; any other error here names a config value.
+        if exc.row is None and not isinstance(exc, InsufficientOverlapError):
+            raise
+        raise type(exc)(f"{joy_path} and {imu_path}: {exc}") from None
     pruned = align_mod.prune_zero_curvature(dataset)
 
     align_mod.write_dataset_csv(pruned, os.path.join(out, "datasets", "dataset.csv"))
@@ -194,7 +212,10 @@ def cmd_train(args) -> int:
         source = f"in {args.config}" if args.config else "by default"
         raise ValidationError(f"{data_path} has {len(dataset)} rows; train.batch_size "
                               f"{batch} {source} needs at least {2 * batch}")
-    params, curve = mlp.train(dataset, cfg.train)
+    try:
+        params, curve = mlp.train(dataset, cfg.train)
+    except ValidationError as exc:   # training diverged on this dataset
+        raise ValidationError(f"{data_path}: {exc}") from None
     model_path = os.path.join(out, "models", "model.json")
     mlp.save_model(params, model_path)
     mlp.write_loss_csv(curve, os.path.join(out, "reports", "loss.csv"))
@@ -204,6 +225,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_correct(args) -> int:
+    for flag, value in (("--v", args.v), ("--c", args.c)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{flag} must be finite, got {value!r}")
+    if not math.isfinite(args.v * args.c):   # correct_batch's check, worded with the flags
+        raise ValidationError(f"--v {args.v!r} at --c {args.c!r} commands a non-finite "
+                              f"yaw rate v*c={args.v * args.c!r}")
     model = mlp.load_model(args.model)
     result = ikd.correct(model, args.v, args.c)
     print(result.to_json())
@@ -326,11 +353,19 @@ def cmd_eval_drift(args) -> int:
 
 
 def _plot_rows(path: str, header: str) -> np.ndarray:
-    """The rows of the table at ``path``; a table without any is a ParseError."""
-    rows = read_table(path, header)
-    if len(rows) == 0:
-        raise ParseError(f"{path}: no rows after the header")
-    return rows
+    """The rows of the table at ``path``; a table without any is a ParseError,
+    and one with a value svgplot cannot scale names its line."""
+    def build(rows):
+        if len(rows) == 0:
+            raise ParseError(f"{path}: no rows after the header")
+        fit = np.abs(rows) <= svgplot.MAX_VALUE   # NaN fails too
+        if not np.all(fit):
+            k = int(np.argmin(fit.all(axis=1)))
+            raise ValidationError(f"cannot plot {float(rows[k][~fit[k]][0])!r}: values "
+                                  f"must be finite and within +-{svgplot.MAX_VALUE:g}",
+                                  row=k)
+        return rows
+    return read_record(path, header, build)
 
 
 def cmd_plot(args) -> int:
@@ -376,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("collect", help="run the scripted drive and emit sensor logs")
     common(p)
-    p.add_argument("--dwell", type=float, default=4.0,
+    p.add_argument("--dwell", type=float, default=scenarios.DEFAULT_DWELL,
                    help="seconds per sweep segment")
     p.add_argument("--script", help="custom control script JSON")
     p.add_argument("--duration", type=float,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorruptLogError, ValidationError
-from .fileio import read_table, row_line, write_table
+from .fileio import read_record, write_table
 
 DEFAULT_IDLE_EPS = 1e-3
 
@@ -25,9 +25,11 @@ def _check_stream(name: str, t: np.ndarray, *channels: np.ndarray) -> None:
             raise ValidationError(f"{name}: channel shape {ch.shape} != t shape {t.shape}")
     for arr in (t, *channels):
         if arr.size and not np.all(np.isfinite(arr)):
-            raise ValidationError(f"{name}: non-finite values present")
+            raise ValidationError(f"{name}: non-finite values present", row=int(
+                np.argmin(np.isfinite(np.column_stack((t, *channels))).all(axis=1))))
     if t.size > 1 and not np.all(np.diff(t) > 0):
-        raise ValidationError(f"{name}: t must be strictly increasing")
+        raise ValidationError(f"{name}: t must be strictly increasing",
+                              row=int(np.argmin(np.diff(t) > 0)) + 1)
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ def write_joy_csv(log: JoyLog, path: str) -> None:
 
 
 def read_joy_csv(path: str) -> JoyLog:
-    return _read_log(path, _JOY_HEADER, JoyLog)
+    return read_record(path, _JOY_HEADER, lambda rows: JoyLog(*rows.T))
 
 
 def write_imu_csv(log: ImuLog, path: str) -> None:
@@ -81,22 +83,7 @@ def write_imu_csv(log: ImuLog, path: str) -> None:
 
 
 def read_imu_csv(path: str) -> ImuLog:
-    return _read_log(path, _IMU_HEADER, ImuLog)
-
-
-def _read_log(path: str, header: str, log_type):
-    """A log built from the table at ``path``; a row that breaks the log's
-    checks is a ValidationError naming ``file:line`` of the first such row:
-    the first non-finite row, else the first whose t does not increase."""
-    rows = read_table(path, header)
-    try:
-        return log_type(*rows.T)
-    except ValidationError as exc:
-        bad = ~np.isfinite(rows).all(axis=1)
-        if not bad.any():
-            bad[1:] = rows[1:, 0] <= rows[:-1, 0]
-        line = row_line(path, header, int(np.argmax(bad)))
-        raise ValidationError(f"{path}:{line}: {exc}") from None
+    return read_record(path, _IMU_HEADER, lambda rows: ImuLog(*rows.T))
 
 
 def trim_idle(joy: JoyLog, imu: ImuLog) -> tuple[JoyLog, ImuLog]:

@@ -8,7 +8,12 @@ class IkdError(Exception):
 
 
 class ValidationError(IkdError, ValueError):
-    """Input violates a documented precondition or invariant."""
+    """Input violates a documented precondition or invariant; ``row``, if
+    not None, is the index of the first input row that breaks it."""
+
+    def __init__(self, message: str = "", row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class ParseError(IkdError, ValueError):

@@ -12,7 +12,7 @@ from array import array
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 ROW_BLOCK = 4096  # rows formatted per block while writing, to bound temporaries
 
@@ -95,6 +95,18 @@ def _read_table_by_line(path: str, header: str | None) -> np.ndarray:
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     return np.frombuffer(values, dtype=float).reshape(-1 if ncol else 0, ncol)
+
+
+def read_record(path: str, header: str | None, build):
+    """``build`` of the rows of the table at ``path``; a ValidationError with
+    a row is raised again naming that row's ``file:line``."""
+    rows = read_table(path, header)
+    try:
+        return build(rows)
+    except ValidationError as exc:
+        if exc.row is None:
+            raise
+        raise ValidationError(f"{path}:{row_line(path, header, exc.row)}: {exc}") from None
 
 
 def row_line(path: str, header: str | None, k: int) -> int:

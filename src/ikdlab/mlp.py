@@ -315,6 +315,7 @@ def _split_mse(p: MlpParams, X: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(sq))
 
 
+@np.errstate(over="ignore", invalid="ignore")   # overflow ends in the divergence check
 def train(data: AlignedDataset, cfg: TrainConfig = TrainConfig()
           ) -> tuple[MlpParams, LossCurve]:
     """Train the regressor on aligned rows: inputs (v_joy, av_imu), target av_joy.

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ValidationError, require_positive
-from .fileio import read_table, row_line
+from .fileio import read_record
 from .ikd import correct_batch
 from .mlp import MlpParams
 from .simcore import (AV_LIMIT, DEFAULT_DT, EPS_V, SimTrace, SlipParams,
@@ -43,7 +43,8 @@ class CommandBuffer:
             raise ValidationError(
                 f"buffer rows must be (v, av) pairs, got shape {self.rows.shape}")
         if not np.all(np.isfinite(self.rows)):
-            raise ValidationError("buffer rows must be finite")
+            raise ValidationError("buffer rows must be finite",
+                                  row=int(np.argmin(np.isfinite(self.rows).all(axis=1))))
         if not 0 <= self.cursor < len(self.rows):
             raise ValidationError("cursor out of range")
 
@@ -59,14 +60,11 @@ def next_command(buf: CommandBuffer) -> tuple[float, float]:
 
 
 def read_buffer_txt(path: str) -> CommandBuffer:
-    rows = read_table(path, None)
-    if rows.shape[1] != 2:  # also a file without rows, shape (0, 0)
-        raise ParseError(f"{path}: no 'v,av' rows found")
-    try:
+    def build(rows):
+        if rows.shape[1] != 2:  # also a file without rows, shape (0, 0)
+            raise ParseError(f"{path}: no 'v,av' rows found")
         return CommandBuffer(rows=rows)
-    except ValidationError as exc:  # a non-finite row
-        k = int(np.argmax(~np.isfinite(rows).all(axis=1)))
-        raise ValidationError(f"{path}:{row_line(path, None, k)}: {exc}") from None
+    return read_record(path, None, build)
 
 
 def execute_replay(buf: CommandBuffer, p: SlipParams,

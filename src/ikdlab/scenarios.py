@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ValidationError, require_positive
 from .evalkit import CAR_WIDTH, DEFAULT_CAR_LENGTH, DriftScenario, Rect
-from .replay import CommandBuffer
+from .replay import DEFAULT_REPLAY_RATE, CommandBuffer
 from .simcore import AV_LIMIT, ControlScript, ScriptSegment
 
 LOOSE_GAP = 2.13   # m
@@ -32,6 +32,8 @@ SWEEP_CURVATURES = (0.05, 0.06, 0.07, 0.08, 0.09, 0.1, 0.11, 0.12, 0.13,
                     0.9, 0.95, 1.0, 1.05, 1.1, 1.15)
 
 
+DEFAULT_DWELL = 4.0  # s per sweep segment, before LOW_BOOST
+
 # Segments at or below LOW_CURVATURE in magnitude dwell LOW_BOOST times as long.
 LOW_CURVATURE = 0.25
 LOW_BOOST = 2.0
@@ -41,7 +43,7 @@ def _segment_dwell(c: float, dwell: float) -> float:
     return dwell * (LOW_BOOST if abs(c) <= LOW_CURVATURE else 1.0)
 
 
-def training_sweep_script(dwell: float = 4.0,
+def training_sweep_script(dwell: float = DEFAULT_DWELL,
                           speeds=SWEEP_SPEEDS,
                           curvatures=SWEEP_CURVATURES) -> ControlScript:
     """Piecewise-constant sweep over (speed, +-curvature) combinations.
@@ -68,7 +70,7 @@ def training_sweep_script(dwell: float = 4.0,
     return ControlScript(tuple(segs))
 
 
-def sweep_duration(script: ControlScript, dwell: float = 4.0) -> float:
+def sweep_duration(script: ControlScript, dwell: float = DEFAULT_DWELL) -> float:
     """Total time covered by a sweep built with the same dwell settings."""
     last = script.segments[-1]
     return last.t_start + _segment_dwell(last.c, dwell)
@@ -81,7 +83,7 @@ DRIFT_TURN = (3.0, 0.8, 2.0)
 DRIFT_EXIT = (2.0, 0.0, 1.0)
 
 
-def drift_buffer(rate: float = 20.0) -> CommandBuffer:
+def drift_buffer(rate: float = DEFAULT_REPLAY_RATE) -> CommandBuffer:
     """The loose-drift teleoperation buffer, one (v, av) row per tick."""
     rows = []
     for v, c, seconds in (DRIFT_APPROACH, DRIFT_TURN, DRIFT_EXIT):

@@ -24,6 +24,8 @@ AV_LIMIT = 4.0       # rad/s, extreme range of commanded angular velocity
 EPS_V = 0.05         # m/s, below this speed curvature is defined as 0
 
 DEFAULT_DT = 0.005   # s, internal integration step
+DEFAULT_LOG_RATE = 40.0  # Hz, joystick and IMU recorder rate
+DEFAULT_PAD = 1.0    # s, idle recording before and after a drive
 _BLOCK_STEPS = 4096  # steps per block of the closed-form integrator
 
 
@@ -67,10 +69,10 @@ def sample_count(name: str, ratio: float) -> int:
     return math.floor(count)
 
 
-def _require_finite(name: str, *values: float) -> None:
+def _require_finite(name: str, *values: float, row: int | None = None) -> None:
     for v in values:
         if not math.isfinite(v):
-            raise ValidationError(f"{name} contains non-finite value {v!r}")
+            raise ValidationError(f"{name} contains non-finite value {v!r}", row=row)
 
 
 @dataclass(frozen=True)
@@ -138,16 +140,17 @@ class SlipParams:
 
 def _check_commands(v: np.ndarray, c: np.ndarray) -> None:
     """Check arrays of (v, c) commands in one vectorised test: each value
-    finite and |v*c| within AV_LIMIT.  The first failing row words the error."""
+    finite and |v*c| within AV_LIMIT.  The first failing row words the error
+    and is its ``row``."""
     ok = np.isfinite(v) & np.isfinite(c)
     with np.errstate(over="ignore"):   # an overflowing v*c fails the bound
         ok[ok] = np.abs(v[ok] * c[ok]) <= AV_LIMIT + 1e-9
     if not np.all(ok):
         k = int(np.argmin(ok))
         v_k, c_k = float(v[k]), float(c[k])
-        _require_finite("ControlCommand", v_k, c_k)
+        _require_finite("ControlCommand", v_k, c_k, row=k)
         raise ValidationError(f"commanded angular velocity v*c={v_k * c_k:.4f} "
-                              f"outside [-{AV_LIMIT}, {AV_LIMIT}]")
+                              f"outside [-{AV_LIMIT}, {AV_LIMIT}]", row=k)
 
 
 @dataclass(frozen=True)
@@ -380,13 +383,14 @@ def run_scenario(script: ControlScript, p: SlipParams, duration: float,
         firsts.append(i)
     runs = np.diff(firsts + [n])
     v, c = np.array([(s.v, s.c) for s in script.segments], dtype=float).T
-    reached = runs > 0
-    _check_commands(v[reached], c[reached])
+    reached = runs > 0   # unreached segments check as stops: a row is a segment index
+    _check_commands(np.where(reached, v, 0.0), np.where(reached, c, 0.0))
     return _integrate(initial_state, np.repeat(v, runs), np.repeat(c, runs), p, dt)
 
 
-def emit_sensor_logs(trace: SimTrace, p: SlipParams, joy_rate: float = 40.0,
-                     imu_rate: float = 40.0, pad: float = 1.0):
+def emit_sensor_logs(trace: SimTrace, p: SlipParams,
+                     joy_rate: float = DEFAULT_LOG_RATE,
+                     imu_rate: float = DEFAULT_LOG_RATE, pad: float = DEFAULT_PAD):
     """Sample recorder-style joystick and IMU logs off a trace.
 
     The joystick log carries the commanded (v, v*c) staircase; the IMU log

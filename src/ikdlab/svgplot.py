@@ -13,6 +13,9 @@ from .errors import ValidationError
 
 WIDTH, HEIGHT = 640.0, 480.0
 MARGIN = 56.0
+# Largest magnitude a chart scales to pixels: twice it times the canvas
+# width stays finite.
+MAX_VALUE = 1e305
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -60,9 +63,8 @@ def _axes(x_lo, x_hi, y_lo, y_hi, xlabel: str, ylabel: str) -> list[str]:
 
 def _scale(vals, lo, hi, p_lo, p_hi):
     vals = np.asarray(vals, dtype=float)
-    if hi == lo:
-        hi = lo + 1.0
-    return p_lo + (vals - lo) * (p_hi - p_lo) / (hi - lo)
+    span = hi - lo if hi != lo else 1.0   # all values equal: each maps to p_lo
+    return p_lo + (vals - lo) * (p_hi - p_lo) / span
 
 
 def _legend(labels: list[str]) -> list[str]:

@@ -1,6 +1,7 @@
 """Delay estimation, resampling, pruning, and histogram analytics."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,19 @@ def test_short_overlap_raises():
         estimate_delay(joy, imu)
 
 
+def test_squared_errors_past_the_float_range_are_inf_without_a_warning(monkeypatch):
+    monkeypatch.setattr(align_mod, "_scan_workers", lambda: 2)   # and on a worker
+    t = np.arange(200) / 40.0
+    joy = JoyLog(t=t, v=np.ones(200), av=np.full(200, 1e200))
+    imu = ImuLog(t=t, av_z=np.full(200, -1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, objectives = scan_delays(joy, imu)
+        with pytest.raises(InsufficientOverlapError):
+            estimate_delay(joy, imu)
+    assert np.all(np.isposinf(objectives))
+
+
 def test_scan_workers_follow_the_affinity_set_else_the_cpu_count(monkeypatch):
     cap = align_mod._SCAN_THREADS
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -189,6 +203,20 @@ def test_dataset_validation():
                        period=0.025)
     d = AlignedDataset(v_joy=[1.0], av_joy=[0.5], av_imu=[0.4], period=0.025)
     assert d.idx.tolist() == [0]
+
+
+@pytest.mark.parametrize("av_joy, av_imu, row, message", [
+    ([0.5, 4.2, 0.5, 0.5], [0.4, 0.4, np.nan, 0.4], 2, "dataset contains non-finite values"),
+    ([0.5, 0.5, -4.2, 4.5], [0.4, 0.4, 0.4, 0.4], 2,
+     "commanded angular velocity av_joy outside [-4.0, 4.0] rad/s"),
+])
+def test_dataset_check_reports_the_first_row_that_fails_it(av_joy, av_imu, row, message):
+    with pytest.raises(ValidationError) as exc:
+        AlignedDataset(v_joy=np.ones(4), av_joy=av_joy, av_imu=av_imu, period=0.025)
+    assert (str(exc.value), exc.value.row) == (message, row)
+    with pytest.raises(ValidationError, match="period") as exc:
+        AlignedDataset(v_joy=[1.0], av_joy=[0.5], av_imu=[0.4], period=-1.0)
+    assert exc.value.row is None
 
 
 def test_only_commands_are_held_to_the_actuator_limit():

@@ -312,7 +312,8 @@ def test_bad_script_names_file_segment_and_field(workdir, capsys, segments, matc
 
 
 @pytest.mark.parametrize("c, err", [
-    (2.2, "commanded angular velocity v*c=4.4000 outside [-4.0, 4.0]"),
+    (2.2, "script.json: segment 1: commanded angular velocity v*c=4.4000 "
+          "outside [-4.0, 4.0]"),
     # a non-finite value in a script file stops at the reader, before the
     # command check
     (float("nan"), "script.json: segment 1: c must be a finite number, got nan"),
@@ -369,7 +370,8 @@ def test_correct_with_an_overflowing_v_times_c_exits_1_without_a_warning(
         assert main(["correct", "--model", "model.json", f"--v={v}", f"--c={c}"]) == 1
     assert caught == []
     err = capsys.readouterr().err
-    assert err == f"error: v*c must be finite, got {product}\n"
+    assert err == (f"error: --v {float(v)!r} at --c {float(c)!r} commands a non-finite "
+                   f"yaw rate v*c={product}\n")
     assert err.count("error:") == 1 and "Warning" not in err
 
 
@@ -422,7 +424,10 @@ ALIGN_ARGV = ["align", "--joy", "joy.csv", "--imu", "imu.csv"]
      "ImuLog: non-finite values present"),
     (["replay", "--buffer", "buf.txt"], "buf.txt", "1.0,0.5\n\n1.0,0.5\n1.0,nan\n", 4,
      "buffer rows must be finite"),
-], ids=["joy-repeated-t", "imu-nan", "buffer-nan"])
+    # the value check runs before the order check: line 3 repeats t, line 5 is NaN
+    (ALIGN_ARGV, "joy.csv", "t,v,av\n0.0,1.0,0.5\n0.0,1.0,0.5\n0.1,1.0,0.5\nnan,1.0,0.5\n",
+     5, "JoyLog: non-finite values present"),
+], ids=["joy-repeated-t", "imu-nan", "buffer-nan", "joy-nan-after-repeated-t"])
 def test_bad_log_or_buffer_row_exits_1_naming_file_and_line(workdir, capsys, argv, name,
                                                             text, line, reason):
     with open("joy.csv", "w", encoding="utf-8") as fh:
@@ -433,6 +438,55 @@ def test_bad_log_or_buffer_row_exits_1_naming_file_and_line(workdir, capsys, arg
         fh.write(text)
     assert main([*argv, "--out", "run"]) == 1
     assert capsys.readouterr().err == f"error: {name}:{line}: {reason}\n"
+
+
+@pytest.mark.parametrize("joy, err", [
+    ("t,v,av\n" + "".join(f"{k / 40},0.0,0.0\n" for k in range(80)),
+     "joy.csv: log is all idle rows; nothing left after trimming"),
+    ("t,v,av\n" + "".join(f"{k / 40},1.0,0.5\n" for k in range(30)),
+     "joy.csv and imu.csv: streams overlap less than 1.0 s at every candidate delay"),
+    # a grid point between 1.0 and -1e308 interpolates past the float range
+    ("t,v,av\n" + "".join(f"{k / 40},{-1e308 if k == 40 else 1.0},0.5\n"
+                          for k in range(80)),
+     "joy.csv and imu.csv: dataset contains non-finite values"),
+], ids=["all-idle", "short-overlap", "too-large-to-interpolate"])
+def test_align_names_the_logs_its_pair_check_refuses(workdir, capsys, joy, err):
+    with open("joy.csv", "w", encoding="utf-8") as fh:
+        fh.write(joy)
+    with open("imu.csv", "w", encoding="utf-8") as fh:
+        fh.write("t,av_z\n" + "".join(f"{k / 40 + 0.01},0.5\n" for k in range(80)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*ALIGN_ARGV, "--out", "run"]) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["collect", "--seed", "-1"], "--seed must be >= 0"),
+    (["correct", "--model", "model.json", "--v", "2", "--c", "nan"],
+     "--c must be finite, got nan"),
+    (["correct", "--model", "model.json", "--v=-inf", "--c", "0.5"],
+     "--v must be finite, got -inf"),
+], ids=["seed", "c", "v"])
+def test_seed_v_and_c_flags_are_checked_naming_the_flag(workdir, capsys, argv, err):
+    mlp.save_model(mlp.init_params(np.random.default_rng(0)), "model.json")
+    assert main([*argv, "--out", "run"]) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_training_that_diverges_names_the_dataset(workdir, capsys):
+    v = np.linspace(0.5, 3.0, 100)
+    v[7] = 1e308
+    align_mod.write_dataset_csv(
+        AlignedDataset(v_joy=v, av_joy=0.2 * np.ones(100), av_imu=0.18 * np.ones(100),
+                       period=0.025), "ds.csv")
+    with open("cfg.json", "w", encoding="utf-8") as fh:
+        json.dump({"seed": 0, "train": {"epochs": 2, "batch_size": 16}}, fh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--config", "cfg.json", "--dataset", "ds.csv",
+                     "--out", "run"]) == 1
+    assert capsys.readouterr().err.startswith("error: ds.csv: training diverged in epoch 0")
 
 
 def test_scan_memory_error_on_a_worker_reaches_caller_and_align_exits_1(
@@ -566,6 +620,10 @@ SCAN = "delay,objective\n"
     ("--delay-scan", SCAN + "0.1\n", r"bad\.csv:2: expected 2 columns, got 1"),
     ("--delay-scan", SCAN, r"bad\.csv: no rows after the header"),
     ("--delay-scan", HIST + "0.0,0.25,3\n", r"bad\.csv:1: expected header"),
+    ("--loss", LOSS + "0,0.5,0.4\n\n1,0.4,1e306\n",
+     r"bad\.csv:4: cannot plot 1e\+306: values must be finite and within \+-1e\+305$"),
+    ("--delay-scan", SCAN + "0.0,-inf\n", r"bad\.csv:2: cannot plot -inf: "),
+    ("--hist", HIST + "0.0,0.25,3\n0.25,nan,1\n", r"bad\.csv:3: cannot plot nan: "),
     ("--hist", None, r"missing file: missing\.csv"),
 ])
 def test_plot_fails_closed_on_bad_tables(workdir, capsys, flag, text, err):
@@ -851,6 +909,10 @@ FLAG_CASES = (
     (["eval-circle", "--curvatures", "0.5"], "--v", "--v", BAD_NUMBERS, ("2", "-1.5")),
     (["eval-circle", "--curvatures", "1e300"], "--v", "--v", BAD_NUMBERS, ()),
     (["eval-circle"], "--curvatures", "--curvatures", BAD_NUMBERS, ("0.5", "-0.6")),
+    (["collect", "--script", "script.json", "--duration", "0.5"], "--seed", "--seed",
+     BAD_INTEGERS, ("0", "7")),
+    (["correct", "--model", "model.json", "--v", "2"], "--c", "--c", BAD_NUMBERS,
+     ("0.5", "-0.3")),
 )
 
 
@@ -861,9 +923,10 @@ def test_numeric_flag_fuzz_exits_0_or_1_with_one_error_line_naming_the_flag(
                                 {"t_start": 0.2, "v": 1.5, "c": -0.4}]}, fh)
     with open("buffer.txt", "w", encoding="utf-8") as fh:
         fh.write("2.0,0.5\n2.0,-0.5\n1.0,0.0\n")
+    mlp.save_model(mlp.init_params(np.random.default_rng(0)), "model.json")
     rng = np.random.default_rng(1913)
     exits = []
-    for case in range(180):
+    for case in range(220):
         argv, flag, named, bad, good = FLAG_CASES[case % len(FLAG_CASES)]
         values = bad + good
         value = values[int(rng.integers(len(values)))]
@@ -879,4 +942,100 @@ def test_numeric_flag_fuzz_exits_0_or_1_with_one_error_line_naming_the_flag(
             assert named in captured.err, (run, captured.err)
             assert len(captured.err) < 200, (run, captured.err)
         exits.append(code)
+    assert 0 < exits.count(0) < exits.count(1)
+
+
+# --- seeded mutation fuzz of the tables ---------------------------------------
+
+# cells no row check may let through: NaN, infinities, the float range's edge
+# and integers past it
+BAD_CELLS = ("nan", "-nan", "inf", "-inf", "1e308", "-1e308", str(LONG_INT),
+             f"-{LONG_INT}")
+
+
+def mutate_table(rng, text: str) -> bytes:
+    """``text`` (a table, header line or not) with one seeded mutation: the
+    header changed or dropped, a row with a column more or less, a bad cell,
+    a byte that is not UTF-8, blank lines, or a row whose first column
+    repeats or goes below the previous row's."""
+    lines = text.splitlines()
+    first = 1 if lines[0][:1].isalpha() else 0   # the first data line
+    k = int(rng.integers(first, len(lines)))
+    cells = lines[k].split(",")
+    mutation = rng.choice(["header", "columns", "cell", "byte", "blank", "order"])
+    if mutation == "header":
+        lines[0:first] = [["x,y", ",".join(lines[0].split(",")[:-1]), "v,av"][
+            int(rng.integers(3))]] if rng.integers(2) else []
+    elif mutation == "columns":
+        lines[k] = ",".join(cells[:-1] if rng.integers(2) else cells + ["0.5"])
+    elif mutation == "cell":
+        cells[int(rng.integers(len(cells)))] = BAD_CELLS[int(rng.integers(len(BAD_CELLS)))]
+        lines[k] = ",".join(cells)
+    elif mutation == "byte":
+        data = text.encode()
+        at = int(rng.integers(0, len(data) + 1))
+        return data[:at] + bytes([int(rng.integers(0x80, 0x100))]) + data[at:]
+    elif mutation == "blank":
+        for _ in range(int(rng.integers(1, 4))):
+            lines.insert(int(rng.integers(first, len(lines) + 1)), ["", " \t"][
+                int(rng.integers(2))])
+    elif k > first:   # order: repeat the previous row's first cell, or swap the two
+        if rng.integers(2):
+            lines[k] = ",".join(lines[k - 1].split(",")[:1] + cells[1:])
+        else:
+            lines[k - 1], lines[k] = lines[k], lines[k - 1]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_mutated_tables_exit_0_or_1_with_one_error_line_naming_the_file(workdir,
+                                                                        capsys):
+    write_mini_script("script.json")
+    write_config("cfg.json", seed=0, epochs=1)
+    assert main(["collect", "--out", "run", "--script", "script.json",
+                 "--duration", "6"]) == 0
+    assert main(["align", "--out", "run"]) == 0
+    assert main(["train", "--config", "cfg.json", "--out", "run"]) == 0
+    made = {"joy.csv": "run/logs/joy.csv", "imu.csv": "run/logs/imu.csv",
+            "dataset.csv": "run/datasets/dataset.csv", "loss.csv": "run/reports/loss.csv",
+            "hist.csv": "run/reports/vel_hist.csv", "scan.csv": "run/reports/delay_scan.csv"}
+    originals = {name: open(path, encoding="utf-8").read() for name, path in made.items()}
+    # one of every 10 joystick rows, short enough to mutate near every row
+    originals["joy.csv"] = "\n".join(originals["joy.csv"].splitlines()[::10]) + "\n"
+    originals["buffer.txt"] = originals["drift.txt"] = "2.0,0.5\n2.0,-0.5\n1.0,0.0\n"
+    align = ["align", "--joy", "joy.csv", "--imu", "imu.csv", "--out", "a"]
+    argv = {"joy.csv": align, "imu.csv": align,
+            "dataset.csv": ["train", "--config", "cfg.json", "--dataset", "dataset.csv",
+                            "--out", "t"],
+            "buffer.txt": ["replay", "--buffer", "buffer.txt", "--duration", "0.5",
+                           "--out", "r"],
+            "drift.txt": ["eval-drift", "--buffer", "drift.txt", "--duration", "0.5",
+                          "--out", "r"],
+            "loss.csv": ["plot", "--loss", "loss.csv", "--out", "p"],
+            "hist.csv": ["plot", "--hist", "hist.csv", "--out", "p"],
+            "scan.csv": ["plot", "--delay-scan", "scan.csv", "--out", "p"]}
+    for name, text in originals.items():
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    capsys.readouterr()
+    names = list(argv)
+    rng = np.random.default_rng(2020)
+    exits = []
+    for case in range(320):
+        name = names[case % len(names)]
+        mutated = mutate_table(rng, originals[name])
+        with open(name, "wb") as fh:
+            fh.write(mutated)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no warning text either
+            code = main(argv[name])
+        captured = capsys.readouterr()
+        assert code in (0, 1), (case, mutated)
+        if code == 1:
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, \
+                (case, mutated, captured.err)
+            assert name in captured.err, (case, mutated, captured.err)
+            assert captured.out == "", (case, captured.out)
+        exits.append(code)
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.write(originals[name])
     assert 0 < exits.count(0) < exits.count(1)

@@ -29,6 +29,20 @@ def test_log_rejects_shape_mismatch_and_nonfinite():
         ImuLog(t=[0.0, 1.0], av_z=[0.0, float("nan")])
 
 
+@pytest.mark.parametrize("t, v, row, message", [
+    # the value check runs before the order check, so t repeating earlier
+    # does not hide a later NaN
+    ([0.0, 0.1, 0.1, 0.3], [1.0, 1.0, 1.0, np.nan], 3, "JoyLog: non-finite values present"),
+    ([0.0, 0.1, 0.2, 0.3], [1.0, -1e200, 1.0, np.inf], 3,
+     "JoyLog: non-finite values present"),
+    ([0.0, 0.1, 0.1, 0.0], [1.0, 1.0, 1.0, 1.0], 2, "JoyLog: t must be strictly increasing"),
+])
+def test_log_check_reports_the_first_row_that_fails_it(t, v, row, message):
+    with pytest.raises(ValidationError) as exc:
+        make_joy(t, v, np.zeros(4))
+    assert (str(exc.value), exc.value.row) == (message, row)
+
+
 # --- CSV round-trips ---------------------------------------------------------
 
 def test_joy_csv_round_trip_exact(tmp_path):

@@ -11,9 +11,9 @@ from ikdlab.align import (AlignedDataset, write_dataset_csv,
                           write_delay_scan_csv, write_histogram_csv)
 from ikdlab.cli import write_trace_csv
 from ikdlab.datalog import ImuLog, JoyLog, write_imu_csv, write_joy_csv
-from ikdlab.errors import ParseError
+from ikdlab.errors import ParseError, ValidationError
 from ikdlab.evalkit import CircleReport, emit_report, write_comparison_csv
-from ikdlab.fileio import (ROW_BLOCK, read_json, read_table, row_line,
+from ikdlab.fileio import (ROW_BLOCK, read_json, read_record, read_table,
                            write_json, write_table)
 from ikdlab.mlp import LossCurve, write_loss_csv
 from ikdlab.simcore import SimTrace
@@ -134,8 +134,27 @@ def test_read_json_names_line_of_first_non_utf8_byte(tmp_path):
 def test_row_line_counts_past_blank_lines(tmp_path, text, header, lines):
     path = tmp_path / "t.csv"
     path.write_text(text, encoding="utf-8")
-    assert len(read_table(str(path), header)) == len(lines)
-    assert [row_line(str(path), header, k) for k in range(len(lines))] == lines
+    assert len(read_record(str(path), header, lambda rows: rows)) == len(lines)
+    for k, line in enumerate(lines):
+        def fail_row_k(rows):
+            raise ValidationError(f"row {k} of {len(rows)} is bad", row=k)
+        with pytest.raises(ValidationError) as exc:
+            read_record(str(path), header, fail_row_k)
+        assert str(exc.value) == f"{path}:{line}: row {k} of {len(lines)} is bad"
+        assert exc.value.row is None   # the row is in the message now
+
+
+def test_read_record_raises_an_error_without_a_row_unchanged(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2\n", encoding="utf-8")
+    refusals = [ValidationError("period must be non-negative"),
+                ParseError(f"{path}: no rows"), MemoryError("out of memory")]
+    for refusal in refusals:
+        def refuse(rows):
+            raise refusal
+        with pytest.raises(type(refusal)) as exc:
+            read_record(str(path), "a,b", refuse)
+        assert exc.value is refusal
 
 
 def test_write_json_layout(tmp_path):

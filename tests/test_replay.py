@@ -30,6 +30,15 @@ def test_buffer_validation():
             CommandBuffer(rows=rows)
 
 
+def test_buffer_reports_its_first_non_finite_row():
+    with pytest.raises(ValidationError, match="buffer rows must be finite") as exc:
+        CommandBuffer(rows=[(1.0, 0.1), (2.0, 0.2), (np.inf, 0.3), (1.0, np.nan)])
+    assert exc.value.row == 2
+    with pytest.raises(ValidationError, match="cursor") as exc:
+        CommandBuffer(rows=[(1.0, 0.1)], cursor=1)
+    assert exc.value.row is None
+
+
 def test_buffer_owns_a_copy_of_its_rows():
     rows = np.array([(1.0, 0.1), (2.0, 0.2)])
     buf = CommandBuffer(rows=rows)

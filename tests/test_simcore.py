@@ -253,6 +253,15 @@ def test_run_scenario_checks_reached_segments_with_the_command_message():
     assert len(run_scenario(bad, SlipParams(), 0.5)) == 100
 
 
+def test_run_scenario_reports_the_script_index_of_the_failing_segment():
+    # the segment at 0.396 s is never reached: the next starts at the same step
+    script = make_script([(0.0, 1.0, 0.1), (0.396, 1.0, 9.0), (0.398, 2.0, 0.3),
+                          (0.5, 2.0, 2.2)])
+    with pytest.raises(ValidationError, match=r"v\*c=4\.4000 outside") as exc:
+        run_scenario(script, SlipParams(), 1.0)
+    assert exc.value.row == 3
+
+
 def test_aggressive_script_peak_yaw_rate_attenuated():
     script = make_script([(0.0, 4.2, 0.0), (2.0, 4.2, 0.95), (4.0, 0.5, 0.0)])
     trace = run_scenario(script, SlipParams(beta=0.02, lag_tau=0.1,

@@ -238,3 +238,38 @@ def test_traced_training_counts_one_optimizer_step_per_batch():
     assert names.count("mlp.loss_and_grads") == batches
     assert m["mlp.loss_and_grads.self_s"] > 0 and m["mlp.adamw_step.self_s"] > 0
     assert m["mlp.us_per_step"] > 0
+
+
+# CI runs a Python 3.10 leg; this guards its grammar where no 3.10 exists.
+@pytest.mark.parametrize("path", sorted(
+    p for folder in ("src/ikdlab", "tests", "perfbench") for p in (ROOT / folder).rglob("*.py")),
+    ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_source_file_parses_as_python_3_10(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_feature_version_check_refuses_newer_grammar():
+    # except* is 3.11 grammar that this interpreter parses without the flag
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    if sys.version_info >= (3, 11):
+        ast.parse(source)
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=(3, 10))
+
+
+def test_row_line_is_called_only_inside_fileio():
+    # A record's own check names the failing row; fileio.read_record alone
+    # turns it into file:line, so no other code re-derives the row.
+    callers = []
+    for folder in ("src/ikdlab", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if path == PACKAGE / "fileio.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            callers += [f"{path.relative_to(ROOT)}:{line}" for dotted, line in references(tree)
+                        if dotted.rpartition(".")[2] == "row_line"]
+    assert not callers, f"row_line is referenced outside fileio at {callers}"
+    fileio = ast.parse((PACKAGE / "fileio.py").read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(fileio) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "row_line"]
+    assert len(calls) == 1
