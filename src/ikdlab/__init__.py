@@ -23,6 +23,6 @@ from .mlp import (AdamState, LossCurve, MlpParams, TrainConfig, adamw_step,
 from .replay import CommandBuffer, execute_replay, next_command, read_buffer_txt
 from .simcore import (AV_LIMIT, EPS_V, V_CAP, ControlScript, ScriptSegment,
                       SimTrace, SlipParams, VehicleState, emit_sensor_logs,
-                      normalize_heading, run_scenario)
+                      normalize_heading, record_logs, run_scenario)
 
 __version__ = "0.1.0"

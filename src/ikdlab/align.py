@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datalog import ImuLog, JoyLog
-from .errors import InsufficientOverlapError, ValidationError, require_positive
+from .errors import (CorruptLogError, InsufficientOverlapError, ValidationError,
+                     require_positive)
 from .fileio import read_record, write_table
 from .simcore import AV_LIMIT, DEFAULT_LOG_RATE, EPS_V, c_from_av_v, sample_count
 
@@ -49,6 +50,9 @@ _SCAN_THREADS = 4
 _BOUND_STRIDE = 128
 _REFINE_STRIDE = 16
 _BOUND_SLACK = 1e-9
+
+# Most rows a float64 array can hold; numpy refuses a larger one outright.
+_MOST_ROWS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 @dataclass(frozen=True)
@@ -236,7 +240,8 @@ def estimate_delay(joy: JoyLog, imu: ImuLog,
 
     The returned delay is the grid argmin, ties broken toward the smaller
     delay.  Raises InsufficientOverlapError when no candidate leaves at
-    least MIN_OVERLAP seconds of shifted overlap.
+    least MIN_OVERLAP seconds of shifted overlap, or when every one that
+    does has squared errors past the float range; the message says which.
 
     The estimate equals delay_from_scan(*scan_delays(...)) bit for bit, but
     only candidates that can hold the minimum get an exact objective.  Each
@@ -269,6 +274,9 @@ def estimate_delay(joy: JoyLog, imu: ImuLog,
             _scan(joy, imu, delays, i0, i1, cand, _REFINE_STRIDE, bounds)
             cand = cand[~(bounds[cand] > best)]
         _scan(joy, imu, delays, i0, i1, cand, 1, objectives)
+        if not np.any(np.isfinite(objectives)):
+            raise InsufficientOverlapError("squared errors between the streams overflow "
+                                           "at every candidate delay")
     return delay_from_scan(delays, objectives)
 
 
@@ -300,7 +308,9 @@ def build_dataset(joy: JoyLog, imu: ImuLog, delay: float,
     Grid timestamps live on the joystick clock; the IMU channel is read at
     (t + delay).  All three channels are linearly interpolated.  Commanded
     yaw rates past the actuator limit are clamped to +-AV_LIMIT first, as
-    the actuator executes them.
+    the actuator executes them.  An overlap whose grid has more rows than
+    a float64 array can hold is a CorruptLogError: timestamps that far
+    apart are not a recording.
     """
     require_positive(rate=rate)
     if len(joy) < 2 or len(imu) < 2:
@@ -308,6 +318,9 @@ def build_dataset(joy: JoyLog, imu: ImuLog, delay: float,
     w_lo, w_hi = _overlap_window(joy, imu, delay)
     if w_hi <= w_lo:
         raise ValidationError("streams do not overlap at this delay")
+    if not (w_hi - w_lo) * rate < _MOST_ROWS:
+        raise CorruptLogError(f"streams overlap {w_hi - w_lo:.6g} s, more than a grid "
+                              f"at {rate:g} Hz can hold in an array")
     n = sample_count("rate", (w_hi - w_lo) * rate)
     if n == 0:
         raise ValidationError("overlap shorter than one sample period")

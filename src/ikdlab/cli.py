@@ -23,7 +23,7 @@ from .errors import (CorruptLogError, IkdError, InsufficientOverlapError, ParseE
                      seed_value)
 from .fileio import read_json, read_record, write_json, write_table
 from .simcore import (AV_LIMIT, DEFAULT_DT, DEFAULT_LOG_RATE, DEFAULT_PAD, ControlScript,
-                      SimTrace, SlipParams, emit_sensor_logs, run_scenario, sample_count)
+                      SimTrace, SlipParams, record_logs, sample_count)
 
 DEFAULT_OUT = "out"
 ENV_OUT = "IKD_OUT_DIR"
@@ -140,14 +140,13 @@ def cmd_collect(args) -> int:
     if dwell_sets_length:
         sample_count("dwell", duration / DEFAULT_DT)
     try:
-        trace = run_scenario(script, cfg.slip, duration)
+        joy, imu = record_logs(script, cfg.slip, duration, joy_rate=cfg.joy_hz,
+                               imu_rate=cfg.imu_hz, pad=cfg.pad)
     except ValidationError as exc:
         # a row is a script segment: the sweep's commands are all in the limit
         if exc.row is None:
             raise
         raise ValidationError(f"{args.script}: segment {exc.row}: {exc}") from None
-    joy, imu = emit_sensor_logs(trace, cfg.slip, joy_rate=cfg.joy_hz,
-                                imu_rate=cfg.imu_hz, pad=cfg.pad)
     joy_path = os.path.join(out, "logs", "joy.csv")
     imu_path = os.path.join(out, "logs", "imu.csv")
     datalog.write_joy_csv(joy, joy_path)
@@ -171,12 +170,18 @@ def cmd_align(args) -> int:
     try:
         delays, objectives = align_mod.scan_delays(joy, imu, search=cfg.delay_search,
                                                    step=cfg.delay_step)
+        if not np.any(np.isfinite(objectives)):
+            # The curve cannot tell no overlap from overflowing squared
+            # errors; estimate_delay raises the error that says which.
+            align_mod.estimate_delay(joy, imu, search=cfg.delay_search, step=cfg.delay_step)
         est = align_mod.delay_from_scan(delays, objectives)
         dataset = align_mod.build_dataset(joy, imu, est.delay, rate=cfg.joy_hz)
     except ValidationError as exc:
-        # The pair's fault is no overlap, or a dataset row past the float
-        # range; any other error here names a config value.
-        if exc.row is None and not isinstance(exc, InsufficientOverlapError):
+        # The pair's fault is no usable overlap, timestamps too far apart
+        # or a dataset row past the float range; any other error here names
+        # a config value.
+        if exc.row is None and not isinstance(exc, (InsufficientOverlapError,
+                                                    CorruptLogError)):
             raise
         raise type(exc)(f"{joy_path} and {imu_path}: {exc}") from None
     pruned = align_mod.prune_zero_curvature(dataset)

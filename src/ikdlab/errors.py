@@ -25,7 +25,8 @@ class CorruptLogError(ValidationError):
 
 
 class InsufficientOverlapError(ValidationError):
-    """Two streams share less than the minimum time overlap required."""
+    """No candidate delay scores two streams: they share less than the
+    minimum time overlap required, or their squared errors overflow."""
 
 
 class FitError(IkdError, ValueError):

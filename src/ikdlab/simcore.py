@@ -4,6 +4,15 @@ The simulated plant stands in for a small teleoperated car: commands are
 (linear velocity, curvature) pairs, the achieved yaw rate falls below the
 commanded one as speed grows (understeer), the actuator responds with a
 first-order lag, and the emulated IMU stream is transport-delayed and noisy.
+
+Under a held command the lag has a closed form, so the state after any
+step follows from its command segment alone.  One segment pass
+(_segment_rows) and one state evaluator (_lag_states) serve two callers:
+_integrate evaluates every state, a block of _BLOCK_STEPS at a time, to
+build a SimTrace, and record_logs evaluates only the states its IMU
+samples read, so that recording the logs of a drive holds no array per
+5 ms step.  Both sample the logs with one sampler, so record_logs returns
+the bits emit_sensor_logs(run_scenario(...)) does.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ EPS_V = 0.05         # m/s, below this speed curvature is defined as 0
 DEFAULT_DT = 0.005   # s, internal integration step
 DEFAULT_LOG_RATE = 40.0  # Hz, joystick and IMU recorder rate
 DEFAULT_PAD = 1.0    # s, idle recording before and after a drive
-_BLOCK_STEPS = 4096  # steps per block of the closed-form integrator
+_BLOCK_STEPS = 4096  # steps per integrator block, IMU samples per sampler block
 
 
 def normalize_heading(h: float) -> float:
@@ -252,10 +261,6 @@ class SimTrace:
         return tuple(VehicleState(*row) for row in
                      zip(*(getattr(self, name).tolist() for name in _STATE_CHANNELS)))
 
-    @property
-    def duration(self) -> float:
-        return len(self) * self.dt
-
     def times(self) -> np.ndarray:
         """Timestamps of the states, t_i = i*dt."""
         return np.arange(self.x.size) * self.dt
@@ -263,10 +268,6 @@ class SimTrace:
     def xy(self) -> np.ndarray:
         """(n+1, 2) array of positions."""
         return np.column_stack([self.x, self.y])
-
-    def av_commanded(self) -> np.ndarray:
-        """Commanded angular velocity v*c for each step."""
-        return self.cmd_v * self.cmd_c
 
 
 _STATE_CHANNELS = ("x", "y", "heading", "v", "av", "av_lag")
@@ -282,6 +283,52 @@ def slip_yaw_rate(av_lag: float, v: float, beta: float) -> float:
     return av_lag / (1.0 + beta * v * v * abs(av_lag))
 
 
+def _new_runs(cmd_v: np.ndarray, cmd_c: np.ndarray) -> np.ndarray:
+    """Where each run of equal (v, c) commands begins.  Equal neighbours
+    form one segment, so its lag decays as one power over the whole run."""
+    new = np.ones(cmd_v.size, dtype=bool)
+    new[1:] = (cmd_v[1:] != cmd_v[:-1]) | (cmd_c[1:] != cmd_c[:-1])
+    return new
+
+
+def _segment_rows(seg_start: np.ndarray, seg_v: np.ndarray, seg_c: np.ndarray, n: int,
+                  state: VehicleState, p: SlipParams, dt: float):
+    """The scalar pass over the segments of an n-step run from ``state``.
+
+    Returns the five rows (first step, ``v`` command, ``v`` offset from it
+    at the segment's start, ``v*c`` command, ``av_lag`` offset) of one
+    array, each segment's end step, and the lag's per-step ratio ``r``.
+    """
+    alpha = 1.0 if p.lag_tau <= 0.0 else 1.0 - math.exp(-dt / p.lag_tau)
+    r = 1.0 - alpha
+    seg_end = np.append(seg_start[1:], n)
+    seg_av = seg_v * seg_c
+    v_start, lag_start = [], []
+    v_end, lag_end = state.v, state.av_lag
+    for c_v, c_av, decay in zip(seg_v.tolist(), seg_av.tolist(),
+                                np.power(r, seg_end - seg_start).tolist()):
+        v_start.append(v_end)
+        lag_start.append(lag_end)
+        v_end = c_v + (v_end - c_v) * decay
+        v_end = V_CAP if v_end > V_CAP else -V_CAP if v_end < -V_CAP else v_end
+        lag_end = c_av + (lag_end - c_av) * decay
+    rows = np.array([seg_start, seg_v, np.subtract(v_start, seg_v),
+                     seg_av, np.subtract(lag_start, seg_av)])
+    return rows, seg_end, r
+
+
+def _lag_states(rows: np.ndarray, states: np.ndarray, r: float, beta: float,
+                v: np.ndarray, av_lag: np.ndarray, av: np.ndarray) -> None:
+    """Write the closed-form ``v``, ``av_lag`` and ``av`` of ``states`` (state
+    i follows step i - 1) into the three output arrays; ``rows`` holds the
+    _segment_rows column of each state's segment."""
+    first, c_v, dv, c_av, dlag = rows
+    decay = np.power(r, states - first)
+    np.clip(c_v + dv * decay, -V_CAP, V_CAP, out=v)
+    np.add(c_av, dlag * decay, out=av_lag)
+    av[...] = slip_yaw_rate(av_lag, v, beta)
+
+
 def _integrate(state: VehicleState | None, cmd_v: np.ndarray, cmd_c: np.ndarray,
                p: SlipParams, dt: float) -> SimTrace:
     """Explicit-Euler integration from ``state`` (at rest when None), in closed form.
@@ -294,43 +341,27 @@ def _integrate(state: VehicleState | None, cmd_v: np.ndarray, cmd_c: np.ndarray,
     executed motion matches the command exactly.
 
     Under a held command the lag is linear, so ``i`` steps into a segment
-    (a run of steps with equal command values) a lagged channel equals
-    ``c + (start - c) * r**i`` with ``r = 1 - alpha``; the unclamped
+    (a run of steps with equal command values, _new_runs) a lagged channel
+    equals ``c + (start - c) * r**i`` with ``r = 1 - alpha``; the unclamped
     sequence is monotone, so clamping it reproduces the per-step V_CAP
-    clamp.  One scalar pass over the segments carries ``v`` and ``av_lag``
-    from segment to segment.  The steps are then evaluated in blocks of
-    _BLOCK_STEPS.  In a block, each segment's first step, command and lag
-    offsets are expanded to its steps by run length (one ``np.repeat``, runs
-    clipped to the block), so no step searches for its segment and no
-    array is longer than a block.  Heading and pose are running sums, the
-    heading wrapped again in each block and the pose advanced along the
-    heading before the update.  The result agrees with the per-step
-    recursion to within float rounding, not bit for bit; the run-length
-    expansion gives the bits the per-step segment search gave.
+    clamp.  One scalar pass over the segments (_segment_rows) carries ``v``
+    and ``av_lag`` from segment to segment.  The steps are then evaluated in
+    blocks of _BLOCK_STEPS.  In a block, each segment's rows are expanded to
+    its steps by run length (one ``np.repeat``, runs clipped to the block),
+    so no step searches for its segment and no array is longer than a
+    block, and _lag_states gives the block's ``v``, ``av_lag`` and ``av``.
+    record_logs evaluates the same two helpers at only the states its IMU
+    samples read.  Heading and pose are running sums, the heading wrapped
+    again in each block and the pose advanced along the heading before the
+    update.  The result agrees with the per-step recursion to within float
+    rounding, not bit for bit; the run-length expansion gives the bits the
+    per-step segment search gave.
     """
     n = cmd_v.size
-    alpha = 1.0 if p.lag_tau <= 0.0 else 1.0 - math.exp(-dt / p.lag_tau)
-    r = 1.0 - alpha
     state = state if state is not None else VehicleState()
-
-    new_seg = np.ones(n, dtype=bool)
-    new_seg[1:] = (cmd_v[1:] != cmd_v[:-1]) | (cmd_c[1:] != cmd_c[:-1])
-    seg_start = np.flatnonzero(new_seg)
-    seg_end = np.append(seg_start[1:], n)
-    seg_v = cmd_v[seg_start]
-    seg_av = seg_v * cmd_c[seg_start]
-    v_start, lag_start = [], []
-    v_end, lag_end = state.v, state.av_lag
-    for c_v, c_av, decay in zip(seg_v.tolist(), seg_av.tolist(),
-                                np.power(r, seg_end - seg_start).tolist()):
-        v_start.append(v_end)
-        lag_start.append(lag_end)
-        v_end = c_v + (v_end - c_v) * decay
-        v_end = V_CAP if v_end > V_CAP else -V_CAP if v_end < -V_CAP else v_end
-        lag_end = c_av + (lag_end - c_av) * decay
-    # per segment: its first step, command and the lag's distance from it
-    seg_rows = np.array([seg_start, seg_v, np.subtract(v_start, seg_v),
-                         seg_av, np.subtract(lag_start, seg_av)])
+    seg_start = np.flatnonzero(_new_runs(cmd_v, cmd_c))
+    seg_rows, seg_end, r = _segment_rows(seg_start, cmd_v[seg_start], cmd_c[seg_start],
+                                         n, state, p, dt)
 
     x, y, heading, v, av, av_lag = out = tuple(np.empty(n + 1) for _ in _STATE_CHANNELS)
     for channel, name in zip(out, _STATE_CHANNELS):
@@ -340,12 +371,9 @@ def _integrate(state: VehicleState | None, cmd_v: np.ndarray, cmd_c: np.ndarray,
         b1 = min(b0 + _BLOCK_STEPS, n)
         s1 = s0 + int(np.searchsorted(seg_start[s0:], b1))
         runs = np.minimum(seg_end[s0:s1], b1) - np.maximum(seg_start[s0:s1], b0)
-        first, c_v, dv, c_av, dlag = np.repeat(seg_rows[:, s0:s1], runs, axis=1)
-        decay = np.power(r, np.arange(b0 + 1, b1 + 1) - first)
         new = slice(b0 + 1, b1 + 1)     # the states these steps produce
-        np.clip(c_v + dv * decay, -V_CAP, V_CAP, out=v[new])
-        av_lag[new] = c_av + dlag * decay
-        av[new] = slip_yaw_rate(av_lag[new], v[new], p.beta)
+        _lag_states(np.repeat(seg_rows[:, s0:s1], runs, axis=1), np.arange(b0 + 1, b1 + 1),
+                    r, p.beta, v[new], av_lag[new], av[new])
         heading[new] = av[new] * dt
         np.add.accumulate(heading[b0:b1 + 1], out=heading[b0:b1 + 1])
         heading[new] = normalize_heading(heading[new])
@@ -357,14 +385,12 @@ def _integrate(state: VehicleState | None, cmd_v: np.ndarray, cmd_c: np.ndarray,
     return SimTrace(dt, *out, cmd_v=cmd_v, cmd_c=cmd_c)
 
 
-def run_scenario(script: ControlScript, p: SlipParams, duration: float,
-                 dt: float = DEFAULT_DT,
-                 initial_state: VehicleState | None = None) -> SimTrace:
-    """Run a scripted scenario for floor(duration/dt) steps.
+def _script_runs(script: ControlScript, duration: float, dt: float):
+    """A script's steps, checked: each segment's step count, ``v`` and ``c``.
 
-    Step i holds the command of the last segment with t_start <= i*dt.
-    Deterministic: the dynamics are noise-free (sensor noise is applied only
-    when logs are emitted).
+    A run lasts floor(duration/dt) steps, and step i holds the command of the
+    last segment with t_start <= i*dt.  The reached segments' commands pass
+    _check_commands, whose row is then a segment index.
     """
     require_positive(duration=duration, dt=dt)
     if script.segments[0].t_start > 0:
@@ -385,7 +411,86 @@ def run_scenario(script: ControlScript, p: SlipParams, duration: float,
     v, c = np.array([(s.v, s.c) for s in script.segments], dtype=float).T
     reached = runs > 0   # unreached segments check as stops: a row is a segment index
     _check_commands(np.where(reached, v, 0.0), np.where(reached, c, 0.0))
+    return runs, v, c
+
+
+def run_scenario(script: ControlScript, p: SlipParams, duration: float,
+                 dt: float = DEFAULT_DT,
+                 initial_state: VehicleState | None = None) -> SimTrace:
+    """Run a scripted scenario for floor(duration/dt) steps.
+
+    Step i holds the command of the last segment with t_start <= i*dt.
+    Deterministic: the dynamics are noise-free (sensor noise is applied only
+    when logs are emitted).
+    """
+    runs, v, c = _script_runs(script, duration, dt)
     return _integrate(initial_state, np.repeat(v, runs), np.repeat(c, runs), p, dt)
+
+
+def _last_state_at(s: np.ndarray, n: int, dt: float) -> np.ndarray:
+    """For each time ``s`` in [0, n*dt], the last of the states at i*dt
+    (i = 0..n) that is not after it: the left end of the interval np.interp
+    reads ``s`` from."""
+    i = np.minimum(np.floor(s / dt), n).astype(np.intp)
+    while np.any(late := i * dt > s):
+        i -= late
+    while np.any(early := (i < n) & ((i + 1) * dt <= s)):
+        i += early
+    return i
+
+
+def _sample_logs(n: int, dt: float, p: SlipParams, joy_rate: float, imu_rate: float,
+                 pad: float, command, yaw_rate):
+    """The joystick and IMU logs of an n-step run at ``dt``.
+
+    ``command(steps)`` gives the ``(v, v*c)`` commands of an array of step
+    indices, ``yaw_rate(states)`` the ``av`` of an increasing array of state
+    indices (state i at i*dt).  Both logs are allocated before any state is
+    read.  The IMU samples inside the run are interpolated a block of
+    _BLOCK_STEPS samples at a time, each block from its samples' bracketing
+    states only: np.interp reads a sample from the two states around it, so
+    the bits are those of an interpolation over every state.
+    """
+    if n == 0:
+        raise ValidationError("cannot emit logs from an empty trace")
+    if joy_rate <= 0 or imu_rate <= 0:
+        raise ValidationError("sensor rates must be positive")
+    if pad < 0:
+        raise ValidationError("pad must be non-negative")
+
+    duration = n * dt
+    total = duration + 2.0 * pad
+    # the run's own steps already fit an index, so a padded span that does
+    # not is the padding's doing
+    sample_count("pad", total / dt)
+
+    n_joy = sample_count("joy_rate", total * joy_rate)
+    t_joy = np.arange(n_joy) / joy_rate
+    s = t_joy - pad
+    active = (s >= 0.0) & (s < duration)
+    joy_v, joy_av = command(np.clip(np.floor(s / dt + 1e-9).astype(int), 0, n - 1))
+    joy_v = np.where(active, joy_v, 0.0)
+    joy_av = np.where(active, joy_av, 0.0)
+    del s, active
+
+    n_imu = sample_count("imu_rate", total * imu_rate)
+    t_imu = np.arange(n_imu) / imu_rate
+    s_imu = t_imu - pad - p.imu_delay
+    av_z = np.zeros(n_imu)   # samples before or after the run read 0
+    inside = range(int(np.searchsorted(s_imu, 0.0, side="left")),
+                   int(np.searchsorted(s_imu, duration, side="right")))
+    for k0 in inside[::_BLOCK_STEPS]:
+        k1 = min(k0 + _BLOCK_STEPS, inside.stop)
+        i = _last_state_at(s_imu[k0:k1], n, dt)
+        i = i[np.diff(i, prepend=-1) != 0]   # increasing, so [i, i + 1] pairs are too
+        states = np.column_stack((i, np.minimum(i + 1, n))).ravel()
+        states = states[np.diff(states, prepend=-1) != 0]
+        av_z[k0:k1] = np.interp(s_imu[k0:k1], states * dt, yaw_rate(states))
+    if p.noise_sigma > 0:
+        rng = np.random.default_rng(p.seed)
+        av_z += rng.normal(0.0, p.noise_sigma, size=av_z.shape)
+
+    return JoyLog(t=t_joy, v=joy_v, av=joy_av), ImuLog(t=t_imu, av_z=av_z)
 
 
 def emit_sensor_logs(trace: SimTrace, p: SlipParams,
@@ -401,36 +506,51 @@ def emit_sensor_logs(trace: SimTrace, p: SlipParams,
     Returns:
         (JoyLog, ImuLog)
     """
-    if len(trace) == 0:
-        raise ValidationError("cannot emit logs from an empty trace")
-    if joy_rate <= 0 or imu_rate <= 0:
-        raise ValidationError("sensor rates must be positive")
-    if pad < 0:
-        raise ValidationError("pad must be non-negative")
+    def command(steps):
+        v = trace.cmd_v[steps]
+        return v, v * trace.cmd_c[steps]
 
-    duration = trace.duration
-    total = duration + 2.0 * pad
-    # the trace's own steps already fit an index, so a padded span that does
-    # not is the padding's doing
-    sample_count("pad", total / trace.dt)
-    cmd_v = trace.cmd_v
-    cmd_av = trace.av_commanded()
+    return _sample_logs(len(trace), trace.dt, p, joy_rate, imu_rate, pad,
+                        command, lambda states: trace.av[states])
 
-    n_joy = sample_count("joy_rate", total * joy_rate)
-    t_joy = np.arange(n_joy) / joy_rate
-    s = t_joy - pad
-    active = (s >= 0.0) & (s < duration)
-    idx = np.clip(np.floor(s / trace.dt + 1e-9).astype(int), 0, len(cmd_v) - 1)
-    joy_v = np.where(active, cmd_v[idx], 0.0)
-    joy_av = np.where(active, cmd_av[idx], 0.0)
 
-    state_t = trace.times()
-    n_imu = sample_count("imu_rate", total * imu_rate)
-    t_imu = np.arange(n_imu) / imu_rate
-    s_imu = t_imu - pad - p.imu_delay
-    av_z = np.interp(s_imu, state_t, trace.av, left=0.0, right=0.0)
-    if p.noise_sigma > 0:
-        rng = np.random.default_rng(p.seed)
-        av_z = av_z + rng.normal(0.0, p.noise_sigma, size=av_z.shape)
+def record_logs(script: ControlScript, p: SlipParams, duration: float,
+                joy_rate: float = DEFAULT_LOG_RATE, imu_rate: float = DEFAULT_LOG_RATE,
+                pad: float = DEFAULT_PAD, dt: float = DEFAULT_DT):
+    """``emit_sensor_logs(run_scenario(script, p, duration, dt), p, joy_rate,
+    imu_rate, pad)``, bit for bit and with the same errors, without a trace.
 
-    return JoyLog(t=t_joy, v=joy_v, av=joy_av), ImuLog(t=t_imu, av_z=av_z)
+    Joystick rows read their command from the script's segments, and the IMU
+    reads ``av`` only at the states around its samples, from the closed form
+    that _integrate evaluates a block at a time (_segment_rows, then
+    _lag_states; heading and pose are not needed).  So time and memory
+    follow the log rows and the segment count, not the 5 ms steps.
+
+    Returns:
+        (JoyLog, ImuLog)
+    """
+    runs, v, c = _script_runs(script, duration, dt)
+    n = int(runs.sum())
+    firsts = np.cumsum(runs) - runs
+
+    def command(steps):
+        seg = np.searchsorted(firsts, steps, side="right") - 1
+        return v[seg], v[seg] * c[seg]
+
+    reached = runs > 0
+    seg_v, seg_c = v[reached], c[reached]
+    new = _new_runs(seg_v, seg_c)
+    seg_start = firsts[reached][new]
+    seg_rows, _, r = _segment_rows(seg_start, seg_v[new], seg_c[new], n, VehicleState(),
+                                   p, dt)
+
+    def yaw_rate(states):
+        av = np.zeros(states.size)   # state 0 is the start at rest
+        k = int(states[0] == 0)
+        steps = states[k:] - 1
+        rows = seg_rows[:, np.searchsorted(seg_start, steps, side="right") - 1]
+        _lag_states(rows, states[k:], r, p.beta, np.empty(steps.size),
+                    np.empty(steps.size), av[k:])
+        return av
+
+    return _sample_logs(n, dt, p, joy_rate, imu_rate, pad, command, yaw_rate)

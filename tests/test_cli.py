@@ -199,6 +199,19 @@ def test_unallocatable_durations_exit_1_without_traceback(workdir, capsys, argv)
                           else f"error: {name} gives ") and err.count("\n") == 1
 
 
+def test_collect_allocates_for_its_log_rows_not_its_steps(workdir, capsys):
+    # 2e11 steps of 5 ms, far more than memory holds, give 10,000 rows per log
+    write_mini_script("script.json")
+    with open("cfg.json", "w", encoding="utf-8") as fh:
+        json.dump({"seed": 0, "rates": {"joy": 1e-5, "imu": 1e-5}}, fh)
+    assert main(["collect", "--script", "script.json", "--duration", "1e9",
+                 "--config", "cfg.json", "--out", "run"]) == 0
+    assert capsys.readouterr().out == \
+        "collected 10000 joy rows, 10000 imu rows (1000000000.0 s simulated)\n"
+    joy, imu = read_joy_csv("run/logs/joy.csv"), read_imu_csv("run/logs/imu.csv")
+    assert len(joy) == len(imu) == 10000 and joy.t[-1] == 9999 / 1e-5
+
+
 def test_delay_search_past_the_index_range_exits_1_naming_it(workdir, capsys):
     write_mini_script("script.json")
     with open("cfg.json", "w", encoding="utf-8") as fh:
@@ -449,12 +462,21 @@ def test_bad_log_or_buffer_row_exits_1_naming_file_and_line(workdir, capsys, arg
     ("t,v,av\n" + "".join(f"{k / 40},{-1e308 if k == 40 else 1.0},0.5\n"
                           for k in range(80)),
      "joy.csv and imu.csv: dataset contains non-finite values"),
-], ids=["all-idle", "short-overlap", "too-large-to-interpolate"])
+    # the streams overlap, but every squared error is past the float range
+    ("t,v,av\n" + "".join(f"{k / 40},1.0,{(-1) ** k * 1e200}\n" for k in range(80)),
+     "joy.csv and imu.csv: squared errors between the streams overflow at every "
+     "candidate delay"),
+    # a 40 Hz grid over 1e17 s has 4e18 rows, more than numpy can allocate
+    ("t,v,av\n0,1.0,0.5\n1e17,1.0,0.5\n",
+     "joy.csv and imu.csv: streams overlap 1e+17 s, more than a grid at 40 Hz can "
+     "hold in an array"),
+], ids=["all-idle", "short-overlap", "too-large-to-interpolate", "overflow", "span-1e17"])
 def test_align_names_the_logs_its_pair_check_refuses(workdir, capsys, joy, err):
     with open("joy.csv", "w", encoding="utf-8") as fh:
         fh.write(joy)
     with open("imu.csv", "w", encoding="utf-8") as fh:
-        fh.write("t,av_z\n" + "".join(f"{k / 40 + 0.01},0.5\n" for k in range(80)))
+        fh.write("t,av_z\n0,0.5\n1e17,0.5\n" if "1e17" in joy else
+                 "t,av_z\n" + "".join(f"{k / 40 + 0.01},0.5\n" for k in range(80)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([*ALIGN_ARGV, "--out", "run"]) == 1

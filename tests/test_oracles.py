@@ -13,6 +13,10 @@ production one.  The integrator bit oracle is a verbatim copy of the
 closed-form integrator that looked up each step's segment with searchsorted
 and wrapped the heading with %: the run-length expansion and the fmod wrap
 must reproduce its six state channels bit for bit.
+The sensor-log oracle is a verbatim copy of the sampler that interpolated
+the IMU over every state of a trace: record_logs, which builds no trace,
+and emit_sensor_logs must reproduce its five log arrays bit for bit, or
+raise the same error.
 The drift oracle scores one state at a time, read from the
 trace's channel arrays, with the scalar geometry references in conftest;
 the corner-major, pruned drift sweep must reproduce a verbatim copy of the
@@ -26,7 +30,8 @@ verbatim copy of the per-candidate loop (mask, gather, np.interp, np.mean);
 the blocked scan must reproduce its delays, objectives and +inf positions
 bit for bit on one, two and three threads, and estimate_delay, which scores
 exactly only the candidates a strided lower bound cannot rule out, must
-return the same estimate as that loop's argmin, or raise the same error.
+return the same estimate as that loop's argmin, or raise the same error
+class (worded as an overflow when every overlapping candidate overflows).
 The table oracles are verbatim copies of the writer that called
 repr once per cell and of the per-line reader: the deduplicating writer must
 reproduce its bytes, and on every mutated table the one-pass reader must
@@ -58,9 +63,9 @@ from ikdlab.replay import CommandBuffer, execute_replay, next_command
 from ikdlab.scenarios import (drift_buffer, drift_duration, loose_scenario,
                                sweep_duration, tight_scenario, training_sweep_script)
 from ikdlab.simcore import (DEFAULT_DT, V_CAP, ControlScript, SimTrace,
-                            SlipParams, VehicleState, _integrate, _require_finite,
-                            emit_sensor_logs, normalize_heading, run_scenario,
-                            slip_yaw_rate)
+                            SlipParams, VehicleState, _integrate, _last_state_at,
+                            _require_finite, emit_sensor_logs, normalize_heading,
+                            record_logs, run_scenario, sample_count, slip_yaw_rate)
 from ikdlab.errors import InsufficientOverlapError, ParseError, ValidationError
 
 from conftest import (build_gain_model, make_script, point_rect_signed_distance,
@@ -562,6 +567,196 @@ def test_integrator_matches_searchsorted_blocks_bit_for_bit_on_long_runs():
             assert_same_state_bits(trace, state, plant, DEFAULT_DT)
             trace = run_scenario(over, plant, 1.5, initial_state=state)
             assert_same_state_bits(trace, state, plant, DEFAULT_DT)
+
+
+# --- sensor logs: the whole-trace sampler, kept verbatim ----------------------
+
+def reference_emit_sensor_logs(trace: SimTrace, p: SlipParams, joy_rate: float = 40.0,
+                               imu_rate: float = 40.0, pad: float = 1.0):
+    """simcore.emit_sensor_logs as it was before its sampler read only the
+    states around each IMU sample: every state's time and every step's v*c,
+    one np.interp over the whole trace.  Verbatim but for the two SimTrace
+    members deleted since, ``duration`` (``len(trace) * trace.dt``) and
+    ``av_commanded()`` (``trace.cmd_v * trace.cmd_c``)."""
+    if len(trace) == 0:
+        raise ValidationError("cannot emit logs from an empty trace")
+    if joy_rate <= 0 or imu_rate <= 0:
+        raise ValidationError("sensor rates must be positive")
+    if pad < 0:
+        raise ValidationError("pad must be non-negative")
+
+    duration = len(trace) * trace.dt
+    total = duration + 2.0 * pad
+    sample_count("pad", total / trace.dt)
+    cmd_v = trace.cmd_v
+    cmd_av = trace.cmd_v * trace.cmd_c
+
+    n_joy = sample_count("joy_rate", total * joy_rate)
+    t_joy = np.arange(n_joy) / joy_rate
+    s = t_joy - pad
+    active = (s >= 0.0) & (s < duration)
+    idx = np.clip(np.floor(s / trace.dt + 1e-9).astype(int), 0, len(cmd_v) - 1)
+    joy_v = np.where(active, cmd_v[idx], 0.0)
+    joy_av = np.where(active, cmd_av[idx], 0.0)
+
+    state_t = trace.times()
+    n_imu = sample_count("imu_rate", total * imu_rate)
+    t_imu = np.arange(n_imu) / imu_rate
+    s_imu = t_imu - pad - p.imu_delay
+    av_z = np.interp(s_imu, state_t, trace.av, left=0.0, right=0.0)
+    if p.noise_sigma > 0:
+        rng = np.random.default_rng(p.seed)
+        av_z = av_z + rng.normal(0.0, p.noise_sigma, size=av_z.shape)
+
+    return JoyLog(t=t_joy, v=joy_v, av=joy_av), ImuLog(t=t_imu, av_z=av_z)
+
+
+def log_arrays(joy: JoyLog, imu: ImuLog) -> list:
+    return [a.view(np.int64) for a in (joy.t, joy.v, joy.av, imu.t, imu.av_z)]
+
+
+def assert_recorded_logs_match(script, p, duration, joy_rate, imu_rate, pad, dt):
+    """record_logs, emit_sensor_logs and the whole-trace sampler give the same
+    five arrays bit for bit, or raise the same error class and message;
+    the recorded logs, or None on an error."""
+    def outcome(logs):
+        try:
+            return log_arrays(*logs())
+        except ValidationError as exc:
+            return type(exc), str(exc)
+
+    got = outcome(lambda: record_logs(script, p, duration, joy_rate, imu_rate, pad, dt))
+    for want in (outcome(lambda: emit_sensor_logs(run_scenario(script, p, duration, dt),
+                                                  p, joy_rate, imu_rate, pad)),
+                 outcome(lambda: reference_emit_sensor_logs(
+                     run_scenario(script, p, duration, dt), p, joy_rate, imu_rate, pad))):
+        assert type(got) is type(want)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            for a, b in zip(got, want, strict=True):
+                assert a.shape == b.shape and np.array_equal(a, b)
+    return None if isinstance(got, tuple) else got
+
+
+def test_bracketing_state_matches_a_search_of_every_state_time():
+    # Times on a state, an ulp either side of one, and anywhere in the run:
+    # the state np.interp brackets each with, found without the n+1 times.
+    rng = np.random.default_rng(22)
+    for dt in (DEFAULT_DT, 0.003, 0.01, 0.007 / 3, float(rng.uniform(0.001, 0.02))):
+        n = int(rng.integers(1, 30000))
+        times = np.arange(n + 1) * dt
+        on = times[rng.integers(0, n + 1, 2000)]
+        s = np.sort(np.concatenate([on, np.nextafter(on, -1.0), np.nextafter(on, np.inf),
+                                    rng.uniform(0.0, times[-1], 2000), times[[0, -1]]]))
+        s = s[(s >= 0.0) & (s <= times[-1])]
+        assert np.array_equal(_last_state_at(s, n, dt),
+                              np.searchsorted(times, s, side="right") - 1)
+
+
+def test_recorded_logs_match_the_trace_sampler_on_the_sweep_for_three_seeds():
+    script = training_sweep_script()
+    for seed in (0, 1, 2):
+        logs = assert_recorded_logs_match(script, SlipParams(seed=seed),
+                                          sweep_duration(script), 40.0, 40.0, 1.0,
+                                          DEFAULT_DT)
+        assert [a.size for a in logs] == [97040] * 5
+
+
+def recording_script(rng, dt: float) -> ControlScript:
+    """1 to 40 segments: empty ones (a start within a step of the next),
+    repeats of the previous command, and starts on a block edge."""
+    k = int(rng.integers(1, 41))
+    gaps = rng.choice([0.3, 1, 7, 400, 5000], size=k - 1) * dt
+    starts = [0.0]
+    for gap in gaps.tolist():
+        kind = rng.random()
+        edge = REFERENCE_BLOCK_STEPS * dt
+        if kind < 0.15:     # the next block edge
+            above = starts[-1] // edge + 1
+            starts.append(above * edge if above * edge > starts[-1] else (above + 1) * edge)
+        else:
+            starts.append(starts[-1] + gap)
+    v = rng.uniform(-2.0, 6.0, k)
+    c = rng.uniform(-1.0, 1.0, k) * np.minimum(1.0, AV_LIMIT / np.abs(v))
+    repeat = rng.random(k) < 0.25
+    for i in np.flatnonzero(repeat[1:]) + 1:
+        v[i], c[i] = v[i - 1], c[i - 1]
+    return make_script([(t, float(a), float(b)) for t, a, b in zip(starts, v, c)])
+
+
+def test_recorded_logs_match_the_trace_sampler_bit_for_bit_200_cases():
+    rng = np.random.default_rng(21)
+    seen = dict.fromkeys(("empty segment", "repeated command", "start on a block edge",
+                          "pad 0", "imu_delay 0", "imu_delay on the grid", "noise 0",
+                          "rate 7", "rate 33.3", "rate 1000", "dt 0.003", "dt 0.01",
+                          "under one step", "under one block", "no imu sample inside",
+                          "error"), 0)
+    for _ in range(200):
+        dt = float(rng.choice([DEFAULT_DT, 0.003, 0.01]))
+        script = recording_script(rng, dt)
+        steps = float(rng.choice([0.5, 1.0, 3.0, 900.0, REFERENCE_BLOCK_STEPS - 1.0,
+                                  REFERENCE_BLOCK_STEPS + 1.0, rng.uniform(1, 15000)]))
+        duration = steps * dt
+        delay = float(rng.choice([0.0, 0.176, 7 * dt, duration + 5.0]))
+        p = SlipParams(beta=float(rng.choice([0.0, 0.02])),
+                       lag_tau=float(rng.choice([0.0, 0.1])), imu_delay=delay,
+                       noise_sigma=float(rng.choice([0.0, 0.01])),
+                       seed=int(rng.integers(0, 1000)))
+        joy_rate, imu_rate = (float(rng.choice([7.0, 33.3, 40.0, 1000.0])) for _ in "ji")
+        pad = float(rng.choice([0.0, 1.0, 0.37]))
+        if rng.random() < 0.05:
+            joy_rate = 0.0
+        logs = assert_recorded_logs_match(script, p, duration, joy_rate, imu_rate, pad, dt)
+        starts = [s.t_start for s in script.segments]
+        seen["error"] += logs is None
+        seen["empty segment"] += any(b - a < dt for a, b in zip(starts, starts[1:]))
+        seen["repeated command"] += any(
+            (a.v, a.c) == (b.v, b.c) for a, b in zip(script.segments, script.segments[1:]))
+        seen["start on a block edge"] += any(
+            abs(t / (REFERENCE_BLOCK_STEPS * dt) - round(t / (REFERENCE_BLOCK_STEPS * dt)))
+            < 1e-9 for t in starts[1:])
+        seen["pad 0"] += pad == 0.0
+        seen["imu_delay 0"] += delay == 0.0
+        seen["imu_delay on the grid"] += delay == 7 * dt
+        seen["noise 0"] += p.noise_sigma == 0.0
+        for rate in (7.0, 33.3, 1000.0):
+            seen[f"rate {rate:g}"] += rate in (joy_rate, imu_rate)
+        if dt != DEFAULT_DT:
+            seen[f"dt {dt:g}"] += 1
+        seen["under one step"] += steps < 1.0
+        seen["under one block"] += 1.0 <= steps < REFERENCE_BLOCK_STEPS
+        seen["no imu sample inside"] += logs is not None and delay > duration + pad
+    assert min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("args", [
+    (0.0, 40.0, 40.0, 1.0, DEFAULT_DT),                   # duration
+    (1.0, 40.0, 40.0, 1.0, -DEFAULT_DT),                  # dt
+    (1.0, 40.0, -1.0, 1.0, DEFAULT_DT),                   # imu_rate
+    (1.0, 40.0, 40.0, -0.5, DEFAULT_DT),                  # pad
+    (1.0, 40.0, 40.0, 1e20, DEFAULT_DT),                  # pad past the index
+    (1.0, 1e300, 40.0, 1.0, DEFAULT_DT),                  # joy_rate past the index
+    (1.0, 40.0, float("nan"), 1.0, DEFAULT_DT),           # imu_rate NaN
+    (1e300, 40.0, 40.0, 1.0, DEFAULT_DT),                 # steps past the index
+])
+def test_recorded_logs_raise_the_trace_samplers_errors(args):
+    script = make_script([(0.0, 2.0, 0.5), (0.3, 1.0, -1.0)])
+    with pytest.raises(ValidationError):
+        record_logs(script, SlipParams(), *args)
+    assert assert_recorded_logs_match(script, SlipParams(), *args) is None
+
+
+def test_recorded_logs_name_the_script_segment_that_breaks_the_limit():
+    # the unreached fourth segment checks as a stop
+    script = make_script([(0.0, 2.0, 0.5), (0.5, 3.0, 1.5), (2.0, 1.0, 0.0),
+                          (9.0, 5.0, 5.0)])
+    with pytest.raises(ValidationError, match=r"v\*c=4.5000") as err:
+        record_logs(script, SlipParams(), 3.0)
+    assert err.value.row == 1
+    assert assert_recorded_logs_match(script, SlipParams(), 3.0, 40.0, 40.0, 1.0,
+                                      DEFAULT_DT) is None
+    assert len(record_logs(script, SlipParams(), 0.5)[0]) == 100
 
 
 # --- drift scoring oracle ----------------------------------------------------
@@ -1349,14 +1544,19 @@ def estimate_case(rng, kind: str, i: int):
     return random_scan_case(rng, i)
 
 
-def assert_estimate_matches_reference(joy, imu, search, step):
+def assert_estimate_matches_reference(joy, imu, search, step, overflow=False):
     """estimate_delay against the argmin of the full per-candidate loop; the
-    reference objectives, or None when both raise InsufficientOverlapError."""
+    reference objectives, or None when both raise InsufficientOverlapError.
+    When every candidate with enough overlap overflows (``overflow``), the
+    estimate words its error as an overflow, which the loop's curve of +inf
+    cannot tell from no overlap."""
     ref_delays, ref_objectives = reference_scan_delays(joy, imu, search, step)
     try:
         ref = align_mod.delay_from_scan(ref_delays, ref_objectives)
     except InsufficientOverlapError as exc:
-        with pytest.raises(InsufficientOverlapError, match=str(exc)):
+        expected = ("squared errors between the streams overflow at every candidate "
+                    "delay" if overflow else str(exc))
+        with pytest.raises(InsufficientOverlapError, match=expected):
             align_mod.estimate_delay(joy, imu, search, step)
         return None
     est = align_mod.estimate_delay(joy, imu, search, step)
@@ -1392,7 +1592,8 @@ def test_pruned_estimate_matches_full_loop_argmin_bit_for_bit(monkeypatch):
         with warnings.catch_warnings():
             # squares past the float range overflow to inf, on every thread
             warnings.simplefilter("ignore", RuntimeWarning)
-            objectives = assert_estimate_matches_reference(joy, imu, search, step)
+            objectives = assert_estimate_matches_reference(joy, imu, search, step,
+                                                           overflow=kind == "overflow")
         # a coarse bound pass over the kept candidates and one exact score;
         # a finer bound pass over the survivors only when the coarse one
         # pruned some; then one exact pass

@@ -193,4 +193,4 @@ def test_replay_trace_shape():
     trace = execute_replay(small_buffer(), SlipParams.ideal(), duration=1.0)
     assert trace.x.size == 201
     assert len(trace) == trace.cmd_c.size == 200
-    assert trace.duration == pytest.approx(1.0)
+    assert len(trace) * trace.dt == pytest.approx(1.0)

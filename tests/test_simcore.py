@@ -1,6 +1,7 @@
 """Simulator core: heading wrap, validation, slip law, integration, logs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from ikdlab.datalog import JoyLog
 from ikdlab.errors import ParseError, ValidationError
 from ikdlab.simcore import (AV_LIMIT, DEFAULT_DT, V_CAP, ControlScript,
                             ScriptSegment, SimTrace, SlipParams, VehicleState,
-                            emit_sensor_logs, normalize_heading, run_scenario,
-                            slip_yaw_rate)
+                            emit_sensor_logs, normalize_heading, record_logs,
+                            run_scenario, slip_yaw_rate)
+from ikdlab.scenarios import sweep_duration, training_sweep_script
 
 from conftest import kasa_radius, make_script, write_dataclass_json
 
@@ -105,7 +107,7 @@ def test_control_command_rejects_excess_angular_velocity():
     with pytest.raises(ValidationError):
         run_scenario(ControlScript.constant(4.0, 1.1), SlipParams(), 0.1)
     trace = run_scenario(ControlScript.constant(2.0, 0.7), SlipParams(), 0.1)
-    assert np.all(trace.av_commanded() == pytest.approx(1.4))
+    assert np.all((trace.cmd_v * trace.cmd_c) == pytest.approx(1.4))
 
 
 @pytest.mark.parametrize("v, c, message", [
@@ -220,7 +222,7 @@ def test_step_count_and_times():
     trace = run_scenario(ControlScript.constant(1.0, 0.0),
                          SlipParams.ideal(), 1.0)
     assert len(trace) == 200
-    assert trace.duration == pytest.approx(1.0)
+    assert len(trace) * trace.dt == pytest.approx(1.0)
     assert trace.times()[-1] == pytest.approx(1.0)
     assert trace.x.size == trace.cmd_v.size + 1 == 201
 
@@ -266,7 +268,7 @@ def test_aggressive_script_peak_yaw_rate_attenuated():
     script = make_script([(0.0, 4.2, 0.0), (2.0, 4.2, 0.95), (4.0, 0.5, 0.0)])
     trace = run_scenario(script, SlipParams(beta=0.02, lag_tau=0.1,
                                             noise_sigma=0.0), 6.0)
-    assert np.max(np.abs(trace.av)) < np.max(np.abs(trace.av_commanded()))
+    assert np.max(np.abs(trace.av)) < np.max(np.abs((trace.cmd_v * trace.cmd_c)))
 
 
 def test_run_scenario_deterministic():
@@ -339,6 +341,34 @@ def test_emit_rejects_empty_trace_and_bad_rates():
         emit_sensor_logs(trace, SlipParams(), joy_rate=0.0)
     with pytest.raises(ValidationError):
         emit_sensor_logs(trace, SlipParams(), pad=-1.0)
+
+
+def traced_peak(run):
+    """``run()``'s result and the most memory tracemalloc saw it hold, in bytes."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_recording_the_sweep_holds_no_per_step_array():
+    # The 484,800-step trace alone takes 31 MB; its 40 Hz logs take 3.9 MB.
+    script = training_sweep_script()
+    (joy, imu), peak = traced_peak(
+        lambda: record_logs(script, SlipParams(), sweep_duration(script)))
+    assert len(joy) == len(imu) == 97040
+    assert peak < 16e6
+
+
+def test_a_recording_of_1e9_s_holds_memory_for_its_rows_not_its_steps():
+    # 2e11 steps of 5 ms would take 1.6 TB per channel; 1e6 rows take 8 MB.
+    script = make_script([(0.0, 2.0, 0.5), (3.0, 1.0, -1.0), (1e8, 0.0, 0.0)])
+    (joy, imu), peak = traced_peak(
+        lambda: record_logs(script, SlipParams(), 1e9, joy_rate=1e-3, imu_rate=1e-3))
+    assert len(joy) == len(imu) == 1_000_000
+    assert np.count_nonzero(joy.v) == 100_000
+    assert peak < 100e6
 
 
 def test_emitted_logs_are_valid_log_objects():
