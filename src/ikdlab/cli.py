@@ -2,17 +2,22 @@
 
 One executable with subcommands covering the whole workflow; every run is
 seeded through the config (or --seed), so repeated invocations write
-byte-identical artifacts.  Output tree: logs/, datasets/, models/,
-reports/, plots/ under the resolved output root.
+byte-identical artifacts.  A stage ``cmd_*(args, cfg, out)`` checks its
+flags and computes; it returns the files to write, as (path under the output
+root, writer) pairs, and the lines to print.  ``main`` alone loads the config,
+makes the directories (logs/, datasets/, models/, reports/, plots/) it
+writes to, writes and prints, and only once the stage has succeeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +34,6 @@ DEFAULT_OUT = "out"
 ENV_OUT = "IKD_OUT_DIR"
 DEFAULT_CIRCLE_CURVATURES = (0.12, 0.63, 0.80)
 DEFAULT_CIRCLE_V = 2.0
-SUBDIRS = ("logs", "datasets", "models", "reports", "plots")
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,10 @@ class PipelineConfig:
                           ("slip_file", "scenario_file", "rates", "delay_search",
                            "delay_step", "pad", "train", "out_dir"))
         seed = seed_value(path, raw["seed"])
+        for key in ("slip_file", "scenario_file", "out_dir"):
+            if key in raw and not isinstance(raw[key], str):
+                raise ValidationError(
+                    f"{path}: {key} must be a path string, got {raw[key]!r}")
         slip = (SlipParams.from_json(raw["slip_file"]) if "slip_file" in raw
                 else SlipParams(seed=seed))
         rates = json_fields(f"{path}: rates", raw.get("rates", {}), (),
@@ -97,13 +105,6 @@ def _positive(path: str, key: str, value, zero_ok: bool = False) -> float:
     return value
 
 
-def _resolve_out(args, cfg: PipelineConfig) -> str:
-    out = args.out or cfg.out_dir or os.environ.get(ENV_OUT) or DEFAULT_OUT
-    for sub in SUBDIRS:
-        os.makedirs(os.path.join(out, sub), exist_ok=True)
-    return out
-
-
 def _load_config(args) -> PipelineConfig:
     if args.seed is not None and args.seed < 0:
         raise ValidationError("--seed must be >= 0")
@@ -115,13 +116,31 @@ def _load_config(args) -> PipelineConfig:
     return cfg
 
 
+def _under(out: str, rel: str) -> str:
+    """The path of ``rel`` (a "/"-separated path) under the output root."""
+    return os.path.join(out, *rel.split("/"))
+
+
+@contextlib.contextmanager
+def _blamed(blame):
+    """Raise a ValidationError again, of the same class, with ``blame(exc)``
+    and ": " in front; one that ``blame`` maps to None passes unchanged."""
+    try:
+        yield
+    except ValidationError as exc:
+        who = blame(exc)
+        if who is None:
+            raise
+        raise type(exc)(f"{who}: {exc}") from None
+
+
 def write_trace_csv(trace: SimTrace, path: str) -> None:
     """Ground-truth trace rows: t,x,y,heading,v,av."""
     write_table(path, "t,x,y,heading,v,av",
                 (trace.times(), trace.x, trace.y, trace.heading, trace.v, trace.av))
 
 
-def cmd_collect(args) -> int:
+def cmd_collect(args, cfg, out):
     # The run length comes from --dwell, so a step count past the index names
     # it: first one dwell's, before a sweep's segment starts can overflow,
     # then the whole run's.
@@ -129,8 +148,6 @@ def cmd_collect(args) -> int:
     if dwell_sets_length:
         require_positive(dwell=args.dwell)
         sample_count("dwell", args.dwell / DEFAULT_DT)
-    cfg = _load_config(args)
-    out = _resolve_out(args, cfg)
     if args.script:
         script = ControlScript.from_json(args.script)
         duration = script.t_end + args.dwell if args.duration is None else args.duration
@@ -139,35 +156,31 @@ def cmd_collect(args) -> int:
         duration = scenarios.sweep_duration(script, dwell=args.dwell)
     if dwell_sets_length:
         sample_count("dwell", duration / DEFAULT_DT)
-    try:
+    # a row is a script segment: the sweep's commands are all in the limit
+    with _blamed(lambda exc: None if exc.row is None
+                 else f"{args.script}: segment {exc.row}"):
         joy, imu = record_logs(script, cfg.slip, duration, joy_rate=cfg.joy_hz,
                                imu_rate=cfg.imu_hz, pad=cfg.pad)
-    except ValidationError as exc:
-        # a row is a script segment: the sweep's commands are all in the limit
-        if exc.row is None:
-            raise
-        raise ValidationError(f"{args.script}: segment {exc.row}: {exc}") from None
-    joy_path = os.path.join(out, "logs", "joy.csv")
-    imu_path = os.path.join(out, "logs", "imu.csv")
-    datalog.write_joy_csv(joy, joy_path)
-    datalog.write_imu_csv(imu, imu_path)
-    print(f"collected {len(joy)} joy rows, {len(imu)} imu rows "
-          f"({duration:.1f} s simulated)")
-    return 0
+    files = [("logs/joy.csv", partial(datalog.write_joy_csv, joy)),
+             ("logs/imu.csv", partial(datalog.write_imu_csv, imu))]
+    return files, [f"collected {len(joy)} joy rows, {len(imu)} imu rows "
+                   f"({duration:.1f} s simulated)"]
 
 
-def cmd_align(args) -> int:
-    cfg = _load_config(args)
-    out = _resolve_out(args, cfg)
-    joy_path = args.joy or os.path.join(out, "logs", "joy.csv")
-    imu_path = args.imu or os.path.join(out, "logs", "imu.csv")
+def cmd_align(args, cfg, out):
+    joy_path = args.joy or _under(out, "logs/joy.csv")
+    imu_path = args.imu or _under(out, "logs/imu.csv")
     joy = datalog.read_joy_csv(joy_path)
     imu = datalog.read_imu_csv(imu_path)
-    try:
+    # the joystick log is empty or idle
+    with _blamed(lambda exc: joy_path if isinstance(exc, CorruptLogError) else None):
         joy, imu = datalog.trim_idle(joy, imu)
-    except CorruptLogError as exc:   # the joystick log is empty or idle
-        raise CorruptLogError(f"{joy_path}: {exc}") from None
-    try:
+    # The pair's fault is no usable overlap, timestamps too far apart or a
+    # dataset row past the float range; any other error here names a config
+    # value.
+    pair_fault = (InsufficientOverlapError, CorruptLogError)
+    with _blamed(lambda exc: f"{joy_path} and {imu_path}"
+                 if exc.row is not None or isinstance(exc, pair_fault) else None):
         delays, objectives = align_mod.scan_delays(joy, imu, search=cfg.delay_search,
                                                    step=cfg.delay_step)
         if not np.any(np.isfinite(objectives)):
@@ -176,60 +189,45 @@ def cmd_align(args) -> int:
             align_mod.estimate_delay(joy, imu, search=cfg.delay_search, step=cfg.delay_step)
         est = align_mod.delay_from_scan(delays, objectives)
         dataset = align_mod.build_dataset(joy, imu, est.delay, rate=cfg.joy_hz)
-    except ValidationError as exc:
-        # The pair's fault is no usable overlap, timestamps too far apart
-        # or a dataset row past the float range; any other error here names
-        # a config value.
-        if exc.row is None and not isinstance(exc, (InsufficientOverlapError,
-                                                    CorruptLogError)):
-            raise
-        raise type(exc)(f"{joy_path} and {imu_path}: {exc}") from None
     pruned = align_mod.prune_zero_curvature(dataset)
-
-    align_mod.write_dataset_csv(pruned, os.path.join(out, "datasets", "dataset.csv"))
-    write_json(os.path.join(out, "reports", "delay.json"),
-               {"delay": est.delay, "objective": est.objective,
-                "in_range": est.in_range, "corrupt": est.corrupt})
-    align_mod.write_delay_scan_csv(delays, objectives,
-                                   os.path.join(out, "reports", "delay_scan.csv"))
-
     counts = align_mod.histogram(pruned.v_joy, bins=20, vrange=(0.0, 5.0))
-    align_mod.write_histogram_csv(counts, (0.0, 5.0),
-                                  os.path.join(out, "reports", "vel_hist.csv"))
+    files = [("datasets/dataset.csv", partial(align_mod.write_dataset_csv, pruned)),
+             ("reports/delay.json",
+              partial(write_json, payload={"delay": est.delay, "objective": est.objective,
+                                           "in_range": est.in_range,
+                                           "corrupt": est.corrupt})),
+             ("reports/delay_scan.csv",
+              partial(align_mod.write_delay_scan_csv, delays, objectives)),
+             ("reports/vel_hist.csv",
+              partial(align_mod.write_histogram_csv, counts, (0.0, 5.0)))]
     flags = []
     if not est.in_range:
         flags.append("delay-out-of-range")
     if est.corrupt:
         flags.append("corrupt")
     suffix = f" [{' '.join(flags)}]" if flags else ""
-    print(f"delay {est.delay:.3f} s (objective {est.objective:.6f}), "
-          f"{len(pruned)} training rows{suffix}")
-    return 0
+    return files, [f"delay {est.delay:.3f} s (objective {est.objective:.6f}), "
+                   f"{len(pruned)} training rows{suffix}"]
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args)
-    out = _resolve_out(args, cfg)
-    data_path = args.dataset or os.path.join(out, "datasets", "dataset.csv")
+def cmd_train(args, cfg, out):
+    data_path = args.dataset or _under(out, "datasets/dataset.csv")
     dataset = align_mod.read_dataset_csv(data_path, period=1.0 / cfg.joy_hz)
     batch = cfg.train.batch_size
     if len(dataset) < 2 * batch:   # train's own check, worded with the files
         source = f"in {args.config}" if args.config else "by default"
         raise ValidationError(f"{data_path} has {len(dataset)} rows; train.batch_size "
                               f"{batch} {source} needs at least {2 * batch}")
-    try:
+    with _blamed(lambda exc: data_path):   # training diverged on this dataset
         params, curve = mlp.train(dataset, cfg.train)
-    except ValidationError as exc:   # training diverged on this dataset
-        raise ValidationError(f"{data_path}: {exc}") from None
-    model_path = os.path.join(out, "models", "model.json")
-    mlp.save_model(params, model_path)
-    mlp.write_loss_csv(curve, os.path.join(out, "reports", "loss.csv"))
-    print(f"trained {cfg.train.epochs} epochs on {len(dataset)} rows; "
-          f"final test mse {curve.test_mse[-1]:.6f}; model at {model_path}")
-    return 0
+    files = [("models/model.json", partial(mlp.save_model, params)),
+             ("reports/loss.csv", partial(mlp.write_loss_csv, curve))]
+    return files, [f"trained {cfg.train.epochs} epochs on {len(dataset)} rows; "
+                   f"final test mse {curve.test_mse[-1]:.6f}; model at "
+                   f"{_under(out, 'models/model.json')}"]
 
 
-def cmd_correct(args) -> int:
+def cmd_correct(args, cfg, out):
     for flag, value in (("--v", args.v), ("--c", args.c)):
         if not math.isfinite(value):
             raise ValidationError(f"{flag} must be finite, got {value!r}")
@@ -237,14 +235,10 @@ def cmd_correct(args) -> int:
         raise ValidationError(f"--v {args.v!r} at --c {args.c!r} commands a non-finite "
                               f"yaw rate v*c={args.v * args.c!r}")
     model = mlp.load_model(args.model)
-    result = ikd.correct(model, args.v, args.c)
-    print(result.to_json())
-    return 0
+    return [], [ikd.correct(model, args.v, args.c).to_json()]
 
 
-def cmd_replay(args) -> int:
-    cfg = _load_config(args)
-    out = _resolve_out(args, cfg)
+def cmd_replay(args, cfg, out):
     buf = replay_mod.read_buffer_txt(args.buffer)
     model = mlp.load_model(args.model) if args.model else None
     duration = (args.duration if args.duration is not None
@@ -252,10 +246,9 @@ def cmd_replay(args) -> int:
     trace = replay_mod.execute_replay(buf, cfg.slip, model=model,
                                       rate=cfg.replay_hz, duration=duration,
                                       stride=args.stride)
-    trace_path = os.path.join(out, "reports", "replay_trace.csv")
-    write_trace_csv(trace, trace_path)
-    print(f"replayed {duration:.2f} s ({len(trace)} steps) -> {trace_path}")
-    return 0
+    files = [("reports/replay_trace.csv", partial(write_trace_csv, trace))]
+    return files, [f"replayed {duration:.2f} s ({len(trace)} steps) -> "
+                   f"{_under(out, 'reports/replay_trace.csv')}"]
 
 
 def _finite_nonzero(flag: str, value: float) -> float:
@@ -274,7 +267,7 @@ def _parse_curvatures(text: str) -> list[float]:
     return [_finite_nonzero("--curvatures", c) for c in vals]
 
 
-def cmd_eval_circle(args) -> int:
+def cmd_eval_circle(args, cfg, out):
     curvatures = (_parse_curvatures(args.curvatures) if args.curvatures
                   else list(DEFAULT_CIRCLE_CURVATURES))
     _finite_nonzero("--v", args.v)
@@ -282,13 +275,12 @@ def cmd_eval_circle(args) -> int:
         if not abs(args.v * c) <= AV_LIMIT + 1e-9:
             raise ValidationError(f"--v {args.v!r} at --curvatures {c!r} commands a "
                                   f"yaw rate outside [-{AV_LIMIT}, {AV_LIMIT}] rad/s")
-    cfg = _load_config(args)
-    out = _resolve_out(args, cfg)
     model = mlp.load_model(args.model) if args.model else None
 
     runs = [("uncorrected", None)]
     if model is not None:
         runs.append(("corrected", model))
+    files = []
     reports = []
     comparison = []
     for c in curvatures:
@@ -302,24 +294,21 @@ def cmd_eval_circle(args) -> int:
             plain, corrected = reports[-2:]
             comparison.append((c, plain.c_measured, corrected.c_measured,
                                corrected.deviation_pct))
-        svgplot.svg_trajectory(traces,
-                               os.path.join(out, "plots", f"circle_{c:.2f}.svg"),
-                               title=f"circle test c={c:.2f} v={args.v:.1f}")
+        files.append((f"plots/circle_{c:.2f}.svg",
+                      partial(svgplot.svg_trajectory, traces,
+                              title=f"circle test c={c:.2f} v={args.v:.1f}")))
 
-    evalkit.emit_report(reports, os.path.join(out, "reports", "circle_reports.csv"))
+    files.append(("reports/circle_reports.csv", partial(evalkit.emit_report, reports)))
     if comparison:
-        evalkit.write_comparison_csv(
-            comparison, os.path.join(out, "reports", "circle_comparison.csv"))
-    for r in reports:
-        tag = "ikd" if r.ikd_enabled else "raw"
-        print(f"c={r.c_commanded:.3f} [{tag}] measured {r.c_measured:.4f} "
-              f"(r={r.r_fit:.3f} m, deviation {r.deviation_pct:.2f}%)")
-    return 0
+        files.append(("reports/circle_comparison.csv",
+                      partial(evalkit.write_comparison_csv, comparison)))
+    lines = [f"c={r.c_commanded:.3f} [{'ikd' if r.ikd_enabled else 'raw'}] measured "
+             f"{r.c_measured:.4f} (r={r.r_fit:.3f} m, deviation {r.deviation_pct:.2f}%)"
+             for r in reports]
+    return files, lines
 
 
-def cmd_eval_drift(args) -> int:
-    cfg = _load_config(args)
-    out = _resolve_out(args, cfg)
+def cmd_eval_drift(args, cfg, out):
     buf_rows = (replay_mod.read_buffer_txt(args.buffer).rows if args.buffer
                 else scenarios.drift_buffer(rate=cfg.replay_hz).rows)
     model = mlp.load_model(args.model) if args.model else None
@@ -345,16 +334,16 @@ def cmd_eval_drift(args) -> int:
         report[run_name] = {name: asdict(evalkit.drift_eval(trace, course))
                             for name, course in courses.items()}
 
-    write_json(os.path.join(out, "reports", "drift_report.json"), report)
     first_course = next(iter(courses.values()))
-    svgplot.svg_trajectory(traces, os.path.join(out, "plots", "drift.svg"),
-                           scenario=first_course, title="drift replay")
-    for run_name, by_course in report.items():
-        for course_name, r in by_course.items():
-            print(f"{run_name}/{course_name}: clearance {r['min_clearance']:.3f} m, "
-                  f"collided {r['collided']}, min turn radius "
-                  f"{r['min_turn_radius']:.3f} m, cleared gate {r['cleared_gate']}")
-    return 0
+    files = [("reports/drift_report.json", partial(write_json, payload=report)),
+             ("plots/drift.svg", partial(svgplot.svg_trajectory, traces,
+                                         scenario=first_course, title="drift replay"))]
+    lines = [f"{run_name}/{course_name}: clearance {r['min_clearance']:.3f} m, "
+             f"collided {r['collided']}, min turn radius "
+             f"{r['min_turn_radius']:.3f} m, cleared gate {r['cleared_gate']}"
+             for run_name, by_course in report.items()
+             for course_name, r in by_course.items()]
+    return files, lines
 
 
 def _plot_rows(path: str, header: str) -> np.ndarray:
@@ -373,33 +362,27 @@ def _plot_rows(path: str, header: str) -> np.ndarray:
     return read_record(path, header, build)
 
 
-def cmd_plot(args) -> int:
-    cfg = _load_config(args)
-    out = _resolve_out(args, cfg)
-    made = []
+def cmd_plot(args, cfg, out):
+    files = []
     if args.loss:
         epoch, train_mse, test_mse = _plot_rows(args.loss, mlp.LOSS_HEADER).T
-        dest = os.path.join(out, "plots", "loss.svg")
-        svgplot.svg_line_chart([("train", epoch, train_mse), ("test", epoch, test_mse)],
-                               dest, title="training loss", xlabel="epoch", ylabel="mse")
-        made.append(dest)
+        series = [("train", epoch, train_mse), ("test", epoch, test_mse)]
+        files.append(("plots/loss.svg", partial(
+            svgplot.svg_line_chart, series, title="training loss", xlabel="epoch",
+            ylabel="mse")))
     if args.hist:
         rows = _plot_rows(args.hist, align_mod.HIST_HEADER)
-        dest = os.path.join(out, "plots", "vel_hist.svg")
-        svgplot.svg_bar_chart(rows[:, 2], (rows[0, 0], rows[-1, 1]), dest,
-                              title="velocity histogram", xlabel="v [m/s]")
-        made.append(dest)
+        files.append(("plots/vel_hist.svg", partial(
+            svgplot.svg_bar_chart, rows[:, 2], (rows[0, 0], rows[-1, 1]),
+            title="velocity histogram", xlabel="v [m/s]")))
     if args.delay_scan:
         delay, objective = _plot_rows(args.delay_scan, align_mod.DELAY_SCAN_HEADER).T
-        dest = os.path.join(out, "plots", "delay_scan.svg")
-        svgplot.svg_line_chart([("objective", delay, objective)], dest,
-                               title="alignment error vs delay",
-                               xlabel="delay [s]", ylabel="mse")
-        made.append(dest)
-    if not made:
+        files.append(("plots/delay_scan.svg", partial(
+            svgplot.svg_line_chart, [("objective", delay, objective)],
+            title="alignment error vs delay", xlabel="delay [s]", ylabel="mse")))
+    if not files:
         raise ValidationError("nothing to plot; pass --loss, --hist or --delay-scan")
-    print("wrote " + ", ".join(made))
-    return 0
+    return files, ["wrote " + ", ".join(_under(out, rel) for rel, _ in files)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,10 +458,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _load_config(args)
+        out = args.out or cfg.out_dir or os.environ.get(ENV_OUT) or DEFAULT_OUT
+        files, lines = args.func(args, cfg, out)
+        for rel, write in files:
+            path = _under(out, rel)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            write(path)
+        for line in lines:
+            print(line)
+        return 0
     except IkdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

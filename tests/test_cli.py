@@ -128,6 +128,9 @@ def test_collect_is_seed_deterministic(workdir):
 def test_error_paths_return_one(workdir, capsys):
     assert main(["align", "--out", "empty"]) == 1
     assert "error:" in capsys.readouterr().err
+    assert main(["train", "--out", "empty"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not os.path.exists("empty")   # a failed subcommand makes no output tree
     assert main(["correct", "--model", "nope.json",
                  "--v", "2.0", "--c", "0.5"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -285,6 +288,14 @@ def test_bad_train_section_names_file_and_key(workdir, capsys, raw, error, match
      r"bad\.json: delay_step must be a finite number, got None"),
     ({"seed": 0, "pad": -1.0}, r"bad\.json: pad must be >= 0"),
     ({"seed": 0, "pad": "1"}, r"bad\.json: pad must be a finite number"),
+    # never 0, 1 or 2: open() takes an integer as a file descriptor, and those
+    # are this process's own standard streams
+    ({"seed": 0, "slip_file": 5}, r"bad\.json: slip_file must be a path string, got 5$"),
+    ({"seed": 0, "scenario_file": True},
+     r"bad\.json: scenario_file must be a path string, got True$"),
+    ({"seed": 0, "out_dir": ["a"]},
+     r"bad\.json: out_dir must be a path string, got \['a'\]$"),
+    ({"seed": 0, "out_dir": 5}, r"bad\.json: out_dir must be a path string, got 5$"),
 ])
 def test_bad_top_level_config_names_file_and_key(workdir, capsys, raw, match):
     with open("bad.json", "w", encoding="utf-8") as fh:
@@ -485,11 +496,13 @@ def test_align_names_the_logs_its_pair_check_refuses(workdir, capsys, joy, err):
 
 @pytest.mark.parametrize("argv, err", [
     (["collect", "--seed", "-1"], "--seed must be >= 0"),
+    (["correct", "--model", "model.json", "--v", "2", "--c", "0.5", "--seed", "-1"],
+     "--seed must be >= 0"),
     (["correct", "--model", "model.json", "--v", "2", "--c", "nan"],
      "--c must be finite, got nan"),
     (["correct", "--model", "model.json", "--v=-inf", "--c", "0.5"],
      "--v must be finite, got -inf"),
-], ids=["seed", "c", "v"])
+], ids=["seed", "correct-seed", "c", "v"])
 def test_seed_v_and_c_flags_are_checked_naming_the_flag(workdir, capsys, argv, err):
     mlp.save_model(mlp.init_params(np.random.default_rng(0)), "model.json")
     assert main([*argv, "--out", "run"]) == 1

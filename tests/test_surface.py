@@ -2,8 +2,9 @@
 
 README's "Library use" imports must keep working, no module of the package
 may import a name it never uses, no public name of the package may be one
-that only unit tests call, and the names the benchmark's tracer
-(perfbench/tracing.py) wraps must exist and be the ones the program calls.
+that only unit tests call, the names the benchmark's tracer
+(perfbench/tracing.py) wraps must exist and be the ones the program calls,
+and only the CLI's ``main`` may load the config, write or print.
 """
 
 import ast
@@ -122,11 +123,12 @@ def references(tree: ast.Module) -> list[tuple[str, int]]:
 
 
 def index(found: list[tuple[str, int]]) -> dict[str, list[int]]:
-    """Lines by dotted name, and by ``*.attr`` for each attribute chain."""
+    """Lines by dotted name, and by ``*.attr`` for each attribute chain but
+    one on the argparse namespace ``args`` (``args.duration`` reads a flag)."""
     lines = collections.defaultdict(list)
     for dotted, line in found:
         lines[dotted].append(line)
-        if "." in dotted:
+        if "." in dotted and dotted.partition(".")[0] != "args":
             lines["*." + dotted.rpartition(".")[2]].append(line)
     return lines
 
@@ -184,7 +186,7 @@ def test_reference_check_resolves_imports_and_qualifies_class_methods():
     lines = index(references(ast.parse(
         "from . import align as a\nfrom ikdlab.simcore import SlipParams\n"
         "a.histogram(x)\nSlipParams.ideal()\ncls.fresh()\nload(p).xy()\n"
-        "result.to_json()\ncfg.train\n")))
+        "result.to_json()\ncfg.train\nargs.duration\n")))
 
     def found(qualname, kind, shared=False, own_file=False):
         return any(key in lines for key in keys(qualname, kind, shared, own_file))
@@ -194,6 +196,51 @@ def test_reference_check_resolves_imports_and_qualifies_class_methods():
     assert not found("AdamState.fresh", "classmethod", own_file=True)
     assert not found("SlipParams.to_json", "method", shared=True)
     assert not found("train", "name")
+    assert not found("ControlScript.duration", "method")
+
+
+STAGE_CALLS = {"print", "open", "os.makedirs", "_load_config"}
+STAGE_PREFIXES = ("write_", "save_", "svg_")
+
+
+def stage_side_effects(tree: ast.Module) -> tuple[list[str], list[str]]:
+    """``cmd_*`` calls that load the config, write or print, as
+    ``function:line: callee``, and the top-level definitions that call
+    ``_load_config``."""
+    effects, loaders = [], []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = ast.unparse(node.func)
+            if callee.rpartition(".")[2] == "_load_config":
+                loaders.append(owner)
+            if owner.startswith("cmd_") and (
+                    callee in STAGE_CALLS
+                    or callee.rpartition(".")[2].startswith(STAGE_PREFIXES)):
+                effects.append(f"{owner}:{node.lineno}: {callee}")
+    return effects, loaders
+
+
+def test_cli_stages_return_what_main_writes_and_prints():
+    effects, loaders = stage_side_effects(ast.parse((PACKAGE / "cli.py").read_text(
+        encoding="utf-8")))
+    assert not effects, f"stages write, print or load the config: {effects}"
+    assert loaders == ["main"], f"_load_config is called by {loaders}"
+
+
+def test_stage_check_finds_writes_prints_and_config_loads():
+    effects, loaders = stage_side_effects(ast.parse(
+        "def cmd_a(args, cfg, out):\n    print(1)\n    datalog.write_joy_csv(j, p)\n"
+        "    return [(p, partial(svgplot.svg_trajectory, t))], []\n"
+        "def cmd_b(args, cfg, out):\n    os.makedirs(out)\n    mlp.save_model(m, p)\n"
+        "    cfg = _load_config(args)\n    return [], []\n"
+        "def main():\n    _load_config(args)\n    print(2)\n"))
+    assert effects == ["cmd_a:2: print", "cmd_a:3: datalog.write_joy_csv",
+                       "cmd_b:6: os.makedirs", "cmd_b:7: mlp.save_model",
+                       "cmd_b:8: _load_config"]
+    assert loaders == ["cmd_b", "main"]
 
 
 def load_tracing():
