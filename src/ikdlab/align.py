@@ -17,9 +17,10 @@ import numpy as np
 
 from .datalog import ImuLog, JoyLog
 from .errors import (CorruptLogError, InsufficientOverlapError, ValidationError,
-                     require_positive)
+                     check_within, require_positive)
 from .fileio import read_record, write_table
-from .simcore import AV_LIMIT, DEFAULT_LOG_RATE, EPS_V, c_from_av_v, sample_count
+from .simcore import (AV_LIMIT, DEFAULT_LOG_RATE, EPS_V, SPEED_DOMAIN, YAW_RATE_DOMAIN,
+                      c_from_av_v, sample_count)
 
 # Plausible transport-delay band for the IMU stream; estimates outside it
 # are flagged as suspect rather than rejected.
@@ -89,19 +90,11 @@ class AlignedDataset:
         n = self.v_joy.size
         if self.av_joy.size != n or self.av_imu.size != n:
             raise ValidationError("channel lengths differ")
-        if n and not (np.all(np.isfinite(self.v_joy))
-                      and np.all(np.isfinite(self.av_joy))
-                      and np.all(np.isfinite(self.av_imu))):
-            raise ValidationError("dataset contains non-finite values", row=int(np.argmin(
-                np.isfinite(np.column_stack((self.v_joy, self.av_joy, self.av_imu)))
-                .all(axis=1))))
         # Only the commanded channel is bounded by the actuator; the IMU
         # channel is a measurement and may read beyond it (noise, slip).
-        if n and np.max(np.abs(self.av_joy)) > AV_LIMIT + 1e-9:
-            raise ValidationError(
-                f"commanded angular velocity av_joy outside "
-                f"[-{AV_LIMIT}, {AV_LIMIT}] rad/s",
-                row=int(np.argmax(np.abs(self.av_joy) > AV_LIMIT + 1e-9)))
+        check_within(("v_joy", self.v_joy, SPEED_DOMAIN),
+                     ("av_joy", self.av_joy, AV_LIMIT + 1e-9),
+                     ("av_imu", self.av_imu, YAW_RATE_DOMAIN), where="dataset")
         if self.period < 0:
             raise ValidationError("period must be non-negative")
 
@@ -184,7 +177,6 @@ def _scan(joy: JoyLog, imu: ImuLog, delays: np.ndarray, i0: np.ndarray,
         tasks.extend((a, b, j, min(j + rows, k + c1 - c0))
                      for j in range(k, k + c1 - c0, rows))
 
-    @np.errstate(over="ignore")   # a square past the float range is inf, on any thread
     def scan(share):
         for a, b, k0, k1 in share:
             # Interpolated rows by candidates: neighbouring times are close,
@@ -240,8 +232,7 @@ def estimate_delay(joy: JoyLog, imu: ImuLog,
 
     The returned delay is the grid argmin, ties broken toward the smaller
     delay.  Raises InsufficientOverlapError when no candidate leaves at
-    least MIN_OVERLAP seconds of shifted overlap, or when every one that
-    does has squared errors past the float range; the message says which.
+    least MIN_OVERLAP seconds of shifted overlap.
 
     The estimate equals delay_from_scan(*scan_delays(...)) bit for bit, but
     only candidates that can hold the minimum get an exact objective.  Each
@@ -274,9 +265,6 @@ def estimate_delay(joy: JoyLog, imu: ImuLog,
             _scan(joy, imu, delays, i0, i1, cand, _REFINE_STRIDE, bounds)
             cand = cand[~(bounds[cand] > best)]
         _scan(joy, imu, delays, i0, i1, cand, 1, objectives)
-        if not np.any(np.isfinite(objectives)):
-            raise InsufficientOverlapError("squared errors between the streams overflow "
-                                           "at every candidate delay")
     return delay_from_scan(delays, objectives)
 
 

@@ -12,20 +12,17 @@ writes to, writes and prints, and only once the stage has succeeded.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial
-
-import numpy as np
+from functools import cache, partial
 
 from . import align as align_mod
 from . import datalog, evalkit, ikd, mlp, replay as replay_mod, scenarios, svgplot
 from .errors import (CorruptLogError, IkdError, InsufficientOverlapError, ParseError,
-                     ValidationError, finite_number, json_fields, require_positive,
-                     seed_value)
+                     ValidationError, blamed, check_within, finite_number, json_fields,
+                     require_positive, seed_value)
 from .fileio import read_json, read_record, write_json, write_table
 from .simcore import (AV_LIMIT, DEFAULT_DT, DEFAULT_LOG_RATE, DEFAULT_PAD, ControlScript,
                       SimTrace, SlipParams, record_logs, sample_count)
@@ -68,10 +65,8 @@ class PipelineConfig:
                             ("joy", "imu", "replay"))
         train_raw = json_fields(f"{path}: train", raw.get("train", {}), (),
                                 tuple(f.name for f in fields(mlp.TrainConfig)))
-        try:
+        with blamed(lambda exc: f"{path}: train"):
             train = mlp.TrainConfig(**{"seed": seed, **train_raw})
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: train: {exc}") from None
         # Only the keys present are passed: absent ones keep the field defaults.
         given = {}
         if "delay_search" in raw:
@@ -121,19 +116,6 @@ def _under(out: str, rel: str) -> str:
     return os.path.join(out, *rel.split("/"))
 
 
-@contextlib.contextmanager
-def _blamed(blame):
-    """Raise a ValidationError again, of the same class, with ``blame(exc)``
-    and ": " in front; one that ``blame`` maps to None passes unchanged."""
-    try:
-        yield
-    except ValidationError as exc:
-        who = blame(exc)
-        if who is None:
-            raise
-        raise type(exc)(f"{who}: {exc}") from None
-
-
 def write_trace_csv(trace: SimTrace, path: str) -> None:
     """Ground-truth trace rows: t,x,y,heading,v,av."""
     write_table(path, "t,x,y,heading,v,av",
@@ -156,9 +138,9 @@ def cmd_collect(args, cfg, out):
         duration = scenarios.sweep_duration(script, dwell=args.dwell)
     if dwell_sets_length:
         sample_count("dwell", duration / DEFAULT_DT)
-    # a row is a script segment: the sweep's commands are all in the limit
-    with _blamed(lambda exc: None if exc.row is None
-                 else f"{args.script}: segment {exc.row}"):
+    # a row is a script segment: the logs' values are all inside their domains
+    with blamed(lambda exc: f"{args.script}: segment {exc.row}"
+                if args.script and exc.row is not None else None):
         joy, imu = record_logs(script, cfg.slip, duration, joy_rate=cfg.joy_hz,
                                imu_rate=cfg.imu_hz, pad=cfg.pad)
     files = [("logs/joy.csv", partial(datalog.write_joy_csv, joy)),
@@ -173,20 +155,15 @@ def cmd_align(args, cfg, out):
     joy = datalog.read_joy_csv(joy_path)
     imu = datalog.read_imu_csv(imu_path)
     # the joystick log is empty or idle
-    with _blamed(lambda exc: joy_path if isinstance(exc, CorruptLogError) else None):
+    with blamed(lambda exc: joy_path if isinstance(exc, CorruptLogError) else None):
         joy, imu = datalog.trim_idle(joy, imu)
-    # The pair's fault is no usable overlap, timestamps too far apart or a
-    # dataset row past the float range; any other error here names a config
-    # value.
+    # The pair's fault is no usable overlap or timestamps too far apart; any
+    # other error here names a config value.
     pair_fault = (InsufficientOverlapError, CorruptLogError)
-    with _blamed(lambda exc: f"{joy_path} and {imu_path}"
-                 if exc.row is not None or isinstance(exc, pair_fault) else None):
+    with blamed(lambda exc: f"{joy_path} and {imu_path}"
+                if isinstance(exc, pair_fault) else None):
         delays, objectives = align_mod.scan_delays(joy, imu, search=cfg.delay_search,
                                                    step=cfg.delay_step)
-        if not np.any(np.isfinite(objectives)):
-            # The curve cannot tell no overlap from overflowing squared
-            # errors; estimate_delay raises the error that says which.
-            align_mod.estimate_delay(joy, imu, search=cfg.delay_search, step=cfg.delay_step)
         est = align_mod.delay_from_scan(delays, objectives)
         dataset = align_mod.build_dataset(joy, imu, est.delay, rate=cfg.joy_hz)
     pruned = align_mod.prune_zero_curvature(dataset)
@@ -218,7 +195,7 @@ def cmd_train(args, cfg, out):
         source = f"in {args.config}" if args.config else "by default"
         raise ValidationError(f"{data_path} has {len(dataset)} rows; train.batch_size "
                               f"{batch} {source} needs at least {2 * batch}")
-    with _blamed(lambda exc: data_path):   # training diverged on this dataset
+    with blamed(lambda exc: data_path):   # training diverged on this dataset
         params, curve = mlp.train(dataset, cfg.train)
     files = [("models/model.json", partial(mlp.save_model, params)),
              ("reports/loss.csv", partial(mlp.write_loss_csv, curve))]
@@ -286,7 +263,10 @@ def cmd_eval_circle(args, cfg, out):
     for c in curvatures:
         traces = []
         for run_name, run_model in runs:
-            trace, _ = evalkit.circle_trace(args.v, c, cfg.slip, run_model)
+            # a script row outside its domain is the flags'
+            with blamed(lambda exc: f"--v {args.v!r} at --curvatures {c!r}"
+                        if exc.row is not None else None):
+                trace, _ = evalkit.circle_trace(args.v, c, cfg.slip, run_model)
             reports.append(evalkit.circle_test(args.v, c, cfg.slip, run_model,
                                                trace=trace))
             traces.append((run_name, trace.xy()))
@@ -346,18 +326,14 @@ def cmd_eval_drift(args, cfg, out):
     return files, lines
 
 
-def _plot_rows(path: str, header: str) -> np.ndarray:
+def _plot_rows(path: str, header: str):
     """The rows of the table at ``path``; a table without any is a ParseError,
     and one with a value svgplot cannot scale names its line."""
     def build(rows):
         if len(rows) == 0:
             raise ParseError(f"{path}: no rows after the header")
-        fit = np.abs(rows) <= svgplot.MAX_VALUE   # NaN fails too
-        if not np.all(fit):
-            k = int(np.argmin(fit.all(axis=1)))
-            raise ValidationError(f"cannot plot {float(rows[k][~fit[k]][0])!r}: values "
-                                  f"must be finite and within +-{svgplot.MAX_VALUE:g}",
-                                  row=k)
+        check_within(*((name, rows[:, j], svgplot.MAX_VALUE)
+                       for j, name in enumerate(header.split(","))), where="cannot plot")
         return rows
     return read_record(path, header, build)
 
@@ -385,6 +361,7 @@ def cmd_plot(args, cfg, out):
     return files, ["wrote " + ", ".join(_under(out, rel) for rel, _ in files)]
 
 
+@cache   # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ikdlab",

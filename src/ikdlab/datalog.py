@@ -11,22 +11,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptLogError, ValidationError
+from . import simcore   # as a module: simcore builds these logs
+from .errors import FINITE, CorruptLogError, ValidationError, check_within
 from .fileio import read_record, write_table
 
 DEFAULT_IDLE_EPS = 1e-3
 
 
-def _check_stream(name: str, t: np.ndarray, *channels: np.ndarray) -> None:
+def _check_stream(name: str, t: np.ndarray, *channels) -> None:
+    """Check a log: ``t`` finite and strictly increasing, and each channel, a
+    (name, values, limit) triple, as long as ``t`` and inside its domain."""
     if t.ndim != 1:
         raise ValidationError(f"{name}: t must be 1-D")
-    for ch in channels:
+    for _, ch, _ in channels:
         if ch.shape != t.shape:
             raise ValidationError(f"{name}: channel shape {ch.shape} != t shape {t.shape}")
-    for arr in (t, *channels):
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise ValidationError(f"{name}: non-finite values present", row=int(
-                np.argmin(np.isfinite(np.column_stack((t, *channels))).all(axis=1))))
+    check_within(("t", t, FINITE), *channels, where=name)
     if t.size > 1 and not np.all(np.diff(t) > 0):
         raise ValidationError(f"{name}: t must be strictly increasing",
                               row=int(np.argmin(np.diff(t) > 0)) + 1)
@@ -44,7 +44,8 @@ class JoyLog:
         object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
         object.__setattr__(self, "av", np.asarray(self.av, dtype=float))
-        _check_stream("JoyLog", self.t, self.v, self.av)
+        _check_stream("JoyLog", self.t, ("v", self.v, simcore.SPEED_DOMAIN),
+                      ("av", self.av, simcore.YAW_RATE_DOMAIN))
 
     def __len__(self) -> int:
         return self.t.size
@@ -60,7 +61,7 @@ class ImuLog:
     def __post_init__(self):
         object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
         object.__setattr__(self, "av_z", np.asarray(self.av_z, dtype=float))
-        _check_stream("ImuLog", self.t, self.av_z)
+        _check_stream("ImuLog", self.t, ("av_z", self.av_z, simcore.YAW_RATE_DOMAIN))
 
     def __len__(self) -> int:
         return self.t.size

@@ -1,6 +1,11 @@
 """Exception types shared across the pipeline, and the shared input checks."""
 
+import contextlib
 import math
+
+import numpy as np
+
+FINITE = float(np.finfo(float).max)   # a domain limit every finite float is within
 
 
 class IkdError(Exception):
@@ -26,7 +31,7 @@ class CorruptLogError(ValidationError):
 
 class InsufficientOverlapError(ValidationError):
     """No candidate delay scores two streams: they share less than the
-    minimum time overlap required, or their squared errors overflow."""
+    minimum time overlap required at every candidate."""
 
 
 class FitError(IkdError, ValueError):
@@ -35,6 +40,19 @@ class FitError(IkdError, ValueError):
 
 class InferenceError(IkdError, RuntimeError):
     """Model produced an unusable output (non-finite prediction)."""
+
+
+@contextlib.contextmanager
+def blamed(blame):
+    """Raise a ValidationError again, of the same class, with ``blame(exc)``
+    and ": " in front; one that ``blame`` maps to None passes unchanged."""
+    try:
+        yield
+    except ValidationError as exc:
+        who = blame(exc)
+        if who is None:
+            raise
+        raise type(exc)(f"{who}: {exc}") from None
 
 
 def is_finite(value) -> bool:
@@ -53,6 +71,24 @@ def finite_number(where: str, key: str, value) -> float:
             or not is_finite(value)):
         raise ValidationError(f"{where}: {key} must be a finite number, got {value!r}")
     return float(value)
+
+
+def check_within(*columns, where: str = "") -> None:
+    """A ValidationError at the first row outside a column's domain: columns
+    are (name, values, limit) triples, values one per row (the error's
+    ``row``) or a scalar.  ``abs(value) <= limit`` is false for NaN and the
+    infinities too; FINITE admits every finite float.  One column at a time."""
+    bad = []
+    for name, values, limit in columns:
+        inside = np.abs(values) <= limit
+        if not inside.all():
+            k = int(np.argmin(inside))
+            bad.append((k, name, float(np.ravel(values)[k]), limit, np.ndim(values)))
+    if bad:   # the first row, and in it the first column
+        k, name, value, limit, ndim = min(bad, key=lambda b: b[0])
+        domain = "finite" if limit == FINITE else f"within +-{limit:g}"
+        raise ValidationError(f"{where + ': ' if where else ''}{name} must be {domain}, "
+                              f"got {value!r}", row=k if ndim else None)
 
 
 def require_positive(**values: float) -> None:

@@ -13,11 +13,12 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import FitError, ValidationError, finite_number, json_fields
+from .errors import (FitError, ValidationError, blamed, check_within, finite_number,
+                     json_fields)
 from .fileio import read_json, write_table
 from .ikd import correct
 from .mlp import MlpParams
-from .simcore import (ControlScript, SimTrace, SlipParams, run_scenario,
+from .simcore import (COURSE_DOMAIN, ControlScript, SimTrace, SlipParams, run_scenario,
                       slip_yaw_rate)
 
 CAR_WIDTH = 0.48            # m
@@ -126,6 +127,7 @@ class Rect:
     angle: float = 0.0
 
     def __post_init__(self):
+        check_within(*((k, getattr(self, k), COURSE_DOMAIN) for k in ("cx", "cy", "w", "h")))
         if self.w <= 0 or self.h <= 0:
             raise ValidationError("rectangle extents must be positive")
 
@@ -157,6 +159,10 @@ class DriftScenario:
         object.__setattr__(self, "boxes", tuple(self.boxes))
         object.__setattr__(self, "cones",
                            tuple((float(x), float(y)) for x, y in self.cones))
+        check_within(*((key, getattr(self, key), COURSE_DOMAIN)
+                       for key in ("gap_width", "car_width", "car_length")))
+        x, y = np.array(self.cones).reshape(-1, 2).T
+        check_within(("x", x, COURSE_DOMAIN), ("y", y, COURSE_DOMAIN))
         if self.gap_width < self.car_width:
             raise ValidationError(
                 f"gap {self.gap_width} m narrower than the car ({self.car_width} m)")
@@ -177,20 +183,16 @@ class DriftScenario:
             where = f"{path}: boxes[{i}]"
             box = json_fields(where, box, ("cx", "cy", "w", "h"), ("angle",))
             box = {k: finite_number(where, k, v) for k, v in box.items()}
-            try:
+            with blamed(lambda exc: where):
                 boxes[i] = Rect(**box)
-            except ValidationError as exc:
-                raise ValidationError(f"{where}: {exc}") from None
         for i, cone in enumerate(cones):
             where = f"{path}: cones[{i}]"
             if not isinstance(cone, list) or len(cone) != 2:
                 raise ValidationError(f"{where}: must be an [x, y] pair, got {cone!r}")
             cones[i] = [finite_number(where, k, v) for k, v in zip("xy", cone)]
         sizes = {k: finite_number(path, k, v) for k, v in raw.items()}
-        try:
+        with blamed(lambda exc: path if exc.row is None else f"{path}: cones[{exc.row}]"):
             return cls(boxes=boxes, cones=cones, **sizes)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

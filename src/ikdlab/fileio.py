@@ -12,7 +12,7 @@ from array import array
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, blamed
 
 ROW_BLOCK = 4096  # rows formatted per block while writing, to bound temporaries
 
@@ -101,12 +101,9 @@ def read_record(path: str, header: str | None, build):
     """``build`` of the rows of the table at ``path``; a ValidationError with
     a row is raised again naming that row's ``file:line``."""
     rows = read_table(path, header)
-    try:
+    with blamed(lambda exc: None if exc.row is None
+                else f"{path}:{row_line(path, header, exc.row)}"):
         return build(rows)
-    except ValidationError as exc:
-        if exc.row is None:
-            raise
-        raise ValidationError(f"{path}:{row_line(path, header, exc.row)}: {exc}") from None
 
 
 def row_line(path: str, header: str | None, k: int) -> int:

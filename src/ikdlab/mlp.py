@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .align import AlignedDataset
-from .errors import ParseError, ValidationError, is_finite
+from .errors import ParseError, ValidationError, blamed, is_finite
 from .fileio import read_json, write_json, write_table
 
 LAYER_SIZES = (2, 32, 32, 1)
@@ -431,10 +431,8 @@ def load_model(path: str) -> MlpParams:
                 f"{path}: tensor {name} has shape {arr.shape}, "
                 f"expected {_SHAPES[name]}")
         vals[name] = arr
-    try:
+    with blamed(lambda exc: path):   # a non-finite weight
         return MlpParams(**vals)
-    except ValidationError as exc:  # a non-finite weight
-        raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_loss_csv(curve: LossCurve, path: str) -> None:

@@ -11,13 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, require_positive
+from .errors import ParseError, ValidationError, check_within, require_positive
 from .fileio import read_record
 from .ikd import correct_batch
 from .mlp import MlpParams
-from .simcore import (AV_LIMIT, DEFAULT_DT, EPS_V, SimTrace, SlipParams,
-                      VehicleState, _check_commands, _integrate, c_from_av_v,
-                      sample_count)
+from .simcore import (AV_LIMIT, DEFAULT_DT, EPS_V, SPEED_DOMAIN, YAW_RATE_DOMAIN,
+                      SimTrace, SlipParams, VehicleState, _check_commands, _integrate,
+                      c_from_av_v, sample_count)
 
 DEFAULT_REPLAY_RATE = 20.0  # Hz, command consumption rate
 
@@ -42,9 +42,8 @@ class CommandBuffer:
         if self.rows.ndim != 2 or self.rows.shape[1] != 2:
             raise ValidationError(
                 f"buffer rows must be (v, av) pairs, got shape {self.rows.shape}")
-        if not np.all(np.isfinite(self.rows)):
-            raise ValidationError("buffer rows must be finite",
-                                  row=int(np.argmin(np.isfinite(self.rows).all(axis=1))))
+        check_within(("v", self.rows[:, 0], SPEED_DOMAIN),
+                     ("av", self.rows[:, 1], YAW_RATE_DOMAIN), where="buffer")
         if not 0 <= self.cursor < len(self.rows):
             raise ValidationError("cursor out of range")
 

@@ -22,15 +22,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datalog import ImuLog, JoyLog
-from .errors import (ValidationError, finite_number, json_fields, require_positive,
-                     seed_value)
+from . import datalog   # as a module: datalog reads the domains below
+from .errors import (FINITE, ValidationError, blamed, check_within, finite_number,
+                     json_fields, require_positive, seed_value)
 from .fileio import read_json
 
 # Plant-wide limits observed on the real vehicle class this emulates.
 V_CAP = 4.219        # m/s, hard cap on achievable linear speed
 AV_LIMIT = 4.0       # rad/s, extreme range of commanded angular velocity
 EPS_V = 0.05         # m/s, below this speed curvature is defined as 0
+
+# Domains (+-limits) of the recorded quantities, far past anything the car or
+# its sensors report.  The record holding a quantity checks it, so nothing
+# downstream overflows; timestamps, lag_tau and imu_delay need only be finite.
+SPEED_DOMAIN = 1e3       # m/s
+YAW_RATE_DOMAIN = 1e3    # rad/s
+CURVATURE_DOMAIN = 1e3   # 1/m
+COURSE_DOMAIN = 1e6      # m, course positions and sizes
+BETA_DOMAIN = 1e3        # slip gain
+NOISE_SIGMA_DOMAIN = 10.0  # rad/s: a sample leaves YAW_RATE_DOMAIN only ~100 sigma out
 
 DEFAULT_DT = 0.005   # s, internal integration step
 DEFAULT_LOG_RATE = 40.0  # Hz, joystick and IMU recorder rate
@@ -123,10 +133,10 @@ class SlipParams:
     seed: int = 0
 
     def __post_init__(self):
-        _require_finite("SlipParams", self.beta, self.lag_tau,
-                        self.imu_delay, self.noise_sigma)
-        if self.beta < 0 or self.lag_tau < 0 or self.imu_delay < 0 \
-                or self.noise_sigma < 0:
+        check_within(("beta", self.beta, BETA_DOMAIN), ("lag_tau", self.lag_tau, FINITE),
+                     ("imu_delay", self.imu_delay, FINITE),
+                     ("noise_sigma", self.noise_sigma, NOISE_SIGMA_DOMAIN))
+        if min(self.beta, self.lag_tau, self.imu_delay, self.noise_sigma) < 0:
             raise ValidationError("SlipParams fields must be non-negative")
 
     @classmethod
@@ -141,24 +151,18 @@ class SlipParams:
         kwargs = {key: finite_number(path, key, raw[key]) for key in floats if key in raw}
         if "seed" in raw:
             kwargs["seed"] = seed_value(path, raw["seed"])
-        try:
+        with blamed(lambda exc: path):
             return cls(**kwargs)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
 
 
 def _check_commands(v: np.ndarray, c: np.ndarray) -> None:
-    """Check arrays of (v, c) commands in one vectorised test: each value
-    finite and |v*c| within AV_LIMIT.  The first failing row words the error
-    and is its ``row``."""
-    ok = np.isfinite(v) & np.isfinite(c)
-    with np.errstate(over="ignore"):   # an overflowing v*c fails the bound
-        ok[ok] = np.abs(v[ok] * c[ok]) <= AV_LIMIT + 1e-9
+    """Check arrays of (v, c) commands, each inside its domain, in one
+    vectorised test: |v*c| within AV_LIMIT.  The first failing row words
+    the error and is its ``row``."""
+    ok = np.abs(v * c) <= AV_LIMIT + 1e-9
     if not np.all(ok):
         k = int(np.argmin(ok))
-        v_k, c_k = float(v[k]), float(c[k])
-        _require_finite("ControlCommand", v_k, c_k, row=k)
-        raise ValidationError(f"commanded angular velocity v*c={v_k * c_k:.4f} "
+        raise ValidationError(f"commanded angular velocity v*c={float(v[k] * c[k]):.4f} "
                               f"outside [-{AV_LIMIT}, {AV_LIMIT}]", row=k)
 
 
@@ -178,6 +182,8 @@ class ControlScript:
     def __post_init__(self):
         if not self.segments:
             raise ValidationError("ControlScript needs at least one segment")
+        check_within(("v", np.array([s.v for s in self.segments]), SPEED_DOMAIN),
+                     ("c", np.array([s.c for s in self.segments]), CURVATURE_DOMAIN))
         starts = [s.t_start for s in self.segments]
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValidationError("segment t_start values must be strictly increasing")
@@ -202,10 +208,8 @@ class ControlScript:
             seg = json_fields(where, seg, fields)
             out.append(ScriptSegment(*(finite_number(where, key, seg[key])
                                        for key in fields)))
-        try:
+        with blamed(lambda exc: path if exc.row is None else f"{path}: segment {exc.row}"):
             return cls(tuple(out))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
 
     @property
     def t_end(self) -> float:
@@ -242,11 +246,8 @@ class SimTrace:
             raise ValidationError("command channels must be 1-D of equal length")
         if any(getattr(self, name).shape != (n[0] + 1,) for name in _STATE_CHANNELS):
             raise ValidationError("trace must satisfy |states| = |commands| + 1")
-        for name in _STATE_CHANNELS:
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValidationError(f"SimTrace {name} contains non-finite values")
-        if np.max(np.abs(self.v)) > V_CAP + 1e-12:
-            raise ValidationError(f"|v|={np.max(np.abs(self.v))} exceeds cap {V_CAP}")
+        check_within(*((name, getattr(self, name), V_CAP + 1e-12 if name == "v" else FINITE)
+                       for name in _STATE_CHANNELS), where="SimTrace")
 
     def __len__(self) -> int:
         return self.cmd_v.size
@@ -490,7 +491,7 @@ def _sample_logs(n: int, dt: float, p: SlipParams, joy_rate: float, imu_rate: fl
         rng = np.random.default_rng(p.seed)
         av_z += rng.normal(0.0, p.noise_sigma, size=av_z.shape)
 
-    return JoyLog(t=t_joy, v=joy_v, av=joy_av), ImuLog(t=t_imu, av_z=av_z)
+    return datalog.JoyLog(t=t_joy, v=joy_v, av=joy_av), datalog.ImuLog(t=t_imu, av_z=av_z)
 
 
 def emit_sensor_logs(trace: SimTrace, p: SlipParams,

@@ -14,7 +14,8 @@ from ikdlab.align import (DEFAULT_OBJECTIVE_CEILING, AlignedDataset,
 from ikdlab.datalog import ImuLog, JoyLog, trim_idle
 from ikdlab.errors import (InsufficientOverlapError, ParseError,
                            ValidationError)
-from ikdlab.simcore import SlipParams, c_from_av_v, emit_sensor_logs, run_scenario
+from ikdlab.simcore import (YAW_RATE_DOMAIN, SlipParams, c_from_av_v, emit_sensor_logs,
+                            run_scenario)
 
 from conftest import make_script
 
@@ -98,17 +99,24 @@ def test_short_overlap_raises():
         estimate_delay(joy, imu)
 
 
-def test_squared_errors_past_the_float_range_are_inf_without_a_warning(monkeypatch):
+def test_logs_at_the_yaw_rate_domain_edge_scan_without_a_warning(monkeypatch):
     monkeypatch.setattr(align_mod, "_scan_workers", lambda: 2)   # and on a worker
     t = np.arange(200) / 40.0
-    joy = JoyLog(t=t, v=np.ones(200), av=np.full(200, 1e200))
-    imu = ImuLog(t=t, av_z=np.full(200, -1e200))
+    # the largest squared error two logs can hold: yaw rates at opposite edges
+    joy = JoyLog(t=t, v=np.ones(200), av=np.full(200, YAW_RATE_DOMAIN))
+    imu = ImuLog(t=t, av_z=np.full(200, -YAW_RATE_DOMAIN))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, objectives = scan_delays(joy, imu)
-        with pytest.raises(InsufficientOverlapError):
-            estimate_delay(joy, imu)
-    assert np.all(np.isposinf(objectives))
+        est = estimate_delay(joy, imu)
+    scanned = objectives[np.isfinite(objectives)]
+    assert scanned.size > 400 and np.all(scanned == 4 * YAW_RATE_DOMAIN ** 2)
+    assert est.objective == 4 * YAW_RATE_DOMAIN ** 2
+    # one step past the edge, the log refuses the row
+    with pytest.raises(ValidationError, match=r"^JoyLog: av must be within \+-1000, "
+                       r"got 1000\.0000000000001$") as exc:
+        JoyLog(t=t, v=np.ones(200), av=np.full(200, np.nextafter(YAW_RATE_DOMAIN, np.inf)))
+    assert exc.value.row == 0
 
 
 def test_scan_workers_follow_the_affinity_set_else_the_cpu_count(monkeypatch):
@@ -206,9 +214,13 @@ def test_dataset_validation():
 
 
 @pytest.mark.parametrize("av_joy, av_imu, row, message", [
-    ([0.5, 4.2, 0.5, 0.5], [0.4, 0.4, np.nan, 0.4], 2, "dataset contains non-finite values"),
+    # one comparison per column: the first row outside any column's domain
+    ([0.5, 4.2, 0.5, 0.5], [0.4, 0.4, np.nan, 0.4], 1, "dataset: av_joy must be within +-4, "
+     "got 4.2"),
     ([0.5, 0.5, -4.2, 4.5], [0.4, 0.4, 0.4, 0.4], 2,
-     "commanded angular velocity av_joy outside [-4.0, 4.0] rad/s"),
+     "dataset: av_joy must be within +-4, got -4.2"),
+    ([0.5, 0.5, 0.5, 4.5], [0.4, 0.4, np.nan, 1e200], 2, "dataset: av_imu must be within "
+     "+-1000, got nan"),
 ])
 def test_dataset_check_reports_the_first_row_that_fails_it(av_joy, av_imu, row, message):
     with pytest.raises(ValidationError) as exc:
@@ -227,7 +239,7 @@ def test_only_commands_are_held_to_the_actuator_limit():
     AlignedDataset(v_joy=[4.0], av_joy=[-4.0], av_imu=[-6.5], period=0.025)
     with pytest.raises(ValidationError, match="av_joy"):
         AlignedDataset(v_joy=[4.0], av_joy=[4.1], av_imu=[4.0], period=0.025)
-    with pytest.raises(ValidationError, match="non-finite"):
+    with pytest.raises(ValidationError, match="av_imu must be within"):
         AlignedDataset(v_joy=[4.0], av_joy=[4.0], av_imu=[np.inf], period=0.025)
 
 

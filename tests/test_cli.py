@@ -445,13 +445,18 @@ ALIGN_ARGV = ["align", "--joy", "joy.csv", "--imu", "imu.csv"]
     (ALIGN_ARGV, "joy.csv", "t,v,av\n0.0,1.0,0.5\n\n0.1,1.0,0.5\n0.1,1.0,0.5\n", 5,
      "JoyLog: t must be strictly increasing"),
     (ALIGN_ARGV, "imu.csv", "t,av_z\n0.0,0.5\n\n0.1,0.5\n0.2,nan\n0.3,0.5\n", 5,
-     "ImuLog: non-finite values present"),
+     "ImuLog: av_z must be within +-1000, got nan"),
     (["replay", "--buffer", "buf.txt"], "buf.txt", "1.0,0.5\n\n1.0,0.5\n1.0,nan\n", 4,
-     "buffer rows must be finite"),
+     "buffer: av must be within +-1000, got nan"),
     # the value check runs before the order check: line 3 repeats t, line 5 is NaN
     (ALIGN_ARGV, "joy.csv", "t,v,av\n0.0,1.0,0.5\n0.0,1.0,0.5\n0.1,1.0,0.5\nnan,1.0,0.5\n",
-     5, "JoyLog: non-finite values present"),
-], ids=["joy-repeated-t", "imu-nan", "buffer-nan", "joy-nan-after-repeated-t"])
+     5, "JoyLog: t must be finite, got nan"),
+    (ALIGN_ARGV, "joy.csv", "t,v,av\n0.0,1.0,0.5\n0.1,1.0,1e200\n", 3,
+     "JoyLog: av must be within +-1000, got 1e+200"),
+    (["eval-drift", "--buffer", "buf.txt"], "buf.txt", "1.0,0.5\n1e300,0.5\n", 2,
+     "buffer: v must be within +-1000, got 1e+300"),
+], ids=["joy-repeated-t", "imu-nan", "buffer-nan", "joy-nan-after-repeated-t",
+        "joy-av-past-its-domain", "buffer-v-past-its-domain"])
 def test_bad_log_or_buffer_row_exits_1_naming_file_and_line(workdir, capsys, argv, name,
                                                             text, line, reason):
     with open("joy.csv", "w", encoding="utf-8") as fh:
@@ -469,14 +474,14 @@ def test_bad_log_or_buffer_row_exits_1_naming_file_and_line(workdir, capsys, arg
      "joy.csv: log is all idle rows; nothing left after trimming"),
     ("t,v,av\n" + "".join(f"{k / 40},1.0,0.5\n" for k in range(30)),
      "joy.csv and imu.csv: streams overlap less than 1.0 s at every candidate delay"),
-    # a grid point between 1.0 and -1e308 interpolates past the float range
+    # the grid would interpolate between 1.0 and -1e308 past the float range;
+    # the joystick log refuses the row first
     ("t,v,av\n" + "".join(f"{k / 40},{-1e308 if k == 40 else 1.0},0.5\n"
                           for k in range(80)),
-     "joy.csv and imu.csv: dataset contains non-finite values"),
-    # the streams overlap, but every squared error is past the float range
+     "joy.csv:42: JoyLog: v must be within +-1000, got -1e+308"),
+    # yaw rates whose squared errors would overflow: refused the same way
     ("t,v,av\n" + "".join(f"{k / 40},1.0,{(-1) ** k * 1e200}\n" for k in range(80)),
-     "joy.csv and imu.csv: squared errors between the streams overflow at every "
-     "candidate delay"),
+     "joy.csv:2: JoyLog: av must be within +-1000, got 1e+200"),
     # a 40 Hz grid over 1e17 s has 4e18 rows, more than numpy can allocate
     ("t,v,av\n0,1.0,0.5\n1e17,1.0,0.5\n",
      "joy.csv and imu.csv: streams overlap 1e+17 s, more than a grid at 40 Hz can "
@@ -510,13 +515,12 @@ def test_seed_v_and_c_flags_are_checked_naming_the_flag(workdir, capsys, argv, e
 
 
 def test_training_that_diverges_names_the_dataset(workdir, capsys):
-    v = np.linspace(0.5, 3.0, 100)
-    v[7] = 1e308
     align_mod.write_dataset_csv(
-        AlignedDataset(v_joy=v, av_joy=0.2 * np.ones(100), av_imu=0.18 * np.ones(100),
-                       period=0.025), "ds.csv")
+        AlignedDataset(v_joy=np.linspace(0.5, 3.0, 100), av_joy=0.2 * np.ones(100),
+                       av_imu=0.18 * np.ones(100), period=0.025), "ds.csv")
+    # sane rows, but a step size that throws the weights past the float range
     with open("cfg.json", "w", encoding="utf-8") as fh:
-        json.dump({"seed": 0, "train": {"epochs": 2, "batch_size": 16}}, fh)
+        json.dump({"seed": 0, "train": {"epochs": 2, "batch_size": 16, "lr": 1e300}}, fh)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["train", "--config", "cfg.json", "--dataset", "ds.csv",
@@ -656,9 +660,9 @@ SCAN = "delay,objective\n"
     ("--delay-scan", SCAN, r"bad\.csv: no rows after the header"),
     ("--delay-scan", HIST + "0.0,0.25,3\n", r"bad\.csv:1: expected header"),
     ("--loss", LOSS + "0,0.5,0.4\n\n1,0.4,1e306\n",
-     r"bad\.csv:4: cannot plot 1e\+306: values must be finite and within \+-1e\+305$"),
-    ("--delay-scan", SCAN + "0.0,-inf\n", r"bad\.csv:2: cannot plot -inf: "),
-    ("--hist", HIST + "0.0,0.25,3\n0.25,nan,1\n", r"bad\.csv:3: cannot plot nan: "),
+     r"bad\.csv:4: cannot plot: test_mse must be within \+-1e\+305, got 1e\+306$"),
+    ("--delay-scan", SCAN + "0.0,-inf\n", r"bad\.csv:2: cannot plot: objective must be "),
+    ("--hist", HIST + "0.0,0.25,3\n0.25,nan,1\n", r"bad\.csv:3: cannot plot: bin_hi must "),
     ("--hist", None, r"missing file: missing\.csv"),
 ])
 def test_plot_fails_closed_on_bad_tables(workdir, capsys, flag, text, err):
@@ -731,6 +735,64 @@ def test_integer_past_float_range_exits_1_naming_file_and_key(workdir, capsys, a
     assert capsys.readouterr().err == err
 
 
+ONE_SEGMENT = {"segments": [{"t_start": 0.0, "v": 1.0, "c": 0.5}]}
+COURSE = {"boxes": [{"cx": 0, "cy": 0, "w": 1, "h": 1}], "cones": [[2.0, 0.0]],
+          "gap_width": 2.0}
+
+
+@pytest.mark.parametrize("argv, files, err", [
+    # a log of IMU noise this wide would hold samples past the yaw-rate domain
+    (["collect", "--config", "cfg.json", "--dwell", "0.05"],
+     {"cfg.json": {"seed": 0, "slip_file": "slip.json"},
+      "slip.json": {"noise_sigma": 1.7e308}},
+     "slip.json: noise_sigma must be within +-10, got 1.7e+308"),
+    (["collect", "--config", "cfg.json", "--script", "sc.json", "--duration", "2"],
+     {"cfg.json": {"seed": 0, "slip_file": "slip.json"},
+      "slip.json": {"noise_sigma": 10.5}, "sc.json": ONE_SEGMENT},
+     "slip.json: noise_sigma must be within +-10, got 10.5"),
+    (["collect", "--config", "cfg.json", "--script", "sc.json", "--duration", "2"],
+     {"cfg.json": {"seed": 0, "slip_file": "slip.json"},
+      "slip.json": {"beta": 1e308}, "sc.json": ONE_SEGMENT},
+     "slip.json: beta must be within +-1000, got 1e+308"),
+    (["collect", "--script", "sc.json", "--duration", "2"],
+     {"sc.json": {"segments": [{"t_start": 0.0, "v": 1.0, "c": 0.5},
+                               {"t_start": 5.0, "v": 1e200, "c": 1e-200}]}},
+     "sc.json: segment 1: v must be within +-1000, got 1e+200"),
+    (["eval-drift", "--config", "cfg.json", "--duration", "1"],
+     {"cfg.json": {"seed": 0, "scenario_file": "course.json"},
+      "course.json": {**COURSE, "boxes": [{"cx": 0, "cy": 0, "w": 1e308, "h": 1}]}},
+     "course.json: boxes[0]: w must be within +-1e+06, got 1e+308"),
+    (["eval-drift", "--config", "cfg.json", "--duration", "1"],
+     {"cfg.json": {"seed": 0, "scenario_file": "course.json"},
+      "course.json": {**COURSE,
+                      "boxes": [{"cx": 1e300, "cy": 1e300, "w": 1e300, "h": 1e300}]}},
+     "course.json: boxes[0]: cx must be within +-1e+06, got 1e+300"),
+    (["eval-drift", "--config", "cfg.json", "--duration", "1"],
+     {"cfg.json": {"seed": 0, "scenario_file": "course.json"},
+      "course.json": {**COURSE, "cones": [[2.0, 0.0], [1e200, 0.0]]}},
+     "course.json: cones[1]: x must be within +-1e+06, got 1e+200"),
+    (["eval-drift", "--config", "cfg.json", "--duration", "1"],
+     {"cfg.json": {"seed": 0, "scenario_file": "course.json"},
+      "course.json": {**COURSE, "gap_width": 1e308}},
+     "course.json: gap_width must be within +-1e+06, got 1e+308"),
+    # the flags pass the yaw-rate limit, but make a script past its domains
+    (["eval-circle", "--v", "1e-5", "--curvatures", "2000"], {},
+     "--v 1e-05 at --curvatures 2000.0: c must be within +-1000, got 2000.0"),
+    (["eval-circle", "--v", "1e5", "--curvatures", "1e-5"], {},
+     "--v 100000.0 at --curvatures 1e-05: v must be within +-1000, got 100000.0"),
+], ids=["noise-sigma", "noise-sigma-script", "beta", "script-v", "box-w", "box-all",
+        "cone", "gap", "circle-c", "circle-v"])
+def test_finite_value_past_its_domain_exits_1_naming_file_and_key(workdir, capsys, argv,
+                                                                  files, err):
+    for name, raw in files.items():
+        with open(name, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", "run"]) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 # 2**62 epochs fit an index, but not the byte size of a float64 loss curve;
 # 2**59 epochs fit that, but not the byte size of the curve's two halves.
 @pytest.mark.parametrize("train, message", [
@@ -794,8 +856,9 @@ def test_drift_report_is_strict_json(workdir, capsys, course):
 
 # --- seeded mutation fuzz of the model and scenario files ---------------------
 
-# a string, bool, null, list, object, integer past the float range and NaN
-NOT_A_NUMBER = ("0.5", True, None, [1.0], {"x": 1.0}, LONG_INT, float("nan"))
+# a string, bool, null, list, object, integer past the float range, NaN and
+# a finite number past every domain
+BAD_JSON_VALUES = ("0.5", True, None, [1.0], {"x": 1.0}, LONG_INT, float("nan"), 1e308)
 
 
 def _slots(value, found):
@@ -812,7 +875,7 @@ def _slots(value, found):
 
 def mutate_json(rng, text: str) -> bytes:
     """``text`` (a JSON document) with one seeded mutation: a key deleted or
-    an unknown one added, a non-number where a number belongs, the file
+    an unknown one added, a bad value where a number belongs, the file
     truncated, or a byte that is not UTF-8 inserted."""
     raw = json.loads(text)
     slots = []
@@ -833,7 +896,7 @@ def mutate_json(rng, text: str) -> bytes:
         dicts[int(rng.integers(len(dicts)))]["bogus"] = 1.0
     else:
         container, key = numbers[int(rng.integers(len(numbers)))]
-        container[key] = NOT_A_NUMBER[int(rng.integers(len(NOT_A_NUMBER)))]
+        container[key] = BAD_JSON_VALUES[int(rng.integers(len(BAD_JSON_VALUES)))]
     return json.dumps(raw).encode()
 
 
@@ -904,11 +967,12 @@ def test_mutated_config_slip_and_script_files_exit_0_or_1_with_one_error_line(
 
 
 @pytest.mark.parametrize("rows, line, err", [
-    (["4.2,0.4"], 4, "commanded angular velocity av_joy outside [-4.0, 4.0] rad/s"),
-    (["nan,0.4"], 4, "dataset contains non-finite values"),
-    (["0.5,inf"], 4, "dataset contains non-finite values"),
-    # the non-finite check runs first, as AlignedDataset runs it
-    (["-4.5,0.4", "0.5,nan"], 5, "dataset contains non-finite values"),
+    (["4.2,0.4"], 4, "dataset: av_joy must be within +-4, got 4.2"),
+    (["nan,0.4"], 4, "dataset: av_joy must be within +-4, got nan"),
+    (["0.5,inf"], 4, "dataset: av_imu must be within +-1000, got inf"),
+    # the first row outside any column's domain, whichever check fails
+    (["0.5,nan", "-4.5,0.4"], 4, "dataset: av_imu must be within +-1000, got nan"),
+    (["0.5,-1e200"], 4, "dataset: av_imu must be within +-1000, got -1e+200"),
 ])
 def test_train_on_a_bad_dataset_row_exits_1_naming_file_and_line(workdir, capsys,
                                                                  rows, line, err):

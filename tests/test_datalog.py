@@ -32,10 +32,14 @@ def test_log_rejects_shape_mismatch_and_nonfinite():
 @pytest.mark.parametrize("t, v, row, message", [
     # the value check runs before the order check, so t repeating earlier
     # does not hide a later NaN
-    ([0.0, 0.1, 0.1, 0.3], [1.0, 1.0, 1.0, np.nan], 3, "JoyLog: non-finite values present"),
-    ([0.0, 0.1, 0.2, 0.3], [1.0, -1e200, 1.0, np.inf], 3,
-     "JoyLog: non-finite values present"),
+    ([0.0, 0.1, 0.1, 0.3], [1.0, 1.0, 1.0, np.nan], 3,
+     "JoyLog: v must be within +-1000, got nan"),
+    # a finite speed past the domain is refused like a non-finite one
+    ([0.0, 0.1, 0.2, 0.3], [1.0, -1e200, 1.0, np.inf], 1,
+     "JoyLog: v must be within +-1000, got -1e+200"),
     ([0.0, 0.1, 0.1, 0.0], [1.0, 1.0, 1.0, 1.0], 2, "JoyLog: t must be strictly increasing"),
+    # the first failing row, whichever column holds it
+    ([0.0, 0.1, np.inf, 0.3], [1.0, 1.0, 1.0, 1e4], 2, "JoyLog: t must be finite, got inf"),
 ])
 def test_log_check_reports_the_first_row_that_fails_it(t, v, row, message):
     with pytest.raises(ValidationError) as exc:
@@ -68,7 +72,7 @@ def test_csv_round_trip_random_logs(tmp_path):
     for case in range(100):
         n = int(rng.integers(1, 40))
         t = np.cumsum(rng.uniform(1e-4, 2.0, n))
-        scale = 10.0 ** rng.integers(-8, 8)
+        scale = 10.0 ** rng.integers(-8, 3)   # the magnitudes the domains admit
         log = make_joy(t, rng.normal(0, scale, n), rng.normal(0, scale, n))
         path = str(tmp_path / f"j{case}.csv")
         write_joy_csv(log, path)

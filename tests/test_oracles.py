@@ -31,7 +31,7 @@ the blocked scan must reproduce its delays, objectives and +inf positions
 bit for bit on one, two and three threads, and estimate_delay, which scores
 exactly only the candidates a strided lower bound cannot rule out, must
 return the same estimate as that loop's argmin, or raise the same error
-class (worded as an overflow when every overlapping candidate overflows).
+class, also for logs at the edges of the yaw-rate domain, without a warning.
 The table oracles are verbatim copies of the writer that called
 repr once per cell and of the per-line reader: the deduplicating writer must
 reproduce its bytes, and on every mutated table the one-pass reader must
@@ -62,7 +62,7 @@ from ikdlab.mlp import (N_PARAMS, AdamState, LossCurve, MlpParams, TrainConfig,
 from ikdlab.replay import CommandBuffer, execute_replay, next_command
 from ikdlab.scenarios import (drift_buffer, drift_duration, loose_scenario,
                                sweep_duration, tight_scenario, training_sweep_script)
-from ikdlab.simcore import (DEFAULT_DT, V_CAP, ControlScript, SimTrace,
+from ikdlab.simcore import (DEFAULT_DT, V_CAP, YAW_RATE_DOMAIN, ControlScript, SimTrace,
                             SlipParams, VehicleState, _integrate, _last_state_at,
                             _require_finite, emit_sensor_logs, normalize_heading,
                             record_logs, run_scenario, sample_count, slip_yaw_rate)
@@ -1534,29 +1534,25 @@ def estimate_case(rng, kind: str, i: int):
                      av=np.full(t_joy.size, rng.uniform(-AV_LIMIT, AV_LIMIT)))
         return (joy, ImuLog(t=t_imu, av_z=np.full(t_imu.size, rng.normal(0.0, 2.0))),
                 *default)
-    if kind == "overflow":
-        # every squared error overflows: |av - av_z| > 2e154
+    if kind == "domain edge":
+        # the largest squared errors two logs can hold: yaw rates near
+        # opposite edges of the domain, some exactly on them
         t_joy, t_imu = covering_times(rng, int(rng.integers(2, 3000)))
-        joy = JoyLog(t=t_joy, v=np.ones(t_joy.size),
-                     av=10.0 ** rng.uniform(154.5, 200.0, t_joy.size))
-        imu = ImuLog(t=t_imu, av_z=-(10.0 ** rng.uniform(154.5, 200.0, t_imu.size)))
+        edge = np.where(rng.random(t_joy.size) < 0.5, 1.0, rng.uniform(0.5, 1.0, t_joy.size))
+        joy = JoyLog(t=t_joy, v=np.ones(t_joy.size), av=YAW_RATE_DOMAIN * edge)
+        imu = ImuLog(t=t_imu, av_z=-YAW_RATE_DOMAIN * rng.uniform(0.5, 1.0, t_imu.size))
         return joy, imu, *default
     return random_scan_case(rng, i)
 
 
-def assert_estimate_matches_reference(joy, imu, search, step, overflow=False):
+def assert_estimate_matches_reference(joy, imu, search, step):
     """estimate_delay against the argmin of the full per-candidate loop; the
-    reference objectives, or None when both raise InsufficientOverlapError.
-    When every candidate with enough overlap overflows (``overflow``), the
-    estimate words its error as an overflow, which the loop's curve of +inf
-    cannot tell from no overlap."""
+    reference objectives, or None when both raise InsufficientOverlapError."""
     ref_delays, ref_objectives = reference_scan_delays(joy, imu, search, step)
     try:
         ref = align_mod.delay_from_scan(ref_delays, ref_objectives)
     except InsufficientOverlapError as exc:
-        expected = ("squared errors between the streams overflow at every candidate "
-                    "delay" if overflow else str(exc))
-        with pytest.raises(InsufficientOverlapError, match=expected):
+        with pytest.raises(InsufficientOverlapError, match=str(exc)):
             align_mod.estimate_delay(joy, imu, search, step)
         return None
     est = align_mod.estimate_delay(joy, imu, search, step)
@@ -1576,10 +1572,10 @@ def test_pruned_estimate_matches_full_loop_argmin_bit_for_bit(monkeypatch):
         scan(joy, imu, delays, i0, i1, cand, stride, out)
 
     monkeypatch.setattr(align_mod, "_scan", recording_scan)
-    kinds = ("gate clean", "gate noisy", "long", "sweep", "tie", "overflow",
+    kinds = ("gate clean", "gate noisy", "long", "sweep", "tie", "domain edge",
              *["random"] * 8)
     seen = dict.fromkeys(("gate clean", "gate noisy", "long", "sweep unrefined",
-                          "tie", "partial inf", "all inf", "two rows", "negative",
+                          "tie", "domain edge", "partial inf", "two rows", "negative",
                           "pruned at 128", "pruned at 16", "runner-up wins"), 0)
     for i in range(6 * len(kinds)):
         kind = kinds[i % len(kinds)]
@@ -1590,10 +1586,8 @@ def test_pruned_estimate_matches_full_loop_argmin_bit_for_bit(monkeypatch):
         monkeypatch.setattr(align_mod, "_scan_workers", lambda: 1 + i % 3)
         calls.clear()
         with warnings.catch_warnings():
-            # squares past the float range overflow to inf, on every thread
-            warnings.simplefilter("ignore", RuntimeWarning)
-            objectives = assert_estimate_matches_reference(joy, imu, search, step,
-                                                           overflow=kind == "overflow")
+            warnings.simplefilter("error")   # no square overflows, on any thread
+            objectives = assert_estimate_matches_reference(joy, imu, search, step)
         # a coarse bound pass over the kept candidates and one exact score;
         # a finer bound pass over the survivors only when the coarse one
         # pruned some; then one exact pass
@@ -1609,9 +1603,8 @@ def test_pruned_estimate_matches_full_loop_argmin_bit_for_bit(monkeypatch):
         if kind == "sweep":
             assert exact == len(kept) and not refined
             seen["sweep unrefined"] += 1
-        if kind == "overflow":
-            assert objectives is None and exact == len(kept) > 0
-            seen["all inf"] += 1
+        if kind == "domain edge":
+            assert objectives is not None and np.isfinite(objectives[kept]).all()
         if objectives is not None:
             finite = np.isfinite(objectives)
             if kind == "tie":

@@ -31,9 +31,14 @@ def test_buffer_validation():
 
 
 def test_buffer_reports_its_first_non_finite_row():
-    with pytest.raises(ValidationError, match="buffer rows must be finite") as exc:
+    with pytest.raises(ValidationError, match=r"^buffer: v must be within \+-1000, "
+                       r"got inf$") as exc:
         CommandBuffer(rows=[(1.0, 0.1), (2.0, 0.2), (np.inf, 0.3), (1.0, np.nan)])
     assert exc.value.row == 2
+    with pytest.raises(ValidationError, match=r"^buffer: av must be within \+-1000, "
+                       r"got -2000\.0$") as exc:
+        CommandBuffer(rows=[(1.0, 0.1), (1e3, -2e3), (1e4, 0.3)])
+    assert exc.value.row == 1
     with pytest.raises(ValidationError, match="cursor") as exc:
         CommandBuffer(rows=[(1.0, 0.1)], cursor=1)
     assert exc.value.row is None

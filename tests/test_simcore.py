@@ -111,8 +111,20 @@ def test_control_command_rejects_excess_angular_velocity():
 
 
 @pytest.mark.parametrize("v, c, message", [
-    (float("nan"), 0.5, "ControlCommand contains non-finite value nan"),
-    (2.0, float("-inf"), "ControlCommand contains non-finite value -inf"),
+    (float("nan"), 0.5, "v must be within +-1000, got nan"),
+    (2.0, float("-inf"), "c must be within +-1000, got -inf"),
+    (1e200, 1e-200, "v must be within +-1000, got 1e+200"),
+    (1e-3, np.nextafter(1e3, np.inf), "c must be within +-1000, got 1000.0000000000001"),
+])
+def test_script_segments_are_checked_against_their_domains(v, c, message):
+    with pytest.raises(ValidationError) as exc:
+        make_script([(0.0, 1.0, 0.1), (0.5, v, c)])
+    assert (str(exc.value), exc.value.row) == (message, 1)
+    # a segment's v*c, though, is checked only where the run reaches it
+    make_script([(0.0, 1.0, 0.1), (0.5, 1e3, 1e3)])
+
+
+@pytest.mark.parametrize("v, c, message", [
     (2.0, 2.2, "commanded angular velocity v*c=4.4000 outside [-4.0, 4.0]"),
     (-2.0, 2.2, "commanded angular velocity v*c=-4.4000 outside [-4.0, 4.0]"),
 ])
@@ -245,12 +257,13 @@ def test_run_scenario_rejects_non_finite_duration_and_dt(arg, value):
 
 def test_run_scenario_checks_reached_segments_with_the_command_message():
     bad = make_script([(0.0, 1.0, 0.1), (0.5, 2.0, 3.0),
-                       (0.6, 1e200, 1e200), (5.0, 1.0, 9.0)])
+                       (0.6, 1e3, 1e3), (5.0, 1.0, 9.0)])
     with pytest.raises(ValidationError, match=r"v\*c=6\.0000 outside"):
         run_scenario(bad, SlipParams(), 1.0)
-    overflow = make_script([(0.0, 1e200, 1e200)])
-    with pytest.raises(ValidationError, match=r"v\*c=inf outside"):
-        run_scenario(overflow, SlipParams(), 1.0)
+    # the largest command the domains admit is refused without overflowing
+    largest = make_script([(0.0, 1e3, -1e3)])
+    with pytest.raises(ValidationError, match=r"v\*c=-1000000\.0000 outside"):
+        run_scenario(largest, SlipParams(), 1.0)
     # a segment the run never reaches is not checked
     assert len(run_scenario(bad, SlipParams(), 0.5)) == 100
 

@@ -4,7 +4,8 @@ README's "Library use" imports must keep working, no module of the package
 may import a name it never uses, no public name of the package may be one
 that only unit tests call, the names the benchmark's tracer
 (perfbench/tracing.py) wraps must exist and be the ones the program calls,
-and only the CLI's ``main`` may load the config, write or print.
+only the CLI's ``main`` may load the config, write or print, and only the
+listed functions may silence numpy's floating-point warnings.
 """
 
 import ast
@@ -241,6 +242,50 @@ def test_stage_check_finds_writes_prints_and_config_loads():
                        "cmd_b:6: os.makedirs", "cmd_b:7: mlp.save_model",
                        "cmd_b:8: _load_config"]
     assert loaders == ["cmd_b", "main"]
+
+
+# The only functions that may silence numpy's floating-point warnings.  The
+# records bound every quantity they hold, so nothing read from a file can
+# overflow downstream; these two guards stay because a library caller can
+# still overflow them: correct_batch takes any finite (v, c), whose product
+# may not be, and train diverges at a step size too large even on sane rows.
+# A new guard has to be argued for here.
+ERRSTATE_HOMES = {"ikd.correct_batch", "mlp.train"}
+
+
+def errstate_sites(tree: ast.Module, module: str) -> list[str]:
+    """Where ``tree`` calls ``errstate``, each call named by the top-level
+    function (``module.function``) or method (``module.Class.method``) that
+    holds it, nested functions included, or by ``module`` outside any."""
+    owners = []
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            owners += [(f"{module}.{top.name}.{getattr(item, 'name', '')}", item)
+                       for item in top.body]
+        else:
+            owners.append((f"{module}.{top.name}" if isinstance(top, ast.FunctionDef)
+                           else module, top))
+    return [owner for owner, top in owners for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func).rpartition(".")[2] == "errstate"]
+
+
+def test_floating_point_warnings_are_silenced_only_in_the_listed_functions():
+    sites = [site for path in sorted(PACKAGE.glob("*.py"))
+             for site in errstate_sites(ast.parse(path.read_text(encoding="utf-8")),
+                                        path.stem)]
+    assert set(sites) == ERRSTATE_HOMES, sites
+
+
+def test_errstate_finder_names_the_function_that_holds_the_call():
+    tree = ast.parse("import numpy as np\n"
+                     "@np.errstate(over='ignore')\ndef f():\n    pass\n"
+                     "def g():\n    def h():\n        with numpy.errstate(all='ignore'):\n"
+                     "            pass\n"
+                     "class C:\n    def m(self):\n        with errstate(over='ignore'):\n"
+                     "            np.isfinite(1.0)\n"
+                     "np.errstate(all='ignore')\n")
+    assert errstate_sites(tree, "mod") == ["mod.f", "mod.g", "mod.C.m", "mod"]
 
 
 def load_tracing():
