@@ -77,12 +77,11 @@ class DelayEstimate:
 
 @dataclass(frozen=True)
 class AlignedDataset:
-    """Evenly sampled training rows (v_joy, av_joy, av_imu) at a fixed period."""
+    """Evenly sampled training rows (v_joy, av_joy, av_imu)."""
 
     v_joy: np.ndarray
     av_joy: np.ndarray
     av_imu: np.ndarray
-    period: float
 
     def __post_init__(self):
         for name in ("v_joy", "av_joy", "av_imu"):
@@ -95,8 +94,6 @@ class AlignedDataset:
         check_within(("v_joy", self.v_joy, SPEED_DOMAIN),
                      ("av_joy", self.av_joy, AV_LIMIT + 1e-9),
                      ("av_imu", self.av_imu, YAW_RATE_DOMAIN), where="dataset")
-        if self.period < 0:
-            raise ValidationError("period must be non-negative")
 
     def __len__(self) -> int:
         return self.v_joy.size
@@ -317,7 +314,6 @@ def build_dataset(joy: JoyLog, imu: ImuLog, delay: float,
         v_joy=np.interp(grid, joy.t, joy.v),
         av_joy=np.interp(grid, joy.t, np.clip(joy.av, -AV_LIMIT, AV_LIMIT)),
         av_imu=np.interp(grid + delay, imu.t, imu.av_z),
-        period=1.0 / rate,
     )
 
 
@@ -326,7 +322,7 @@ def prune_zero_curvature(d: AlignedDataset) -> AlignedDataset:
     curvature of rows slower than EPS_V counting as 0."""
     keep = np.abs(c_from_av_v(d.av_joy, d.v_joy)) > DEFAULT_EPS_C
     return AlignedDataset(v_joy=d.v_joy[keep], av_joy=d.av_joy[keep],
-                          av_imu=d.av_imu[keep], period=d.period)
+                          av_imu=d.av_imu[keep])
 
 
 def histogram(values, bins: int, vrange: tuple[float, float]) -> np.ndarray:
@@ -357,10 +353,8 @@ def write_dataset_csv(d: AlignedDataset, path: str) -> None:
     write_table(path, _DATASET_HEADER, (d.idx, d.v_joy, d.av_joy, d.av_imu))
 
 
-def read_dataset_csv(path: str,
-                     period: float = 1.0 / DEFAULT_LOG_RATE) -> AlignedDataset:
-    """Read training rows; the sample period is not stored in the file and
-    must be supplied by the caller (defaults to the standard 40 Hz grid)."""
+def read_dataset_csv(path: str) -> AlignedDataset:
+    """Read training rows, whose ``idx`` column must count 0, 1, 2, ..."""
     def build(rows):
         idx, v_joy, av_joy, av_imu = rows.T
         broken = np.flatnonzero(idx != np.arange(len(rows)))
@@ -368,7 +362,7 @@ def read_dataset_csv(path: str,
             k = int(broken[0])
             raise ValidationError(f"idx {idx[k]:g} breaks contiguity (expected {k})",
                                   row=k)
-        return AlignedDataset(v_joy=v_joy, av_joy=av_joy, av_imu=av_imu, period=period)
+        return AlignedDataset(v_joy=v_joy, av_joy=av_joy, av_imu=av_imu)
     return read_record(path, _DATASET_HEADER, build)
 
 

@@ -18,8 +18,8 @@ from .errors import (FitError, ValidationError, blamed, check_within, finite_num
 from .fileio import read_json, write_table
 from .ikd import correct
 from .mlp import MlpParams
-from .simcore import (COURSE_DOMAIN, ControlScript, SimTrace, SlipParams, run_scenario,
-                      slip_yaw_rate)
+from .simcore import (COURSE_DOMAIN, CURVATURE_DOMAIN, SPEED_DOMAIN, ControlScript,
+                      SimTrace, SlipParams, _check_commands, run_scenario, slip_yaw_rate)
 
 CAR_WIDTH = 0.48            # m
 DEFAULT_CAR_LENGTH = 0.5    # m
@@ -77,14 +77,18 @@ class CircleReport:
 
 
 def circle_trace(v: float, c: float, p: SlipParams,
-                 model: MlpParams | None = None) -> tuple[SimTrace, float]:
+                 model: MlpParams | None = None) -> SimTrace:
     """Run the constant-command scenario used by circle_test.
 
-    Returns the trace and the curvature actually commanded (the corrected
-    one when a model is supplied).
+    (v, c) is checked as a command before it is corrected or simulated:
+    each within its domain, |v*c| within the actuator limit, and neither
+    zero.  The trace's ``cmd_c`` is the curvature actually commanded (the
+    corrected one when a model is supplied).
     """
-    if c == 0:
-        raise ValidationError("circle test needs a nonzero curvature")
+    check_within(("v", v, SPEED_DOMAIN), ("c", c, CURVATURE_DOMAIN))
+    _check_commands(np.array([v]), np.array([c]))
+    if v == 0 or c == 0:
+        raise ValidationError("circle test needs a nonzero speed and curvature")
     c_cmd = correct(model, v, c).c_corrected if model is not None else c
     # Steady-state yaw rate estimate sizes the run to >= MIN_REVOLUTIONS
     # full circles after the lag transient.
@@ -92,8 +96,7 @@ def circle_trace(v: float, c: float, p: SlipParams,
     av_ss = max(av_ss, 0.1)
     transient = TRANSIENT_MULT * p.lag_tau
     duration = transient + (MIN_REVOLUTIONS + 0.2) * (2.0 * math.pi / av_ss)
-    trace = run_scenario(ControlScript.constant(v, c_cmd), p, duration)
-    return trace, c_cmd
+    return run_scenario(ControlScript.constant(v, c_cmd), p, duration)
 
 
 def circle_test(v: float, c: float, p: SlipParams,
@@ -102,11 +105,11 @@ def circle_test(v: float, c: float, p: SlipParams,
     """Drive a constant (v, c) command, fit the settled trajectory, report.
 
     The first TRANSIENT_MULT*lag_tau seconds are discarded before fitting.
-    A caller that already holds the run, ``circle_trace(v, c, p, model)[0]``
+    A caller that already holds the run, ``circle_trace(v, c, p, model)``
     (to plot it, say), passes it as ``trace`` instead of simulating it again.
     """
     if trace is None:
-        trace, _ = circle_trace(v, c, p, model)
+        trace = circle_trace(v, c, p, model)
     t = trace.times()
     keep = t >= TRANSIENT_MULT * p.lag_tau
     _, r_fit = fit_circle(trace.xy()[keep])

@@ -16,9 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InferenceError, ValidationError
+from .errors import InferenceError, ValidationError, check_within
 from .mlp import MlpParams, forward
-from .simcore import AV_LIMIT, EPS_V, c_from_av_v  # actuator range, speed guard
+from .simcore import (AV_LIMIT, EPS_V,  # actuator range, speed guard
+                      CURVATURE_DOMAIN, SPEED_DOMAIN, YAW_RATE_DOMAIN, c_from_av_v)
 
 
 def av_from_vc(v: float, c: float) -> float:
@@ -61,21 +62,16 @@ def correct_batch(model: MlpParams, v: np.ndarray, c_desired: np.ndarray) -> Cor
     answer is clamped to the actuator range and turned back into a
     curvature, with ``clamped`` marking the rows the clamp changed.  The
     rows share one batched forward pass, whose sums may round differently
-    from a one-row pass in the last bits.  A v*c that overflows raises
-    ValidationError, and a non-finite model output InferenceError, each
-    naming the first bad row.
+    from a one-row pass in the last bits.  A v outside SPEED_DOMAIN or a c
+    outside CURVATURE_DOMAIN, and then a v*c outside YAW_RATE_DOMAIN, raises
+    ValidationError with the first bad row as its ``row``; a non-finite
+    model output raises InferenceError naming the first bad row.
     """
     v = np.asarray(v, dtype=float)
     c_desired = np.asarray(c_desired, dtype=float)
-    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(c_desired))):
-        raise ValidationError("v and c must be finite")
-    with np.errstate(over="ignore"):   # an overflowing v*c is refused below
-        av_desired = v * c_desired
-    bad = np.flatnonzero(~np.isfinite(av_desired))
-    if bad.size:
-        k = int(bad[0])
-        where = f"row {k}: " if av_desired.size > 1 else ""
-        raise ValidationError(f"{where}v*c must be finite, got {float(av_desired[k])!r}")
+    check_within(("v", v, SPEED_DOMAIN), ("c", c_desired, CURVATURE_DOMAIN))
+    av_desired = v * c_desired   # within +-1e6, so finite
+    check_within(("v*c", av_desired, YAW_RATE_DOMAIN))
     raw = forward(model, np.column_stack([v, av_desired]))
     bad = np.flatnonzero(~np.isfinite(raw))
     if bad.size:

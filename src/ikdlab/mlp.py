@@ -10,7 +10,9 @@ backpropagates into one flat gradient vector and runs AdamW in place on
 whole vectors, so it allocates little beyond the batch's activations.
 Weights are validated where they enter or leave the program (the named
 constructor, model files) and where training could diverge (the config and
-the end of each epoch), not on every step.
+the end of each epoch), not on every step.  Each weight must lie within
+WEIGHT_DOMAIN, so no forward pass on inputs within the simcore domains
+(+-1e3) overflows.
 """
 
 from __future__ import annotations
@@ -23,12 +25,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .align import AlignedDataset
-from .errors import ParseError, ValidationError, blamed, is_finite
+from .errors import ParseError, ValidationError, blamed, check_within, is_finite
 from .fileio import read_json, write_json, write_table
 
 LAYER_SIZES = (2, 32, 32, 1)
 MODEL_VERSION = 1
 LOSS_HEADER = "epoch,train_mse,test_mse"
+# +-limit of every weight: with inputs within +-1e3 a forward pass stays
+# below about 2.1e6 * WEIGHT_DOMAIN**3, some 2e306, inside the float range
+WEIGHT_DOMAIN = 1e100
 
 # W<k> is (fan_out, fan_in) and b<k> is (fan_out,) for layer k, in file order
 _SHAPES = {name: shape
@@ -48,9 +53,10 @@ class MlpParams:
 
     ``theta`` holds every weight in one read-only float64 vector, in
     _FIELDS order; W1, b1, W2, b2, W3 and b3 are reshaped views of it,
-    bound once when the object is built.  The named constructor copies and
-    validates its tensors; ``_from_flat`` adopts a vector unchecked and is
-    meant for the trainer only.
+    bound once when the object is built.  The named constructor copies its
+    tensors and checks their shapes and that every weight is within
+    WEIGHT_DOMAIN; ``_from_flat`` adopts a vector unchecked and is meant
+    for the trainer only.
     """
 
     W1: np.ndarray
@@ -70,9 +76,8 @@ class MlpParams:
                     f"{name} has shape {arr.shape}, expected {_SHAPES[name]}")
             tensors.append(arr)
         self._bind(np.concatenate(tensors, axis=None))
-        if not np.isfinite(self.theta).all():
-            raise ValidationError(
-                f"{_nonfinite_tensors(self)[0]} contains non-finite values")
+        for name in _FIELDS:
+            check_within((name, getattr(self, name), WEIGHT_DOMAIN))
 
     def _bind(self, theta: np.ndarray) -> None:
         theta.flags.writeable = False
@@ -93,9 +98,11 @@ def _views(flat: np.ndarray) -> tuple[np.ndarray, ...]:
                  for part, shape in zip(np.split(flat, _STOPS[:-1]), _SHAPES.values()))
 
 
-def _nonfinite_tensors(p: MlpParams) -> list[str]:
-    """Names of the tensors of p that hold a NaN or an infinity."""
-    return [name for name in _FIELDS if not np.all(np.isfinite(getattr(p, name)))]
+def _tensors_outside_domain(p: MlpParams) -> list[str]:
+    """Names of the tensors of p that hold a weight outside WEIGHT_DOMAIN
+    (NaN and the infinities included)."""
+    return [name for name in _FIELDS
+            if not np.all(np.abs(getattr(p, name)) <= WEIGHT_DOMAIN)]
 
 
 def init_params(rng: np.random.Generator) -> MlpParams:
@@ -323,16 +330,18 @@ def train(data: AlignedDataset, cfg: TrainConfig = TrainConfig()
     Seeded and fully deterministic: weight init, train/test split, and the
     per-epoch shuffles all come from one generator seeded with cfg.seed.
     The loss curve holds full-split MSE evaluated after each epoch.  A run
-    whose loss or weights turn non-finite stops with a ValidationError
-    naming the epoch.  Each step runs loss_and_grads and adamw_step in place
-    on vectors private to this call; the weights are wrapped once, in a
-    read-only copy, when training ends.  After each epoch, AdamW moments of
-    magnitude below the smallest normal float are set to zero.
+    whose loss turns non-finite, or a weight leaves WEIGHT_DOMAIN, stops
+    with a ValidationError naming the epoch, so the model returned is one
+    MlpParams and load_model accept.  Each step runs loss_and_grads and
+    adamw_step in place on vectors private to this call; the weights are
+    wrapped once, in a read-only copy, when training ends.  After each
+    epoch, AdamW moments of magnitude below the smallest normal float are
+    set to zero.
     """
     n = len(data)
     if n < 2 * cfg.batch_size:
-        raise ValidationError(
-            f"dataset has {n} rows; need at least {2 * cfg.batch_size}")
+        raise ValidationError(f"dataset has {n} rows; batch_size {cfg.batch_size} "
+                              f"needs at least {2 * cfg.batch_size}")
 
     rng = np.random.default_rng(cfg.seed)
     theta = init_params(rng).theta.copy()   # the private working vector
@@ -370,20 +379,21 @@ def train(data: AlignedDataset, cfg: TrainConfig = TrainConfig()
         train_mse[epoch] = _split_mse(p, X_tr, y_tr)
         test_mse[epoch] = _split_mse(p, X_te, y_te)
         if not (math.isfinite(train_mse[epoch]) and math.isfinite(test_mse[epoch])
-                and np.all(np.isfinite(theta))):
-            bad = ", ".join(_nonfinite_tensors(p)) or "none"
+                and np.all(np.abs(theta) <= WEIGHT_DOMAIN)):
+            bad = ", ".join(_tensors_outside_domain(p)) or "none"
             raise ValidationError(
                 f"training diverged in epoch {epoch}: train mse {train_mse[epoch]}, "
-                f"test mse {test_mse[epoch]}, non-finite weights in {bad}")
+                f"test mse {test_mse[epoch]}, weights outside +-{WEIGHT_DOMAIN:g} "
+                f"in {bad}")
     return MlpParams._from_flat(theta.copy()), LossCurve(train_mse=train_mse,
                                                          test_mse=test_mse)
 
 
 def save_model(p: MlpParams, path: str) -> None:
-    bad = _nonfinite_tensors(p)
+    bad = _tensors_outside_domain(p)
     if bad:
-        raise ValidationError(
-            f"{path}: refusing to save non-finite weights in {', '.join(bad)}")
+        raise ValidationError(f"{path}: refusing to save weights outside "
+                              f"+-{WEIGHT_DOMAIN:g} in {', '.join(bad)}")
     payload = {
         "version": MODEL_VERSION,
         "layer_sizes": list(LAYER_SIZES),
@@ -431,7 +441,7 @@ def load_model(path: str) -> MlpParams:
                 f"{path}: tensor {name} has shape {arr.shape}, "
                 f"expected {_SHAPES[name]}")
         vals[name] = arr
-    with blamed(lambda exc: path):   # a non-finite weight
+    with blamed(lambda exc: path):   # a weight outside WEIGHT_DOMAIN
         return MlpParams(**vals)
 
 

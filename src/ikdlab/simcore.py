@@ -34,13 +34,14 @@ EPS_V = 0.05         # m/s, below this speed curvature is defined as 0
 
 # Domains (+-limits) of the recorded quantities, far past anything the car or
 # its sensors report.  The record holding a quantity checks it, so nothing
-# downstream overflows; timestamps, lag_tau and imu_delay need only be finite.
+# downstream overflows; timestamps and imu_delay need only be finite.
 SPEED_DOMAIN = 1e3       # m/s
 YAW_RATE_DOMAIN = 1e3    # rad/s
 CURVATURE_DOMAIN = 1e3   # 1/m
 COURSE_DOMAIN = 1e6      # m, course positions and sizes
 BETA_DOMAIN = 1e3        # slip gain
 NOISE_SIGMA_DOMAIN = 10.0  # rad/s: a sample leaves YAW_RATE_DOMAIN only ~100 sigma out
+LAG_TAU_DOMAIN = 1e3     # s: a circle test settles for 5 lags, about 1e6 steps at most
 
 DEFAULT_DT = 0.005   # s, internal integration step
 DEFAULT_LOG_RATE = 40.0  # Hz, joystick and IMU recorder rate
@@ -133,7 +134,8 @@ class SlipParams:
     seed: int = 0
 
     def __post_init__(self):
-        check_within(("beta", self.beta, BETA_DOMAIN), ("lag_tau", self.lag_tau, FINITE),
+        check_within(("beta", self.beta, BETA_DOMAIN),
+                     ("lag_tau", self.lag_tau, LAG_TAU_DOMAIN),
                      ("imu_delay", self.imu_delay, FINITE),
                      ("noise_sigma", self.noise_sigma, NOISE_SIGMA_DOMAIN))
         if min(self.beta, self.lag_tau, self.imu_delay, self.noise_sigma) < 0:

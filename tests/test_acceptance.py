@@ -320,8 +320,7 @@ def test_invariant_property_suites():
             v_joy=rng.uniform(0.0, 4.2, m),
             av_joy=rng.uniform(-3.0, 3.0, m),
             av_imu=np.where(rng.random(m) < 0.3, 0.0,
-                            rng.uniform(-3.0, 3.0, m)),
-            period=0.025)
+                            rng.uniform(-3.0, 3.0, m)))
         once = prune_zero_curvature(data)
         twice = prune_zero_curvature(once)
         assert np.array_equal(once.v_joy, twice.v_joy)

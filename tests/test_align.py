@@ -205,11 +205,10 @@ def test_build_dataset_rejects_bad_rate_naming_it(rate):
 
 def test_dataset_validation():
     with pytest.raises(ValidationError):
-        AlignedDataset(v_joy=[1.0], av_joy=[5.0], av_imu=[0.0], period=0.025)
+        AlignedDataset(v_joy=[1.0], av_joy=[5.0], av_imu=[0.0])
     with pytest.raises(ValidationError):
-        AlignedDataset(v_joy=[1.0, 2.0], av_joy=[0.0], av_imu=[0.0],
-                       period=0.025)
-    d = AlignedDataset(v_joy=[1.0], av_joy=[0.5], av_imu=[0.4], period=0.025)
+        AlignedDataset(v_joy=[1.0, 2.0], av_joy=[0.0], av_imu=[0.0])
+    d = AlignedDataset(v_joy=[1.0], av_joy=[0.5], av_imu=[0.4])
     assert d.idx.tolist() == [0]
 
 
@@ -224,23 +223,20 @@ def test_dataset_validation():
 ])
 def test_dataset_check_reports_the_first_row_that_fails_it(av_joy, av_imu, row, message):
     with pytest.raises(ValidationError) as exc:
-        AlignedDataset(v_joy=np.ones(4), av_joy=av_joy, av_imu=av_imu, period=0.025)
+        AlignedDataset(v_joy=np.ones(4), av_joy=av_joy, av_imu=av_imu)
     assert (str(exc.value), exc.value.row) == (message, row)
-    with pytest.raises(ValidationError, match="period") as exc:
-        AlignedDataset(v_joy=[1.0], av_joy=[0.5], av_imu=[0.4], period=-1.0)
-    assert exc.value.row is None
 
 
 def test_only_commands_are_held_to_the_actuator_limit():
     # IMU noise around a command at the limit reads above 4 rad/s
     d = AlignedDataset(v_joy=[4.0, 4.0], av_joy=[4.0, 4.0],
-                       av_imu=[4.0, 4.013], period=0.025)
+                       av_imu=[4.0, 4.013])
     assert d.av_imu[1] == 4.013
-    AlignedDataset(v_joy=[4.0], av_joy=[-4.0], av_imu=[-6.5], period=0.025)
+    AlignedDataset(v_joy=[4.0], av_joy=[-4.0], av_imu=[-6.5])
     with pytest.raises(ValidationError, match="av_joy"):
-        AlignedDataset(v_joy=[4.0], av_joy=[4.1], av_imu=[4.0], period=0.025)
+        AlignedDataset(v_joy=[4.0], av_joy=[4.1], av_imu=[4.0])
     with pytest.raises(ValidationError, match="av_imu must be within"):
-        AlignedDataset(v_joy=[4.0], av_joy=[4.0], av_imu=[np.inf], period=0.025)
+        AlignedDataset(v_joy=[4.0], av_joy=[4.0], av_imu=[np.inf])
 
 
 # --- curvature pruning -------------------------------------------------------
@@ -248,7 +244,7 @@ def test_only_commands_are_held_to_the_actuator_limit():
 def test_prune_drops_zero_yaw_rows():
     d = AlignedDataset(v_joy=[2.0, 2.0, 0.01, 2.0],
                        av_joy=[0.0, 1.0, 3.0, -1.0],
-                       av_imu=[0.0, 0.9, 2.5, -0.9], period=0.025)
+                       av_imu=[0.0, 0.9, 2.5, -0.9])
     out = prune_zero_curvature(d)
     # row 0 has zero curvature; row 2 is below the speed guard, so its
     # curvature is defined as zero and it is dropped too
@@ -257,11 +253,11 @@ def test_prune_drops_zero_yaw_rows():
 
 def test_prune_identity_and_empty_cases():
     turning = AlignedDataset(v_joy=[2.0, 2.0], av_joy=[1.0, -0.5],
-                             av_imu=[0.9, -0.4], period=0.025)
+                             av_imu=[0.9, -0.4])
     out = prune_zero_curvature(turning)
     assert np.array_equal(out.av_joy, turning.av_joy)
     straight = AlignedDataset(v_joy=[2.0, 2.0], av_joy=[0.0, 0.0],
-                              av_imu=[0.0, 0.0], period=0.025)
+                              av_imu=[0.0, 0.0])
     assert len(prune_zero_curvature(straight)) == 0
 
 
@@ -271,7 +267,7 @@ def test_prune_is_idempotent():
         n = int(rng.integers(1, 60))
         d = AlignedDataset(v_joy=rng.uniform(0.0, 4.0, n),
                            av_joy=np.round(rng.uniform(-2, 2, n), 1),
-                           av_imu=rng.uniform(-2, 2, n), period=0.025)
+                           av_imu=rng.uniform(-2, 2, n))
         once = prune_zero_curvature(d)
         twice = prune_zero_curvature(once)
         assert np.array_equal(once.av_joy, twice.av_joy)
@@ -331,14 +327,13 @@ def test_velocity_histogram_from_simulated_sweep():
 
 def test_dataset_csv_round_trip(tmp_path):
     d = AlignedDataset(v_joy=[1.0, 2.0], av_joy=[0.5, -0.25],
-                       av_imu=[0.45, -0.2], period=0.025)
+                       av_imu=[0.45, -0.2])
     path = str(tmp_path / "dataset.csv")
     write_dataset_csv(d, path)
-    back = read_dataset_csv(path, period=0.025)
+    back = read_dataset_csv(path)
     assert np.array_equal(back.v_joy, d.v_joy)
     assert np.array_equal(back.av_joy, d.av_joy)
     assert np.array_equal(back.av_imu, d.av_imu)
-    assert back.period == 0.025
 
 
 def test_dataset_csv_rejects_broken_index(tmp_path):

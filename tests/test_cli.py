@@ -359,44 +359,87 @@ def test_script_with_an_unknown_top_level_key_exits_1_naming_it(workdir, capsys)
     assert capsys.readouterr().err == "error: script.json: unknown fields ['bogus']\n"
 
 
+# circle_trace checks each (--v, curvature) command before it simulates it;
+# with one curvature, or a bad first one, nothing has been simulated yet
 @pytest.mark.parametrize("argv, err", [
-    (["--curvatures", "nan"], "--curvatures must be finite and nonzero, got nan"),
-    (["--curvatures", "0.5,inf"], "--curvatures must be finite and nonzero, got inf"),
-    (["--curvatures", "0.5,0"], "--curvatures must be finite and nonzero, got 0.0"),
+    (["--curvatures", "nan"], "--v 2.0 at --curvatures nan: c must be within +-1000, "
+                              "got nan"),
+    (["--curvatures", "inf"], "--v 2.0 at --curvatures inf: c must be within +-1000, "
+                              "got inf"),
+    (["--curvatures", "0"], "--v 2.0 at --curvatures 0.0: circle test needs a nonzero "
+                            "speed and curvature"),
     (["--curvatures", "0.5,x"], "--curvatures: bad curvature list '0.5,x'"),
     (["--curvatures", ","], "--curvatures: curvature list is empty"),
-    (["--v", "nan"], "--v must be finite and nonzero, got nan"),
-    (["--v=-inf"], "--v must be finite and nonzero, got -inf"),
-    (["--v", "0"], "--v must be finite and nonzero, got 0.0"),
-    (["--curvatures", "0.5,2.1"], "--v 2.0 at --curvatures 2.1 commands a yaw rate "
-                                  "outside [-4.0, 4.0] rad/s"),
-    (["--curvatures", "1e308"], "--v 2.0 at --curvatures 1e+308 commands a yaw rate "
-                                "outside [-4.0, 4.0] rad/s"),
-    (["--v", "1e308"], "--v 1e+308 at --curvatures 0.12 commands a yaw rate "
-                       "outside [-4.0, 4.0] rad/s"),
-    (["--v=-1e300", "--curvatures", "1e300"], "--v -1e+300 at --curvatures 1e+300 "
-                                              "commands a yaw rate outside "
-                                              "[-4.0, 4.0] rad/s"),
+    (["--v", "nan"], "--v nan at --curvatures 0.12: v must be within +-1000, got nan"),
+    (["--v=-inf"], "--v -inf at --curvatures 0.12: v must be within +-1000, got -inf"),
+    (["--v", "0"], "--v 0.0 at --curvatures 0.12: circle test needs a nonzero speed and "
+                   "curvature"),
+    (["--curvatures", "2.1"], "--v 2.0 at --curvatures 2.1: commanded angular velocity "
+                              "v*c=4.2000 outside [-4.0, 4.0]"),
+    (["--curvatures", "1e308"], "--v 2.0 at --curvatures 1e+308: c must be within +-1000, "
+                                "got 1e+308"),
+    (["--v", "1e308"], "--v 1e+308 at --curvatures 0.12: v must be within +-1000, "
+                       "got 1e+308"),
+    (["--v=-1e300", "--curvatures", "1e300"], "--v -1e+300 at --curvatures 1e+300: v must "
+                                              "be within +-1000, got -1e+300"),
 ])
 def test_eval_circle_checks_its_flags_before_simulating(workdir, capsys, argv, err):
-    assert main(["eval-circle", "--out", "run", *argv]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval-circle", "--out", "run", *argv]) == 1
     assert capsys.readouterr().err == f"error: {err}\n"
     assert not os.path.exists("run")   # refused before any output was made
+
+
+@pytest.mark.parametrize("curvatures, err", [
+    ("0.5,inf", "--v 2.0 at --curvatures inf: c must be within +-1000, got inf"),
+    ("0.5,0", "--v 2.0 at --curvatures 0.0: circle test needs a nonzero speed and "
+              "curvature"),
+    ("0.5,2.1", "--v 2.0 at --curvatures 2.1: commanded angular velocity v*c=4.2000 "
+                "outside [-4.0, 4.0]"),
+], ids=["inf", "zero", "past-the-actuator"])
+def test_eval_circle_refuses_a_later_curvature_after_simulating_the_earlier_ones(
+        workdir, capsys, curvatures, err):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval-circle", "--out", "run", "--curvatures", curvatures]) == 1
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not os.path.exists("run")   # the earlier circles' files are not written
 
 
 @pytest.mark.parametrize("v, c, product", [("1e308", "1e308", "inf"),
                                            ("-1e308", "1e308", "-inf")])
 def test_correct_with_an_overflowing_v_times_c_exits_1_without_a_warning(
         workdir, capsys, v, c, product):
+    assert float(v) * float(c) == float(product)   # what the flags would command
     mlp.save_model(mlp.init_params(np.random.default_rng(0)), "model.json")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["correct", "--model", "model.json", f"--v={v}", f"--c={c}"]) == 1
     assert caught == []
     err = capsys.readouterr().err
-    assert err == (f"error: --v {float(v)!r} at --c {float(c)!r} commands a non-finite "
-                   f"yaw rate v*c={product}\n")
-    assert err.count("error:") == 1 and "Warning" not in err
+    # v is refused against its domain before the product is formed
+    assert err == (f"error: --v {float(v)!r} at --c {float(c)!r}: v must be within "
+                   f"+-1000, got {float(v)!r}\n")
+
+
+@pytest.mark.parametrize("command", [["correct", "--v", "2", "--c", "0.5"],
+                                     ["eval-circle", "--curvatures", "0.5"]],
+                         ids=["correct", "eval-circle"])
+def test_model_with_a_weight_past_the_domain_exits_1_naming_the_file(workdir, capsys,
+                                                                     command):
+    mlp.save_model(mlp.init_params(np.random.default_rng(0)), "big.json")
+    with open("big.json", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["weights"]["W1"][0][0] = 1e308   # finite, but past WEIGHT_DOMAIN
+    with open("big.json", "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*command, "--model", "big.json", "--out", "run"]) == 1
+    assert (capsys.readouterr().err
+            == "error: big.json: W1 must be within +-1e+100, got 1e+308\n")
+    assert not os.path.exists("run")
 
 
 @pytest.mark.parametrize("argv, name, raw, line", [
@@ -424,7 +467,7 @@ def test_non_utf8_input_exits_1_naming_file_and_line(workdir, capsys, argv, name
     ([["0.5", 1.0]] * 32, "tensor W1 must be a rectangular array of numbers"),
     ([[True, 1.0]] * 32, "tensor W1 must be a rectangular array of numbers"),
     ([[10 ** 400, 1.0]] * 32, "tensor W1 must be a rectangular array of numbers"),
-    ([[float("nan"), 1.0]] * 32, "W1 contains non-finite values"),
+    ([[float("nan"), 1.0]] * 32, "W1 must be within +-1e+100, got nan"),
 ], ids=["string", "ragged", "object", "null", "numeric-string", "bool",
         "integer-past-float-range", "nan"])
 def test_model_tensor_that_is_not_numbers_exits_1_naming_file_and_tensor(
@@ -504,10 +547,20 @@ def test_align_names_the_logs_its_pair_check_refuses(workdir, capsys, joy, err):
     (["correct", "--model", "model.json", "--v", "2", "--c", "0.5", "--seed", "-1"],
      "--seed must be >= 0"),
     (["correct", "--model", "model.json", "--v", "2", "--c", "nan"],
-     "--c must be finite, got nan"),
+     "--v 2.0 at --c nan: c must be within +-1000, got nan"),
     (["correct", "--model", "model.json", "--v=-inf", "--c", "0.5"],
-     "--v must be finite, got -inf"),
-], ids=["seed", "correct-seed", "c", "v"])
+     "--v -inf at --c 0.5: v must be within +-1000, got -inf"),
+    (["correct", "--model", "model.json", "--v", "nan", "--c", "0.5"],
+     "--v nan at --c 0.5: v must be within +-1000, got nan"),
+    (["correct", "--model", "model.json", "--v", "1e308", "--c", "0.5"],
+     "--v 1e+308 at --c 0.5: v must be within +-1000, got 1e+308"),
+    (["correct", "--model", "model.json", "--v", "2", "--c", "1e300"],
+     "--v 2.0 at --c 1e+300: c must be within +-1000, got 1e+300"),
+    # each within its domain, but not the yaw rate they ask for
+    (["correct", "--model", "model.json", "--v", "1000", "--c", "2"],
+     "--v 1000.0 at --c 2.0: v*c must be within +-1000, got 2000.0"),
+], ids=["seed", "correct-seed", "c", "v", "v-nan", "v-past-its-domain",
+        "c-past-its-domain", "v-times-c-past-its-domain"])
 def test_seed_v_and_c_flags_are_checked_naming_the_flag(workdir, capsys, argv, err):
     mlp.save_model(mlp.init_params(np.random.default_rng(0)), "model.json")
     assert main([*argv, "--out", "run"]) == 1
@@ -517,7 +570,7 @@ def test_seed_v_and_c_flags_are_checked_naming_the_flag(workdir, capsys, argv, e
 def test_training_that_diverges_names_the_dataset(workdir, capsys):
     align_mod.write_dataset_csv(
         AlignedDataset(v_joy=np.linspace(0.5, 3.0, 100), av_joy=0.2 * np.ones(100),
-                       av_imu=0.18 * np.ones(100), period=0.025), "ds.csv")
+                       av_imu=0.18 * np.ones(100)), "ds.csv")
     # sane rows, but a step size that throws the weights past the float range
     with open("cfg.json", "w", encoding="utf-8") as fh:
         json.dump({"seed": 0, "train": {"epochs": 2, "batch_size": 16, "lr": 1e300}}, fh)
@@ -780,8 +833,16 @@ COURSE = {"boxes": [{"cx": 0, "cy": 0, "w": 1, "h": 1}], "cones": [[2.0, 0.0]],
      "--v 1e-05 at --curvatures 2000.0: c must be within +-1000, got 2000.0"),
     (["eval-circle", "--v", "1e5", "--curvatures", "1e-5"], {},
      "--v 100000.0 at --curvatures 1e-05: v must be within +-1000, got 100000.0"),
+    # a circle run settles for 5 lags, so this lag would be past any index
+    (["eval-circle", "--config", "cfg.json", "--curvatures", "0.5"],
+     {"cfg.json": {"seed": 0, "slip_file": "slip.json"}, "slip.json": {"lag_tau": 1e300}},
+     "slip.json: lag_tau must be within +-1000, got 1e+300"),
+    (["eval-circle", "--config", "cfg.json", "--curvatures", "0.5"],
+     {"cfg.json": {"seed": 0, "slip_file": "slip.json"},
+      "slip.json": {"lag_tau": float(np.nextafter(1e3, np.inf))}},
+     "slip.json: lag_tau must be within +-1000, got 1000.0000000000001"),
 ], ids=["noise-sigma", "noise-sigma-script", "beta", "script-v", "box-w", "box-all",
-        "cone", "gap", "circle-c", "circle-v"])
+        "cone", "gap", "circle-c", "circle-v", "lag-tau", "lag-tau-one-ulp-past"])
 def test_finite_value_past_its_domain_exits_1_naming_file_and_key(workdir, capsys, argv,
                                                                   files, err):
     for name, raw in files.items():
@@ -811,19 +872,20 @@ def test_train_size_past_the_index_range_exits_1_naming_file_and_key(workdir, ca
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--config", "cfg.json"], "train.batch_size 1000 in cfg.json needs at least 2000"),
-    ([], "train.batch_size 32 by default needs at least 64"),
+    (["--config", "cfg.json"], "batch_size 1000 needs at least 2000"),
+    ([], "batch_size 32 needs at least 64"),
 ], ids=["config", "default"])
 def test_batch_size_too_large_for_the_dataset_exits_1_naming_files_and_key(
         workdir, capsys, argv, message):
     rows = 468 if argv else 50
     v = np.linspace(0.5, 3.0, rows)
     align_mod.write_dataset_csv(
-        AlignedDataset(v_joy=v, av_joy=0.2 * v, av_imu=0.18 * v, period=0.025), "ds.csv")
+        AlignedDataset(v_joy=v, av_joy=0.2 * v, av_imu=0.18 * v), "ds.csv")
     with open("cfg.json", "w", encoding="utf-8") as fh:
         json.dump({"seed": 0, "train": {"batch_size": 1000}}, fh)
     assert main(["train", *argv, "--dataset", "ds.csv", "--out", "run"]) == 1
-    assert capsys.readouterr().err == f"error: ds.csv has {rows} rows; {message}\n"
+    assert (capsys.readouterr().err
+            == f"error: ds.csv: dataset has {rows} rows; {message}\n")
     assert not os.path.exists("run/models/model.json")
 
 

@@ -6,6 +6,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from ikdlab import evalkit
 from ikdlab.errors import FitError, ValidationError
 from ikdlab.evalkit import (CAR_WIDTH, MIN_REVOLUTIONS, TRANSIENT_MULT,
                             CircleReport, ClearanceReport, DriftScenario,
@@ -107,7 +108,7 @@ def test_circle_test_slip_plant_understeers():
 
 def test_circle_test_covers_two_revolutions_after_transient():
     p = SlipParams()
-    trace, _ = circle_trace(2.0, 0.5, p)
+    trace = circle_trace(2.0, 0.5, p)
     t = trace.times()
     keep = t >= TRANSIENT_MULT * p.lag_tau
     headings = trace.heading[keep]
@@ -120,13 +121,33 @@ def test_circle_test_correction_model_changes_command():
     report = circle_test(2.0, 0.4, SlipParams.ideal(), build_gain_model(1.25))
     assert report.ikd_enabled
     assert report.c_measured == pytest.approx(0.5, rel=1e-3)
-    _, c_cmd = circle_trace(2.0, 0.4, SlipParams.ideal(), build_gain_model(1.25))
-    assert c_cmd == pytest.approx(0.5, rel=1e-9)
+    trace = circle_trace(2.0, 0.4, SlipParams.ideal(), build_gain_model(1.25))
+    assert np.all(trace.cmd_c == trace.cmd_c[0])
+    assert trace.cmd_c[0] == pytest.approx(0.5, rel=1e-9)
 
 
 def test_circle_test_rejects_zero_curvature():
     with pytest.raises(ValidationError):
         circle_test(2.0, 0.0, SlipParams())
+
+
+@pytest.mark.parametrize("v, c, message, row", [
+    (1e308, 0.5, "v must be within +-1000, got 1e+308", None),
+    (2.0, float("nan"), "c must be within +-1000, got nan", None),
+    (-1e300, 1e300, "v must be within +-1000, got -1e+300", None),
+    (2.0, 2.1, "commanded angular velocity v*c=4.2000 outside [-4.0, 4.0]", 0),
+    (0.0, 0.5, "circle test needs a nonzero speed and curvature", None),
+    (2.0, 0.0, "circle test needs a nonzero speed and curvature", None),
+], ids=["v", "c-nan", "both-past", "past-the-actuator", "zero-v", "zero-c"])
+def test_circle_trace_checks_its_command_before_correcting_or_simulating(
+        monkeypatch, v, c, message, row):
+    def never(*args, **kwargs):
+        raise AssertionError("reached past the command check")
+    monkeypatch.setattr(evalkit, "correct", never)
+    monkeypatch.setattr(evalkit, "run_scenario", never)
+    with pytest.raises(ValidationError) as exc:
+        circle_trace(v, c, SlipParams(), build_gain_model(1.25))
+    assert (str(exc.value), exc.value.row) == (message, row)
 
 
 # --- rectangle geometry ------------------------------------------------------

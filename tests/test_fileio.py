@@ -27,8 +27,7 @@ GOLDEN = [
     ("imu", lambda p: write_imu_csv(ImuLog(t=[0.0, 0.025], av_z=[0.1, 1e-20]), p),
      "t,av_z\n0.0,0.1\n0.025,1e-20\n"),
     ("dataset", lambda p: write_dataset_csv(
-        AlignedDataset(v_joy=[1.0, 2.0], av_joy=[0.5, -0.25], av_imu=[0.45, -0.2],
-                       period=0.025), p),
+        AlignedDataset(v_joy=[1.0, 2.0], av_joy=[0.5, -0.25], av_imu=[0.45, -0.2]), p),
      "idx,v_joy,av_joy,av_imu\n0,1.0,0.5,0.45\n1,2.0,-0.25,-0.2\n"),
     ("histogram", lambda p: write_histogram_csv(np.array([2, 0, 1]), (0.0, 0.3), p),
      "bin_lo,bin_hi,count\n0.0,0.09999999999999999,2\n"
@@ -147,7 +146,7 @@ def test_row_line_counts_past_blank_lines(tmp_path, text, header, lines):
 def test_read_record_raises_an_error_without_a_row_unchanged(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n1,2\n", encoding="utf-8")
-    refusals = [ValidationError("period must be non-negative"),
+    refusals = [ValidationError("channel lengths differ"),
                 ParseError(f"{path}: no rows"), MemoryError("out of memory")]
     for refusal in refusals:
         def refuse(rows):

@@ -9,7 +9,7 @@ import pytest
 from ikdlab.errors import InferenceError, ValidationError
 from ikdlab.ikd import (AV_LIMIT, EPS_V, CorrectionResult, av_from_vc,
                         c_from_av_v, correct, correct_batch)
-from ikdlab.mlp import MlpParams, init_params
+from ikdlab.mlp import _SHAPES, WEIGHT_DOMAIN, MlpParams, init_params
 
 from conftest import build_constant_model, build_gain_model, build_identity_model
 
@@ -118,14 +118,13 @@ def test_speed_guard_has_one_home():
 
 
 def overflowing_model() -> MlpParams:
-    """A model whose output overflows for v > 0 and is 0 for v <= 0."""
-    vals = {"W1": np.zeros((32, 2)), "b1": np.zeros(32),
-            "W2": np.zeros((32, 32)), "b2": np.zeros(32),
-            "W3": np.zeros((1, 32)), "b3": np.zeros(1)}
-    vals["W1"][0, 0] = 1e308
-    vals["W2"][0, 0] = 1e308
-    vals["W3"][0, 0] = 1e308
-    return MlpParams(**vals)
+    """A model whose output overflows for v > 0 and is 0 for v <= 0.  Built
+    unchecked: its weights of 1e308 are past WEIGHT_DOMAIN."""
+    W1, W2, W3 = np.zeros((32, 2)), np.zeros((32, 32)), np.zeros((1, 32))
+    for W in (W1, W2, W3):
+        W[0, 0] = 1e308
+    return MlpParams._from_flat(np.concatenate(
+        [W1, np.zeros(32), W2, np.zeros(32), W3, np.zeros(1)], axis=None))
 
 
 def test_non_finite_model_output_raises():
@@ -171,15 +170,40 @@ def test_batched_correction_names_first_non_finite_row():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InferenceError, match=r"^row 2: model output (inf|nan) is not finite$"):
             correct_batch(overflowing_model(), v, c)
-    with pytest.raises(ValidationError, match="v and c must be finite"):
+    with pytest.raises(ValidationError) as exc:
         correct_batch(build_identity_model(), [1.0, 2.0], [0.1, float("nan")])
+    assert (str(exc.value), exc.value.row) == ("c must be within +-1000, got nan", 1)
 
 
 def test_overflowing_v_times_c_is_refused_by_name():
-    with pytest.raises(ValidationError, match=r"^row 1: v\*c must be finite, got -inf$"):
-        correct_batch(build_identity_model(), [1.0, -1e200, 1e200], [0.1, 1e200, 1e200])
-    with pytest.raises(ValidationError, match=r"^v\*c must be finite, got inf$"):
+    cases = [
+        # v and c are checked first, so a product past the float range is never formed
+        ([1.0, -1e200, 1e200], [0.1, 1e200, 1e200], 1,
+         "v must be within +-1000, got -1e+200"),
+        ([1.0, 1e3, 2.0], [0.1, 1e3, 1e300], 2, "c must be within +-1000, got 1e+300"),
+        ([1.0, 2.0, 1e3], [0.1, float(np.nextafter(1e3, np.inf)), 1e3], 1,
+         "c must be within +-1000, got 1000.0000000000001"),
+        # then v*c, against the yaw-rate domain
+        ([1.0, 1e3, 2.0], [0.1, 1e3, 0.5], 1, "v*c must be within +-1000, got 1000000.0"),
+        ([-1e3, 2.0], [-1.0 - 2 ** -52, 0.5], 0,
+         "v*c must be within +-1000, got 1000.0000000000002"),
+    ]
+    for v, c, row, message in cases:
+        with pytest.raises(ValidationError) as exc:
+            correct_batch(build_identity_model(), v, c)
+        assert (str(exc.value), exc.value.row) == (message, row)
+    with pytest.raises(ValidationError, match=r"^v must be within \+-1000, got 1e\+308$"):
         correct(build_identity_model(), 1e308, 1e308)
+
+
+def test_correction_at_the_domain_edges_is_finite_without_a_warning():
+    # every weight at +WEIGHT_DOMAIN and every input at the edge of its domain:
+    # the output, about 2e306, still fits a float, and the clamp takes it
+    edge = MlpParams(**{name: np.full(shape, WEIGHT_DOMAIN)
+                        for name, shape in _SHAPES.items()})
+    batch = correct_batch(edge, [1e3, 1e3, -1e3], [1.0, 1e-3, -1.0])
+    assert batch.av_desired.tolist() == [1e3, 1.0, 1e3]
+    assert batch.av_corrected.tolist() == [AV_LIMIT] * 3 and batch.clamped.all()
 
 
 def test_result_serialization_round_trip():

@@ -6,7 +6,7 @@ import pytest
 from ikdlab.align import AlignedDataset
 from ikdlab.errors import ParseError, ValidationError
 from ikdlab import mlp as mlp_module
-from ikdlab.mlp import (LAYER_SIZES, N_PARAMS, AdamState, LossCurve,
+from ikdlab.mlp import (LAYER_SIZES, N_PARAMS, WEIGHT_DOMAIN, AdamState, LossCurve,
                         MlpParams, TrainConfig, _EVAL_ROWS, _FIELDS, _SHAPES,
                         _split_mse, _views, adamw_step, forward, init_params,
                         load_model, loss_and_grads, save_model, train,
@@ -32,7 +32,7 @@ def identity_dataset(n: int = 3000, seed: int = 0) -> AlignedDataset:
     rng = np.random.default_rng(seed)
     v = rng.uniform(0.5, 4.0, n)
     av = rng.uniform(-3.8, 3.8, n)
-    return AlignedDataset(v_joy=v, av_joy=av, av_imu=av, period=0.025)
+    return AlignedDataset(v_joy=v, av_joy=av, av_imu=av)
 
 
 # --- forward -----------------------------------------------------------------
@@ -95,6 +95,20 @@ def test_params_shape_and_finiteness_validation():
     bad["W1"] = np.full(_SHAPES["W1"], np.inf)
     with pytest.raises(ValidationError):
         MlpParams(**bad)
+
+
+def test_params_refuse_the_first_weight_outside_the_domain():
+    edge = {n: np.full(_SHAPES[n], -WEIGHT_DOMAIN) for n in _FIELDS}
+    MlpParams(**edge)   # at the edge is fine
+    past = float(np.nextafter(WEIGHT_DOMAIN, np.inf))
+    for name, k, value, shown in (("b2", 5, 1e308, "1e+308"), ("W3", 0, np.nan, "nan"),
+                                  ("W1", 3, -past, "-1.0000000000000002e+100")):
+        tensors = {n: np.zeros(_SHAPES[n]) for n in _FIELDS}
+        tensors[name].flat[k] = value
+        tensors["W3"].flat[-1] = np.inf   # a later bad weight: the first is named
+        with pytest.raises(ValidationError) as exc:
+            MlpParams(**tensors)
+        assert str(exc.value) == f"{name} must be within +-1e+100, got {shown}"
 
 
 def test_named_tensors_are_views_of_one_flat_vector():
@@ -303,7 +317,7 @@ def test_train_converges_toward_constant_target():
     n = 500
     data = AlignedDataset(v_joy=rng.uniform(0.5, 4, n),
                           av_joy=np.full(n, 1.7),
-                          av_imu=rng.uniform(-3, 3, n), period=0.025)
+                          av_imu=rng.uniform(-3, 3, n))
     _, curve = train(data, TrainConfig(epochs=10, seed=0))
     assert curve.train_mse[-1] < curve.train_mse[0]
 
@@ -321,8 +335,21 @@ def test_train_is_seeded_and_deterministic():
 
 def test_train_rejects_small_datasets():
     data = identity_dataset(n=50)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match="^dataset has 50 rows; batch_size 32 needs at least 64$"):
         train(data, TrainConfig(batch_size=32, epochs=1))
+
+
+def test_train_stops_when_a_weight_leaves_the_domain(monkeypatch):
+    # One step of size 1e120 (a 100-row train split, one batch) moves every
+    # weight to about 1e120: finite, but far past WEIGHT_DOMAIN.  With the
+    # loss reported finite, the weight bound alone stops the run.
+    monkeypatch.setattr(mlp_module, "_split_mse", lambda p, X, y: 0.0)
+    cfg = TrainConfig(lr=1e120, epochs=2, batch_size=100, split_fraction=0.5)
+    with pytest.raises(ValidationError) as exc:
+        train(identity_dataset(n=200), cfg)
+    assert str(exc.value) == ("training diverged in epoch 0: train mse 0.0, test mse 0.0, "
+                              "weights outside +-1e+100 in W1, b1, W2, b2, W3, b3")
 
 
 def test_train_config_validation():

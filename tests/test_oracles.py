@@ -1161,8 +1161,8 @@ def reference_adamw_step(p: MlpParams, grads: dict, s: ReferenceAdamState,
 def reference_train(data: AlignedDataset, cfg: TrainConfig):
     n = len(data)
     if n < 2 * cfg.batch_size:
-        raise ValidationError(
-            f"dataset has {n} rows; need at least {2 * cfg.batch_size}")
+        raise ValidationError(f"dataset has {n} rows; batch_size {cfg.batch_size} "
+                              f"needs at least {2 * cfg.batch_size}")
 
     rng = np.random.default_rng(cfg.seed)
     p = init_params(rng)
@@ -1196,7 +1196,7 @@ def random_slip_dataset(rng, n: int) -> AlignedDataset:
     av_joy = rng.uniform(-1.0, 1.0, n) * np.minimum(4.0, 1.2 * v)
     gain = 1.0 / (1.0 + rng.uniform(0.05, 0.4) * v * v)
     av_imu = gain * av_joy + rng.normal(0.0, 0.02, n)
-    return AlignedDataset(v_joy=v, av_joy=av_joy, av_imu=av_imu, period=0.025)
+    return AlignedDataset(v_joy=v, av_joy=av_joy, av_imu=av_imu)
 
 
 def test_flat_trainer_matches_per_tensor_loop_bit_for_bit():

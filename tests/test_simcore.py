@@ -8,7 +8,7 @@ import pytest
 
 from ikdlab.datalog import JoyLog
 from ikdlab.errors import ParseError, ValidationError
-from ikdlab.simcore import (AV_LIMIT, DEFAULT_DT, V_CAP, ControlScript,
+from ikdlab.simcore import (AV_LIMIT, DEFAULT_DT, LAG_TAU_DOMAIN, V_CAP, ControlScript,
                             ScriptSegment, SimTrace, SlipParams, VehicleState,
                             emit_sensor_logs, normalize_heading, record_logs,
                             run_scenario, slip_yaw_rate)
@@ -50,6 +50,15 @@ def test_slip_params_validation_and_ideal():
     ideal = SlipParams.ideal()
     assert (ideal.beta, ideal.lag_tau, ideal.imu_delay,
             ideal.noise_sigma) == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_lag_tau_is_held_to_its_domain():
+    assert SlipParams(lag_tau=LAG_TAU_DOMAIN).lag_tau == 1e3
+    for lag, shown in ((1e300, "1e+300"), (float(np.nextafter(1e3, np.inf)),
+                                           "1000.0000000000001")):
+        with pytest.raises(ValidationError) as exc:
+            SlipParams(lag_tau=lag)
+        assert str(exc.value) == f"lag_tau must be within +-1000, got {shown}"
 
 
 def test_slip_params_json_round_trip(tmp_path):

@@ -4,8 +4,9 @@ README's "Library use" imports must keep working, no module of the package
 may import a name it never uses, no public name of the package may be one
 that only unit tests call, the names the benchmark's tracer
 (perfbench/tracing.py) wraps must exist and be the ones the program calls,
-only the CLI's ``main`` may load the config, write or print, and only the
-listed functions may silence numpy's floating-point warnings.
+only the CLI's ``main`` may load the config, write or print, no CLI stage
+may copy a check the library makes, and only the listed functions may
+silence numpy's floating-point warnings.
 """
 
 import ast
@@ -200,18 +201,26 @@ def test_reference_check_resolves_imports_and_qualifies_class_methods():
     assert not found("ControlScript.duration", "method")
 
 
-STAGE_CALLS = {"print", "open", "os.makedirs", "_load_config"}
+# A stage leaves every check to the library function that uses the value:
+# it may not test finiteness or the actuator limit itself.
+STAGE_CALLS = {"print", "open", "os.makedirs", "_load_config", "math.isfinite"}
 STAGE_PREFIXES = ("write_", "save_", "svg_")
+STAGE_READS = {"AV_LIMIT"}
 
 
 def stage_side_effects(tree: ast.Module) -> tuple[list[str], list[str]]:
-    """``cmd_*`` calls that load the config, write or print, as
-    ``function:line: callee``, and the top-level definitions that call
+    """``cmd_*`` calls that load the config, write, print or test
+    finiteness, and ``cmd_*`` reads of the actuator limit, as
+    ``function:line: name``, and the top-level definitions that call
     ``_load_config``."""
     effects, loaders = [], []
     for top in tree.body:
         owner = getattr(top, "name", "<module>")
         for node in ast.walk(top):
+            if isinstance(node, (ast.Name, ast.Attribute)) and owner.startswith("cmd_"):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                if name in STAGE_READS:
+                    effects.append(f"{owner}:{node.lineno}: {ast.unparse(node)}")
             if not isinstance(node, ast.Call):
                 continue
             callee = ast.unparse(node.func)
@@ -227,7 +236,7 @@ def stage_side_effects(tree: ast.Module) -> tuple[list[str], list[str]]:
 def test_cli_stages_return_what_main_writes_and_prints():
     effects, loaders = stage_side_effects(ast.parse((PACKAGE / "cli.py").read_text(
         encoding="utf-8")))
-    assert not effects, f"stages write, print or load the config: {effects}"
+    assert not effects, f"stages write, print, load the config or copy a check: {effects}"
     assert loaders == ["main"], f"_load_config is called by {loaders}"
 
 
@@ -244,13 +253,22 @@ def test_stage_check_finds_writes_prints_and_config_loads():
     assert loaders == ["cmd_b", "main"]
 
 
+def test_stage_check_finds_copied_finiteness_and_actuator_checks():
+    effects, _ = stage_side_effects(ast.parse(
+        "def cmd_a(args, cfg, out):\n    if not math.isfinite(args.v):\n        pass\n"
+        "    return [], [abs(args.v) <= AV_LIMIT]\n"
+        "def cmd_b(args, cfg, out):\n    return [], [simcore.AV_LIMIT]\n"
+        "def _helper(v):\n    return math.isfinite(v) and abs(v) <= AV_LIMIT\n"))
+    assert effects == ["cmd_a:2: math.isfinite", "cmd_a:4: AV_LIMIT",
+                       "cmd_b:6: simcore.AV_LIMIT"]
+
+
 # The only functions that may silence numpy's floating-point warnings.  The
-# records bound every quantity they hold, so nothing read from a file can
-# overflow downstream; these two guards stay because a library caller can
-# still overflow them: correct_batch takes any finite (v, c), whose product
-# may not be, and train diverges at a step size too large even on sane rows.
-# A new guard has to be argued for here.
-ERRSTATE_HOMES = {"ikd.correct_batch", "mlp.train"}
+# records bound every quantity they hold, correct_batch bounds its query and
+# MlpParams its weights, so nothing downstream overflows; train's guard
+# stays because training diverges at a step size too large even on sane
+# rows.  A new guard has to be argued for here.
+ERRSTATE_HOMES = {"mlp.train"}
 
 
 def errstate_sites(tree: ast.Module, module: str) -> list[str]:
@@ -316,7 +334,7 @@ def test_traced_training_counts_one_optimizer_step_per_batch():
     tracing = load_tracing()
     rng = np.random.default_rng(5)
     v, av = rng.uniform(0.5, 4.0, 200), rng.uniform(-3.0, 3.0, 200)
-    data = AlignedDataset(v_joy=v, av_joy=av, av_imu=0.8 * av, period=0.025)
+    data = AlignedDataset(v_joy=v, av_joy=av, av_imu=0.8 * av)
     cfg = mlp.TrainConfig(epochs=2, batch_size=32)
     n_train = 200 - round(200 * cfg.split_fraction)
     batches = cfg.epochs * math.ceil(n_train / cfg.batch_size)   # 2 x 6
