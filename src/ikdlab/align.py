@@ -19,7 +19,7 @@ from .datalog import ImuLog, JoyLog
 from .errors import (CorruptLogError, InsufficientOverlapError, ValidationError,
                      check_within, require_positive)
 from .fileio import read_record, write_table
-from .simcore import (AV_LIMIT, DEFAULT_LOG_RATE, EPS_V, SPEED_DOMAIN, YAW_RATE_DOMAIN,
+from .simcore import (AV_LIMIT, DEFAULT_LOG_RATE, SPEED_DOMAIN, YAW_RATE_DOMAIN,
                       c_from_av_v, sample_count)
 
 # Plausible transport-delay band for the IMU stream; estimates outside it
@@ -58,21 +58,21 @@ _MOST_ROWS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 @dataclass(frozen=True)
 class DelayEstimate:
-    """Result of the delay grid search.
-
-    ``in_range`` marks whether the argmin fell inside the plausible band;
-    ``corrupt`` marks an objective so large the two streams likely do not
-    describe the same drive.
-    """
+    """Result of the delay grid search: the argmin and its objective."""
 
     delay: float
     objective: float
-    in_range: bool
-    corrupt: bool
 
-    def __post_init__(self):
-        if self.objective < 0:
-            raise ValidationError("objective must be non-negative")
+    @property
+    def in_range(self) -> bool:
+        """Whether the argmin fell inside the plausible band."""
+        return DELAY_MIN <= self.delay <= DELAY_MAX
+
+    @property
+    def corrupt(self) -> bool:
+        """Whether the objective is so large that the two streams likely do
+        not describe the same drive."""
+        return self.objective > DEFAULT_OBJECTIVE_CEILING
 
 
 @dataclass(frozen=True)
@@ -276,14 +276,7 @@ def delay_from_scan(delays: np.ndarray, objectives: np.ndarray) -> DelayEstimate
         raise InsufficientOverlapError(
             f"streams overlap less than {MIN_OVERLAP} s at every candidate delay")
     k = int(np.argmin(objectives))  # first minimum = smallest delay on ties
-    delay = float(delays[k])
-    objective = float(objectives[k])
-    return DelayEstimate(
-        delay=delay,
-        objective=objective,
-        in_range=DELAY_MIN <= delay <= DELAY_MAX,
-        corrupt=objective > DEFAULT_OBJECTIVE_CEILING,
-    )
+    return DelayEstimate(delay=float(delays[k]), objective=float(objectives[k]))
 
 
 def build_dataset(joy: JoyLog, imu: ImuLog, delay: float,

@@ -14,6 +14,7 @@ has succeeded.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -205,7 +206,7 @@ def cmd_correct(args, cfg, out):
     model = mlp.load_model(args.model)
     with blamed(lambda exc: f"--v {args.v!r} at --c {args.c!r}"):
         result = ikd.correct(model, args.v, args.c)
-    return [], [result.to_json()]
+    return [], [json.dumps(result._asdict(), indent=2, sort_keys=True)]
 
 
 def cmd_replay(args, cfg, out):
@@ -245,11 +246,11 @@ def cmd_eval_circle(args, cfg, out):
     for c in curvatures:
         traces = []
         for run_name, run_model in runs:
-            # circle_trace refuses only the command the flags give
+            # the command the flags give is refused, or its run cannot be fitted
             with blamed(lambda exc: f"--v {args.v!r} at --curvatures {c!r}"):
                 trace = evalkit.circle_trace(args.v, c, cfg.slip, run_model)
-            reports.append(evalkit.circle_test(args.v, c, cfg.slip, run_model,
-                                               trace=trace))
+                reports.append(evalkit.circle_test(args.v, c, cfg.slip, run_model,
+                                                   trace=trace))
             traces.append((run_name, trace.xy()))
         if model is not None:
             plain, corrected = reports[-2:]

@@ -34,7 +34,7 @@ class InsufficientOverlapError(ValidationError):
     minimum time overlap required at every candidate."""
 
 
-class FitError(IkdError, ValueError):
+class FitError(ValidationError):
     """Geometric fit failed (degenerate or collinear input)."""
 
 

@@ -9,7 +9,7 @@ radius along the run.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,18 +62,16 @@ class CircleReport:
 
     c_commanded: float
     r_fit: float
-    c_measured: float
-    deviation_pct: float
     ikd_enabled: bool
 
-    def __post_init__(self):
-        if self.r_fit <= 0:
-            raise ValidationError("r_fit must be positive")
-        if abs(self.c_measured * self.r_fit - 1.0) > 1e-6:
-            raise ValidationError("c_measured must equal 1/r_fit")
-        expect = 100.0 * abs(self.c_measured - abs(self.c_commanded)) / abs(self.c_commanded)
-        if abs(self.deviation_pct - expect) > 1e-6:
-            raise ValidationError("deviation_pct inconsistent with curvatures")
+    @property
+    def c_measured(self) -> float:
+        return 1.0 / self.r_fit
+
+    @property
+    def deviation_pct(self) -> float:
+        """|measured - |commanded|| as a percentage of |commanded|."""
+        return 100.0 * abs(self.c_measured - abs(self.c_commanded)) / abs(self.c_commanded)
 
 
 def circle_trace(v: float, c: float, p: SlipParams,
@@ -113,10 +111,7 @@ def circle_test(v: float, c: float, p: SlipParams,
     t = trace.times()
     keep = t >= TRANSIENT_MULT * p.lag_tau
     _, r_fit = fit_circle(trace.xy()[keep])
-    c_measured = 1.0 / r_fit
-    deviation = 100.0 * abs(c_measured - abs(c)) / abs(c)
-    return CircleReport(c_commanded=c, r_fit=r_fit, c_measured=c_measured,
-                        deviation_pct=deviation, ikd_enabled=model is not None)
+    return CircleReport(c_commanded=c, r_fit=r_fit, ikd_enabled=model is not None)
 
 
 @dataclass(frozen=True)
@@ -200,16 +195,15 @@ class DriftScenario:
 
 @dataclass(frozen=True)
 class ClearanceReport:
-    """Collision/clearance outcome of one trace against one scenario."""
+    """Collision/clearance outcome of one trace against one scenario.
+
+    ``collided`` is ``min_clearance < 0``; it is a field so that
+    ``asdict`` writes it to drift_report.json."""
 
     min_clearance: float
     collided: bool
     min_turn_radius: float
     cleared_gate: bool
-
-    def __post_init__(self):
-        if self.collided and self.min_clearance > 0:
-            raise ValidationError("collided requires min_clearance <= 0")
 
 
 def _gate_segment(scenario: DriftScenario):
@@ -396,7 +390,8 @@ _COMPARE_HEADER = "commanded_c,executed_c,ikd_c,deviation_pct"
 
 def emit_report(reports, path: str) -> None:
     """Write CircleReports as CSV, one row per report (header-only if empty)."""
-    cols = np.asarray([astuple(r) for r in reports], dtype=float).reshape(-1, 5).T
+    cols = np.asarray([(r.c_commanded, r.r_fit, r.c_measured, r.deviation_pct,
+                        r.ikd_enabled) for r in reports], dtype=float).reshape(-1, 5).T
     write_table(path, _CIRCLE_HEADER, (*cols[:4], cols[4].astype(int)))
 
 

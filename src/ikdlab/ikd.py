@@ -9,17 +9,15 @@ desired one, which is the point.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InferenceError, ValidationError, check_within
 from .mlp import MlpParams, forward
-from .simcore import (AV_LIMIT, EPS_V,  # actuator range, speed guard
-                      CURVATURE_DOMAIN, SPEED_DOMAIN, YAW_RATE_DOMAIN, c_from_av_v)
+from .simcore import (AV_LIMIT, CURVATURE_DOMAIN, SPEED_DOMAIN, YAW_RATE_DOMAIN,
+                      c_from_av_v)
 
 
 def av_from_vc(v: float, c: float) -> float:
@@ -29,26 +27,12 @@ def av_from_vc(v: float, c: float) -> float:
     return v * c
 
 
-@dataclass(frozen=True)
-class CorrectionResult:
-    """Outcome of one correction query; v passes through unchanged."""
-
-    v: float
-    av_desired: float
-    av_corrected: float
-    c_corrected: float
-    clamped: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
 class Corrections(NamedTuple):
-    """Outcome of a batch of correction queries, one array entry per row."""
+    """Outcome of correction queries: arrays with one entry per row from
+    correct_batch, floats and a bool from correct.  v passes through
+    unchanged."""
 
+    v: np.ndarray
     av_desired: np.ndarray
     av_corrected: np.ndarray
     c_corrected: np.ndarray
@@ -79,12 +63,12 @@ def correct_batch(model: MlpParams, v: np.ndarray, c_desired: np.ndarray) -> Cor
         where = f"row {k}: " if raw.size > 1 else ""
         raise InferenceError(f"{where}model output {float(raw[k])!r} is not finite")
     av_corrected = np.clip(raw, -AV_LIMIT, AV_LIMIT)
-    return Corrections(av_desired, av_corrected,
+    return Corrections(v, av_desired, av_corrected,
                        c_from_av_v(av_corrected, v),
                        (raw < -AV_LIMIT) | (raw > AV_LIMIT))
 
 
-def correct(model: MlpParams, v: float, c_desired: float) -> CorrectionResult:
+def correct(model: MlpParams, v: float, c_desired: float) -> Corrections:
     """Rewrite a desired (v, c) command using the learned inverse model.
 
     The model is queried at (v, av_desired): the yaw rate we want to see is
@@ -93,4 +77,4 @@ def correct(model: MlpParams, v: float, c_desired: float) -> CorrectionResult:
     one-row case of correct_batch.
     """
     batch = correct_batch(model, np.array([v]), np.array([c_desired]))
-    return CorrectionResult(v, *(column.item() for column in batch))
+    return Corrections(*(col.item() for col in batch))

@@ -176,16 +176,10 @@ class AdamState:
 
 @dataclass(frozen=True)
 class LossCurve:
+    """Train and test MSE, one of each per epoch."""
+
     train_mse: np.ndarray
     test_mse: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "train_mse", np.asarray(self.train_mse, dtype=float))
-        object.__setattr__(self, "test_mse", np.asarray(self.test_mse, dtype=float))
-        if self.train_mse.shape != self.test_mse.shape:
-            raise ValidationError("loss curve arrays must have equal length")
-        if np.any(self.train_mse < 0) or np.any(self.test_mse < 0):
-            raise ValidationError("mse values must be non-negative")
 
     def __len__(self) -> int:
         return self.train_mse.size
@@ -436,12 +430,8 @@ def load_model(path: str) -> MlpParams:
         if arr is None or not _numbers_only(weights[name]):
             raise ParseError(f"{path}: tensor {name} must be a rectangular "
                              f"array of numbers") from None
-        if arr.shape != _SHAPES[name]:
-            raise ValidationError(
-                f"{path}: tensor {name} has shape {arr.shape}, "
-                f"expected {_SHAPES[name]}")
         vals[name] = arr
-    with blamed(lambda exc: path):   # a weight outside WEIGHT_DOMAIN
+    with blamed(lambda exc: path):   # a tensor's shape, or a weight outside WEIGHT_DOMAIN
         return MlpParams(**vals)
 
 

@@ -15,9 +15,8 @@ from .errors import ParseError, ValidationError, check_within, require_positive
 from .fileio import read_record
 from .ikd import correct_batch
 from .mlp import MlpParams
-from .simcore import (AV_LIMIT, DEFAULT_DT, EPS_V, SPEED_DOMAIN, YAW_RATE_DOMAIN,
-                      SimTrace, SlipParams, VehicleState, _check_commands, _integrate,
-                      c_from_av_v, sample_count)
+from .simcore import (AV_LIMIT, DEFAULT_DT, SPEED_DOMAIN, YAW_RATE_DOMAIN, SimTrace,
+                      SlipParams, VehicleState, _integrate, c_from_av_v, sample_count)
 
 DEFAULT_REPLAY_RATE = 20.0  # Hz, command consumption rate
 
@@ -100,6 +99,6 @@ def execute_replay(buf: CommandBuffer, p: SlipParams,
     c = c_from_av_v(av, v)  # rows slower than EPS_V drive straight
     if model is not None:
         c = correct_batch(model, v, c).c_corrected
-    _check_commands(v, c)
+    # each c is a clamped yaw rate over v, or 0: |v*c| is within AV_LIMIT
     tick_of_step = np.cumsum(new_tick) - 1
     return _integrate(initial_state, v[tick_of_step], c[tick_of_step], p, dt)

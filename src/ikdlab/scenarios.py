@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError, require_positive
-from .evalkit import CAR_WIDTH, DEFAULT_CAR_LENGTH, DriftScenario, Rect
+from .evalkit import DriftScenario, Rect
 from .replay import DEFAULT_REPLAY_RATE, CommandBuffer
 from .simcore import AV_LIMIT, ControlScript, ScriptSegment
 
@@ -96,19 +96,6 @@ def drift_duration() -> float:
     return DRIFT_APPROACH[2] + DRIFT_TURN[2] + DRIFT_EXIT[2]
 
 
-def _gate_scenario(gap: float, cone: tuple[float, float],
-                   direction: tuple[float, float]) -> DriftScenario:
-    """Cone plus a square box whose near face sits gap meters from the cone."""
-    d = np.asarray(direction, dtype=float)
-    d = d / np.hypot(*d)
-    center = np.asarray(cone) + d * (gap + BOX_SIZE / 2.0)
-    angle = math.atan2(d[1], d[0])
-    box = Rect(cx=float(center[0]), cy=float(center[1]),
-               w=BOX_SIZE, h=BOX_SIZE, angle=angle)
-    return DriftScenario(boxes=(box,), cones=(cone,), gap_width=gap,
-                         car_width=CAR_WIDTH, car_length=DEFAULT_CAR_LENGTH)
-
-
 # The corrected counter-clockwise arc peaks near x=4.2 at y=1.3; the gate is
 # laid radially outward there so the car threads between cone (inside the
 # arc) and box (outside).
@@ -116,9 +103,21 @@ GATE_CONE = (3.6, 1.3)
 GATE_DIRECTION = (1.0, 0.0)
 
 
+def _gate_scenario(gap: float) -> DriftScenario:
+    """The gate cone plus a square box whose near face sits gap meters from
+    it along GATE_DIRECTION."""
+    d = np.asarray(GATE_DIRECTION, dtype=float)
+    d = d / np.hypot(*d)
+    center = np.asarray(GATE_CONE) + d * (gap + BOX_SIZE / 2.0)
+    angle = math.atan2(d[1], d[0])
+    box = Rect(cx=float(center[0]), cy=float(center[1]),
+               w=BOX_SIZE, h=BOX_SIZE, angle=angle)
+    return DriftScenario(boxes=(box,), cones=(GATE_CONE,), gap_width=gap)
+
+
 def loose_scenario() -> DriftScenario:
-    return _gate_scenario(LOOSE_GAP, GATE_CONE, GATE_DIRECTION)
+    return _gate_scenario(LOOSE_GAP)
 
 
 def tight_scenario() -> DriftScenario:
-    return _gate_scenario(TIGHT_GAP, GATE_CONE, GATE_DIRECTION)
+    return _gate_scenario(TIGHT_GAP)

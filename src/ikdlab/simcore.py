@@ -337,7 +337,8 @@ def _integrate(state: VehicleState | None, cmd_v: np.ndarray, cmd_c: np.ndarray,
     """Explicit-Euler integration from ``state`` (at rest when None), in closed form.
 
     Step i holds the command ``(cmd_v[i], cmd_c[i])``; callers pass
-    commands that passed _check_commands.  The commanded linear
+    commands with |v*c| within AV_LIMIT (a script's pass _check_commands; a
+    replay's are yaw rates clamped to it, divided by v).  The commanded linear
     velocity and angular velocity (v*c) both pass through the same
     first-order lag; the lagged yaw rate is then attenuated by the slip law
     before integrating the unicycle pose.  With all-zero SlipParams the

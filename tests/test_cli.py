@@ -407,6 +407,23 @@ def test_eval_circle_refuses_a_later_curvature_after_simulating_the_earlier_ones
     assert not os.path.exists("run")   # the earlier circles' files are not written
 
 
+def test_eval_circle_names_the_flags_when_a_corrected_circle_cannot_be_fitted(
+        workdir, capsys):
+    # the correction turns a speed below the guard into curvature 0, so the
+    # corrected run drives straight and its circle fit fails
+    mlp.save_model(mlp.init_params(np.random.default_rng(0)), "model.json")
+    argv = ["eval-circle", "--v", "0.01", "--curvatures", "0.5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", "run", "--model", "model.json"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --v 0.01 at --curvatures 0.5: points are collinear or otherwise "
+            "degenerate\n")
+        assert not os.path.exists("run")
+        assert main([*argv, "--out", "plain"]) == 0   # uncorrected, it circles
+    assert os.path.exists(os.path.join("plain", "reports", "circle_reports.csv"))
+
+
 @pytest.mark.parametrize("v, c, product", [("1e308", "1e308", "inf"),
                                            ("-1e308", "1e308", "-inf")])
 def test_correct_with_an_overflowing_v_times_c_exits_1_without_a_warning(

@@ -1,7 +1,7 @@
 """Circle fitting, circle tests, rectangle geometry, drift scoring."""
 
 import math
-from dataclasses import astuple
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ import pytest
 from ikdlab import evalkit
 from ikdlab.errors import FitError, ValidationError
 from ikdlab.evalkit import (CAR_WIDTH, MIN_REVOLUTIONS, TRANSIENT_MULT,
-                            CircleReport, ClearanceReport, DriftScenario,
+                            CircleReport, DriftScenario,
                             Rect, circle_test, circle_trace, drift_eval,
                             emit_report, fit_circle, write_comparison_csv)
 from ikdlab.fileio import read_table
@@ -73,19 +73,14 @@ def test_fit_rejects_degenerate_input():
         fit_circle([(0.0, 0.0), (1.0, float("nan")), (2.0, 0.0)])
 
 
-def test_circle_report_validates_identities():
-    with pytest.raises(ValidationError):
-        CircleReport(c_commanded=0.5, r_fit=-1.0, c_measured=0.5,
-                     deviation_pct=0.0, ikd_enabled=False)
-    with pytest.raises(ValidationError):
-        CircleReport(c_commanded=0.5, r_fit=2.0, c_measured=0.7,
-                     deviation_pct=0.0, ikd_enabled=False)
-    with pytest.raises(ValidationError):
-        CircleReport(c_commanded=0.5, r_fit=2.0, c_measured=0.5,
-                     deviation_pct=50.0, ikd_enabled=False)
-    ok = CircleReport(c_commanded=0.5, r_fit=2.0, c_measured=0.5,
-                      deviation_pct=0.0, ikd_enabled=True)
-    assert ok.ikd_enabled
+def test_circle_report_derives_measured_curvature_and_deviation():
+    assert [f.name for f in fields(CircleReport)] == ["c_commanded", "r_fit", "ikd_enabled"]
+    rng = np.random.default_rng(12)
+    for c, r in zip(rng.uniform(-3.0, 3.0, 50), rng.uniform(0.2, 20.0, 50)):
+        report = CircleReport(c_commanded=float(c), r_fit=float(r), ikd_enabled=False)
+        c_measured = 1.0 / r
+        assert report.c_measured == c_measured
+        assert report.deviation_pct == 100.0 * abs(c_measured - abs(c)) / abs(c)
 
 
 # --- circle_test -------------------------------------------------------------
@@ -301,12 +296,6 @@ def test_turn_radius_tracks_tightest_turning_sample():
     assert not report.cleared_gate
 
 
-def test_clearance_report_consistency_check():
-    with pytest.raises(ValidationError):
-        ClearanceReport(min_clearance=0.2, collided=True,
-                        min_turn_radius=1.0, cleared_gate=False)
-
-
 # --- report files ------------------------------------------------------------
 
 CIRCLE_HEADER = "c_commanded,r_fit,c_measured,deviation_pct,ikd_enabled"
@@ -314,16 +303,15 @@ CIRCLE_HEADER = "c_commanded,r_fit,c_measured,deviation_pct,ikd_enabled"
 
 def test_circle_report_csv_round_trip(tmp_path):
     reports = [
-        CircleReport(c_commanded=0.5, r_fit=2.0, c_measured=0.5,
-                     deviation_pct=0.0, ikd_enabled=False),
-        CircleReport(c_commanded=0.7, r_fit=1.5873015873015872,
-                     c_measured=0.63, deviation_pct=9.999999999999998,
-                     ikd_enabled=True),
+        CircleReport(c_commanded=0.5, r_fit=2.0, ikd_enabled=False),
+        CircleReport(c_commanded=0.7, r_fit=1.5873015873015872, ikd_enabled=True),
     ]
     path = str(tmp_path / "reports.csv")
     emit_report(reports, path)
     rows = read_table(path, CIRCLE_HEADER)
-    assert rows.tobytes() == np.array(list(map(astuple, reports)), dtype=float).tobytes()
+    columns = [(r.c_commanded, r.r_fit, r.c_measured, r.deviation_pct, r.ikd_enabled)
+               for r in reports]
+    assert rows.tobytes() == np.array(columns, dtype=float).tobytes()
 
 
 def test_circle_report_csv_empty_is_header_only(tmp_path):

@@ -35,14 +35,12 @@ GOLDEN = [
     ("delay_scan", lambda p: write_delay_scan_csv(
         np.array([0.0, 0.001, 0.002]), np.array([np.inf, 0.5, 0.125]), p),
      "delay,objective\n0.001,0.5\n0.002,0.125\n"),
-    ("loss", lambda p: write_loss_csv(LossCurve(train_mse=[0.5, 0.25],
-                                                test_mse=[0.75, 0.125]), p),
+    ("loss", lambda p: write_loss_csv(LossCurve(train_mse=np.array([0.5, 0.25]),
+                                                test_mse=np.array([0.75, 0.125])), p),
      "epoch,train_mse,test_mse\n0,0.5,0.75\n1,0.25,0.125\n"),
     ("circle_report", lambda p: emit_report(
-        [CircleReport(c_commanded=0.5, r_fit=2.0, c_measured=0.5,
-                      deviation_pct=0.0, ikd_enabled=True),
-         CircleReport(c_commanded=-1, r_fit=1.0, c_measured=1.0,
-                      deviation_pct=0.0, ikd_enabled=False)], p),
+        [CircleReport(c_commanded=0.5, r_fit=2.0, ikd_enabled=True),
+         CircleReport(c_commanded=-1, r_fit=1.0, ikd_enabled=False)], p),
      "c_commanded,r_fit,c_measured,deviation_pct,ikd_enabled\n"
      "0.5,2.0,0.5,0.0,1\n-1.0,1.0,1.0,0.0,0\n"),
     ("comparison", lambda p: write_comparison_csv([(0.5, 0.45, 0.49, 2.0)], p),

@@ -1,15 +1,20 @@
 """Command correction: conversions, clamping, failure modes."""
 
+import ast
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import ikdlab
+from ikdlab.cli import main
 from ikdlab.errors import InferenceError, ValidationError
-from ikdlab.ikd import (AV_LIMIT, EPS_V, CorrectionResult, av_from_vc,
-                        c_from_av_v, correct, correct_batch)
-from ikdlab.mlp import _SHAPES, WEIGHT_DOMAIN, MlpParams, init_params
+from ikdlab.ikd import (AV_LIMIT, Corrections, av_from_vc, c_from_av_v, correct,
+                        correct_batch)
+from ikdlab.mlp import _SHAPES, WEIGHT_DOMAIN, MlpParams, init_params, save_model
+from ikdlab.simcore import EPS_V
 
 from conftest import build_constant_model, build_gain_model, build_identity_model
 
@@ -111,10 +116,24 @@ def test_low_speed_query_yields_zero_curvature():
 
 
 def test_speed_guard_has_one_home():
-    from ikdlab import align, ikd, replay, simcore
-    assert align.EPS_V is ikd.EPS_V is replay.EPS_V is simcore.EPS_V
-    assert ikd.c_from_av_v is simcore.c_from_av_v
-    assert not hasattr(align, "row_curvature")
+    # simcore defines the guard and the guarded curvature; of the other
+    # modules only the package __init__ binds EPS_V, to export it
+    binds, defines = set(), set()
+    for path in pathlib.Path(ikdlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                names = [node.id] if isinstance(node, ast.Name) and isinstance(
+                    node.ctx, ast.Store) else []
+            if "EPS_V" in names:
+                binds.add(path.stem)
+            if isinstance(node, ast.FunctionDef) and node.name == "c_from_av_v":
+                defines.add(path.stem)
+    assert binds == {"simcore", "__init__"}
+    assert defines == {"simcore"}
+    assert ikdlab.c_from_av_v is c_from_av_v
+    assert not hasattr(ikdlab.align, "row_curvature")
 
 
 def overflowing_model() -> MlpParams:
@@ -158,7 +177,7 @@ def test_batched_correction_matches_per_row_correct():
             assert batch.clamped.any()
         # the one-row case is correct itself, bit for bit
         one = correct_batch(model, v[:1], c[:1])
-        assert CorrectionResult(float(v[0]), *(x.item() for x in one)) == rows[0]
+        assert Corrections(*(x.item() for x in one)) == rows[0]
     both = correct_batch(build_gain_model(3.0), [2.0, 2.0, 2.0], [1.0, -1.0, 0.1])
     assert both.av_corrected.tolist() == [AV_LIMIT, -AV_LIMIT, pytest.approx(0.6)]
     assert both.clamped.tolist() == [True, True, False]
@@ -206,13 +225,19 @@ def test_correction_at_the_domain_edges_is_finite_without_a_warning():
     assert batch.av_corrected.tolist() == [AV_LIMIT] * 3 and batch.clamped.all()
 
 
-def test_result_serialization_round_trip():
-    result = correct(build_identity_model(), 2.0, 0.7)
-    data = json.loads(result.to_json())
-    assert data == result.to_dict()
-    assert set(data) == {"v", "av_desired", "av_corrected", "c_corrected",
-                         "clamped"}
-    assert data["clamped"] is False
+def test_cli_correct_prints_the_result_as_json(tmp_path, capsys):
+    model = build_identity_model()
+    path = str(tmp_path / "model.json")
+    save_model(model, path)
+    assert main(["correct", "--out", str(tmp_path), "--model", path,
+                 "--v", "2.0", "--c", "0.7"]) == 0
+    out = capsys.readouterr().out
+    result = correct(model, 2.0, 0.7)
+    assert out == json.dumps(result._asdict(), indent=2, sort_keys=True) + "\n"
+    data = json.loads(out)
+    assert list(data) == ["av_corrected", "av_desired", "c_corrected", "clamped", "v"]
+    assert data == result._asdict()
+    assert data["clamped"] is False and data["v"] == 2.0
 
 
 def test_correction_query_point_is_v_times_c():

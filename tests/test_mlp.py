@@ -406,13 +406,6 @@ def test_split_mse_is_the_whole_split_mse_in_bounded_chunks(monkeypatch, n):
     assert max(seen) - min(seen) <= 1          # near-equal, so no chunk is small
 
 
-def test_loss_curve_validation():
-    with pytest.raises(ValidationError):
-        LossCurve(train_mse=[1.0, 0.5], test_mse=[1.0])
-    with pytest.raises(ValidationError):
-        LossCurve(train_mse=[-0.1], test_mse=[0.1])
-
-
 # --- model files -------------------------------------------------------------
 
 def test_model_file_round_trip(tmp_path):
@@ -451,8 +444,9 @@ def test_model_file_shape_error_names_tensor(tmp_path):
     raw = json.loads(path.read_text(encoding="utf-8"))
     raw["weights"]["W1"] = [row for row in raw["weights"]["W1"]][:31]
     path.write_text(json.dumps(raw), encoding="utf-8")
-    with pytest.raises(ValidationError, match="W1"):
+    with pytest.raises(ValidationError) as exc:
         load_model(str(path))
+    assert str(exc.value) == f"{path}: W1 has shape (31, 2), expected (32, 2)"
 
 
 def test_model_file_version_and_layer_checks(tmp_path):
@@ -474,7 +468,7 @@ def test_model_file_version_and_layer_checks(tmp_path):
 
 
 def test_loss_csv_layout(tmp_path):
-    curve = LossCurve(train_mse=[0.5, 0.25], test_mse=[0.6, 0.3])
+    curve = LossCurve(train_mse=np.array([0.5, 0.25]), test_mse=np.array([0.6, 0.3]))
     path = tmp_path / "loss.csv"
     write_loss_csv(curve, str(path))
     lines = path.read_text(encoding="utf-8").splitlines()

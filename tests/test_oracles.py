@@ -49,7 +49,7 @@ import pytest
 
 from ikdlab.evalkit import (ClearanceReport, DriftScenario, Rect, _gate_segment,
                             drift_eval, TURN_AV_FLOOR)
-from ikdlab.ikd import AV_LIMIT, EPS_V, correct
+from ikdlab.ikd import AV_LIMIT, correct
 from ikdlab import align as align_mod, fileio, mlp as mlp_mod
 from ikdlab.align import (DEFAULT_DELAY_STEP, DELAY_MAX, DELAY_MIN, MIN_OVERLAP,
                           AlignedDataset, build_dataset, prune_zero_curvature,
@@ -62,7 +62,7 @@ from ikdlab.mlp import (N_PARAMS, AdamState, LossCurve, MlpParams, TrainConfig,
 from ikdlab.replay import CommandBuffer, execute_replay, next_command
 from ikdlab.scenarios import (drift_buffer, drift_duration, loose_scenario,
                                sweep_duration, tight_scenario, training_sweep_script)
-from ikdlab.simcore import (DEFAULT_DT, V_CAP, YAW_RATE_DOMAIN, ControlScript, SimTrace,
+from ikdlab.simcore import (DEFAULT_DT, EPS_V, V_CAP, YAW_RATE_DOMAIN, ControlScript, SimTrace,
                             SlipParams, VehicleState, _integrate, _last_state_at,
                             _require_finite, emit_sensor_logs, normalize_heading,
                             record_logs, run_scenario, sample_count, slip_yaw_rate)

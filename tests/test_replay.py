@@ -6,9 +6,10 @@ import pytest
 from ikdlab.errors import ParseError, ValidationError
 from ikdlab.replay import (DEFAULT_REPLAY_RATE, CommandBuffer, execute_replay,
                            next_command, read_buffer_txt)
-from ikdlab.simcore import ControlScript, SlipParams, run_scenario
+from ikdlab.mlp import init_params
+from ikdlab.simcore import AV_LIMIT, EPS_V, ControlScript, SlipParams, run_scenario
 
-from conftest import build_identity_model, write_buffer
+from conftest import build_gain_model, build_identity_model, write_buffer
 
 
 def small_buffer() -> CommandBuffer:
@@ -172,6 +173,27 @@ def test_replay_low_speed_rows_go_straight():
     trace = execute_replay(buf, SlipParams.ideal(), duration=0.2)
     assert np.all(trace.cmd_c == 0.0)
     assert np.allclose(trace.xy(), 0.0)
+
+
+def test_replayed_commands_stay_within_the_actuator_bound():
+    # execute_replay checks no command: each c is a yaw rate clamped to
+    # AV_LIMIT over v, or 0, so |v*c| is within AV_LIMIT at every step
+    rng = np.random.default_rng(23)
+    models = (None, build_identity_model(), build_gain_model(6.0),
+              build_gain_model(-6.0), init_params(rng))
+    for _ in range(30):
+        n = int(rng.integers(4, 80))
+        v = rng.uniform(-5.0, 5.0, n)
+        v[0], v[1] = rng.uniform(-EPS_V, EPS_V), -rng.uniform(EPS_V, 1e3)
+        av = rng.uniform(-1e3, 1e3, n)
+        assert np.abs(av).max() > AV_LIMIT and np.abs(v).min() < EPS_V and v.min() < 0
+        rng.shuffle(v)
+        stride = int(rng.integers(1, 6))
+        for model in models:
+            trace = execute_replay(CommandBuffer(rows=np.column_stack([v, av])),
+                                   SlipParams(), model=model,
+                                   duration=float(rng.uniform(0.1, 3.0)), stride=stride)
+            assert np.all(np.abs(trace.cmd_v * trace.cmd_c) <= AV_LIMIT + 1e-9)
 
 
 def test_replay_argument_validation():

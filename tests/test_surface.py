@@ -26,11 +26,6 @@ from ikdlab.align import AlignedDataset
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ikdlab"
 
-# Names a module imports only so that others can read them from it:
-# test_speed_guard_has_one_home pins EPS_V as one object in these modules.
-RE_EXPORTS = {("align", "EPS_V"), ("ikd", "EPS_V"), ("replay", "EPS_V")}
-
-
 def library_use_block() -> str:
     """The python code block under README's "## Library use" heading."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -63,8 +58,7 @@ def unused_imports(tree: ast.Module) -> list[str]:
                                         if p.name != "__init__.py"),
                          ids=lambda p: p.name)
 def test_package_modules_use_every_import(path):
-    unused = [name for name in unused_imports(ast.parse(path.read_text(encoding="utf-8")))
-              if (path.stem, name) not in RE_EXPORTS]
+    unused = unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert not unused, f"{path.name} imports but never uses {unused}"
 
 
@@ -188,13 +182,13 @@ def test_reference_check_resolves_imports_and_qualifies_class_methods():
     lines = index(references(ast.parse(
         "from . import align as a\nfrom ikdlab.simcore import SlipParams\n"
         "a.histogram(x)\nSlipParams.ideal()\ncls.fresh()\nload(p).xy()\n"
-        "result.to_json()\ncfg.train\nargs.duration\n")))
+        "report.c_measured\ncfg.train\nargs.duration\n")))
 
     def found(qualname, kind, shared=False, own_file=False):
         return any(key in lines for key in keys(qualname, kind, shared, own_file))
 
     assert found("histogram", "name") and found("SlipParams.ideal", "classmethod")
-    assert found("SimTrace.xy", "method") and found("CorrectionResult.to_json", "method")
+    assert found("SimTrace.xy", "method") and found("CircleReport.c_measured", "method")
     assert not found("AdamState.fresh", "classmethod", own_file=True)
     assert not found("SlipParams.to_json", "method", shared=True)
     assert not found("train", "name")
