@@ -15,11 +15,11 @@ from .errors import (CorruptLogError, FitError, IkdError, InferenceError,
                      InsufficientOverlapError, ParseError, ValidationError)
 from .evalkit import (CircleReport, ClearanceReport, DriftScenario, Rect,
                       circle_test, drift_eval, emit_report, fit_circle)
-from .ikd import Corrections, av_from_vc, correct, correct_batch
+from .ikd import Corrections, correct, correct_batch
 from .mlp import (AdamState, LossCurve, MlpParams, TrainConfig, adamw_step,
                   forward, init_params, load_model, loss_and_grads,
                   save_model, train)
-from .replay import CommandBuffer, execute_replay, next_command, read_buffer_txt
+from .replay import CommandBuffer, execute_replay, read_buffer_txt
 from .simcore import (AV_LIMIT, EPS_V, V_CAP, ControlScript, ScriptSegment,
                       SimTrace, SlipParams, VehicleState, c_from_av_v,
                       emit_sensor_logs, normalize_heading, record_logs, run_scenario)

@@ -271,11 +271,11 @@ def cmd_eval_circle(args, cfg, out):
 
 
 def cmd_eval_drift(args, cfg, out):
-    buf_rows = (replay_mod.read_buffer_txt(args.buffer).rows if args.buffer
-                else scenarios.drift_buffer(rate=cfg.replay_hz).rows)
+    buf = (replay_mod.read_buffer_txt(args.buffer) if args.buffer
+           else scenarios.drift_buffer(rate=cfg.replay_hz))
     model = mlp.load_model(args.model) if args.model else None
     duration = (args.duration if args.duration is not None
-                else len(buf_rows) / cfg.replay_hz)
+                else len(buf) / cfg.replay_hz)
 
     if cfg.scenario_file:
         courses = {"custom": evalkit.DriftScenario.from_json(cfg.scenario_file)}
@@ -289,7 +289,6 @@ def cmd_eval_drift(args, cfg, out):
     report = {}
     traces = []
     for run_name, run_model in runs.items():
-        buf = replay_mod.CommandBuffer(rows=buf_rows)
         trace = replay_mod.execute_replay(buf, cfg.slip, model=run_model,
                                           rate=cfg.replay_hz, duration=duration)
         traces.append((run_name, trace.xy()))

@@ -9,22 +9,14 @@ desired one, which is the point.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InferenceError, ValidationError, check_within
+from .errors import InferenceError, check_within
 from .mlp import MlpParams, forward
 from .simcore import (AV_LIMIT, CURVATURE_DOMAIN, SPEED_DOMAIN, YAW_RATE_DOMAIN,
                       c_from_av_v)
-
-
-def av_from_vc(v: float, c: float) -> float:
-    """Angular velocity commanded by (v, c): av = v*c."""
-    if not (math.isfinite(v) and math.isfinite(c)):
-        raise ValidationError("v and c must be finite")
-    return v * c
 
 
 class Corrections(NamedTuple):

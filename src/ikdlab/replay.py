@@ -1,7 +1,7 @@
 """Replays a recorded command sequence through the simulator at 20 Hz.
 
 The recorded joystick rows become a circular command buffer; each replay
-tick consumes one (v, av) pair, optionally rewrites it through the learned
+tick reads one (v, av) pair, optionally rewrites it through the learned
 correction, and holds it across the simulator's finer integration steps.
 """
 
@@ -16,20 +16,19 @@ from .fileio import read_record
 from .ikd import correct_batch
 from .mlp import MlpParams
 from .simcore import (AV_LIMIT, DEFAULT_DT, SPEED_DOMAIN, YAW_RATE_DOMAIN, SimTrace,
-                      SlipParams, VehicleState, _integrate, c_from_av_v, sample_count)
+                      SlipParams, _integrate, c_from_av_v, sample_count)
 
 DEFAULT_REPLAY_RATE = 20.0  # Hz, command consumption rate
 
 
 @dataclass(eq=False)
 class CommandBuffer:
-    """Circular buffer of (v, av) command rows with a read cursor.
+    """Circular buffer of (v, av) command rows.
 
     ``rows`` is copied into one ``(n, 2)`` float64 array owned by the buffer.
     """
 
     rows: np.ndarray
-    cursor: int = 0
 
     def __post_init__(self):
         try:
@@ -43,18 +42,9 @@ class CommandBuffer:
                 f"buffer rows must be (v, av) pairs, got shape {self.rows.shape}")
         check_within(("v", self.rows[:, 0], SPEED_DOMAIN),
                      ("av", self.rows[:, 1], YAW_RATE_DOMAIN), where="buffer")
-        if not 0 <= self.cursor < len(self.rows):
-            raise ValidationError("cursor out of range")
 
     def __len__(self) -> int:
         return len(self.rows)
-
-
-def next_command(buf: CommandBuffer) -> tuple[float, float]:
-    """Return the row under the cursor as Python floats, then advance circularly."""
-    v, av = buf.rows[buf.cursor].tolist()
-    buf.cursor = (buf.cursor + 1) % len(buf.rows)
-    return v, av
 
 
 def read_buffer_txt(path: str) -> CommandBuffer:
@@ -70,16 +60,15 @@ def execute_replay(buf: CommandBuffer, p: SlipParams,
                    rate: float = DEFAULT_REPLAY_RATE,
                    duration: float = 1.0,
                    dt: float = DEFAULT_DT,
-                   stride: int = 1,
-                   initial_state: VehicleState | None = None) -> SimTrace:
-    """Drive the simulator from the buffer, one command per tick.
+                   stride: int = 1) -> SimTrace:
+    """Drive the simulator from rest, one buffer row per tick.
 
-    Tick k consumes row ``(cursor + k*stride) mod n`` (stride-1 rows are
-    skipped when decimating); its yaw rate is clamped to the actuator range
-    and converted to curvature, all ticks are optionally rewritten by one
+    Tick k reads row ``(k*stride) mod n`` (stride-1 rows are skipped when
+    decimating); its yaw rate is clamped to the actuator range and
+    converted to curvature, all ticks are optionally rewritten by one
     batched correction, and each command is zero-order-held until the next
-    tick.  The cursor ends past the last consumed row.  Returns the
-    ground-truth trace.
+    tick.  The buffer is read, never changed, so one buffer replays the same
+    way each time.  Returns the ground-truth trace.
     """
     require_positive(rate=rate, duration=duration, dt=dt)
     if stride < 1:
@@ -93,12 +82,11 @@ def execute_replay(buf: CommandBuffer, p: SlipParams,
     # stride (a Python int, of any size) inside the index range.
     step = stride % len(buf)
     offsets = np.arange(np.count_nonzero(new_tick)) * step
-    v, av = buf.rows[(buf.cursor + offsets) % len(buf)].T
-    buf.cursor = (buf.cursor + len(offsets) * step) % len(buf)
+    v, av = buf.rows[offsets % len(buf)].T
     av = np.clip(av, -AV_LIMIT, AV_LIMIT)  # actuator command range
     c = c_from_av_v(av, v)  # rows slower than EPS_V drive straight
     if model is not None:
         c = correct_batch(model, v, c).c_corrected
     # each c is a clamped yaw rate over v, or 0: |v*c| is within AV_LIMIT
     tick_of_step = np.cumsum(new_tick) - 1
-    return _integrate(initial_state, v[tick_of_step], c[tick_of_step], p, dt)
+    return _integrate(None, v[tick_of_step], c[tick_of_step], p, dt)

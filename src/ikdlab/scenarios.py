@@ -92,10 +92,6 @@ def drift_buffer(rate: float = DEFAULT_REPLAY_RATE) -> CommandBuffer:
     return CommandBuffer(rows=rows)
 
 
-def drift_duration() -> float:
-    return DRIFT_APPROACH[2] + DRIFT_TURN[2] + DRIFT_EXIT[2]
-
-
 # The corrected counter-clockwise arc peaks near x=4.2 at y=1.3; the gate is
 # laid radially outward there so the car threads between cone (inside the
 # arc) and box (outside).

@@ -89,12 +89,6 @@ def sample_count(name: str, ratio: float) -> int:
     return math.floor(count)
 
 
-def _require_finite(name: str, *values: float, row: int | None = None) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise ValidationError(f"{name} contains non-finite value {v!r}", row=row)
-
-
 @dataclass(frozen=True)
 class VehicleState:
     """Ground-truth pose/velocity of the virtual car.
@@ -113,10 +107,8 @@ class VehicleState:
     av_lag: float = 0.0
 
     def __post_init__(self):
-        _require_finite("VehicleState", self.x, self.y, self.heading,
-                        self.v, self.av, self.av_lag)
-        if abs(self.v) > V_CAP + 1e-12:
-            raise ValidationError(f"|v|={abs(self.v)} exceeds cap {V_CAP}")
+        check_within(*((name, getattr(self, name), V_CAP + 1e-12 if name == "v" else FINITE)
+                       for name in _STATE_CHANNELS), where="VehicleState")
 
 
 @dataclass(frozen=True)

@@ -29,13 +29,12 @@ from ikdlab.align import (AlignedDataset, build_dataset, estimate_delay,
 from ikdlab.cli import main
 from ikdlab.datalog import ImuLog, JoyLog, trim_idle
 from ikdlab.evalkit import circle_test, drift_eval, fit_circle
-from ikdlab.ikd import av_from_vc, c_from_av_v, correct
+from ikdlab.ikd import c_from_av_v, correct, correct_batch
 from ikdlab.mlp import (N_PARAMS, MlpParams, TrainConfig, _FIELDS, _SHAPES,
                         _views, forward, init_params, loss_and_grads, train)
-from ikdlab.replay import CommandBuffer, execute_replay, next_command
-from ikdlab.scenarios import (drift_buffer, drift_duration, loose_scenario,
-                              tight_scenario, training_sweep_script,
-                              sweep_duration)
+from ikdlab.replay import DEFAULT_REPLAY_RATE, CommandBuffer, execute_replay
+from ikdlab.scenarios import (drift_buffer, loose_scenario, tight_scenario,
+                              training_sweep_script, sweep_duration)
 from ikdlab.simcore import SlipParams, emit_sensor_logs, run_scenario
 
 CIRCLE_SPEED = 2.0
@@ -224,11 +223,10 @@ def test_zero_slip_training_recovers_identity_correction():
 def test_drift_correction_tightens_turn_without_collision(
         slip_correction_model):
     model, plant, _, _ = slip_correction_model
-    rows = drift_buffer().rows
-    raw = execute_replay(CommandBuffer(rows=list(rows)), plant,
-                         duration=drift_duration())
-    fixed = execute_replay(CommandBuffer(rows=list(rows)), plant, model=model,
-                           duration=drift_duration())
+    buf = drift_buffer()
+    duration = len(buf) / DEFAULT_REPLAY_RATE   # 90 rows at 20 Hz: 4.5 s
+    raw = execute_replay(buf, plant, duration=duration)
+    fixed = execute_replay(buf, plant, model=model, duration=duration)
 
     raw_loose = drift_eval(raw, loose_scenario())
     fixed_loose = drift_eval(fixed, loose_scenario())
@@ -298,20 +296,27 @@ def test_repeated_pipeline_runs_are_byte_identical(tmp_path):
 def test_invariant_property_suites():
     rng = np.random.default_rng(99)
 
-    # yaw-rate/curvature conversion round-trip
+    # a correction queries the yaw rate v*c, and the curvature guard inverts it
     for _ in range(100):
-        v = float(rng.uniform(0.1, 4.2))
-        c = float(rng.uniform(-2.0, 2.0))
-        assert c_from_av_v(av_from_vc(v, c), v) == pytest.approx(c, rel=1e-12)
+        m = int(rng.integers(1, 20))
+        v = rng.uniform(0.1, 4.2, m)
+        c = rng.uniform(-2.0, 2.0, m)
+        av_desired = correct_batch(init_params(rng), v, c).av_desired
+        assert av_desired.tobytes() == (v * c).tobytes()
+        assert c_from_av_v(av_desired, v) == pytest.approx(c, rel=1e-12)
 
-    # circular buffer wrap-around
+    # the replay's tick k reads buffer row (k*stride) mod n, for any stride
     for _ in range(100):
         n = int(rng.integers(1, 10))
-        rows = [(float(i), float(-i)) for i in range(n)]
-        buf = CommandBuffer(rows=list(rows))
-        k = int(rng.integers(1, 50))
-        for j in range(k):
-            assert next_command(buf) == rows[j % n]
+        rows = [(1.0 + 0.25 * i, 0.5 - 0.125 * i) for i in range(n)]
+        stride = int(rng.integers(1, 3 * n + 1))
+        rate = float(rng.uniform(1.0, 190.0))   # below 1/dt: no tick is skipped
+        trace = execute_replay(CommandBuffer(rows=rows), SlipParams.ideal(), rate=rate,
+                               duration=float(rng.uniform(0.05, 2.0)), stride=stride)
+        ticks = np.floor(np.arange(len(trace)) * trace.dt * rate + 1e-9).astype(int)
+        expected = [rows[k * stride % n] for k in ticks.tolist()]
+        assert trace.cmd_v.tolist() == [v for v, _ in expected]
+        assert trace.cmd_c.tolist() == [av / v for v, av in expected]
 
     # pruning is idempotent
     for _ in range(100):

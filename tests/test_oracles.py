@@ -9,10 +9,11 @@ commands exactly; a one-step run must match one reference step.  A
 corrected replay asks the model once for all ticks, so its corrected
 curvatures match the one-query-per-tick loop within CMD_TOL.  That loop
 keeps a verbatim copy of the scalar speed guard rather than calling the
-production one.  The integrator bit oracle is a verbatim copy of the
-closed-form integrator that looked up each step's segment with searchsorted
-and wrapped the heading with %: the run-length expansion and the fmod wrap
-must reproduce its six state channels bit for bit.
+production one; it reads row (j*stride) mod n at tick j itself and starts
+at rest, as every replay does.  The integrator bit oracle is a verbatim
+copy of the closed-form integrator that looked up each step's segment with
+searchsorted and wrapped the heading with %: the run-length expansion and
+the fmod wrap must reproduce its six state channels bit for bit.
 The sensor-log oracle is a verbatim copy of the sampler that interpolated
 the IMU over every state of a trace: record_logs, which builds no trace,
 and emit_sensor_logs must reproduce its five log arrays bit for bit, or
@@ -59,12 +60,12 @@ from ikdlab.fileio import ROW_BLOCK, read_table, write_table
 from ikdlab.mlp import (N_PARAMS, AdamState, LossCurve, MlpParams, TrainConfig,
                         _FIELDS, _SHAPES, _dataset_xy, _forward_batch, _views,
                         adamw_step, forward, init_params, loss_and_grads, train)
-from ikdlab.replay import CommandBuffer, execute_replay, next_command
-from ikdlab.scenarios import (drift_buffer, drift_duration, loose_scenario,
-                               sweep_duration, tight_scenario, training_sweep_script)
+from ikdlab.replay import DEFAULT_REPLAY_RATE, CommandBuffer, execute_replay
+from ikdlab.scenarios import (drift_buffer, loose_scenario, sweep_duration, tight_scenario,
+                              training_sweep_script)
 from ikdlab.simcore import (DEFAULT_DT, EPS_V, V_CAP, YAW_RATE_DOMAIN, ControlScript, SimTrace,
                             SlipParams, VehicleState, _integrate, _last_state_at,
-                            _require_finite, emit_sensor_logs, normalize_heading,
+                            emit_sensor_logs, normalize_heading,
                             record_logs, run_scenario, sample_count, slip_yaw_rate)
 from ikdlab.errors import InsufficientOverlapError, ParseError, ValidationError
 
@@ -107,7 +108,8 @@ def reference_step_dynamics(state: VehicleState, cmd: Command,
                             p: SlipParams, dt: float) -> VehicleState:
     if dt <= 0:
         raise ValidationError("dt must be positive")
-    _require_finite("step_dynamics command", cmd.v, cmd.c)
+    if not (math.isfinite(cmd.v) and math.isfinite(cmd.c)):
+        raise ValidationError("step_dynamics command contains a non-finite value")
 
     alpha = 1.0 if p.lag_tau <= 0.0 else 1.0 - math.exp(-dt / p.lag_tau)
     v = state.v + (cmd.v - state.v) * alpha
@@ -144,20 +146,20 @@ def reference_c_from_av_v(av: float, v: float, eps_v: float = EPS_V) -> float:
     return av / v
 
 
-def reference_execute_replay(buf, p, model=None, rate=20.0, duration=1.0,
-                             dt=DEFAULT_DT, stride=1, initial_state=None):
+def reference_execute_replay(rows, p, model=None, rate=20.0, duration=1.0,
+                             dt=DEFAULT_DT, stride=1):
     n = int(math.floor(duration / dt + 1e-9))
-    state = initial_state if initial_state is not None else VehicleState()
+    state = VehicleState()
     states = [state]
     commands = []
     held = None
     last_tick = -1
+    ticks_read = 0
     for i in range(n):
         tick = int(math.floor(i * dt * rate + 1e-9))
         if tick > last_tick:
-            v, av = next_command(buf)
-            for _ in range(stride - 1):
-                next_command(buf)
+            v, av = rows[(ticks_read * stride) % len(rows)]
+            ticks_read += 1
             av = max(-AV_LIMIT, min(AV_LIMIT, av))  # actuator command range
             c = reference_c_from_av_v(av, v)
             if model is not None:
@@ -333,15 +335,12 @@ def test_execute_replay_matches_per_step_loop_100_cases():
                  init_params(rng))[case % 3]
         rate = float(rng.choice([20.0, rng.uniform(2.0, 450.0)]))
         stride = int(rng.integers(1, 4))
-        p, dt, state = random_plant(rng), random_dt(rng), random_state(rng)
+        p, dt = random_plant(rng), random_dt(rng)
         duration = float(rng.uniform(0.01, 3.0))
-        buf = CommandBuffer(rows=list(rows))
-        ref_buf = CommandBuffer(rows=list(rows))
-        trace = execute_replay(buf, p, model=model, rate=rate, duration=duration,
-                               dt=dt, stride=stride, initial_state=state)
+        trace = execute_replay(CommandBuffer(rows=rows), p, model=model, rate=rate,
+                               duration=duration, dt=dt, stride=stride)
         states, commands = reference_execute_replay(
-            ref_buf, p, model=model, rate=rate, duration=duration, dt=dt,
-            stride=stride, initial_state=state)
+            rows, p, model=model, rate=rate, duration=duration, dt=dt, stride=stride)
         if model is None:
             assert_matches_loop(trace, states, commands)
         else:   # one batched forward pass vs one pass per tick
@@ -350,7 +349,6 @@ def test_execute_replay_matches_per_step_loop_100_cases():
                                                      dtype=float).tobytes()
             ref_c = np.array([c.c for c in commands], dtype=float)
             assert np.all(np.abs(trace.cmd_c - ref_c) <= CMD_TOL)
-        assert buf.cursor == ref_buf.cursor
 
 
 def test_first_300_s_of_training_sweep_match_per_step_loop():
@@ -550,12 +548,11 @@ def test_integrator_matches_searchsorted_blocks_bit_for_bit_on_long_runs():
     t = np.arange(2000) / 20.0
     v = 2.0 + np.sin(0.3 * t)
     rows = np.column_stack([v, np.clip(v * 0.8 * np.sin(0.7 * t + 0.1), -4.0, 4.0)])
-    state = VehicleState(x=1.0, y=-2.0, heading=3.0, v=1.5, av=0.2, av_lag=0.3)
     trace = execute_replay(CommandBuffer(rows=rows), p, model=build_gain_model(1.25),
-                           duration=100.0, initial_state=state)
+                           duration=100.0)
     changes = (trace.cmd_v[1:] != trace.cmd_v[:-1]) | (trace.cmd_c[1:] != trace.cmd_c[:-1])
     assert len(trace) == 20000 and int(np.count_nonzero(changes)) + 1 == 2000
-    assert_same_state_bits(trace, state, p, DEFAULT_DT)
+    assert_same_state_bits(trace, None, p, DEFAULT_DT)
 
     over = make_script([(0.0, 5.0, 0.3), (0.4, 1.0, -0.5), (0.9, 6.0, 0.1)])
     for sign in (1.0, -1.0):
@@ -1083,8 +1080,9 @@ def test_canned_drift_runs_match_both_drift_references(gain):
     # courses: the sweep reference bit for bit, the per-state one within
     # 1e-12 m.
     model = None if gain is None else build_gain_model(gain)
-    trace = execute_replay(drift_buffer(), SlipParams(), model=model,
-                           duration=drift_duration())
+    buf = drift_buffer()
+    trace = execute_replay(buf, SlipParams(), model=model,
+                           duration=len(buf) / DEFAULT_REPLAY_RATE)
     assert len(trace) == 900
     for scenario in (loose_scenario(), tight_scenario()):
         expected = reference_sweep_drift_eval(trace, scenario)

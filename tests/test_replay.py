@@ -5,7 +5,7 @@ import pytest
 
 from ikdlab.errors import ParseError, ValidationError
 from ikdlab.replay import (DEFAULT_REPLAY_RATE, CommandBuffer, execute_replay,
-                           next_command, read_buffer_txt)
+                           read_buffer_txt)
 from ikdlab.mlp import init_params
 from ikdlab.simcore import AV_LIMIT, EPS_V, ControlScript, SlipParams, run_scenario
 
@@ -23,8 +23,6 @@ def test_buffer_validation():
         CommandBuffer(rows=[])
     with pytest.raises(ValidationError):
         CommandBuffer(rows=[(1.0, float("nan"))])
-    with pytest.raises(ValidationError):
-        CommandBuffer(rows=[(1.0, 0.1)], cursor=1)
     for rows in ([(1.0, 0.1, 0.2)], [1.0, 0.1], [(1.0, 0.1), (2.0,)],
                  [("v", 0.1)]):
         with pytest.raises(ValidationError, match="buffer rows must be"):
@@ -40,9 +38,6 @@ def test_buffer_reports_its_first_non_finite_row():
                        r"got -2000\.0$") as exc:
         CommandBuffer(rows=[(1.0, 0.1), (1e3, -2e3), (1e4, 0.3)])
     assert exc.value.row == 1
-    with pytest.raises(ValidationError, match="cursor") as exc:
-        CommandBuffer(rows=[(1.0, 0.1)], cursor=1)
-    assert exc.value.row is None
 
 
 def test_buffer_owns_a_copy_of_its_rows():
@@ -50,28 +45,26 @@ def test_buffer_owns_a_copy_of_its_rows():
     buf = CommandBuffer(rows=rows)
     rows[0, 0] = 9.0
     assert buf.rows.dtype == np.float64 and buf.rows.shape == (2, 2)
-    assert buf.rows[0, 0] == 1.0
-    assert next_command(buf) == (1.0, 0.1)
-    assert all(type(x) is float for x in next_command(buf))
+    assert buf.rows.tolist() == [[1.0, 0.1], [2.0, 0.2]]
 
 
-def test_next_command_wraps_circularly():
-    buf = small_buffer()
-    seen = [next_command(buf) for _ in range(4)]
-    assert seen == [(1.0, 0.1), (2.0, 0.2), (3.0, 0.3), (1.0, 0.1)]
-    assert buf.cursor == 1
+def test_replay_wraps_circularly():
+    # 20 Hz ticks, one per 10 steps of 5 ms: four ticks read rows 0, 1, 2, 0
+    trace = execute_replay(small_buffer(), SlipParams.ideal(), duration=0.2)
+    assert trace.cmd_v[::10].tolist() == [1.0, 2.0, 3.0, 1.0]
+    assert trace.cmd_c[::10].tolist() == [0.1 / 1.0, 0.2 / 2.0, 0.3 / 3.0, 0.1 / 1.0]
 
 
 def test_wrap_property_over_many_reads():
     rng = np.random.default_rng(11)
     for _ in range(100):
         n = int(rng.integers(1, 9))
-        rows = [(float(i), float(-i)) for i in range(n)]
-        buf = CommandBuffer(rows=list(rows))
+        rows = [(1.0 + i, 0.5 * i) for i in range(n)]
         k = int(rng.integers(1, 40))
-        for j in range(k):
-            assert next_command(buf) == rows[j % n]
-        assert buf.cursor == k % n
+        stride = int(rng.integers(1, 2 * n + 1))
+        trace = execute_replay(CommandBuffer(rows=rows), SlipParams.ideal(),
+                               duration=k / DEFAULT_REPLAY_RATE, stride=stride)
+        assert trace.cmd_v[::10].tolist() == [rows[j * stride % n][0] for j in range(k)]
 
 
 def test_buffer_txt_round_trip(tmp_path):
@@ -80,7 +73,6 @@ def test_buffer_txt_round_trip(tmp_path):
     write_buffer(path, buf.rows)
     back = read_buffer_txt(path)
     assert np.array_equal(back.rows, buf.rows)
-    assert back.cursor == 0
 
 
 def test_buffer_txt_parse_errors(tmp_path):
@@ -100,10 +92,25 @@ def test_buffer_txt_parse_errors(tmp_path):
 
 def test_replay_consumes_rate_commands_per_second():
     buf = CommandBuffer(rows=[(1.0, float(i) / 100.0) for i in range(100)])
-    execute_replay(buf, SlipParams.ideal(), duration=1.0)
-    # 20 ticks in one second at the default rate, cursor left on row 20
+    trace = execute_replay(buf, SlipParams.ideal(), duration=1.0)
+    # 20 ticks in one second at the default rate: rows 0 to 19
     assert DEFAULT_REPLAY_RATE == 20.0
-    assert buf.cursor == 20
+    assert sorted(set(trace.cmd_c.tolist())) == [float(i) / 100.0 for i in range(20)]
+
+
+def test_replaying_a_buffer_twice_gives_the_same_trace_and_leaves_it_unchanged():
+    # 1.15 s at 20 Hz reads 23 of the 10 rows: the replay ends partway
+    # through its third pass over the buffer
+    rng = np.random.default_rng(4)
+    buf = CommandBuffer(rows=np.column_stack([rng.uniform(0.5, 3.5, 10),
+                                              rng.uniform(-2.0, 2.0, 10)]))
+    rows = buf.rows.copy()
+    for model in (None, build_gain_model(1.3)):
+        first, second = (execute_replay(buf, SlipParams(), model=model, duration=1.15)
+                         for _ in range(2))
+        for name in ("x", "y", "heading", "v", "av", "av_lag", "cmd_v", "cmd_c"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+        assert buf.rows.tobytes() == rows.tobytes()
 
 
 def test_replay_holds_command_between_ticks():
@@ -143,23 +150,20 @@ def test_replay_stride_decimates_buffer():
     avs = sorted(set(trace.cmd_c.tolist()))
     # ticks consume rows 0,3,6,...,27 (curvature av/v with v=1)
     assert avs == [float(i) / 100.0 for i in range(0, 30, 3)]
-    assert buf.cursor == 30
 
 
 @pytest.mark.parametrize("stride", [1, 3, 7, 2 ** 63 - 1, 10 ** 23])
 def test_replay_stride_past_int64_reads_the_rows_of_its_residue(stride):
-    # tick k reads row (cursor + k*stride) mod n, so adding a multiple of n
-    # changes nothing
+    # tick k reads row (k*stride) mod n, so adding a multiple of n changes
+    # nothing
+    buf = CommandBuffer(rows=[(1.0 + i / 10.0, i / 20.0) for i in range(7)])
     runs = []
     for s in (stride, stride + 7 * 10 ** 20):
-        buf = CommandBuffer(rows=[(1.0 + i / 10.0, i / 20.0) for i in range(7)], cursor=2)
         trace = execute_replay(buf, SlipParams.ideal(), duration=0.6, stride=s)
-        runs.append((trace.cmd_v.tolist(), trace.cmd_c.tolist(), trace.xy().tolist(),
-                     buf.cursor))
+        runs.append((trace.cmd_v.tolist(), trace.cmd_c.tolist(), trace.xy().tolist()))
     assert runs[0] == runs[1]
     # one tick per 10 steps at 20 Hz and dt 0.005; row i commands v = 1 + i/10
-    assert runs[0][0][::10] == [1.0 + ((2 + k * stride) % 7) / 10.0 for k in range(12)]
-    assert runs[0][3] == (2 + 12 * stride) % 7
+    assert runs[0][0][::10] == [1.0 + ((k * stride) % 7) / 10.0 for k in range(12)]
 
 
 def test_replay_clamps_buffer_yaw_rates():
@@ -213,7 +217,6 @@ def test_replay_rejects_non_finite_arguments(arg, value):
     buf = small_buffer()
     with pytest.raises(ValidationError, match=f"{arg} must be positive and finite"):
         execute_replay(buf, SlipParams.ideal(), **{arg: value})
-    assert buf.cursor == 0
 
 
 def test_replay_trace_shape():

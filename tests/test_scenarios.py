@@ -6,11 +6,12 @@ import pytest
 
 from ikdlab.errors import ValidationError
 from ikdlab.evalkit import CAR_WIDTH
+from ikdlab.replay import DEFAULT_REPLAY_RATE
 from ikdlab.scenarios import (BOX_SIZE, DRIFT_APPROACH, DRIFT_EXIT, DRIFT_TURN,
                               GATE_CONE, LOOSE_GAP, LOW_BOOST, LOW_CURVATURE,
                               SWEEP_CURVATURES, SWEEP_SPEEDS, TIGHT_GAP, drift_buffer,
-                              drift_duration, loose_scenario, tight_scenario,
-                              training_sweep_script, sweep_duration)
+                              loose_scenario, tight_scenario, training_sweep_script,
+                              sweep_duration)
 from ikdlab.simcore import AV_LIMIT
 
 from conftest import point_rect_signed_distance
@@ -98,9 +99,9 @@ def test_drift_turn_is_counter_clockwise_and_aggressive():
 
 
 def test_drift_duration_matches_segments():
-    assert drift_duration() == pytest.approx(
-        DRIFT_APPROACH[2] + DRIFT_TURN[2] + DRIFT_EXIT[2])
-    assert drift_duration() == 4.5
+    # the CLI replays the buffer for len(buf) / rate seconds: exactly 4.5 s
+    duration = len(drift_buffer()) / DEFAULT_REPLAY_RATE
+    assert duration == DRIFT_APPROACH[2] + DRIFT_TURN[2] + DRIFT_EXIT[2] == 4.5
 
 
 # --- gate layouts ------------------------------------------------------------

@@ -35,9 +35,10 @@ def test_heading_wraps_into_half_open_pi_interval():
 # --- dataclass validation ----------------------------------------------------
 
 def test_vehicle_state_rejects_nonfinite_and_overcap():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^VehicleState: x must be finite, got nan$"):
         VehicleState(x=float("nan"))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match=r"^VehicleState: v must be within \+-4\.219, got 4\.229"):
         VehicleState(v=V_CAP + 0.01)
     VehicleState(v=V_CAP)  # at the cap is fine
 
