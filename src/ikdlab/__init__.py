@@ -11,8 +11,8 @@ from .align import (AlignedDataset, DelayEstimate, build_dataset,
                     prune_zero_curvature, scan_delays)
 from .datalog import (ImuLog, JoyLog, read_imu_csv, read_joy_csv, trim_idle,
                       write_imu_csv, write_joy_csv)
-from .errors import (CorruptLogError, FitError, IkdError, InferenceError,
-                     InsufficientOverlapError, ParseError, ValidationError)
+from .errors import (CorruptLogError, FitError, IkdError, InsufficientOverlapError,
+                     ParseError, ValidationError)
 from .evalkit import (CircleReport, ClearanceReport, DriftScenario, Rect,
                       circle_test, drift_eval, emit_report, fit_circle)
 from .ikd import Corrections, correct, correct_batch

@@ -37,9 +37,9 @@ DEFAULT_CIRCLE_V = 2.0
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Run configuration; seeds are always explicit, never wall-clock."""
+    """Run configuration; seeds are always explicit, never wall-clock.
+    ``slip.seed`` and ``train.seed`` are the seeds a run uses."""
 
-    seed: int = 0
     slip: SlipParams = field(default_factory=SlipParams)
     scenario_file: str | None = None
     joy_hz: float = DEFAULT_LOG_RATE
@@ -88,7 +88,7 @@ class PipelineConfig:
             given["delay_step"] = _positive(path, "delay_step", raw["delay_step"])
         if "pad" in raw:
             given["pad"] = _positive(path, "pad", raw["pad"], zero_ok=True)
-        return cls(seed=seed, slip=slip, scenario_file=raw.get("scenario_file"),
+        return cls(slip=slip, scenario_file=raw.get("scenario_file"),
                    train=train, out_dir=raw.get("out_dir"), **given)
 
 
@@ -107,8 +107,7 @@ def _load_config(args) -> PipelineConfig:
         raise ValidationError("--seed must be >= 0")
     cfg = PipelineConfig.from_json(args.config) if args.config else PipelineConfig()
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed,
-                      slip=replace(cfg.slip, seed=args.seed),
+        cfg = replace(cfg, slip=replace(cfg.slip, seed=args.seed),
                       train=replace(cfg.train, seed=args.seed))
     return cfg
 

@@ -38,10 +38,6 @@ class FitError(ValidationError):
     """Geometric fit failed (degenerate or collinear input)."""
 
 
-class InferenceError(IkdError, RuntimeError):
-    """Model produced an unusable output (non-finite prediction)."""
-
-
 @contextlib.contextmanager
 def blamed(blame):
     """Raise a ValidationError again, of the same class, with ``blame(exc)``

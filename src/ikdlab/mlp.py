@@ -8,15 +8,17 @@ plain numpy arrays; no input normalization is applied.
 The weights live in one contiguous float64 vector.  A training step
 backpropagates into one flat gradient vector and runs AdamW in place on
 whole vectors, so it allocates little beyond the batch's activations.
-Weights are validated where they enter or leave the program (the named
-constructor, model files) and where training could diverge (the config and
-the end of each epoch), not on every step.  Each weight must lie within
+Weights are validated once, where they are held: the one constructor of
+MlpParams checks them, so a model read from a file and a trained model are
+checked alike.  Training checks its config, and the end of each epoch,
+where it could diverge, not every step.  Each weight must lie within
 WEIGHT_DOMAIN, so no forward pass on inputs within the simcore domains
 (+-1e3) overflows.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import numbers
@@ -53,10 +55,9 @@ class MlpParams:
 
     ``theta`` holds every weight in one read-only float64 vector, in
     _FIELDS order; W1, b1, W2, b2, W3 and b3 are reshaped views of it,
-    bound once when the object is built.  The named constructor copies its
-    tensors and checks their shapes and that every weight is within
-    WEIGHT_DOMAIN; ``_from_flat`` adopts a vector unchecked and is meant
-    for the trainer only.
+    bound once when the object is built.  The constructor, the only way to
+    build one, copies its tensors and checks their shapes and that every
+    weight is within WEIGHT_DOMAIN.
     """
 
     W1: np.ndarray
@@ -75,21 +76,12 @@ class MlpParams:
                 raise ValidationError(
                     f"{name} has shape {arr.shape}, expected {_SHAPES[name]}")
             tensors.append(arr)
-        self._bind(np.concatenate(tensors, axis=None))
-        for name in _FIELDS:
-            check_within((name, getattr(self, name), WEIGHT_DOMAIN))
-
-    def _bind(self, theta: np.ndarray) -> None:
+        theta = np.concatenate(tensors, axis=None)
         theta.flags.writeable = False
         # A frozen dataclass refuses setattr: bind the views in its __dict__.
         self.__dict__.update(zip(_FIELDS, _views(theta)), theta=theta)
-
-    @classmethod
-    def _from_flat(cls, theta: np.ndarray) -> "MlpParams":
-        """Wrap a float64 vector of N_PARAMS values without validating it."""
-        p = object.__new__(cls)
-        p._bind(theta)
-        return p
+        for name in _FIELDS:
+            check_within((name, getattr(self, name), WEIGHT_DOMAIN))
 
 
 def _views(flat: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -98,11 +90,9 @@ def _views(flat: np.ndarray) -> tuple[np.ndarray, ...]:
                  for part, shape in zip(np.split(flat, _STOPS[:-1]), _SHAPES.values()))
 
 
-def _tensors_outside_domain(p: MlpParams) -> list[str]:
-    """Names of the tensors of p that hold a weight outside WEIGHT_DOMAIN
-    (NaN and the infinities included)."""
-    return [name for name in _FIELDS
-            if not np.all(np.abs(getattr(p, name)) <= WEIGHT_DOMAIN)]
+# train's working weights: the _views of its private vector, named as an
+# MlpParams names them, and neither copied nor checked on each step
+_Weights = collections.namedtuple("_Weights", _FIELDS)
 
 
 def init_params(rng: np.random.Generator) -> MlpParams:
@@ -325,12 +315,12 @@ def train(data: AlignedDataset, cfg: TrainConfig = TrainConfig()
     per-epoch shuffles all come from one generator seeded with cfg.seed.
     The loss curve holds full-split MSE evaluated after each epoch.  A run
     whose loss turns non-finite, or a weight leaves WEIGHT_DOMAIN, stops
-    with a ValidationError naming the epoch, so the model returned is one
-    MlpParams and load_model accept.  Each step runs loss_and_grads and
-    adamw_step in place on vectors private to this call; the weights are
-    wrapped once, in a read-only copy, when training ends.  After each
-    epoch, AdamW moments of magnitude below the smallest normal float are
-    set to zero.
+    with a ValidationError naming the epoch.  Each step runs loss_and_grads
+    and adamw_step in place on vectors private to this call, read through
+    read-only views taken once.  When training ends the MlpParams
+    constructor copies and checks the weights; it cannot refuse them, since
+    the last epoch's check has passed.  After each epoch, AdamW moments of
+    magnitude below the smallest normal float are set to zero.
     """
     n = len(data)
     if n < 2 * cfg.batch_size:
@@ -339,7 +329,9 @@ def train(data: AlignedDataset, cfg: TrainConfig = TrainConfig()
 
     rng = np.random.default_rng(cfg.seed)
     theta = init_params(rng).theta.copy()   # the private working vector
-    p = MlpParams._from_flat(theta.view())  # read-only views that follow it
+    read_only = theta.view()
+    read_only.flags.writeable = False
+    p = _Weights(*_views(read_only))        # views that follow theta
     s = AdamState.fresh()
     g, tmp = np.empty(N_PARAMS), np.empty(N_PARAMS)
     grads = _views(g)
@@ -374,20 +366,16 @@ def train(data: AlignedDataset, cfg: TrainConfig = TrainConfig()
         test_mse[epoch] = _split_mse(p, X_te, y_te)
         if not (math.isfinite(train_mse[epoch]) and math.isfinite(test_mse[epoch])
                 and np.all(np.abs(theta) <= WEIGHT_DOMAIN)):
-            bad = ", ".join(_tensors_outside_domain(p)) or "none"
+            bad = ", ".join(name for name, w in zip(_FIELDS, p)
+                            if not np.all(np.abs(w) <= WEIGHT_DOMAIN)) or "none"
             raise ValidationError(
                 f"training diverged in epoch {epoch}: train mse {train_mse[epoch]}, "
                 f"test mse {test_mse[epoch]}, weights outside +-{WEIGHT_DOMAIN:g} "
                 f"in {bad}")
-    return MlpParams._from_flat(theta.copy()), LossCurve(train_mse=train_mse,
-                                                         test_mse=test_mse)
+    return MlpParams(*p), LossCurve(train_mse=train_mse, test_mse=test_mse)
 
 
 def save_model(p: MlpParams, path: str) -> None:
-    bad = _tensors_outside_domain(p)
-    if bad:
-        raise ValidationError(f"{path}: refusing to save weights outside "
-                              f"+-{WEIGHT_DOMAIN:g} in {', '.join(bad)}")
     payload = {
         "version": MODEL_VERSION,
         "layer_sizes": list(LAYER_SIZES),

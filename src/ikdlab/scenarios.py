@@ -20,9 +20,10 @@ LOOSE_GAP = 2.13   # m
 TIGHT_GAP = 0.81   # m
 BOX_SIZE = 0.56    # m, square cardboard-box obstacle
 
-# Speeds and curvature magnitudes visited by the training sweep.  Chosen to
-# bracket the circle-test speed (2 m/s) densely and to cover the commanded
-# yaw-rate range used by the drift course, while respecting |v*c| <= 4.
+# Speeds, and curvature magnitudes in increasing order, visited by the
+# training sweep.  Chosen to bracket the circle-test speed (2 m/s) densely
+# and to cover the commanded yaw-rate range used by the drift course, while
+# respecting |v*c| <= 4.
 # The low range is sampled finely (and dwelt on longer, see LOW_CURVATURE):
 # small commanded yaw rates are where the inverse map must be most precise.
 SWEEP_SPEEDS = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0)
@@ -44,9 +45,9 @@ def _segment_dwell(c: float, dwell: float) -> float:
 
 
 def training_sweep_script(dwell: float = DEFAULT_DWELL,
-                          speeds=SWEEP_SPEEDS,
-                          curvatures=SWEEP_CURVATURES) -> ControlScript:
-    """Piecewise-constant sweep over (speed, +-curvature) combinations.
+                          speeds=SWEEP_SPEEDS) -> ControlScript:
+    """Piecewise-constant sweep over (speed, +-curvature) combinations,
+    SWEEP_CURVATURES at each of ``speeds``.
 
     Per speed, curvature walks up the positive magnitudes and back down the
     negative ones, so consecutive commands differ by one small step and the
@@ -57,11 +58,10 @@ def training_sweep_script(dwell: float = DEFAULT_DWELL,
     a squared-error fit.  Pairs with |v*c| > AV_LIMIT are skipped.
     """
     require_positive(dwell=dwell)
-    mags = sorted(curvatures)
     segs = []
     t = 0.0
     for v in speeds:
-        ordered = [c for c in mags if abs(v * c) <= AV_LIMIT]
+        ordered = [c for c in SWEEP_CURVATURES if abs(v * c) <= AV_LIMIT]
         for c in ordered + [-c for c in reversed(ordered)]:
             segs.append(ScriptSegment(t, v, c))
             t += _segment_dwell(c, dwell)

@@ -449,9 +449,9 @@ def _sample_logs(n: int, dt: float, p: SlipParams, joy_rate: float, imu_rate: fl
     """
     if n == 0:
         raise ValidationError("cannot emit logs from an empty trace")
-    if joy_rate <= 0 or imu_rate <= 0:
+    if not (joy_rate > 0 and imu_rate > 0):   # NaN fails too
         raise ValidationError("sensor rates must be positive")
-    if pad < 0:
+    if not pad >= 0:
         raise ValidationError("pad must be non-negative")
 
     duration = n * dt

@@ -33,9 +33,10 @@ from ikdlab.ikd import c_from_av_v, correct, correct_batch
 from ikdlab.mlp import (N_PARAMS, MlpParams, TrainConfig, _FIELDS, _SHAPES,
                         _views, forward, init_params, loss_and_grads, train)
 from ikdlab.replay import DEFAULT_REPLAY_RATE, CommandBuffer, execute_replay
-from ikdlab.scenarios import (drift_buffer, loose_scenario, tight_scenario,
-                              training_sweep_script, sweep_duration)
-from ikdlab.simcore import SlipParams, emit_sensor_logs, run_scenario
+from ikdlab.scenarios import (_segment_dwell, drift_buffer, loose_scenario,
+                              tight_scenario, training_sweep_script, sweep_duration)
+from ikdlab.simcore import (AV_LIMIT, ControlScript, ScriptSegment, SlipParams,
+                            emit_sensor_logs, run_scenario)
 
 CIRCLE_SPEED = 2.0
 CIRCLE_CURVATURES = (0.12, 0.63, 0.70, 0.80)
@@ -198,12 +199,23 @@ def test_gradients_match_finite_differences_100_draws():
     assert worst < 1e-4, f"worst relative gradient error {worst:.3e}"
 
 
+def dense_sweep(speeds, curvatures, dwell: float) -> ControlScript:
+    """The training sweep's walk over a curvature grid of its own: at each
+    speed the feasible magnitudes up, then their negatives down."""
+    segs, t = [], 0.0
+    for v in speeds:
+        mags = [c for c in curvatures if abs(v * c) <= AV_LIMIT]
+        for c in mags + [-c for c in reversed(mags)]:
+            segs.append(ScriptSegment(t, v, c))
+            t += _segment_dwell(c, dwell)
+    return ControlScript(tuple(segs))
+
+
 def test_zero_slip_training_recovers_identity_correction():
     plant = SlipParams.ideal()
     speeds = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.2)
     curvatures = tuple(float(c) for c in np.arange(0.02, 0.901, 0.02))
-    script = training_sweep_script(dwell=1.0, speeds=speeds,
-                                   curvatures=curvatures)
+    script = dense_sweep(speeds, curvatures, dwell=1.0)
     duration = sweep_duration(script, dwell=1.0)
     trace = run_scenario(script, plant, duration)
     joy, imu = trim_idle(*emit_sensor_logs(trace, plant))

@@ -693,7 +693,6 @@ def test_config_fields_flow_through(workdir):
     with open("cfg.json", "w", encoding="utf-8") as fh:
         json.dump(raw, fh)
     cfg = PipelineConfig.from_json("cfg.json")
-    assert cfg.seed == 11
     assert cfg.slip.seed == 11
     assert (cfg.joy_hz, cfg.imu_hz, cfg.replay_hz) == (50.0, 100.0, 10.0)
     assert cfg.delay_search == (0.0, 0.3)

@@ -10,9 +10,9 @@ import pytest
 
 import ikdlab
 from ikdlab.cli import main
-from ikdlab.errors import InferenceError, ValidationError
+from ikdlab.errors import ValidationError
 from ikdlab.ikd import AV_LIMIT, Corrections, c_from_av_v, correct, correct_batch
-from ikdlab.mlp import _SHAPES, WEIGHT_DOMAIN, MlpParams, init_params, save_model
+from ikdlab.mlp import _SHAPES, WEIGHT_DOMAIN, MlpParams, forward, init_params, save_model
 from ikdlab.simcore import EPS_V
 
 from conftest import build_constant_model, build_gain_model, build_identity_model
@@ -129,22 +129,6 @@ def test_speed_guard_has_one_home():
     assert not hasattr(ikdlab.align, "row_curvature")
 
 
-def overflowing_model() -> MlpParams:
-    """A model whose output overflows for v > 0 and is 0 for v <= 0.  Built
-    unchecked: its weights of 1e308 are past WEIGHT_DOMAIN."""
-    W1, W2, W3 = np.zeros((32, 2)), np.zeros((32, 32)), np.zeros((1, 32))
-    for W in (W1, W2, W3):
-        W[0, 0] = 1e308
-    return MlpParams._from_flat(np.concatenate(
-        [W1, np.zeros(32), W2, np.zeros(32), W3, np.zeros(1)], axis=None))
-
-
-def test_non_finite_model_output_raises():
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(InferenceError, match=r"^model output (inf|nan) is not finite$"):
-            correct(overflowing_model(), 4.0, 0.9)
-
-
 # --- correct_batch -----------------------------------------------------------
 
 def test_batched_correction_matches_per_row_correct():
@@ -177,11 +161,6 @@ def test_batched_correction_matches_per_row_correct():
 
 
 def test_batched_correction_names_first_non_finite_row():
-    v = np.array([-1.0, -2.0, 4.0, 3.0])   # relu(v * 1e308) = 0 for v <= 0
-    c = np.array([0.5, 0.5, 0.9, 0.9])
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(InferenceError, match=r"^row 2: model output (inf|nan) is not finite$"):
-            correct_batch(overflowing_model(), v, c)
     with pytest.raises(ValidationError) as exc:
         correct_batch(build_identity_model(), [1.0, 2.0], [0.1, float("nan")])
     assert (str(exc.value), exc.value.row) == ("c must be within +-1000, got nan", 1)
@@ -210,12 +189,19 @@ def test_overflowing_v_times_c_is_refused_by_name():
 
 def test_correction_at_the_domain_edges_is_finite_without_a_warning():
     # every weight at +WEIGHT_DOMAIN and every input at the edge of its domain:
-    # the output, about 2e306, still fits a float, and the clamp takes it
-    edge = MlpParams(**{name: np.full(shape, WEIGHT_DOMAIN)
-                        for name, shape in _SHAPES.items()})
-    batch = correct_batch(edge, [1e3, 1e3, -1e3], [1.0, 1e-3, -1.0])
-    assert batch.av_desired.tolist() == [1e3, 1.0, 1e3]
-    assert batch.av_corrected.tolist() == [AV_LIMIT] * 3 and batch.clamped.all()
+    # the output, about 2e306, still fits a float, and the clamp takes it; with
+    # W3 and b3 at -WEIGHT_DOMAIN it is the most negative one, about -2e306
+    for sign in (1.0, -1.0):
+        edge = MlpParams(**{name: np.full(shape, sign * WEIGHT_DOMAIN if name[1] == "3"
+                                          else WEIGHT_DOMAIN)
+                            for name, shape in _SHAPES.items()})
+        v, c = [1e3, 1e3, -1e3], [1.0, 1e-3, -1.0]
+        batch = correct_batch(edge, v, c)
+        assert batch.av_desired.tolist() == [1e3, 1.0, 1e3]
+        raw = forward(edge, np.column_stack([v, batch.av_desired]))
+        assert np.all(np.isfinite(raw)) and sign * raw[0] > 2e306
+        assert batch.av_corrected.tolist() == [sign * AV_LIMIT] * 3
+        assert batch.clamped.all()
 
 
 def test_cli_correct_prints_the_result_as_json(tmp_path, capsys):

@@ -574,12 +574,13 @@ def reference_emit_sensor_logs(trace: SimTrace, p: SlipParams, joy_rate: float =
     states around each IMU sample: every state's time and every step's v*c,
     one np.interp over the whole trace.  Verbatim but for the two SimTrace
     members deleted since, ``duration`` (``len(trace) * trace.dt``) and
-    ``av_commanded()`` (``trace.cmd_v * trace.cmd_c``)."""
+    ``av_commanded()`` (``trace.cmd_v * trace.cmd_c``), and for the rate
+    and pad checks, written so that NaN fails them as it fails simcore's."""
     if len(trace) == 0:
         raise ValidationError("cannot emit logs from an empty trace")
-    if joy_rate <= 0 or imu_rate <= 0:
+    if not (joy_rate > 0 and imu_rate > 0):
         raise ValidationError("sensor rates must be positive")
-    if pad < 0:
+    if not pad >= 0:
         raise ValidationError("pad must be non-negative")
 
     duration = len(trace) * trace.dt

@@ -69,15 +69,21 @@ def test_sweep_validation():
         with pytest.raises(ValidationError, match="dwell must be positive and finite"):
             training_sweep_script(dwell=value)
     with pytest.raises(ValidationError):
-        training_sweep_script(speeds=(10.0,), curvatures=(1.0,))
+        training_sweep_script(speeds=(100.0,))   # 100 * 0.05 is past AV_LIMIT
 
 
 def test_sweep_accepts_custom_grids():
-    script = training_sweep_script(dwell=1.0, speeds=(2.0,),
-                                   curvatures=(0.5, 0.3))
+    script = training_sweep_script(dwell=1.0, speeds=(4.0,))
+    mags = list(SWEEP_CURVATURES[:-3])   # 4 * 1.05, 1.1 and 1.15 are past AV_LIMIT
+    assert mags == sorted(mags) and 4.0 * mags[-1] == AV_LIMIT
     assert [(s.v, s.c) for s in script.segments] == [
-        (2.0, 0.3), (2.0, 0.5), (2.0, -0.5), (2.0, -0.3)]
-    assert [s.t_start for s in script.segments] == [0.0, 1.0, 2.0, 3.0]
+        (4.0, c) for c in mags + [-c for c in reversed(mags)]]
+    segs = script.segments
+    assert segs[0].t_start == 0.0
+    # LOW_BOOST (2) times the 1 s dwell on the 16 segments each way at |c| <= 0.25
+    assert [b.t_start - a.t_start for a, b in zip(segs, segs[1:])] == [
+        2.0 if abs(a.c) <= 0.25 else 1.0 for a in segs[:-1]]
+    assert sum(abs(a.c) <= 0.25 for a in segs) == 32
 
 
 # --- drift commands ----------------------------------------------------------

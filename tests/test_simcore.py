@@ -364,6 +364,14 @@ def test_emit_rejects_empty_trace_and_bad_rates():
         emit_sensor_logs(trace, SlipParams(), joy_rate=0.0)
     with pytest.raises(ValidationError):
         emit_sensor_logs(trace, SlipParams(), pad=-1.0)
+    script, nan = ControlScript.constant(1.0, 0.1), float("nan")
+    for emit in (lambda **kw: emit_sensor_logs(trace, SlipParams(), **kw),
+                 lambda **kw: record_logs(script, SlipParams(), 2.0, **kw)):
+        for rate in ("joy_rate", "imu_rate"):
+            with pytest.raises(ValidationError, match="^sensor rates must be positive$"):
+                emit(**{rate: nan})
+        with pytest.raises(ValidationError, match="^pad must be non-negative$"):
+            emit(pad=nan)
 
 
 def traced_peak(run):

@@ -6,8 +6,9 @@ that only tests call (the acceptance gates count as tests) unless
 TEST_ONLY says why it stays, the names the benchmark's tracer
 (perfbench/tracing.py) wraps must exist and be the ones the program calls,
 only the CLI's ``main`` may load the config, write or print, no CLI stage
-may copy a check the library makes, and only the listed functions may
-silence numpy's floating-point warnings.
+may copy a check the library makes, only the listed functions may
+silence numpy's floating-point warnings, and no object of the package is
+built past its constructor's checks.
 """
 
 import ast
@@ -303,6 +304,22 @@ def test_errstate_finder_names_the_function_that_holds_the_call():
                      "            np.isfinite(1.0)\n"
                      "np.errstate(all='ignore')\n")
     assert errstate_sites(tree, "mod") == ["mod.f", "mod.g", "mod.C.m", "mod"]
+
+
+def new_calls(tree: ast.Module) -> list[int]:
+    """Lines where ``tree`` calls a ``__new__``, which builds an object
+    without running its constructor's checks."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__new__"]
+
+
+def test_no_object_is_built_past_its_checks():
+    sites = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in new_calls(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not sites, f"__new__ is called at {sites}: build through the constructor"
+    assert new_calls(ast.parse("p = object.__new__(cls)\nq = cls(1)\n"
+                               "r = super().__new__(cls)\n")) == [1, 3]
 
 
 def load_tracing():
