@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import check_within
 from .mlp import MlpParams, forward
-from .simcore import (AV_LIMIT, CURVATURE_DOMAIN, SPEED_DOMAIN, YAW_RATE_DOMAIN,
-                      c_from_av_v)
+from .simcore import AV_LIMIT, CURVATURE_DOMAIN, SPEED_DOMAIN, c_from_av_v
 
 
 class Corrections(NamedTuple):
@@ -39,17 +38,15 @@ def correct_batch(model: MlpParams, v: np.ndarray, c_desired: np.ndarray) -> Cor
     curvature, with ``clamped`` marking the rows the clamp changed.  The
     rows share one batched forward pass, whose sums may round differently
     from a one-row pass in the last bits.  A v outside SPEED_DOMAIN or a c
-    outside CURVATURE_DOMAIN, and then a v*c outside YAW_RATE_DOMAIN, raises
-    ValidationError with the first bad row as its ``row``.  The model's
-    output is then finite: every MlpParams holds its weights within
-    mlp.WEIGHT_DOMAIN.
+    outside CURVATURE_DOMAIN, and then (in ``forward``) an av = v*c outside
+    YAW_RATE_DOMAIN, raises ValidationError with the first bad row as its
+    ``row``.  The model's output is then finite: every MlpParams holds its
+    weights within mlp.WEIGHT_DOMAIN.
     """
     v = np.asarray(v, dtype=float)
     c_desired = np.asarray(c_desired, dtype=float)
     check_within(("v", v, SPEED_DOMAIN), ("c", c_desired, CURVATURE_DOMAIN))
     av_desired = v * c_desired   # within +-1e6, so finite
-    check_within(("v*c", av_desired, YAW_RATE_DOMAIN))
-    # finite, within about +-2e306, by the bound of mlp.WEIGHT_DOMAIN
     raw = forward(model, np.column_stack([v, av_desired]))
     av_corrected = np.clip(raw, -AV_LIMIT, AV_LIMIT)
     return Corrections(v, av_desired, av_corrected,

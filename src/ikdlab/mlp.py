@@ -13,7 +13,7 @@ MlpParams checks them, so a model read from a file and a trained model are
 checked alike.  Training checks its config, and the end of each epoch,
 where it could diverge, not every step.  Each weight must lie within
 WEIGHT_DOMAIN, so no forward pass on inputs within the simcore domains
-(+-1e3) overflows.
+(+-1e3) overflows; forward refuses inputs outside them.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import numpy as np
 from .align import AlignedDataset
 from .errors import ParseError, ValidationError, blamed, check_within, is_finite
 from .fileio import read_json, write_json, write_table
+from .simcore import SPEED_DOMAIN, YAW_RATE_DOMAIN
 
 LAYER_SIZES = (2, 32, 32, 1)
 MODEL_VERSION = 1
@@ -166,7 +167,9 @@ class AdamState:
 
 @dataclass(frozen=True)
 class LossCurve:
-    """Train and test MSE, one of each per epoch."""
+    """Train and test MSE, one of each per epoch: the train MSE is the mean
+    over the epoch's steps, each residual taken at its own step's weights;
+    the test MSE is the test split's, evaluated at the end of the epoch."""
 
     train_mse: np.ndarray
     test_mse: np.ndarray
@@ -175,7 +178,7 @@ class LossCurve:
         return self.train_mse.size
 
 
-_EVAL_ROWS = 4096   # rows per chunk of the per-epoch evaluation
+_EVAL_ROWS = 4096   # rows per chunk of the per-epoch test-split evaluation
 
 
 def _forward_batch(p: MlpParams, X: np.ndarray):
@@ -199,6 +202,9 @@ def forward(p: MlpParams, inputs) -> float | np.ndarray:
     """Evaluate the network on one (v, av) pair or a batch of them.
 
     A shape-(2,) input returns a scalar; shape-(n, 2) returns shape (n,).
+    v must lie within simcore.SPEED_DOMAIN and av within YAW_RATE_DOMAIN,
+    or a ValidationError names the first row outside; there the output is
+    finite for every MlpParams (see WEIGHT_DOMAIN).
     """
     X = np.asarray(inputs, dtype=float)
     single = X.ndim == 1
@@ -206,8 +212,7 @@ def forward(p: MlpParams, inputs) -> float | np.ndarray:
         X = X[None, :]
     if X.ndim != 2 or X.shape[1] != 2:
         raise ValidationError(f"inputs must have shape (2,) or (n, 2), got {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValidationError("inputs must be finite")
+    check_within(("v", X[:, 0], SPEED_DOMAIN), ("av", X[:, 1], YAW_RATE_DOMAIN))
     out = _forward_batch(p, X)[2]
     return float(out[0]) if single else out
 
@@ -223,7 +228,10 @@ def loss_and_grads(p: MlpParams, X: np.ndarray, y: np.ndarray,
     view (matmul and sum with ``out=``) and each ReLU mask is applied in
     place on its delta.  The products are the per-tensor ones, term for
     term, so the bits are too: d * (a > 0) gives -0.0 for a negative delta
-    behind a closed unit either way.
+    behind a closed unit either way.  The output delta is one column, so it
+    reaches the second hidden layer as the outer product d_out * W3: the
+    matmul's one-term sums, bit for bit but for the sign of a zero product,
+    which the matmul makes +0.0.
     """
     if X.ndim != 2 or X.shape[1] != 2 or y.shape != (X.shape[0],):
         raise ValidationError("batch must be X:(n,2), y:(n,)")
@@ -235,7 +243,7 @@ def loss_and_grads(p: MlpParams, X: np.ndarray, y: np.ndarray,
     d_out = (2.0 / X.shape[0]) * resid[:, None]   # (n, 1)
     np.matmul(d_out.T, a2, out=g_W3)
     d_out.sum(axis=0, out=g_b3)
-    d_z2 = d_out @ p.W3                            # (n, 32)
+    d_z2 = d_out * p.W3                            # (n, 1) * (1, 32) -> (n, 32)
     np.multiply(d_z2, a2 > 0.0, out=d_z2)
     np.matmul(d_z2.T, a1, out=g_W2)
     d_z2.sum(axis=0, out=g_b2)
@@ -287,14 +295,15 @@ def _dataset_xy(data: AlignedDataset) -> tuple[np.ndarray, np.ndarray]:
 def _split_mse(p: MlpParams, X: np.ndarray, y: np.ndarray) -> float:
     """MSE of the network over a whole split, a few thousand rows at a time.
 
-    The split is cut into near-equal chunks of at most _EVAL_ROWS rows, so
-    the two hidden-layer arrays of a chunk stay under 1.1 MB each instead
-    of growing with the split (11.6 MB each on a 45k-row split).  Large
-    temporaries that come and go every epoch leave the allocator's heap in
-    a state that depends on what ran before, and with it the peak memory of
-    a training run.  No chunk is small when the split is not, and squared
-    errors are gathered into one vector and averaged once, as a
-    whole-split evaluation averages them.
+    train evaluates the test split with it after each epoch.  The split is
+    cut into near-equal chunks of at most _EVAL_ROWS rows, so the two
+    hidden-layer arrays of a chunk stay under 1.1 MB each instead of
+    growing with the split (2.5 MB each on the 9.7k-row test split of the
+    default sweep's dataset).  Large temporaries that come and go every
+    epoch leave the allocator's heap in a state that depends on what ran
+    before, and with it the peak memory of a training run.  No chunk is
+    small when the split is not, and squared errors are gathered into one
+    vector and averaged once, as a whole-split evaluation averages them.
     """
     n = y.size
     chunks = -(-n // _EVAL_ROWS)
@@ -313,9 +322,11 @@ def train(data: AlignedDataset, cfg: TrainConfig = TrainConfig()
 
     Seeded and fully deterministic: weight init, train/test split, and the
     per-epoch shuffles all come from one generator seeded with cfg.seed.
-    The loss curve holds full-split MSE evaluated after each epoch.  A run
-    whose loss turns non-finite, or a weight leaves WEIGHT_DOMAIN, stops
-    with a ValidationError naming the epoch.  Each step runs loss_and_grads
+    The loss curve's train MSE is the mean of the squared residuals that
+    the epoch's steps return, each at its own step's weights; only the test
+    split is evaluated again, after each epoch.  A run whose loss turns
+    non-finite, or a weight leaves WEIGHT_DOMAIN, stops with a
+    ValidationError naming the epoch.  Each step runs loss_and_grads
     and adamw_step in place on vectors private to this call, read through
     read-only views taken once.  When training ends the MlpParams
     constructor copies and checks the weights; it cannot refuse them, since
@@ -353,16 +364,18 @@ def train(data: AlignedDataset, cfg: TrainConfig = TrainConfig()
         order = rng.permutation(n_tr)
         np.take(X_tr, order, axis=0, out=X_ep)
         np.take(y_tr, order, out=y_ep)
+        sse = 0.0
         for start in range(0, n_tr, cfg.batch_size):
             stop = start + cfg.batch_size
-            loss_and_grads(p, X_ep[start:stop], y_ep[start:stop], grads)
+            resid = loss_and_grads(p, X_ep[start:stop], y_ep[start:stop], grads)
+            sse += resid @ resid
             adamw_step(theta, g, s, cfg, tmp)
         # A unit that stays closed decays its moments into the subnormal
         # range, where every operation on them is slow on some CPUs.  There
         # they change no weight bit: they add under 3e-300 to a step.
         for moment in (s.m, s.v):
             moment[np.abs(moment) < _TINY] = 0.0
-        train_mse[epoch] = _split_mse(p, X_tr, y_tr)
+        train_mse[epoch] = sse / n_tr
         test_mse[epoch] = _split_mse(p, X_te, y_te)
         if not (math.isfinite(train_mse[epoch]) and math.isfinite(test_mse[epoch])
                 and np.all(np.abs(theta) <= WEIGHT_DOMAIN)):

@@ -40,6 +40,7 @@ from ikdlab.simcore import (AV_LIMIT, ControlScript, ScriptSegment, SlipParams,
 
 CIRCLE_SPEED = 2.0
 CIRCLE_CURVATURES = (0.12, 0.63, 0.70, 0.80)
+CIRCLE_DEV_BOUND_PCT = 2.5   # the most a corrected circle may deviate
 
 # Data-collection sweep for the slip plant.  2.0 m/s appears twice so the
 # circle-test speed gets double dwell and the densest coverage.
@@ -95,19 +96,26 @@ def slip_correction_model():
 
 
 def test_circle_correction_beats_uncorrected_within_tolerance(
-        slip_correction_model):
+        slip_correction_model, record_property):
     model, plant, simulated, setup_wall = slip_correction_model
     t0 = time.perf_counter()
     assert simulated >= 600.0   # at least ten simulated minutes of driving
 
-    for c in CIRCLE_CURVATURES:
-        raw = circle_test(CIRCLE_SPEED, c, plant)
-        fixed = circle_test(CIRCLE_SPEED, c, plant, model)
+    runs = {c: (circle_test(CIRCLE_SPEED, c, plant),
+                circle_test(CIRCLE_SPEED, c, plant, model))
+            for c in CIRCLE_CURVATURES}
+    # the gate's margins, in the JUnit XML of a run with --junitxml
+    record_property("fixture_setup_s", round(setup_wall, 2))
+    record_property("corrected_dev_pct_max",
+                    max(fixed.deviation_pct for _, fixed in runs.values()))
+    record_property("corrected_dev_pct_bound", CIRCLE_DEV_BOUND_PCT)
+    for c, (raw, fixed) in runs.items():
         if c == 0.70:
             # plant calibration: the uncorrected car understeers visibly
             assert raw.deviation_pct >= 4.0
-        assert fixed.deviation_pct <= 2.5, (
-            f"c={c}: corrected deviation {fixed.deviation_pct:.3f}% > 2.5%")
+        assert fixed.deviation_pct <= CIRCLE_DEV_BOUND_PCT, (
+            f"c={c}: corrected deviation {fixed.deviation_pct:.3f}% "
+            f"> {CIRCLE_DEV_BOUND_PCT}%")
         assert fixed.deviation_pct < raw.deviation_pct, (
             f"c={c}: corrected {fixed.deviation_pct:.3f}% not below "
             f"uncorrected {raw.deviation_pct:.3f}%")

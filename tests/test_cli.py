@@ -575,7 +575,7 @@ def test_align_names_the_logs_its_pair_check_refuses(workdir, capsys, joy, err):
      "--v 2.0 at --c 1e+300: c must be within +-1000, got 1e+300"),
     # each within its domain, but not the yaw rate they ask for
     (["correct", "--model", "model.json", "--v", "1000", "--c", "2"],
-     "--v 1000.0 at --c 2.0: v*c must be within +-1000, got 2000.0"),
+     "--v 1000.0 at --c 2.0: av must be within +-1000, got 2000.0"),
 ], ids=["seed", "correct-seed", "c", "v", "v-nan", "v-past-its-domain",
         "c-past-its-domain", "v-times-c-past-its-domain"])
 def test_seed_v_and_c_flags_are_checked_naming_the_flag(workdir, capsys, argv, err):

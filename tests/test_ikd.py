@@ -174,10 +174,10 @@ def test_overflowing_v_times_c_is_refused_by_name():
         ([1.0, 1e3, 2.0], [0.1, 1e3, 1e300], 2, "c must be within +-1000, got 1e+300"),
         ([1.0, 2.0, 1e3], [0.1, float(np.nextafter(1e3, np.inf)), 1e3], 1,
          "c must be within +-1000, got 1000.0000000000001"),
-        # then v*c, against the yaw-rate domain
-        ([1.0, 1e3, 2.0], [0.1, 1e3, 0.5], 1, "v*c must be within +-1000, got 1000000.0"),
+        # then v*c, the model's av input, against the yaw-rate domain
+        ([1.0, 1e3, 2.0], [0.1, 1e3, 0.5], 1, "av must be within +-1000, got 1000000.0"),
         ([-1e3, 2.0], [-1.0 - 2 ** -52, 0.5], 0,
-         "v*c must be within +-1000, got 1000.0000000000002"),
+         "av must be within +-1000, got 1000.0000000000002"),
     ]
     for v, c, row, message in cases:
         with pytest.raises(ValidationError) as exc:

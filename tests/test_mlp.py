@@ -1,5 +1,7 @@
 """Network forward/backward math, the optimizer rule, training, model files."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,22 @@ def test_forward_shape_handling():
         forward(p, np.ones((2, 3)))
     with pytest.raises(ValidationError):
         forward(p, (float("nan"), 0.0))
+
+
+def test_forward_refuses_inputs_outside_the_simcore_domains():
+    # every weight at +WEIGHT_DOMAIN: inputs at +-1e3 give about 2e306, still
+    # a float; past the domain the output would overflow, so they are refused
+    edge = MlpParams(**{name: np.full(shape, WEIGHT_DOMAIN)
+                        for name, shape in _SHAPES.items()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert forward(edge, [1e3, 1e3]) == pytest.approx(2.049024e306, rel=1e-12)
+        for inputs, message, row in (
+                ([1e5, 1e5], "v must be within +-1000, got 100000.0", 0),
+                ([[1.0, 2.0], [1e3, -1e5]], "av must be within +-1000, got -100000.0", 1)):
+            with pytest.raises(ValidationError) as exc:
+                forward(edge, inputs)
+            assert (str(exc.value), exc.value.row) == (message, row)
 
 
 def test_identity_construction_is_exact():
@@ -333,14 +351,44 @@ def test_train_rejects_small_datasets():
 
 def test_train_stops_when_a_weight_leaves_the_domain(monkeypatch):
     # One step of size 1e120 (a 100-row train split, one batch) moves every
-    # weight to about 1e120: finite, but far past WEIGHT_DOMAIN.  With the
-    # loss reported finite, the weight bound alone stops the run.
+    # weight to about 1e120: finite, but far past WEIGHT_DOMAIN.  The train
+    # MSE is that step's, at the initial weights, and the test MSE is
+    # reported as 0.0: both finite, so the weight bound alone stops the run.
     monkeypatch.setattr(mlp_module, "_split_mse", lambda p, X, y: 0.0)
     cfg = TrainConfig(lr=1e120, epochs=2, batch_size=100, split_fraction=0.5)
-    with pytest.raises(ValidationError) as exc:
+    with pytest.raises(ValidationError,
+                       match=r"^training diverged in epoch 0: train mse 5\.287\d*, "
+                             r"test mse 0\.0, weights outside \+-1e\+100 in "
+                             r"W1, b1, W2, b2, W3, b3$"):
         train(identity_dataset(n=200), cfg)
-    assert str(exc.value) == ("training diverged in epoch 0: train mse 0.0, test mse 0.0, "
-                              "weights outside +-1e+100 in W1, b1, W2, b2, W3, b3")
+
+
+def test_train_mse_is_the_mean_of_the_epoch_step_residuals(monkeypatch):
+    # 700 rows: 630 train 70 test; batch 64 leaves a short last batch
+    data = identity_dataset(n=700, seed=3)
+    cfg = TrainConfig(epochs=3, batch_size=64, seed=2)
+    resids, evaluated = [], []
+    real_step, real_eval = mlp_module.loss_and_grads, mlp_module._split_mse
+
+    def step_spy(p, X, y, grads):
+        resid = real_step(p, X, y, grads)
+        resids.append(resid.copy())
+        return resid
+
+    def eval_spy(p, X, y):
+        evaluated.append(len(y))
+        return real_eval(p, X, y)
+
+    monkeypatch.setattr(mlp_module, "loss_and_grads", step_spy)
+    monkeypatch.setattr(mlp_module, "_split_mse", eval_spy)
+    _, curve = train(data, cfg)
+    steps = -(-630 // 64)
+    assert len(resids) == 3 * steps
+    assert evaluated == [70] * 3   # one pass per epoch, over the test split only
+    for epoch in range(3):
+        sq = np.concatenate(resids[epoch * steps:(epoch + 1) * steps]) ** 2
+        assert sq.size == 630
+        assert curve.train_mse[epoch] == pytest.approx(np.mean(sq), rel=1e-12, abs=0.0)
 
 
 def test_train_config_validation():

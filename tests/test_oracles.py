@@ -1101,7 +1101,6 @@ def reference_loss_and_grads(p: MlpParams, X: np.ndarray, y: np.ndarray):
     n = X.shape[0]
     a1, a2, out = _forward_batch(p, X)
     resid = out - y
-    mse = float(np.mean(resid * resid))
 
     d_out = (2.0 / n) * resid[:, None]          # (n, 1)
     g_W3 = d_out.T @ a2
@@ -1117,7 +1116,7 @@ def reference_loss_and_grads(p: MlpParams, X: np.ndarray, y: np.ndarray):
 
     grads = {"W1": g_W1, "b1": g_b1, "W2": g_W2, "b2": g_b2,
              "W3": g_W3, "b3": g_b3}
-    return mse, grads
+    return resid, grads
 
 
 @dataclass
@@ -1180,11 +1179,13 @@ def reference_train(data: AlignedDataset, cfg: TrainConfig):
     n_tr = len(train_idx)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_tr)
+        sse = 0.0   # each step's squared residuals, at that step's weights
         for start in range(0, n_tr, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            _, grads = reference_loss_and_grads(p, X_tr[batch], y_tr[batch])
+            resid, grads = reference_loss_and_grads(p, X_tr[batch], y_tr[batch])
+            sse += resid @ resid
             p, s = reference_adamw_step(p, grads, s, cfg)
-        train_mse[epoch] = np.mean((forward(p, X_tr) - y_tr) ** 2)
+        train_mse[epoch] = sse / n_tr
         test_mse[epoch] = np.mean((forward(p, X_te) - y_te) ** 2)
     return p, LossCurve(train_mse=train_mse, test_mse=test_mse), s
 
@@ -1315,8 +1316,8 @@ def test_loss_and_grads_match_per_tensor_gradients_bit_for_bit():
         y = rng.uniform(-4.0, 4.0, n)
         grads = _views(np.empty(N_PARAMS))
         resid = loss_and_grads(p, X, y, grads)
-        ref_mse, ref_grads = reference_loss_and_grads(p, X, y)
-        assert float(np.mean(resid * resid)) == ref_mse
+        ref_resid, ref_grads = reference_loss_and_grads(p, X, y)
+        assert resid.tobytes() == ref_resid.tobytes()
         for name, grad in zip(_FIELDS, grads):
             assert grad.shape == _SHAPES[name]
             assert grad.tobytes() == ref_grads[name].tobytes(), name
