@@ -26,8 +26,8 @@ from .errors import (CorruptLogError, IkdError, InsufficientOverlapError, ParseE
                      ValidationError, blamed, check_within, finite_number, json_fields,
                      require_positive, seed_value)
 from .fileio import read_json, read_record, write_json, write_table
-from .simcore import (DEFAULT_DT, DEFAULT_LOG_RATE, DEFAULT_PAD, ControlScript, SimTrace,
-                      SlipParams, record_logs, sample_count)
+from .simcore import (DEFAULT_DT, DEFAULT_LOG_RATE, DEFAULT_PAD, EMPTY_TRACE,
+                      ControlScript, SimTrace, SlipParams, record_logs, sample_count)
 
 DEFAULT_OUT = "out"
 ENV_OUT = "IKD_OUT_DIR"
@@ -139,9 +139,12 @@ def cmd_collect(args, cfg, out):
         duration = scenarios.sweep_duration(script, dwell=args.dwell)
     if dwell_sets_length:
         sample_count("dwell", duration / DEFAULT_DT)
-    # a row is a script segment: the logs' values are all inside their domains
+    # a row is a script segment (the logs' values are all inside their
+    # domains); a run too short to record is the length-setting flag's doing
+    length_flag = "--dwell" if args.duration is None else "--duration"
     with blamed(lambda exc: f"{args.script}: segment {exc.row}"
-                if args.script and exc.row is not None else None):
+                if args.script and exc.row is not None
+                else length_flag if str(exc) == EMPTY_TRACE else None):
         joy, imu = record_logs(script, cfg.slip, duration, joy_rate=cfg.joy_hz,
                                imu_rate=cfg.imu_hz, pad=cfg.pad)
     files = [("logs/joy.csv", partial(datalog.write_joy_csv, joy)),

@@ -36,11 +36,12 @@ def correct_batch(model: MlpParams, v: np.ndarray, c_desired: np.ndarray) -> Cor
     Row k is queried at (v[k], v[k]*c_desired[k]) as in ``correct``; the
     answer is clamped to the actuator range and turned back into a
     curvature, with ``clamped`` marking the rows the clamp changed.  The
-    rows share one batched forward pass, whose sums may round differently
-    from a one-row pass in the last bits.  A v outside SPEED_DOMAIN or a c
-    outside CURVATURE_DOMAIN, and then (in ``forward``) an av = v*c outside
-    YAW_RATE_DOMAIN, raises ValidationError with the first bad row as its
-    ``row``.  The model's output is then finite: every MlpParams holds its
+    rows share one batched forward call, whose sums may round differently
+    from a one-row pass in the last bits, and, past mlp._EVAL_ROWS rows,
+    which forward runs in chunks, from a batch cut at other rows.  A v
+    outside SPEED_DOMAIN or a c outside CURVATURE_DOMAIN, and then (in
+    ``forward``) an av = v*c outside YAW_RATE_DOMAIN, raises
+    ValidationError with the first bad row as its ``row``.  The model's output is then finite: every MlpParams holds its
     weights within mlp.WEIGHT_DOMAIN.
     """
     v = np.asarray(v, dtype=float)

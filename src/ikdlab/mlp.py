@@ -178,7 +178,7 @@ class LossCurve:
         return self.train_mse.size
 
 
-_EVAL_ROWS = 4096   # rows per chunk of the per-epoch test-split evaluation
+_EVAL_ROWS = 4096   # most rows forward evaluates in one pass
 
 
 def _forward_batch(p: MlpParams, X: np.ndarray):
@@ -205,6 +205,18 @@ def forward(p: MlpParams, inputs) -> float | np.ndarray:
     v must lie within simcore.SPEED_DOMAIN and av within YAW_RATE_DOMAIN,
     or a ValidationError names the first row outside; there the output is
     finite for every MlpParams (see WEIGHT_DOMAIN).
+
+    A batch runs in near-equal chunks of at most _EVAL_ROWS rows, each
+    written into the one output vector, so the two hidden-layer arrays of
+    a chunk stay under 1.1 MB each instead of growing with the batch
+    (2.5 MB each on the 9.7k-row test split of the default sweep's
+    dataset, which train evaluates after every epoch).  Large temporaries
+    that come and go every epoch leave the allocator's heap in a state
+    that depends on what ran before, and with it the peak memory of a
+    training run.  No chunk is small when the batch is not.  A batch of at
+    most _EVAL_ROWS rows is one chunk; in a larger one, a row's output may
+    differ in the last bit from a whole-batch pass, since BLAS may order
+    its sums differently for another row count.
     """
     X = np.asarray(inputs, dtype=float)
     single = X.ndim == 1
@@ -213,7 +225,12 @@ def forward(p: MlpParams, inputs) -> float | np.ndarray:
     if X.ndim != 2 or X.shape[1] != 2:
         raise ValidationError(f"inputs must have shape (2,) or (n, 2), got {X.shape}")
     check_within(("v", X[:, 0], SPEED_DOMAIN), ("av", X[:, 1], YAW_RATE_DOMAIN))
-    out = _forward_batch(p, X)[2]
+    n = X.shape[0]
+    chunks = max(-(-n // _EVAL_ROWS), 1)
+    bounds = [n * i // chunks for i in range(chunks + 1)]
+    out = np.empty(n)
+    for lo, hi in zip(bounds, bounds[1:]):
+        out[lo:hi] = _forward_batch(p, X[lo:hi])[2]
     return float(out[0]) if single else out
 
 
@@ -292,29 +309,6 @@ def _dataset_xy(data: AlignedDataset) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _split_mse(p: MlpParams, X: np.ndarray, y: np.ndarray) -> float:
-    """MSE of the network over a whole split, a few thousand rows at a time.
-
-    train evaluates the test split with it after each epoch.  The split is
-    cut into near-equal chunks of at most _EVAL_ROWS rows, so the two
-    hidden-layer arrays of a chunk stay under 1.1 MB each instead of
-    growing with the split (2.5 MB each on the 9.7k-row test split of the
-    default sweep's dataset).  Large temporaries that come and go every
-    epoch leave the allocator's heap in a state that depends on what ran
-    before, and with it the peak memory of a training run.  No chunk is
-    small when the split is not, and squared errors are gathered into one
-    vector and averaged once, as a whole-split evaluation averages them.
-    """
-    n = y.size
-    chunks = -(-n // _EVAL_ROWS)
-    bounds = [n * i // chunks for i in range(chunks + 1)]
-    sq = np.empty(n)
-    for lo, hi in zip(bounds, bounds[1:]):
-        sq[lo:hi] = _forward_batch(p, X[lo:hi])[2] - y[lo:hi]
-    sq *= sq
-    return float(np.mean(sq))
-
-
 @np.errstate(over="ignore", invalid="ignore")   # overflow ends in the divergence check
 def train(data: AlignedDataset, cfg: TrainConfig = TrainConfig()
           ) -> tuple[MlpParams, LossCurve]:
@@ -324,13 +318,14 @@ def train(data: AlignedDataset, cfg: TrainConfig = TrainConfig()
     per-epoch shuffles all come from one generator seeded with cfg.seed.
     The loss curve's train MSE is the mean of the squared residuals that
     the epoch's steps return, each at its own step's weights; only the test
-    split is evaluated again, after each epoch.  A run whose loss turns
-    non-finite, or a weight leaves WEIGHT_DOMAIN, stops with a
-    ValidationError naming the epoch.  Each step runs loss_and_grads
-    and adamw_step in place on vectors private to this call, read through
-    read-only views taken once.  When training ends the MlpParams
-    constructor copies and checks the weights; it cannot refuse them, since
-    the last epoch's check has passed.  After each epoch, AdamW moments of
+    split is evaluated again, after each epoch, through forward, looked up
+    as this module's global on each call, so a wrapper patched onto
+    mlp.forward times it.  A run whose loss turns non-finite, or a weight
+    leaves WEIGHT_DOMAIN, stops with a ValidationError naming the epoch.
+    Each step runs loss_and_grads and adamw_step in place on vectors
+    private to this call, read through read-only views taken once.  When
+    training ends the MlpParams constructor copies and checks the weights;
+    it cannot refuse them, since the last epoch's check has passed.  After each epoch, AdamW moments of
     magnitude below the smallest normal float are set to zero.
     """
     n = len(data)
@@ -376,7 +371,7 @@ def train(data: AlignedDataset, cfg: TrainConfig = TrainConfig()
         for moment in (s.m, s.v):
             moment[np.abs(moment) < _TINY] = 0.0
         train_mse[epoch] = sse / n_tr
-        test_mse[epoch] = _split_mse(p, X_te, y_te)
+        test_mse[epoch] = np.mean((forward(p, X_te) - y_te) ** 2)
         if not (math.isfinite(train_mse[epoch]) and math.isfinite(test_mse[epoch])
                 and np.all(np.abs(theta) <= WEIGHT_DOMAIN)):
             bad = ", ".join(name for name, w in zip(_FIELDS, p)

@@ -47,6 +47,9 @@ DEFAULT_DT = 0.005   # s, internal integration step
 DEFAULT_LOG_RATE = 40.0  # Hz, joystick and IMU recorder rate
 DEFAULT_PAD = 1.0    # s, idle recording before and after a drive
 _BLOCK_STEPS = 4096  # steps per integrator block, IMU samples per sampler block
+# a run of no step: the message names no input, so a caller that knows what
+# set the run's length blames it
+EMPTY_TRACE = "cannot emit logs from an empty trace"
 
 
 def normalize_heading(h: float) -> float:
@@ -386,11 +389,12 @@ def _script_runs(script: ControlScript, duration: float, dt: float):
 
     A run lasts floor(duration/dt) steps, and step i holds the command of the
     last segment with t_start <= i*dt.  The reached segments' commands pass
-    _check_commands, whose row is then a segment index.
+    _check_commands, whose row is then a segment index; a script that starts
+    after t=0 is refused at row 0, its first segment.
     """
     require_positive(duration=duration, dt=dt)
     if script.segments[0].t_start > 0:
-        raise ValidationError("script must be defined from t=0")
+        raise ValidationError("script must be defined from t=0", row=0)
     n = sample_count("duration", duration / dt)
     # Each segment's first step: the least i <= n with i*dt + 1e-12 >= t_start,
     # found from a ceil and fixed up against that same float expression.
@@ -448,7 +452,7 @@ def _sample_logs(n: int, dt: float, p: SlipParams, joy_rate: float, imu_rate: fl
     the bits are those of an interpolation over every state.
     """
     if n == 0:
-        raise ValidationError("cannot emit logs from an empty trace")
+        raise ValidationError(EMPTY_TRACE)
     if not (joy_rate > 0 and imu_rate > 0):   # NaN fails too
         raise ValidationError("sensor rates must be positive")
     if not pad >= 0:

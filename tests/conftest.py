@@ -3,6 +3,7 @@ builders and writers for the inputs the library only reads."""
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +23,16 @@ def write_dataclass_json(path, obj) -> None:
     """Write a SlipParams, ControlScript or DriftScenario as the JSON file
     its ``from_json`` reads."""
     write_json(path, dataclasses.asdict(obj))
+
+
+def write_new(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` as a new file.  Truncating a file and
+    writing it again makes ext4 (auto_da_alloc) flush it on close, some
+    50-80 ms; a loop that rewrites one file in place spends its time there."""
+    if os.path.lexists(path):
+        os.unlink(path)
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def write_buffer(path, rows) -> None:

@@ -14,6 +14,10 @@ per gate:
     wide gate without collision (the narrow gate is scored, not gated);
 6.  byte-identical artifacts across two identical seeded pipeline runs;
 7.  six randomized invariant suites, 100 cases each.
+
+Each gate records its measured margins and their bounds as suite-level
+properties, which a run with ``--junitxml`` writes into its XML.  Gate 1's
+model is also held to gate 1's bounds on the mirrored, clockwise circles.
 """
 
 import json
@@ -41,6 +45,12 @@ from ikdlab.simcore import (AV_LIMIT, ControlScript, ScriptSegment, SlipParams,
 CIRCLE_SPEED = 2.0
 CIRCLE_CURVATURES = (0.12, 0.63, 0.70, 0.80)
 CIRCLE_DEV_BOUND_PCT = 2.5   # the most a corrected circle may deviate
+DELAY_ERR_BOUND_S = 0.002         # gate 2, clean logs
+NOISY_DELAY_ERR_BOUND_S = 0.025   # gate 2, noisy logs
+GRADIENT_REL_ERR_BOUND = 1e-4     # gate 3
+IDENTITY_ERR_BOUND = 0.01         # gate 4, relative to the commanded curvature
+MIN_ARTIFACTS = 14                # gate 6: logs, dataset, model, reports, plots
+INVARIANT_CASES = 100             # gate 7, cases per suite
 
 # Data-collection sweep for the slip plant.  2.0 m/s appears twice so the
 # circle-test speed gets double dwell and the densest coverage.
@@ -126,6 +136,26 @@ def test_circle_correction_beats_uncorrected_within_tolerance(
     assert setup_wall + (time.perf_counter() - t0) < 180.0
 
 
+def test_mirrored_circle_correction_beats_uncorrected_within_tolerance(
+        slip_correction_model, record_testsuite_property):
+    # the sweep drives both turn directions, so the model corrects clockwise
+    # circles too, to gate 1's bounds
+    model, plant, _, _ = slip_correction_model
+    runs = {-c: (circle_test(CIRCLE_SPEED, -c, plant),
+                 circle_test(CIRCLE_SPEED, -c, plant, model))
+            for c in CIRCLE_CURVATURES}
+    record_testsuite_property(
+        "circle_mirrored_corrected_dev_pct_max",
+        max(fixed.deviation_pct for _, fixed in runs.values()))
+    for c, (raw, fixed) in runs.items():
+        assert fixed.deviation_pct <= CIRCLE_DEV_BOUND_PCT, (
+            f"c={c}: corrected deviation {fixed.deviation_pct:.3f}% "
+            f"> {CIRCLE_DEV_BOUND_PCT}%")
+        assert fixed.deviation_pct < raw.deviation_pct, (
+            f"c={c}: corrected {fixed.deviation_pct:.3f}% not below "
+            f"uncorrected {raw.deviation_pct:.3f}%")
+
+
 def _multi_sine(t):
     return (1.8 * np.sin(2 * np.pi * 0.31 * t)
             + 1.1 * np.sin(2 * np.pi * 0.93 * t + 1.0)
@@ -143,7 +173,7 @@ def _shifted_pair(delay, noise_sigma=0.0, seed=0):
     return joy, ImuLog(t=t_imu, av_z=av_z)
 
 
-def test_delay_recovery_over_50_random_shifts():
+def test_delay_recovery_over_50_random_shifts(record_testsuite_property):
     t0 = time.perf_counter()
     delays = np.random.default_rng(0).uniform(0.05, 0.40, 50)
     worst_clean = worst_noisy = 0.0
@@ -154,8 +184,12 @@ def test_delay_recovery_over_50_random_shifts():
         noisy = estimate_delay(*_shifted_pair(d, noise_sigma=0.01,
                                               seed=1000 + i))
         worst_noisy = max(worst_noisy, abs(noisy.delay - d))
-    assert worst_clean <= 0.002, f"clean worst error {worst_clean:.4f} s"
-    assert worst_noisy <= 0.025, f"noisy worst error {worst_noisy:.4f} s"
+    record_testsuite_property("delay_clean_err_ms_max", 1e3 * worst_clean)
+    record_testsuite_property("delay_clean_err_ms_bound", 1e3 * DELAY_ERR_BOUND_S)
+    record_testsuite_property("delay_noisy_err_ms_max", 1e3 * worst_noisy)
+    record_testsuite_property("delay_noisy_err_ms_bound", 1e3 * NOISY_DELAY_ERR_BOUND_S)
+    assert worst_clean <= DELAY_ERR_BOUND_S, f"clean worst error {worst_clean:.4f} s"
+    assert worst_noisy <= NOISY_DELAY_ERR_BOUND_S, f"noisy worst error {worst_noisy:.4f} s"
     assert time.perf_counter() - t0 < 30.0
 
 
@@ -173,7 +207,7 @@ def stacked_forward(thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (a2 @ w["W3"].transpose(0, 2, 1))[:, :, 0] + w["b3"]
 
 
-def test_gradients_match_finite_differences_100_draws():
+def test_gradients_match_finite_differences_100_draws(record_testsuite_property):
     rng = np.random.default_rng(7)
     h = 1e-5
 
@@ -207,7 +241,9 @@ def test_gradients_match_finite_differences_100_draws():
         rel = np.abs(g_an - g_fd) / np.maximum.reduce(
             [np.abs(g_an), np.abs(g_fd), np.full_like(g_an, 1e-6)])
         worst = max(worst, float(rel.max()))
-    assert worst < 1e-4, f"worst relative gradient error {worst:.3e}"
+    record_testsuite_property("gradient_rel_err_max", worst)
+    record_testsuite_property("gradient_rel_err_bound", GRADIENT_REL_ERR_BOUND)
+    assert worst < GRADIENT_REL_ERR_BOUND, f"worst relative gradient error {worst:.3e}"
 
 
 def dense_sweep(speeds, curvatures, dwell: float) -> ControlScript:
@@ -222,7 +258,7 @@ def dense_sweep(speeds, curvatures, dwell: float) -> ControlScript:
     return ControlScript(tuple(segs))
 
 
-def test_zero_slip_training_recovers_identity_correction():
+def test_zero_slip_training_recovers_identity_correction(record_testsuite_property):
     plant = SlipParams.ideal()
     speeds = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.2)
     curvatures = tuple(float(c) for c in np.arange(0.02, 0.901, 0.02))
@@ -240,11 +276,13 @@ def test_zero_slip_training_recovers_identity_correction():
             c = float(c)
             result = correct(params, v, c)
             worst = max(worst, abs(result.c_corrected - c) / c)
-    assert worst < 0.01, f"worst identity error {100 * worst:.3f}%"
+    record_testsuite_property("identity_err_pct_max", 100 * worst)
+    record_testsuite_property("identity_err_pct_bound", 100 * IDENTITY_ERR_BOUND)
+    assert worst < IDENTITY_ERR_BOUND, f"worst identity error {100 * worst:.3f}%"
 
 
 def test_drift_correction_tightens_turn_without_collision(
-        slip_correction_model):
+        slip_correction_model, record_testsuite_property):
     model, plant, _, _ = slip_correction_model
     buf = drift_buffer()
     duration = len(buf) / DEFAULT_REPLAY_RATE   # 90 rows at 20 Hz: 4.5 s
@@ -253,6 +291,12 @@ def test_drift_correction_tightens_turn_without_collision(
 
     raw_loose = drift_eval(raw, loose_scenario())
     fixed_loose = drift_eval(fixed, loose_scenario())
+    record_testsuite_property("drift_loose_uncorrected_radius_m",
+                              raw_loose.min_turn_radius)
+    record_testsuite_property("drift_loose_corrected_radius_m",
+                              fixed_loose.min_turn_radius)
+    record_testsuite_property("drift_loose_corrected_clearance_m",
+                              fixed_loose.min_clearance)
     assert fixed_loose.min_turn_radius < raw_loose.min_turn_radius, (
         f"corrected radius {fixed_loose.min_turn_radius:.3f} m not below "
         f"uncorrected {raw_loose.min_turn_radius:.3f} m")
@@ -306,21 +350,24 @@ def _tree_bytes(root: str) -> dict:
     return found
 
 
-def test_repeated_pipeline_runs_are_byte_identical(tmp_path):
+def test_repeated_pipeline_runs_are_byte_identical(tmp_path, record_testsuite_property):
     root = str(tmp_path)
     first = _tree_bytes(_run_pipeline(root, "first"))
     second = _tree_bytes(_run_pipeline(root, "second"))
+    record_testsuite_property("byte_identity_artifacts", len(first))
+    record_testsuite_property("byte_identity_artifacts_min", MIN_ARTIFACTS)
     assert sorted(first) == sorted(second)
-    assert len(first) >= 14   # logs, dataset, model, reports, plots
+    assert len(first) >= MIN_ARTIFACTS
     for rel in sorted(first):
         assert first[rel] == second[rel], f"{rel} differs between runs"
 
 
-def test_invariant_property_suites():
+def test_invariant_property_suites(record_testsuite_property):
     rng = np.random.default_rng(99)
+    record_testsuite_property("invariant_cases_per_suite", INVARIANT_CASES)
 
     # a correction queries the yaw rate v*c, and the curvature guard inverts it
-    for _ in range(100):
+    for _ in range(INVARIANT_CASES):
         m = int(rng.integers(1, 20))
         v = rng.uniform(0.1, 4.2, m)
         c = rng.uniform(-2.0, 2.0, m)
@@ -329,7 +376,7 @@ def test_invariant_property_suites():
         assert c_from_av_v(av_desired, v) == pytest.approx(c, rel=1e-12)
 
     # the replay's tick k reads buffer row (k*stride) mod n, for any stride
-    for _ in range(100):
+    for _ in range(INVARIANT_CASES):
         n = int(rng.integers(1, 10))
         rows = [(1.0 + 0.25 * i, 0.5 - 0.125 * i) for i in range(n)]
         stride = int(rng.integers(1, 3 * n + 1))
@@ -342,7 +389,7 @@ def test_invariant_property_suites():
         assert trace.cmd_c.tolist() == [av / v for v, av in expected]
 
     # pruning is idempotent
-    for _ in range(100):
+    for _ in range(INVARIANT_CASES):
         m = int(rng.integers(5, 60))
         data = AlignedDataset(
             v_joy=rng.uniform(0.0, 4.2, m),
@@ -356,7 +403,7 @@ def test_invariant_property_suites():
         assert np.array_equal(once.av_imu, twice.av_imu)
 
     # histograms conserve counts (outliers clip into the edge bins)
-    for _ in range(100):
+    for _ in range(INVARIANT_CASES):
         m = int(rng.integers(1, 500))
         vals = rng.uniform(-2.0, 7.0, m)
         counts = histogram(vals, bins=int(rng.integers(1, 24)),
@@ -364,7 +411,7 @@ def test_invariant_property_suites():
         assert int(counts.sum()) == m
 
     # circle fit is exact on noiseless circles
-    for _ in range(100):
+    for _ in range(INVARIANT_CASES):
         cx, cy = rng.uniform(-10.0, 10.0, 2)
         r = float(rng.uniform(0.1, 10.0))
         n = int(rng.integers(5, 100))
@@ -375,7 +422,7 @@ def test_invariant_property_suites():
         assert math.hypot(fx - cx, fy - cy) < 1e-9 * max(1.0, r)
 
     # corrected yaw-rate commands stay inside the actuator range
-    for _ in range(100):
+    for _ in range(INVARIANT_CASES):
         base = init_params(rng)
         gain = float(rng.uniform(0.0, 60.0))
         params = MlpParams(W1=base.W1, b1=base.b1, W2=base.W2, b2=base.b2,

@@ -18,7 +18,7 @@ from ikdlab.errors import ParseError, ValidationError
 from ikdlab.evalkit import DriftScenario
 from ikdlab.simcore import ControlScript, SlipParams
 
-from conftest import make_script, write_dataclass_json
+from conftest import make_script, write_dataclass_json, write_new
 
 
 @pytest.fixture()
@@ -166,6 +166,13 @@ def test_error_paths_return_one(workdir, capsys):
     # refused before the sweep's segment starts overflow to inf
     (["collect", "--dwell", "1e308"],
      "dwell gives inf samples, more than an index can count (9223372036854775807)"),
+    # a run shorter than one 5 ms step records nothing: the flag that set its
+    # length is named, --duration when given and --dwell otherwise
+    (["collect", "--dwell", "1e-300"], "--dwell: cannot emit logs from an empty trace"),
+    (["collect", "--script", "script.json", "--duration", "0.004"],
+     "--duration: cannot emit logs from an empty trace"),
+    (["collect", "--script", "script.json", "--dwell", "1", "--duration", "0.004"],
+     "--duration: cannot emit logs from an empty trace"),
 ])
 def test_bad_durations_exit_1_naming_the_argument(workdir, capsys, argv, match):
     write_mini_script("script.json")
@@ -357,6 +364,14 @@ def test_script_with_an_unknown_top_level_key_exits_1_naming_it(workdir, capsys)
     assert main(["collect", "--out", "run", "--script", "script.json",
                  "--duration", "2"]) == 1
     assert capsys.readouterr().err == "error: script.json: unknown fields ['bogus']\n"
+
+
+def test_script_that_starts_late_exits_1_naming_its_first_segment(workdir, capsys):
+    with open("late.json", "w", encoding="utf-8") as fh:
+        json.dump({"segments": [{"t_start": 0.5, "v": 1.0, "c": 0.1}]}, fh)
+    assert main(["collect", "--out", "run", "--script", "late.json"]) == 1
+    assert capsys.readouterr().err == \
+        "error: late.json: segment 0: script must be defined from t=0\n"
 
 
 # circle_trace checks each (--v, curvature) command before it simulates it;
@@ -978,6 +993,15 @@ def mutate_json(rng, text: str) -> bytes:
     return json.dumps(raw).encode()
 
 
+def own_out(argv: list, case: int) -> list:
+    """``argv`` with its --out root, if any, moved to one of this case's own,
+    so that the run writes new files instead of rewriting the last case's."""
+    if "--out" not in argv:
+        return argv
+    i = argv.index("--out") + 1
+    return [*argv[:i], f"{argv[i]}-{case}", *argv[i + 1:]]
+
+
 def fuzz_files(capsys, argv: dict, seed: int, cases: int) -> list[int]:
     """Run ``cases`` seeded mutations, cycling over the files of ``argv`` (a
     file name -> the command line that reads it), and return the exit codes.
@@ -990,9 +1014,8 @@ def fuzz_files(capsys, argv: dict, seed: int, cases: int) -> list[int]:
     for case in range(cases):
         name = names[case % len(names)]
         mutated = mutate_json(rng, originals[name])
-        with open(name, "wb") as fh:
-            fh.write(mutated)
-        code = main(argv[name])
+        write_new(name, mutated)
+        code = main(own_out(argv[name], case))
         captured = capsys.readouterr()
         assert code in (0, 1), (case, mutated)
         if code == 1:
@@ -1000,8 +1023,7 @@ def fuzz_files(capsys, argv: dict, seed: int, cases: int) -> list[int]:
             assert captured.err.count("\n") == 1, (case, captured.err)
             assert captured.out == "", case
         exits.append(code)
-        with open(name, "w", encoding="utf-8") as fh:
-            fh.write(originals[name])
+        write_new(name, originals[name].encode())
     return exits
 
 
@@ -1036,7 +1058,8 @@ def test_mutated_config_slip_and_script_files_exit_0_or_1_with_one_error_line(
     with open("collect.json", "w", encoding="utf-8") as fh:
         json.dump({"seed": 0, "slip_file": "slip.json"}, fh)
     collect = ["collect", "--out", "c", "--script", "script.json", "--duration", "2"]
-    argv = {"train.json": ["train", "--config", "train.json", "--out", "run"],
+    argv = {"train.json": ["train", "--config", "train.json",
+                           "--dataset", "run/datasets/dataset.csv", "--out", "run"],
             "slip.json": [*collect, "--config", "collect.json"],
             "script.json": collect}
     capsys.readouterr()
@@ -1200,11 +1223,10 @@ def test_mutated_tables_exit_0_or_1_with_one_error_line_naming_the_file(workdir,
     for case in range(320):
         name = names[case % len(names)]
         mutated = mutate_table(rng, originals[name])
-        with open(name, "wb") as fh:
-            fh.write(mutated)
+        write_new(name, mutated)
         with warnings.catch_warnings():
             warnings.simplefilter("error")   # no warning text either
-            code = main(argv[name])
+            code = main(own_out(argv[name], case))
         captured = capsys.readouterr()
         assert code in (0, 1), (case, mutated)
         if code == 1:
@@ -1213,6 +1235,5 @@ def test_mutated_tables_exit_0_or_1_with_one_error_line_naming_the_file(workdir,
             assert name in captured.err, (case, mutated, captured.err)
             assert captured.out == "", (case, captured.out)
         exits.append(code)
-        with open(name, "w", encoding="utf-8") as fh:
-            fh.write(originals[name])
+        write_new(name, originals[name].encode())
     assert 0 < exits.count(0) < exits.count(1)

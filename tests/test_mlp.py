@@ -10,7 +10,7 @@ from ikdlab.errors import ParseError, ValidationError
 from ikdlab import mlp as mlp_module
 from ikdlab.mlp import (LAYER_SIZES, N_PARAMS, WEIGHT_DOMAIN, AdamState, LossCurve,
                         MlpParams, TrainConfig, _EVAL_ROWS, _FIELDS, _SHAPES,
-                        _split_mse, _views, adamw_step, forward, init_params,
+                        _forward_batch, _views, adamw_step, forward, init_params,
                         load_model, loss_and_grads, save_model, train,
                         write_loss_csv)
 
@@ -352,9 +352,10 @@ def test_train_rejects_small_datasets():
 def test_train_stops_when_a_weight_leaves_the_domain(monkeypatch):
     # One step of size 1e120 (a 100-row train split, one batch) moves every
     # weight to about 1e120: finite, but far past WEIGHT_DOMAIN.  The train
-    # MSE is that step's, at the initial weights, and the test MSE is
-    # reported as 0.0: both finite, so the weight bound alone stops the run.
-    monkeypatch.setattr(mlp_module, "_split_mse", lambda p, X, y: 0.0)
+    # MSE is that step's, at the initial weights, and the test MSE is 0.0
+    # (forward answers the identity dataset's target, av_imu): both finite,
+    # so the weight bound alone stops the run.
+    monkeypatch.setattr(mlp_module, "forward", lambda p, X: X[:, 1])
     cfg = TrainConfig(lr=1e120, epochs=2, batch_size=100, split_fraction=0.5)
     with pytest.raises(ValidationError,
                        match=r"^training diverged in epoch 0: train mse 5\.287\d*, "
@@ -368,19 +369,19 @@ def test_train_mse_is_the_mean_of_the_epoch_step_residuals(monkeypatch):
     data = identity_dataset(n=700, seed=3)
     cfg = TrainConfig(epochs=3, batch_size=64, seed=2)
     resids, evaluated = [], []
-    real_step, real_eval = mlp_module.loss_and_grads, mlp_module._split_mse
+    real_step, real_eval = mlp_module.loss_and_grads, mlp_module.forward
 
     def step_spy(p, X, y, grads):
         resid = real_step(p, X, y, grads)
         resids.append(resid.copy())
         return resid
 
-    def eval_spy(p, X, y):
-        evaluated.append(len(y))
-        return real_eval(p, X, y)
+    def eval_spy(p, X):
+        evaluated.append(len(X))
+        return real_eval(p, X)
 
     monkeypatch.setattr(mlp_module, "loss_and_grads", step_spy)
-    monkeypatch.setattr(mlp_module, "_split_mse", eval_spy)
+    monkeypatch.setattr(mlp_module, "forward", eval_spy)
     _, curve = train(data, cfg)
     steps = -(-630 // 64)
     assert len(resids) == 3 * steps
@@ -430,19 +431,27 @@ def test_train_names_the_epoch_when_it_diverges():
 
 @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8193, 45302])
 def test_split_mse_is_the_whole_split_mse_in_bounded_chunks(monkeypatch, n):
+    # train's test MSE is the mean square of forward's residuals on the
+    # split, and forward evaluates a batch in bounded chunks
     rng = np.random.default_rng(n)
     p = random_params(3)
     X = np.column_stack([rng.uniform(0.3, 4.2, n), rng.uniform(-4.0, 4.0, n)])
     y = rng.normal(0.0, 1.0, n)
-    whole = float(np.mean((forward(p, X) - y) ** 2))
+    whole = _forward_batch(p, X)[2]
     seen = []
     real = mlp_module._forward_batch
     monkeypatch.setattr(mlp_module, "_forward_batch",
                         lambda p, X: seen.append(len(X)) or real(p, X))
-    assert _split_mse(p, X, y) == pytest.approx(whole, rel=1e-12, abs=0.0)
+    out = forward(p, X)
     assert sum(seen) == n
     assert max(seen) <= _EVAL_ROWS
     assert max(seen) - min(seen) <= 1          # near-equal, so no chunk is small
+    if n <= _EVAL_ROWS:                        # one chunk: the whole-batch bits
+        assert seen == [n] and np.array_equal(out, whole)
+    else:                                      # chunk edges may round otherwise
+        np.testing.assert_allclose(out, whole, rtol=0.0, atol=1e-15)
+    assert np.mean((out - y) ** 2) == pytest.approx(np.mean((whole - y) ** 2),
+                                                    rel=1e-12, abs=0.0)
 
 
 # --- model files -------------------------------------------------------------

@@ -70,7 +70,7 @@ from ikdlab.simcore import (DEFAULT_DT, EPS_V, V_CAP, YAW_RATE_DOMAIN, ControlSc
 from ikdlab.errors import InsufficientOverlapError, ParseError, ValidationError
 
 from conftest import (build_gain_model, make_script, point_rect_signed_distance,
-                      rect_rect_signed_distance, segments_intersect)
+                      rect_rect_signed_distance, segments_intersect, write_new)
 
 CHANNELS = ("x", "y", "heading", "v", "av", "av_lag")
 SIM_TOL = 1e-9   # closed form vs per-step recursion, per channel
@@ -1707,6 +1707,8 @@ def random_columns(rng, n: int):
 
 
 def assert_writes_match_reference(tmp_path, header, columns):
+    for name in ("new.csv", "ref.csv"):   # new files, not rewrites: see write_new
+        (tmp_path / name).unlink(missing_ok=True)
     write_table(str(tmp_path / "new.csv"), header, columns)
     reference_write_table(str(tmp_path / "ref.csv"), header, columns)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -1789,8 +1791,7 @@ def read_outcome(read, path, header):
 
 
 def assert_reads_match_reference(path, text, header):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    write_new(path, text.encode())
     outcome = read_outcome(read_table, path, header)
     assert outcome == read_outcome(reference_read_table, path, header), text
     return outcome[0]

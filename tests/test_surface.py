@@ -362,7 +362,13 @@ def test_traced_training_counts_one_optimizer_step_per_batch():
     assert m["mlp.optimizer_steps"] == batches == 12
     names = [rec[tracing.NAME] for rec in tracer.spans]
     assert names.count("mlp.loss_and_grads") == batches
+    # train scores its test split through forward, once per epoch, so the
+    # tracer files that evaluation apart from the optimizer steps
+    evals = [i for i in range(len(tracer.spans))
+             if tracing.layer_name(tracer.spans, i) == "mlp.epoch_eval"]
+    assert len(evals) == names.count("mlp.forward") == cfg.epochs
     assert m["mlp.loss_and_grads.self_s"] > 0 and m["mlp.adamw_step.self_s"] > 0
+    assert m["mlp.epoch_eval.self_s"] > 0
     assert m["mlp.us_per_step"] > 0
 
 
