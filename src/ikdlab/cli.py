@@ -124,10 +124,13 @@ def write_trace_csv(trace: SimTrace, path: str) -> None:
 
 
 def cmd_collect(args, cfg, out):
-    # The run length comes from --dwell, so a step count past the index names
-    # it: first one dwell's, before a sweep's segment starts can overflow,
-    # then the whole run's.
-    dwell_sets_length = args.script is None or args.duration is None
+    if args.script is None and args.duration is not None:
+        raise ValidationError("--duration: sets the length of a --script run; "
+                              "the sweep's length comes from --dwell")
+    # Without --duration the run length comes from --dwell, so a step count
+    # past the index names it: first one dwell's, before a sweep's segment
+    # starts can overflow, then the whole run's.
+    dwell_sets_length = args.duration is None
     if dwell_sets_length:
         require_positive(dwell=args.dwell)
         sample_count("dwell", args.dwell / DEFAULT_DT)
@@ -237,6 +240,12 @@ def _parse_curvatures(text: str) -> list[float]:
 def cmd_eval_circle(args, cfg, out):
     curvatures = (_parse_curvatures(args.curvatures) if args.curvatures
                   else list(DEFAULT_CIRCLE_CURVATURES))
+    # one plot per curvature: two that format alike would write one file
+    plots = [f"plots/circle_{c:.2f}.svg" for c in curvatures]
+    for i, plot in enumerate(plots):
+        if (j := plots.index(plot)) < i:
+            raise ValidationError(f"--curvatures: {curvatures[j]!r} and {curvatures[i]!r} "
+                                  f"both plot to {plot}")
     model = mlp.load_model(args.model) if args.model else None
 
     runs = [("uncorrected", None)]
@@ -245,7 +254,7 @@ def cmd_eval_circle(args, cfg, out):
     files = []
     reports = []
     comparison = []
-    for c in curvatures:
+    for c, plot in zip(curvatures, plots):
         traces = []
         for run_name, run_model in runs:
             # the command the flags give is refused, or its run cannot be fitted
@@ -258,9 +267,8 @@ def cmd_eval_circle(args, cfg, out):
             plain, corrected = reports[-2:]
             comparison.append((c, plain.c_measured, corrected.c_measured,
                                corrected.deviation_pct))
-        files.append((f"plots/circle_{c:.2f}.svg",
-                      partial(svgplot.svg_trajectory, traces,
-                              title=f"circle test c={c:.2f} v={args.v:.1f}")))
+        files.append((plot, partial(svgplot.svg_trajectory, traces,
+                                    title=f"circle test c={c:.2f} v={args.v:.1f}")))
 
     files.append(("reports/circle_reports.csv", partial(evalkit.emit_report, reports)))
     if comparison:
@@ -363,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seconds per sweep segment")
     p.add_argument("--script", help="custom control script JSON")
     p.add_argument("--duration", type=float,
-                   help="override simulated duration (with --script)")
+                   help="simulated duration of a --script run "
+                        "(default: the script's end plus one dwell)")
     p.set_defaults(func=cmd_collect)
 
     p = sub.add_parser("align", help="estimate delay and build the training dataset")

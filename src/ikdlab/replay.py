@@ -78,15 +78,15 @@ def execute_replay(buf: CommandBuffer, p: SlipParams,
     ticks = np.floor(np.arange(n) * dt * rate + 1e-9)
     new_tick = np.ones(n, dtype=bool)
     new_tick[1:] = ticks[1:] > ticks[:-1]
+    firsts = np.flatnonzero(new_tick)   # each tick's first step
     # Rows are read mod n, so stride mod n reads the same ones and keeps any
     # stride (a Python int, of any size) inside the index range.
     step = stride % len(buf)
-    offsets = np.arange(np.count_nonzero(new_tick)) * step
+    offsets = np.arange(firsts.size) * step
     v, av = buf.rows[offsets % len(buf)].T
     av = np.clip(av, -AV_LIMIT, AV_LIMIT)  # actuator command range
     c = c_from_av_v(av, v)  # rows slower than EPS_V drive straight
     if model is not None:
         c = correct_batch(model, v, c).c_corrected
     # each c is a clamped yaw rate over v, or 0: |v*c| is within AV_LIMIT
-    tick_of_step = np.cumsum(new_tick) - 1
-    return _integrate(None, v[tick_of_step], c[tick_of_step], p, dt)
+    return _integrate(None, firsts, v, c, n, p, dt)

@@ -5,14 +5,17 @@ The simulated plant stands in for a small teleoperated car: commands are
 commanded one as speed grows (understeer), the actuator responds with a
 first-order lag, and the emulated IMU stream is transport-delayed and noisy.
 
-Under a held command the lag has a closed form, so the state after any
-step follows from its command segment alone.  One segment pass
-(_segment_rows) and one state evaluator (_lag_states) serve two callers:
-_integrate evaluates every state, a block of _BLOCK_STEPS at a time, to
-build a SimTrace, and record_logs evaluates only the states its IMU
-samples read, so that recording the logs of a drive holds no array per
-5 ms step.  Both sample the logs with one sampler, so record_logs returns
-the bits emit_sensor_logs(run_scenario(...)) does.
+Every run is one command table: each command's first step, ``v`` and
+``c``, and the step count n; a script gives one row per segment
+(_script_runs), a replay one per tick.  Under a held command the lag has a
+closed form, so the state after any step follows from its command segment
+alone.  _segment_rows turns a table into segments, and _lag_states
+evaluates any increasing set of states from them: _integrate every state,
+a block of _BLOCK_STEPS at a time, to build a SimTrace, and record_logs
+only the states its IMU samples read, so that recording the logs of a
+drive holds no array per 5 ms step.  Both sample the logs with one
+sampler, so record_logs returns the bits emit_sensor_logs(run_scenario(...))
+does.
 """
 
 from __future__ import annotations
@@ -281,26 +284,27 @@ def slip_yaw_rate(av_lag: float, v: float, beta: float) -> float:
     return av_lag / (1.0 + beta * v * v * abs(av_lag))
 
 
-def _new_runs(cmd_v: np.ndarray, cmd_c: np.ndarray) -> np.ndarray:
-    """Where each run of equal (v, c) commands begins.  Equal neighbours
-    form one segment, so its lag decays as one power over the whole run."""
-    new = np.ones(cmd_v.size, dtype=bool)
-    new[1:] = (cmd_v[1:] != cmd_v[:-1]) | (cmd_c[1:] != cmd_c[:-1])
-    return new
-
-
-def _segment_rows(seg_start: np.ndarray, seg_v: np.ndarray, seg_c: np.ndarray, n: int,
+def _segment_rows(firsts: np.ndarray, v: np.ndarray, c: np.ndarray, n: int,
                   state: VehicleState, p: SlipParams, dt: float):
-    """The scalar pass over the segments of an n-step run from ``state``.
+    """The segments of an n-step command table (see _integrate) run from
+    ``state``: commands that hold no step are dropped and equal neighbours
+    merged, so a segment's lag decays as one power over all of it.  One
+    scalar pass carries ``v`` and ``av_lag`` from segment to segment.
 
-    Returns the five rows (first step, ``v`` command, ``v`` offset from it
-    at the segment's start, ``v*c`` command, ``av_lag`` offset) of one
-    array, each segment's end step, and the lag's per-step ratio ``r``.
+    Returns ``(rows, seg_end, r)``: the five rows (first step, ``v``
+    command, ``v`` offset from it at the segment's start, ``v*c`` command,
+    ``av_lag`` offset) of one array, each segment's end step, and the lag's
+    per-step ratio ``r``.
     """
     alpha = 1.0 if p.lag_tau <= 0.0 else 1.0 - math.exp(-dt / p.lag_tau)
     r = 1.0 - alpha
+    held = firsts < np.append(firsts[1:], n)
+    firsts, v, c = firsts[held], v[held], c[held]
+    new = np.ones(v.size, dtype=bool)
+    new[1:] = (v[1:] != v[:-1]) | (c[1:] != c[:-1])
+    seg_start, seg_v = firsts[new], v[new]
     seg_end = np.append(seg_start[1:], n)
-    seg_av = seg_v * seg_c
+    seg_av = seg_v * c[new]
     v_start, lag_start = [], []
     v_end, lag_end = state.v, state.av_lag
     for c_v, c_av, decay in zip(seg_v.tolist(), seg_av.tolist(),
@@ -315,82 +319,82 @@ def _segment_rows(seg_start: np.ndarray, seg_v: np.ndarray, seg_c: np.ndarray, n
     return rows, seg_end, r
 
 
-def _lag_states(rows: np.ndarray, states: np.ndarray, r: float, beta: float,
-                v: np.ndarray, av_lag: np.ndarray, av: np.ndarray) -> None:
-    """Write the closed-form ``v``, ``av_lag`` and ``av`` of ``states`` (state
-    i follows step i - 1) into the three output arrays; ``rows`` holds the
-    _segment_rows column of each state's segment."""
-    first, c_v, dv, c_av, dlag = rows
+def _lag_states(segs, beta: float, states: np.ndarray,
+                v: np.ndarray, av_lag: np.ndarray, av: np.ndarray) -> np.ndarray:
+    """Write the closed-form ``v``, ``av_lag`` and ``av`` of the increasing
+    state indices ``states`` into the three output arrays; returns ``av``.
+
+    State i follows step i - 1, so it belongs to the segment with
+    ``first < i <= end``; state 0 belongs to the first, which from rest
+    reads exactly 0.  The segments ``segs`` (_segment_rows) that hold a
+    state are expanded to the states by run length, each run the count of
+    states up to the segment's end, so no state searches for its segment.
+    """
+    rows, seg_end, r = segs
+    s0, s1 = seg_end.searchsorted(states[0]), seg_end.searchsorted(states[-1]) + 1
+    runs = states.searchsorted(seg_end[s0:s1], side="right")
+    runs[1:] -= runs[:-1]   # numpy reads the overlapping operands before writing
+    first, c_v, dv, c_av, dlag = np.repeat(rows[:, s0:s1], runs, axis=1)
     decay = np.power(r, states - first)
     np.clip(c_v + dv * decay, -V_CAP, V_CAP, out=v)
     np.add(c_av, dlag * decay, out=av_lag)
     av[...] = slip_yaw_rate(av_lag, v, beta)
+    return av
 
 
-def _integrate(state: VehicleState | None, cmd_v: np.ndarray, cmd_c: np.ndarray,
-               p: SlipParams, dt: float) -> SimTrace:
-    """Explicit-Euler integration from ``state`` (at rest when None), in closed form.
+def _integrate(state: VehicleState | None, firsts: np.ndarray, v: np.ndarray,
+               c: np.ndarray, n: int, p: SlipParams, dt: float) -> SimTrace:
+    """Explicit-Euler integration of an n-step command table from ``state``
+    (at rest when None), in closed form.
 
-    Step i holds the command ``(cmd_v[i], cmd_c[i])``; callers pass
-    commands with |v*c| within AV_LIMIT (a script's pass _check_commands; a
-    replay's are yaw rates clamped to it, divided by v).  The commanded linear
-    velocity and angular velocity (v*c) both pass through the same
-    first-order lag; the lagged yaw rate is then attenuated by the slip law
-    before integrating the unicycle pose.  With all-zero SlipParams the
-    executed motion matches the command exactly.
+    Command ``(v[k], c[k])`` is held from step ``firsts[k]`` (non-decreasing,
+    the first 0) to the next command's first step, with |v*c| within
+    AV_LIMIT (a script's commands pass _check_commands; a replay's are yaw
+    rates clamped to it, divided by v).  The commanded ``v`` and ``v*c``
+    pass through one first-order lag, and the slip law attenuates the
+    lagged yaw rate before the unicycle pose is integrated; with all-zero
+    SlipParams the motion matches the command exactly.
 
-    Under a held command the lag is linear, so ``i`` steps into a segment
-    (a run of steps with equal command values, _new_runs) a lagged channel
-    equals ``c + (start - c) * r**i`` with ``r = 1 - alpha``; the unclamped
-    sequence is monotone, so clamping it reproduces the per-step V_CAP
-    clamp.  One scalar pass over the segments (_segment_rows) carries ``v``
-    and ``av_lag`` from segment to segment.  The steps are then evaluated in
-    blocks of _BLOCK_STEPS.  In a block, each segment's rows are expanded to
-    its steps by run length (one ``np.repeat``, runs clipped to the block),
-    so no step searches for its segment and no array is longer than a
-    block, and _lag_states gives the block's ``v``, ``av_lag`` and ``av``.
-    record_logs evaluates the same two helpers at only the states its IMU
-    samples read.  Heading and pose are running sums, the heading wrapped
-    again in each block and the pose advanced along the heading before the
-    update.  The result agrees with the per-step recursion to within float
-    rounding, not bit for bit; the run-length expansion gives the bits the
-    per-step segment search gave.
+    Under a held command the lag is linear, so ``i`` steps into a segment a
+    lagged channel equals ``c + (start - c) * r**i`` with ``r = 1 - alpha``;
+    the unclamped sequence is monotone, so clamping it reproduces the
+    per-step V_CAP clamp.  _lag_states evaluates the states a block of
+    _BLOCK_STEPS at a time.  Heading and pose are running sums, the heading
+    wrapped again in each block and the pose advanced along the heading
+    before the update.  The result agrees with the per-step recursion to
+    within float rounding, not bit for bit.
     """
-    n = cmd_v.size
     state = state if state is not None else VehicleState()
-    seg_start = np.flatnonzero(_new_runs(cmd_v, cmd_c))
-    seg_rows, seg_end, r = _segment_rows(seg_start, cmd_v[seg_start], cmd_c[seg_start],
-                                         n, state, p, dt)
+    segs = _segment_rows(firsts, v, c, n, state, p, dt)
+    cmd_v, cmd_c = np.repeat([v, c], np.append(firsts[1:], n) - firsts, axis=1)
 
-    x, y, heading, v, av, av_lag = out = tuple(np.empty(n + 1) for _ in _STATE_CHANNELS)
+    x, y, heading, speed, av, av_lag = out = tuple(np.empty(n + 1) for _ in _STATE_CHANNELS)
     for channel, name in zip(out, _STATE_CHANNELS):
         channel[0] = getattr(state, name)
-    seg_first = np.searchsorted(seg_start, np.arange(0, n, _BLOCK_STEPS), side="right") - 1
-    for s0, b0 in zip(seg_first.tolist(), range(0, n, _BLOCK_STEPS)):
+    for b0 in range(0, n, _BLOCK_STEPS):
         b1 = min(b0 + _BLOCK_STEPS, n)
-        s1 = s0 + int(np.searchsorted(seg_start[s0:], b1))
-        runs = np.minimum(seg_end[s0:s1], b1) - np.maximum(seg_start[s0:s1], b0)
         new = slice(b0 + 1, b1 + 1)     # the states these steps produce
-        _lag_states(np.repeat(seg_rows[:, s0:s1], runs, axis=1), np.arange(b0 + 1, b1 + 1),
-                    r, p.beta, v[new], av_lag[new], av[new])
+        _lag_states(segs, p.beta, np.arange(b0 + 1, b1 + 1),
+                    speed[new], av_lag[new], av[new])
         heading[new] = av[new] * dt
         np.add.accumulate(heading[b0:b1 + 1], out=heading[b0:b1 + 1])
         heading[new] = normalize_heading(heading[new])
         held = heading[b0:b1]           # each step moves along its start heading
-        x[new] = v[new] * np.cos(held) * dt
-        y[new] = v[new] * np.sin(held) * dt
+        x[new] = speed[new] * np.cos(held) * dt
+        y[new] = speed[new] * np.sin(held) * dt
         np.add.accumulate(x[b0:b1 + 1], out=x[b0:b1 + 1])
         np.add.accumulate(y[b0:b1 + 1], out=y[b0:b1 + 1])
     return SimTrace(dt, *out, cmd_v=cmd_v, cmd_c=cmd_c)
 
 
 def _script_runs(script: ControlScript, duration: float, dt: float):
-    """A script's steps, checked: each segment's step count, ``v`` and ``c``.
+    """A script's command table, checked: each segment's first step, ``v``
+    and ``c``, and the step count ``n``.
 
-    A run lasts floor(duration/dt) steps, and step i holds the command of the
-    last segment with t_start <= i*dt.  The reached segments' commands pass
-    _check_commands, whose row is then a segment index; a script that starts
-    after t=0 is refused at row 0, its first segment.
+    A run lasts n = floor(duration/dt) steps, and step i holds the command
+    of the last segment with t_start <= i*dt.  The reached segments'
+    commands pass _check_commands, whose row is then a segment index; a
+    script that starts after t=0 is refused at row 0, its first segment.
     """
     require_positive(duration=duration, dt=dt)
     if script.segments[0].t_start > 0:
@@ -407,11 +411,11 @@ def _script_runs(script: ControlScript, duration: float, dt: float):
         while i < n and i * dt + 1e-12 < t_start:
             i += 1
         firsts.append(i)
-    runs = np.diff(firsts + [n])
+    firsts = np.array(firsts)
     v, c = np.array([(s.v, s.c) for s in script.segments], dtype=float).T
-    reached = runs > 0   # unreached segments check as stops: a row is a segment index
+    reached = firsts < np.append(firsts[1:], n)   # unreached segments check as stops
     _check_commands(np.where(reached, v, 0.0), np.where(reached, c, 0.0))
-    return runs, v, c
+    return firsts, v, c, n
 
 
 def run_scenario(script: ControlScript, p: SlipParams, duration: float,
@@ -423,8 +427,7 @@ def run_scenario(script: ControlScript, p: SlipParams, duration: float,
     Deterministic: the dynamics are noise-free (sensor noise is applied only
     when logs are emitted).
     """
-    runs, v, c = _script_runs(script, duration, dt)
-    return _integrate(initial_state, np.repeat(v, runs), np.repeat(c, runs), p, dt)
+    return _integrate(initial_state, *_script_runs(script, duration, dt), p, dt)
 
 
 def _last_state_at(s: np.ndarray, n: int, dt: float) -> np.ndarray:
@@ -520,37 +523,22 @@ def record_logs(script: ControlScript, p: SlipParams, duration: float,
     """``emit_sensor_logs(run_scenario(script, p, duration, dt), p, joy_rate,
     imu_rate, pad)``, bit for bit and with the same errors, without a trace.
 
-    Joystick rows read their command from the script's segments, and the IMU
-    reads ``av`` only at the states around its samples, from the closed form
-    that _integrate evaluates a block at a time (_segment_rows, then
-    _lag_states; heading and pose are not needed).  So time and memory
-    follow the log rows and the segment count, not the 5 ms steps.
+    Joystick rows read their command from the script's command table, and
+    the IMU reads ``av`` only at the states around its samples, through the
+    segments and the state evaluator _integrate uses (heading and pose are
+    not needed).  So time and memory follow the log rows and the segment
+    count, not the 5 ms steps.
 
     Returns:
         (JoyLog, ImuLog)
     """
-    runs, v, c = _script_runs(script, duration, dt)
-    n = int(runs.sum())
-    firsts = np.cumsum(runs) - runs
+    firsts, v, c, n = _script_runs(script, duration, dt)
+    segs = _segment_rows(firsts, v, c, n, VehicleState(), p, dt)
 
     def command(steps):
         seg = np.searchsorted(firsts, steps, side="right") - 1
         return v[seg], v[seg] * c[seg]
 
-    reached = runs > 0
-    seg_v, seg_c = v[reached], c[reached]
-    new = _new_runs(seg_v, seg_c)
-    seg_start = firsts[reached][new]
-    seg_rows, _, r = _segment_rows(seg_start, seg_v[new], seg_c[new], n, VehicleState(),
-                                   p, dt)
-
-    def yaw_rate(states):
-        av = np.zeros(states.size)   # state 0 is the start at rest
-        k = int(states[0] == 0)
-        steps = states[k:] - 1
-        rows = seg_rows[:, np.searchsorted(seg_start, steps, side="right") - 1]
-        _lag_states(rows, states[k:], r, p.beta, np.empty(steps.size),
-                    np.empty(steps.size), av[k:])
-        return av
-
-    return _sample_logs(n, dt, p, joy_rate, imu_rate, pad, command, yaw_rate)
+    return _sample_logs(n, dt, p, joy_rate, imu_rate, pad, command,
+                        lambda states: _lag_states(segs, p.beta, states,
+                                                   *np.empty((3, states.size))))

@@ -28,8 +28,8 @@ import time
 import numpy as np
 import pytest
 
-from ikdlab.align import (AlignedDataset, build_dataset, estimate_delay,
-                          histogram, prune_zero_curvature)
+from ikdlab.align import (AlignedDataset, build_dataset, delay_from_scan,
+                          histogram, prune_zero_curvature, scan_delays)
 from ikdlab.cli import main
 from ikdlab.datalog import ImuLog, JoyLog, trim_idle
 from ikdlab.evalkit import circle_test, drift_eval, fit_circle
@@ -40,7 +40,7 @@ from ikdlab.replay import DEFAULT_REPLAY_RATE, CommandBuffer, execute_replay
 from ikdlab.scenarios import (_segment_dwell, drift_buffer, loose_scenario,
                               tight_scenario, training_sweep_script, sweep_duration)
 from ikdlab.simcore import (AV_LIMIT, ControlScript, ScriptSegment, SlipParams,
-                            emit_sensor_logs, run_scenario)
+                            record_logs)
 
 CIRCLE_SPEED = 2.0
 CIRCLE_CURVATURES = (0.12, 0.63, 0.70, 0.80)
@@ -90,9 +90,8 @@ def slip_correction_model():
     script = training_sweep_script(dwell=SLIP_SWEEP_DWELL,
                                    speeds=SLIP_SWEEP_SPEEDS)
     duration = sweep_duration(script, dwell=SLIP_SWEEP_DWELL)
-    trace = run_scenario(script, plant, duration)
-    joy, imu = trim_idle(*emit_sensor_logs(trace, plant))
-    est = estimate_delay(joy, imu)
+    joy, imu = trim_idle(*record_logs(script, plant, duration))
+    est = delay_from_scan(*scan_delays(joy, imu))
     data = prune_zero_curvature(build_dataset(joy, imu, est.delay))
 
     u_hat = _anchor_target(data)
@@ -179,10 +178,10 @@ def test_delay_recovery_over_50_random_shifts(record_testsuite_property):
     worst_clean = worst_noisy = 0.0
     for i, d in enumerate(delays):
         d = float(d)
-        est = estimate_delay(*_shifted_pair(d))
+        est = delay_from_scan(*scan_delays(*_shifted_pair(d)))
         worst_clean = max(worst_clean, abs(est.delay - d))
-        noisy = estimate_delay(*_shifted_pair(d, noise_sigma=0.01,
-                                              seed=1000 + i))
+        noisy = delay_from_scan(*scan_delays(*_shifted_pair(d, noise_sigma=0.01,
+                                                            seed=1000 + i)))
         worst_noisy = max(worst_noisy, abs(noisy.delay - d))
     record_testsuite_property("delay_clean_err_ms_max", 1e3 * worst_clean)
     record_testsuite_property("delay_clean_err_ms_bound", 1e3 * DELAY_ERR_BOUND_S)
@@ -264,9 +263,8 @@ def test_zero_slip_training_recovers_identity_correction(record_testsuite_proper
     curvatures = tuple(float(c) for c in np.arange(0.02, 0.901, 0.02))
     script = dense_sweep(speeds, curvatures, dwell=1.0)
     duration = sweep_duration(script, dwell=1.0)
-    trace = run_scenario(script, plant, duration)
-    joy, imu = trim_idle(*emit_sensor_logs(trace, plant))
-    est = estimate_delay(joy, imu)
+    joy, imu = trim_idle(*record_logs(script, plant, duration))
+    est = delay_from_scan(*scan_delays(joy, imu))
     data = prune_zero_curvature(build_dataset(joy, imu, est.delay))
     params, _ = train(data, TrainConfig(seed=0, epochs=150, weight_decay=0.0))
 

@@ -173,6 +173,9 @@ def test_error_paths_return_one(workdir, capsys):
      "--duration: cannot emit logs from an empty trace"),
     (["collect", "--script", "script.json", "--dwell", "1", "--duration", "0.004"],
      "--duration: cannot emit logs from an empty trace"),
+    # the sweep's length is set by --dwell alone
+    (["collect", "--duration", "5", "--dwell", "0.5"],
+     "--duration: sets the length of a --script run; the sweep's length comes from --dwell"),
 ])
 def test_bad_durations_exit_1_naming_the_argument(workdir, capsys, argv, match):
     write_mini_script("script.json")
@@ -397,6 +400,13 @@ def test_script_that_starts_late_exits_1_naming_its_first_segment(workdir, capsy
                        "got 1e+308"),
     (["--v=-1e300", "--curvatures", "1e300"], "--v -1e+300 at --curvatures 1e+300: v must "
                                               "be within +-1000, got -1e+300"),
+    # curvatures that format alike would write one plot file
+    (["--curvatures", "0.5,0.504"], "--curvatures: 0.5 and 0.504 both plot to "
+                                    "plots/circle_0.50.svg"),
+    (["--curvatures", "0.5,0.5"], "--curvatures: 0.5 and 0.5 both plot to "
+                                  "plots/circle_0.50.svg"),
+    (["--curvatures", "0.12,-0.3,0.8,-0.299"], "--curvatures: -0.3 and -0.299 both plot "
+                                               "to plots/circle_-0.30.svg"),
 ])
 def test_eval_circle_checks_its_flags_before_simulating(workdir, capsys, argv, err):
     with warnings.catch_warnings():

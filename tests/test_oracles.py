@@ -558,12 +558,28 @@ def test_integrator_matches_searchsorted_blocks_bit_for_bit_on_long_runs():
     for sign in (1.0, -1.0):
         state = VehicleState(v=sign * (V_CAP + 1e-12), av_lag=1.0)
         for plant in (SlipParams(), SlipParams(lag_tau=0.02), SlipParams.ideal()):
-            trace = _integrate(state, sign * np.repeat([5.0, 1.0, 6.0], [80, 100, 8000]),
-                               np.repeat([0.3, -0.5, 0.1], [80, 100, 8000]), plant,
-                               DEFAULT_DT)
+            trace = _integrate(state, np.array([0, 80, 180]), sign * np.array([5.0, 1.0, 6.0]),
+                               np.array([0.3, -0.5, 0.1]), 8180, plant, DEFAULT_DT)
             assert_same_state_bits(trace, state, plant, DEFAULT_DT)
             trace = run_scenario(over, plant, 1.5, initial_state=state)
             assert_same_state_bits(trace, state, plant, DEFAULT_DT)
+
+
+def test_command_table_drops_empty_commands_and_merges_equal_neighbours():
+    # commands that hold no step (at the start, in the middle, at step n) and
+    # equal neighbours, also across a dropped command, run as the two
+    # commands they leave
+    table = (np.array([0, 0, 50, 90, 90, 120, 200, 300]),
+             np.array([3.0, 2.0, 2.0, 1.0, 2.0, 1.5, 1.5, 3.0]),
+             np.array([0.1, 0.5, 0.5, 0.2, 0.5, -0.3, -0.3, 0.9]))
+    for p in (SlipParams(), SlipParams(lag_tau=0.0), SlipParams.ideal()):
+        trace = _integrate(None, *table, 300, p, DEFAULT_DT)
+        two = _integrate(None, np.array([0, 120]), np.array([2.0, 1.5]),
+                         np.array([0.5, -0.3]), 300, p, DEFAULT_DT)
+        for name in CHANNELS + ("cmd_v", "cmd_c"):
+            assert np.array_equal(getattr(trace, name).view(np.int64),
+                                  getattr(two, name).view(np.int64)), name
+        assert_same_state_bits(trace, None, p, DEFAULT_DT)
 
 
 # --- sensor logs: the whole-trace sampler, kept verbatim ----------------------
