@@ -80,8 +80,8 @@ def circle_trace(v: float, c: float, p: SlipParams,
 
     (v, c) is checked as a command before it is corrected or simulated:
     each within its domain, |v*c| within the actuator limit, and neither
-    zero.  The trace's ``cmd_c`` is the curvature actually commanded (the
-    corrected one when a model is supplied).
+    zero.  The trace's one command row holds the curvature actually
+    commanded, ``command_c[0]`` (the corrected one when a model is supplied).
     """
     check_within(("v", v, SPEED_DOMAIN), ("c", c, CURVATURE_DOMAIN))
     _check_commands(np.array([v]), np.array([c]))

@@ -6,16 +6,17 @@ commanded one as speed grows (understeer), the actuator responds with a
 first-order lag, and the emulated IMU stream is transport-delayed and noisy.
 
 Every run is one command table: each command's first step, ``v`` and
-``c``, and the step count n; a script gives one row per segment
-(_script_runs), a replay one per tick.  Under a held command the lag has a
-closed form, so the state after any step follows from its command segment
-alone.  _segment_rows turns a table into segments, and _lag_states
-evaluates any increasing set of states from them: _integrate every state,
-a block of _BLOCK_STEPS at a time, to build a SimTrace, and record_logs
-only the states its IMU samples read, so that recording the logs of a
-drive holds no array per 5 ms step.  Both sample the logs with one
-sampler, so record_logs returns the bits emit_sensor_logs(run_scenario(...))
-does.
+``c``, and the step count n; a script gives one row per reached segment
+(_script_runs), a replay one per tick, and a SimTrace keeps the table it
+was integrated from.  Under a held command the lag has a closed form, so
+the state after any step follows from its command segment alone.
+_segment_rows turns a table into segments, and _lag_states evaluates any
+increasing set of states from them: _integrate every state, a block of
+_BLOCK_STEPS at a time, to build a SimTrace, and record_logs only the
+states its IMU samples read, so that recording the logs of a drive holds
+no array per 5 ms step.  Both sample the logs with one sampler, which
+expands a command table to the joystick rows, so record_logs returns the
+bits emit_sensor_logs(run_scenario(...)) does.
 """
 
 from __future__ import annotations
@@ -218,11 +219,15 @@ class ControlScript:
 
 @dataclass(frozen=True, eq=False)
 class SimTrace:
-    """Time-ordered simulation record, one float64 array per channel.
+    """Time-ordered simulation record of an n-step run.
 
-    The state channels ``x, y, heading, v, av, av_lag`` hold n+1 samples at
-    t_i = i*dt; the command channels ``cmd_v, cmd_c`` hold the n commands,
-    command i being held from state i to state i+1.
+    The state channels ``x, y, heading, v, av, av_lag`` hold n+1 float64
+    samples at t_i = i*dt.  The command table the run was integrated from
+    holds ``command_v[k]``, ``command_c[k]`` from step ``command_first[k]``
+    to the next command's first step (or n), step i moving state i to state
+    i+1; the firsts start at 0 and increase below n, and equal neighbours
+    stay apart.  ``np.repeat([command_v, command_c], np.diff(command_first,
+    append=n), axis=1)`` gives the n per-step commands.
     """
 
     dt: float
@@ -232,25 +237,36 @@ class SimTrace:
     v: np.ndarray
     av: np.ndarray
     av_lag: np.ndarray
-    cmd_v: np.ndarray
-    cmd_c: np.ndarray
+    command_first: np.ndarray
+    command_v: np.ndarray
+    command_c: np.ndarray
 
     def __post_init__(self):
-        for name in _STATE_CHANNELS + _COMMAND_CHANNELS:
+        for name in _STATE_CHANNELS + ("command_v", "command_c"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=float))
+        first = np.asarray(self.command_first)
+        first = first if first.size else first.astype(np.intp)   # [] reads as float64
+        object.__setattr__(self, "command_first", first)
         if self.dt <= 0:
             raise ValidationError("trace dt must be positive")
-        n = self.cmd_v.shape
-        if self.cmd_v.ndim != 1 or self.cmd_c.shape != n:
-            raise ValidationError("command channels must be 1-D of equal length")
-        if any(getattr(self, name).shape != (n[0] + 1,) for name in _STATE_CHANNELS):
-            raise ValidationError("trace must satisfy |states| = |commands| + 1")
+        if self.x.ndim != 1 or self.x.size == 0 or \
+                any(getattr(self, name).shape != self.x.shape for name in _STATE_CHANNELS):
+            raise ValidationError("state channels must be 1-D of equal, nonzero length")
+        if first.dtype.kind not in "iu" or first.ndim != 1 \
+                or not self.command_v.shape == self.command_c.shape == first.shape:
+            raise ValidationError("command table must be 1-D columns of equal length, "
+                                  "its firsts integer steps")
+        n = len(self)
+        if (first[0] != 0 or first[-1] >= n or (first[1:] <= first[:-1]).any()) \
+                if first.size else n > 0:
+            raise ValidationError("command firsts must start at step 0 and increase "
+                                  f"below the trace's {n} steps")
         check_within(*((name, getattr(self, name), V_CAP + 1e-12 if name == "v" else FINITE)
                        for name in _STATE_CHANNELS), where="SimTrace")
 
     def __len__(self) -> int:
-        return self.cmd_v.size
+        return self.x.size - 1
 
     @property
     def states(self) -> tuple[VehicleState, ...]:
@@ -272,7 +288,6 @@ class SimTrace:
 
 
 _STATE_CHANNELS = ("x", "y", "heading", "v", "av", "av_lag")
-_COMMAND_CHANNELS = ("cmd_v", "cmd_c")
 
 
 def slip_yaw_rate(av_lag: float, v: float, beta: float) -> float:
@@ -287,9 +302,9 @@ def slip_yaw_rate(av_lag: float, v: float, beta: float) -> float:
 def _segment_rows(firsts: np.ndarray, v: np.ndarray, c: np.ndarray, n: int,
                   state: VehicleState, p: SlipParams, dt: float):
     """The segments of an n-step command table (see _integrate) run from
-    ``state``: commands that hold no step are dropped and equal neighbours
-    merged, so a segment's lag decays as one power over all of it.  One
-    scalar pass carries ``v`` and ``av_lag`` from segment to segment.
+    ``state``: equal neighbours are merged, so a segment's lag decays as one
+    power over all of it.  One scalar pass carries ``v`` and ``av_lag`` from
+    segment to segment.
 
     Returns ``(rows, seg_end, r)``: the five rows (first step, ``v``
     command, ``v`` offset from it at the segment's start, ``v*c`` command,
@@ -298,8 +313,6 @@ def _segment_rows(firsts: np.ndarray, v: np.ndarray, c: np.ndarray, n: int,
     """
     alpha = 1.0 if p.lag_tau <= 0.0 else 1.0 - math.exp(-dt / p.lag_tau)
     r = 1.0 - alpha
-    held = firsts < np.append(firsts[1:], n)
-    firsts, v, c = firsts[held], v[held], c[held]
     new = np.ones(v.size, dtype=bool)
     new[1:] = (v[1:] != v[:-1]) | (c[1:] != c[:-1])
     seg_start, seg_v = firsts[new], v[new]
@@ -347,8 +360,8 @@ def _integrate(state: VehicleState | None, firsts: np.ndarray, v: np.ndarray,
     """Explicit-Euler integration of an n-step command table from ``state``
     (at rest when None), in closed form.
 
-    Command ``(v[k], c[k])`` is held from step ``firsts[k]`` (non-decreasing,
-    the first 0) to the next command's first step, with |v*c| within
+    Command ``(v[k], c[k])`` is held from step ``firsts[k]`` (increasing
+    from 0, each below n) to the next command's first step, with |v*c| within
     AV_LIMIT (a script's commands pass _check_commands; a replay's are yaw
     rates clamped to it, divided by v).  The commanded ``v`` and ``v*c``
     pass through one first-order lag, and the slip law attenuates the
@@ -362,11 +375,10 @@ def _integrate(state: VehicleState | None, firsts: np.ndarray, v: np.ndarray,
     _BLOCK_STEPS at a time.  Heading and pose are running sums, the heading
     wrapped again in each block and the pose advanced along the heading
     before the update.  The result agrees with the per-step recursion to
-    within float rounding, not bit for bit.
+    within float rounding, not bit for bit.  The trace keeps the table.
     """
     state = state if state is not None else VehicleState()
     segs = _segment_rows(firsts, v, c, n, state, p, dt)
-    cmd_v, cmd_c = np.repeat([v, c], np.append(firsts[1:], n) - firsts, axis=1)
 
     x, y, heading, speed, av, av_lag = out = tuple(np.empty(n + 1) for _ in _STATE_CHANNELS)
     for channel, name in zip(out, _STATE_CHANNELS):
@@ -384,17 +396,18 @@ def _integrate(state: VehicleState | None, firsts: np.ndarray, v: np.ndarray,
         y[new] = speed[new] * np.sin(held) * dt
         np.add.accumulate(x[b0:b1 + 1], out=x[b0:b1 + 1])
         np.add.accumulate(y[b0:b1 + 1], out=y[b0:b1 + 1])
-    return SimTrace(dt, *out, cmd_v=cmd_v, cmd_c=cmd_c)
+    return SimTrace(dt, *out, command_first=firsts, command_v=v, command_c=c)
 
 
 def _script_runs(script: ControlScript, duration: float, dt: float):
-    """A script's command table, checked: each segment's first step, ``v``
-    and ``c``, and the step count ``n``.
+    """A script's command table, checked: each reached segment's first
+    step, ``v`` and ``c``, and the step count ``n``.
 
     A run lasts n = floor(duration/dt) steps, and step i holds the command
-    of the last segment with t_start <= i*dt.  The reached segments'
-    commands pass _check_commands, whose row is then a segment index; a
-    script that starts after t=0 is refused at row 0, its first segment.
+    of the last segment with t_start <= i*dt; a segment that holds no step
+    is not reached and leaves no row.  The reached segments' commands pass
+    _check_commands, whose row is then a segment index; a script that
+    starts after t=0 is refused at row 0, its first segment.
     """
     require_positive(duration=duration, dt=dt)
     if script.segments[0].t_start > 0:
@@ -415,7 +428,7 @@ def _script_runs(script: ControlScript, duration: float, dt: float):
     v, c = np.array([(s.v, s.c) for s in script.segments], dtype=float).T
     reached = firsts < np.append(firsts[1:], n)   # unreached segments check as stops
     _check_commands(np.where(reached, v, 0.0), np.where(reached, c, 0.0))
-    return firsts, v, c, n
+    return firsts[reached], v[reached], c[reached], n
 
 
 def run_scenario(script: ControlScript, p: SlipParams, duration: float,
@@ -443,16 +456,19 @@ def _last_state_at(s: np.ndarray, n: int, dt: float) -> np.ndarray:
 
 
 def _sample_logs(n: int, dt: float, p: SlipParams, joy_rate: float, imu_rate: float,
-                 pad: float, command, yaw_rate):
+                 pad: float, firsts: np.ndarray, v: np.ndarray, c: np.ndarray, yaw_rate):
     """The joystick and IMU logs of an n-step run at ``dt``.
 
-    ``command(steps)`` gives the ``(v, v*c)`` commands of an array of step
-    indices, ``yaw_rate(states)`` the ``av`` of an increasing array of state
-    indices (state i at i*dt).  Both logs are allocated before any state is
-    read.  The IMU samples inside the run are interpolated a block of
-    _BLOCK_STEPS samples at a time, each block from its samples' bracketing
-    states only: np.interp reads a sample from the two states around it, so
-    the bits are those of an interpolation over every state.
+    ``firsts, v, c`` is the run's command table (see _integrate) and
+    ``yaw_rate(states)`` gives the ``av`` of an increasing array of state
+    indices (state i at i*dt).  The joystick rows' steps never decrease, so
+    each command's ``v`` and ``v*c`` are repeated over its run of rows; no
+    command is merged with its neighbour, so a zero ``v`` keeps its sign.
+    Both logs are allocated before any state is read.  The IMU samples
+    inside the run are interpolated a block of _BLOCK_STEPS samples at a
+    time, each block from its samples' bracketing states only: np.interp
+    reads a sample from the two states around it, so the bits are those of
+    an interpolation over every state.
     """
     if n == 0:
         raise ValidationError(EMPTY_TRACE)
@@ -471,10 +487,13 @@ def _sample_logs(n: int, dt: float, p: SlipParams, joy_rate: float, imu_rate: fl
     t_joy = np.arange(n_joy) / joy_rate
     s = t_joy - pad
     active = (s >= 0.0) & (s < duration)
-    joy_v, joy_av = command(np.clip(np.floor(s / dt + 1e-9).astype(int), 0, n - 1))
+    steps = np.clip(np.floor(s / dt + 1e-9).astype(int), 0, n - 1)
+    runs = steps.searchsorted(np.append(firsts[1:], n))
+    runs[1:] -= runs[:-1]   # numpy reads the overlapping operands before writing
+    joy_v, joy_av = np.repeat([v, v * c], runs, axis=1)
     joy_v = np.where(active, joy_v, 0.0)
     joy_av = np.where(active, joy_av, 0.0)
-    del s, active
+    del s, active, steps
 
     n_imu = sample_count("imu_rate", total * imu_rate)
     t_imu = np.arange(n_imu) / imu_rate
@@ -501,20 +520,18 @@ def emit_sensor_logs(trace: SimTrace, p: SlipParams,
                      imu_rate: float = DEFAULT_LOG_RATE, pad: float = DEFAULT_PAD):
     """Sample recorder-style joystick and IMU logs off a trace.
 
-    The joystick log carries the commanded (v, v*c) staircase; the IMU log
-    carries the true yaw rate transport-delayed by ``p.imu_delay`` plus
-    seeded Gaussian noise.  ``pad`` seconds of idle rows are prepended and
-    appended to emulate recorder start-up and tear-down.
+    The joystick log carries the commanded (v, v*c) staircase of the
+    trace's command table; the IMU log carries the true yaw rate
+    transport-delayed by ``p.imu_delay`` plus seeded Gaussian noise.
+    ``pad`` seconds of idle rows are prepended and appended to emulate
+    recorder start-up and tear-down.
 
     Returns:
         (JoyLog, ImuLog)
     """
-    def command(steps):
-        v = trace.cmd_v[steps]
-        return v, v * trace.cmd_c[steps]
-
     return _sample_logs(len(trace), trace.dt, p, joy_rate, imu_rate, pad,
-                        command, lambda states: trace.av[states])
+                        trace.command_first, trace.command_v, trace.command_c,
+                        lambda states: trace.av[states])
 
 
 def record_logs(script: ControlScript, p: SlipParams, duration: float,
@@ -523,22 +540,17 @@ def record_logs(script: ControlScript, p: SlipParams, duration: float,
     """``emit_sensor_logs(run_scenario(script, p, duration, dt), p, joy_rate,
     imu_rate, pad)``, bit for bit and with the same errors, without a trace.
 
-    Joystick rows read their command from the script's command table, and
-    the IMU reads ``av`` only at the states around its samples, through the
-    segments and the state evaluator _integrate uses (heading and pose are
-    not needed).  So time and memory follow the log rows and the segment
-    count, not the 5 ms steps.
+    The joystick rows expand the script's command table, the one
+    run_scenario's trace keeps, and the IMU reads ``av`` only at the states
+    around its samples, through the segments and the state evaluator
+    _integrate uses (heading and pose are not needed).  So time and memory
+    follow the log rows and the segment count, not the 5 ms steps.
 
     Returns:
         (JoyLog, ImuLog)
     """
-    firsts, v, c, n = _script_runs(script, duration, dt)
-    segs = _segment_rows(firsts, v, c, n, VehicleState(), p, dt)
-
-    def command(steps):
-        seg = np.searchsorted(firsts, steps, side="right") - 1
-        return v[seg], v[seg] * c[seg]
-
-    return _sample_logs(n, dt, p, joy_rate, imu_rate, pad, command,
+    firsts, v, c, n = table = _script_runs(script, duration, dt)
+    segs = _segment_rows(*table, VehicleState(), p, dt)
+    return _sample_logs(n, dt, p, joy_rate, imu_rate, pad, firsts, v, c,
                         lambda states: _lag_states(segs, p.beta, states,
                                                    *np.empty((3, states.size))))

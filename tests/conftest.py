@@ -19,6 +19,21 @@ def make_script(segs) -> ControlScript:
     return ControlScript(tuple(ScriptSegment(*s) for s in segs))
 
 
+def step_commands(trace) -> np.ndarray:
+    """A trace's per-step ``(v, c)`` commands, a (2, n) array: its command
+    table expanded to the n steps by one np.repeat."""
+    return np.repeat([trace.command_v, trace.command_c],
+                     np.diff(trace.command_first, append=len(trace)), axis=1)
+
+
+def zero_commands(states: int) -> dict:
+    """The command table of a hand-built trace of ``states`` states that is
+    commanded (0, 0) throughout: one row from step 0, none for one state."""
+    rows = min(states - 1, 1)
+    return dict(command_first=np.zeros(rows, dtype=int), command_v=np.zeros(rows),
+                command_c=np.zeros(rows))
+
+
 def write_dataclass_json(path, obj) -> None:
     """Write a SlipParams, ControlScript or DriftScenario as the JSON file
     its ``from_json`` reads."""

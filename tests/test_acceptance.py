@@ -42,6 +42,8 @@ from ikdlab.scenarios import (_segment_dwell, drift_buffer, loose_scenario,
 from ikdlab.simcore import (AV_LIMIT, ControlScript, ScriptSegment, SlipParams,
                             record_logs)
 
+from conftest import step_commands
+
 CIRCLE_SPEED = 2.0
 CIRCLE_CURVATURES = (0.12, 0.63, 0.70, 0.80)
 CIRCLE_DEV_BOUND_PCT = 2.5   # the most a corrected circle may deviate
@@ -383,8 +385,9 @@ def test_invariant_property_suites(record_testsuite_property):
                                duration=float(rng.uniform(0.05, 2.0)), stride=stride)
         ticks = np.floor(np.arange(len(trace)) * trace.dt * rate + 1e-9).astype(int)
         expected = [rows[k * stride % n] for k in ticks.tolist()]
-        assert trace.cmd_v.tolist() == [v for v, _ in expected]
-        assert trace.cmd_c.tolist() == [av / v for v, av in expected]
+        cmd_v, cmd_c = step_commands(trace)
+        assert cmd_v.tolist() == [v for v, _ in expected]
+        assert cmd_c.tolist() == [av / v for v, av in expected]
 
     # pruning is idempotent
     for _ in range(INVARIANT_CASES):

@@ -16,7 +16,8 @@ from ikdlab.fileio import read_table
 from ikdlab.simcore import SimTrace, SlipParams
 
 from conftest import (build_gain_model, kasa_radius, point_rect_signed_distance,
-                      rect_rect_signed_distance, write_dataclass_json)
+                      rect_rect_signed_distance, step_commands, write_dataclass_json,
+                      zero_commands)
 
 
 def circle_points(cx, cy, r, n=50, start=0.0, span=2 * math.pi):
@@ -117,8 +118,9 @@ def test_circle_test_correction_model_changes_command():
     assert report.ikd_enabled
     assert report.c_measured == pytest.approx(0.5, rel=1e-3)
     trace = circle_trace(2.0, 0.4, SlipParams.ideal(), build_gain_model(1.25))
-    assert np.all(trace.cmd_c == trace.cmd_c[0])
-    assert trace.cmd_c[0] == pytest.approx(0.5, rel=1e-9)
+    cmd_c = step_commands(trace)[1]
+    assert np.all(cmd_c == cmd_c[0])
+    assert cmd_c[0] == pytest.approx(0.5, rel=1e-9)
 
 
 def test_circle_test_rejects_zero_curvature():
@@ -238,7 +240,7 @@ def straight_trace(y: float, length: float = 4.0, x0: float = -1.0,
     return SimTrace(dt=0.05, x=np.full(n + 1, y), y=x0 + length * i / n,
                     heading=np.full(n + 1, heading), v=np.ones(n + 1),
                     av=np.zeros(n + 1), av_lag=np.zeros(n + 1),
-                    cmd_v=np.zeros(n), cmd_c=np.zeros(n))
+                    **zero_commands(n + 1))
 
 
 def test_scenario_validation_and_json(tmp_path):
@@ -288,7 +290,7 @@ def test_clipping_the_cone_collides():
 def test_turn_radius_tracks_tightest_turning_sample():
     trace = SimTrace(dt=0.05, x=[0, 1, 2], y=[0, 0, 0], heading=[0, 0, 0],
                      v=[3.0, 2.0, 2.0], av=[2.0, 0.1, 4.0], av_lag=[2.0, 0.1, 4.0],
-                     cmd_v=[0.0, 0.0], cmd_c=[0.0, 0.0])
+                     **zero_commands(3))
     report = drift_eval(trace, DriftScenario(boxes=(), cones=(), gap_width=1.0))
     # |av|=0.1 is below the turning floor; 2/4 beats 3/2
     assert report.min_turn_radius == pytest.approx(0.5)

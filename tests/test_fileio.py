@@ -48,7 +48,7 @@ GOLDEN = [
     ("trace", lambda p: write_trace_csv(SimTrace(
         dt=0.1, x=[0.0, 1.0, 2.0], y=[0.0, 0.0, 0.5], heading=[0.0, 0.1, 0.2],
         v=[1.0, 1.0, 1.0], av=[0.0, 0.2, 0.2], av_lag=[0.0, 0.2, 0.2],
-        cmd_v=[1.0, 1.0], cmd_c=[0.2, 0.2]), p),
+        command_first=[0], command_v=[1.0], command_c=[0.2]), p),
      "t,x,y,heading,v,av\n0.0,0.0,0.0,0.0,1.0,0.0\n"
      "0.1,1.0,0.0,0.1,1.0,0.2\n0.2,2.0,0.5,0.2,1.0,0.2\n"),
     ("buffer", lambda p: write_buffer(p, [(1.0, 0.1), (2, -0.25)]),

@@ -4,7 +4,8 @@ The simulator oracles are verbatim copies of the per-step loops that
 built one VehicleState per step; they look up each step's script segment
 with a verbatim copy of the per-step search and hold each command as a plain
 test-side tuple.  The closed-form integrator sums in another order, so its
-state channels must match them within SIM_TOL (heading modulo 2*pi) and its
+state channels must match them within SIM_TOL (heading modulo 2*pi), and
+its command table, repeated to the steps (conftest.step_commands), their
 commands exactly; a one-step run must match one reference step.  A
 corrected replay asks the model once for all ticks, so its corrected
 curvatures match the one-query-per-tick loop within CMD_TOL.  That loop
@@ -15,9 +16,10 @@ copy of the closed-form integrator that looked up each step's segment with
 searchsorted and wrapped the heading with %: the run-length expansion and
 the fmod wrap must reproduce its six state channels bit for bit.
 The sensor-log oracle is a verbatim copy of the sampler that interpolated
-the IMU over every state of a trace: record_logs, which builds no trace,
-and emit_sensor_logs must reproduce its five log arrays bit for bit, or
-raise the same error.
+the IMU over every state of a trace and read every step's command:
+record_logs, which builds no trace, and emit_sensor_logs, which repeat the
+command table over the joystick rows, must reproduce its five log arrays
+bit for bit, or raise the same error.
 The drift oracle scores one state at a time, read from the
 trace's channel arrays, with the scalar geometry references in conftest;
 the corner-major, pruned drift sweep must reproduce a verbatim copy of the
@@ -70,7 +72,8 @@ from ikdlab.simcore import (DEFAULT_DT, EPS_V, V_CAP, YAW_RATE_DOMAIN, ControlSc
 from ikdlab.errors import InsufficientOverlapError, ParseError, ValidationError
 
 from conftest import (build_gain_model, make_script, point_rect_signed_distance,
-                      rect_rect_signed_distance, segments_intersect, write_new)
+                      rect_rect_signed_distance, segments_intersect, step_commands,
+                      write_new, zero_commands)
 
 CHANNELS = ("x", "y", "heading", "v", "av", "av_lag")
 SIM_TOL = 1e-9   # closed form vs per-step recursion, per channel
@@ -219,10 +222,9 @@ def assert_close_channels(trace: SimTrace, states):
 def assert_matches_loop(trace: SimTrace, states, commands):
     assert_close_channels(trace, states)
     assert np.all(np.abs(trace.heading[1:]) <= math.pi)   # wrapped every step
-    assert trace.cmd_v.tobytes() == np.array([c.v for c in commands],
-                                             dtype=float).tobytes()
-    assert trace.cmd_c.tobytes() == np.array([c.c for c in commands],
-                                             dtype=float).tobytes()
+    cmd_v, cmd_c = step_commands(trace)
+    assert cmd_v.tobytes() == np.array([c.v for c in commands], dtype=float).tobytes()
+    assert cmd_c.tobytes() == np.array([c.c for c in commands], dtype=float).tobytes()
 
 
 def random_plant(rng) -> SlipParams:
@@ -281,7 +283,8 @@ def test_segment_first_steps_match_per_step_search_300_scripts():
             continue
         trace = run_scenario(script, SlipParams.ideal(), duration, dt=dt)
         assert len(trace) == n
-        assert np.array_equal(trace.cmd_v, v[seg]) and np.array_equal(trace.cmd_c, c[seg])
+        cmd_v, cmd_c = step_commands(trace)
+        assert np.array_equal(cmd_v, v[seg]) and np.array_equal(cmd_c, c[seg])
         near = np.abs(np.array(starts) - np.round(np.array(starts) / dt) * dt)
         seen["on a step"] += bool(np.any(near == 0))
         seen["near a step"] += bool(np.any((near > 0) & (near < 1e-11)))
@@ -320,7 +323,8 @@ def test_segment_start_just_above_step_time_takes_effect_at_that_step():
     trace = run_scenario(script, SlipParams(), 0.5, dt=0.015)
     states, commands = reference_run_scenario(script, SlipParams(), 0.5, 0.015)
     assert_matches_loop(trace, states, commands)
-    assert trace.cmd_v[11] == 2.0 and trace.cmd_v[10] == 1.0
+    cmd_v, _ = step_commands(trace)
+    assert cmd_v[11] == 2.0 and cmd_v[10] == 1.0
 
 
 def test_execute_replay_matches_per_step_loop_100_cases():
@@ -345,10 +349,11 @@ def test_execute_replay_matches_per_step_loop_100_cases():
             assert_matches_loop(trace, states, commands)
         else:   # one batched forward pass vs one pass per tick
             assert_close_channels(trace, states)
-            assert trace.cmd_v.tobytes() == np.array([c.v for c in commands],
-                                                     dtype=float).tobytes()
+            cmd_v, cmd_c = step_commands(trace)
+            assert cmd_v.tobytes() == np.array([c.v for c in commands],
+                                               dtype=float).tobytes()
             ref_c = np.array([c.c for c in commands], dtype=float)
-            assert np.all(np.abs(trace.cmd_c - ref_c) <= CMD_TOL)
+            assert np.all(np.abs(cmd_c - ref_c) <= CMD_TOL)
 
 
 def test_first_300_s_of_training_sweep_match_per_step_loop():
@@ -373,7 +378,7 @@ def test_ideal_plant_matches_per_step_loop():
         states, commands = reference_run_scenario(script, SlipParams.ideal(), 1.0,
                                                   initial_state=state)
         assert_matches_loop(trace, states, commands)
-        assert np.array_equal(trace.v[1:], trace.cmd_v)
+        assert np.array_equal(trace.v[1:], step_commands(trace)[0])
 
 
 def test_segments_starting_above_v_cap_match_per_step_loop():
@@ -431,7 +436,8 @@ def reference_integrate(state: VehicleState | None, cmd_v: np.ndarray, cmd_c: np
     """simcore._integrate as it was before each block's commands were expanded
     by run length, kept verbatim: a searchsorted segment per step, five
     gathers, the builtin max/min clamp in the segment pass, and the heading
-    wrapped with ``%``."""
+    wrapped with ``%``.  Verbatim but for the trace's commands, which a
+    SimTrace now holds as a table, here one row per segment."""
     n = cmd_v.size
     alpha = 1.0 if p.lag_tau <= 0.0 else 1.0 - math.exp(-dt / p.lag_tau)
     r = 1.0 - alpha
@@ -473,7 +479,8 @@ def reference_integrate(state: VehicleState | None, cmd_v: np.ndarray, cmd_c: np
         y[new] = v[new] * np.sin(held) * dt
         np.add.accumulate(x[b0:b1 + 1], out=x[b0:b1 + 1])
         np.add.accumulate(y[b0:b1 + 1], out=y[b0:b1 + 1])
-    return SimTrace(dt, *out, cmd_v=cmd_v, cmd_c=cmd_c)
+    return SimTrace(dt, *out, command_first=seg_start, command_v=seg_v,
+                    command_c=cmd_c[seg_start])
 
 
 def test_heading_wrap_matches_the_remainder_bit_for_bit():
@@ -494,7 +501,7 @@ def test_heading_wrap_matches_the_remainder_bit_for_bit():
 def assert_same_state_bits(trace: SimTrace, state, p, dt):
     """``trace``'s six state channels equal, bit for bit, those the reference
     integrator makes from ``trace``'s own commands."""
-    ref = reference_integrate(state, trace.cmd_v, trace.cmd_c, p, dt)
+    ref = reference_integrate(state, *step_commands(trace), p, dt)
     for name in CHANNELS:
         got, want = getattr(trace, name), getattr(ref, name)
         assert got.shape == want.shape, name
@@ -531,9 +538,9 @@ def test_integrator_matches_searchsorted_blocks_bit_for_bit_300_scripts():
         seen["above V_CAP"] += bool(state is not None and abs(state.v) > V_CAP)
         seen["several blocks"] += len(trace) > REFERENCE_BLOCK_STEPS
         edges = np.arange(REFERENCE_BLOCK_STEPS, len(trace), REFERENCE_BLOCK_STEPS)
+        cmd_v, cmd_c = step_commands(trace)
         seen["segment over a block edge"] += bool(np.any(
-            (trace.cmd_v[edges] == trace.cmd_v[edges - 1])
-            & (trace.cmd_c[edges] == trace.cmd_c[edges - 1])))
+            (cmd_v[edges] == cmd_v[edges - 1]) & (cmd_c[edges] == cmd_c[edges - 1])))
     assert min(seen.values()) >= 20, seen
 
 
@@ -550,7 +557,8 @@ def test_integrator_matches_searchsorted_blocks_bit_for_bit_on_long_runs():
     rows = np.column_stack([v, np.clip(v * 0.8 * np.sin(0.7 * t + 0.1), -4.0, 4.0)])
     trace = execute_replay(CommandBuffer(rows=rows), p, model=build_gain_model(1.25),
                            duration=100.0)
-    changes = (trace.cmd_v[1:] != trace.cmd_v[:-1]) | (trace.cmd_c[1:] != trace.cmd_c[:-1])
+    cmd_v, cmd_c = step_commands(trace)
+    changes = (cmd_v[1:] != cmd_v[:-1]) | (cmd_c[1:] != cmd_c[:-1])
     assert len(trace) == 20000 and int(np.count_nonzero(changes)) + 1 == 2000
     assert_same_state_bits(trace, None, p, DEFAULT_DT)
 
@@ -566,20 +574,26 @@ def test_integrator_matches_searchsorted_blocks_bit_for_bit_on_long_runs():
 
 
 def test_command_table_drops_empty_commands_and_merges_equal_neighbours():
-    # commands that hold no step (at the start, in the middle, at step n) and
-    # equal neighbours, also across a dropped command, run as the two
-    # commands they leave
-    table = (np.array([0, 0, 50, 90, 90, 120, 200, 300]),
-             np.array([3.0, 2.0, 2.0, 1.0, 2.0, 1.5, 1.5, 3.0]),
-             np.array([0.1, 0.5, 0.5, 0.2, 0.5, -0.3, -0.3, 0.9]))
+    # segments that hold no step (at the start, in the middle, at step n)
+    # leave no row of the trace's table; equal neighbours, also across a
+    # dropped segment, keep their rows and run as the two commands they leave
+    dt = DEFAULT_DT
+    starts = [-1.0, 0.0, 49.5 * dt, 89.3 * dt, 89.6 * dt, 119.5 * dt, 199.5 * dt, 299.5 * dt]
+    script = make_script(zip(starts, [3.0, 2.0, 2.0, 1.0, 2.0, 1.5, 1.5, 3.0],
+                             [0.1, 0.5, 0.5, 0.2, 0.5, -0.3, -0.3, 0.9]))
     for p in (SlipParams(), SlipParams(lag_tau=0.0), SlipParams.ideal()):
-        trace = _integrate(None, *table, 300, p, DEFAULT_DT)
+        trace = run_scenario(script, p, 300 * dt)
+        assert trace.command_first.tolist() == [0, 50, 90, 120, 200]
+        assert trace.command_v.tolist() == [2.0, 2.0, 2.0, 1.5, 1.5]
+        assert trace.command_c.tolist() == [0.5, 0.5, 0.5, -0.3, -0.3]
         two = _integrate(None, np.array([0, 120]), np.array([2.0, 1.5]),
-                         np.array([0.5, -0.3]), 300, p, DEFAULT_DT)
-        for name in CHANNELS + ("cmd_v", "cmd_c"):
+                         np.array([0.5, -0.3]), 300, p, dt)
+        for name in CHANNELS:
             assert np.array_equal(getattr(trace, name).view(np.int64),
                                   getattr(two, name).view(np.int64)), name
-        assert_same_state_bits(trace, None, p, DEFAULT_DT)
+        assert np.array_equal(step_commands(trace).view(np.int64),
+                              step_commands(two).view(np.int64))
+        assert_same_state_bits(trace, None, p, dt)
 
 
 # --- sensor logs: the whole-trace sampler, kept verbatim ----------------------
@@ -590,8 +604,10 @@ def reference_emit_sensor_logs(trace: SimTrace, p: SlipParams, joy_rate: float =
     states around each IMU sample: every state's time and every step's v*c,
     one np.interp over the whole trace.  Verbatim but for the two SimTrace
     members deleted since, ``duration`` (``len(trace) * trace.dt``) and
-    ``av_commanded()`` (``trace.cmd_v * trace.cmd_c``), and for the rate
-    and pad checks, written so that NaN fails them as it fails simcore's."""
+    ``av_commanded()`` (``cmd_v * cmd_c``), for the per-step commands
+    ``cmd_v, cmd_c``, which the trace's command table now gives
+    (step_commands), and for the rate and pad checks, written so that NaN
+    fails them as it fails simcore's."""
     if len(trace) == 0:
         raise ValidationError("cannot emit logs from an empty trace")
     if not (joy_rate > 0 and imu_rate > 0):
@@ -602,8 +618,8 @@ def reference_emit_sensor_logs(trace: SimTrace, p: SlipParams, joy_rate: float =
     duration = len(trace) * trace.dt
     total = duration + 2.0 * pad
     sample_count("pad", total / trace.dt)
-    cmd_v = trace.cmd_v
-    cmd_av = trace.cmd_v * trace.cmd_c
+    cmd_v, cmd_c = step_commands(trace)
+    cmd_av = cmd_v * cmd_c
 
     n_joy = sample_count("joy_rate", total * joy_rate)
     t_joy = np.arange(n_joy) / joy_rate
@@ -791,7 +807,7 @@ def random_poses_trace(rng, scenario: DriftScenario) -> SimTrace:
     return SimTrace(dt=DEFAULT_DT, x=xy[:, 0], y=xy[:, 1],
                     heading=rng.uniform(-math.pi, math.pi, n),
                     v=rng.uniform(-V_CAP, V_CAP, n), av=av, av_lag=av,
-                    cmd_v=np.zeros(n - 1), cmd_c=np.zeros(n - 1))
+                    **zero_commands(n))
 
 
 def assert_matches_reference(trace: SimTrace, scenario: DriftScenario):
@@ -838,8 +854,7 @@ def test_drift_eval_gate_touch_cases_match_reference():
         n = len(xy)
         trace = SimTrace(dt=DEFAULT_DT, x=xy[:, 0], y=xy[:, 1],
                          heading=np.zeros(n), v=np.zeros(n), av=np.zeros(n),
-                         av_lag=np.zeros(n), cmd_v=np.zeros(n - 1),
-                         cmd_c=np.zeros(n - 1))
+                         av_lag=np.zeros(n), **zero_commands(n))
         assert_matches_reference(trace, scenario)
         assert drift_eval(trace, scenario).cleared_gate == expected, name
 
@@ -953,7 +968,7 @@ def poses_trace(rng, xy, heading) -> SimTrace:
     av = rng.uniform(-4.0, 4.0, n)
     return SimTrace(dt=DEFAULT_DT, x=xy[:, 0], y=xy[:, 1], heading=heading,
                     v=rng.uniform(-V_CAP, V_CAP, n), av=av, av_lag=av,
-                    cmd_v=np.zeros(n - 1), cmd_c=np.zeros(n - 1))
+                    **zero_commands(n))
 
 
 def random_course(rng, n_boxes: int) -> DriftScenario:

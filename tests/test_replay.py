@@ -9,7 +9,7 @@ from ikdlab.replay import (DEFAULT_REPLAY_RATE, CommandBuffer, execute_replay,
 from ikdlab.mlp import init_params
 from ikdlab.simcore import AV_LIMIT, EPS_V, ControlScript, SlipParams, run_scenario
 
-from conftest import build_gain_model, build_identity_model, write_buffer
+from conftest import build_gain_model, build_identity_model, step_commands, write_buffer
 
 
 def small_buffer() -> CommandBuffer:
@@ -51,8 +51,9 @@ def test_buffer_owns_a_copy_of_its_rows():
 def test_replay_wraps_circularly():
     # 20 Hz ticks, one per 10 steps of 5 ms: four ticks read rows 0, 1, 2, 0
     trace = execute_replay(small_buffer(), SlipParams.ideal(), duration=0.2)
-    assert trace.cmd_v[::10].tolist() == [1.0, 2.0, 3.0, 1.0]
-    assert trace.cmd_c[::10].tolist() == [0.1 / 1.0, 0.2 / 2.0, 0.3 / 3.0, 0.1 / 1.0]
+    cmd_v, cmd_c = step_commands(trace)
+    assert cmd_v[::10].tolist() == [1.0, 2.0, 3.0, 1.0]
+    assert cmd_c[::10].tolist() == [0.1 / 1.0, 0.2 / 2.0, 0.3 / 3.0, 0.1 / 1.0]
 
 
 def test_wrap_property_over_many_reads():
@@ -64,7 +65,8 @@ def test_wrap_property_over_many_reads():
         stride = int(rng.integers(1, 2 * n + 1))
         trace = execute_replay(CommandBuffer(rows=rows), SlipParams.ideal(),
                                duration=k / DEFAULT_REPLAY_RATE, stride=stride)
-        assert trace.cmd_v[::10].tolist() == [rows[j * stride % n][0] for j in range(k)]
+        cmd_v, _ = step_commands(trace)
+        assert cmd_v[::10].tolist() == [rows[j * stride % n][0] for j in range(k)]
 
 
 def test_buffer_txt_round_trip(tmp_path):
@@ -95,7 +97,7 @@ def test_replay_consumes_rate_commands_per_second():
     trace = execute_replay(buf, SlipParams.ideal(), duration=1.0)
     # 20 ticks in one second at the default rate: rows 0 to 19
     assert DEFAULT_REPLAY_RATE == 20.0
-    assert sorted(set(trace.cmd_c.tolist())) == [float(i) / 100.0 for i in range(20)]
+    assert sorted(set(step_commands(trace)[1].tolist())) == [float(i) / 100.0 for i in range(20)]
 
 
 def test_replaying_a_buffer_twice_gives_the_same_trace_and_leaves_it_unchanged():
@@ -108,15 +110,16 @@ def test_replaying_a_buffer_twice_gives_the_same_trace_and_leaves_it_unchanged()
     for model in (None, build_gain_model(1.3)):
         first, second = (execute_replay(buf, SlipParams(), model=model, duration=1.15)
                          for _ in range(2))
-        for name in ("x", "y", "heading", "v", "av", "av_lag", "cmd_v", "cmd_c"):
+        for name in ("x", "y", "heading", "v", "av", "av_lag"):
             assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+        assert step_commands(first).tobytes() == step_commands(second).tobytes()
         assert buf.rows.tobytes() == rows.tobytes()
 
 
 def test_replay_holds_command_between_ticks():
     buf = CommandBuffer(rows=[(2.0, 0.5), (2.0, -0.5)])
     trace = execute_replay(buf, SlipParams.ideal(), duration=0.1)
-    cs = trace.cmd_c.tolist()
+    cs = step_commands(trace)[1].tolist()
     # 20 Hz ticks, 0.005 s steps: 10 holds of the first command then wrap
     assert cs[:10] == [0.25] * 10
     assert cs[10:] == [-0.25] * 10
@@ -147,7 +150,7 @@ def test_replay_matches_equivalent_script():
 def test_replay_stride_decimates_buffer():
     buf = CommandBuffer(rows=[(1.0, float(i) / 100.0) for i in range(100)])
     trace = execute_replay(buf, SlipParams.ideal(), duration=0.5, stride=3)
-    avs = sorted(set(trace.cmd_c.tolist()))
+    avs = sorted(set(step_commands(trace)[1].tolist()))
     # ticks consume rows 0,3,6,...,27 (curvature av/v with v=1)
     assert avs == [float(i) / 100.0 for i in range(0, 30, 3)]
 
@@ -160,7 +163,7 @@ def test_replay_stride_past_int64_reads_the_rows_of_its_residue(stride):
     runs = []
     for s in (stride, stride + 7 * 10 ** 20):
         trace = execute_replay(buf, SlipParams.ideal(), duration=0.6, stride=s)
-        runs.append((trace.cmd_v.tolist(), trace.cmd_c.tolist(), trace.xy().tolist()))
+        runs.append((*step_commands(trace).tolist(), trace.xy().tolist()))
     assert runs[0] == runs[1]
     # one tick per 10 steps at 20 Hz and dt 0.005; row i commands v = 1 + i/10
     assert runs[0][0][::10] == [1.0 + ((k * stride) % 7) / 10.0 for k in range(12)]
@@ -169,13 +172,13 @@ def test_replay_stride_past_int64_reads_the_rows_of_its_residue(stride):
 def test_replay_clamps_buffer_yaw_rates():
     buf = CommandBuffer(rows=[(1.0, 9.0)])
     trace = execute_replay(buf, SlipParams.ideal(), duration=0.2)
-    assert np.all(trace.cmd_c == 4.0)
+    assert np.all(step_commands(trace)[1] == 4.0)
 
 
 def test_replay_low_speed_rows_go_straight():
     buf = CommandBuffer(rows=[(0.0, 2.0)])
     trace = execute_replay(buf, SlipParams.ideal(), duration=0.2)
-    assert np.all(trace.cmd_c == 0.0)
+    assert np.all(step_commands(trace)[1] == 0.0)
     assert np.allclose(trace.xy(), 0.0)
 
 
@@ -197,7 +200,8 @@ def test_replayed_commands_stay_within_the_actuator_bound():
             trace = execute_replay(CommandBuffer(rows=np.column_stack([v, av])),
                                    SlipParams(), model=model,
                                    duration=float(rng.uniform(0.1, 3.0)), stride=stride)
-            assert np.all(np.abs(trace.cmd_v * trace.cmd_c) <= AV_LIMIT + 1e-9)
+            cmd_v, cmd_c = step_commands(trace)
+            assert np.all(np.abs(cmd_v * cmd_c) <= AV_LIMIT + 1e-9)
 
 
 def test_replay_argument_validation():
@@ -222,5 +226,5 @@ def test_replay_rejects_non_finite_arguments(arg, value):
 def test_replay_trace_shape():
     trace = execute_replay(small_buffer(), SlipParams.ideal(), duration=1.0)
     assert trace.x.size == 201
-    assert len(trace) == trace.cmd_c.size == 200
+    assert len(trace) == step_commands(trace).shape[1] == 200
     assert len(trace) * trace.dt == pytest.approx(1.0)

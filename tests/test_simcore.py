@@ -14,7 +14,7 @@ from ikdlab.simcore import (AV_LIMIT, DEFAULT_DT, LAG_TAU_DOMAIN, V_CAP, Control
                             run_scenario, slip_yaw_rate)
 from ikdlab.scenarios import sweep_duration, training_sweep_script
 
-from conftest import kasa_radius, make_script, write_dataclass_json
+from conftest import kasa_radius, make_script, step_commands, write_dataclass_json
 
 
 # --- normalize_heading -------------------------------------------------------
@@ -117,7 +117,8 @@ def test_control_command_rejects_excess_angular_velocity():
     with pytest.raises(ValidationError):
         run_scenario(ControlScript.constant(4.0, 1.1), SlipParams(), 0.1)
     trace = run_scenario(ControlScript.constant(2.0, 0.7), SlipParams(), 0.1)
-    assert np.all((trace.cmd_v * trace.cmd_c) == pytest.approx(1.4))
+    cmd_v, cmd_c = step_commands(trace)
+    assert np.all((cmd_v * cmd_c) == pytest.approx(1.4))
 
 
 @pytest.mark.parametrize("v, c, message", [
@@ -151,9 +152,10 @@ def test_control_script_ordering_and_lookup():
     script = make_script([(0.0, 1.0, 0.1), (2.0, 2.0, 0.2)])
     trace = run_scenario(script, SlipParams(), 50.0 + DEFAULT_DT)
     # step i holds the segment in force at t = i*dt: 0.0, 1.995, 2.0 and 50.0
+    cmd_v, cmd_c = step_commands(trace)
     for i, cmd in [(0, (1.0, 0.1)), (399, (1.0, 0.1)), (400, (2.0, 0.2)),
                    (10000, (2.0, 0.2))]:
-        assert (trace.cmd_v[i], trace.cmd_c[i]) == cmd
+        assert (cmd_v[i], cmd_c[i]) == cmd
     with pytest.raises(ValidationError, match="script must be defined from t=0"):
         run_scenario(make_script([(1.0, 1.0, 0.0)]), SlipParams(), 2.0)
 
@@ -246,7 +248,7 @@ def test_step_count_and_times():
     assert len(trace) == 200
     assert len(trace) * trace.dt == pytest.approx(1.0)
     assert trace.times()[-1] == pytest.approx(1.0)
-    assert trace.x.size == trace.cmd_v.size + 1 == 201
+    assert trace.x.size == step_commands(trace).shape[1] + 1 == 201
 
 
 def test_run_scenario_rejects_bad_duration_and_late_script():
@@ -291,15 +293,67 @@ def test_aggressive_script_peak_yaw_rate_attenuated():
     script = make_script([(0.0, 4.2, 0.0), (2.0, 4.2, 0.95), (4.0, 0.5, 0.0)])
     trace = run_scenario(script, SlipParams(beta=0.02, lag_tau=0.1,
                                             noise_sigma=0.0), 6.0)
-    assert np.max(np.abs(trace.av)) < np.max(np.abs((trace.cmd_v * trace.cmd_c)))
+    cmd_v, cmd_c = step_commands(trace)
+    assert np.max(np.abs(trace.av)) < np.max(np.abs((cmd_v * cmd_c)))
 
 
 def test_run_scenario_deterministic():
     script = make_script([(0.0, 2.0, 0.3), (1.0, 3.0, -0.5)])
     a = run_scenario(script, SlipParams(), 2.0)
     b = run_scenario(script, SlipParams(), 2.0)
-    for name in ("x", "y", "heading", "v", "av", "av_lag", "cmd_v", "cmd_c"):
+    for name in ("x", "y", "heading", "v", "av", "av_lag"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert step_commands(a).tobytes() == step_commands(b).tobytes()
+
+
+def test_a_trace_holds_its_states_and_one_table_row_per_held_command():
+    # the segment at 0.301 s holds no step (the next starts at the same
+    # step), and the equal neighbours from 0.302 s and 0.5 s keep two rows:
+    # 300 steps hold four commands, and no array has one entry per step
+    script = make_script([(0.0, 1.0, 0.2), (0.301, 3.0, 0.1), (0.302, 1.5, -0.4),
+                          (0.5, 1.5, -0.4), (1.0, 2.0, 0.0)])
+    trace = run_scenario(script, SlipParams(), 1.5)
+    assert len(trace) == 300
+    shapes = {name: np.shape(value) for name, value in vars(trace).items()}
+    assert shapes == {"dt": (), **{name: (301,) for name in
+                                   ("x", "y", "heading", "v", "av", "av_lag")},
+                      "command_first": (4,), "command_v": (4,), "command_c": (4,)}
+    assert trace.command_first.tolist() == [0, 61, 100, 200]
+    assert trace.command_v.tolist() == [1.0, 1.5, 1.5, 2.0]
+    assert trace.command_c.tolist() == [0.2, -0.4, -0.4, 0.0]
+
+
+@pytest.mark.parametrize("table, message", [
+    (([1, 50], [1.0, 2.0], [0.1, 0.2]), "start at step 0"),
+    (([0, 50, 50], [1.0, 2.0, 3.0], [0.1, 0.2, 0.3]), "increase"),
+    (([0, 100], [1.0, 2.0], [0.1, 0.2]), "increase"),
+    (([], [], []), "start at step 0"),
+    (([0.0, 50.0], [1.0, 2.0], [0.1, 0.2]), "integer steps"),
+    (([0, 50], [1.0, 2.0], [0.1]), "equal length"),
+])
+def test_trace_refuses_a_command_table_that_does_not_hold_its_steps(table, message):
+    zeros = np.zeros(101)   # 100 steps
+    with pytest.raises(ValidationError, match=message):
+        SimTrace(DEFAULT_DT, zeros, zeros, zeros, zeros, zeros, zeros, *table)
+
+
+def test_trace_refuses_state_channels_of_unequal_length():
+    zeros = np.zeros(101)
+    with pytest.raises(ValidationError, match="state channels must be 1-D of equal"):
+        SimTrace(DEFAULT_DT, zeros, zeros[1:], zeros, zeros, zeros, zeros, [0], [1.0], [0.1])
+
+
+def test_a_zero_speed_keeps_its_sign_in_both_recorders():
+    # neighbouring segments that differ only in the sign of a zero v: a
+    # sampler that expanded merged segments would log the first sign for both
+    script = make_script([(0.0, 0.0, 0.5), (0.5, -0.0, 0.5), (1.0, 0.0, 0.5)])
+    p = SlipParams()
+    want = np.zeros(140)          # 3.5 s at 40 Hz; the drive from row 40 to 99
+    want[60:80] = -0.0
+    for joy, _ in (record_logs(script, p, 1.5),
+                   emit_sensor_logs(run_scenario(script, p, 1.5), p)):
+        assert np.array_equal(joy.av.view(np.int64), want.view(np.int64))
+        assert np.array_equal(joy.v.view(np.int64), want.view(np.int64))
 
 
 # --- emit_sensor_logs --------------------------------------------------------
@@ -357,7 +411,8 @@ def test_imu_noise_is_seeded():
 def test_emit_rejects_empty_trace_and_bad_rates():
     trace = run_scenario(ControlScript.constant(1.0, 0.0), SlipParams(), 1.0)
     empty = SimTrace(dt=DEFAULT_DT, x=[0.0], y=[0.0], heading=[0.0], v=[0.0],
-                     av=[0.0], av_lag=[0.0], cmd_v=[], cmd_c=[])
+                     av=[0.0], av_lag=[0.0], command_first=[], command_v=[],
+                     command_c=[])
     with pytest.raises(ValidationError):
         emit_sensor_logs(empty, SlipParams())
     with pytest.raises(ValidationError):

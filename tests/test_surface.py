@@ -22,8 +22,9 @@ import numpy as np
 import pytest
 
 import ikdlab.cli  # loads every module the tracer wraps
-from ikdlab import mlp
+from ikdlab import evalkit, mlp, replay, scenarios
 from ikdlab.align import AlignedDataset
+from ikdlab.simcore import SlipParams
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ikdlab"
@@ -370,6 +371,25 @@ def test_traced_training_counts_one_optimizer_step_per_batch():
     assert m["mlp.loss_and_grads.self_s"] > 0 and m["mlp.adamw_step.self_s"] > 0
     assert m["mlp.epoch_eval.self_s"] > 0
     assert m["mlp.us_per_step"] > 0
+
+
+def test_traced_simulation_counters_read_the_returned_traces():
+    # the tracer counts a run's steps and a drift score's states from the
+    # trace: len(trace) steps, and one state more
+    tracing = load_tracing()
+    p = SlipParams()
+    buf = scenarios.drift_buffer()
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.traced_pass(0):
+        circle = evalkit.circle_trace(2.0, 0.5, p)
+        evalkit.circle_test(2.0, 0.5, p, trace=circle)
+        drift = replay.execute_replay(buf, p, duration=len(buf) / replay.DEFAULT_REPLAY_RATE)
+        evalkit.drift_eval(drift, scenarios.loose_scenario())
+    m = tracing.layer_metrics(tracer.spans, passes=1)
+    assert len(circle) > 0 and len(drift) > 0
+    assert m["simcore.steps"] == len(circle)
+    assert m["replay.steps"] == len(drift)
+    assert m["evalkit.drift_states"] == len(drift) + 1
 
 
 # CI runs a Python 3.10 leg; this guards its grammar where no 3.10 exists.
