@@ -281,8 +281,12 @@ def cmd_eval_circle(args, cfg, out):
 
 
 def cmd_eval_drift(args, cfg, out):
-    buf = (replay_mod.read_buffer_txt(args.buffer) if args.buffer
-           else scenarios.drift_buffer(rate=cfg.replay_hz))
+    if args.buffer:
+        buf = replay_mod.read_buffer_txt(args.buffer)
+    else:
+        # the canned buffer's length is set by the config's replay rate
+        with blamed(lambda exc: f"{args.config}: rates: replay"):
+            buf = scenarios.drift_buffer(rate=cfg.replay_hz)
     model = mlp.load_model(args.model) if args.model else None
     duration = (args.duration if args.duration is not None
                 else len(buf) / cfg.replay_hz)

@@ -253,9 +253,10 @@ _NEXT_CORNER = np.array([1, 2, 3, 0])   # corner j's edge runs to corner j + 1 m
 def _corner_edge_distance(px, py, qx, qy) -> np.ndarray:
     """Smallest distance from the corners p to the edges of the rectangle q.
 
-    Corner coordinates are corner-major, shape (4, m), q's corners in
-    boundary order.  The distances of every corner to every edge are one
-    (edge, corner, m) array.
+    Corner coordinates are corner-major, shape (4, m), or (4, 1) for one set
+    that broadcasts against the other's m; q's corners are in boundary
+    order.  The distances of every corner to every edge are one (edge,
+    corner, m) array.
     """
     ax, ay = qx[:, None], qy[:, None]
     abx, aby = qx[_NEXT_CORNER, None] - ax, qy[_NEXT_CORNER, None] - ay
@@ -269,17 +270,11 @@ def _box_distance(car_x, car_y, bx, by) -> np.ndarray:
     """Exact boundary-to-boundary distance between disjoint car and box corner
     sets: the nearer of corner-to-edge either way.
 
-    The car's corners have shape (4, m), the box's (4, 1).  Both ways are
-    one batch of 2m corner sets: the car's corners to the box's edges, then
-    the box's corners to the car's edges.
+    The car's corners have shape (4, m), the box's (4, 1), which broadcasts
+    against the car's m corner sets.
     """
-    m = car_x.shape[1]
-    box_x, box_y = np.repeat(bx, m, axis=1), np.repeat(by, m, axis=1)
-    d = _corner_edge_distance(np.concatenate((car_x, box_x), axis=1),
-                              np.concatenate((car_y, box_y), axis=1),
-                              np.concatenate((box_x, car_x), axis=1),
-                              np.concatenate((box_y, car_y), axis=1))
-    return np.minimum(d[:m], d[m:])
+    return np.minimum(_corner_edge_distance(car_x, car_y, bx, by),
+                      _corner_edge_distance(bx, by, car_x, car_y))
 
 
 def _gate_crossed(x: np.ndarray, y: np.ndarray, g0, g1) -> bool:

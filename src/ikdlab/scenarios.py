@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ValidationError, require_positive
 from .evalkit import DriftScenario, Rect
 from .replay import DEFAULT_REPLAY_RATE, CommandBuffer
-from .simcore import AV_LIMIT, ControlScript, ScriptSegment
+from .simcore import AV_LIMIT, ControlScript, ScriptSegment, sample_count
 
 LOOSE_GAP = 2.13   # m
 TIGHT_GAP = 0.81   # m
@@ -84,12 +84,16 @@ DRIFT_EXIT = (2.0, 0.0, 1.0)
 
 
 def drift_buffer(rate: float = DEFAULT_REPLAY_RATE) -> CommandBuffer:
-    """The loose-drift teleoperation buffer, one (v, av) row per tick."""
-    rows = []
-    for v, c, seconds in (DRIFT_APPROACH, DRIFT_TURN, DRIFT_EXIT):
-        n = int(round(seconds * rate))
-        rows.extend([(v, v * c)] * n)
-    return CommandBuffer(rows=rows)
+    """The loose-drift teleoperation buffer, one (v, av) row per tick: each
+    segment holds round(seconds * rate) ticks.  A tick count past the
+    largest index is a ValidationError naming ``rate``."""
+    require_positive(rate=rate)
+    v, c, seconds = np.array((DRIFT_APPROACH, DRIFT_TURN, DRIFT_EXIT)).T
+    ticks = []
+    for count in (seconds * rate).tolist():
+        sample_count("rate", count)
+        ticks.append(int(round(count)))
+    return CommandBuffer(rows=np.repeat(np.column_stack((v, v * c)), ticks, axis=0))
 
 
 # The corrected counter-clockwise arc peaks near x=4.2 at y=1.3; the gate is

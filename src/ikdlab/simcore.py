@@ -399,33 +399,36 @@ def _integrate(state: VehicleState | None, firsts: np.ndarray, v: np.ndarray,
     return SimTrace(dt, *out, command_first=firsts, command_v=v, command_c=c)
 
 
+def _least_step(reached, guess, n: int) -> np.ndarray:
+    """For each entry, the least step i in [0, n] at which ``reached(i)``
+    holds (n where none does); ``reached`` maps an array of steps, one per
+    entry, to booleans that turn true once as i grows.  Each entry starts at
+    clip(ceil(guess), 0, n) and moves one step at a time until ``reached``
+    agrees, so rounding in the guess never decides."""
+    i = np.clip(np.ceil(guess), 0, n).astype(np.intp)
+    while np.any(back := (i > 0) & reached(i - 1)):
+        i -= back
+    while np.any(on := (i < n) & ~reached(i)):
+        i += on
+    return i
+
+
 def _script_runs(script: ControlScript, duration: float, dt: float):
     """A script's command table, checked: each reached segment's first
     step, ``v`` and ``c``, and the step count ``n``.
 
-    A run lasts n = floor(duration/dt) steps, and step i holds the command
-    of the last segment with t_start <= i*dt; a segment that holds no step
-    is not reached and leaves no row.  The reached segments' commands pass
-    _check_commands, whose row is then a segment index; a script that
-    starts after t=0 is refused at row 0, its first segment.
+    A run lasts n = floor(duration/dt) steps, and a segment's first step is
+    the least i <= n with i*dt + 1e-12 >= t_start (_least_step); a segment
+    that holds no step is not reached and leaves no row.  The reached
+    segments' commands pass _check_commands, whose row is then a segment
+    index; a script that starts after t=0 is refused at row 0.
     """
     require_positive(duration=duration, dt=dt)
     if script.segments[0].t_start > 0:
         raise ValidationError("script must be defined from t=0", row=0)
     n = sample_count("duration", duration / dt)
-    # Each segment's first step: the least i <= n with i*dt + 1e-12 >= t_start,
-    # found from a ceil and fixed up against that same float expression.
-    firsts = []
-    for t_start in (s.t_start for s in script.segments):
-        g = (t_start - 1e-12) / dt
-        i = 0 if not g > 0 else n if g >= n else math.ceil(g)
-        while i > 0 and (i - 1) * dt + 1e-12 >= t_start:
-            i -= 1
-        while i < n and i * dt + 1e-12 < t_start:
-            i += 1
-        firsts.append(i)
-    firsts = np.array(firsts)
-    v, c = np.array([(s.v, s.c) for s in script.segments], dtype=float).T
+    t, v, c = np.array([(s.t_start, s.v, s.c) for s in script.segments], dtype=float).T
+    firsts = _least_step(lambda i: i * dt + 1e-12 >= t, (t - 1e-12) / dt, n)
     reached = firsts < np.append(firsts[1:], n)   # unreached segments check as stops
     _check_commands(np.where(reached, v, 0.0), np.where(reached, c, 0.0))
     return firsts[reached], v[reached], c[reached], n
@@ -443,18 +446,6 @@ def run_scenario(script: ControlScript, p: SlipParams, duration: float,
     return _integrate(initial_state, *_script_runs(script, duration, dt), p, dt)
 
 
-def _last_state_at(s: np.ndarray, n: int, dt: float) -> np.ndarray:
-    """For each time ``s`` in [0, n*dt], the last of the states at i*dt
-    (i = 0..n) that is not after it: the left end of the interval np.interp
-    reads ``s`` from."""
-    i = np.minimum(np.floor(s / dt), n).astype(np.intp)
-    while np.any(late := i * dt > s):
-        i -= late
-    while np.any(early := (i < n) & ((i + 1) * dt <= s)):
-        i += early
-    return i
-
-
 def _sample_logs(n: int, dt: float, p: SlipParams, joy_rate: float, imu_rate: float,
                  pad: float, firsts: np.ndarray, v: np.ndarray, c: np.ndarray, yaw_rate):
     """The joystick and IMU logs of an n-step run at ``dt``.
@@ -466,9 +457,10 @@ def _sample_logs(n: int, dt: float, p: SlipParams, joy_rate: float, imu_rate: fl
     command is merged with its neighbour, so a zero ``v`` keeps its sign.
     Both logs are allocated before any state is read.  The IMU samples
     inside the run are interpolated a block of _BLOCK_STEPS samples at a
-    time, each block from its samples' bracketing states only: np.interp
-    reads a sample from the two states around it, so the bits are those of
-    an interpolation over every state.
+    time, each block from its samples' bracketing states only (a sample at
+    s follows state j - 1, j the least step with j*dt > s: _least_step).
+    np.interp reads a sample from the two states around it, so the bits are
+    those of an interpolation over every state.
     """
     if n == 0:
         raise ValidationError(EMPTY_TRACE)
@@ -503,11 +495,12 @@ def _sample_logs(n: int, dt: float, p: SlipParams, joy_rate: float, imu_rate: fl
                    int(np.searchsorted(s_imu, duration, side="right")))
     for k0 in inside[::_BLOCK_STEPS]:
         k1 = min(k0 + _BLOCK_STEPS, inside.stop)
-        i = _last_state_at(s_imu[k0:k1], n, dt)
+        s = s_imu[k0:k1]
+        i = _least_step(lambda j: j * dt > s, s / dt, n + 1) - 1
         i = i[np.diff(i, prepend=-1) != 0]   # increasing, so [i, i + 1] pairs are too
         states = np.column_stack((i, np.minimum(i + 1, n))).ravel()
         states = states[np.diff(states, prepend=-1) != 0]
-        av_z[k0:k1] = np.interp(s_imu[k0:k1], states * dt, yaw_rate(states))
+        av_z[k0:k1] = np.interp(s, states * dt, yaw_rate(states))
     if p.noise_sigma > 0:
         rng = np.random.default_rng(p.seed)
         av_z += rng.normal(0.0, p.noise_sigma, size=av_z.shape)

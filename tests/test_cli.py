@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import threading
 import warnings
 
@@ -314,6 +315,39 @@ def test_bad_top_level_config_names_file_and_key(workdir, capsys, raw, match):
         PipelineConfig.from_json("bad.json")
     assert main(["align", "--config", "bad.json", "--out", "run"]) == 1
     assert "error: bad.json: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate, err", [
+    (1e300, r"rate gives 1\.5e\+300 samples, more than an index can count \(\d+\)"),
+    (1e-300, "command buffer must be non-empty")], ids=["1e300", "1e-300"])
+def test_replay_rate_that_builds_no_drift_buffer_exits_1_naming_it(workdir, capsys, rate,
+                                                                    err):
+    with open("cfg.json", "w", encoding="utf-8") as fh:
+        json.dump({"seed": 0, "rates": {"replay": rate}}, fh)
+    assert main(["eval-drift", "--config", "cfg.json", "--out", "run"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"error: cfg\.json: rates: replay: {err}\n", captured.err)
+    assert not os.path.exists("run")
+
+
+def test_output_root_is_out_then_config_then_environment_then_default(workdir,
+                                                                      monkeypatch):
+    write_mini_script("script.json")
+    with open("cfg.json", "w", encoding="utf-8") as fh:
+        json.dump({"seed": 0, "out_dir": "from_config"}, fh)
+    monkeypatch.setenv("IKD_OUT_DIR", "from_env")
+    collect = ["collect", "--script", "script.json", "--duration", "1"]
+    for extra, root in ((["--config", "cfg.json", "--out", "from_flag"], "from_flag"),
+                        (["--config", "cfg.json"], "from_config"),
+                        ([], "from_env")):
+        assert main(collect + extra) == 0
+        assert sorted(os.listdir()) == sorted(["cfg.json", "script.json", root])
+        assert sorted(os.listdir(os.path.join(root, "logs"))) == ["imu.csv", "joy.csv"]
+        shutil.rmtree(root)
+    monkeypatch.delenv("IKD_OUT_DIR")
+    assert main(collect) == 0
+    assert sorted(os.listdir()) == ["cfg.json", "out", "script.json"]
 
 
 def test_zero_pad_is_accepted(workdir):

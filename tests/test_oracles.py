@@ -66,8 +66,8 @@ from ikdlab.replay import DEFAULT_REPLAY_RATE, CommandBuffer, execute_replay
 from ikdlab.scenarios import (drift_buffer, loose_scenario, sweep_duration, tight_scenario,
                               training_sweep_script)
 from ikdlab.simcore import (DEFAULT_DT, EPS_V, V_CAP, YAW_RATE_DOMAIN, ControlScript, SimTrace,
-                            SlipParams, VehicleState, _integrate, _last_state_at,
-                            emit_sensor_logs, normalize_heading,
+                            SlipParams, VehicleState, _integrate, _least_step,
+                            _script_runs, emit_sensor_logs, normalize_heading,
                             record_logs, run_scenario, sample_count, slip_yaw_rate)
 from ikdlab.errors import InsufficientOverlapError, ParseError, ValidationError
 
@@ -671,7 +671,8 @@ def assert_recorded_logs_match(script, p, duration, joy_rate, imu_rate, pad, dt)
 
 def test_bracketing_state_matches_a_search_of_every_state_time():
     # Times on a state, an ulp either side of one, and anywhere in the run:
-    # the state np.interp brackets each with, found without the n+1 times.
+    # the state np.interp brackets each with, found without the n+1 times,
+    # as _sample_logs finds it.
     rng = np.random.default_rng(22)
     for dt in (DEFAULT_DT, 0.003, 0.01, 0.007 / 3, float(rng.uniform(0.001, 0.02))):
         n = int(rng.integers(1, 30000))
@@ -680,8 +681,34 @@ def test_bracketing_state_matches_a_search_of_every_state_time():
         s = np.sort(np.concatenate([on, np.nextafter(on, -1.0), np.nextafter(on, np.inf),
                                     rng.uniform(0.0, times[-1], 2000), times[[0, -1]]]))
         s = s[(s >= 0.0) & (s <= times[-1])]
-        assert np.array_equal(_last_state_at(s, n, dt),
+        assert np.array_equal(_least_step(lambda j: j * dt > s, s / dt, n + 1) - 1,
                               np.searchsorted(times, s, side="right") - 1)
+
+
+def test_script_first_steps_match_a_search_of_every_step_time():
+    # Starts on a step, an ulp either side of one, within 1e-12 s of one
+    # (either side of the 1e-12 s the comparison adds), anywhere in the run,
+    # past its end and at 1e300: each segment's first step is the least
+    # i <= n with i*dt + 1e-12 >= t_start, n when none is.
+    rng = np.random.default_rng(23)
+    for dt in (DEFAULT_DT, 0.003, 0.01, 0.007 / 3, float(rng.uniform(0.001, 0.02))):
+        n = int(rng.integers(1, 30000))
+        reach = np.arange(n + 1) * dt + 1e-12
+        on = np.arange(n + 1)[rng.integers(0, n + 1, 500)] * dt
+        near = on + rng.uniform(-1e-12, 1e-12, 500)
+        t = np.concatenate([on, np.nextafter(on, -1.0), np.nextafter(on, np.inf), near,
+                            on + 1e-12, np.nextafter(on + 1e-12, -1.0),
+                            np.nextafter(on + 1e-12, np.inf),
+                            rng.uniform(0.0, n * dt, 500), n * dt + rng.uniform(0, 5, 20),
+                            [n * dt, 1e300]])
+        t = np.append(0.0, np.unique(t[t > 0.0]))
+        v = np.arange(t.size) * 0.01   # each segment's v names it
+        firsts, v_reached, _, steps = _script_runs(
+            make_script([(float(a), float(b), 0.0) for a, b in zip(t, v)]), n * dt, dt)
+        want = np.minimum(np.searchsorted(reach, t, side="left"), n)
+        reached = want < np.append(want[1:], n)
+        assert steps == n and np.array_equal(firsts, want[reached])
+        assert np.array_equal(v_reached, v[reached])
 
 
 def test_recorded_logs_match_the_trace_sampler_on_the_sweep_for_three_seeds():
