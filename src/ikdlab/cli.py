@@ -214,11 +214,28 @@ def cmd_correct(args, cfg, out):
     return [], [json.dumps(result._asdict(), indent=2, sort_keys=True)]
 
 
+def _replay_duration(args, cfg, buf) -> float:
+    """The replay's length: ``--duration``, else one pass of ``buf`` at the
+    config's ``rates: replay``.  A default length that is not positive or
+    that no index can count names the config's rate; a length that holds no
+    simulator step is refused, naming whichever of the two set it."""
+    default = args.duration is None
+    duration = len(buf) / cfg.replay_hz if default else args.duration
+    who = f"{args.config}: rates: replay" if default else "--duration"
+    # a message about a given --duration already names it
+    with blamed(lambda exc: who if default else None):
+        require_positive(duration=duration)
+        steps = sample_count("duration", duration / DEFAULT_DT)
+    if steps == 0:
+        raise ValidationError(f"{who}: a replay of {duration:g} s holds no "
+                              f"{DEFAULT_DT:g} s step")
+    return duration
+
+
 def cmd_replay(args, cfg, out):
     buf = replay_mod.read_buffer_txt(args.buffer)
     model = mlp.load_model(args.model) if args.model else None
-    duration = (args.duration if args.duration is not None
-                else len(buf) / cfg.replay_hz)
+    duration = _replay_duration(args, cfg, buf)
     trace = replay_mod.execute_replay(buf, cfg.slip, model=model,
                                       rate=cfg.replay_hz, duration=duration,
                                       stride=args.stride)
@@ -288,8 +305,7 @@ def cmd_eval_drift(args, cfg, out):
         with blamed(lambda exc: f"{args.config}: rates: replay"):
             buf = scenarios.drift_buffer(rate=cfg.replay_hz)
     model = mlp.load_model(args.model) if args.model else None
-    duration = (args.duration if args.duration is not None
-                else len(buf) / cfg.replay_hz)
+    duration = _replay_duration(args, cfg, buf)
 
     if cfg.scenario_file:
         courses = {"custom": evalkit.DriftScenario.from_json(cfg.scenario_file)}

@@ -26,7 +26,6 @@ DEFAULT_CAR_LENGTH = 0.5    # m
 TURN_AV_FLOOR = 0.5         # rad/s, samples below this are not "turning"
 TRANSIENT_MULT = 5.0        # discard the first TRANSIENT_MULT*lag_tau seconds
 MIN_REVOLUTIONS = 2.0       # full circles required after the transient
-PRUNE_SLACK = 1e-9          # m, above the gap's rounding error at course scale
 
 
 def fit_circle(points) -> tuple[tuple[float, float], float]:
@@ -221,16 +220,6 @@ def _gate_segment(scenario: DriftScenario):
     return cone, nearest
 
 
-def _lowest(p) -> np.ndarray:
-    """Smallest of the four corner rows of p, taken in corner order."""
-    return np.minimum(np.minimum(np.minimum(p[0], p[1]), p[2]), p[3])
-
-
-def _highest(p) -> np.ndarray:
-    """Largest of the four corner rows of p, taken in corner order."""
-    return np.maximum(np.maximum(np.maximum(p[0], p[1]), p[2]), p[3])
-
-
 def _sat_gap(ax, ay, bx, by, axes) -> np.ndarray:
     """Largest separating-axis gap between the corner sets a and b.
 
@@ -242,39 +231,20 @@ def _sat_gap(ax, ay, bx, by, axes) -> np.ndarray:
     for ux, uy in axes:
         pa = ax * ux + ay * uy
         pb = bx * ux + by * uy
-        gap = np.maximum(gap, np.maximum(_lowest(pa) - _highest(pb),
-                                         _lowest(pb) - _highest(pa)))
+        gap = np.maximum(gap, np.maximum(pa.min(axis=0) - pb.max(axis=0),
+                                         pb.min(axis=0) - pa.max(axis=0)))
     return gap
 
 
-_NEXT_CORNER = np.array([1, 2, 3, 0])   # corner j's edge runs to corner j + 1 mod 4
-
-
-def _corner_edge_distance(px, py, qx, qy) -> np.ndarray:
-    """Smallest distance from the corners p to the edges of the rectangle q.
-
-    Corner coordinates are corner-major, shape (4, m), or (4, 1) for one set
-    that broadcasts against the other's m; q's corners are in boundary
-    order.  The distances of every corner to every edge are one (edge,
-    corner, m) array.
-    """
-    ax, ay = qx[:, None], qy[:, None]
-    abx, aby = qx[_NEXT_CORNER, None] - ax, qy[_NEXT_CORNER, None] - ay
-    dx, dy = px - ax, py - ay
-    t = np.clip((dx * abx + dy * aby) / (abx * abx + aby * aby), 0.0, 1.0)
-    d = np.hypot(px - (ax + t * abx), py - (ay + t * aby))
-    return d.min(axis=(0, 1))
-
-
-def _box_distance(car_x, car_y, bx, by) -> np.ndarray:
-    """Exact boundary-to-boundary distance between disjoint car and box corner
-    sets: the nearer of corner-to-edge either way.
-
-    The car's corners have shape (4, m), the box's (4, 1), which broadcasts
-    against the car's m corner sets.
-    """
-    return np.minimum(_corner_edge_distance(car_x, car_y, bx, by),
-                      _corner_edge_distance(bx, by, car_x, car_y))
+def _rect_distance(px, py, cx, cy, ca, sa, hw, hh) -> np.ndarray:
+    """Signed distance from the points (px, py) to the rectangle centred at
+    (cx, cy), turned by the angle whose cosine and sine are (ca, sa), with
+    half extents (hw, hh); negative inside.  Every argument broadcasts."""
+    px, py = px - cx, py - cy
+    dx = np.abs(ca * px + sa * py) - hw
+    dy = np.abs(-sa * px + ca * py) - hh
+    return (np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
+            + np.minimum(np.maximum(dx, dy), 0.0))
 
 
 def _gate_crossed(x: np.ndarray, y: np.ndarray, g0, g1) -> bool:
@@ -315,25 +285,14 @@ def drift_eval(trace: SimTrace, scenario: DriftScenario) -> ClearanceReport:
     obstacle; min_turn_radius is taken over samples with |yaw rate| above
     TURN_AV_FLOOR; cleared_gate requires crossing the cone-to-box gate
     segment without ever colliding.  Every state is scored at once: the
-    car's corners, separating-axis gaps and corner-to-edge distances are
-    arrays over the states.  The corners are corner-major, shape (4, n), so
-    the smallest and largest corner of a projection are three elementwise
-    minima or maxima of rows; every elementwise expression is the one the
-    (n, 4) layout used, and minima and maxima are exact, so the layout
-    changes no bit.  A box's signed distance is minus the smallest
-    separating-axis penetration while overlapping and the exact
-    boundary-to-boundary distance when disjoint; a cone's is the point's
-    signed distance to the car rectangle (negative inside).
-
-    Only the smallest distance per box is kept, so the exact distance is
-    computed only for states that can hold it.  If any state overlaps a box
-    (gap <= 0), the smallest gap is the box's minimum.  Otherwise the exact
-    distance E of the smallest-gap state bounds the minimum, and only states
-    whose gap is at most E + PRUNE_SLACK get an exact distance.  The result
-    is bit for bit that of scoring every state: a state's exact distance does
-    not depend on which states share its batch, and its gap never exceeds it
-    (projecting onto a unit axis cannot lengthen a separation), up to
-    rounding of about 1e-14 m at course scale, far below the slack.
+    car's corners, separating-axis gaps and distances are arrays over the
+    states, the corners corner-major, shape (4, n).  A cone's signed
+    distance is the point's to the car rectangle (negative inside).  A
+    box's is minus the smallest separating-axis penetration if any state
+    overlaps it, else the exact boundary-to-boundary distance: the nearest
+    points of two disjoint convex polygons include a corner of one of them,
+    so it is the smaller of the box's corners to the car rectangle and the
+    car's corners to the box rectangle.
     """
     ca, sa = np.cos(trace.heading), np.sin(trace.heading)
     hw, hh = scenario.car_length / 2.0, scenario.car_width / 2.0
@@ -348,19 +307,14 @@ def drift_eval(trace: SimTrace, scenario: DriftScenario) -> ClearanceReport:
         bx, by = box.corners().T[:, :, None]
         cb, sb = math.cos(box.angle), math.sin(box.angle)
         d = _sat_gap(car_x, car_y, bx, by, car_axes + ((cb, sb), (-sb, cb)))
-        if d.min() > 0.0:  # disjoint in every state: exact distances near the minimum
-            k = int(d.argmin())
-            near = d <= _box_distance(car_x[:, k:k + 1], car_y[:, k:k + 1], bx, by) \
-                + PRUNE_SLACK
-            near[k] = True  # far from the origin the gap's rounding can pass the slack
-            d = _box_distance(car_x[:, near], car_y[:, near], bx, by)
+        if d.min() > 0.0:  # disjoint in every state: the exact distances
+            d = np.minimum(
+                _rect_distance(bx, by, trace.x, trace.y, ca, sa, hw, hh).min(axis=0),
+                _rect_distance(car_x, car_y, box.cx, box.cy, cb, sb,
+                               box.w / 2.0, box.h / 2.0).min(axis=0))
         min_clearance = min(min_clearance, float(d.min()))
     for cone_x, cone_y in scenario.cones:
-        px, py = cone_x - trace.x, cone_y - trace.y
-        dx = np.abs(ca * px + sa * py) - hw
-        dy = np.abs(-sa * px + ca * py) - hh
-        d = (np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
-             + np.minimum(np.maximum(dx, dy), 0.0))
+        d = _rect_distance(cone_x, cone_y, trace.x, trace.y, ca, sa, hw, hh)
         min_clearance = min(min_clearance, float(d.min()))
     collided = bool(min_clearance < 0.0)
 

@@ -41,8 +41,9 @@ def correct_batch(model: MlpParams, v: np.ndarray, c_desired: np.ndarray) -> Cor
     which forward runs in chunks, from a batch cut at other rows.  A v
     outside SPEED_DOMAIN or a c outside CURVATURE_DOMAIN, and then (in
     ``forward``) an av = v*c outside YAW_RATE_DOMAIN, raises
-    ValidationError with the first bad row as its ``row``.  The model's output is then finite: every MlpParams holds its
-    weights within mlp.WEIGHT_DOMAIN.
+    ValidationError with the first bad row as its ``row``.  The model's
+    output is then finite: every MlpParams holds its weights within
+    mlp.WEIGHT_DOMAIN.
     """
     v = np.asarray(v, dtype=float)
     c_desired = np.asarray(c_desired, dtype=float)

@@ -325,8 +325,9 @@ def train(data: AlignedDataset, cfg: TrainConfig = TrainConfig()
     Each step runs loss_and_grads and adamw_step in place on vectors
     private to this call, read through read-only views taken once.  When
     training ends the MlpParams constructor copies and checks the weights;
-    it cannot refuse them, since the last epoch's check has passed.  After each epoch, AdamW moments of
-    magnitude below the smallest normal float are set to zero.
+    it cannot refuse them, since the last epoch's check has passed.  After
+    each epoch, AdamW moments of magnitude below the smallest normal float
+    are set to zero.
     """
     n = len(data)
     if n < 2 * cfg.batch_size:

@@ -63,8 +63,10 @@ def execute_replay(buf: CommandBuffer, p: SlipParams,
                    stride: int = 1) -> SimTrace:
     """Drive the simulator from rest, one buffer row per tick.
 
-    Tick k reads row ``(k*stride) mod n`` (stride-1 rows are skipped when
-    decimating); its yaw rate is clamped to the actuator range and
+    Tick k, from ``k / rate`` seconds on, reads row ``(k*stride) mod n``
+    (stride-1 rows are skipped when decimating); above ``1/dt`` each step
+    holds the tick it starts in, and ticks that start between two steps are
+    never read.  A tick's yaw rate is clamped to the actuator range and
     converted to curvature, all ticks are optionally rewritten by one
     batched correction, and each command is zero-order-held until the next
     tick.  The buffer is read, never changed, so one buffer replays the same
@@ -79,11 +81,13 @@ def execute_replay(buf: CommandBuffer, p: SlipParams,
     new_tick = np.ones(n, dtype=bool)
     new_tick[1:] = ticks[1:] > ticks[:-1]
     firsts = np.flatnonzero(new_tick)   # each tick's first step
-    # Rows are read mod n, so stride mod n reads the same ones and keeps any
-    # stride (a Python int, of any size) inside the index range.
+    # Above 1/dt a step passes over ticks, so tick k is its value, not its
+    # count.  Rows are read mod n: k mod n (exact in floats) and stride mod n
+    # read the same rows and keep any tick and stride (a Python int, of any
+    # size) inside the index range.
     step = stride % len(buf)
-    offsets = np.arange(firsts.size) * step
-    v, av = buf.rows[offsets % len(buf)].T
+    tick = np.fmod(ticks[firsts], len(buf)).astype(np.intp)
+    v, av = buf.rows[tick * step % len(buf)].T
     av = np.clip(av, -AV_LIMIT, AV_LIMIT)  # actuator command range
     c = c_from_av_v(av, v)  # rows slower than EPS_V drive straight
     if model is not None:

@@ -380,7 +380,7 @@ def test_invariant_property_suites(record_testsuite_property):
         n = int(rng.integers(1, 10))
         rows = [(1.0 + 0.25 * i, 0.5 - 0.125 * i) for i in range(n)]
         stride = int(rng.integers(1, 3 * n + 1))
-        rate = float(rng.uniform(1.0, 190.0))   # below 1/dt: no tick is skipped
+        rate = float(rng.uniform(1.0, 1000.0))  # past 1/dt a step skips ticks
         trace = execute_replay(CommandBuffer(rows=rows), SlipParams.ideal(), rate=rate,
                                duration=float(rng.uniform(0.05, 2.0)), stride=stride)
         ticks = np.floor(np.arange(len(trace)) * trace.dt * rate + 1e-9).astype(int)

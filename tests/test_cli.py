@@ -174,6 +174,10 @@ def test_error_paths_return_one(workdir, capsys):
      "--duration: cannot emit logs from an empty trace"),
     (["collect", "--script", "script.json", "--dwell", "1", "--duration", "0.004"],
      "--duration: cannot emit logs from an empty trace"),
+    (["replay", "--buffer", "buffer.txt", "--duration", "0.004"],
+     "--duration: a replay of 0.004 s holds no 0.005 s step"),
+    (["eval-drift", "--duration", "0.004"],
+     "--duration: a replay of 0.004 s holds no 0.005 s step"),
     # the sweep's length is set by --dwell alone
     (["collect", "--duration", "5", "--dwell", "0.5"],
      "--duration: sets the length of a --script run; the sweep's length comes from --dwell"),
@@ -329,6 +333,39 @@ def test_replay_rate_that_builds_no_drift_buffer_exits_1_naming_it(workdir, caps
     assert captured.out == ""
     assert re.fullmatch(rf"error: cfg\.json: rates: replay: {err}\n", captured.err)
     assert not os.path.exists("run")
+
+
+@pytest.mark.parametrize("command", ["replay", "eval-drift"])
+@pytest.mark.parametrize("rate, err", [
+    (1e300, r"a replay of 2e-300 s holds no 0\.005 s step"),
+    (1e-300, r"duration gives 4e\+302 samples, more than an index can count \(\d+\)")],
+    ids=["1e300", "1e-300"])
+def test_replay_rate_that_sets_no_buffer_pass_exits_1_naming_it(workdir, capsys, command,
+                                                                 rate, err):
+    # without --duration one pass of the two-row buffer lasts 2 / rate seconds
+    with open("cfg.json", "w", encoding="utf-8") as fh:
+        json.dump({"seed": 0, "rates": {"replay": rate}}, fh)
+    with open("buf.txt", "w", encoding="utf-8") as fh:
+        fh.write("2.0,0.5\n2.0,-0.5\n")
+    assert main([command, "--buffer", "buf.txt", "--config", "cfg.json",
+                 "--out", "run"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"error: cfg\.json: rates: replay: {err}\n", captured.err)
+    assert not os.path.exists("run")
+
+
+def test_eval_drift_lines_are_the_same_at_every_replay_rate(workdir, capsys):
+    # The canned buffer holds the same commands per second at every rate, and
+    # past 1/dt = 200 Hz a step still reads the row of the tick it starts in.
+    lines = []
+    for rate in (20, 400, 1000):
+        with open("cfg.json", "w", encoding="utf-8") as fh:
+            json.dump({"seed": 0, "rates": {"replay": rate}}, fh)
+        assert main(["eval-drift", "--config", "cfg.json", "--out", "run"]) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[1] == lines[0] and lines[2] == lines[0]
+    assert "min turn radius inf" not in lines[0]
 
 
 def test_output_root_is_out_then_config_then_environment_then_default(workdir,
