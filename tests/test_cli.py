@@ -174,13 +174,13 @@ def test_error_paths_return_one(workdir, capsys):
      "--duration: cannot emit logs from an empty trace"),
     (["collect", "--script", "script.json", "--dwell", "1", "--duration", "0.004"],
      "--duration: cannot emit logs from an empty trace"),
+    # the sweep's length is set by --dwell alone
+    (["collect", "--duration", "5", "--dwell", "0.5"],
+     "--duration: sets the length of a --script run; the sweep's length comes from --dwell"),
     (["replay", "--buffer", "buffer.txt", "--duration", "0.004"],
      "--duration: a replay of 0.004 s holds no 0.005 s step"),
     (["eval-drift", "--duration", "0.004"],
      "--duration: a replay of 0.004 s holds no 0.005 s step"),
-    # the sweep's length is set by --dwell alone
-    (["collect", "--duration", "5", "--dwell", "0.5"],
-     "--duration: sets the length of a --script run; the sweep's length comes from --dwell"),
 ])
 def test_bad_durations_exit_1_naming_the_argument(workdir, capsys, argv, match):
     write_mini_script("script.json")
