@@ -20,7 +20,7 @@ from .errors import (CorruptLogError, InsufficientOverlapError, ValidationError,
                      check_within, require_positive)
 from .fileio import read_record, write_table
 from .simcore import (AV_LIMIT, DEFAULT_LOG_RATE, SPEED_DOMAIN, YAW_RATE_DOMAIN,
-                      c_from_av_v, sample_count)
+                      _MAX_LEN, c_from_av_v, sample_count)
 
 # Plausible transport-delay band for the IMU stream; estimates outside it
 # are flagged as suspect rather than rejected.
@@ -51,9 +51,6 @@ _SCAN_THREADS = 4
 _BOUND_STRIDE = 128
 _REFINE_STRIDE = 16
 _BOUND_SLACK = 1e-9
-
-# Most rows a float64 array can hold; numpy refuses a larger one outright.
-_MOST_ROWS = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 @dataclass(frozen=True)
@@ -296,7 +293,7 @@ def build_dataset(joy: JoyLog, imu: ImuLog, delay: float,
     w_lo, w_hi = _overlap_window(joy, imu, delay)
     if w_hi <= w_lo:
         raise ValidationError("streams do not overlap at this delay")
-    if not (w_hi - w_lo) * rate < _MOST_ROWS:
+    if not (w_hi - w_lo) * rate < _MAX_LEN:
         raise CorruptLogError(f"streams overlap {w_hi - w_lo:.6g} s, more than a grid "
                               f"at {rate:g} Hz can hold in an array")
     n = sample_count("rate", (w_hi - w_lo) * rate)

@@ -129,17 +129,43 @@ class Rect:
             raise ValidationError("rectangle extents must be positive")
 
     def corners(self) -> np.ndarray:
-        ca, sa = math.cos(self.angle), math.sin(self.angle)
-        hw, hh = self.w / 2.0, self.h / 2.0
-        local = np.array([(-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh)])
-        rot = np.array([(ca, -sa), (sa, ca)])
-        return local @ rot.T + np.array([self.cx, self.cy])
+        """The four corners as (x, y) rows, in boundary order from (-w/2, -h/2)."""
+        return np.hstack(_corners(*_frame(self)))
 
-    def to_local(self, point) -> np.ndarray:
-        ca, sa = math.cos(self.angle), math.sin(self.angle)
-        px = point[0] - self.cx
-        py = point[1] - self.cy
-        return np.array([ca * px + sa * py, -sa * px + ca * py])
+
+def _frame(rect: Rect):
+    """``rect`` as (cx, cy, cos, sin, half width, half height), _corners' arguments."""
+    return (rect.cx, rect.cy, math.cos(rect.angle), math.sin(rect.angle),
+            rect.w / 2.0, rect.h / 2.0)
+
+
+def _corners(cx, cy, ca, sa, hw, hh):
+    """x and y of the corners, corner-major (4, ...) in boundary order from
+    (-hw, -hh), of the rectangles centred at (cx, cy), turned by the angle of
+    cosine ca and sine sa, with half extents hw, hh (numbers)."""
+    lx = np.array([[-hw], [hw], [hw], [-hw]])
+    ly = np.array([[-hh], [-hh], [hh], [hh]])
+    return lx * ca - ly * sa + cx, lx * sa + ly * ca + cy
+
+
+def _in_frame(px, py, cx, cy, ca, sa):
+    """The points (px, py) in the frame of the rectangle centred at (cx, cy),
+    turned by (ca, sa): x along its width, y along its height."""
+    px, py = px - cx, py - cy
+    return ca * px + sa * py, -sa * px + ca * py
+
+
+def _rect_distance(qx, qy, hw, hh) -> np.ndarray:
+    """Signed distance of points (qx, qy) in a rectangle's frame to it; negative inside."""
+    dx, dy = np.abs(qx) - hw, np.abs(qy) - hh
+    return (np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
+            + np.minimum(np.maximum(dx, dy), 0.0))
+
+
+def _axis_gap(qx, qy, hw, hh) -> np.ndarray:
+    """Largest gap along a rectangle's axes to each corner set (qx, qy) in its frame."""
+    return np.maximum(np.maximum(qx.min(axis=0), -qx.max(axis=0)) - hw,
+                      np.maximum(qy.min(axis=0), -qy.max(axis=0)) - hh)
 
 
 @dataclass(frozen=True)
@@ -209,42 +235,12 @@ def _gate_segment(scenario: DriftScenario):
     """Gate to thread: from the first cone to the nearest point on the first box."""
     if not scenario.cones or not scenario.boxes:
         return None
-    cone = np.array(scenario.cones[0])
-    box = scenario.boxes[0]
-    q = box.to_local(cone)
-    q[0] = np.clip(q[0], -box.w / 2.0, box.w / 2.0)
-    q[1] = np.clip(q[1], -box.h / 2.0, box.h / 2.0)
-    ca, sa = math.cos(box.angle), math.sin(box.angle)
-    nearest = np.array([box.cx + ca * q[0] - sa * q[1],
-                        box.cy + sa * q[0] + ca * q[1]])
-    return cone, nearest
-
-
-def _sat_gap(ax, ay, bx, by, axes) -> np.ndarray:
-    """Largest separating-axis gap between the corner sets a and b.
-
-    Corner coordinates are corner-major, shape (4, ...): one row per
-    corner.  Each axis is a pair of unit vector components broadcastable
-    against a row.
-    """
-    gap = -math.inf
-    for ux, uy in axes:
-        pa = ax * ux + ay * uy
-        pb = bx * ux + by * uy
-        gap = np.maximum(gap, np.maximum(pa.min(axis=0) - pb.max(axis=0),
-                                         pb.min(axis=0) - pa.max(axis=0)))
-    return gap
-
-
-def _rect_distance(px, py, cx, cy, ca, sa, hw, hh) -> np.ndarray:
-    """Signed distance from the points (px, py) to the rectangle centred at
-    (cx, cy), turned by the angle whose cosine and sine are (ca, sa), with
-    half extents (hw, hh); negative inside.  Every argument broadcasts."""
-    px, py = px - cx, py - cy
-    dx = np.abs(ca * px + sa * py) - hw
-    dy = np.abs(-sa * px + ca * py) - hh
-    return (np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
-            + np.minimum(np.maximum(dx, dy), 0.0))
+    cone = scenario.cones[0]
+    cx, cy, ca, sa, hw, hh = _frame(scenario.boxes[0])
+    qx, qy = _in_frame(*cone, cx, cy, ca, sa)
+    # (qx, qy) clipped to the box is its nearest point, placed as corner 2
+    x, y = _corners(cx, cy, ca, sa, np.clip(qx, -hw, hw), np.clip(qy, -hh, hh))
+    return np.array(cone), np.array([x[2, 0], y[2, 0]])
 
 
 def _gate_crossed(x: np.ndarray, y: np.ndarray, g0, g1) -> bool:
@@ -284,37 +280,32 @@ def drift_eval(trace: SimTrace, scenario: DriftScenario) -> ClearanceReport:
     min_clearance is the smallest signed distance from the car body to any
     obstacle; min_turn_radius is taken over samples with |yaw rate| above
     TURN_AV_FLOOR; cleared_gate requires crossing the cone-to-box gate
-    segment without ever colliding.  Every state is scored at once: the
-    car's corners, separating-axis gaps and distances are arrays over the
-    states, the corners corner-major, shape (4, n).  A cone's signed
-    distance is the point's to the car rectangle (negative inside).  A
-    box's is minus the smallest separating-axis penetration if any state
-    overlaps it, else the exact boundary-to-boundary distance: the nearest
-    points of two disjoint convex polygons include a corner of one of them,
-    so it is the smaller of the box's corners to the car rectangle and the
-    car's corners to the box rectangle.
+    segment without ever colliding.  Every state is scored at once, in
+    rectangle frames, corners corner-major, shape (4, n).  A cone's signed
+    distance is its distance, in the car's frame, to the car rectangle
+    (negative inside).  A box is scored from the car's corners in its frame
+    and its corners in the car's: each frame's two axes give separating-axis
+    gaps, and each corner its distance to the other rectangle.  If any state
+    overlaps the box, the box scores each state's largest gap (in an overlap,
+    minus the smallest penetration), else the smallest corner distance: the
+    nearest points of two disjoint convex polygons include a corner of one.
     """
     ca, sa = np.cos(trace.heading), np.sin(trace.heading)
     hw, hh = scenario.car_length / 2.0, scenario.car_width / 2.0
-    local_x = np.array([[-hw], [hw], [hw], [-hw]])
-    local_y = np.array([[-hh], [-hh], [hh], [hh]])
-    car_x = local_x * ca - local_y * sa + trace.x
-    car_y = local_x * sa + local_y * ca + trace.y
-    car_axes = ((ca, sa), (-sa, ca))
+    car_x, car_y = _corners(trace.x, trace.y, ca, sa, hw, hh)
 
     min_clearance = math.inf
     for box in scenario.boxes:
-        bx, by = box.corners().T[:, :, None]
-        cb, sb = math.cos(box.angle), math.sin(box.angle)
-        d = _sat_gap(car_x, car_y, bx, by, car_axes + ((cb, sb), (-sb, cb)))
+        cx, cy, cb, sb, bw, bh = frame = _frame(box)
+        in_box = _in_frame(car_x, car_y, cx, cy, cb, sb)
+        in_car = _in_frame(*_corners(*frame), trace.x, trace.y, ca, sa)
+        d = np.maximum(_axis_gap(*in_box, bw, bh), _axis_gap(*in_car, hw, hh))
         if d.min() > 0.0:  # disjoint in every state: the exact distances
-            d = np.minimum(
-                _rect_distance(bx, by, trace.x, trace.y, ca, sa, hw, hh).min(axis=0),
-                _rect_distance(car_x, car_y, box.cx, box.cy, cb, sb,
-                               box.w / 2.0, box.h / 2.0).min(axis=0))
+            d = np.minimum(_rect_distance(*in_box, bw, bh).min(axis=0),
+                           _rect_distance(*in_car, hw, hh).min(axis=0))
         min_clearance = min(min_clearance, float(d.min()))
-    for cone_x, cone_y in scenario.cones:
-        d = _rect_distance(cone_x, cone_y, trace.x, trace.y, ca, sa, hw, hh)
+    for cone in scenario.cones:
+        d = _rect_distance(*_in_frame(*cone, trace.x, trace.y, ca, sa), hw, hh)
         min_clearance = min(min_clearance, float(d.min()))
     collided = bool(min_clearance < 0.0)
 

@@ -29,7 +29,7 @@ import numpy as np
 from .align import AlignedDataset
 from .errors import ParseError, ValidationError, blamed, check_within, is_finite
 from .fileio import read_json, write_json, write_table
-from .simcore import SPEED_DOMAIN, YAW_RATE_DOMAIN
+from .simcore import SPEED_DOMAIN, YAW_RATE_DOMAIN, _MAX_LEN
 
 LAYER_SIZES = (2, 32, 32, 1)
 MODEL_VERSION = 1
@@ -46,8 +46,6 @@ _FIELDS = tuple(_SHAPES)   # W1, b1, W2, b2, W3, b3
 _STOPS = tuple(itertools.accumulate(math.prod(shape) for shape in _SHAPES.values()))
 N_PARAMS = _STOPS[-1]   # 1185 weights
 _TINY = np.finfo(float).tiny  # smallest normal float64
-# the most float64s one array can hold: numpy must be able to size it in bytes
-_MAX_LEN = int(np.iinfo(np.intp).max) // np.dtype(float).itemsize
 
 
 @dataclass(frozen=True)

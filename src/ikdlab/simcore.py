@@ -22,6 +22,7 @@ bits emit_sensor_logs(run_scenario(...)) does.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,10 @@ def c_from_av_v(av, v):
     return c if c.ndim else float(c)
 
 
+# the most float64s one array can hold: numpy must be able to size it in bytes
+_MAX_LEN = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
+
 def sample_count(name: str, ratio: float) -> int:
     """floor(ratio + 1e-9): the number of samples a span/period ratio holds.
 
@@ -139,6 +144,9 @@ class SlipParams:
                      ("noise_sigma", self.noise_sigma, NOISE_SIGMA_DOMAIN))
         if min(self.beta, self.lag_tau, self.imu_delay, self.noise_sigma) < 0:
             raise ValidationError("SlipParams fields must be non-negative")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @classmethod
     def ideal(cls) -> "SlipParams":

@@ -4,11 +4,11 @@ builders and writers for the inputs the library only reads."""
 import dataclasses
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from ikdlab.evalkit import Rect
 from ikdlab.fileio import write_json, write_table
 from ikdlab.mlp import MlpParams, _SHAPES
 from ikdlab.simcore import ControlScript, ScriptSegment
@@ -101,52 +101,72 @@ def kasa_radius(points) -> float:
 
 
 # --- scalar geometry: one pose at a time, the reference for drift_eval --------
+# Python floats throughout: a rectangle is anything with cx, cy, w, h and
+# angle (a Rect, or the reference's unchecked FloatRect), and its corners and
+# frame come from math.cos and math.sin here, not from the library.
 
-def point_rect_signed_distance(point, rect: Rect) -> float:
+class FloatRect(NamedTuple):
+    """An unchecked oriented rectangle: center, full extents, angle (rad)."""
+
+    cx: float
+    cy: float
+    w: float
+    h: float
+    angle: float
+
+
+def _rect_corners(rect) -> list:
+    """``rect``'s corners as (x, y) tuples, in boundary order."""
+    ca, sa = math.cos(rect.angle), math.sin(rect.angle)
+    hw, hh = rect.w / 2.0, rect.h / 2.0
+    return [(rect.cx + lx * ca - ly * sa, rect.cy + lx * sa + ly * ca)
+            for lx, ly in ((-hw, -hh), (hw, -hh), (hw, hh), (-hw, hh))]
+
+
+def rect_local(point, rect) -> tuple[float, float]:
+    """``point`` in ``rect``'s frame: x along its width, y along its height."""
+    ca, sa = math.cos(rect.angle), math.sin(rect.angle)
+    px, py = point[0] - rect.cx, point[1] - rect.cy
+    return ca * px + sa * py, ca * py - sa * px
+
+
+def point_rect_signed_distance(point, rect) -> float:
     """Signed distance from a point to a rectangle (negative inside)."""
-    q = rect.to_local(point)
-    dx = abs(q[0]) - rect.w / 2.0
-    dy = abs(q[1]) - rect.h / 2.0
-    outside = math.hypot(max(dx, 0.0), max(dy, 0.0))
-    inside = min(max(dx, dy), 0.0)
-    return outside + inside
+    qx, qy = rect_local(point, rect)
+    dx = abs(qx) - rect.w / 2.0
+    dy = abs(qy) - rect.h / 2.0
+    return math.hypot(max(dx, 0.0), max(dy, 0.0)) + min(max(dx, dy), 0.0)
 
 
 def _point_segment_distance(p, a, b) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
+    abx, aby = b[0] - a[0], b[1] - a[1]
+    apx, apy = p[0] - a[0], p[1] - a[1]
+    denom = abx * abx + aby * aby
     if denom == 0.0:
-        return float(np.hypot(*(p - a)))
-    t = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    closest = a + t * ab
-    return float(np.hypot(*(p - closest)))
+        return math.hypot(apx, apy)
+    t = min(max((apx * abx + apy * aby) / denom, 0.0), 1.0)
+    return math.hypot(apx - t * abx, apy - t * aby)
 
 
-def rect_rect_signed_distance(a: Rect, b: Rect) -> float:
+def rect_rect_signed_distance(a, b) -> float:
     """Signed distance between oriented rectangles.
 
     Negative while overlapping (minus the separating-axis penetration
-    depth); when disjoint, the exact minimum distance between boundaries.
+    depth, from projections on world axes); when disjoint, the exact
+    minimum distance between boundaries.
     """
-    ca, cb = a.corners(), b.corners()
-    axes = []
-    for ang in (a.angle, b.angle):
-        axes.append(np.array([math.cos(ang), math.sin(ang)]))
-        axes.append(np.array([-math.sin(ang), math.cos(ang)]))
+    ca, cb = _rect_corners(a), _rect_corners(b)
     gaps = []
-    for axis in axes:
-        pa, pb = ca @ axis, cb @ axis
-        gaps.append(max(pa.min() - pb.max(), pb.min() - pa.max()))
+    for ang in (a.angle, b.angle):
+        for ux, uy in ((math.cos(ang), math.sin(ang)), (-math.sin(ang), math.cos(ang))):
+            pa = [x * ux + y * uy for x, y in ca]
+            pb = [x * ux + y * uy for x, y in cb]
+            gaps.append(max(min(pa) - max(pb), min(pb) - max(pa)))
     max_gap = max(gaps)
     if max_gap <= 0.0:
         return max_gap  # overlapping: minus the smallest penetration depth
-    best = math.inf
-    for pts, poly in ((ca, cb), (cb, ca)):
-        for p in pts:
-            for i in range(4):
-                d = _point_segment_distance(p, poly[i], poly[(i + 1) % 4])
-                best = min(best, d)
-    return best
+    return min(_point_segment_distance(p, poly[i], poly[(i + 1) % 4])
+               for pts, poly in ((ca, cb), (cb, ca)) for p in pts for i in range(4))
 
 
 def segments_intersect(p1, p2, q1, q2) -> bool:

@@ -161,6 +161,22 @@ def test_rect_corners_rotated_quarter_turn():
     assert corners == [(-1.0, -2.0), (-1.0, 2.0), (1.0, -2.0), (1.0, 2.0)]
 
 
+def test_rect_corners_are_the_elementwise_rotation_bit_for_bit():
+    # No matrix product: corner bits must not depend on the BLAS kernel.
+    rng = np.random.default_rng(2000)
+    for _ in range(2000):
+        cx, cy = rng.uniform(-50.0, 50.0, 2).tolist()
+        w, h = rng.uniform(0.01, 10.0, 2).tolist()
+        angle = float(rng.uniform(-math.pi, math.pi))
+        ca, sa = math.cos(angle), math.sin(angle)
+        want = [(lx * ca - ly * sa + cx, lx * sa + ly * ca + cy)
+                for lx, ly in ((-w / 2, -h / 2), (w / 2, -h / 2), (w / 2, h / 2),
+                               (-w / 2, h / 2))]
+        got = Rect(cx=cx, cy=cy, w=w, h=h, angle=angle).corners()
+        assert [(x.hex(), y.hex()) for x, y in got.tolist()] == \
+            [(x.hex(), y.hex()) for x, y in want]
+
+
 def test_rect_validation():
     with pytest.raises(ValidationError):
         Rect(cx=0.0, cy=0.0, w=0.0, h=1.0)

@@ -21,11 +21,13 @@ record_logs, which builds no trace, and emit_sensor_logs, which repeat the
 command table over the joystick rows, must reproduce its five log arrays
 bit for bit, or raise the same error.
 The drift oracle scores one state at a time, read from the
-trace's channel arrays, with the scalar geometry references in conftest;
-the drift sweep must match it within 1e-12 m on 1,400 seeded cases.  On the
-canned drift runs it must also reproduce, bit for bit, a verbatim copy of
-the (n, 4) sweep that computed a corner-to-edge box distance for every
-disjoint state, with verbatim copies of its helpers.
+trace's channel arrays, with the scalar geometry references in conftest,
+which work in Python floats and build their own corners, frames and gate
+point; the drift sweep must match it within 1e-12 m on 1,400 seeded cases.
+On the canned drift runs it must also reproduce a verbatim copy of the
+(n, 4) sweep that computed a corner-to-edge box distance for every disjoint
+state, with verbatim copies of its helpers: bit for bit on a course the run
+clears, within 1e-12 m where it overlaps a box.
 The trainer oracle is a verbatim copy of the per-tensor backprop, AdamW step
 and training loop; the in-place flat-vector trainer must reproduce its
 weights and loss curves bit for bit, also once the loop's moments have
@@ -72,9 +74,9 @@ from ikdlab.simcore import (DEFAULT_DT, EPS_V, V_CAP, YAW_RATE_DOMAIN, ControlSc
                             record_logs, run_scenario, sample_count, slip_yaw_rate)
 from ikdlab.errors import InsufficientOverlapError, ParseError, ValidationError
 
-from conftest import (build_gain_model, make_script, point_rect_signed_distance,
-                      rect_rect_signed_distance, segments_intersect, step_commands,
-                      write_new, zero_commands)
+from conftest import (FloatRect, build_gain_model, make_script,
+                      point_rect_signed_distance, rect_local, rect_rect_signed_distance,
+                      segments_intersect, step_commands, write_new, zero_commands)
 
 CHANNELS = ("x", "y", "heading", "v", "av", "av_lag")
 SIM_TOL = 1e-9   # closed form vs per-step recursion, per channel
@@ -174,12 +176,23 @@ def reference_execute_replay(rows, p, model=None, rate=20.0, duration=1.0,
     return states, commands
 
 
+def reference_gate_segment(scenario: DriftScenario):
+    """The gate, in floats: the first cone and the first box's point nearest it."""
+    if not scenario.cones or not scenario.boxes:
+        return None
+    cone, box = scenario.cones[0], scenario.boxes[0]
+    qx, qy = rect_local(cone, box)
+    qx = min(max(qx, -box.w / 2.0), box.w / 2.0)
+    qy = min(max(qy, -box.h / 2.0), box.h / 2.0)
+    ca, sa = math.cos(box.angle), math.sin(box.angle)
+    return cone, (box.cx + qx * ca - qy * sa, box.cy + qx * sa + qy * ca)
+
+
 def reference_drift_eval(trace: SimTrace, scenario: DriftScenario):
     min_clearance = math.inf
     for x, y, heading in zip(trace.x.tolist(), trace.y.tolist(),
                              trace.heading.tolist()):
-        car = Rect(cx=x, cy=y, w=scenario.car_length,
-                   h=scenario.car_width, angle=heading)
+        car = FloatRect(x, y, scenario.car_length, scenario.car_width, heading)
         for box in scenario.boxes:
             min_clearance = min(min_clearance, rect_rect_signed_distance(car, box))
         for cone in scenario.cones:
@@ -191,7 +204,7 @@ def reference_drift_eval(trace: SimTrace, scenario: DriftScenario):
         if abs(av) > TURN_AV_FLOOR:
             min_turn_radius = min(min_turn_radius, abs(v) / abs(av))
 
-    gate = _gate_segment(scenario)
+    gate = reference_gate_segment(scenario)
     crossed = False
     if gate is not None:
         g0, g1 = gate
@@ -819,7 +832,7 @@ def test_recorded_logs_name_the_script_segment_that_breaks_the_limit():
 
 def random_poses_trace(rng, scenario: DriftScenario) -> SimTrace:
     n = int(rng.integers(2, 40))
-    g0, g1 = _gate_segment(scenario)
+    g0, g1 = map(np.array, reference_gate_segment(scenario))
     mid, along = (g0 + g1) / 2.0, g1 - g0
     normal = np.array([-along[1], along[0]]) / np.hypot(*along)
     if rng.random() < 0.5:   # a pass through the gate region, both sides
@@ -1132,8 +1145,10 @@ def test_drift_sweep_matches_per_state_reference_1400_cases():
 @pytest.mark.parametrize("gain", [None, 1.25])
 def test_canned_drift_runs_match_both_drift_references(gain):
     # The canned drift buffer replayed raw and corrected, scored on both
-    # courses: the sweep reference bit for bit, the per-state one within
-    # 1e-12 m.
+    # courses: the sweep reference bit for bit on a course the run clears,
+    # within 1e-12 m where it overlaps a box (drift_eval takes the
+    # separating-axis gaps in the rectangles' frames, the sweep copy on
+    # world axes); the per-state reference within 1e-12 m.
     model = None if gain is None else build_gain_model(gain)
     buf = drift_buffer()
     trace = execute_replay(buf, SlipParams(), model=model,
@@ -1142,7 +1157,10 @@ def test_canned_drift_runs_match_both_drift_references(gain):
     for scenario in (loose_scenario(), tight_scenario()):
         expected = reference_sweep_drift_eval(trace, scenario)
         report = drift_eval(trace, scenario)
-        assert report.min_clearance.hex() == expected.min_clearance.hex()
+        if expected.collided:
+            assert abs(report.min_clearance - expected.min_clearance) <= 1e-12
+        else:
+            assert report.min_clearance.hex() == expected.min_clearance.hex()
         assert report.min_turn_radius.hex() == expected.min_turn_radius.hex()
         assert (report.collided, report.cleared_gate) == (expected.collided,
                                                           expected.cleared_gate)

@@ -48,9 +48,16 @@ def test_slip_params_validation_and_ideal():
         SlipParams(beta=-0.1)
     with pytest.raises(ValidationError):
         SlipParams(lag_tau=float("inf"))
+    assert SlipParams(seed=np.int64(7)).seed == 7   # numpy integers are integers
     ideal = SlipParams.ideal()
     assert (ideal.beta, ideal.lag_tau, ideal.imu_delay,
             ideal.noise_sigma) == (0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "x", True])
+def test_slip_params_refuse_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ValidationError, match=r"^seed must be a non-negative integer"):
+        SlipParams(seed=seed)
 
 
 def test_lag_tau_is_held_to_its_domain():
