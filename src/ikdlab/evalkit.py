@@ -26,13 +26,26 @@ DEFAULT_CAR_LENGTH = 0.5    # m
 TURN_AV_FLOOR = 0.5         # rad/s, samples below this are not "turning"
 TRANSIENT_MULT = 5.0        # discard the first TRANSIENT_MULT*lag_tau seconds
 MIN_REVOLUTIONS = 2.0       # full circles required after the transient
+_EPS = float(np.finfo(float).eps)
 
 
 def fit_circle(points) -> tuple[tuple[float, float], float]:
-    """Algebraic least-squares circle fit (exact on noiseless circular data).
+    """Algebraic (Kåsa) least-squares circle fit, exact on noiseless circular data.
 
-    Solves [2x, 2y, 1] . [a, b, k] = x^2 + y^2 for center (a, b) and
-    radius sqrt(k + a^2 + b^2).
+    The least-squares solution of [2p, 2q, 1] . [a, b, k] = p^2 + q^2, in
+    closed form.  (p, q) are the points about their centroid, turned to their
+    principal axes (p along the major axis), so that the centroid's sums
+    vanish: k = mean(p^2 + q^2), and (a, b) solves the 2x2 normal equations
+    [[Spp, Spq], [Spq, Sqq]] . [a, b] = [Sp(p^2 + q^2), Sq(p^2 + q^2)] / 2.
+    The center is (a, b) turned back and moved by the centroid, the radius
+    sqrt(k + a^2 + b^2).  Every sum is a pairwise ``np.add.reduce``, and no
+    step calls BLAS or LAPACK, so the bits do not depend on the BLAS kernel.
+
+    The points are collinear or otherwise degenerate when their scatter
+    across the major axis is at most (n eps)^2 of the scatter along it,
+    Sqq <= (n eps)^2 Spp, both direct sums of squares: lstsq's rank rule on
+    the centred points' singular values sqrt(Spp) and sqrt(Sqq).  (The 2x2
+    determinant cancels on near-collinear points and cannot decide it.)
 
     Returns:
         ((cx, cy), radius)
@@ -42,17 +55,26 @@ def fit_circle(points) -> tuple[tuple[float, float], float]:
         raise FitError("need at least 3 (x, y) points")
     if not np.all(np.isfinite(pts)):
         raise FitError("points must be finite")
+    n = pts.shape[0]
+    total = np.add.reduce
     x, y = pts[:, 0], pts[:, 1]
-    A = np.column_stack([2.0 * x, 2.0 * y, np.ones_like(x)])
-    rhs = x * x + y * y
-    sol, _, rank, _ = np.linalg.lstsq(A, rhs, rcond=None)
-    if rank < 3:
+    x0, y0 = total(x) / n, total(y) / n
+    u, v = x - x0, y - y0
+    turn = 0.5 * math.atan2(2.0 * total(u * v), total(u * u) - total(v * v))
+    ct, st = math.cos(turn), math.sin(turn)
+    p, q = ct * u + st * v, ct * v - st * u
+    pp, qq = p * p, q * q
+    spp, sqq, spq = total(pp), total(qq), total(p * q)
+    if not sqq > (n * _EPS) ** 2 * spp:
         raise FitError("points are collinear or otherwise degenerate")
-    a, b, k = sol
-    r_sq = k + a * a + b * b
+    z = pp + qq
+    spz, sqz = total(p * z), total(q * z)
+    det = 2.0 * (spp * sqq - spq * spq)
+    a, b = (spz * sqq - sqz * spq) / det, (sqz * spp - spz * spq) / det
+    r_sq = total(z) / n + a * a + b * b
     if r_sq <= 0 or not np.isfinite(r_sq):
         raise FitError("fit produced a non-positive radius")
-    return (float(a), float(b)), float(np.sqrt(r_sq))
+    return (float(x0 + ct * a - st * b), float(y0 + st * a + ct * b)), float(np.sqrt(r_sq))
 
 
 @dataclass(frozen=True)
@@ -88,7 +110,9 @@ def circle_trace(v: float, c: float, p: SlipParams,
         raise ValidationError("circle test needs a nonzero speed and curvature")
     c_cmd = correct(model, v, c).c_corrected if model is not None else c
     # Steady-state yaw rate estimate sizes the run to >= MIN_REVOLUTIONS
-    # full circles after the lag transient.
+    # full circles after the lag transient.  The estimate is floored at
+    # 0.1 rad/s, so a slower turn runs for the floor's duration and covers
+    # only part of a circle.
     av_ss = abs(slip_yaw_rate(v * c_cmd, v, p.beta))
     av_ss = max(av_ss, 0.1)
     transient = TRANSIENT_MULT * p.lag_tau
@@ -107,9 +131,8 @@ def circle_test(v: float, c: float, p: SlipParams,
     """
     if trace is None:
         trace = circle_trace(v, c, p, model)
-    t = trace.times()
-    keep = t >= TRANSIENT_MULT * p.lag_tau
-    _, r_fit = fit_circle(trace.xy()[keep])
+    k0 = np.searchsorted(trace.times(), TRANSIENT_MULT * p.lag_tau)
+    _, r_fit = fit_circle(np.column_stack((trace.x[k0:], trace.y[k0:])))
     return CircleReport(c_commanded=c, r_fit=r_fit, ikd_enabled=model is not None)
 
 

@@ -22,8 +22,10 @@ model is also held to gate 1's bounds on the mirrored, clockwise circles.
 
 import json
 import math
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -81,6 +83,23 @@ def _anchor_target(data: AlignedDataset) -> float:
     return float(coef[0])
 
 
+def _train_pool(data: AlignedDataset, seeds) -> list:
+    """``train(data, TrainConfig(seed=s, **SLIP_TRAIN))`` for each seed, in
+    order, in at most two worker processes (never more than the CPUs).
+
+    The workers are spawned, not forked, with ``OPENBLAS_NUM_THREADS=1`` in
+    their environment, so that each starts one BLAS thread instead of
+    inheriting this process's.  Each seed's weights hash (sha256) equal to
+    those of a sequential in-process run on a 2-core x86-64 host.
+    """
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("OPENBLAS_NUM_THREADS", "1")
+        with ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(train, [data] * len(seeds),
+                                 [TrainConfig(seed=s, **SLIP_TRAIN) for s in seeds]))
+
+
 @pytest.fixture(scope="module")
 def slip_correction_model():
     """Train correction candidates on the slip plant; keep the best.
@@ -98,8 +117,7 @@ def slip_correction_model():
 
     u_hat = _anchor_target(data)
     best_model, best_residual = None, math.inf
-    for seed in TRAIN_SEED_POOL:
-        params, _ = train(data, TrainConfig(seed=seed, **SLIP_TRAIN))
+    for params, _ in _train_pool(data, TRAIN_SEED_POOL):
         residual = abs(forward(params, (ANCHOR_V, ANCHOR_AV)) - u_hat)
         if residual < best_residual:
             best_model, best_residual = params, residual

@@ -4,6 +4,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -518,6 +520,39 @@ def test_eval_circle_names_the_flags_when_a_corrected_circle_cannot_be_fitted(
         assert not os.path.exists("run")
         assert main([*argv, "--out", "plain"]) == 0   # uncorrected, it circles
     assert os.path.exists(os.path.join("plain", "reports", "circle_reports.csv"))
+
+
+def test_eval_circle_fits_a_1e8_m_arc(workdir, capsys):
+    # the run is capped at about 139 s, so at 1 m/s it covers an arc of
+    # 1.4e-6 rad: a thin track that the fit must still tell from a line
+    assert main(["eval-circle", "--v", "1.0", "--curvatures", "1e-8", "--out", "run"]) == 0
+    assert capsys.readouterr().out == (
+        "c=0.000 [raw] measured 0.0000 (r=99999999.967 m, deviation 0.00%)\n")
+
+
+def test_model_free_circle_reports_are_the_same_on_every_blas_core(tmp_path):
+    """Runs seed-0 ``eval-circle`` in two processes, under the default
+    OpenBLAS core and under ``OPENBLAS_CORETYPE=Prescott``, and compares
+    the circle reports byte for byte.
+
+    Only an x86 OpenBLAS built with ``DYNAMIC_ARCH`` (numpy's wheels) reads
+    the variable; elsewhere both runs use one core and the test passes
+    trivially.
+    """
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    reports = []
+    for core in (None, "Prescott"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        env.pop("OPENBLAS_CORETYPE", None)
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        out = tmp_path / (core or "default")
+        subprocess.run([sys.executable, "-m", "ikdlab.cli", "eval-circle", "--seed", "0",
+                        "--curvatures", "0.12", "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        reports.append((out / "reports" / "circle_reports.csv").read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("v, c, product", [("1e308", "1e308", "inf"),

@@ -74,6 +74,44 @@ def test_fit_rejects_degenerate_input():
         fit_circle([(0.0, 0.0), (1.0, float("nan")), (2.0, 0.0)])
 
 
+# On the 1,000-point line y = 0.7x - 2 the 2x2 determinant keeps 3.7e-9 of
+# rounding, far above (n eps)^2 Suu Svv: a determinant test would fit a circle
+@pytest.mark.parametrize("slope, intercept", [(0.3, 1.0), (0.7, -2.0)])
+@pytest.mark.parametrize("n", [4, 1000])
+def test_fit_rejects_lines_collinear_up_to_rounding(slope, intercept, n):
+    x = np.linspace(-3.0, 5.0, n)
+    with pytest.raises(FitError, match="collinear or otherwise degenerate"):
+        fit_circle(np.column_stack((x, slope * x + intercept)))
+
+
+@pytest.mark.parametrize("points", [
+    [(0.3, -1.7), (1.1, 2.9)] * 2,
+    [(0.3, -1.7), (1.1, 2.9)] * 500,
+    [(1.5, -2.5)] * 3,
+    [(0.1, 0.7)] * 1000,
+], ids=["two-points-twice", "two-points-500-times", "three-equal", "1000-equal"])
+def test_fit_rejects_repeated_points(points):
+    with pytest.raises(FitError, match="collinear or otherwise degenerate"):
+        fit_circle(points)
+
+
+# lstsq and the closed form both lose digits on the thinnest arcs: at v = 0.5,
+# c = 1e-8 the run covers 69 m of a 1e8 m circle, and they agreed to 2.2e-12
+# there and to 1.9e-15 at every c >= 1e-4
+@pytest.mark.parametrize("v, c", [(v, c) for v in (0.5, 2.0, 4.0)
+                                  for c in (1e-8, 1e-6, 1e-4, 0.12, 0.8, 3.0)
+                                  if abs(v * c) <= 4.0])
+def test_fit_of_settled_circle_tracks_matches_the_lstsq_oracle(v, c):
+    p = SlipParams()
+    trace = circle_trace(v, c, p)
+    settled = trace.xy()[trace.times() >= TRANSIENT_MULT * p.lag_tau]
+    _, r = fit_circle(settled)
+    assert r == pytest.approx(kasa_radius(settled), rel=1e-13 if c >= 1e-4 else 1e-11,
+                              abs=0.0)
+    # circle_test fits exactly the settled samples
+    assert circle_test(v, c, p, trace=trace).r_fit == r
+
+
 def test_circle_report_derives_measured_curvature_and_deviation():
     assert [f.name for f in fields(CircleReport)] == ["c_commanded", "r_fit", "ikd_enabled"]
     rng = np.random.default_rng(12)
