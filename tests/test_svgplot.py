@@ -1,5 +1,7 @@
 """Deterministic SVG rendering."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -86,3 +88,30 @@ def test_trajectory_equal_aspect(tmp_path):
 def test_trajectory_requires_traces(tmp_path):
     with pytest.raises(ValidationError):
         svg_trajectory([], str(tmp_path / "none.svg"))
+
+
+def _golden_traces():
+    t = np.linspace(0.0, 3.0, 25)
+    return [("plain", 2.0 * np.cos(t), 2.0 * np.sin(t)),
+            ("fixed", 1.5 * np.cos(t) + 0.25, 1.5 * np.sin(t) - 0.5)]
+
+
+def test_charts_match_their_pinned_bytes(tmp_path):
+    """Fixed inputs to each chart; the sha256 of each file is pinned, so a
+    refactor of the drawing code cannot move a byte of any plot."""
+    xs = np.linspace(0.0, 2.0, 9)
+    scenario = DriftScenario(boxes=(Rect(cx=0.5, cy=1.0, w=0.6, h=0.3, angle=0.4),),
+                             cones=((-1.0, 0.5), (1.2, -0.8)), gap_width=1.0)
+    paths = {name: str(tmp_path / f"{name}.svg") for name in ("line", "bar", "traj")}
+    svg_line_chart([("sin", xs, np.sin(xs)), ("cos3", xs, 3.0 * np.cos(xs))],
+                   paths["line"], title="golden lines", xlabel="t [s]", ylabel="v")
+    svg_bar_chart([3.0, 0.0, 5.0, 1.5], (0.0, 2.0), paths["bar"], title="golden bars",
+                  xlabel="v [m/s]")
+    svg_trajectory([(label, np.column_stack([x, y])) for label, x, y in _golden_traces()],
+                   paths["traj"], scenario=scenario, title="golden course")
+    digests = {name: hashlib.sha256(open(p, "rb").read()).hexdigest()
+               for name, p in paths.items()}
+    assert digests == {
+        "line": "84e0ab18d0fb7a5b643084dd65af3859dd4d7bfafdf32fd95de541b02680eadf",
+        "bar": "548d700632fd1e4aa039a02ae80ac0cedb068f3d394653e8dd6d3cdcbec87268",
+        "traj": "f63ae3cbb138e369d90b7f3e344fdc94c7ea69c96b7d8f966f7b8a1e4aa80c78"}
