@@ -279,7 +279,7 @@ def cmd_eval_circle(args, cfg, out):
                 trace = evalkit.circle_trace(args.v, c, cfg.slip, run_model)
                 reports.append(evalkit.circle_test(args.v, c, cfg.slip, run_model,
                                                    trace=trace))
-            traces.append((run_name, trace.xy()))
+            traces.append((run_name, trace.x, trace.y))
         if model is not None:
             plain, corrected = reports[-2:]
             comparison.append((c, plain.c_measured, corrected.c_measured,
@@ -321,7 +321,7 @@ def cmd_eval_drift(args, cfg, out):
     for run_name, run_model in runs.items():
         trace = replay_mod.execute_replay(buf, cfg.slip, model=run_model,
                                           rate=cfg.replay_hz, duration=duration)
-        traces.append((run_name, trace.xy()))
+        traces.append((run_name, trace.x, trace.y))
         report[run_name] = {name: asdict(evalkit.drift_eval(trace, course))
                             for name, course in courses.items()}
 
@@ -337,14 +337,19 @@ def cmd_eval_drift(args, cfg, out):
     return files, lines
 
 
-def _plot_rows(path: str, header: str):
+def _plot_rows(path: str, header: str, count: str | None = None):
     """The rows of the table at ``path``; a table without any is a ParseError,
-    and one with a value svgplot cannot scale names its line."""
+    and one with a value svgplot cannot scale, or a negative value in column
+    ``count`` (a bar's height), names its line."""
+    names = header.split(",")
     def build(rows):
         if len(rows) == 0:
             raise ParseError(f"{path}: no rows after the header")
         check_within(*((name, rows[:, j], svgplot.MAX_VALUE)
-                       for j, name in enumerate(header.split(","))), where="cannot plot")
+                       for j, name in enumerate(names)), where="cannot plot")
+        for k, n in enumerate(rows[:, names.index(count)].tolist() if count else ()):
+            if n < 0:
+                raise ValidationError(f"cannot plot: {count} must be >= 0, got {n!r}", row=k)
         return rows
     return read_record(path, header, build)
 
@@ -358,7 +363,7 @@ def cmd_plot(args, cfg, out):
             svgplot.svg_line_chart, series, title="training loss", xlabel="epoch",
             ylabel="mse")))
     if args.hist:
-        rows = _plot_rows(args.hist, align_mod.HIST_HEADER)
+        rows = _plot_rows(args.hist, align_mod.HIST_HEADER, count="count")
         files.append(("plots/vel_hist.svg", partial(
             svgplot.svg_bar_chart, rows[:, 2], (rows[0, 0], rows[-1, 1]),
             title="velocity histogram", xlabel="v [m/s]")))

@@ -195,6 +195,24 @@ def test_build_dataset_rejects_empty_overlap():
         build_dataset(joy, imu, delay=0.0)
 
 
+def test_a_one_row_stream_is_refused_by_the_scan_and_the_grid():
+    _, imu = make_pair(0.1)
+    joy = JoyLog(t=[0.0], v=[2.0], av=[0.5])
+    with pytest.raises(InsufficientOverlapError,
+                       match="^each stream needs at least two samples$"):
+        scan_delays(joy, imu)
+    with pytest.raises(ValidationError, match="^each stream needs at least two samples$"):
+        build_dataset(joy, imu, delay=0.0)
+
+
+def test_build_dataset_rejects_an_overlap_shorter_than_one_period():
+    t = np.array([0.0, 1.5])
+    joy = JoyLog(t=t, v=[1.0, 1.0], av=[0.0, 0.0])
+    imu = ImuLog(t=t, av_z=[0.0, 0.0])
+    with pytest.raises(ValidationError, match="^overlap shorter than one sample period$"):
+        build_dataset(joy, imu, delay=0.0, rate=0.5)
+
+
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -40.0])
 def test_build_dataset_rejects_bad_rate_naming_it(rate):
     joy, imu = make_pair(0.1)

@@ -771,6 +771,29 @@ def test_align_prints_and_writes_what_estimate_delay_returns(workdir, capsys):
     assert printed.startswith(f"delay {est.delay:.3f} s (objective {est.objective:.6f}), ")
 
 
+@pytest.mark.parametrize("files, line, flags", [
+    # the true delay is below the searched range: the best candidate is its edge
+    ({"cfg.json": {"seed": 0, "delay_search": [0.6, 1.0]}},
+     "delay 0.600 s (objective 0.258744), 12095 training rows [delay-out-of-range]",
+     {"in_range": False, "corrupt": False}),
+    # IMU noise this wide leaves every candidate's error above the ceiling
+    ({"cfg.json": {"seed": 0, "slip_file": "slip.json"}, "slip.json": {"noise_sigma": 3.0}},
+     "delay 0.213 s (objective 4.645713), 12110 training rows [corrupt]",
+     {"in_range": True, "corrupt": True}),
+], ids=["out-of-range", "corrupt"])
+def test_align_prints_and_writes_its_flags(workdir, capsys, files, line, flags):
+    for name, raw in files.items():
+        with open(name, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+    base = ["--config", "cfg.json", "--out", "run"]
+    assert main(["collect", *base, "--dwell", "0.5"]) == 0
+    assert main(["align", *base]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == line
+    with open(os.path.join("run", "reports", "delay.json"), encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert {key: report[key] for key in flags} == flags
+
+
 def test_align_clamps_commands_past_the_actuator_limit(workdir, capsys):
     t = np.arange(160) / 40.0
     av = 1.0 + 0.5 * np.sin(2.0 * t)
@@ -864,6 +887,9 @@ SCAN = "delay,objective\n"
     ("--delay-scan", SCAN + "0.0,-inf\n", r"bad\.csv:2: cannot plot: objective must be "),
     ("--hist", HIST + "0.0,0.25,3\n0.25,nan,1\n", r"bad\.csv:3: cannot plot: bin_hi must "),
     ("--hist", None, r"missing file: missing\.csv"),
+    # a negative bar height is not valid SVG
+    ("--hist", HIST + "0.0,1.0,3\n1.0,2.0,-2\n",
+     r"bad\.csv:3: cannot plot: count must be >= 0, got -2\.0$"),
 ])
 def test_plot_fails_closed_on_bad_tables(workdir, capsys, flag, text, err):
     path = "missing.csv"
@@ -874,6 +900,7 @@ def test_plot_fails_closed_on_bad_tables(workdir, capsys, flag, text, err):
     assert main(["plot", "--out", "run", flag, path]) == 1
     captured = capsys.readouterr()
     assert re.match("error: " + err, captured.err)
+    assert not os.path.exists("run")
     assert "Traceback" not in captured.err
 
 
@@ -900,6 +927,8 @@ def test_plot_fails_closed_on_bad_tables(workdir, capsys, flag, text, err):
      r"course\.json: gap_width must be a finite number, got 'wide'"),
     ({"boxes": [], "cones": [], "gap_width": 0.1},
      r"course\.json: gap 0\.1 m narrower than the car"),
+    ({"boxes": [], "cones": [], "gap_width": 2.0, "car_length": 0.0},
+     r"course\.json: car_length must be positive$"),
 ])
 def test_bad_scenario_file_names_file_and_field(workdir, capsys, course, match):
     with open("course.json", "w", encoding="utf-8") as fh:

@@ -27,6 +27,8 @@ def test_log_rejects_shape_mismatch_and_nonfinite():
         make_joy([0.0, 1.0], [1.0], [0.0, 0.0])
     with pytest.raises(ValidationError):
         ImuLog(t=[0.0, 1.0], av_z=[0.0, float("nan")])
+    with pytest.raises(ValidationError, match="^JoyLog: t must be 1-D$"):
+        make_joy([[0.0, 1.0]], [[1.0, 1.0]], [[0.0, 0.0]])
 
 
 @pytest.mark.parametrize("t, v, row, message", [

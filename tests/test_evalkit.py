@@ -300,6 +300,8 @@ def straight_trace(y: float, length: float = 4.0, x0: float = -1.0,
 def test_scenario_validation_and_json(tmp_path):
     with pytest.raises(ValidationError):
         DriftScenario(boxes=(), cones=(), gap_width=0.3)
+    with pytest.raises(ValidationError, match="^car_length must be positive$"):
+        DriftScenario(boxes=(), cones=(), gap_width=1.0, car_length=0.0)
     sc = gate_scenario()
     path = str(tmp_path / "scenario.json")
     write_dataclass_json(path, sc)

@@ -350,6 +350,12 @@ def test_trace_refuses_state_channels_of_unequal_length():
         SimTrace(DEFAULT_DT, zeros, zeros[1:], zeros, zeros, zeros, zeros, [0], [1.0], [0.1])
 
 
+def test_trace_refuses_a_step_that_is_not_positive():
+    zeros = np.zeros(101)
+    with pytest.raises(ValidationError, match="^trace dt must be positive$"):
+        SimTrace(0.0, zeros, zeros, zeros, zeros, zeros, zeros, [0], [1.0], [0.1])
+
+
 def test_a_zero_speed_keeps_its_sign_in_both_recorders():
     # neighbouring segments that differ only in the sign of a zero v: a
     # sampler that expanded merged segments would log the first sign for both

@@ -65,10 +65,10 @@ def test_bar_chart_all_zero_counts(tmp_path):
 
 def test_trajectory_plot_draws_obstacles(tmp_path):
     path = str(tmp_path / "traj.svg")
-    xy = np.column_stack([np.linspace(0, 4, 30), np.linspace(0, 1, 30)])
     scenario = DriftScenario(boxes=(Rect(cx=2.0, cy=2.0, w=0.56, h=0.56),),
                              cones=((1.0, 1.0), (3.0, 1.0)), gap_width=1.0)
-    svg_trajectory([("run", xy)], path, scenario=scenario, title="course")
+    svg_trajectory([("run", np.linspace(0, 4, 30), np.linspace(0, 1, 30))], path,
+                   scenario=scenario, title="course")
     text = open(path, encoding="utf-8").read()
     assert text.count("<polygon") == 1
     assert text.count("<circle") == 2
@@ -78,8 +78,7 @@ def test_trajectory_plot_draws_obstacles(tmp_path):
 def test_trajectory_equal_aspect(tmp_path):
     # A wide flat trace must not be stretched: equal world spans per pixel.
     path = str(tmp_path / "aspect.svg")
-    xy = np.array([[0.0, 0.0], [10.0, 0.1]])
-    svg_trajectory([("r", xy)], path)
+    svg_trajectory([("r", [0.0, 10.0], [0.0, 0.1])], path)
     text = open(path, encoding="utf-8").read()
     # y labels get the padded x span of 11 centered on y=0.05
     assert ">-5.45<" in text and ">5.55<" in text
@@ -90,16 +89,13 @@ def test_trajectory_requires_traces(tmp_path):
         svg_trajectory([], str(tmp_path / "none.svg"))
 
 
-def _golden_traces():
-    t = np.linspace(0.0, 3.0, 25)
-    return [("plain", 2.0 * np.cos(t), 2.0 * np.sin(t)),
-            ("fixed", 1.5 * np.cos(t) + 0.25, 1.5 * np.sin(t) - 0.5)]
-
-
 def test_charts_match_their_pinned_bytes(tmp_path):
     """Fixed inputs to each chart; the sha256 of each file is pinned, so a
     refactor of the drawing code cannot move a byte of any plot."""
     xs = np.linspace(0.0, 2.0, 9)
+    t = np.linspace(0.0, 3.0, 25)
+    traces = [("plain", 2.0 * np.cos(t), 2.0 * np.sin(t)),
+              ("fixed", 1.5 * np.cos(t) + 0.25, 1.5 * np.sin(t) - 0.5)]
     scenario = DriftScenario(boxes=(Rect(cx=0.5, cy=1.0, w=0.6, h=0.3, angle=0.4),),
                              cones=((-1.0, 0.5), (1.2, -0.8)), gap_width=1.0)
     paths = {name: str(tmp_path / f"{name}.svg") for name in ("line", "bar", "traj")}
@@ -107,8 +103,7 @@ def test_charts_match_their_pinned_bytes(tmp_path):
                    paths["line"], title="golden lines", xlabel="t [s]", ylabel="v")
     svg_bar_chart([3.0, 0.0, 5.0, 1.5], (0.0, 2.0), paths["bar"], title="golden bars",
                   xlabel="v [m/s]")
-    svg_trajectory([(label, np.column_stack([x, y])) for label, x, y in _golden_traces()],
-                   paths["traj"], scenario=scenario, title="golden course")
+    svg_trajectory(traces, paths["traj"], scenario=scenario, title="golden course")
     digests = {name: hashlib.sha256(open(p, "rb").read()).hexdigest()
                for name, p in paths.items()}
     assert digests == {
