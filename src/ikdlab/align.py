@@ -102,7 +102,10 @@ class AlignedDataset:
 
 def _overlap_window(joy: JoyLog, imu: ImuLog, delay):
     """Joystick-time window (lo, hi) on which both streams are defined after
-    shifting by ``delay``; elementwise when ``delay`` is an array."""
+    shifting by ``delay``; elementwise when ``delay`` is an array.  A stream
+    of fewer than two samples has no window: an InsufficientOverlapError."""
+    if len(joy) < 2 or len(imu) < 2:
+        raise InsufficientOverlapError("each stream needs at least two samples")
     return (np.maximum(joy.t[0], imu.t[0] - delay),
             np.minimum(joy.t[-1], imu.t[-1] - delay))
 
@@ -127,9 +130,6 @@ def _delay_grid(joy: JoyLog, imu: ImuLog, search: tuple[float, float], step: flo
     if not lo < hi:
         raise ValidationError("search range must satisfy lo < hi")
     require_positive(step=step)
-    if len(joy) < 2 or len(imu) < 2:
-        raise InsufficientOverlapError("each stream needs at least two samples")
-
     n = sample_count("search", (hi - lo) / step) + 1
     delays = lo + np.arange(n) * step
     w_lo, w_hi = _overlap_window(joy, imu, delays)
@@ -288,8 +288,6 @@ def build_dataset(joy: JoyLog, imu: ImuLog, delay: float,
     apart are not a recording.
     """
     require_positive(rate=rate)
-    if len(joy) < 2 or len(imu) < 2:
-        raise ValidationError("each stream needs at least two samples")
     w_lo, w_hi = _overlap_window(joy, imu, delay)
     if w_hi <= w_lo:
         raise ValidationError("streams do not overlap at this delay")

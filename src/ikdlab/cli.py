@@ -56,7 +56,7 @@ class PipelineConfig:
         raw = json_fields(path, read_json(path), ("seed",),
                           ("slip_file", "scenario_file", "rates", "delay_search",
                            "delay_step", "pad", "train", "out_dir"))
-        seed = seed_value(path, raw["seed"])
+        seed = seed_value(raw["seed"], where=path)
         for key in ("slip_file", "scenario_file", "out_dir"):
             if key in raw and not isinstance(raw[key], str):
                 raise ValidationError(
@@ -76,7 +76,7 @@ class PipelineConfig:
             if not isinstance(search, list) or len(search) != 2:
                 raise ValidationError(
                     f"{path}: delay_search must be a [lo, hi] pair, got {search!r}")
-            lo, hi = (finite_number(path, "delay_search", v) for v in search)
+            lo, hi = (finite_number("delay_search", v, where=path) for v in search)
             if not lo < hi:
                 raise ValidationError(f"{path}: delay_search must satisfy lo < hi, "
                                       f"got {search!r}")
@@ -95,7 +95,7 @@ class PipelineConfig:
 def _positive(path: str, key: str, value, zero_ok: bool = False) -> float:
     """A finite JSON number from config ``path`` that is > 0 (>= 0 when
     ``zero_ok``), else a ValidationError naming file and key."""
-    value = finite_number(path, key, value)
+    value = finite_number(key, value, where=path)
     if value < 0.0 or (value == 0.0 and not zero_ok):
         bound = ">= 0" if zero_ok else "positive"
         raise ValidationError(f"{path}: {key} must be {bound}, got {value!r}")
@@ -103,12 +103,11 @@ def _positive(path: str, key: str, value, zero_ok: bool = False) -> float:
 
 
 def _load_config(args) -> PipelineConfig:
-    if args.seed is not None and args.seed < 0:
-        raise ValidationError("--seed must be >= 0")
     cfg = PipelineConfig.from_json(args.config) if args.config else PipelineConfig()
     if args.seed is not None:
-        cfg = replace(cfg, slip=replace(cfg.slip, seed=args.seed),
-                      train=replace(cfg.train, seed=args.seed))
+        with blamed(lambda exc: "--seed"):
+            cfg = replace(cfg, slip=replace(cfg.slip, seed=args.seed),
+                          train=replace(cfg.train, seed=args.seed))
     return cfg
 
 

@@ -2,6 +2,8 @@
 
 import contextlib
 import math
+import numbers
+import reprlib
 
 import numpy as np
 
@@ -51,21 +53,23 @@ def blamed(blame):
         raise type(exc)(f"{who}: {exc}") from None
 
 
-def is_finite(value) -> bool:
-    """Whether the real number ``value`` is finite as a float; an integer past
-    the float range is not (``math.isfinite`` raises OverflowError on it)."""
+def _prefix(where: str) -> str:
+    return f"{where}: " if where else ""
+
+
+def finite_number(key: str, value, where: str = "") -> float:
+    """``value`` as a float if it is a finite real number, not a bool (an
+    integer past the float range is not finite), else a ValidationError of
+    the form ``<where>: <key> must be a finite number``; an empty ``where``
+    adds no prefix."""
     try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def finite_number(where: str, key: str, value) -> float:
-    """``value`` as a float if it is a finite JSON number (not a bool), else a
-    ValidationError of the form ``<where>: <key> must be a finite number``."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not is_finite(value)):
-        raise ValidationError(f"{where}: {key} must be a finite number, got {value!r}")
+        ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+              and math.isfinite(value))
+    except OverflowError:   # math.isfinite on an integer past the float range
+        ok = False
+    if not ok:
+        raise ValidationError(f"{_prefix(where)}{key} must be a finite number, "
+                              f"got {value!r}")
     return float(value)
 
 
@@ -83,7 +87,7 @@ def check_within(*columns, where: str = "") -> None:
     if bad:   # the first row, and in it the first column
         k, name, value, limit, ndim = min(bad, key=lambda b: b[0])
         domain = "finite" if limit == FINITE else f"within +-{limit:g}"
-        raise ValidationError(f"{where + ': ' if where else ''}{name} must be {domain}, "
+        raise ValidationError(f"{_prefix(where)}{name} must be {domain}, "
                               f"got {value!r}", row=k if ndim else None)
 
 
@@ -95,12 +99,14 @@ def require_positive(**values: float) -> None:
             raise ValidationError(f"{name} must be positive and finite, got {value!r}")
 
 
-def seed_value(where: str, value) -> int:
-    """``value`` if it is a non-negative JSON integer (not a bool), else a
-    ValidationError of the form ``<where>: seed must be ...``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValidationError(
-            f"{where}: seed must be a non-negative integer, got {value!r}")
+def seed_value(value, where: str = "") -> int:
+    """``value`` if it is a non-negative integer, not a bool (numpy integers
+    pass), else a ValidationError of the form ``<where>: seed must be ...``;
+    an empty ``where`` adds no prefix.  The message shortens a long value
+    (``reprlib.repr``): a --seed may have hundreds of digits."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValidationError(f"{_prefix(where)}seed must be a non-negative integer, "
+                              f"got {reprlib.repr(value)}")
     return value
 
 

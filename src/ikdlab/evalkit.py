@@ -228,15 +228,15 @@ class DriftScenario:
         for i, box in enumerate(boxes):
             where = f"{path}: boxes[{i}]"
             box = json_fields(where, box, ("cx", "cy", "w", "h"), ("angle",))
-            box = {k: finite_number(where, k, v) for k, v in box.items()}
+            box = {k: finite_number(k, v, where=where) for k, v in box.items()}
             with blamed(lambda exc: where):
                 boxes[i] = Rect(**box)
         for i, cone in enumerate(cones):
             where = f"{path}: cones[{i}]"
             if not isinstance(cone, list) or len(cone) != 2:
                 raise ValidationError(f"{where}: must be an [x, y] pair, got {cone!r}")
-            cones[i] = [finite_number(where, k, v) for k, v in zip("xy", cone)]
-        sizes = {k: finite_number(path, k, v) for k, v in raw.items()}
+            cones[i] = [finite_number(k, v, where=where) for k, v in zip("xy", cone)]
+        sizes = {k: finite_number(k, v, where=path) for k, v in raw.items()}
         with blamed(lambda exc: path if exc.row is None else f"{path}: cones[{exc.row}]"):
             return cls(boxes=boxes, cones=cones, **sizes)
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .align import AlignedDataset
-from .errors import ParseError, ValidationError, blamed, check_within, is_finite
+from .errors import (ParseError, ValidationError, blamed, check_within, finite_number,
+                     seed_value)
 from .fileio import read_json, write_json, write_table
 from .simcore import SPEED_DOMAIN, YAW_RATE_DOMAIN, _MAX_LEN
 
@@ -116,16 +117,14 @@ class TrainConfig:
     split_fraction: float = 0.1  # fraction of rows held out for the test split
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs", "seed"):
+        for name in ("batch_size", "epochs"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
+        seed_value(self.seed)
         for name in ("lr", "weight_decay", "beta1", "beta2", "eps_adam",
                      "split_fraction"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not is_finite(value)):
-                raise ValidationError(f"{name} must be a finite number, got {value!r}")
+            finite_number(name, getattr(self, name))
         for name in ("batch_size", "epochs"):   # lengths of arrays train allocates
             if not 1 <= getattr(self, name) <= _MAX_LEN:
                 raise ValidationError(f"{name} must be in [1, {_MAX_LEN}]")
@@ -135,8 +134,6 @@ class TrainConfig:
             raise ValidationError(
                 f"epochs {self.epochs} needs {16 * self.epochs:.3g} bytes of loss "
                 f"curve, more than can be allocated") from None
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
         if self.lr <= 0.0:
             raise ValidationError("lr must be positive")
         if self.weight_decay < 0.0:

@@ -7,8 +7,6 @@ command sequence, and the loose/tight gate layouts.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ValidationError, require_positive
@@ -100,18 +98,13 @@ def drift_buffer(rate: float = DEFAULT_REPLAY_RATE) -> CommandBuffer:
 # laid radially outward there so the car threads between cone (inside the
 # arc) and box (outside).
 GATE_CONE = (3.6, 1.3)
-GATE_DIRECTION = (1.0, 0.0)
 
 
 def _gate_scenario(gap: float) -> DriftScenario:
     """The gate cone plus a square box whose near face sits gap meters from
-    it along GATE_DIRECTION."""
-    d = np.asarray(GATE_DIRECTION, dtype=float)
-    d = d / np.hypot(*d)
-    center = np.asarray(GATE_CONE) + d * (gap + BOX_SIZE / 2.0)
-    angle = math.atan2(d[1], d[0])
-    box = Rect(cx=float(center[0]), cy=float(center[1]),
-               w=BOX_SIZE, h=BOX_SIZE, angle=angle)
+    it along +x."""
+    box = Rect(cx=GATE_CONE[0] + (gap + BOX_SIZE / 2.0), cy=GATE_CONE[1],
+               w=BOX_SIZE, h=BOX_SIZE, angle=0.0)
     return DriftScenario(boxes=(box,), cones=(GATE_CONE,), gap_width=gap)
 
 

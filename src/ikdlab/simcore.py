@@ -22,7 +22,6 @@ bits emit_sensor_logs(run_scenario(...)) does.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,8 +118,7 @@ class VehicleState:
     av_lag: float = 0.0
 
     def __post_init__(self):
-        check_within(*((name, getattr(self, name), V_CAP + 1e-12 if name == "v" else FINITE)
-                       for name in _STATE_CHANNELS), where="VehicleState")
+        _check_state(self)
 
 
 @dataclass(frozen=True)
@@ -144,9 +142,7 @@ class SlipParams:
                      ("noise_sigma", self.noise_sigma, NOISE_SIGMA_DOMAIN))
         if min(self.beta, self.lag_tau, self.imu_delay, self.noise_sigma) < 0:
             raise ValidationError("SlipParams fields must be non-negative")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
-                or self.seed < 0):
-            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
+        seed_value(self.seed)
 
     @classmethod
     def ideal(cls) -> "SlipParams":
@@ -157,11 +153,10 @@ class SlipParams:
     def from_json(cls, path: str) -> "SlipParams":
         floats = ("beta", "lag_tau", "imu_delay", "noise_sigma")
         raw = json_fields(path, read_json(path), (), floats + ("seed",))
-        kwargs = {key: finite_number(path, key, raw[key]) for key in floats if key in raw}
-        if "seed" in raw:
-            kwargs["seed"] = seed_value(path, raw["seed"])
-        with blamed(lambda exc: path):
-            return cls(**kwargs)
+        kwargs = {key: finite_number(key, raw[key], where=path)
+                  for key in floats if key in raw}
+        with blamed(lambda exc: path):   # the seed is the constructor's to check
+            return cls(**{**raw, **kwargs})
 
 
 def _check_commands(v: np.ndarray, c: np.ndarray) -> None:
@@ -215,7 +210,7 @@ class ControlScript:
         for i, seg in enumerate(segs):
             where = f"{path}: segment {i}"
             seg = json_fields(where, seg, fields)
-            out.append(ScriptSegment(*(finite_number(where, key, seg[key])
+            out.append(ScriptSegment(*(finite_number(key, seg[key], where=where)
                                        for key in fields)))
         with blamed(lambda exc: path if exc.row is None else f"{path}: segment {exc.row}"):
             return cls(tuple(out))
@@ -270,8 +265,7 @@ class SimTrace:
                 if first.size else n > 0:
             raise ValidationError("command firsts must start at step 0 and increase "
                                   f"below the trace's {n} steps")
-        check_within(*((name, getattr(self, name), V_CAP + 1e-12 if name == "v" else FINITE)
-                       for name in _STATE_CHANNELS), where="SimTrace")
+        _check_state(self)
 
     def __len__(self) -> int:
         return self.x.size - 1
@@ -296,6 +290,13 @@ class SimTrace:
 
 
 _STATE_CHANNELS = ("x", "y", "heading", "v", "av", "av_lag")
+
+
+def _check_state(record) -> None:
+    """Check a VehicleState's or SimTrace's state channels: v within the
+    speed cap, the others finite."""
+    check_within(*((name, getattr(record, name), V_CAP + 1e-12 if name == "v" else FINITE)
+                   for name in _STATE_CHANNELS), where=type(record).__name__)
 
 
 def slip_yaw_rate(av_lag: float, v: float, beta: float) -> float:

@@ -106,10 +106,15 @@ def svg_line_chart(series, path: str, title: str = "",
 
 def svg_bar_chart(counts, vrange, path: str, title: str = "",
                   xlabel: str = "value") -> None:
-    """Histogram bars over [lo, hi] with equal-width bins."""
+    """Histogram bars over [lo, hi] with equal-width bins; a negative or NaN
+    count is a ValidationError whose ``row`` is its bar."""
     counts = np.asarray(counts, dtype=float)
     if counts.size == 0:
         raise ValidationError("need at least one bin")
+    drawable = counts >= 0
+    if not drawable.all():
+        k = int(np.argmin(drawable))
+        raise ValidationError(f"count must be >= 0, got {float(counts[k])!r}", row=k)
     lo, hi = vrange
     y_hi = float(counts.max()) if counts.max() > 0 else 1.0
     bar_w = (WIDTH - 2 * MARGIN) / counts.size

@@ -691,9 +691,9 @@ def test_align_names_the_logs_its_pair_check_refuses(workdir, capsys, joy, err):
 
 
 @pytest.mark.parametrize("argv, err", [
-    (["collect", "--seed", "-1"], "--seed must be >= 0"),
+    (["collect", "--seed", "-1"], "--seed: seed must be a non-negative integer, got -1"),
     (["correct", "--model", "model.json", "--v", "2", "--c", "0.5", "--seed", "-1"],
-     "--seed must be >= 0"),
+     "--seed: seed must be a non-negative integer, got -1"),
     (["correct", "--model", "model.json", "--v", "2", "--c", "nan"],
      "--v 2.0 at --c nan: c must be within +-1000, got nan"),
     (["correct", "--model", "model.json", "--v=-inf", "--c", "0.5"],
@@ -713,6 +713,32 @@ def test_seed_v_and_c_flags_are_checked_naming_the_flag(workdir, capsys, argv, e
     mlp.save_model(mlp.init_params(np.random.default_rng(0)), "model.json")
     assert main([*argv, "--out", "run"]) == 1
     assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "x", np.int64(-1)],
+                         ids=["negative", "float", "bool", "string", "numpy-negative"])
+def test_every_seed_is_refused_with_one_message(workdir, capsys, seed):
+    # the records, a config file and --seed all word a bad seed alike
+    for record in (SlipParams, mlp.TrainConfig):
+        with pytest.raises(ValidationError) as exc:
+            record(seed=seed)
+        assert str(exc.value) == f"seed must be a non-negative integer, got {seed!r}"
+    plain = int(seed) if isinstance(seed, np.integer) else seed   # as JSON reads it
+    with open("bad.json", "w", encoding="utf-8") as fh:
+        json.dump({"seed": plain}, fh)
+    assert main(["collect", "--config", "bad.json", "--out", "run"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: bad.json: seed must be a non-negative integer, got {plain!r}\n")
+    if isinstance(plain, int) and not isinstance(plain, bool):
+        assert main(["collect", "--seed", str(seed), "--out", "run"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --seed: seed must be a non-negative integer, got {plain}\n")
+    assert not os.path.exists("run")
+
+
+def test_numpy_seeds_and_rates_are_accepted():
+    assert SlipParams(seed=np.int64(3)).seed == mlp.TrainConfig(seed=np.int64(3)).seed == 3
+    assert mlp.TrainConfig(lr=np.float32(1e-3)).lr == np.float32(1e-3)
 
 
 def test_training_that_diverges_names_the_dataset(workdir, capsys):

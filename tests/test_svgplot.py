@@ -57,6 +57,16 @@ def test_bar_chart_draws_one_rect_per_bin(tmp_path):
         svg_bar_chart([], (0.0, 1.0), str(tmp_path / "y.svg"))
 
 
+@pytest.mark.parametrize("counts, shown", [([1.0, -2.0, -3.0], "-2.0"),
+                                           ([1.0, float("nan"), -3.0], "nan")])
+def test_bar_chart_refuses_a_negative_count_naming_its_bar(tmp_path, counts, shown):
+    path = tmp_path / "neg.svg"
+    with pytest.raises(ValidationError, match=rf"^count must be >= 0, got {shown}$") as exc:
+        svg_bar_chart(counts, (0.0, 2.0), str(path))
+    assert exc.value.row == 1
+    assert not path.exists()
+
+
 def test_bar_chart_all_zero_counts(tmp_path):
     path = str(tmp_path / "zeros.svg")
     svg_bar_chart([0.0, 0.0], (0.0, 1.0), path)
