@@ -17,7 +17,7 @@ import numpy as np
 
 from .datalog import ImuLog, JoyLog
 from .errors import (CorruptLogError, InsufficientOverlapError, ValidationError,
-                     check_within, require_positive)
+                     check_within, require_positive, require_positive_int)
 from .fileio import read_record, write_table
 from .simcore import (AV_LIMIT, DEFAULT_LOG_RATE, SPEED_DOMAIN, YAW_RATE_DOMAIN,
                       _MAX_LEN, c_from_av_v, sample_count)
@@ -232,7 +232,7 @@ def estimate_delay(joy: JoyLog, imu: ImuLog,
     only candidates that can hold the minimum get an exact objective.  Each
     candidate is first bounded from below by its squared errors on every
     _BOUND_STRIDE-th row of its window, divided by the full window's row
-    count: the terms are non-negative, so the subset sum cannot exceed the
+    count: the terms are squares, so the subset sum cannot exceed the
     full one.  The candidate with the smallest bound is scored exactly, and
     every candidate whose bound exceeds that objective times
     (1 + _BOUND_SLACK) cannot be the argmin and reads +inf.  If this level
@@ -319,8 +319,7 @@ def histogram(values, bins: int, vrange: tuple[float, float]) -> np.ndarray:
     Total count always equals len(values).
     """
     lo, hi = vrange
-    if bins < 1:
-        raise ValidationError("bins must be >= 1")
+    require_positive_int(bins=bins)
     if not lo < hi:
         raise ValidationError("range must satisfy lo < hi")
     values = np.asarray(values, dtype=float)

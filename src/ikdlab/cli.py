@@ -24,7 +24,7 @@ from . import align as align_mod
 from . import datalog, evalkit, ikd, mlp, replay as replay_mod, scenarios, svgplot
 from .errors import (CorruptLogError, IkdError, InsufficientOverlapError, ParseError,
                      ValidationError, blamed, check_within, finite_number, json_fields,
-                     require_positive, seed_value)
+                     require_non_negative, require_positive, seed_value)
 from .fileio import read_json, read_record, write_json, write_table
 from .simcore import (DEFAULT_DT, DEFAULT_LOG_RATE, DEFAULT_PAD, EMPTY_TRACE,
                       ControlScript, SimTrace, SlipParams, record_logs, sample_count)
@@ -83,22 +83,21 @@ class PipelineConfig:
             given["delay_search"] = (lo, hi)
         for key in ("joy", "imu", "replay"):
             if key in rates:
-                given[f"{key}_hz"] = _positive(path, f"rates: {key}", rates[key])
+                given[f"{key}_hz"] = _number(path, f"rates: {key}", rates[key])
         if "delay_step" in raw:
-            given["delay_step"] = _positive(path, "delay_step", raw["delay_step"])
+            given["delay_step"] = _number(path, "delay_step", raw["delay_step"])
         if "pad" in raw:
-            given["pad"] = _positive(path, "pad", raw["pad"], zero_ok=True)
+            given["pad"] = _number(path, "pad", raw["pad"], require_non_negative)
         return cls(slip=slip, scenario_file=raw.get("scenario_file"),
                    train=train, out_dir=raw.get("out_dir"), **given)
 
 
-def _positive(path: str, key: str, value, zero_ok: bool = False) -> float:
-    """A finite JSON number from config ``path`` that is > 0 (>= 0 when
-    ``zero_ok``), else a ValidationError naming file and key."""
+def _number(path: str, key: str, value, rule=require_positive) -> float:
+    """A finite JSON number from config ``path`` that passes the errors
+    ``rule``, else a ValidationError naming file and key."""
     value = finite_number(key, value, where=path)
-    if value < 0.0 or (value == 0.0 and not zero_ok):
-        bound = ">= 0" if zero_ok else "positive"
-        raise ValidationError(f"{path}: {key} must be {bound}, got {value!r}")
+    with blamed(lambda exc: path):
+        rule(**{key: value})
     return value
 
 
@@ -164,10 +163,10 @@ def cmd_align(args, cfg, out):
     with blamed(lambda exc: joy_path if isinstance(exc, CorruptLogError) else None):
         joy, imu = datalog.trim_idle(joy, imu)
     # The pair's fault is no usable overlap or timestamps too far apart; any
-    # other error here names a config value.
+    # other error here is a config value's, named by the config file if given.
     pair_fault = (InsufficientOverlapError, CorruptLogError)
     with blamed(lambda exc: f"{joy_path} and {imu_path}"
-                if isinstance(exc, pair_fault) else None):
+                if isinstance(exc, pair_fault) else args.config):
         delays, objectives = align_mod.scan_delays(joy, imu, search=cfg.delay_search,
                                                    step=cfg.delay_step)
         est = align_mod.delay_from_scan(delays, objectives)

@@ -2,8 +2,8 @@
 
 import contextlib
 import math
-import numbers
 import reprlib
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -57,20 +57,25 @@ def _prefix(where: str) -> str:
     return f"{where}: " if where else ""
 
 
+def _require(name: str, value, rule: str, holds, where: str = "", show=repr):
+    """``value`` if ``holds(value)``, else a ValidationError worded ``<where>:
+    <name> must be <rule>, got <show(value)>``; a bool fails every rule, as does
+    a value ``holds`` cannot take (a string, an integer past the float range)."""
+    try:
+        ok = not isinstance(value, bool) and holds(value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValidationError(f"{_prefix(where)}{name} must be {rule}, got {show(value)}")
+    return value
+
+
 def finite_number(key: str, value, where: str = "") -> float:
     """``value`` as a float if it is a finite real number, not a bool (an
     integer past the float range is not finite), else a ValidationError of
-    the form ``<where>: <key> must be a finite number``; an empty ``where``
-    adds no prefix."""
-    try:
-        ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
-              and math.isfinite(value))
-    except OverflowError:   # math.isfinite on an integer past the float range
-        ok = False
-    if not ok:
-        raise ValidationError(f"{_prefix(where)}{key} must be a finite number, "
-                              f"got {value!r}")
-    return float(value)
+    the form ``<where>: <key> must be a finite number``."""
+    return float(_require(key, value, "a finite number",
+                          lambda x: isinstance(x, Real) and math.isfinite(x), where))
 
 
 def check_within(*columns, where: str = "") -> None:
@@ -91,23 +96,28 @@ def check_within(*columns, where: str = "") -> None:
                               f"got {value!r}", row=k if ndim else None)
 
 
-def require_positive(**values: float) -> None:
-    """A ValidationError naming the first keyword whose value is not a finite
-    number > 0 (NaN and infinity included)."""
-    for name, value in values.items():
-        if not (math.isfinite(value) and value > 0):
-            raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+def _keyword_rule(rule: str, holds):
+    """A check that refuses the first keyword argument failing ``holds``."""
+    def check(**values) -> None:
+        for name, value in values.items():
+            _require(name, value, rule, holds, show=reprlib.repr)
+    return check
+
+
+# NaN and infinity fail the first two; a long value is shortened, as a seed's is
+require_positive = _keyword_rule("positive and finite", lambda x: math.isfinite(x) and x > 0)
+require_non_negative = _keyword_rule("non-negative and finite",
+                                     lambda x: math.isfinite(x) and x >= 0)
+require_positive_int = _keyword_rule("a positive integer",
+                                     lambda x: isinstance(x, Integral) and x >= 1)
 
 
 def seed_value(value, where: str = "") -> int:
-    """``value`` if it is a non-negative integer, not a bool (numpy integers
-    pass), else a ValidationError of the form ``<where>: seed must be ...``;
-    an empty ``where`` adds no prefix.  The message shortens a long value
-    (``reprlib.repr``): a --seed may have hundreds of digits."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValidationError(f"{_prefix(where)}seed must be a non-negative integer, "
-                              f"got {reprlib.repr(value)}")
-    return value
+    """``value`` if it is a non-negative integer, not a bool, else a
+    ValidationError of the form ``<where>: seed must be ...``, its value
+    shortened (``reprlib.repr``): a --seed may have hundreds of digits."""
+    return _require("seed", value, "a non-negative integer",
+                    lambda x: isinstance(x, Integral) and x >= 0, where, reprlib.repr)
 
 
 def json_fields(where: str, raw, required: tuple, optional: tuple = ()) -> dict:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (FitError, ValidationError, blamed, check_within, finite_number,
-                     json_fields)
+                     json_fields, require_positive)
 from .fileio import read_json, write_table
 from .ikd import correct
 from .mlp import MlpParams
@@ -148,8 +148,7 @@ class Rect:
 
     def __post_init__(self):
         check_within(*((k, getattr(self, k), COURSE_DOMAIN) for k in ("cx", "cy", "w", "h")))
-        if self.w <= 0 or self.h <= 0:
-            raise ValidationError("rectangle extents must be positive")
+        require_positive(w=self.w, h=self.h)
 
     def corners(self) -> np.ndarray:
         """The four corners as (x, y) rows, in boundary order from (-w/2, -h/2)."""
@@ -209,11 +208,10 @@ class DriftScenario:
                        for key in ("gap_width", "car_width", "car_length")))
         x, y = np.array(self.cones).reshape(-1, 2).T
         check_within(("x", x, COURSE_DOMAIN), ("y", y, COURSE_DOMAIN))
+        require_positive(car_width=self.car_width, car_length=self.car_length)
         if self.gap_width < self.car_width:
             raise ValidationError(
                 f"gap {self.gap_width} m narrower than the car ({self.car_width} m)")
-        if self.car_length <= 0:
-            raise ValidationError("car_length must be positive")
 
     @classmethod
     def from_json(cls, path: str) -> "DriftScenario":

@@ -21,13 +21,13 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .align import AlignedDataset
 from .errors import (ParseError, ValidationError, blamed, check_within, finite_number,
+                     require_non_negative, require_positive, require_positive_int,
                      seed_value)
 from .fileio import read_json, write_json, write_table
 from .simcore import SPEED_DOMAIN, YAW_RATE_DOMAIN, _MAX_LEN
@@ -117,16 +117,13 @@ class TrainConfig:
     split_fraction: float = 0.1  # fraction of rows held out for the test split
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        require_positive_int(batch_size=self.batch_size, epochs=self.epochs)
         seed_value(self.seed)
         for name in ("lr", "weight_decay", "beta1", "beta2", "eps_adam",
                      "split_fraction"):
             finite_number(name, getattr(self, name))
         for name in ("batch_size", "epochs"):   # lengths of arrays train allocates
-            if not 1 <= getattr(self, name) <= _MAX_LEN:
+            if getattr(self, name) > _MAX_LEN:
                 raise ValidationError(f"{name} must be in [1, {_MAX_LEN}]")
         try:   # train's loss curve: a train and a test MSE per epoch
             np.empty(2 * self.epochs)
@@ -134,15 +131,11 @@ class TrainConfig:
             raise ValidationError(
                 f"epochs {self.epochs} needs {16 * self.epochs:.3g} bytes of loss "
                 f"curve, more than can be allocated") from None
-        if self.lr <= 0.0:
-            raise ValidationError("lr must be positive")
-        if self.weight_decay < 0.0:
-            raise ValidationError("weight_decay must be >= 0")
+        require_positive(lr=self.lr, eps_adam=self.eps_adam)
+        require_non_negative(weight_decay=self.weight_decay)
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValidationError(f"{name} must be in [0, 1)")
-        if self.eps_adam <= 0.0:
-            raise ValidationError("eps_adam must be positive")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValidationError("split_fraction must be in (0, 1)")
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, check_within, require_positive
+from .errors import (ParseError, ValidationError, check_within, require_positive,
+                     require_positive_int)
 from .fileio import read_record
 from .ikd import correct_batch
 from .mlp import MlpParams
@@ -73,8 +74,7 @@ def execute_replay(buf: CommandBuffer, p: SlipParams,
     way each time.  Returns the ground-truth trace.
     """
     require_positive(rate=rate, duration=duration, dt=dt)
-    if stride < 1:
-        raise ValidationError("stride must be >= 1")
+    require_positive_int(stride=stride)
 
     n = sample_count("duration", duration / dt)
     ticks = np.floor(np.arange(n) * dt * rate + 1e-9)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import datalog   # as a module: datalog reads the domains below
 from .errors import (FINITE, ValidationError, blamed, check_within, finite_number,
-                     json_fields, require_positive, seed_value)
+                     json_fields, require_non_negative, require_positive, seed_value)
 from .fileio import read_json
 
 # Plant-wide limits observed on the real vehicle class this emulates.
@@ -140,8 +140,8 @@ class SlipParams:
                      ("lag_tau", self.lag_tau, LAG_TAU_DOMAIN),
                      ("imu_delay", self.imu_delay, FINITE),
                      ("noise_sigma", self.noise_sigma, NOISE_SIGMA_DOMAIN))
-        if min(self.beta, self.lag_tau, self.imu_delay, self.noise_sigma) < 0:
-            raise ValidationError("SlipParams fields must be non-negative")
+        require_non_negative(beta=self.beta, lag_tau=self.lag_tau, imu_delay=self.imu_delay,
+                             noise_sigma=self.noise_sigma)
         seed_value(self.seed)
 
     @classmethod
@@ -251,8 +251,7 @@ class SimTrace:
         first = np.asarray(self.command_first)
         first = first if first.size else first.astype(np.intp)   # [] reads as float64
         object.__setattr__(self, "command_first", first)
-        if self.dt <= 0:
-            raise ValidationError("trace dt must be positive")
+        require_positive(dt=self.dt)
         if self.x.ndim != 1 or self.x.size == 0 or \
                 any(getattr(self, name).shape != self.x.shape for name in _STATE_CHANNELS):
             raise ValidationError("state channels must be 1-D of equal, nonzero length")
@@ -473,10 +472,8 @@ def _sample_logs(n: int, dt: float, p: SlipParams, joy_rate: float, imu_rate: fl
     """
     if n == 0:
         raise ValidationError(EMPTY_TRACE)
-    if not (joy_rate > 0 and imu_rate > 0):   # NaN fails too
-        raise ValidationError("sensor rates must be positive")
-    if not pad >= 0:
-        raise ValidationError("pad must be non-negative")
+    require_positive(joy_rate=joy_rate, imu_rate=imu_rate)
+    require_non_negative(pad=pad)
 
     duration = n * dt
     total = duration + 2.0 * pad

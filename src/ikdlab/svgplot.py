@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_within
 
 WIDTH, HEIGHT = 640.0, 480.0
 MARGIN = 56.0
@@ -37,12 +37,14 @@ def _scale(vals, lo, hi, p_lo, p_hi):
 
 
 def _bounds(xs, ys) -> tuple[float, float, float, float]:
-    """(x_lo, x_hi, y_lo, y_hi) over the lists of arrays ``xs`` and ``ys``."""
+    """(x_lo, x_hi, y_lo, y_hi) of the arrays ``xs`` and ``ys``, all within +-MAX_VALUE."""
     all_x = np.concatenate([np.asarray(x, dtype=float) for x in xs])
     all_y = np.concatenate([np.asarray(y, dtype=float) for y in ys])
     if all_x.size == 0:
         raise ValidationError("series are empty")
-    return float(all_x.min()), float(all_x.max()), float(all_y.min()), float(all_y.max())
+    bounds = float(all_x.min()), float(all_x.max()), float(all_y.min()), float(all_y.max())
+    check_within(*zip("xxyy", bounds, [MAX_VALUE] * 4))
+    return bounds
 
 
 def _chart(path: str, title: str, series, bounds, xlabel: str, ylabel: str,
@@ -106,8 +108,8 @@ def svg_line_chart(series, path: str, title: str = "",
 
 def svg_bar_chart(counts, vrange, path: str, title: str = "",
                   xlabel: str = "value") -> None:
-    """Histogram bars over [lo, hi] with equal-width bins; a negative or NaN
-    count is a ValidationError whose ``row`` is its bar."""
+    """Histogram bars over [lo, hi] with equal-width bins; a count that is
+    negative, NaN or past MAX_VALUE is a ValidationError whose ``row`` is its bar."""
     counts = np.asarray(counts, dtype=float)
     if counts.size == 0:
         raise ValidationError("need at least one bin")
@@ -115,6 +117,7 @@ def svg_bar_chart(counts, vrange, path: str, title: str = "",
     if not drawable.all():
         k = int(np.argmin(drawable))
         raise ValidationError(f"count must be >= 0, got {float(counts[k])!r}", row=k)
+    check_within(("count", counts, MAX_VALUE))
     lo, hi = vrange
     y_hi = float(counts.max()) if counts.max() > 0 else 1.0
     bar_w = (WIDTH - 2 * MARGIN) / counts.size

@@ -323,6 +323,10 @@ def test_histogram_conserves_counts():
         assert counts.sum() == n
     with pytest.raises(ValidationError):
         histogram([1.0], bins=0, vrange=(0.0, 1.0))
+    for bins in (2.5, True):   # once a TypeError and a one-bin histogram
+        with pytest.raises(ValidationError,
+                           match=f"^bins must be a positive integer, got {bins!r}$"):
+            histogram([1.0], bins=bins, vrange=(0.0, 1.0))
     with pytest.raises(ValidationError):
         histogram([1.0], bins=2, vrange=(1.0, 1.0))
 

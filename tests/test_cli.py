@@ -241,7 +241,8 @@ def test_delay_search_past_the_index_range_exits_1_naming_it(workdir, capsys):
     capsys.readouterr()
     assert main(["align", "--config", "cfg.json", "--out", "run"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: search gives 1e+19 samples, ") and err.count("\n") == 1
+    assert err.startswith("error: cfg.json: search gives 1e+19 samples, ") \
+        and err.count("\n") == 1
 
 
 def test_out_path_that_is_a_file_exits_1_naming_it(workdir, capsys):
@@ -266,7 +267,7 @@ def test_config_validation(workdir):
     ({"seed": 0, "train": {"epochz": 3}}, ValidationError,
      r"bad\.json: train: unknown fields \['epochz'\]"),
     ({"seed": 0, "train": {"epochs": "2"}}, ValidationError,
-     r"bad\.json: train: epochs must be an integer"),
+     r"bad\.json: train: epochs must be a positive integer, got '2'"),
     ({"seed": 0, "train": {"lr": -1}}, ValidationError,
      r"bad\.json: train: lr must be positive"),
     ({"seed": 0, "train": [3]}, ValidationError,
@@ -303,7 +304,7 @@ def test_bad_train_section_names_file_and_key(workdir, capsys, raw, error, match
     ({"seed": 0, "delay_step": 0}, r"bad\.json: delay_step must be positive"),
     ({"seed": 0, "delay_step": None},
      r"bad\.json: delay_step must be a finite number, got None"),
-    ({"seed": 0, "pad": -1.0}, r"bad\.json: pad must be >= 0"),
+    ({"seed": 0, "pad": -1.0}, r"bad\.json: pad must be non-negative and finite, got -1\.0"),
     ({"seed": 0, "pad": "1"}, r"bad\.json: pad must be a finite number"),
     # never 0, 1 or 2: open() takes an integer as a file descriptor, and those
     # are this process's own standard streams
@@ -944,7 +945,7 @@ def test_plot_fails_closed_on_bad_tables(workdir, capsys, flag, text, err):
       "gap_width": 2.0}, r"course\.json: boxes\[0\]: unknown fields \['d'\]"),
     ({"boxes": [{"cx": 0, "cy": 0, "w": 1, "h": 1}, {"cx": 0, "cy": 0, "w": 0, "h": 1}],
       "cones": [], "gap_width": 2.0},
-     r"course\.json: boxes\[1\]: rectangle extents must be positive"),
+     r"course\.json: boxes\[1\]: w must be positive and finite, got 0\.0"),
     ({"boxes": [], "cones": [[1.0]], "gap_width": 2.0},
      r"course\.json: cones\[0\]: must be an \[x, y\] pair"),
     ({"boxes": [], "cones": [[1.0, None]], "gap_width": 2.0},
@@ -954,7 +955,9 @@ def test_plot_fails_closed_on_bad_tables(workdir, capsys, flag, text, err):
     ({"boxes": [], "cones": [], "gap_width": 0.1},
      r"course\.json: gap 0\.1 m narrower than the car"),
     ({"boxes": [], "cones": [], "gap_width": 2.0, "car_length": 0.0},
-     r"course\.json: car_length must be positive$"),
+     r"course\.json: car_length must be positive and finite, got 0\.0$"),
+    ({"boxes": [], "cones": [], "gap_width": 2.0, "car_width": -0.5},
+     r"course\.json: car_width must be positive and finite, got -0\.5$"),
 ])
 def test_bad_scenario_file_names_file_and_field(workdir, capsys, course, match):
     with open("course.json", "w", encoding="utf-8") as fh:
@@ -965,7 +968,8 @@ def test_bad_scenario_file_names_file_and_field(workdir, capsys, course, match):
         json.dump({"seed": 0, "scenario_file": "course.json"}, fh)
     assert main(["eval-drift", "--config", "cfg.json", "--out", "run",
                  "--duration", "1"]) == 1
-    assert re.match("error: " + match, capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert re.match("error: " + match, err) and err.count("\n") == 1
 
 
 LONG_INT = 10 ** 400   # a JSON integer that no float can hold

@@ -300,8 +300,14 @@ def straight_trace(y: float, length: float = 4.0, x0: float = -1.0,
 def test_scenario_validation_and_json(tmp_path):
     with pytest.raises(ValidationError):
         DriftScenario(boxes=(), cones=(), gap_width=0.3)
-    with pytest.raises(ValidationError, match="^car_length must be positive$"):
+    with pytest.raises(ValidationError,
+                       match=r"^car_length must be positive and finite, got 0\.0$"):
         DriftScenario(boxes=(), cones=(), gap_width=1.0, car_length=0.0)
+    # a negative width once passed the gap check and scored a wider clearance
+    for car_width, shown in ((0.0, r"0\.0"), (-0.5, r"-0\.5")):
+        with pytest.raises(ValidationError,
+                           match=rf"^car_width must be positive and finite, got {shown}$"):
+            DriftScenario(boxes=(), cones=(), gap_width=2.0, car_width=car_width)
     sc = gate_scenario()
     path = str(tmp_path / "scenario.json")
     write_dataclass_json(path, sc)

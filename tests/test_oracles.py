@@ -72,7 +72,8 @@ from ikdlab.simcore import (DEFAULT_DT, EPS_V, V_CAP, YAW_RATE_DOMAIN, ControlSc
                             SlipParams, VehicleState, _integrate, _least_step,
                             _script_runs, emit_sensor_logs, normalize_heading,
                             record_logs, run_scenario, sample_count, slip_yaw_rate)
-from ikdlab.errors import InsufficientOverlapError, ParseError, ValidationError
+from ikdlab.errors import (InsufficientOverlapError, ParseError, ValidationError,
+                           require_non_negative, require_positive)
 
 from conftest import (FloatRect, build_gain_model, make_script,
                       point_rect_signed_distance, rect_local, rect_rect_signed_distance,
@@ -618,14 +619,12 @@ def reference_emit_sensor_logs(trace: SimTrace, p: SlipParams, joy_rate: float =
     members deleted since, ``duration`` (``len(trace) * trace.dt``) and
     ``av_commanded()`` (``cmd_v * cmd_c``), for the per-step commands
     ``cmd_v, cmd_c``, which the trace's command table now gives
-    (step_commands), and for the rate and pad checks, written so that NaN
-    fails them as it fails simcore's."""
+    (step_commands), and for the rate and pad checks, which are simcore's
+    rules from errors, so that each value is refused with simcore's message."""
     if len(trace) == 0:
         raise ValidationError("cannot emit logs from an empty trace")
-    if not (joy_rate > 0 and imu_rate > 0):
-        raise ValidationError("sensor rates must be positive")
-    if not pad >= 0:
-        raise ValidationError("pad must be non-negative")
+    require_positive(joy_rate=joy_rate, imu_rate=imu_rate)
+    require_non_negative(pad=pad)
 
     duration = len(trace) * trace.dt
     total = duration + 2.0 * pad

@@ -213,6 +213,10 @@ def test_replay_argument_validation():
         execute_replay(buf, p, duration=0.0)
     with pytest.raises(ValidationError):
         execute_replay(buf, p, stride=0)
+    for stride in (1.5, True):   # 1.5 once ended in numpy's IndexError
+        with pytest.raises(ValidationError,
+                           match=f"^stride must be a positive integer, got {stride!r}$"):
+            execute_replay(buf, p, stride=stride)
 
 
 @pytest.mark.parametrize("arg", ["rate", "duration", "dt"])

@@ -90,7 +90,7 @@ def test_slip_params_json_rejects_unknown_keys(tmp_path):
     ('{"noise_sigma": true}', ValidationError,
      r"slip\.json: noise_sigma must be a finite number"),
     ('{"imu_delay": -0.1}', ValidationError,
-     r"slip\.json: SlipParams fields must be non-negative"),
+     r"slip\.json: imu_delay must be non-negative and finite, got -0\.1$"),
     ('{"seed": 1.5}', ValidationError, r"slip\.json: seed must be a non-negative integer"),
     ('[0.02]', ValidationError, r"slip\.json: must be a JSON object, got \[0\.02\]"),
     ('{"beta": 0.02,', ParseError, r"slip\.json: not valid JSON"),
@@ -351,9 +351,12 @@ def test_trace_refuses_state_channels_of_unequal_length():
 
 
 def test_trace_refuses_a_step_that_is_not_positive():
+    # a NaN step once passed, and every timestamp read NaN
     zeros = np.zeros(101)
-    with pytest.raises(ValidationError, match="^trace dt must be positive$"):
-        SimTrace(0.0, zeros, zeros, zeros, zeros, zeros, zeros, [0], [1.0], [0.1])
+    for dt, shown in ((0.0, r"0\.0"), (float("nan"), "nan"), (float("inf"), "inf")):
+        with pytest.raises(ValidationError,
+                           match=rf"^dt must be positive and finite, got {shown}$"):
+            SimTrace(dt, zeros, zeros, zeros, zeros, zeros, zeros, [0], [1.0], [0.1])
 
 
 def test_a_zero_speed_keeps_its_sign_in_both_recorders():
@@ -436,9 +439,12 @@ def test_emit_rejects_empty_trace_and_bad_rates():
     for emit in (lambda **kw: emit_sensor_logs(trace, SlipParams(), **kw),
                  lambda **kw: record_logs(script, SlipParams(), 2.0, **kw)):
         for rate in ("joy_rate", "imu_rate"):
-            with pytest.raises(ValidationError, match="^sensor rates must be positive$"):
-                emit(**{rate: nan})
-        with pytest.raises(ValidationError, match="^pad must be non-negative$"):
+            for value in (nan, float("inf")):
+                with pytest.raises(ValidationError,
+                                   match=f"^{rate} must be positive and finite, got {value}$"):
+                    emit(**{rate: value})
+        with pytest.raises(ValidationError,
+                           match="^pad must be non-negative and finite, got nan$"):
             emit(pad=nan)
 
 

@@ -67,6 +67,29 @@ def test_bar_chart_refuses_a_negative_count_naming_its_bar(tmp_path, counts, sho
     assert not path.exists()
 
 
+def test_bar_chart_refuses_a_count_it_cannot_scale_naming_its_bar(tmp_path):
+    path = tmp_path / "inf.svg"
+    for counts, shown in (([1.0, float("inf")], "inf"), ([1.0, 1e308], r"1e\+308")):
+        with pytest.raises(ValidationError,
+                           match=rf"^count must be within \+-1e\+305, got {shown}$") as exc:
+            svg_bar_chart(counts, (0.0, 2.0), str(path))
+        assert exc.value.row == 1
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("series, match", [
+    ([("s", [0.0, 1.0], [1.0, float("inf")])], r"^y must be within \+-1e\+305, got inf$"),
+    ([("s", [0.0, 1.0], [-1e308, 1e308])], r"^y must be within \+-1e\+305, got -1e\+308$"),
+    ([("s", [0.0, float("nan")], [0.0, 1.0])], r"^x must be within \+-1e\+305, got nan$"),
+], ids=["inf-y", "far-y", "nan-x"])
+def test_line_chart_refuses_values_it_cannot_scale(tmp_path, series, match):
+    # such values once drew nan coordinates, with a numpy RuntimeWarning
+    path = tmp_path / "far.svg"
+    with pytest.raises(ValidationError, match=match):
+        svg_line_chart(series, str(path))
+    assert not path.exists()
+
+
 def test_bar_chart_all_zero_counts(tmp_path):
     path = str(tmp_path / "zeros.svg")
     svg_bar_chart([0.0, 0.0], (0.0, 1.0), path)
