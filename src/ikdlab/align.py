@@ -8,7 +8,6 @@ statistics.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ import numpy as np
 
 from .datalog import ImuLog, JoyLog
 from .errors import (CorruptLogError, InsufficientOverlapError, ValidationError,
-                     check_within, require_positive, require_positive_int)
+                     check_within, range_pair, require_positive, require_positive_int)
 from .fileio import read_record, write_table
 from .simcore import (AV_LIMIT, DEFAULT_LOG_RATE, SPEED_DOMAIN, YAW_RATE_DOMAIN,
                       _MAX_LEN, c_from_av_v, sample_count)
@@ -122,13 +121,9 @@ def _scan_workers() -> int:
 
 def _delay_grid(joy: JoyLog, imu: ImuLog, search: tuple[float, float], step: float):
     """The candidate delays of a scan, each one's joystick window i0:i1 (a
-    slice, as timestamps are strictly increasing), and the indices of the
-    candidates kept: those leaving at least MIN_OVERLAP seconds of overlap."""
-    lo, hi = search
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValidationError(f"search must be finite, got {search!r}")
-    if not lo < hi:
-        raise ValidationError("search range must satisfy lo < hi")
+    slice, as timestamps increase), and the indices of the candidates kept:
+    those leaving at least MIN_OVERLAP seconds of overlap."""
+    lo, hi = range_pair("search", search)
     require_positive(step=step)
     n = sample_count("search", (hi - lo) / step) + 1
     delays = lo + np.arange(n) * step
@@ -318,10 +313,8 @@ def histogram(values, bins: int, vrange: tuple[float, float]) -> np.ndarray:
 
     Total count always equals len(values).
     """
-    lo, hi = vrange
     require_positive_int(bins=bins)
-    if not lo < hi:
-        raise ValidationError("range must satisfy lo < hi")
+    lo, hi = range_pair("vrange", vrange)
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return np.zeros(bins, dtype=int)
@@ -355,7 +348,7 @@ def read_dataset_csv(path: str) -> AlignedDataset:
 
 def write_histogram_csv(counts: np.ndarray, vrange: tuple[float, float],
                         path: str) -> None:
-    lo, hi = vrange
+    lo, hi = range_pair("vrange", vrange)
     edges = lo + np.arange(len(counts) + 1) * ((hi - lo) / len(counts))
     write_table(path, HIST_HEADER, (edges[:-1], edges[1:], np.asarray(counts).astype(int)))
 

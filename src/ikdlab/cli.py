@@ -24,7 +24,7 @@ from . import align as align_mod
 from . import datalog, evalkit, ikd, mlp, replay as replay_mod, scenarios, svgplot
 from .errors import (CorruptLogError, IkdError, InsufficientOverlapError, ParseError,
                      ValidationError, blamed, check_within, finite_number, json_fields,
-                     require_non_negative, require_positive, seed_value)
+                     range_pair, require_non_negative, require_positive, seed_value)
 from .fileio import read_json, read_record, write_json, write_table
 from .simcore import (DEFAULT_DT, DEFAULT_LOG_RATE, DEFAULT_PAD, EMPTY_TRACE,
                       ControlScript, SimTrace, SlipParams, record_logs, sample_count)
@@ -72,15 +72,7 @@ class PipelineConfig:
         # Only the keys present are passed: absent ones keep the field defaults.
         given = {}
         if "delay_search" in raw:
-            search = raw["delay_search"]
-            if not isinstance(search, list) or len(search) != 2:
-                raise ValidationError(
-                    f"{path}: delay_search must be a [lo, hi] pair, got {search!r}")
-            lo, hi = (finite_number("delay_search", v, where=path) for v in search)
-            if not lo < hi:
-                raise ValidationError(f"{path}: delay_search must satisfy lo < hi, "
-                                      f"got {search!r}")
-            given["delay_search"] = (lo, hi)
+            given["delay_search"] = range_pair("delay_search", raw["delay_search"], path)
         for key in ("joy", "imu", "replay"):
             if key in rates:
                 given[f"{key}_hz"] = _number(path, f"rates: {key}", rates[key])
@@ -343,11 +335,9 @@ def _plot_rows(path: str, header: str, count: str | None = None):
     def build(rows):
         if len(rows) == 0:
             raise ParseError(f"{path}: no rows after the header")
-        check_within(*((name, rows[:, j], svgplot.MAX_VALUE)
-                       for j, name in enumerate(names)), where="cannot plot")
-        for k, n in enumerate(rows[:, names.index(count)].tolist() if count else ()):
-            if n < 0:
-                raise ValidationError(f"cannot plot: {count} must be >= 0, got {n!r}", row=k)
+        check_within(*((name, rows[:, j], (0.0, svgplot.MAX_VALUE) if name == count
+                        else svgplot.MAX_VALUE) for j, name in enumerate(names)),
+                     where="cannot plot")
         return rows
     return read_record(path, header, build)
 
@@ -362,8 +352,10 @@ def cmd_plot(args, cfg, out):
             ylabel="mse")))
     if args.hist:
         rows = _plot_rows(args.hist, align_mod.HIST_HEADER, count="count")
+        with blamed(lambda exc: f"{args.hist}: cannot plot"):   # before a chart is written
+            vrange = range_pair("bin range", (float(rows[0, 0]), float(rows[-1, 1])))
         files.append(("plots/vel_hist.svg", partial(
-            svgplot.svg_bar_chart, rows[:, 2], (rows[0, 0], rows[-1, 1]),
+            svgplot.svg_bar_chart, rows[:, 2], vrange,
             title="velocity histogram", xlabel="v [m/s]")))
     if args.delay_scan:
         delay, objective = _plot_rows(args.delay_scan, align_mod.DELAY_SCAN_HEADER).T

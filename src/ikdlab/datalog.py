@@ -12,24 +12,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simcore   # as a module: simcore builds these logs
-from .errors import FINITE, CorruptLogError, ValidationError, check_within
+from .errors import FINITE, CorruptLogError, ValidationError, check_increasing, check_within
 from .fileio import read_record, write_table
 
 DEFAULT_IDLE_EPS = 1e-3
 
 
 def _check_stream(name: str, t: np.ndarray, *channels) -> None:
-    """Check a log: ``t`` finite and strictly increasing, and each channel, a
-    (name, values, limit) triple, as long as ``t`` and inside its domain."""
+    """Check a log: ``t`` finite and past the row before at every row, and each
+    channel, a (name, values, limit) triple, as long as ``t`` and inside its domain."""
     if t.ndim != 1:
         raise ValidationError(f"{name}: t must be 1-D")
     for _, ch, _ in channels:
         if ch.shape != t.shape:
             raise ValidationError(f"{name}: channel shape {ch.shape} != t shape {t.shape}")
     check_within(("t", t, FINITE), *channels, where=name)
-    if t.size > 1 and not np.all(np.diff(t) > 0):
-        raise ValidationError(f"{name}: t must be strictly increasing",
-                              row=int(np.argmin(np.diff(t) > 0)) + 1)
+    check_increasing("t", t, where=name)
 
 
 @dataclass(frozen=True)

@@ -53,47 +53,73 @@ def blamed(blame):
         raise type(exc)(f"{who}: {exc}") from None
 
 
-def _prefix(where: str) -> str:
-    return f"{where}: " if where else ""
+def _refuse(where: str, name: str, rule: str, shown: str, row: int | None = None):
+    """Raise the ValidationError of every rule: ``<where>: <name> must be
+    <rule>, got <shown>``, without ``<where>: `` when ``where`` is empty."""
+    where = f"{where}: " if where else ""
+    raise ValidationError(f"{where}{name} must be {rule}, got {shown}", row=row)
 
 
 def _require(name: str, value, rule: str, holds, where: str = "", show=repr):
-    """``value`` if ``holds(value)``, else a ValidationError worded ``<where>:
-    <name> must be <rule>, got <show(value)>``; a bool fails every rule, as does
-    a value ``holds`` cannot take (a string, an integer past the float range)."""
+    """``value`` if ``holds(value)``, else _refuse; a bool fails every rule, as
+    does a value ``holds`` cannot take (a string, an integer past the float range)."""
     try:
         ok = not isinstance(value, bool) and holds(value)
     except (TypeError, OverflowError):
         ok = False
     if not ok:
-        raise ValidationError(f"{_prefix(where)}{name} must be {rule}, got {show(value)}")
+        _refuse(where, name, rule, show(value))
     return value
+
+
+def _finite(x) -> bool:
+    """Whether ``x`` is a finite real number, not a bool (or else OverflowError)."""
+    return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def finite_number(key: str, value, where: str = "") -> float:
     """``value`` as a float if it is a finite real number, not a bool (an
     integer past the float range is not finite), else a ValidationError of
     the form ``<where>: <key> must be a finite number``."""
-    return float(_require(key, value, "a finite number",
-                          lambda x: isinstance(x, Real) and math.isfinite(x), where))
+    return float(_require(key, value, "a finite number", _finite, where))
+
+
+def range_pair(name: str, value, where: str = "") -> tuple[float, float]:
+    """``value`` as a (lo, hi) pair of floats if it holds two finite numbers, not
+    bools, with lo < hi, else a ValidationError naming the first rule it breaks."""
+    for rule, holds in (("a [lo, hi] pair", lambda p: len(p) == 2),
+                        ("finite", lambda p: all(map(_finite, p))),
+                        ("a [lo, hi] pair with lo < hi", lambda p: p[0] < p[1])):
+        _require(name, value, rule, holds, where, reprlib.repr)
+    return float(value[0]), float(value[1])
 
 
 def check_within(*columns, where: str = "") -> None:
     """A ValidationError at the first row outside a column's domain: columns
     are (name, values, limit) triples, values one per row (the error's
-    ``row``) or a scalar.  ``abs(value) <= limit`` is false for NaN and the
-    infinities too; FINITE admits every finite float.  One column at a time."""
+    ``row``) or a scalar, and limit a bound on abs(value) or a closed
+    (lo, hi) pair.  NaN and the infinities are in no domain; FINITE admits
+    every finite float.  One column at a time."""
     bad = []
     for name, values, limit in columns:
-        inside = np.abs(values) <= limit
+        lo, hi = limit if isinstance(limit, tuple) else (-limit, limit)
+        inside = np.abs(values) <= hi if lo == -hi else (values >= lo) & (values <= hi)
         if not inside.all():
             k = int(np.argmin(inside))
-            bad.append((k, name, float(np.ravel(values)[k]), limit, np.ndim(values)))
+            domain = (f"within [{lo:g}, {hi:g}]" if lo != -hi else "finite" if hi == FINITE
+                      else f"within +-{hi:g}")
+            bad.append((k, name, domain, float(np.ravel(values)[k]), np.ndim(values)))
     if bad:   # the first row, and in it the first column
-        k, name, value, limit, ndim = min(bad, key=lambda b: b[0])
-        domain = "finite" if limit == FINITE else f"within +-{limit:g}"
-        raise ValidationError(f"{_prefix(where)}{name} must be {domain}, "
-                              f"got {value!r}", row=k if ndim else None)
+        k, name, domain, value, ndim = min(bad, key=lambda b: b[0])
+        _refuse(where, name, domain, repr(value), k if ndim else None)
+
+
+def check_increasing(name: str, values: np.ndarray, where: str = "") -> None:
+    """A ValidationError at the first row of the 1-D array ``values`` not above
+    the row before it (the error's ``row``); NaN is above nothing, nothing above it."""
+    if not (rising := values[1:] > values[:-1]).all():
+        k = int(np.argmin(rising)) + 1
+        _refuse(where, name, "strictly increasing", repr(float(values[k])), k)
 
 
 def _keyword_rule(rule: str, holds):
@@ -105,11 +131,22 @@ def _keyword_rule(rule: str, holds):
 
 
 # NaN and infinity fail the first two; a long value is shortened, as a seed's is
-require_positive = _keyword_rule("positive and finite", lambda x: math.isfinite(x) and x > 0)
+require_positive = _keyword_rule("positive and finite", lambda x: _finite(x) and x > 0)
 require_non_negative = _keyword_rule("non-negative and finite",
-                                     lambda x: math.isfinite(x) and x >= 0)
+                                     lambda x: _finite(x) and x >= 0)
 require_positive_int = _keyword_rule("a positive integer",
                                      lambda x: isinstance(x, Integral) and x >= 1)
+
+
+def interval_rule(lo, hi, ends: str = "[]", integer: bool = False):
+    """A check refusing the first keyword argument that is not a number (an
+    integer, if ``integer``) from lo to hi, each end closed ("[", "]") or
+    open ("(", ")") as ``ends`` says; NaN is in no interval."""
+    left, right = ends
+    return _keyword_rule(
+        f"{'an integer ' if integer else ''}in {left}{lo}, {hi}{right}",
+        lambda x: isinstance(x, Integral if integer else Real)
+        and (lo <= x if left == "[" else lo < x) and (x <= hi if right == "]" else x < hi))
 
 
 def seed_value(value, where: str = "") -> int:
@@ -124,7 +161,7 @@ def json_fields(where: str, raw, required: tuple, optional: tuple = ()) -> dict:
     """``raw`` if it is a JSON object holding every ``required`` key and no key
     outside required + optional, else a ValidationError naming ``where``."""
     if not isinstance(raw, dict):
-        raise ValidationError(f"{where}: must be a JSON object, got {raw!r}")
+        raise ValidationError(f"{where}: must be a JSON object, got {reprlib.repr(raw)}")
     unknown = set(raw) - set(required) - set(optional)
     if unknown:
         raise ValidationError(f"{where}: unknown fields {sorted(unknown)}")

@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .align import AlignedDataset
-from .errors import (ParseError, ValidationError, blamed, check_within, finite_number,
-                     require_non_negative, require_positive, require_positive_int,
-                     seed_value)
+from .errors import (ParseError, ValidationError, blamed, check_within, interval_rule,
+                     json_fields, require_non_negative, require_positive, seed_value)
 from .fileio import read_json, write_json, write_table
 from .simcore import SPEED_DOMAIN, YAW_RATE_DOMAIN, _MAX_LEN
 
@@ -117,14 +116,9 @@ class TrainConfig:
     split_fraction: float = 0.1  # fraction of rows held out for the test split
 
     def __post_init__(self):
-        require_positive_int(batch_size=self.batch_size, epochs=self.epochs)
+        interval_rule(1, _MAX_LEN, integer=True)(   # lengths of arrays train allocates
+            batch_size=self.batch_size, epochs=self.epochs)
         seed_value(self.seed)
-        for name in ("lr", "weight_decay", "beta1", "beta2", "eps_adam",
-                     "split_fraction"):
-            finite_number(name, getattr(self, name))
-        for name in ("batch_size", "epochs"):   # lengths of arrays train allocates
-            if getattr(self, name) > _MAX_LEN:
-                raise ValidationError(f"{name} must be in [1, {_MAX_LEN}]")
         try:   # train's loss curve: a train and a test MSE per epoch
             np.empty(2 * self.epochs)
         except (MemoryError, ValueError):   # ValueError: past numpy's byte limit
@@ -133,11 +127,8 @@ class TrainConfig:
                 f"curve, more than can be allocated") from None
         require_positive(lr=self.lr, eps_adam=self.eps_adam)
         require_non_negative(weight_decay=self.weight_decay)
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValidationError(f"{name} must be in [0, 1)")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ValidationError("split_fraction must be in (0, 1)")
+        interval_rule(0, 1, "[)")(beta1=self.beta1, beta2=self.beta2)
+        interval_rule(0, 1, "()")(split_fraction=self.split_fraction)
 
 
 @dataclass
@@ -391,23 +382,16 @@ def _numbers_only(value) -> bool:
 
 
 def load_model(path: str) -> MlpParams:
-    raw = read_json(path)
-    if not isinstance(raw, dict) or "version" not in raw:
-        raise ParseError(f"{path}: missing version field")
+    raw = json_fields(path, read_json(path), ("version", "layer_sizes", "weights"))
     if raw["version"] != MODEL_VERSION:
         raise ValidationError(
             f"{path}: model version {raw['version']!r}, expected {MODEL_VERSION}")
-    if raw.get("layer_sizes") != list(LAYER_SIZES):
+    if raw["layer_sizes"] != list(LAYER_SIZES):
         raise ValidationError(
-            f"{path}: layer sizes {raw.get('layer_sizes')!r}, "
-            f"expected {list(LAYER_SIZES)}")
-    weights = raw.get("weights")
-    if not isinstance(weights, dict):
-        raise ParseError(f"{path}: missing weights table")
+            f"{path}: layer sizes {raw['layer_sizes']!r}, expected {list(LAYER_SIZES)}")
+    weights = json_fields(f"{path}: weights", raw["weights"], _FIELDS)
     vals = {}
     for name in _FIELDS:
-        if name not in weights:
-            raise ValidationError(f"{path}: missing tensor {name}")
         try:
             arr = np.asarray(weights[name], dtype=float)
         except (TypeError, ValueError, OverflowError):

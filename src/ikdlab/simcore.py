@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import datalog   # as a module: datalog reads the domains below
-from .errors import (FINITE, ValidationError, blamed, check_within, finite_number,
-                     json_fields, require_non_negative, require_positive, seed_value)
+from .errors import (FINITE, ValidationError, blamed, check_increasing, check_within,
+                     finite_number, json_fields, require_non_negative, require_positive,
+                     seed_value)
 from .fileio import read_json
 
 # Plant-wide limits observed on the real vehicle class this emulates.
@@ -75,8 +76,7 @@ def c_from_av_v(av, v):
     """
     av = np.asarray(av, dtype=float)
     v = np.asarray(v, dtype=float)
-    if not (np.all(np.isfinite(av)) and np.all(np.isfinite(v))):
-        raise ValidationError("av and v must be finite")
+    check_within(("av", av, FINITE), ("v", v, FINITE))
     c = np.divide(av, v, out=np.zeros(np.broadcast(av, v).shape),
                   where=np.abs(v) >= EPS_V)
     return c if c.ndim else float(c)
@@ -186,11 +186,10 @@ class ControlScript:
     def __post_init__(self):
         if not self.segments:
             raise ValidationError("ControlScript needs at least one segment")
-        check_within(("v", np.array([s.v for s in self.segments]), SPEED_DOMAIN),
-                     ("c", np.array([s.c for s in self.segments]), CURVATURE_DOMAIN))
-        starts = [s.t_start for s in self.segments]
-        if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ValidationError("segment t_start values must be strictly increasing")
+        t, v, c = np.array([(s.t_start, s.v, s.c) for s in self.segments], dtype=float).T
+        check_within(("t_start", t, FINITE), ("v", v, SPEED_DOMAIN),
+                     ("c", c, CURVATURE_DOMAIN))
+        check_increasing("t_start", t)
 
     @classmethod
     def constant(cls, v: float, c: float) -> "ControlScript":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError, check_within
+from .errors import ValidationError, check_within, range_pair
 
 WIDTH, HEIGHT = 640.0, 480.0
 MARGIN = 56.0
@@ -113,12 +113,8 @@ def svg_bar_chart(counts, vrange, path: str, title: str = "",
     counts = np.asarray(counts, dtype=float)
     if counts.size == 0:
         raise ValidationError("need at least one bin")
-    drawable = counts >= 0
-    if not drawable.all():
-        k = int(np.argmin(drawable))
-        raise ValidationError(f"count must be >= 0, got {float(counts[k])!r}", row=k)
-    check_within(("count", counts, MAX_VALUE))
-    lo, hi = vrange
+    check_within(("count", counts, (0.0, MAX_VALUE)))
+    lo, hi = range_pair("vrange", vrange)
     y_hi = float(counts.max()) if counts.max() > 0 else 1.0
     bar_w = (WIDTH - 2 * MARGIN) / counts.size
     heights = ((HEIGHT - 2 * MARGIN) * counts / y_hi).tolist()

@@ -1,6 +1,7 @@
 """Delay estimation, resampling, pruning, and histogram analytics."""
 
 import os
+import re
 import warnings
 
 import numpy as np
@@ -329,6 +330,24 @@ def test_histogram_conserves_counts():
             histogram([1.0], bins=bins, vrange=(0.0, 1.0))
     with pytest.raises(ValidationError):
         histogram([1.0], bins=2, vrange=(1.0, 1.0))
+
+
+RANGES = [((float("nan"), 1.0), "finite, got (nan, 1.0)"),
+          ((0.0, float("inf")), "finite, got (0.0, inf)"),
+          ((float("-inf"), 0.0), "finite, got (-inf, 0.0)"),
+          ((1.0, 1.0), "a [lo, hi] pair with lo < hi, got (1.0, 1.0)"),
+          ((2.0, 1.0), "a [lo, hi] pair with lo < hi, got (2.0, 1.0)")]
+
+
+@pytest.mark.parametrize("vrange, rule", RANGES)
+def test_histogram_and_its_table_refuse_a_range_that_is_not_finite_and_ordered(
+        tmp_path, vrange, rule):
+    path = tmp_path / "hist.csv"
+    with pytest.raises(ValidationError, match=rf"^vrange must be {re.escape(rule)}$"):
+        histogram([0.5, 2.0, 4.5], bins=4, vrange=vrange)
+    with pytest.raises(ValidationError, match=rf"^vrange must be {re.escape(rule)}$"):
+        align_mod.write_histogram_csv(np.array([1, 2, 0, 1]), vrange, str(path))
+    assert not path.exists()
 
 
 def test_velocity_histogram_from_simulated_sweep():

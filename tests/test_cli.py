@@ -3,11 +3,13 @@
 import json
 import os
 import re
+import reprlib
 import shutil
 import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,7 +66,7 @@ def test_pipeline_end_to_end(workdir, capsys):
     assert os.path.exists("run/reports/delay.json")
     assert os.path.exists("run/reports/delay_scan.csv")
     assert os.path.exists("run/reports/vel_hist.csv")
-    delay = json.load(open("run/reports/delay.json", encoding="utf-8"))
+    delay = json.loads(Path("run/reports/delay.json").read_text(encoding="utf-8"))
     assert set(delay) == {"delay", "objective", "in_range", "corrupt"}
     assert delay["in_range"] and not delay["corrupt"]
 
@@ -100,7 +102,7 @@ def test_pipeline_end_to_end(workdir, capsys):
     assert "uncorrected/loose" in out and "uncorrected/tight" in out
     assert os.path.exists("run/reports/drift_report.json")
     assert os.path.exists("run/plots/drift.svg")
-    drift = json.load(open("run/reports/drift_report.json", encoding="utf-8"))
+    drift = json.loads(Path("run/reports/drift_report.json").read_text(encoding="utf-8"))
     assert set(drift["uncorrected"]) == {"loose", "tight"}
 
     assert main(["plot", *base, "--loss", "run/reports/loss.csv",
@@ -117,15 +119,15 @@ def test_collect_is_seed_deterministic(workdir):
     for out in ("a", "b"):
         assert main(["collect", "--seed", "3", "--out", out,
                      "--script", "script.json", "--duration", "6.0"]) == 0
-    assert (open("a/logs/imu.csv", "rb").read()
-            == open("b/logs/imu.csv", "rb").read())
+    assert (Path("a/logs/imu.csv").read_bytes()
+            == Path("b/logs/imu.csv").read_bytes())
     assert main(["collect", "--seed", "4", "--out", "c",
                  "--script", "script.json", "--duration", "6.0"]) == 0
     # joystick rows are noise-free; the IMU noise follows the seed
-    assert (open("a/logs/joy.csv", "rb").read()
-            == open("c/logs/joy.csv", "rb").read())
-    assert (open("a/logs/imu.csv", "rb").read()
-            != open("c/logs/imu.csv", "rb").read())
+    assert (Path("a/logs/joy.csv").read_bytes()
+            == Path("c/logs/joy.csv").read_bytes())
+    assert (Path("a/logs/imu.csv").read_bytes()
+            != Path("c/logs/imu.csv").read_bytes())
 
 
 def test_error_paths_return_one(workdir, capsys):
@@ -267,7 +269,7 @@ def test_config_validation(workdir):
     ({"seed": 0, "train": {"epochz": 3}}, ValidationError,
      r"bad\.json: train: unknown fields \['epochz'\]"),
     ({"seed": 0, "train": {"epochs": "2"}}, ValidationError,
-     r"bad\.json: train: epochs must be a positive integer, got '2'"),
+     r"bad\.json: train: epochs must be an integer in \[1, \d+\], got '2'"),
     ({"seed": 0, "train": {"lr": -1}}, ValidationError,
      r"bad\.json: train: lr must be positive"),
     ({"seed": 0, "train": [3]}, ValidationError,
@@ -298,9 +300,9 @@ def test_bad_train_section_names_file_and_key(workdir, capsys, raw, error, match
     ({"seed": 0, "delay_search": [0.0, 0.2, 0.4]},
      r"bad\.json: delay_search must be a \[lo, hi\] pair"),
     ({"seed": 0, "delay_search": [0.0, "hi"]},
-     r"bad\.json: delay_search must be a finite number, got 'hi'"),
+     r"bad\.json: delay_search must be finite, got \[0\.0, 'hi'\]"),
     ({"seed": 0, "delay_search": [0.3, 0.1]},
-     r"bad\.json: delay_search must satisfy lo < hi"),
+     r"bad\.json: delay_search must be a \[lo, hi\] pair with lo < hi, got \[0\.3, 0\.1\]"),
     ({"seed": 0, "delay_step": 0}, r"bad\.json: delay_step must be positive"),
     ({"seed": 0, "delay_step": None},
      r"bad\.json: delay_step must be a finite number, got None"),
@@ -407,7 +409,7 @@ def test_zero_pad_is_accepted(workdir):
      r"script\.json: segment 0: unknown fields \['w'\]"),
     ([[0.0, 1.0, 0.1]], r"script\.json: segment 0: must be a JSON object"),
     ([{"t_start": 1.0, "v": 1.0, "c": 0.1}, {"t_start": 0.5, "v": 1.0, "c": 0.2}],
-     r"script\.json: segment t_start values must be strictly increasing"),
+     r"script\.json: segment 1: t_start must be strictly increasing, got 0\.5"),
     ([], r"script\.json: ControlScript needs at least one segment"),
 ])
 def test_bad_script_names_file_segment_and_field(workdir, capsys, segments, match):
@@ -441,6 +443,17 @@ def test_script_with_an_unknown_top_level_key_exits_1_naming_it(workdir, capsys)
     assert main(["collect", "--out", "run", "--script", "script.json",
                  "--duration", "2"]) == 1
     assert capsys.readouterr().err == "error: script.json: unknown fields ['bogus']\n"
+
+
+def test_script_out_of_order_exits_1_naming_the_segment(workdir, capsys):
+    with open("script.json", "w", encoding="utf-8") as fh:
+        json.dump({"segments": [{"t_start": 0.0, "v": 1.0, "c": 0.1},
+                                {"t_start": 2.0, "v": 1.0, "c": 0.2},
+                                {"t_start": 1.5, "v": 2.0, "c": 0.3}]}, fh)
+    assert main(["collect", "--out", "run", "--script", "script.json"]) == 1
+    assert capsys.readouterr().err == \
+        "error: script.json: segment 2: t_start must be strictly increasing, got 1.5\n"
+    assert not os.path.exists("run")
 
 
 def test_script_that_starts_late_exits_1_naming_its_first_segment(workdir, capsys):
@@ -635,7 +648,7 @@ ALIGN_ARGV = ["align", "--joy", "joy.csv", "--imu", "imu.csv"]
 
 @pytest.mark.parametrize("argv, name, text, line, reason", [
     (ALIGN_ARGV, "joy.csv", "t,v,av\n0.0,1.0,0.5\n\n0.1,1.0,0.5\n0.1,1.0,0.5\n", 5,
-     "JoyLog: t must be strictly increasing"),
+     "JoyLog: t must be strictly increasing, got 0.1"),
     (ALIGN_ARGV, "imu.csv", "t,av_z\n0.0,0.5\n\n0.1,0.5\n0.2,nan\n0.3,0.5\n", 5,
      "ImuLog: av_z must be within +-1000, got nan"),
     (["replay", "--buffer", "buf.txt"], "buf.txt", "1.0,0.5\n\n1.0,0.5\n1.0,nan\n", 4,
@@ -916,7 +929,10 @@ SCAN = "delay,objective\n"
     ("--hist", None, r"missing file: missing\.csv"),
     # a negative bar height is not valid SVG
     ("--hist", HIST + "0.0,1.0,3\n1.0,2.0,-2\n",
-     r"bad\.csv:3: cannot plot: count must be >= 0, got -2\.0$"),
+     r"bad\.csv:3: cannot plot: count must be within \[0, 1e\+305\], got -2\.0$"),
+    # the chart's x range runs from the first bin_lo to the last bin_hi
+    ("--hist", HIST + "1.0,2.0,3\n0.0,1.0,2\n", r"bad\.csv: cannot plot: bin range must be "
+     r"a \[lo, hi\] pair with lo < hi, got \(1\.0, 1\.0\)$"),
 ])
 def test_plot_fails_closed_on_bad_tables(workdir, capsys, flag, text, err):
     path = "missing.csv"
@@ -1063,9 +1079,10 @@ def test_finite_value_past_its_domain_exits_1_naming_file_and_key(workdir, capsy
 # 2**62 epochs fit an index, but not the byte size of a float64 loss curve;
 # 2**59 epochs fit that, but not the byte size of the curve's two halves.
 @pytest.mark.parametrize("train, message", [
-    ({"epochs": 10 ** 19}, f"epochs must be in [1, {np.iinfo(np.intp).max // 8}]"),
-    ({"epochs": 2 ** 62}, f"epochs must be in [1, {np.iinfo(np.intp).max // 8}]"),
-    ({"batch_size": LONG_INT}, f"batch_size must be in [1, {np.iinfo(np.intp).max // 8}]"),
+    ({"epochs": 10 ** 19}, f"epochs must be an integer in [1, {np.iinfo(np.intp).max // 8}], got {10 ** 19}"),
+    ({"epochs": 2 ** 62}, f"epochs must be an integer in [1, {np.iinfo(np.intp).max // 8}], got {2 ** 62}"),
+    ({"batch_size": LONG_INT},
+     f"batch_size must be an integer in [1, {np.iinfo(np.intp).max // 8}], got {reprlib.repr(LONG_INT)}"),
     ({"epochs": 2 ** 59}, f"epochs {2 ** 59} needs 9.22e+18 bytes of loss curve, "
                           f"more than can be allocated"),
 ], ids=["epochs", "epochs-bytes", "batch_size", "epochs-curve"])
@@ -1182,7 +1199,7 @@ def fuzz_files(capsys, argv: dict, seed: int, cases: int) -> list[int]:
     file name -> the command line that reads it), and return the exit codes.
     Each run must exit 0, or 1 with one ``error: <file>`` line and no stdout;
     the file is restored after each case."""
-    originals = {name: open(name, encoding="utf-8").read() for name in argv}
+    originals = {name: Path(name).read_text(encoding="utf-8") for name in argv}
     names = list(argv)
     rng = np.random.default_rng(seed)
     exits = []
@@ -1373,7 +1390,7 @@ def test_mutated_tables_exit_0_or_1_with_one_error_line_naming_the_file(workdir,
     made = {"joy.csv": "run/logs/joy.csv", "imu.csv": "run/logs/imu.csv",
             "dataset.csv": "run/datasets/dataset.csv", "loss.csv": "run/reports/loss.csv",
             "hist.csv": "run/reports/vel_hist.csv", "scan.csv": "run/reports/delay_scan.csv"}
-    originals = {name: open(path, encoding="utf-8").read() for name, path in made.items()}
+    originals = {name: Path(path).read_text(encoding="utf-8") for name, path in made.items()}
     # one of every 10 joystick rows, short enough to mutate near every row
     originals["joy.csv"] = "\n".join(originals["joy.csv"].splitlines()[::10]) + "\n"
     originals["buffer.txt"] = originals["drift.txt"] = "2.0,0.5\n2.0,-0.5\n1.0,0.0\n"

@@ -39,7 +39,7 @@ def test_log_rejects_shape_mismatch_and_nonfinite():
     # a finite speed past the domain is refused like a non-finite one
     ([0.0, 0.1, 0.2, 0.3], [1.0, -1e200, 1.0, np.inf], 1,
      "JoyLog: v must be within +-1000, got -1e+200"),
-    ([0.0, 0.1, 0.1, 0.0], [1.0, 1.0, 1.0, 1.0], 2, "JoyLog: t must be strictly increasing"),
+    ([0.0, 0.1, 0.1, 0.0], [1.0, 1.0, 1.0, 1.0], 2, "JoyLog: t must be strictly increasing, got 0.1"),
     # the first failing row, whichever column holds it
     ([0.0, 0.1, np.inf, 0.3], [1.0, 1.0, 1.0, 1e4], 2, "JoyLog: t must be finite, got inf"),
 ])

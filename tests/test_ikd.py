@@ -45,10 +45,10 @@ def test_c_from_av_v_is_elementwise():
     assert np.all(c[guarded] == 0.0)
     assert np.array_equal(c[~guarded], av[~guarded] / v[~guarded])
     for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValidationError, match="av and v must be finite"):
-            c_from_av_v(np.array([1.0, bad]), np.array([2.0, 2.0]))
-        with pytest.raises(ValidationError, match="av and v must be finite"):
-            c_from_av_v(np.array([1.0, 1.0]), np.array([2.0, bad]))
+        for name, args in (("av", ([1.0, bad], [2.0, 2.0])), ("v", ([1.0, 1.0], [2.0, bad]))):
+            with pytest.raises(ValidationError) as exc:
+                c_from_av_v(*map(np.array, args))
+            assert (str(exc.value), exc.value.row) == (f"{name} must be finite, got {bad!r}", 1)
 
 
 def test_conversion_round_trip_away_from_guard():

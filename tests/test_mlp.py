@@ -416,6 +416,20 @@ def test_train_config_rejects_values_that_diverge_or_do_not_type(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", ["x", True, float("nan"), 1.0])
+def test_train_config_refuses_a_moment_rate_outside_its_interval_in_one_wording(value):
+    with pytest.raises(ValidationError) as exc:
+        TrainConfig(beta1=value)
+    assert str(exc.value) == f"beta1 must be in [0, 1), got {value!r}"
+
+
+@pytest.mark.parametrize("value, shown", [(1.0, "1.0"), (0, "0"), ("0.1", "'0.1'")])
+def test_train_config_refuses_a_split_fraction_outside_the_open_interval(value, shown):
+    with pytest.raises(ValidationError) as exc:
+        TrainConfig(split_fraction=value)
+    assert str(exc.value) == f"split_fraction must be in (0, 1), got {shown}"
+
+
 def test_train_config_accepts_edge_values():
     cfg = TrainConfig(lr=1e6, beta1=0.0, beta2=0.0, weight_decay=0.0,
                       eps_adam=1e-300, batch_size=np.int64(8), epochs=1, seed=0)
@@ -485,6 +499,35 @@ def test_model_file_shape_error_names_tensor(tmp_path):
     with pytest.raises(ValidationError) as exc:
         load_model(str(path))
     assert str(exc.value) == f"{path}: W1 has shape (31, 2), expected (32, 2)"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw.update(extra=1), "unknown fields ['extra']"),
+    (lambda raw: raw["weights"].update(W9=[[0.0]]), "weights: unknown fields ['W9']"),
+    (lambda raw: raw.pop("layer_sizes"), "missing field 'layer_sizes'"),
+    (lambda raw: raw["weights"].pop("b3"), "weights: missing field 'b3'"),
+    (lambda raw: raw.update(weights=[]), "weights: must be a JSON object, got []"),
+], ids=["extra-key", "extra-tensor", "no-layer-sizes", "no-tensor", "weights-not-object"])
+def test_model_file_with_a_missing_or_unknown_field_is_refused_naming_it(tmp_path, edit,
+                                                                        message):
+    import json
+    path = tmp_path / "model.json"
+    save_model(random_params(3), str(path))
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    edit(raw)
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(ValidationError) as exc:
+        load_model(str(path))
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_model_file_that_is_not_an_object_is_refused_in_one_short_message(tmp_path):
+    import json
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(list(range(5000))), encoding="utf-8")
+    with pytest.raises(ValidationError) as exc:
+        load_model(str(path))
+    assert str(exc.value) == f"{path}: must be a JSON object, got [0, 1, 2, 3, 4, 5, ...]"
 
 
 def test_model_file_version_and_layer_checks(tmp_path):

@@ -153,6 +153,18 @@ def test_run_scenario_command_check_messages(v, c, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("t_start, message", [
+    (float("nan"), "t_start must be finite, got nan"),
+    (float("inf"), "t_start must be finite, got inf"),
+    (0.5, "t_start must be strictly increasing, got 0.5"),
+    (1.0, "t_start must be strictly increasing, got 1.0"),
+])
+def test_control_script_refuses_a_start_that_is_not_finite_or_in_order(t_start, message):
+    with pytest.raises(ValidationError) as exc:
+        make_script([(0.0, 1.0, 0.1), (1.0, 1.0, 0.2), (t_start, 1.0, 0.3)])
+    assert (str(exc.value), exc.value.row) == (message, 2)
+
+
 def test_control_script_ordering_and_lookup():
     with pytest.raises(ValidationError):
         make_script([(0.0, 1.0, 0.0), (0.0, 2.0, 0.0)])

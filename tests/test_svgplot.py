@@ -1,6 +1,7 @@
 """Deterministic SVG rendering."""
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ def test_line_chart_structure(tmp_path):
     xs = np.arange(5.0)
     svg_line_chart([("a", xs, xs * 2.0), ("b", xs, xs * 0.5)], path,
                    title="two lines", xlabel="t", ylabel="v")
-    text = open(path, encoding="utf-8").read()
+    text = Path(path).read_text(encoding="utf-8")
     assert text.startswith("<svg ")
     assert text.rstrip().endswith("</svg>")
     assert text.count("<polyline") == 2
@@ -31,13 +32,13 @@ def test_line_chart_is_byte_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "a.svg"), str(tmp_path / "b.svg")
     svg_line_chart([("s", xs, ys)], p1, title="t")
     svg_line_chart([("s", xs, ys)], p2, title="t")
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_line_chart_flat_series_does_not_divide_by_zero(tmp_path):
     path = str(tmp_path / "flat.svg")
     svg_line_chart([("flat", [0.0, 1.0], [2.0, 2.0])], path)
-    assert "<polyline" in open(path, encoding="utf-8").read()
+    assert "<polyline" in Path(path).read_text(encoding="utf-8")
 
 
 def test_line_chart_rejects_empty_input(tmp_path):
@@ -50,7 +51,7 @@ def test_line_chart_rejects_empty_input(tmp_path):
 def test_bar_chart_draws_one_rect_per_bin(tmp_path):
     path = str(tmp_path / "bars.svg")
     svg_bar_chart([3.0, 0.0, 5.0, 1.0], (0.0, 4.0), path, title="hist")
-    text = open(path, encoding="utf-8").read()
+    text = Path(path).read_text(encoding="utf-8")
     # one background rect plus one bar per bin
     assert text.count("<rect") == 1 + 4
     with pytest.raises(ValidationError):
@@ -61,9 +62,23 @@ def test_bar_chart_draws_one_rect_per_bin(tmp_path):
                                            ([1.0, float("nan"), -3.0], "nan")])
 def test_bar_chart_refuses_a_negative_count_naming_its_bar(tmp_path, counts, shown):
     path = tmp_path / "neg.svg"
-    with pytest.raises(ValidationError, match=rf"^count must be >= 0, got {shown}$") as exc:
+    with pytest.raises(ValidationError, match=rf"^count must be within \[0, 1e\+305\], got {shown}$") as exc:
         svg_bar_chart(counts, (0.0, 2.0), str(path))
     assert exc.value.row == 1
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("vrange, rule", [
+    ((float("nan"), 1.0), r"finite, got \(nan, 1\.0\)"),
+    ((0.0, float("inf")), r"finite, got \(0\.0, inf\)"),
+    ((float("-inf"), 0.0), r"finite, got \(-inf, 0\.0\)"),
+    ((1.0, 1.0), r"a \[lo, hi\] pair with lo < hi, got \(1\.0, 1\.0\)"),
+    ((2.0, 1.0), r"a \[lo, hi\] pair with lo < hi, got \(2\.0, 1\.0\)"),
+])
+def test_bar_chart_refuses_a_range_that_is_not_finite_and_ordered(tmp_path, vrange, rule):
+    path = tmp_path / "range.svg"
+    with pytest.raises(ValidationError, match=rf"^vrange must be {rule}$"):
+        svg_bar_chart([1.0, 2.0], vrange, str(path))
     assert not path.exists()
 
 
@@ -71,7 +86,7 @@ def test_bar_chart_refuses_a_count_it_cannot_scale_naming_its_bar(tmp_path):
     path = tmp_path / "inf.svg"
     for counts, shown in (([1.0, float("inf")], "inf"), ([1.0, 1e308], r"1e\+308")):
         with pytest.raises(ValidationError,
-                           match=rf"^count must be within \+-1e\+305, got {shown}$") as exc:
+                           match=rf"^count must be within \[0, 1e\+305\], got {shown}$") as exc:
             svg_bar_chart(counts, (0.0, 2.0), str(path))
         assert exc.value.row == 1
     assert not path.exists()
@@ -93,7 +108,7 @@ def test_line_chart_refuses_values_it_cannot_scale(tmp_path, series, match):
 def test_bar_chart_all_zero_counts(tmp_path):
     path = str(tmp_path / "zeros.svg")
     svg_bar_chart([0.0, 0.0], (0.0, 1.0), path)
-    assert 'height="0.00"' in open(path, encoding="utf-8").read()
+    assert 'height="0.00"' in Path(path).read_text(encoding="utf-8")
 
 
 def test_trajectory_plot_draws_obstacles(tmp_path):
@@ -102,7 +117,7 @@ def test_trajectory_plot_draws_obstacles(tmp_path):
                              cones=((1.0, 1.0), (3.0, 1.0)), gap_width=1.0)
     svg_trajectory([("run", np.linspace(0, 4, 30), np.linspace(0, 1, 30))], path,
                    scenario=scenario, title="course")
-    text = open(path, encoding="utf-8").read()
+    text = Path(path).read_text(encoding="utf-8")
     assert text.count("<polygon") == 1
     assert text.count("<circle") == 2
     assert text.count("<polyline") == 1
@@ -112,7 +127,7 @@ def test_trajectory_equal_aspect(tmp_path):
     # A wide flat trace must not be stretched: equal world spans per pixel.
     path = str(tmp_path / "aspect.svg")
     svg_trajectory([("r", [0.0, 10.0], [0.0, 0.1])], path)
-    text = open(path, encoding="utf-8").read()
+    text = Path(path).read_text(encoding="utf-8")
     # y labels get the padded x span of 11 centered on y=0.05
     assert ">-5.45<" in text and ">5.55<" in text
 
@@ -137,7 +152,7 @@ def test_charts_match_their_pinned_bytes(tmp_path):
     svg_bar_chart([3.0, 0.0, 5.0, 1.5], (0.0, 2.0), paths["bar"], title="golden bars",
                   xlabel="v [m/s]")
     svg_trajectory(traces, paths["traj"], scenario=scenario, title="golden course")
-    digests = {name: hashlib.sha256(open(p, "rb").read()).hexdigest()
+    digests = {name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
                for name, p in paths.items()}
     assert digests == {
         "line": "84e0ab18d0fb7a5b643084dd65af3859dd4d7bfafdf32fd95de541b02680eadf",
